@@ -30,7 +30,7 @@
 //!   which is the right default on single-core builders.
 //! * `REFINEMENT_BENCH_SUPERVISE_MAX_RATIO=r` — overhead gate for the
 //!   supervised-run probe: fail (exit 2) if running the warm workload
-//!   through `fdrlite::supervisor` (journal + retry machinery) costs more
+//!   through `service::supervisor` (journal + retry machinery) costs more
 //!   than `r`× the bare sequential loop. Unset = no gate.
 //!
 //! Run directly: `cargo bench -p bench --bench refinement_scaling`.
@@ -448,10 +448,11 @@ struct SuperviseProbe {
 /// sleeping). The supervised loop must report the same verdicts; the gate
 /// bounds how much its scaffolding may cost.
 fn probe_supervise(workload: &Workload, jobs: u32) -> SuperviseProbe {
-    use fdrlite::supervisor as sup;
+    use fdrlite::supervisor::{JobError, JobReport, JobStatus};
+    use service::supervisor as sup;
 
     let checker = Checker::new();
-    let store = Arc::new(fdrlite::ModelStore::new());
+    let store = fdrlite::ModelStore::new();
     let options = fdrlite::CheckOptions::UNBOUNDED;
     // Warm the store first: both loops then measure per-check dispatch,
     // not one-off compilation.
@@ -488,9 +489,9 @@ fn probe_supervise(workload: &Workload, jobs: u32) -> SuperviseProbe {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("journal dir");
     let mut diags = Vec::new();
-    let mut journal = sup::Journal::open(dir.join("bench.journal"), 0x1373, &mut diags);
+    let mut journal = service::journal::ServiceJournal::open(dir.join("bench.journal"), &mut diags);
     let supervisor = sup::Supervisor::new(sup::SupervisorConfig {
-        retry: sup::RetryPolicy {
+        retry: fdrlite::supervisor::RetryPolicy {
             max_attempts: 2,
             base_delay_ms: 0,
             max_delay_ms: 0,
@@ -498,46 +499,48 @@ fn probe_supervise(workload: &Workload, jobs: u32) -> SuperviseProbe {
         },
         run_timeout_ms: None,
     });
-    let job_list: Vec<sup::Job> = (0..jobs)
-        .map(|i| {
-            let store = Arc::clone(&store);
-            let checker = Checker::new();
-            let spec = workload.spec.clone();
-            let impl_ = workload.impl_.clone();
-            let defs = workload.defs.clone();
-            let exec = move |ctx: &sup::JobCtx| {
-                if i % 2 == 0 && ctx.attempt == 1 {
-                    return Err(sup::JobError::Transient("injected (bench chaos)".into()));
-                }
-                let (v, _) = store
-                    .trace_refinement(
-                        &checker,
-                        &spec,
-                        &impl_,
-                        &defs,
-                        1,
-                        &fdrlite::CheckOptions::UNBOUNDED,
-                    )
-                    .map_err(|e| sup::JobError::Permanent(e.to_string()))?;
-                Ok(sup::JobReport {
-                    status: if v.is_pass() {
-                        sup::JobStatus::Passed
-                    } else {
-                        sup::JobStatus::Refuted
-                    },
-                    lines: Vec::new(),
-                    interrupted: false,
-                })
-            };
-            sup::Job {
-                name: format!("bench-{i}"),
-                key: u64::from(i),
-                exec: Box::new(exec),
-            }
+    // The jobs stand in for manifest entries; the runner below checks the
+    // in-memory workload, so the script path only feeds the content key.
+    let job_list: Vec<service::ResolvedJob> = (0..jobs)
+        .map(|i| service::ResolvedJob {
+            name: format!("bench-{i}"),
+            kind: cspm::manifest::JobKind::Check,
+            script: dir.join("bench.csp"),
+            spec: None,
+            corpus: None,
+            assertion: None,
+            threads: 1,
+            max_states: None,
+            timeout_ms: None,
+            chaos: None,
         })
         .collect();
     let started = Instant::now();
-    let outcome = supervisor.run(job_list, &mut journal);
+    let outcome = supervisor.run(&job_list, &mut journal, |job, ctx| {
+        // Even-numbered jobs fail their first attempt.
+        if job.name.ends_with(['0', '2', '4', '6', '8']) && ctx.attempt == 1 {
+            return Err(JobError::Transient("injected (bench chaos)".into()));
+        }
+        let (v, _) = store
+            .trace_refinement(
+                &checker,
+                &workload.spec,
+                &workload.impl_,
+                &workload.defs,
+                1,
+                &fdrlite::CheckOptions::UNBOUNDED,
+            )
+            .map_err(|e| JobError::Permanent(e.to_string()))?;
+        Ok(JobReport {
+            status: if v.is_pass() {
+                JobStatus::Passed
+            } else {
+                JobStatus::Refuted
+            },
+            lines: Vec::new(),
+            interrupted: false,
+        })
+    });
     let supervised_us = started.elapsed().as_micros().max(1);
     journal.remove();
     let _ = std::fs::remove_dir_all(&dir);
@@ -545,9 +548,9 @@ fn probe_supervise(workload: &Workload, jobs: u32) -> SuperviseProbe {
     let supervised_agree = outcome.jobs.iter().all(|j| {
         j.status
             == if expected_pass {
-                sup::JobStatus::Passed
+                JobStatus::Passed
             } else {
-                sup::JobStatus::Refuted
+                JobStatus::Refuted
             }
     });
     let probe = SuperviseProbe {

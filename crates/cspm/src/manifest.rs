@@ -1,9 +1,9 @@
 //! `jobs.toml` manifests for `autocsp run`.
 //!
 //! A manifest names a batch of checking jobs — refinement/property check
-//! runs, trace-conformance sweeps, semantic analyses — to be executed
-//! under the supervised job runtime (`fdrlite::supervisor`). The format is
-//! a small TOML subset, read line by line:
+//! runs, trace-conformance sweeps, semantic analyses — to be executed by
+//! `autocsp run` or submitted to `autocsp serve` (both in the `service`
+//! crate). The format is a small TOML subset, read line by line:
 //!
 //! ```toml
 //! [run]
@@ -36,7 +36,8 @@
 //!
 //! Only `name` and `script` are required per job. Paths are resolved
 //! relative to the manifest's directory at parse time. Per-job settings
-//! override `[run]` defaults, which override the CLI's.
+//! override `[run]` defaults, which override the CLI's or the service's
+//! (`service::resolve_jobs`).
 //!
 //! The `[chaos]` section drives `faults::storage::TransientJobFaults`: a
 //! deterministic plan under which every `every_nth`-th job (selected by a
@@ -50,18 +51,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::error::{CspmError, Pos};
-
-/// FNV-1a over a byte slice; used for manifest and job content keys.
-///
-/// This mirrors the checksum primitive used by the on-disk store so keys
-/// stay stable across releases; it is *not* a cryptographic hash.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// What a job does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +156,6 @@ pub struct Manifest {
     pub jobs: Vec<JobSpec>,
     /// The optional chaos plan.
     pub chaos: Option<ChaosSpec>,
-    source_hash: u64,
 }
 
 impl Manifest {
@@ -186,50 +174,9 @@ impl Manifest {
                 run: RunSettings::default(),
                 jobs: Vec::new(),
                 chaos: None,
-                source_hash: fnv64(source.as_bytes()),
             },
         }
         .parse(source)
-    }
-
-    /// A stable hash of the manifest text, keying the supervisor's job
-    /// journal: edit the manifest and a stale journal is rejected instead
-    /// of replaying outcomes for jobs that no longer exist.
-    pub fn source_hash(&self) -> u64 {
-        self.source_hash
-    }
-
-    /// A stable content key for job `index`, folding in everything that
-    /// shapes its verdict: the job definition and the script text(s) it
-    /// runs. Pass the loaded script source as `script_source`; an edited
-    /// script changes the key, so the journal re-runs the job.
-    pub fn job_key(&self, index: usize, script_source: &str) -> u64 {
-        let job = &self.jobs[index];
-        let mut buf = Vec::new();
-        buf.extend_from_slice(job.name.as_bytes());
-        buf.push(0);
-        buf.extend_from_slice(job.kind.label().as_bytes());
-        buf.push(0);
-        buf.extend_from_slice(script_source.as_bytes());
-        buf.push(0);
-        for opt in [&job.spec, &job.assertion] {
-            if let Some(s) = opt {
-                buf.extend_from_slice(s.as_bytes());
-            }
-            buf.push(0);
-        }
-        if let Some(c) = &job.corpus {
-            buf.extend_from_slice(c.to_string_lossy().as_bytes());
-        }
-        buf.push(0);
-        for n in [
-            job.threads.map(|t| t as u64),
-            job.max_states,
-            job.timeout_ms,
-        ] {
-            buf.extend_from_slice(&n.unwrap_or(u64::MAX).to_le_bytes());
-        }
-        fnv64(&buf)
     }
 }
 
@@ -533,30 +480,6 @@ mod tests {
         assert_eq!(
             (chaos.seed, chaos.transient_attempts, chaos.every_nth),
             (99, 2, 3)
-        );
-    }
-
-    #[test]
-    fn job_keys_are_content_sensitive() {
-        let m = Manifest::parse(SAMPLE, Path::new("/work")).unwrap();
-        let k = m.job_key(0, "P = STOP");
-        assert_eq!(k, m.job_key(0, "P = STOP"), "stable");
-        assert_ne!(k, m.job_key(0, "P = SKIP"), "script text changes the key");
-        assert_ne!(
-            k,
-            m.job_key(1, "P = STOP"),
-            "job definition changes the key"
-        );
-        assert_ne!(
-            Manifest::parse(SAMPLE, Path::new("/work"))
-                .unwrap()
-                .source_hash(),
-            Manifest::parse(
-                &SAMPLE.replace("seed = 99", "seed = 98"),
-                Path::new("/work")
-            )
-            .unwrap()
-            .source_hash()
         );
     }
 

@@ -17,8 +17,8 @@
 //! | `SIM3xx`  | fault-plan validation and plan ↔ `.dbc` checks   |
 //! | `STO4xx`  | on-disk model-cache integrity (`fdrlite::persist`) |
 //! | `ANA3xx`  | semantic model analysis (`autocsp analyze`, see [`ana`]) |
-//! | `SUP5xx`  | supervised job runtime (`fdrlite::supervisor`, `autocsp run`) |
-//! | `SRV6xx`  | checking service orchestration (`crates/service`, `autocsp serve`) |
+//! | `SUP5xx`  | supervised job runtime (`service::supervisor`, `autocsp run`) |
+//! | `SRV6xx`  | checking service orchestration and the job journal (`crates/service`) |
 //!
 //! Rendering follows the familiar compiler shape:
 //!

@@ -191,7 +191,7 @@ pub fn apply_storage_fault(
 }
 
 /// A deterministic transient-failure plan for supervised job runs
-/// (`autocsp run`, `fdrlite::supervisor`): a seeded selection of jobs
+/// (`autocsp run` and `autocsp serve`): a seeded selection of jobs
 /// whose first attempts fail with a *retryable* error.
 ///
 /// Selection hashes the job *name* (not its position), so inserting or

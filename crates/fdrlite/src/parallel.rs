@@ -6,7 +6,7 @@
 //! serves `[T=` (trace), `[F=` (stable-failures) and — composed with the
 //! shared τ-divergence routine — `[FD=` checks. In failures mode each
 //! worker additionally runs the same word-level refusal test as the serial
-//! engine ([`FailureProbe`]) against the spec's bitset acceptance pool when
+//! engine (`FailureProbe`) against the spec's bitset acceptance pool when
 //! it expands a stable implementation state. It is built from three
 //! pieces:
 //!

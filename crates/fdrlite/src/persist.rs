@@ -339,9 +339,9 @@ pub fn corrupt<T>(why: &'static str) -> DecResult<T> {
 
 /// Little-endian append-only encoder.
 ///
-/// Public so that other crash-safe journals (the supervisor's and the
-/// checking service's) share one wire discipline: magic + format version
-/// header, little-endian fields, trailing FNV-1a checksum.
+/// Public so that the checking service's crash-safe job journal shares
+/// one wire discipline with the cache: magic + format version header,
+/// little-endian fields, trailing FNV-1a checksum.
 pub struct Enc {
     buf: Vec<u8>,
 }

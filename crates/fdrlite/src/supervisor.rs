@@ -1,78 +1,21 @@
-//! Supervised execution of a batch of checking jobs.
+//! The vocabulary of supervised checking jobs.
 //!
-//! A [`Supervisor`] runs a sequence of [`Job`]s — refinement checks,
-//! conformance sweeps, analyses — with the failure discipline a long
-//! unattended batch needs:
+//! A checking job — a refinement check, a conformance sweep, an analysis
+//! — ends in a [`JobStatus`] with deterministic verdict lines
+//! ([`JobReport`]), or fails with a [`JobError`] that says whether a
+//! retry could help. Transient failures retry under a bounded,
+//! deterministic exponential-backoff schedule ([`RetryPolicy`]).
 //!
-//! * **Panic isolation.** A job that panics becomes a [`JobStatus::Failed`]
-//!   outcome carrying the panic payload as a [`JOB_PANIC`] (`SUP501`)
-//!   diagnostic; the remaining jobs still run. A panic can never produce a
-//!   wrong verdict and can never take the whole run down.
-//! * **Retry, for transient failures only.** A job may report
-//!   [`JobError::Transient`] (storage-fault quarantine + recompile,
-//!   `store.lock` contention, injected I/O faults); the supervisor retries
-//!   it under a bounded, deterministic exponential-backoff schedule
-//!   ([`RetryPolicy`]). [`JobError::Permanent`] and panics are never
-//!   retried.
-//! * **Budgets.** A per-run wall budget defers the jobs that did not get to
-//!   run (they are *not* journaled, so a later `--resume` picks them up);
-//!   per-job budgets are owned by the job itself and surface as ordinary
-//!   [`JobStatus::Inconclusive`] outcomes, exactly like a direct
-//!   `autocsp check` run. A shutdown request
-//!   ([`crate::request_interrupt`], e.g. from a `SIGTERM` handler) defers
-//!   all remaining jobs the same way.
-//! * **A crash-safe journal.** Every terminal outcome is appended to a
-//!   [`Journal`] written atomically (temp file + rename, checksummed, the
-//!   same idioms as the model cache). A run killed mid-flight and
-//!   restarted with the same journal replays finished jobs *verbatim* —
-//!   byte-identical verdict lines, no re-exploration — and re-runs only
-//!   the jobs with no journaled outcome.
-//!
-//! The supervisor is engine-agnostic: a job is just a closure returning a
-//! [`JobReport`] or a [`JobError`]. The `autocsp run` subcommand builds
-//! jobs from a `jobs.toml` manifest (see `cspm::manifest`) and wires them
-//! to a shared [`crate::ModelStore`]; this module is the staging ground
-//! for the future sharded checker-farm service, which will feed the same
-//! job type from an HTTP queue.
+//! The runner that applies these rules — panic isolation, retries, run
+//! budgets and the crash-safe journal — lives in the `service` crate
+//! (`service::supervisor`), next to the checking service's orchestrator,
+//! which follows the same rules across a worker farm. Both run jobs on
+//! one executor (`service::exec::Executor`) and record them in one
+//! journal (`service::journal`).
 
 use std::fmt;
-use std::fs;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
-use diag::{Code, Diagnostic, Span};
-
-use crate::interrupt::interrupt_requested;
 use crate::persist::fnv1a64;
-use crate::persist::{Dec, Enc, EntryError};
-
-/// `SUP501` — a job panicked; it is reported as `Failed` with the panic
-/// payload preserved, and the rest of the run continues.
-pub const JOB_PANIC: Code = Code("SUP501");
-/// `SUP502` — a job failed transiently and is being retried (warning).
-pub const TRANSIENT_RETRY: Code = Code("SUP502");
-/// `SUP503` — a job kept failing transiently until its retry budget ran
-/// out; it is reported as `Failed`.
-pub const RETRIES_EXHAUSTED: Code = Code("SUP503");
-/// `SUP504` — a job failed permanently (no retry); reported as `Failed`.
-pub const JOB_FAILED: Code = Code("SUP504");
-/// `SUP505` — the job journal could not be read (corrupt, stale version,
-/// or keyed to a different manifest) or written; the run continues, at
-/// worst re-running jobs (warning).
-pub const JOURNAL_ERROR: Code = Code("SUP505");
-/// `SUP506` — the run's wall budget (or a shutdown request) deferred jobs
-/// that had not started; re-run with `--resume` to complete them
-/// (warning).
-pub const RUN_BUDGET: Code = Code("SUP506");
-/// `SUP510` — the job manifest could not be parsed or resolved.
-pub const MANIFEST_ERROR: Code = Code("SUP510");
-
-const MAGIC_JOURNAL: &[u8; 8] = b"FDRLJNL\x01";
-
-// ---------------------------------------------------------------------------
-// Jobs
-// ---------------------------------------------------------------------------
 
 /// Terminal state of a supervised job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,26 +33,7 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
-    fn to_u8(self) -> u8 {
-        match self {
-            JobStatus::Passed => 0,
-            JobStatus::Refuted => 1,
-            JobStatus::Inconclusive => 2,
-            JobStatus::Failed => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<JobStatus> {
-        match v {
-            0 => Some(JobStatus::Passed),
-            1 => Some(JobStatus::Refuted),
-            2 => Some(JobStatus::Inconclusive),
-            3 => Some(JobStatus::Failed),
-            _ => None,
-        }
-    }
-
-    /// Lower-case label used in verdict lines and the journal dump.
+    /// Lower-case label used in verdict lines, journals and wire frames.
     pub fn label(self) -> &'static str {
         match self {
             JobStatus::Passed => "passed",
@@ -117,6 +41,18 @@ impl JobStatus {
             JobStatus::Inconclusive => "inconclusive",
             JobStatus::Failed => "failed",
         }
+    }
+
+    /// The status whose [`JobStatus::label`] is `label`.
+    pub fn from_label(label: &str) -> Option<JobStatus> {
+        [
+            JobStatus::Passed,
+            JobStatus::Refuted,
+            JobStatus::Inconclusive,
+            JobStatus::Failed,
+        ]
+        .into_iter()
+        .find(|status| status.label() == label)
     }
 }
 
@@ -128,20 +64,20 @@ impl fmt::Display for JobStatus {
 
 /// What a job hands back when it ran to a verdict (including an
 /// inconclusive one). Failures go through [`JobError`] instead.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobReport {
     /// The verdict class; must not be [`JobStatus::Failed`] (failures are
     /// expressed as [`JobError`]s so the supervisor owns the diagnostic).
     pub status: JobStatus,
     /// Deterministic verdict lines for stdout — no timings, no attempt
-    /// counts, nothing that would differ between a disturbed and an
-    /// undisturbed run.
+    /// counts, no host paths, nothing that would differ between a
+    /// disturbed and an undisturbed run.
     pub lines: Vec<String>,
     /// `true` when the verdict is inconclusive *because a shutdown was
     /// requested mid-check* ([`crate::BudgetReason::Interrupted`]). Such a
-    /// report is not journaled: a `--resume` run re-runs the job, which
-    /// picks up its per-check checkpoint and continues to the verdict the
-    /// undisturbed run would have reached.
+    /// report is not journaled: the job runs again, picks up its
+    /// per-check checkpoint and continues to the verdict the undisturbed
+    /// run would have reached.
     pub interrupted: bool,
 }
 
@@ -154,45 +90,6 @@ pub enum JobError {
     /// Not worth retrying: the failure is inherent to the job.
     Permanent(String),
 }
-
-/// Per-attempt context handed to a job's closure.
-#[derive(Debug, Clone, Copy)]
-pub struct JobCtx {
-    /// 1-based attempt number (`> 1` only after transient retries).
-    pub attempt: u32,
-    /// Wall-clock milliseconds left in the run's overall budget, if one
-    /// was set; jobs should clamp their own wall budget to this.
-    pub remaining_ms: Option<u64>,
-}
-
-/// A job's work closure: one call per attempt.
-pub type JobExec = Box<dyn FnMut(&JobCtx) -> Result<JobReport, JobError>>;
-
-/// A unit of supervised work.
-pub struct Job {
-    /// Human-readable name (unique within a manifest).
-    pub name: String,
-    /// Stable content key identifying the job across runs — a hash of
-    /// everything that shapes its verdict (scripts, assertion, bounds).
-    /// The journal replays by key, so an edited job re-runs.
-    pub key: u64,
-    /// The work itself. Called once per attempt; may be called again after
-    /// a [`JobError::Transient`] return.
-    pub exec: JobExec,
-}
-
-impl fmt::Debug for Job {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Job")
-            .field("name", &self.name)
-            .field("key", &self.key)
-            .finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Retry policy
-// ---------------------------------------------------------------------------
 
 /// Bounded exponential backoff with deterministic, seedable jitter.
 ///
@@ -239,752 +136,21 @@ impl RetryPolicy {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Journal
-// ---------------------------------------------------------------------------
-
-/// A journaled terminal outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalEntry {
-    /// The job's stable content key.
-    pub key: u64,
-    /// The job's name at the time it ran (informational).
-    pub name: String,
-    /// Terminal status.
-    pub status: JobStatus,
-    /// Attempts consumed (1 unless transient retries happened).
-    pub attempts: u32,
-    /// The verdict lines, replayed verbatim on resume.
-    pub lines: Vec<String>,
-    /// The `SUP5xx` failure message, for `Failed` entries.
-    pub failure: Option<String>,
-}
-
-/// Crash-safe record of a run's terminal job outcomes.
-///
-/// The journal is rewritten atomically (temp file + rename) after every
-/// terminal job, so a `SIGKILL` at any instant leaves either the previous
-/// complete journal or the new complete journal — never a torn one. It is
-/// keyed to a manifest hash: a journal from a different manifest is
-/// rejected with [`JOURNAL_ERROR`] and the run starts fresh.
-#[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    manifest_hash: u64,
-    entries: Vec<JournalEntry>,
-}
-
-impl Journal {
-    /// Open (or create) the journal at `path` for the manifest identified
-    /// by `manifest_hash`. A missing file is an empty journal; an
-    /// unreadable, corrupt or mismatched file is *also* an empty journal,
-    /// plus a [`JOURNAL_ERROR`] warning in `diags` — at worst jobs re-run.
-    pub fn open(
-        path: impl AsRef<Path>,
-        manifest_hash: u64,
-        diags: &mut Vec<Diagnostic>,
-    ) -> Journal {
-        let path = path.as_ref().to_path_buf();
-        let mut journal = Journal {
-            path,
-            manifest_hash,
-            entries: Vec::new(),
-        };
-        let bytes = match fs::read(&journal.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return journal,
-            Err(e) => {
-                diags.push(
-                    Diagnostic::warning(
-                        JOURNAL_ERROR,
-                        Span::unknown(),
-                        format!("cannot read job journal: {e}"),
-                    )
-                    .with_note("all jobs will run from scratch"),
-                );
-                return journal;
-            }
-        };
-        match Journal::decode(&bytes, manifest_hash) {
-            Ok(entries) => journal.entries = entries,
-            Err(why) => diags.push(
-                Diagnostic::warning(
-                    JOURNAL_ERROR,
-                    Span::unknown(),
-                    format!("job journal rejected: {why}"),
-                )
-                .with_note("all jobs will run from scratch"),
-            ),
-        }
-        journal
-    }
-
-    fn decode(bytes: &[u8], manifest_hash: u64) -> Result<Vec<JournalEntry>, String> {
-        let verdict = (|| {
-            let mut dec = Dec::open(bytes, MAGIC_JOURNAL)?;
-            let hash = dec.u64()?;
-            let n = dec.len(18)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = dec.u64()?;
-                let name = dec.text()?;
-                let status = JobStatus::from_u8(dec.u8()?);
-                let attempts = dec.u32()?;
-                let n_lines = dec.len(4)?;
-                let mut lines = Vec::with_capacity(n_lines);
-                for _ in 0..n_lines {
-                    lines.push(dec.text()?);
-                }
-                let failure = match dec.u8()? {
-                    0 => None,
-                    _ => Some(dec.text()?),
-                };
-                entries.push((key, name, status, attempts, lines, failure));
-            }
-            dec.done()?;
-            Ok::<_, EntryError>((hash, entries))
-        })();
-        let (hash, raw) = match verdict {
-            Ok(v) => v,
-            Err(EntryError::Corrupt(why)) => return Err(why.to_string()),
-            Err(EntryError::Version) => return Err("unknown magic or format version".to_string()),
-        };
-        if hash != manifest_hash {
-            return Err("journal belongs to a different manifest".to_string());
-        }
-        raw.into_iter()
-            .map(|(key, name, status, attempts, lines, failure)| {
-                Ok(JournalEntry {
-                    key,
-                    name,
-                    status: status.ok_or_else(|| "unknown job status".to_string())?,
-                    attempts,
-                    lines,
-                    failure,
-                })
-            })
-            .collect()
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new(MAGIC_JOURNAL);
-        enc.u64(self.manifest_hash);
-        enc.u32(u32::try_from(self.entries.len()).unwrap_or(u32::MAX));
-        for e in &self.entries {
-            enc.u64(e.key);
-            enc.text(&e.name);
-            enc.u8(e.status.to_u8());
-            enc.u32(e.attempts);
-            enc.u32(u32::try_from(e.lines.len()).unwrap_or(u32::MAX));
-            for line in &e.lines {
-                enc.text(line);
-            }
-            match &e.failure {
-                None => enc.u8(0),
-                Some(msg) => {
-                    enc.u8(1);
-                    enc.text(msg);
-                }
-            }
-        }
-        enc.finish()
-    }
-
-    /// The journaled outcome for a job key, if it already ran to a
-    /// terminal state.
-    pub fn lookup(&self, key: u64) -> Option<&JournalEntry> {
-        self.entries.iter().find(|e| e.key == key)
-    }
-
-    /// Journaled entries, in completion order.
-    pub fn entries(&self) -> &[JournalEntry] {
-        &self.entries
-    }
-
-    /// Append a terminal outcome and rewrite the journal atomically. A
-    /// write failure degrades to a [`JOURNAL_ERROR`] warning — the run
-    /// keeps its in-memory result; only crash-resume durability is lost.
-    pub fn record(&mut self, entry: JournalEntry, diags: &mut Vec<Diagnostic>) {
-        self.entries.push(entry);
-        let tmp = self
-            .path
-            .with_extension(format!("tmp-{}", std::process::id()));
-        let written = fs::write(&tmp, self.encode()).and_then(|()| fs::rename(&tmp, &self.path));
-        if let Err(e) = written {
-            let _ = fs::remove_file(&tmp);
-            diags.push(
-                Diagnostic::warning(
-                    JOURNAL_ERROR,
-                    Span::unknown(),
-                    format!("failed to write job journal: {e}"),
-                )
-                .with_note("a killed run would re-run this job instead of replaying it"),
-            );
-        }
-    }
-
-    /// Delete the journal file (the run completed; nothing left to
-    /// resume).
-    pub fn remove(&self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Supervisor
-// ---------------------------------------------------------------------------
-
-/// Knobs for a supervised run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SupervisorConfig {
-    /// Retry schedule for transient failures.
-    pub retry: RetryPolicy,
-    /// Overall wall budget for the run, in milliseconds. Jobs that did not
-    /// start before it expired are deferred (reported, not journaled).
-    pub run_timeout_ms: Option<u64>,
-}
-
-/// The outcome of one supervised job.
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
-    /// The job's name.
-    pub name: String,
-    /// The job's stable content key.
-    pub key: u64,
-    /// Terminal status.
-    pub status: JobStatus,
-    /// Attempts consumed.
-    pub attempts: u32,
-    /// Deterministic verdict lines for stdout.
-    pub lines: Vec<String>,
-    /// The failure message (`Failed` only).
-    pub failure: Option<String>,
-    /// `true` when this outcome was replayed from the journal rather than
-    /// executed.
-    pub replayed: bool,
-}
-
-/// The outcome of a whole supervised run.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// Per-job outcomes, in manifest order (deferred jobs excluded).
-    pub jobs: Vec<JobOutcome>,
-    /// Names of jobs deferred by the run budget or a shutdown request —
-    /// including a job cut *mid-check* by a shutdown (its per-check
-    /// checkpoint lets `--resume` continue it).
-    pub deferred: Vec<String>,
-    /// Transient retries performed across the run.
-    pub retries: u64,
-    /// Diagnostics (SUP5xx) accumulated across the run; render to stderr.
-    pub diagnostics: Vec<Diagnostic>,
-}
-
-impl RunOutcome {
-    /// `true` if any job ended `Failed` (infrastructure failure — exit
-    /// code 4 in the CLI).
-    pub fn any_failed(&self) -> bool {
-        self.jobs.iter().any(|j| j.status == JobStatus::Failed)
-    }
-
-    /// `true` if any job ended `Refuted`.
-    pub fn any_refuted(&self) -> bool {
-        self.jobs.iter().any(|j| j.status == JobStatus::Refuted)
-    }
-
-    /// `true` if any job ended `Inconclusive`, or any job was deferred.
-    pub fn any_inconclusive(&self) -> bool {
-        !self.deferred.is_empty()
-            || self
-                .jobs
-                .iter()
-                .any(|j| j.status == JobStatus::Inconclusive)
-    }
-}
-
-/// Runs jobs under panic isolation, retry and budget supervision.
-#[derive(Debug, Default)]
-pub struct Supervisor {
-    config: SupervisorConfig,
-}
-
-impl Supervisor {
-    /// A supervisor with the given configuration.
-    pub fn new(config: SupervisorConfig) -> Supervisor {
-        Supervisor { config }
-    }
-
-    /// Run `jobs` in order, replaying journaled outcomes and journaling
-    /// new terminal ones. See the module docs for the exact semantics.
-    pub fn run(&self, jobs: Vec<Job>, journal: &mut Journal) -> RunOutcome {
-        let start = Instant::now();
-        // Silence the default panic hook for the duration of the run: a
-        // panicking job is caught and surfaced as a [`JOB_PANIC`]
-        // diagnostic, so the hook's backtrace would only be noise.
-        let saved_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let mut diags = Vec::new();
-        let mut outcomes = Vec::new();
-        let mut deferred = Vec::new();
-        let mut retries = 0_u64;
-        let mut budget_noted = false;
-        for mut job in jobs {
-            if let Some(entry) = journal.lookup(job.key) {
-                outcomes.push(JobOutcome {
-                    name: job.name,
-                    key: job.key,
-                    status: entry.status,
-                    attempts: entry.attempts,
-                    lines: entry.lines.clone(),
-                    failure: entry.failure.clone(),
-                    replayed: true,
-                });
-                continue;
-            }
-            let remaining_ms = self.remaining_ms(start);
-            let out_of_budget = remaining_ms == Some(0);
-            if out_of_budget || interrupt_requested() {
-                if !budget_noted {
-                    budget_noted = true;
-                    let why = if out_of_budget {
-                        "run wall budget exhausted"
-                    } else {
-                        "shutdown requested"
-                    };
-                    diags.push(
-                        Diagnostic::warning(
-                            RUN_BUDGET,
-                            Span::unknown(),
-                            format!("{why}; deferring the remaining jobs"),
-                        )
-                        .with_note("re-run with `--resume` to complete them"),
-                    );
-                }
-                deferred.push(job.name);
-                continue;
-            }
-            let (outcome, job_retries) = self.run_job(&mut job, remaining_ms, &mut diags);
-            retries += job_retries;
-            match outcome {
-                Some(outcome) => {
-                    journal.record(
-                        JournalEntry {
-                            key: outcome.key,
-                            name: outcome.name.clone(),
-                            status: outcome.status,
-                            attempts: outcome.attempts,
-                            lines: outcome.lines.clone(),
-                            failure: outcome.failure.clone(),
-                        },
-                        &mut diags,
-                    );
-                    outcomes.push(outcome);
-                }
-                // Interrupted mid-check: defer, don't journal — resume
-                // continues from the per-check checkpoint.
-                None => deferred.push(job.name),
-            }
-        }
-        std::panic::set_hook(saved_hook);
-        RunOutcome {
-            jobs: outcomes,
-            deferred,
-            retries,
-            diagnostics: diags,
-        }
-    }
-
-    fn remaining_ms(&self, start: Instant) -> Option<u64> {
-        self.config.run_timeout_ms.map(|budget| {
-            let elapsed = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
-            budget.saturating_sub(elapsed)
-        })
-    }
-
-    /// Run one job to a terminal outcome (`Some`) or an interrupted
-    /// non-outcome (`None`), retrying transient failures. Returns the
-    /// outcome plus the number of retries consumed.
-    fn run_job(
-        &self,
-        job: &mut Job,
-        remaining_ms: Option<u64>,
-        diags: &mut Vec<Diagnostic>,
-    ) -> (Option<JobOutcome>, u64) {
-        let mut attempt = 0_u32;
-        let mut job_retries = 0_u64;
-        loop {
-            attempt += 1;
-            let ctx = JobCtx {
-                attempt,
-                remaining_ms,
-            };
-            let caught = catch_unwind(AssertUnwindSafe(|| (job.exec)(&ctx)));
-            let failure = match caught {
-                Ok(Ok(report)) => {
-                    if report.interrupted {
-                        return (None, job_retries);
-                    }
-                    return (
-                        Some(JobOutcome {
-                            name: job.name.clone(),
-                            key: job.key,
-                            status: report.status,
-                            attempts: attempt,
-                            lines: report.lines,
-                            failure: None,
-                            replayed: false,
-                        }),
-                        job_retries,
-                    );
-                }
-                Err(payload) => {
-                    let message = panic_text(payload.as_ref());
-                    diags.push(
-                        Diagnostic::error(
-                            JOB_PANIC,
-                            Span::unknown(),
-                            format!("job `{}` panicked: {message}", job.name),
-                        )
-                        .with_note("the job is reported as failed; the run continues"),
-                    );
-                    format!("panicked: {message}")
-                }
-                Ok(Err(JobError::Permanent(message))) => {
-                    diags.push(Diagnostic::error(
-                        JOB_FAILED,
-                        Span::unknown(),
-                        format!("job `{}` failed: {message}", job.name),
-                    ));
-                    message
-                }
-                Ok(Err(JobError::Transient(message))) => {
-                    if attempt < self.config.retry.max_attempts {
-                        let delay = self.config.retry.delay_ms(job.key, attempt);
-                        diags.push(
-                            Diagnostic::warning(
-                                TRANSIENT_RETRY,
-                                Span::unknown(),
-                                format!(
-                                    "job `{}` failed transiently (attempt {attempt}): {message}",
-                                    job.name
-                                ),
-                            )
-                            .with_note(format!("retrying after {delay} ms")),
-                        );
-                        job_retries += 1;
-                        std::thread::sleep(Duration::from_millis(delay));
-                        continue;
-                    }
-                    diags.push(Diagnostic::error(
-                        RETRIES_EXHAUSTED,
-                        Span::unknown(),
-                        format!(
-                            "job `{}` still failing after {attempt} attempts: {message}",
-                            job.name
-                        ),
-                    ));
-                    message
-                }
-            };
-            return (
-                Some(JobOutcome {
-                    name: job.name.clone(),
-                    key: job.key,
-                    status: JobStatus::Failed,
-                    attempts: attempt,
-                    lines: Vec::new(),
-                    failure: Some(failure),
-                    replayed: false,
-                }),
-                job_retries,
-            );
-        }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
 
-    fn tmp_journal(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("fdrlite-supervisor-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join("jobs.journal")
-    }
-
-    fn quick_retry() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base_delay_ms: 0,
-            max_delay_ms: 0,
-            seed: 7,
+    #[test]
+    fn status_labels_round_trip() {
+        for status in [
+            JobStatus::Passed,
+            JobStatus::Refuted,
+            JobStatus::Inconclusive,
+            JobStatus::Failed,
+        ] {
+            assert_eq!(JobStatus::from_label(status.label()), Some(status));
         }
-    }
-
-    fn ok_job(name: &str, key: u64, calls: &Rc<Cell<u32>>) -> Job {
-        let calls = Rc::clone(calls);
-        let name = name.to_string();
-        let line = format!("assert {name}  PASS");
-        Job {
-            name,
-            key,
-            exec: Box::new(move |_ctx| {
-                calls.set(calls.get() + 1);
-                Ok(JobReport {
-                    status: JobStatus::Passed,
-                    lines: vec![line.clone()],
-                    interrupted: false,
-                })
-            }),
-        }
-    }
-
-    #[test]
-    fn panicking_job_fails_without_taking_down_the_run() {
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(tmp_journal("panic"), 1, &mut diags);
-        let calls = Rc::new(Cell::new(0));
-        let jobs = vec![
-            Job {
-                name: "boom".to_string(),
-                key: 1,
-                exec: Box::new(|_ctx| panic!("injected fault")),
-            },
-            ok_job("after", 2, &calls),
-        ];
-        let outcome = Supervisor::new(SupervisorConfig {
-            retry: quick_retry(),
-            run_timeout_ms: None,
-        })
-        .run(jobs, &mut journal);
-
-        assert_eq!(outcome.jobs.len(), 2);
-        assert_eq!(outcome.jobs[0].status, JobStatus::Failed);
-        assert_eq!(
-            outcome.jobs[0].failure.as_deref(),
-            Some("panicked: injected fault")
-        );
-        assert!(outcome
-            .diagnostics
-            .iter()
-            .any(|d| d.code == JOB_PANIC && d.message.contains("injected fault")));
-        assert_eq!(outcome.jobs[1].status, JobStatus::Passed);
-        assert_eq!(calls.get(), 1, "the job after the panic still ran");
-        assert!(outcome.any_failed());
-    }
-
-    #[test]
-    fn transient_failures_retry_then_succeed() {
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(tmp_journal("transient"), 1, &mut diags);
-        let attempts_seen = Rc::new(Cell::new(0));
-        let seen = Rc::clone(&attempts_seen);
-        let jobs = vec![Job {
-            name: "flaky".to_string(),
-            key: 9,
-            exec: Box::new(move |ctx| {
-                seen.set(ctx.attempt);
-                if ctx.attempt < 3 {
-                    Err(JobError::Transient("injected storage fault".to_string()))
-                } else {
-                    Ok(JobReport {
-                        status: JobStatus::Passed,
-                        lines: vec!["assert flaky  PASS".to_string()],
-                        interrupted: false,
-                    })
-                }
-            }),
-        }];
-        let outcome = Supervisor::new(SupervisorConfig {
-            retry: quick_retry(),
-            run_timeout_ms: None,
-        })
-        .run(jobs, &mut journal);
-
-        assert_eq!(attempts_seen.get(), 3);
-        assert_eq!(outcome.jobs[0].status, JobStatus::Passed);
-        assert_eq!(outcome.jobs[0].attempts, 3);
-        assert_eq!(outcome.retries, 2);
-        assert_eq!(
-            outcome
-                .diagnostics
-                .iter()
-                .filter(|d| d.code == TRANSIENT_RETRY)
-                .count(),
-            2
-        );
-    }
-
-    #[test]
-    fn retries_exhaust_into_failed() {
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(tmp_journal("exhaust"), 1, &mut diags);
-        let jobs = vec![Job {
-            name: "doomed".to_string(),
-            key: 4,
-            exec: Box::new(|_ctx| Err(JobError::Transient("disk on fire".to_string()))),
-        }];
-        let outcome = Supervisor::new(SupervisorConfig {
-            retry: quick_retry(),
-            run_timeout_ms: None,
-        })
-        .run(jobs, &mut journal);
-
-        assert_eq!(outcome.jobs[0].status, JobStatus::Failed);
-        assert_eq!(outcome.jobs[0].attempts, 3);
-        assert!(outcome
-            .diagnostics
-            .iter()
-            .any(|d| d.code == RETRIES_EXHAUSTED));
-    }
-
-    #[test]
-    fn permanent_failures_never_retry() {
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(tmp_journal("permanent"), 1, &mut diags);
-        let calls = Rc::new(Cell::new(0));
-        let seen = Rc::clone(&calls);
-        let jobs = vec![Job {
-            name: "broken".to_string(),
-            key: 5,
-            exec: Box::new(move |_ctx| {
-                seen.set(seen.get() + 1);
-                Err(JobError::Permanent("no such script".to_string()))
-            }),
-        }];
-        let outcome = Supervisor::new(SupervisorConfig {
-            retry: quick_retry(),
-            run_timeout_ms: None,
-        })
-        .run(jobs, &mut journal);
-
-        assert_eq!(calls.get(), 1);
-        assert_eq!(outcome.jobs[0].status, JobStatus::Failed);
-        assert!(outcome.diagnostics.iter().any(|d| d.code == JOB_FAILED));
-    }
-
-    #[test]
-    fn journal_replays_terminal_outcomes_verbatim() {
-        let path = tmp_journal("replay");
-        let calls = Rc::new(Cell::new(0));
-        let supervisor = Supervisor::new(SupervisorConfig {
-            retry: quick_retry(),
-            run_timeout_ms: None,
-        });
-
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(&path, 42, &mut diags);
-        let first = supervisor.run(vec![ok_job("a", 11, &calls)], &mut journal);
-        assert_eq!(calls.get(), 1);
-        assert!(!first.jobs[0].replayed);
-
-        // Same manifest hash: the outcome replays without executing.
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(&path, 42, &mut diags);
-        assert!(diags.is_empty());
-        let second = supervisor.run(vec![ok_job("a", 11, &calls)], &mut journal);
-        assert_eq!(calls.get(), 1, "replay must not execute the job");
-        assert!(second.jobs[0].replayed);
-        assert_eq!(second.jobs[0].lines, first.jobs[0].lines);
-
-        // Different manifest hash: rejected, full re-run.
-        let mut diags = Vec::new();
-        let journal = Journal::open(&path, 43, &mut diags);
-        assert!(diags.iter().any(|d| d.code == JOURNAL_ERROR));
-        assert!(journal.entries().is_empty());
-    }
-
-    #[test]
-    fn corrupt_journal_is_rejected_not_trusted() {
-        let path = tmp_journal("corrupt");
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(&path, 1, &mut diags);
-        journal.record(
-            JournalEntry {
-                key: 1,
-                name: "a".to_string(),
-                status: JobStatus::Passed,
-                attempts: 1,
-                lines: vec!["assert a  PASS".to_string()],
-                failure: None,
-            },
-            &mut diags,
-        );
-        assert!(diags.is_empty());
-
-        // Flip one payload byte: the checksum must reject the file.
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-
-        let mut diags = Vec::new();
-        let journal = Journal::open(&path, 1, &mut diags);
-        assert!(journal.entries().is_empty());
-        assert!(diags.iter().any(|d| d.code == JOURNAL_ERROR));
-    }
-
-    #[test]
-    fn run_budget_defers_unstarted_jobs() {
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(tmp_journal("budget"), 1, &mut diags);
-        let calls = Rc::new(Cell::new(0));
-        let jobs = vec![ok_job("a", 1, &calls), ok_job("b", 2, &calls)];
-        let outcome = Supervisor::new(SupervisorConfig {
-            retry: quick_retry(),
-            run_timeout_ms: Some(0),
-        })
-        .run(jobs, &mut journal);
-
-        assert_eq!(calls.get(), 0);
-        assert!(outcome.jobs.is_empty());
-        assert_eq!(outcome.deferred, vec!["a".to_string(), "b".to_string()]);
-        assert!(outcome.any_inconclusive());
-        assert!(outcome.diagnostics.iter().any(|d| d.code == RUN_BUDGET));
-    }
-
-    #[test]
-    fn interrupted_reports_defer_instead_of_journaling() {
-        let path = tmp_journal("interrupted");
-        let mut diags = Vec::new();
-        let mut journal = Journal::open(&path, 1, &mut diags);
-        let jobs = vec![Job {
-            name: "cut".to_string(),
-            key: 8,
-            exec: Box::new(|_ctx| {
-                Ok(JobReport {
-                    status: JobStatus::Inconclusive,
-                    lines: vec!["assert cut  INCONCLUSIVE".to_string()],
-                    interrupted: true,
-                })
-            }),
-        }];
-        let outcome = Supervisor::new(SupervisorConfig {
-            retry: quick_retry(),
-            run_timeout_ms: None,
-        })
-        .run(jobs, &mut journal);
-
-        assert!(outcome.jobs.is_empty());
-        assert_eq!(outcome.deferred, vec!["cut".to_string()]);
-        assert!(
-            journal.lookup(8).is_none(),
-            "interrupted work is not terminal"
-        );
+        assert_eq!(JobStatus::from_label("exploded"), None);
     }
 
     #[test]

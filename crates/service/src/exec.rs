@@ -1,16 +1,21 @@
-//! Worker-side job execution.
+//! Job execution: the one way a job runs.
 //!
-//! One [`Executor`] lives inside each worker and runs [`ResolvedJob`]s to
-//! [`JobOutcome`]s. The execution semantics are deliberately identical to
-//! `autocsp run`'s supervised closures — same engines, same verdict
-//! lines, same status mapping — so a batch produces byte-identical
-//! stdout whether it runs under the local supervisor or the service.
+//! An [`Executor`] runs [`ResolvedJob`]s to [`JobReport`]s. Each service
+//! worker owns one, and so does `autocsp run`, which drives it under the
+//! in-process [`crate::supervisor::Supervisor`]; a batch therefore prints
+//! the same verdict lines whichever way it runs.
 //!
-//! The executor's [`fdrlite::ModelStore`] is configured with
-//! [`fdrlite::ResumePolicy::Auto`] against the service's shared cache
-//! directory: a check job re-dispatched after a worker death picks up the
-//! dead worker's checkpoint frontier transparently and continues to the
-//! verdict the undisturbed run would have reached.
+//! Verdict lines name no host paths: an analysis reports only its
+//! counts, and a trace without an id is labelled `<file name>:<line>`.
+//! Job ids are content keys ([`job_content_key`]) that fold in file
+//! names and bytes, not paths, so a deduplicated verdict must read the
+//! same for every client that shares it.
+//!
+//! The executor's [`fdrlite::ModelStore`] attaches the cache directory
+//! with [`fdrlite::ResumePolicy::Auto`] by default: a check job
+//! re-dispatched after a worker death picks up the dead worker's
+//! checkpoint frontier transparently and continues to the verdict the
+//! undisturbed run would have reached.
 
 use std::collections::HashMap;
 use std::fs;
@@ -21,13 +26,14 @@ use std::sync::Arc;
 use diag::Severity;
 use faults::conformance::ConformanceVerdict;
 use faults::storage::TransientJobFaults;
-use fdrlite::supervisor::{JobError, JobStatus};
-use fdrlite::Checker;
+use fdrlite::supervisor::{JobError, JobReport, JobStatus};
+use fdrlite::{Checker, PersistConfig, PersistentCache, ResumePolicy};
 
-use crate::{JobOutcome, ResolvedJob};
+use crate::ResolvedJob;
 
 /// A CSPm script loaded once and shared by every job that references it.
 struct Bundle {
+    source: String,
     script: cspm::Script,
     loaded: cspm::LoadedScript,
 }
@@ -37,7 +43,11 @@ fn load_bundle(path: &Path) -> Result<Rc<Bundle>, String> {
     let source = fs::read_to_string(path).map_err(|e| format!("cannot read `{display}`: {e}"))?;
     let script = cspm::Script::parse(&source).map_err(|e| format!("{display}: {e}"))?;
     let loaded = script.load().map_err(|e| format!("{display}: {e}"))?;
-    Ok(Rc::new(Bundle { script, loaded }))
+    Ok(Rc::new(Bundle {
+        source,
+        script,
+        loaded,
+    }))
 }
 
 /// How an [`Executor`] attaches to persistent storage.
@@ -51,38 +61,76 @@ pub struct ExecConfig {
     pub checkpoint_every: Option<u64>,
 }
 
-/// Executes jobs inside a worker. Owns the worker's model store, checker
-/// and script cache; scripts referenced by several jobs load once.
+/// What the last [`Executor::run`] left for a human reader (stderr),
+/// never part of its verdict lines.
+#[derive(Debug, Default)]
+pub struct Notes {
+    /// An analyze job's findings, rendered against the script source.
+    pub findings: String,
+    /// Resume tokens of checks whose budget ran out after a checkpoint.
+    pub resume_tokens: Vec<String>,
+}
+
+/// Executes jobs. Owns the model store, checker and script cache;
+/// scripts referenced by several jobs load once.
 pub struct Executor {
     store: fdrlite::ModelStore,
+    cache: Option<Arc<PersistentCache>>,
     checker: Checker,
     bundles: HashMap<PathBuf, Result<Rc<Bundle>, String>>,
+    notes: Notes,
 }
 
 impl Executor {
-    /// Build an executor, attaching the shared cache when configured.
+    /// Build an executor, attaching the shared cache when configured,
+    /// with checkpoint resume on ([`ResumePolicy::Auto`]).
     ///
     /// # Errors
     ///
     /// The cache directory could not be created or opened.
     pub fn new(config: &ExecConfig) -> Result<Executor, String> {
+        Executor::with_resume(config, ResumePolicy::Auto)
+    }
+
+    /// [`Executor::new`] with an explicit checkpoint-resume policy.
+    ///
+    /// # Errors
+    ///
+    /// The cache directory could not be created or opened.
+    pub fn with_resume(config: &ExecConfig, resume: ResumePolicy) -> Result<Executor, String> {
         let store = fdrlite::ModelStore::new();
-        if let Some(dir) = &config.cache_dir {
-            let cache =
-                Arc::new(fdrlite::PersistentCache::open(dir).map_err(|e| {
+        let cache = match &config.cache_dir {
+            Some(dir) => {
+                let cache = Arc::new(PersistentCache::open(dir).map_err(|e| {
                     format!("cannot open cache directory `{}`: {e}", dir.display())
                 })?);
-            store.set_persist(fdrlite::PersistConfig {
-                cache,
-                checkpoint_every: config.checkpoint_every,
-                resume: fdrlite::ResumePolicy::Auto,
-            });
-        }
+                store.set_persist(PersistConfig {
+                    cache: Arc::clone(&cache),
+                    checkpoint_every: config.checkpoint_every,
+                    resume,
+                });
+                Some(cache)
+            }
+            None => None,
+        };
         Ok(Executor {
             store,
+            cache,
             checker: Checker::new(),
             bundles: HashMap::new(),
+            notes: Notes::default(),
         })
+    }
+
+    /// The attached on-disk cache, if any: for fault hooks, counters and
+    /// its diagnostics.
+    pub fn cache(&self) -> Option<&Arc<PersistentCache>> {
+        self.cache.as_ref()
+    }
+
+    /// Take the notes of the last [`Executor::run`].
+    pub fn take_notes(&mut self) -> Notes {
+        std::mem::take(&mut self.notes)
     }
 
     fn bundle(&mut self, path: &Path) -> Result<Rc<Bundle>, String> {
@@ -99,7 +147,8 @@ impl Executor {
     /// [`JobError::Transient`] for failures worth retrying (chaos-plan
     /// injections), [`JobError::Permanent`] for failures inherent to the
     /// job (unreadable script, no matching assertion).
-    pub fn run(&mut self, job: &ResolvedJob, attempt: u32) -> Result<JobOutcome, JobError> {
+    pub fn run(&mut self, job: &ResolvedJob, attempt: u32) -> Result<JobReport, JobError> {
+        self.notes = Notes::default();
         if let Some(c) = &job.chaos {
             let plan = TransientJobFaults::new(c.seed, c.transient_attempts, c.every_nth);
             if plan.should_fail(&job.name, attempt) {
@@ -116,7 +165,7 @@ impl Executor {
         }
     }
 
-    fn run_check(&self, job: &ResolvedJob, bundle: &Bundle) -> Result<JobOutcome, JobError> {
+    fn run_check(&mut self, job: &ResolvedJob, bundle: &Bundle) -> Result<JobReport, JobError> {
         let options = cspm::CheckOptions {
             threads: job.threads,
             collect_stats: false,
@@ -151,6 +200,7 @@ impl Executor {
                 if inc.reason == fdrlite::BudgetReason::Interrupted {
                     interrupted = true;
                 }
+                self.notes.resume_tokens.extend(inc.resume.clone());
             } else {
                 lines.push(format!("assert {}  ...  PASS", r.description));
             }
@@ -168,14 +218,14 @@ impl Executor {
         } else {
             JobStatus::Passed
         };
-        Ok(JobOutcome {
+        Ok(JobReport {
             status,
             lines,
             interrupted,
         })
     }
 
-    fn run_conform(&self, job: &ResolvedJob, bundle: &Bundle) -> Result<JobOutcome, JobError> {
+    fn run_conform(&self, job: &ResolvedJob, bundle: &Bundle) -> Result<JobReport, JobError> {
         let spec_name = job
             .spec
             .as_deref()
@@ -243,14 +293,14 @@ impl Executor {
         } else {
             JobStatus::Passed
         };
-        Ok(JobOutcome {
+        Ok(JobReport {
             status,
             lines,
             interrupted,
         })
     }
 
-    fn run_analyze(&self, job: &ResolvedJob, bundle: &Bundle) -> JobOutcome {
+    fn run_analyze(&mut self, job: &ResolvedJob, bundle: &Bundle) -> JobReport {
         let analysis = cspm::analyze::analyze_script(
             bundle.script.module(),
             &bundle.loaded,
@@ -258,33 +308,34 @@ impl Executor {
             &self.store,
             job.max_states,
         );
-        let errors = analysis
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        let warnings = analysis
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .count();
-        let script_label = job.script.display();
-        let lines = vec![format!(
-            "analyze {script_label}: {errors} error(s), {warnings} warning(s)"
-        )];
-        JobOutcome {
+        let count = |severity: Severity| {
+            analysis
+                .diagnostics
+                .iter()
+                .filter(|d| d.severity == severity)
+                .count()
+        };
+        let (errors, warnings) = (count(Severity::Error), count(Severity::Warning));
+        let script_label = job.script.display().to_string();
+        for d in &analysis.diagnostics {
+            self.notes
+                .findings
+                .push_str(&d.render(&script_label, &bundle.source));
+        }
+        JobReport {
             status: if errors > 0 {
                 JobStatus::Refuted
             } else {
                 JobStatus::Passed
             },
-            lines,
+            lines: vec![format!("analyze: {errors} error(s), {warnings} warning(s)")],
             interrupted: false,
         }
     }
 }
 
-/// `*.jsonl` files under a corpus directory, sorted by name.
+/// `*.jsonl` files under a corpus directory, sorted by name, as
+/// `(file name, text)` pairs.
 ///
 /// # Errors
 ///
@@ -302,7 +353,10 @@ pub fn read_corpus_dir(dir: &Path) -> Result<Vec<(String, String)>, String> {
     for p in paths {
         let text =
             fs::read_to_string(&p).map_err(|e| format!("cannot read `{}`: {e}", p.display()))?;
-        out.push((p.display().to_string(), text));
+        let name = p
+            .file_name()
+            .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+        out.push((name, text));
     }
     if out.is_empty() {
         return Err(format!(
@@ -314,11 +368,13 @@ pub fn read_corpus_dir(dir: &Path) -> Result<Vec<(String, String)>, String> {
 }
 
 /// Fold everything that shapes a job's verdict into its stable content
-/// key: the job definition, the script's bytes, and (for conform jobs)
-/// every corpus file's name and bytes. Identical submissions — from the
-/// same client or different ones — collapse to the same key, which is the
-/// service-level half of deduplication (the engine-level half is
-/// `fdrlite`'s `CheckId` in the shared cache).
+/// key: the job definition with its resolved budgets, the script's
+/// bytes, and (for conform jobs) every corpus file's name and bytes.
+/// Identical submissions — from the same client or different ones —
+/// collapse to the same key, which is the service-level half of
+/// deduplication (the engine-level half is `fdrlite`'s `CheckId` in the
+/// shared cache). The journal replays by this key, so an edited script
+/// or corpus, or a changed budget, runs again.
 pub fn job_content_key(job: &ResolvedJob) -> u64 {
     let mut buf = Vec::new();
     let mut fold = |tag: &str, value: &str| {
@@ -336,15 +392,12 @@ pub fn job_content_key(job: &ResolvedJob) -> u64 {
     fold("spec", job.spec.as_deref().unwrap_or(""));
     fold("assertion", job.assertion.as_deref().unwrap_or(""));
     if let Some(dir) = &job.corpus {
+        // File names, not paths: relocated but identical corpora still
+        // deduplicate.
         match read_corpus_dir(dir) {
             Ok(corpus) => {
-                for (file, text) in &corpus {
-                    // Key by file *name*, not path, so relocated but
-                    // identical corpora still deduplicate.
-                    let name = Path::new(file)
-                        .file_name()
-                        .map_or_else(|| file.clone(), |n| n.to_string_lossy().into_owned());
-                    fold("corpus-file", &name);
+                for (name, text) in &corpus {
+                    fold("corpus-file", name);
                     fold("corpus-text", text);
                 }
             }
@@ -498,5 +551,63 @@ assert SPEC [T= BAD
         let mut other = job(&a);
         other.max_states = Some(7);
         assert_ne!(job_content_key(&job(&a)), job_content_key(&other));
+        let mut renamed = job(&a);
+        renamed.name = "k".into();
+        assert_ne!(job_content_key(&job(&a)), job_content_key(&renamed));
+
+        // Conform jobs key on the corpus files' names and bytes, not on
+        // the directory they sit in.
+        let conform = |corpus: &Path| ResolvedJob {
+            kind: cspm::manifest::JobKind::Conform,
+            spec: Some("SPEC".into()),
+            corpus: Some(corpus.to_path_buf()),
+            ..job(&a)
+        };
+        let (one, two) = (dir.join("one"), dir.join("two"));
+        for corpus in [&one, &two] {
+            fs::create_dir_all(corpus).unwrap();
+            fs::write(corpus.join("t.jsonl"), "[\"a\"]\n").unwrap();
+        }
+        let key = job_content_key(&conform(&one));
+        assert_eq!(key, job_content_key(&conform(&two)));
+        fs::write(two.join("t.jsonl"), "[\"b\"]\n").unwrap();
+        assert_ne!(key, job_content_key(&conform(&two)), "corpus bytes");
+        fs::rename(one.join("t.jsonl"), one.join("u.jsonl")).unwrap();
+        assert_ne!(key, job_content_key(&conform(&one)), "corpus file names");
+    }
+
+    #[test]
+    fn verdict_lines_name_no_paths() {
+        let dir = tmpdir("paths");
+        let script = write_script(&dir, "m.csp", SCRIPT);
+        let corpus = dir.join("traces");
+        fs::create_dir_all(&corpus).unwrap();
+        fs::write(corpus.join("s.jsonl"), "[\"a\"]\n[\"b\"]\n").unwrap();
+        let mut exec = Executor::new(&ExecConfig::default()).unwrap();
+        let job = ResolvedJob {
+            name: "j".into(),
+            kind: cspm::manifest::JobKind::Analyze,
+            script,
+            spec: None,
+            corpus: None,
+            assertion: None,
+            threads: 1,
+            max_states: None,
+            timeout_ms: None,
+            chaos: None,
+        };
+        let analyzed = exec.run(&job, 1).unwrap();
+        assert_eq!(analyzed.lines, ["analyze: 0 error(s), 0 warning(s)"]);
+        let conform = ResolvedJob {
+            kind: cspm::manifest::JobKind::Conform,
+            spec: Some("SPEC".into()),
+            corpus: Some(corpus),
+            ..job
+        };
+        let out = exec.run(&conform, 1).unwrap();
+        assert_eq!(out.status, JobStatus::Refuted);
+        assert_eq!(out.lines[0], "trace s.jsonl:2  ...  FAIL");
+        let dir_text = dir.display().to_string();
+        assert!(out.lines.iter().all(|l| !l.contains(&dir_text)), "{out:?}");
     }
 }

@@ -1,10 +1,13 @@
-//! The crash-safe service journal.
+//! The crash-safe job journal.
 //!
-//! The orchestrator records every accepted job — and later its terminal
-//! verdict — in one binary file under the service's state directory,
-//! using the same codec discipline as the model cache and the supervisor
-//! journal (`fdrlite::persist::{Enc, Dec}`: magic + version header,
-//! trailing FNV-1a checksum, atomic temp-file + rename rewrites).
+//! Every job that `autocsp serve` accepts, and every job that
+//! `autocsp run` finishes, is recorded in one binary file: the service
+//! keeps it at `<state-dir>/service.journal`, a run next to its cache or
+//! manifest. It uses the same codec discipline as the model cache
+//! (`fdrlite::persist::{Enc, Dec}`: magic + version header, trailing
+//! FNV-1a checksum, atomic temp-file + rename rewrites). Entries are
+//! keyed by the job's content id ([`crate::exec::job_content_key`]), so
+//! a replayed verdict always belongs to the content that produced it.
 //!
 //! On restart the journal is replayed: completed jobs serve their
 //! verdicts verbatim (so a client polling across a restart sees no
@@ -18,8 +21,9 @@ use std::path::{Path, PathBuf};
 
 use diag::{Diagnostic, Span};
 use fdrlite::persist::{corrupt, Dec, DecResult, Enc};
+use fdrlite::supervisor::{JobReport, JobStatus};
 
-use crate::{ChaosCfg, JobOutcome, ResolvedJob};
+use crate::{ChaosCfg, ResolvedJob};
 
 /// Magic of the service journal file.
 const MAGIC: &[u8; 8] = b"AUTOSRV\x01";
@@ -34,8 +38,8 @@ pub struct JournalEntry {
     pub job: ResolvedJob,
     /// Attempts consumed so far.
     pub attempts: u32,
-    /// `Some` once the job is done/failed; `None` while pending.
-    pub outcome: Option<JobOutcome>,
+    /// The verdict, once the job is done; `None` while pending or failed.
+    pub outcome: Option<JobReport>,
     /// The `SRV6xx` failure message for failed entries.
     pub failure: Option<String>,
 }
@@ -114,7 +118,7 @@ fn encode_entry(e: &mut Enc, entry: &JournalEntry) {
     match &entry.outcome {
         Some(out) => {
             e.u8(1);
-            e.text(crate::status_label(out.status));
+            e.text(out.status.label());
             e.u8(u8::from(out.interrupted));
             e.u32(u32::try_from(out.lines.len()).unwrap_or(u32::MAX));
             for line in &out.lines {
@@ -157,7 +161,7 @@ fn decode_entry(d: &mut Dec<'_>) -> DecResult<JournalEntry> {
         0 => None,
         1 => {
             let status_label = d.text()?;
-            let Some(status) = crate::status_from_label(&status_label) else {
+            let Some(status) = JobStatus::from_label(&status_label) else {
                 return corrupt("unknown status label");
             };
             let interrupted = d.u8()? != 0;
@@ -166,7 +170,7 @@ fn decode_entry(d: &mut Dec<'_>) -> DecResult<JournalEntry> {
             for _ in 0..n {
                 lines.push(d.text()?);
             }
-            Some(JobOutcome {
+            Some(JobReport {
                 status,
                 lines,
                 interrupted,
@@ -213,7 +217,10 @@ impl ServiceJournal {
                 diags.push(Diagnostic::warning(
                     crate::codes::JOURNAL_ERROR,
                     Span::unknown(),
-                    format!("cannot read service journal: {e}; starting empty"),
+                    format!(
+                        "cannot read journal `{}`: {e}; starting empty",
+                        journal.path.display()
+                    ),
                 ));
                 return journal;
             }
@@ -224,12 +231,26 @@ impl ServiceJournal {
                 Diagnostic::warning(
                     crate::codes::JOURNAL_ERROR,
                     Span::unknown(),
-                    format!("service journal is unusable ({why}); starting empty"),
+                    format!(
+                        "journal `{}` is unusable ({why}); starting empty",
+                        journal.path.display()
+                    ),
                 )
-                .with_note("journaled verdicts are lost; affected jobs re-run on resubmission"),
+                .with_note("journaled verdicts are lost; affected jobs run again"),
             ),
         }
         journal
+    }
+
+    /// Start an empty journal at `path`, discarding any file left there
+    /// (a fresh `autocsp run` replays nothing).
+    pub fn fresh(path: impl AsRef<Path>) -> ServiceJournal {
+        let path = path.as_ref().to_path_buf();
+        let _ = fs::remove_file(&path);
+        ServiceJournal {
+            path,
+            entries: Vec::new(),
+        }
     }
 
     fn decode(bytes: &[u8]) -> Result<Vec<JournalEntry>, String> {
@@ -254,18 +275,29 @@ impl ServiceJournal {
         &self.entries
     }
 
+    /// The entry with content id `id`, if journaled.
+    pub fn lookup(&self, id: u64) -> Option<&JournalEntry> {
+        self.entries.iter().find(|e| e.id == id)
+    }
+
     /// Record (insert or update by id) one entry and rewrite the file
-    /// atomically. I/O failures degrade silently: the in-memory state
-    /// stays correct for this process's lifetime, resumability suffers.
-    pub fn record(&mut self, entry: JournalEntry) {
+    /// atomically.
+    ///
+    /// # Errors
+    ///
+    /// A [`crate::codes::JOURNAL_ERROR`] warning when the file could not
+    /// be written. The in-memory state stays correct for this process;
+    /// only resuming after a crash suffers, so callers report it and
+    /// carry on.
+    pub fn record(&mut self, entry: JournalEntry) -> Result<(), Diagnostic> {
         match self.entries.iter_mut().find(|e| e.id == entry.id) {
             Some(slot) => *slot = entry,
             None => self.entries.push(entry),
         }
-        self.rewrite();
+        self.rewrite()
     }
 
-    fn rewrite(&self) {
+    fn rewrite(&self) -> Result<(), Diagnostic> {
         let mut e = Enc::new(MAGIC);
         e.u32(u32::try_from(self.entries.len()).unwrap_or(u32::MAX));
         for entry in &self.entries {
@@ -273,22 +305,35 @@ impl ServiceJournal {
         }
         let bytes = e.finish();
         let tmp = self.path.with_extension("journal.tmp");
-        if fs::write(&tmp, &bytes).is_ok() {
-            let _ = fs::rename(&tmp, &self.path);
-        }
+        fs::write(&tmp, &bytes)
+            .and_then(|()| fs::rename(&tmp, &self.path))
+            .map_err(|e| {
+                Diagnostic::warning(
+                    crate::codes::JOURNAL_ERROR,
+                    Span::unknown(),
+                    format!("cannot write journal `{}`: {e}", self.path.display()),
+                )
+                .with_note("a crash now would run this job again instead of replaying it")
+            })
     }
 
     /// Drop the entry with `id` (a stale pending job whose on-disk
     /// content changed) and rewrite the file.
-    pub fn remove_entry(&mut self, id: u64) {
+    ///
+    /// # Errors
+    ///
+    /// As for [`ServiceJournal::record`].
+    pub fn remove_entry(&mut self, id: u64) -> Result<(), Diagnostic> {
         let before = self.entries.len();
         self.entries.retain(|e| e.id != id);
-        if self.entries.len() != before {
-            self.rewrite();
+        if self.entries.len() == before {
+            return Ok(());
         }
+        self.rewrite()
     }
 
-    /// Remove the journal file (a drained service with nothing pending).
+    /// Remove the journal file (a drained service or a finished run with
+    /// nothing pending).
     pub fn remove(&mut self) {
         self.entries.clear();
         let _ = fs::remove_file(&self.path);
@@ -298,7 +343,6 @@ impl ServiceJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdrlite::supervisor::JobStatus;
 
     fn tmppath(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -313,7 +357,7 @@ mod tests {
         dir.join("service.journal")
     }
 
-    fn entry(id: u64, outcome: Option<JobOutcome>) -> JournalEntry {
+    fn entry(id: u64, outcome: Option<JobReport>) -> JournalEntry {
         JournalEntry {
             id,
             job: ResolvedJob {
@@ -343,24 +387,26 @@ mod tests {
         let path = tmppath("roundtrip");
         let mut diags = Vec::new();
         let mut j = ServiceJournal::open(&path, &mut diags);
-        j.record(entry(1, None));
+        j.record(entry(1, None)).unwrap();
         j.record(entry(
             2,
-            Some(JobOutcome {
+            Some(JobReport {
                 status: JobStatus::Passed,
                 lines: vec!["assert A  ...  PASS".into()],
                 interrupted: false,
             }),
-        ));
+        ))
+        .unwrap();
         // Updating a pending entry to done replaces it in place.
         j.record(entry(
             1,
-            Some(JobOutcome {
+            Some(JobReport {
                 status: JobStatus::Refuted,
                 lines: vec!["assert B  ...  FAIL".into(), "  <a>".into()],
                 interrupted: false,
             }),
-        ));
+        ))
+        .unwrap();
 
         let back = ServiceJournal::open(&path, &mut diags);
         assert!(diags.is_empty(), "{diags:?}");
@@ -373,7 +419,7 @@ mod tests {
         let path = tmppath("corrupt");
         let mut diags = Vec::new();
         let mut j = ServiceJournal::open(&path, &mut diags);
-        j.record(entry(1, None));
+        j.record(entry(1, None)).unwrap();
         // Flip a payload byte: checksum fails, journal starts empty.
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -389,10 +435,23 @@ mod tests {
         let path = tmppath("remove");
         let mut diags = Vec::new();
         let mut j = ServiceJournal::open(&path, &mut diags);
-        j.record(entry(5, None));
+        j.record(entry(5, None)).unwrap();
         assert!(path.exists());
         j.remove();
         assert!(!path.exists());
         assert!(j.entries().is_empty());
+    }
+
+    #[test]
+    fn failed_writes_are_reported_not_ignored() {
+        let path = tmppath("unwritable")
+            .join("missing-dir")
+            .join("jobs.journal");
+        let mut diags = Vec::new();
+        let mut j = ServiceJournal::open(&path, &mut diags);
+        let err = j.record(entry(3, None)).unwrap_err();
+        assert_eq!(err.code, crate::codes::JOURNAL_ERROR);
+        // The in-memory state still holds the entry.
+        assert_eq!(j.lookup(3).map(|e| e.id), Some(3));
     }
 }

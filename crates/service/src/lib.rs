@@ -1,10 +1,18 @@
-//! `service` — fault-tolerant checking-as-a-service.
+//! `service` — job running, locally and as a fault-tolerant service.
 //!
 //! The paper scales security checking past one machine with FDR's grid
 //! mode (§VII-A); this crate is that step for the `auto-csp` toolchain: a
 //! long-running front-end that accepts check/conform/analyze jobs over
 //! HTTP (submit a `jobs.toml` manifest → job ids → poll verdicts) and
 //! dispatches them to a pool of worker processes over loopback.
+//!
+//! It also owns the one way a job runs. A manifest resolves to
+//! [`ResolvedJob`]s through [`resolve_jobs`], each keyed by its content
+//! ([`exec::job_content_key`]); one [`exec::Executor`] turns a job into
+//! verdict lines; one journal ([`journal::ServiceJournal`]) records
+//! them. The [`orchestrator::Orchestrator`] drives that executor across
+//! worker processes, and the [`supervisor::Supervisor`] drives it
+//! in-process for `autocsp run`.
 //!
 //! Robustness is the design centre, not an afterthought:
 //!
@@ -31,14 +39,14 @@
 //! - **Graceful degradation.** SIGTERM drains: in-flight jobs are
 //!   interrupted to checkpoints, pending jobs stay journaled, and a
 //!   restarted service completes them byte-identically
-//!   ([`codes::DRAIN_DEFERRED`]). The journal reuses the crash-safe
-//!   atomic-rewrite discipline of `fdrlite::supervisor`.
+//!   ([`codes::DRAIN_DEFERRED`]). The journal is rewritten atomically
+//!   (temp file + rename, checksummed), like the model cache.
 //!
-//! The wire job format *is* the `jobs.toml` manifest
-//! (`cspm::manifest::Manifest`) — the service speaks the same language
-//! as `autocsp run`, and a batch submitted to either produces the same
-//! verdict lines. See `docs/SERVICE.md` for the HTTP surface, the job
-//! lifecycle state machine and the exit/status contract.
+//! The submission format *is* the `jobs.toml` manifest
+//! (`cspm::manifest::Manifest`), and a batch submitted to the service or
+//! to `autocsp run` produces the same verdict lines because both run it
+//! on the same executor. See `docs/SERVICE.md` for the HTTP surface, the
+//! job lifecycle state machine and the exit/status contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,12 +56,13 @@ pub mod http;
 pub mod journal;
 pub mod orchestrator;
 pub mod server;
+pub mod supervisor;
 pub mod wire;
 pub mod worker;
 
 use std::path::PathBuf;
 
-use fdrlite::supervisor::JobStatus;
+use cspm::manifest::Manifest;
 
 /// The `SRV6xx` diagnostic family: checking-service orchestration.
 ///
@@ -68,8 +77,9 @@ pub mod codes {
     /// A submission was rejected because the queue is at capacity
     /// (HTTP 429 + `Retry-After`).
     pub const QUEUE_FULL: Code = Code("SRV602");
-    /// The service journal (or a journaled job's on-disk content) was
-    /// unreadable or stale; affected entries were dropped, never trusted.
+    /// The job journal could not be read or written, or a journaled
+    /// job's on-disk content changed; affected entries were dropped,
+    /// never trusted. Used by the service and by `autocsp run`.
     pub const JOURNAL_ERROR: Code = Code("SRV603");
     /// A worker could not be spawned or never completed its handshake.
     pub const WORKER_SPAWN: Code = Code("SRV604");
@@ -86,7 +96,7 @@ pub mod codes {
     pub const CATALOGUE: &[(Code, &str)] = &[
         (WORKER_LOST, "worker died; job reclaimed from checkpoint"),
         (QUEUE_FULL, "admission rejected: queue at capacity"),
-        (JOURNAL_ERROR, "service journal entry unreadable or stale"),
+        (JOURNAL_ERROR, "job journal unreadable, unwritable or stale"),
         (WORKER_SPAWN, "worker spawn or handshake failure"),
         (RETRIES_EXHAUSTED, "job failed after exhausting retries"),
         (DRAIN_DEFERRED, "shutdown deferred job to next start"),
@@ -107,8 +117,9 @@ pub struct ChaosCfg {
 }
 
 /// One fully resolved job: a manifest `[[job]]` entry with every default
-/// (manifest `[run]`, then service config) already applied. This is the
-/// unit of dispatch — the orchestrator sends it to a worker verbatim.
+/// already applied ([`resolve_jobs`]). This is the unit of execution —
+/// the orchestrator sends it to a worker verbatim, and the supervisor
+/// hands it to its in-process executor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResolvedJob {
     /// Job name from the manifest (display only; not part of dispatch).
@@ -133,38 +144,57 @@ pub struct ResolvedJob {
     pub chaos: Option<ChaosCfg>,
 }
 
-/// A job's terminal verdict as reported by a worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobOutcome {
-    /// The verdict class.
-    pub status: JobStatus,
-    /// Deterministic verdict lines — byte-identical between disturbed
-    /// and undisturbed runs.
-    pub lines: Vec<String>,
-    /// `true` when the verdict is inconclusive *because shutdown was
-    /// requested mid-check*; such an outcome is deferred, not recorded.
-    pub interrupted: bool,
+/// Settings for whatever a manifest job and its `[run]` section leave
+/// open: the CLI's flags for `autocsp run`, the service's configuration
+/// for `autocsp serve`.
+#[derive(Debug, Clone, Default)]
+pub struct JobDefaults {
+    /// Worker threads per job.
+    pub threads: usize,
+    /// Per-job state budget.
+    pub max_states: Option<u64>,
+    /// Per-job wall budget in milliseconds.
+    pub timeout_ms: Option<u64>,
+    /// Spec process for `conform` jobs that name none (`autocsp run
+    /// --spec`).
+    pub spec: Option<String>,
 }
 
-/// Wire label of a [`JobStatus`] (also its `Display` form).
-pub fn status_label(status: JobStatus) -> &'static str {
-    match status {
-        JobStatus::Passed => "passed",
-        JobStatus::Refuted => "refuted",
-        JobStatus::Inconclusive => "inconclusive",
-        JobStatus::Failed => "failed",
-    }
-}
-
-/// Parse a [`status_label`] back.
-pub fn status_from_label(label: &str) -> Option<JobStatus> {
-    match label {
-        "passed" => Some(JobStatus::Passed),
-        "refuted" => Some(JobStatus::Refuted),
-        "inconclusive" => Some(JobStatus::Inconclusive),
-        "failed" => Some(JobStatus::Failed),
-        _ => None,
-    }
+/// Resolve every job of `manifest`, in manifest order. Each setting comes
+/// from the job itself, else the manifest's `[run]` section, else
+/// `defaults`.
+pub fn resolve_jobs(manifest: &Manifest, defaults: &JobDefaults) -> Vec<ResolvedJob> {
+    let chaos = manifest.chaos.map(|c| ChaosCfg {
+        seed: c.seed,
+        transient_attempts: c.transient_attempts,
+        every_nth: c.every_nth,
+    });
+    manifest
+        .jobs
+        .iter()
+        .map(|spec| ResolvedJob {
+            name: spec.name.clone(),
+            kind: spec.kind,
+            script: spec.script.clone(),
+            spec: spec.spec.clone().or_else(|| defaults.spec.clone()),
+            corpus: spec.corpus.clone(),
+            assertion: spec.assertion.clone(),
+            threads: spec
+                .threads
+                .or(manifest.run.threads)
+                .unwrap_or(defaults.threads)
+                .max(1),
+            max_states: spec
+                .max_states
+                .or(manifest.run.max_states)
+                .or(defaults.max_states),
+            timeout_ms: spec
+                .timeout_ms
+                .or(manifest.run.timeout_ms)
+                .or(defaults.timeout_ms),
+            chaos,
+        })
+        .collect()
 }
 
 /// Format a job id (a 64-bit content key) as the service's public token.
@@ -192,18 +222,5 @@ mod tests {
         }
         assert_eq!(parse_job_id("xyz"), None);
         assert_eq!(parse_job_id("0123456789abcde"), None);
-    }
-
-    #[test]
-    fn status_labels_round_trip() {
-        for s in [
-            JobStatus::Passed,
-            JobStatus::Refuted,
-            JobStatus::Inconclusive,
-            JobStatus::Failed,
-        ] {
-            assert_eq!(status_from_label(status_label(s)), Some(s));
-        }
-        assert_eq!(status_from_label("exploded"), None);
     }
 }

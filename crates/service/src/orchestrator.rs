@@ -31,11 +31,11 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use diag::{Diagnostic, Span};
-use fdrlite::supervisor::RetryPolicy;
+use fdrlite::supervisor::{JobReport, RetryPolicy};
 
 use crate::journal::{JournalEntry, ServiceJournal};
 use crate::wire::{encode, Frame};
-use crate::{codes, exec, ChaosCfg, JobOutcome, ResolvedJob};
+use crate::{codes, exec, JobDefaults, ResolvedJob};
 
 /// Orchestrator tuning.
 #[derive(Debug, Clone)]
@@ -75,7 +75,7 @@ enum JobState {
     Delayed { ready_at: Instant },
     Running { token: String },
     Deferred,
-    Done(JobOutcome),
+    Done(JobReport),
     Failed(String),
 }
 
@@ -129,6 +129,16 @@ struct Inner {
     counters: Counters,
 }
 
+impl Inner {
+    /// Mirror `entry` to the journal; a failed write is reported on the
+    /// service's diagnostic stream.
+    fn record(&mut self, entry: JournalEntry) {
+        if let Err(d) = self.journal.record(entry) {
+            self.diags.push(d);
+        }
+    }
+}
+
 /// Why a submission was refused.
 #[derive(Debug)]
 pub enum SubmitError {
@@ -170,7 +180,7 @@ pub struct JobView {
     /// Attempts consumed so far.
     pub attempts: u32,
     /// The verdict, once done.
-    pub outcome: Option<JobOutcome>,
+    pub outcome: Option<JobReport>,
     /// The failure message, once failed.
     pub failure: Option<String>,
 }
@@ -309,7 +319,9 @@ impl Orchestrator {
             jobs.insert(entry.id, record);
         }
         for id in stale {
-            journal.remove_entry(id);
+            if let Err(d) = journal.remove_entry(id) {
+                diags.push(d);
+            }
         }
         let inner = Inner {
             jobs,
@@ -356,40 +368,18 @@ impl Orchestrator {
             .retries
             .unwrap_or(self.config.retry.max_attempts)
             .max(1);
-        let chaos = manifest.chaos.map(|c| ChaosCfg {
-            seed: c.seed,
-            transient_attempts: c.transient_attempts,
-            every_nth: c.every_nth,
-        });
         // Resolve and key the jobs before taking the lock: keying reads
         // script/corpus bytes from disk.
-        let mut resolved = Vec::with_capacity(manifest.jobs.len());
-        for spec in &manifest.jobs {
-            let job = ResolvedJob {
-                name: spec.name.clone(),
-                kind: spec.kind,
-                script: spec.script.clone(),
-                spec: spec.spec.clone(),
-                corpus: spec.corpus.clone(),
-                assertion: spec.assertion.clone(),
-                threads: spec
-                    .threads
-                    .or(manifest.run.threads)
-                    .unwrap_or(self.config.default_threads)
-                    .max(1),
-                max_states: spec
-                    .max_states
-                    .or(manifest.run.max_states)
-                    .or(self.config.default_max_states),
-                timeout_ms: spec
-                    .timeout_ms
-                    .or(manifest.run.timeout_ms)
-                    .or(self.config.default_timeout_ms),
-                chaos,
-            };
-            let id = exec::job_content_key(&job);
-            resolved.push((id, job));
-        }
+        let defaults = JobDefaults {
+            threads: self.config.default_threads,
+            max_states: self.config.default_max_states,
+            timeout_ms: self.config.default_timeout_ms,
+            spec: None,
+        };
+        let resolved: Vec<(u64, ResolvedJob)> = crate::resolve_jobs(&manifest, &defaults)
+            .into_iter()
+            .map(|job| (exec::job_content_key(&job), job))
+            .collect();
 
         let mut inner = self.inner.lock().expect("orchestrator lock poisoned");
         if inner.draining {
@@ -444,14 +434,13 @@ impl Orchestrator {
                     record.max_attempts = max_attempts;
                     record.state = JobState::Queued;
                     inner.queue.push_back(id);
-                    let entry = JournalEntry {
+                    inner.record(JournalEntry {
                         id,
                         job: job.clone(),
                         attempts: 0,
                         outcome: None,
                         failure: None,
-                    };
-                    inner.journal.record(entry);
+                    });
                     inner.counters.dedup_hits += 1;
                     ("queued", true)
                 }
@@ -472,7 +461,7 @@ impl Orchestrator {
                         },
                     );
                     inner.queue.push_back(id);
-                    inner.journal.record(JournalEntry {
+                    inner.record(JournalEntry {
                         id,
                         job,
                         attempts: 0,
@@ -569,7 +558,7 @@ impl Orchestrator {
     }
 
     /// A worker reported a verdict for `id`.
-    pub fn worker_result(&self, token: &str, id: u64, outcome: JobOutcome) {
+    pub fn worker_result(&self, token: &str, id: u64, outcome: JobReport) {
         let mut inner = self.inner.lock().expect("orchestrator lock poisoned");
         if let Some(worker) = inner.workers.get_mut(token) {
             worker.busy = None;
@@ -610,7 +599,7 @@ impl Orchestrator {
             let job = record.job.clone();
             record.state = JobState::Done(outcome.clone());
             inner.counters.completed += 1;
-            inner.journal.record(JournalEntry {
+            inner.record(JournalEntry {
                 id,
                 job,
                 attempts,
@@ -684,7 +673,7 @@ impl Orchestrator {
                 job.name
             ),
         ));
-        inner.journal.record(JournalEntry {
+        inner.record(JournalEntry {
             id,
             job,
             attempts,
@@ -1136,7 +1125,7 @@ mod tests {
             orch.worker_result(
                 "w-0-1",
                 id,
-                JobOutcome {
+                JobReport {
                     status: JobStatus::Inconclusive,
                     lines: vec!["assert SPEC [T= IMPL  ...  INCONCLUSIVE".into()],
                     interrupted: true,
@@ -1164,7 +1153,7 @@ mod tests {
         orch.worker_result(
             "w-1-1",
             id,
-            JobOutcome {
+            JobReport {
                 status: JobStatus::Passed,
                 lines: vec!["assert SPEC [T= IMPL  ...  PASS".into()],
                 interrupted: false,

@@ -661,7 +661,7 @@ fn render_job(view: &JobView) -> String {
     if let Some(outcome) = &view.outcome {
         out.push_str(&format!(
             ",\"status\":{},\"interrupted\":{},\"lines\":[{}]",
-            json_string(crate::status_label(outcome.status)),
+            json_string(outcome.status.label()),
             outcome.interrupted,
             outcome
                 .lines

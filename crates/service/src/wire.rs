@@ -17,8 +17,9 @@
 //! ignored so the two ends can evolve independently within a release.
 
 use diag::{json, json_string};
+use fdrlite::supervisor::{JobReport, JobStatus};
 
-use crate::{ChaosCfg, JobOutcome, ResolvedJob};
+use crate::{ChaosCfg, ResolvedJob};
 
 /// One protocol frame, either direction.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +50,7 @@ pub enum Frame {
         /// The job's content key.
         id: u64,
         /// The verdict.
-        outcome: JobOutcome,
+        outcome: JobReport,
     },
     /// The job could not produce a verdict this attempt.
     Error {
@@ -135,11 +136,7 @@ pub fn encode(frame: &Frame) -> String {
         Frame::Result { id, outcome } => {
             out.push_str("\"type\":\"result\"");
             push_field(&mut out, "id", &json_string(&crate::format_job_id(*id)));
-            push_field(
-                &mut out,
-                "status",
-                &json_string(crate::status_label(outcome.status)),
-            );
+            push_field(&mut out, "status", &json_string(outcome.status.label()));
             let lines: Vec<String> = outcome.lines.iter().map(|l| json_string(l)).collect();
             push_field(&mut out, "lines", &format!("[{}]", lines.join(",")));
             push_field(
@@ -249,7 +246,7 @@ pub fn decode(line: &str) -> Result<Frame, String> {
         }),
         "result" => {
             let status_label = need_str(&value, "status")?;
-            let status = crate::status_from_label(&status_label)
+            let status = JobStatus::from_label(&status_label)
                 .ok_or_else(|| format!("unknown status `{status_label}`"))?;
             let lines = value
                 .get("lines")
@@ -264,7 +261,7 @@ pub fn decode(line: &str) -> Result<Frame, String> {
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Frame::Result {
                 id: need_job_id(&value)?,
-                outcome: JobOutcome {
+                outcome: JobReport {
                     status,
                     lines,
                     interrupted: value
@@ -290,7 +287,6 @@ pub fn decode(line: &str) -> Result<Frame, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdrlite::supervisor::JobStatus;
 
     fn sample_job() -> ResolvedJob {
         ResolvedJob {
@@ -326,7 +322,7 @@ mod tests {
             Frame::Heartbeat { busy: true },
             Frame::Result {
                 id: 7,
-                outcome: JobOutcome {
+                outcome: JobReport {
                     status: JobStatus::Refuted,
                     lines: vec!["assert X  ...  FAIL".into(), "  <tr>".into()],
                     interrupted: false,

@@ -84,6 +84,16 @@ fn run_farm(tag: &str, threads: usize, die_after_states: Option<u64>) -> Run {
     let dir = tmpdir(tag);
     fs::write(dir.join("m.csp"), MODEL).unwrap();
     let server = Server::start(config(&dir, threads, die_after_states)).unwrap();
+    // Dispatch goes to the lowest registered token: submit only once both
+    // workers are up, so the first job reaches the sabotaged w0.
+    let begin = std::time::Instant::now();
+    while server.orchestrator().health().workers.len() < 2 {
+        assert!(
+            begin.elapsed() < std::time::Duration::from_secs(30),
+            "workers did not register within 30 s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let addr = server.http_addr().to_string();
 
     let (status, body) = client_request(&addr, "POST", "/v1/jobs", MANIFEST).unwrap();

@@ -24,11 +24,9 @@
 //! autocsp replay <cex.json> <node.can>... [--dbc net.dbc] [--node NAME]
 //! ```
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use diag::{Diagnostic, Severity, Span};
@@ -1268,50 +1266,6 @@ fn install_sigterm_handler() {
 #[cfg(not(unix))]
 fn install_sigterm_handler() {}
 
-/// A CSPm script loaded once and shared by every job that references it.
-struct ScriptBundle {
-    source: String,
-    script: cspm::Script,
-    loaded: cspm::LoadedScript,
-}
-
-use fdrlite::supervisor::JobExec;
-
-fn load_bundle(path: &Path) -> Result<Rc<ScriptBundle>, String> {
-    let display = path.display();
-    let source = fs::read_to_string(path).map_err(|e| format!("cannot read `{display}`: {e}"))?;
-    let script = cspm::Script::parse(&source).map_err(|e| format!("{display}: {e}"))?;
-    let loaded = script.load().map_err(|e| format!("{display}: {e}"))?;
-    Ok(Rc::new(ScriptBundle {
-        source,
-        script,
-        loaded,
-    }))
-}
-
-/// A job that can never run (unreadable script, bad configuration): fails
-/// permanently with the reason, so the batch reports it instead of dying.
-fn broken_job(why: String) -> JobExec {
-    Box::new(move |_ctx| Err(fdrlite::supervisor::JobError::Permanent(why.clone())))
-}
-
-/// Apply the manifest's `[chaos]` plan: selected jobs fail transiently on
-/// their leading attempts, exercising the supervisor's retry path.
-fn chaos_gate(
-    chaos: &Option<faults::storage::TransientJobFaults>,
-    job: &str,
-    ctx: &fdrlite::supervisor::JobCtx,
-) -> Result<(), fdrlite::supervisor::JobError> {
-    if let Some(plan) = chaos {
-        if plan.should_fail(job, ctx.attempt) {
-            return Err(fdrlite::supervisor::JobError::Transient(
-                "injected transient fault (chaos plan)".to_owned(),
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Clamp a job's own wall budget to what is left of the run's budget.
 fn clamp_wall(job_ms: Option<u64>, remaining_ms: Option<u64>) -> Option<u64> {
     match (job_ms, remaining_ms) {
@@ -1340,35 +1294,13 @@ fn parse_storage_faults(spec: &str) -> Result<(u64, u64), String> {
     Ok((seed, every))
 }
 
-/// `*.jsonl` files under a corpus directory, sorted by name, read eagerly so
-/// a job's input is fixed before the supervisor ever calls it.
-fn read_corpus_dir(dir: &Path) -> Result<Vec<(String, String)>, String> {
-    let entries = fs::read_dir(dir)
-        .map_err(|e| format!("cannot read corpus directory `{}`: {e}", dir.display()))?;
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|entry| entry.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-        .collect();
-    paths.sort();
-    let mut out = Vec::new();
-    for p in paths {
-        let text =
-            fs::read_to_string(&p).map_err(|e| format!("cannot read `{}`: {e}", p.display()))?;
-        out.push((p.display().to_string(), text));
-    }
-    if out.is_empty() {
-        return Err(format!(
-            "corpus directory `{}` has no `.jsonl` files",
-            dir.display()
-        ));
-    }
-    Ok(out)
-}
-
+/// `autocsp run`: the manifest's jobs, in order, on one in-process
+/// executor under the supervisor (retries, panic isolation, run budget,
+/// journal). The service runs the same jobs on the same executor.
 #[allow(clippy::too_many_lines)]
 fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
-    use fdrlite::supervisor as sup;
+    use fdrlite::supervisor::{JobStatus, RetryPolicy};
+    use service::supervisor as sup;
 
     let flags = parse_flags(args)?;
     let [manifest_path] = flags.positional.as_slice() else {
@@ -1394,33 +1326,37 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
             return Err(format!("cannot load manifest `{manifest_path}`"));
         }
     };
+    let jobs = service::resolve_jobs(
+        &manifest,
+        &service::JobDefaults {
+            threads: flags.threads,
+            max_states: flags.max_states,
+            timeout_ms: flags.timeout_ms,
+            spec: flags.spec.clone(),
+        },
+    );
 
-    // One model store (and optional disk cache) shared by every job: jobs
-    // over the same script reuse its compiled and normalised models.
+    // One executor (model store, checker, optional disk cache) runs every
+    // job, so jobs over the same script reuse its compiled and normalised
+    // models. Per-check checkpoints are resumed only under `--resume`.
     let resuming = flags.resume.is_some();
-    let store = Rc::new(fdrlite::ModelStore::new());
-    let cache = match (&flags.cache_dir, flags.no_cache) {
-        (Some(dir), false) => {
-            let cache = Arc::new(
-                fdrlite::PersistentCache::open(dir)
-                    .map_err(|e| format!("cannot open cache directory `{dir}`: {e}"))?,
-            );
-            store.set_persist(fdrlite::PersistConfig {
-                cache: Arc::clone(&cache),
-                checkpoint_every: flags.checkpoint_every,
-                // `run` resumes whole batches; per-check tokens stay internal.
-                resume: if resuming {
-                    fdrlite::ResumePolicy::Auto
-                } else {
-                    fdrlite::ResumePolicy::Off
-                },
-            });
-            Some(cache)
-        }
-        _ => None,
-    };
+    let mut executor = service::exec::Executor::with_resume(
+        &service::exec::ExecConfig {
+            cache_dir: flags
+                .cache_dir
+                .as_ref()
+                .filter(|_| !flags.no_cache)
+                .map(PathBuf::from),
+            checkpoint_every: flags.checkpoint_every,
+        },
+        if resuming {
+            fdrlite::ResumePolicy::Auto
+        } else {
+            fdrlite::ResumePolicy::Off
+        },
+    )?;
     if let Some(spec) = &flags.storage_faults {
-        let Some(cache) = &cache else {
+        let Some(cache) = executor.cache() else {
             return Err(
                 "`--storage-faults` needs `--cache-dir` (the fault hook lives on the cache)".into(),
             );
@@ -1433,281 +1369,31 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
         )));
     }
 
-    // The journal lives next to the cache when there is one, else next to
-    // the manifest. A fresh (non-`--resume`) run never replays stale
-    // outcomes: any leftover journal is removed first.
-    let journal_path = cache.as_ref().map_or_else(
-        || PathBuf::from(format!("{manifest_path}.journal")),
-        |c| {
-            c.root()
-                .join(format!("jobs-{:016x}.journal", manifest.source_hash()))
-        },
-    );
-    if !resuming {
-        let _ = fs::remove_file(&journal_path);
-    }
+    // The journal lives in the cache when there is one, else next to the
+    // manifest. Entries are keyed by job content, so a resumed run replays
+    // only jobs whose scripts, corpora and budgets are unchanged; a fresh
+    // (non-`--resume`) run starts from an empty journal.
+    let journal_path = match executor.cache() {
+        Some(cache) => {
+            let manifest_id = fs::canonicalize(manifest_path)
+                .map_or_else(|_| manifest_path.clone(), |p| p.display().to_string());
+            cache.root().join(format!(
+                "jobs-{:016x}.journal",
+                fdrlite::persist::fnv1a64(manifest_id.as_bytes())
+            ))
+        }
+        None => PathBuf::from(format!("{manifest_path}.journal")),
+    };
     let mut journal_diags = Vec::new();
-    let mut journal = sup::Journal::open(&journal_path, manifest.source_hash(), &mut journal_diags);
+    let mut journal = if resuming {
+        service::journal::ServiceJournal::open(&journal_path, &mut journal_diags)
+    } else {
+        service::journal::ServiceJournal::fresh(&journal_path)
+    };
 
-    let chaos = Rc::new(manifest.chaos.map(|c| {
-        faults::storage::TransientJobFaults::new(c.seed, c.transient_attempts, c.every_nth)
-    }));
-    let checker = Rc::new(Checker::new());
-    let mut scripts: HashMap<PathBuf, Result<Rc<ScriptBundle>, String>> = HashMap::new();
-    let mut jobs: Vec<sup::Job> = Vec::new();
-    for (index, spec) in manifest.jobs.iter().enumerate() {
-        let bundle = scripts
-            .entry(spec.script.clone())
-            .or_insert_with(|| load_bundle(&spec.script))
-            .clone();
-        let key = match &bundle {
-            Ok(b) => manifest.job_key(index, &b.source),
-            Err(why) => manifest.job_key(index, why),
-        };
-        let name = spec.name.clone();
-        let force_panic = flags.force_panic.as_deref() == Some(name.as_str());
-        let threads = spec
-            .threads
-            .or(manifest.run.threads)
-            .unwrap_or(flags.threads);
-        let max_states = spec
-            .max_states
-            .or(manifest.run.max_states)
-            .or(flags.max_states);
-        let timeout_ms = spec
-            .timeout_ms
-            .or(manifest.run.timeout_ms)
-            .or(flags.timeout_ms);
-        let chaos = Rc::clone(&chaos);
-        let exec: JobExec = match &bundle {
-            Err(why) => broken_job(why.clone()),
-            Ok(bundle) => match spec.kind {
-                cspm::manifest::JobKind::Check => {
-                    let bundle = Rc::clone(bundle);
-                    let store = Rc::clone(&store);
-                    let checker = Rc::clone(&checker);
-                    let assertion = spec.assertion.clone();
-                    let jn = name.clone();
-                    Box::new(move |ctx| {
-                        chaos_gate(&chaos, &jn, ctx)?;
-                        assert!(!force_panic, "forced panic (--force-panic)");
-                        let options = cspm::CheckOptions {
-                            threads,
-                            collect_stats: false,
-                            max_states,
-                            max_wall_ms: clamp_wall(timeout_ms, ctx.remaining_ms),
-                        };
-                        let results = bundle
-                            .loaded
-                            .check_with_store(&checker, &options, &store)
-                            .map_err(|e| sup::JobError::Permanent(e.to_string()))?;
-                        let mut lines = Vec::new();
-                        let mut refuted = 0_u32;
-                        let mut inconclusive = 0_u32;
-                        let mut matched = 0_u32;
-                        let mut interrupted = false;
-                        for r in &results {
-                            if let Some(filter) = &assertion {
-                                if !r.description.contains(filter.as_str()) {
-                                    continue;
-                                }
-                            }
-                            matched += 1;
-                            if let Some(cex) = r.verdict.counterexample() {
-                                refuted += 1;
-                                lines.push(format!("assert {}  ...  FAIL", r.description));
-                                lines.push(format!("  {}", cex.display(bundle.loaded.alphabet())));
-                            } else if let Some(inc) = r.verdict.inconclusive() {
-                                inconclusive += 1;
-                                // No budget detail on stdout: the line must
-                                // be identical across disturbed runs.
-                                lines.push(format!("assert {}  ...  INCONCLUSIVE", r.description));
-                                if inc.reason == fdrlite::BudgetReason::Interrupted {
-                                    interrupted = true;
-                                }
-                                if let Some(token) = &inc.resume {
-                                    eprintln!(
-                                        "job {jn}: checkpoint saved; continue with `autocsp run --resume` \
-                                         (or `autocsp check --resume {token}`)"
-                                    );
-                                }
-                            } else {
-                                lines.push(format!("assert {}  ...  PASS", r.description));
-                            }
-                        }
-                        if matched == 0 {
-                            return Err(sup::JobError::Permanent(match &assertion {
-                                Some(f) => format!("no assertion matches filter `{f}`"),
-                                None => "script contains no `assert` declarations".to_owned(),
-                            }));
-                        }
-                        let status = if refuted > 0 {
-                            sup::JobStatus::Refuted
-                        } else if inconclusive > 0 {
-                            sup::JobStatus::Inconclusive
-                        } else {
-                            sup::JobStatus::Passed
-                        };
-                        Ok(sup::JobReport {
-                            status,
-                            lines,
-                            interrupted,
-                        })
-                    })
-                }
-                cspm::manifest::JobKind::Conform => {
-                    let spec_name = spec.spec.clone().or_else(|| flags.spec.clone());
-                    let corpus_dir = spec.corpus.clone();
-                    match (spec_name, corpus_dir) {
-                        (Some(spec_name), Some(dir)) => match read_corpus_dir(&dir) {
-                            Err(why) => broken_job(why),
-                            Ok(corpus) => {
-                                let bundle = Rc::clone(bundle);
-                                let store = Rc::clone(&store);
-                                let checker = Rc::clone(&checker);
-                                let jn = name.clone();
-                                Box::new(move |ctx| {
-                                    chaos_gate(&chaos, &jn, ctx)?;
-                                    assert!(!force_panic, "forced panic (--force-panic)");
-                                    let mut run = faults::batch::BatchRun::new(
-                                        &bundle.loaded,
-                                        &spec_name,
-                                        &checker,
-                                        &store,
-                                    )
-                                    .map_err(|e| sup::JobError::Permanent(e.to_string()))?;
-                                    let mut labels = Vec::new();
-                                    for (file, text) in &corpus {
-                                        let (traces, _findings) = faults::batch::parse_corpus(text);
-                                        for (line, trace) in traces {
-                                            let label = trace
-                                                .id
-                                                .clone()
-                                                .unwrap_or_else(|| format!("{file}:{line}"));
-                                            run.push(&trace.events);
-                                            labels.push(label);
-                                        }
-                                    }
-                                    let report = run.finish(threads);
-                                    let mut lines = Vec::new();
-                                    let mut inconclusive = 0_u32;
-                                    let mut interrupted = false;
-                                    for (i, verdict) in report.verdicts.iter().enumerate() {
-                                        let label = &labels[i];
-                                        match verdict {
-                                            ConformanceVerdict::Conformant => {}
-                                            ConformanceVerdict::Refuted(cex) => {
-                                                lines.push(format!("trace {label}  ...  FAIL"));
-                                                lines.push(format!(
-                                                    "  {}",
-                                                    cex.display(bundle.loaded.alphabet())
-                                                ));
-                                            }
-                                            ConformanceVerdict::UnknownEvent { event, index } => {
-                                                lines.push(format!("trace {label}  ...  FAIL"));
-                                                lines.push(format!(
-                                                    "  (event #{index} `{event}` is not in the model's alphabet)"
-                                                ));
-                                            }
-                                            ConformanceVerdict::Inconclusive(inc) => {
-                                                inconclusive += 1;
-                                                lines.push(format!(
-                                                    "trace {label}  ...  INCONCLUSIVE"
-                                                ));
-                                                if inc.reason == fdrlite::BudgetReason::Interrupted
-                                                {
-                                                    interrupted = true;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    let refuted = report.stats.refuted;
-                                    let unknown = report.stats.unknown_event;
-                                    let outcome = if refuted + unknown > 0 {
-                                        "FAIL"
-                                    } else {
-                                        "PASS"
-                                    };
-                                    lines.push(format!(
-                                        "conformance {} [T= corpus  ...  {outcome}: {} trace(s), \
-                                         {} conformant, {refuted} refuted, {unknown} unknown-event",
-                                        report.spec, report.stats.traces, report.stats.conformant
-                                    ));
-                                    let status = if refuted + unknown > 0 {
-                                        sup::JobStatus::Refuted
-                                    } else if inconclusive > 0 {
-                                        sup::JobStatus::Inconclusive
-                                    } else {
-                                        sup::JobStatus::Passed
-                                    };
-                                    Ok(sup::JobReport {
-                                        status,
-                                        lines,
-                                        interrupted,
-                                    })
-                                })
-                            }
-                        },
-                        (None, _) => broken_job(format!(
-                            "conform job `{name}` needs `spec = \"NAME\"` (or `--spec`)"
-                        )),
-                        (_, None) => {
-                            broken_job(format!("conform job `{name}` needs `corpus = \"DIR\"`"))
-                        }
-                    }
-                }
-                cspm::manifest::JobKind::Analyze => {
-                    let bundle = Rc::clone(bundle);
-                    let store = Rc::clone(&store);
-                    let checker = Rc::clone(&checker);
-                    let jn = name.clone();
-                    let script_label = spec.script.display().to_string();
-                    Box::new(move |ctx| {
-                        chaos_gate(&chaos, &jn, ctx)?;
-                        assert!(!force_panic, "forced panic (--force-panic)");
-                        let analysis = cspm::analyze::analyze_script(
-                            bundle.script.module(),
-                            &bundle.loaded,
-                            &checker,
-                            &store,
-                            max_states,
-                        );
-                        let errors = analysis
-                            .diagnostics
-                            .iter()
-                            .filter(|d| d.severity == Severity::Error)
-                            .count();
-                        let warnings = analysis
-                            .diagnostics
-                            .iter()
-                            .filter(|d| d.severity == Severity::Warning)
-                            .count();
-                        for d in &analysis.diagnostics {
-                            eprint!("{}", d.render(&script_label, &bundle.source));
-                        }
-                        let lines = vec![format!(
-                            "analyze {script_label}: {errors} error(s), {warnings} warning(s)"
-                        )];
-                        let status = if errors > 0 {
-                            sup::JobStatus::Refuted
-                        } else {
-                            sup::JobStatus::Passed
-                        };
-                        Ok(sup::JobReport {
-                            status,
-                            lines,
-                            interrupted: false,
-                        })
-                    })
-                }
-            },
-        };
-        jobs.push(sup::Job { name, key, exec });
-    }
-
-    let defaults = sup::RetryPolicy::default();
+    let defaults = RetryPolicy::default();
     let supervisor = sup::Supervisor::new(sup::SupervisorConfig {
-        retry: sup::RetryPolicy {
+        retry: RetryPolicy {
             max_attempts: manifest.run.retries.unwrap_or(defaults.max_attempts).max(1),
             base_delay_ms: manifest.run.retry_base_ms.unwrap_or(defaults.base_delay_ms),
             max_delay_ms: manifest.run.retry_max_ms.unwrap_or(defaults.max_delay_ms),
@@ -1715,15 +1401,35 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
         },
         run_timeout_ms: manifest.run.run_timeout_ms,
     });
-    let outcome = supervisor.run(jobs, &mut journal);
+    let outcome = supervisor.run(&jobs, &mut journal, |job, ctx| {
+        assert!(
+            flags.force_panic.as_deref() != Some(job.name.as_str()),
+            "forced panic (--force-panic)"
+        );
+        let job = service::ResolvedJob {
+            timeout_ms: clamp_wall(job.timeout_ms, ctx.remaining_ms),
+            ..job.clone()
+        };
+        let report = executor.run(&job, ctx.attempt);
+        let notes = executor.take_notes();
+        eprint!("{}", notes.findings);
+        for token in notes.resume_tokens {
+            eprintln!(
+                "job {}: checkpoint saved; continue with `autocsp run --resume` \
+                 (or `autocsp check --resume {token}`)",
+                job.name
+            );
+        }
+        report
+    });
 
-    // Diagnostics (SUP5xx, STO4xx) go to stderr; stdout carries only the
-    // deterministic verdict lines so disturbed and undisturbed runs diff
-    // byte-identical.
+    // Diagnostics (SUP5xx, SRV603, STO4xx) go to stderr; stdout carries
+    // only the deterministic verdict lines so disturbed and undisturbed
+    // runs diff byte-identical.
     for d in journal_diags.iter().chain(&outcome.diagnostics) {
         eprint!("{}", d.render(manifest_path, &manifest_source));
     }
-    if let Some(cache) = &cache {
+    if let Some(cache) = executor.cache() {
         let root = cache.root().display().to_string();
         for d in cache.take_diagnostics() {
             eprint!("{}", d.render(&root, ""));
@@ -1763,10 +1469,10 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
             println!("job {}  ...  {}", job.name, job.status);
         }
         match job.status {
-            sup::JobStatus::Passed => passed += 1,
-            sup::JobStatus::Refuted => refuted += 1,
-            sup::JobStatus::Inconclusive => inconclusive += 1,
-            sup::JobStatus::Failed => failed += 1,
+            JobStatus::Passed => passed += 1,
+            JobStatus::Refuted => refuted += 1,
+            JobStatus::Inconclusive => inconclusive += 1,
+            JobStatus::Failed => failed += 1,
         }
     }
     if json_mode {
@@ -1781,7 +1487,7 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
                 format!(
                     "{{\"name\":{},\"status\":{},\"replayed\":{},\"lines\":[{}]}}",
                     diag::json_string(&job.name),
-                    diag::json_string(&job.status.to_string()),
+                    diag::json_string(job.status.label()),
                     job.replayed,
                     lines.join(",")
                 )

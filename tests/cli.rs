@@ -8,8 +8,11 @@ fn autocsp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_autocsp"))
 }
 
-fn fixture_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("autocsp-cli-{}", std::process::id()));
+/// The CAPL/`.dbc` fixtures in a directory of the test's own: tests run
+/// in parallel, and a shared directory would let one test rewrite a file
+/// while another test's `autocsp` child reads it.
+fn fixture_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("autocsp-cli-{}-{test}", std::process::id()));
     fs::create_dir_all(&dir).unwrap();
     fs::write(
         dir.join("ecu.can"),
@@ -31,7 +34,7 @@ fn fixture_dir() -> PathBuf {
 
 #[test]
 fn translate_prints_the_model() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("translate");
     let out = autocsp()
         .args(["translate", dir.join("ecu.can").to_str().unwrap()])
         .arg("--dbc")
@@ -52,7 +55,7 @@ fn translate_prints_the_model() {
 
 #[test]
 fn compose_then_check_passes() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("compose");
     let model = dir.join("system.csp");
     let out = autocsp()
         .args(["compose"])
@@ -88,7 +91,7 @@ fn compose_then_check_passes() {
 
 #[test]
 fn check_fails_with_nonzero_exit_on_violation() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("check");
     let model = dir.join("bad.csp");
     fs::write(
         &model,
@@ -107,7 +110,7 @@ fn check_fails_with_nonzero_exit_on_violation() {
 
 #[test]
 fn simulate_prints_the_trace() {
-    let dir = fixture_dir();
+    let dir = fixture_dir("simulate");
     let out = autocsp()
         .arg("simulate")
         .arg(dir.join("vmg.can"))

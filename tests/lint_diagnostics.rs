@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use diag::json;
+
 fn autocsp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_autocsp"))
 }
@@ -223,173 +225,4 @@ fn lint_cli_surfaces_parse_errors_as_diagnostics() {
     assert!(!out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("error[CAPL000]"), "{stdout}");
-}
-
-/// A minimal recursive-descent JSON reader, enough to *validate* the CLI's
-/// `--format json` output and pull fields out of it. Kept local to the test:
-/// the workspace deliberately has no JSON dependency.
-mod json {
-    #[derive(Debug)]
-    pub(crate) enum Value {
-        Object(Vec<(String, Value)>),
-        Array(Vec<Value>),
-        String(String),
-        // Parsed for validation; the tests only inspect strings.
-        #[allow(dead_code)]
-        Number(f64),
-        #[allow(dead_code)]
-        Bool(bool),
-        Null,
-    }
-
-    pub(crate) fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            chars: text.char_indices().peekable(),
-            text,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        match p.chars.next() {
-            None => Ok(v),
-            Some((i, c)) => Err(format!("trailing `{c}` at byte {i}")),
-        }
-    }
-
-    struct Parser<'a> {
-        chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-        text: &'a str,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-                self.chars.next();
-            }
-        }
-
-        fn expect(&mut self, want: char) -> Result<(), String> {
-            self.skip_ws();
-            match self.chars.next() {
-                Some((_, c)) if c == want => Ok(()),
-                other => Err(format!("expected `{want}`, got {other:?}")),
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.chars.peek().copied() {
-                Some((_, '{')) => self.object(),
-                Some((_, '[')) => self.array(),
-                Some((_, '"')) => Ok(Value::String(self.string()?)),
-                Some((_, 't')) => self.keyword("true", Value::Bool(true)),
-                Some((_, 'f')) => self.keyword("false", Value::Bool(false)),
-                Some((_, 'n')) => self.keyword("null", Value::Null),
-                Some((_, c)) if c == '-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?}")),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect('{')?;
-            let mut fields = Vec::new();
-            self.skip_ws();
-            if matches!(self.chars.peek(), Some((_, '}'))) {
-                self.chars.next();
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(':')?;
-                fields.push((key, self.value()?));
-                self.skip_ws();
-                match self.chars.next() {
-                    Some((_, ',')) => continue,
-                    Some((_, '}')) => return Ok(Value::Object(fields)),
-                    other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect('[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if matches!(self.chars.peek(), Some((_, ']'))) {
-                self.chars.next();
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.chars.next() {
-                    Some((_, ',')) => continue,
-                    Some((_, ']')) => return Ok(Value::Array(items)),
-                    other => return Err(format!("expected `,` or `]`, got {other:?}")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect('"')?;
-            let mut out = String::new();
-            loop {
-                match self.chars.next() {
-                    Some((_, '"')) => return Ok(out),
-                    Some((_, '\\')) => match self.chars.next() {
-                        Some((_, '"')) => out.push('"'),
-                        Some((_, '\\')) => out.push('\\'),
-                        Some((_, '/')) => out.push('/'),
-                        Some((_, 'n')) => out.push('\n'),
-                        Some((_, 'r')) => out.push('\r'),
-                        Some((_, 't')) => out.push('\t'),
-                        Some((_, 'b')) => out.push('\u{8}'),
-                        Some((_, 'f')) => out.push('\u{c}'),
-                        Some((_, 'u')) => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, c) = self.chars.next().ok_or("truncated \\u escape")?;
-                                code = code * 16
-                                    + c.to_digit(16).ok_or_else(|| format!("bad hex `{c}`"))?;
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    },
-                    Some((_, c)) if (c as u32) < 0x20 => {
-                        return Err(format!("raw control character {:#x} in string", c as u32))
-                    }
-                    Some((_, c)) => out.push(c),
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.chars.peek().map_or(self.text.len(), |(i, _)| *i);
-            let mut end = start;
-            while let Some((i, c)) = self.chars.peek().copied() {
-                if c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' || c.is_ascii_digit() {
-                    end = i + c.len_utf8();
-                    self.chars.next();
-                } else {
-                    break;
-                }
-            }
-            self.text[start..end]
-                .parse()
-                .map(Value::Number)
-                .map_err(|e| format!("bad number: {e}"))
-        }
-
-        fn keyword(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            for want in word.chars() {
-                match self.chars.next() {
-                    Some((_, c)) if c == want => {}
-                    other => return Err(format!("expected `{word}`, got {other:?}")),
-                }
-            }
-            Ok(value)
-        }
-    }
 }

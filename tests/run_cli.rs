@@ -5,9 +5,12 @@
 //! and completed with `--resume` produces verdicts byte-identical to an
 //! undisturbed run.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use diag::json::{self, Value};
 
 fn autocsp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_autocsp"))
@@ -290,4 +293,181 @@ fn resume_replays_journaled_verdicts_instead_of_rechecking() {
     let fresh = run(&["run", &path]);
     let again = run(&["run", &path, "--resume"]);
     assert_eq!(fresh.stdout, again.stdout);
+}
+
+// ---------------------------------------------------------------------------
+// Replay by content: `--resume` never serves a verdict for stale content
+// ---------------------------------------------------------------------------
+
+/// A ten-way interleaving against a 200-state cyclic spec: about twelve
+/// million product pairs, far more than any build explores within the
+/// run budget of [`deferring_manifest`].
+fn budget_eater(dir: &Path) -> PathBuf {
+    let names: Vec<String> = (0..10).map(|i| format!("c{i}")).collect();
+    let mut src = format!(
+        "datatype T = t1 | t2 | t3\nchannel {} : T\n",
+        names.join(", ")
+    );
+    for n in &names {
+        let _ = writeln!(src, "P{n} = {n}.t1 -> {n}.t2 -> {n}.t3 -> P{n}");
+    }
+    for i in 0..200 {
+        let next = (i + 1) % 200;
+        let arms: Vec<String> = names.iter().map(|n| format!("{n}?x -> S{next}")).collect();
+        let _ = writeln!(src, "S{i} = {}", arms.join(" [] "));
+    }
+    let procs: Vec<String> = names.iter().map(|n| format!("P{n}")).collect();
+    let _ = writeln!(src, "SYS = {}", procs.join(" ||| "));
+    src.push_str("assert S0 [T= SYS\n");
+    let path = dir.join("eater.csp");
+    fs::write(&path, src).expect("write model");
+    path
+}
+
+/// A manifest whose first run deterministically leaves a journal behind.
+/// Job `first` (defined by `first_job`) runs and is journaled; the budget
+/// eater's wall budget is clamped to what is left of `run_timeout_ms`, so
+/// it ends inconclusive and is journaled too; the last job is then
+/// deferred, which keeps the journal for `--resume`.
+fn deferring_manifest(dir: &Path, first_job: &str) -> String {
+    let model = example("faults/ota_model.csp");
+    let toml = format!(
+        r#"
+[run]
+threads = 1
+run_timeout_ms = 1500
+
+[[job]]
+name = "first"
+{first_job}
+
+[[job]]
+name = "eater"
+kind = "check"
+script = "{eater}"
+max_states = 1000000000
+
+[[job]]
+name = "deferred"
+kind = "check"
+script = "{model}"
+assertion = "HONEST"
+"#,
+        eater = budget_eater(dir).display(),
+        model = model.display(),
+    );
+    let path = dir.join("jobs.toml");
+    fs::write(&path, toml).expect("write manifest");
+    path.to_str().unwrap().to_owned()
+}
+
+/// `(status, lines, replayed)` of job `name` in `run --format json` output.
+fn job_verdict(out: &Output, name: &str) -> (String, Vec<String>, bool) {
+    let text = String::from_utf8_lossy(&out.stdout);
+    let doc = json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let job = doc
+        .get("jobs")
+        .and_then(Value::as_array)
+        .and_then(|jobs| {
+            jobs.iter()
+                .find(|j| j.get("name").and_then(Value::as_str) == Some(name))
+        })
+        .unwrap_or_else(|| panic!("no job `{name}`: {text}"));
+    let lines = job
+        .get("lines")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|l| l.as_str().unwrap().to_owned())
+        .collect();
+    (
+        job.get("status")
+            .and_then(Value::as_str)
+            .unwrap()
+            .to_owned(),
+        lines,
+        job.get("replayed").and_then(Value::as_bool).unwrap(),
+    )
+}
+
+/// Run `path` with `first_args`, assert job `first` reached `before` and
+/// the journal was kept, apply `change`, then `--resume` (without
+/// `first_args`): job `first` must run again and read exactly like a fresh
+/// run of the changed content, `after`.
+fn resume_reruns_changed_job(
+    path: &str,
+    first_args: &[&str],
+    before: &str,
+    change: impl FnOnce(),
+    after: &str,
+) {
+    let json_run = |extra: &[&str]| {
+        let mut args = vec!["run", path, "--format", "json"];
+        args.extend_from_slice(extra);
+        run(&args)
+    };
+    let first = json_run(first_args);
+    assert_eq!(first.status.code(), Some(3), "{first:?}");
+    assert_eq!(job_verdict(&first, "first").0, before, "{first:?}");
+    assert_eq!(job_verdict(&first, "eater").0, "inconclusive");
+    assert!(Path::new(&format!("{path}.journal")).exists());
+
+    change();
+    let resumed = json_run(&["--resume"]);
+    let (status, lines, replayed) = job_verdict(&resumed, "first");
+    assert!(!replayed, "stale verdict replayed: {resumed:?}");
+    assert!(
+        job_verdict(&resumed, "eater").2,
+        "unchanged job must replay"
+    );
+    assert_eq!(status, after);
+
+    let fresh = json_run(&[]);
+    let (fresh_status, fresh_lines, _) = job_verdict(&fresh, "first");
+    assert_eq!((status, lines), (fresh_status, fresh_lines));
+}
+
+#[test]
+fn resume_reruns_a_conform_job_whose_corpus_changed() {
+    let dir = scratch("stale-corpus");
+    let traces = dir.join("traces");
+    fs::create_dir_all(&traces).unwrap();
+    let corpus = traces.join("sessions.jsonl");
+    fs::write(
+        &corpus,
+        "{\"id\":\"s\",\"events\":[\"rec.reqSw\",\"send.rptSw\"]}\n",
+    )
+    .unwrap();
+    let path = deferring_manifest(
+        &dir,
+        &format!(
+            "kind = \"conform\"\nscript = \"{}\"\nspec = \"HONEST\"\ncorpus = \"{}\"",
+            example("faults/ota_model.csp").display(),
+            traces.display()
+        ),
+    );
+    // Same path, new bytes: a report before any request is nonconformant.
+    let change = || fs::write(&corpus, "{\"id\":\"s\",\"events\":[\"send.rptSw\"]}\n").unwrap();
+    resume_reruns_changed_job(&path, &[], "passed", change, "refuted");
+}
+
+#[test]
+fn resume_reruns_a_job_whose_cli_budget_changed() {
+    let dir = scratch("stale-budget");
+    let path = deferring_manifest(
+        &dir,
+        &format!(
+            "kind = \"check\"\nscript = \"{}\"\nassertion = \"HONEST\"",
+            example("faults/ota_model.csp").display()
+        ),
+    );
+    // The first run's `--max-states 5` cuts the check short; the resume
+    // drops it, so the job must be checked in full.
+    resume_reruns_changed_job(
+        &path,
+        &["--max-states", "5"],
+        "inconclusive",
+        || {},
+        "passed",
+    );
 }

@@ -260,3 +260,71 @@ fn sigterm_drains_and_restart_resumes_to_reference_verdicts() {
     let status = serve.wait().expect("serve exits");
     assert_eq!(status.code(), Some(0));
 }
+
+/// `(name, status, lines)` for every job of a `run --format json` object.
+fn run_verdicts(stdout: &[u8]) -> Vec<(String, String, Vec<String>)> {
+    let text = String::from_utf8_lossy(stdout);
+    let doc = json::parse(text.trim()).unwrap_or_else(|e| panic!("{e}: {text}"));
+    doc.get("jobs")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(verdict)
+        .collect()
+}
+
+/// `(name, status, lines)` of one job object (a `run` job or a served
+/// job view).
+fn verdict(job: &Value) -> (String, String, Vec<String>) {
+    let text = |key| job.get(key).and_then(Value::as_str).unwrap().to_string();
+    let lines = job.get("lines").and_then(Value::as_array).unwrap();
+    let lines = lines.iter().map(|l| l.as_str().unwrap().to_string());
+    (text("name"), text("status"), lines.collect())
+}
+
+#[test]
+fn every_job_kind_reads_the_same_from_run_and_serve() {
+    let supervise = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/supervise");
+    let manifest = fs::read_to_string(supervise.join("jobs.toml")).expect("example manifest");
+    let dir = scratch("parity");
+    let (mut serve, addr) = spawn_serve(&supervise, &dir.join("state"));
+
+    let (status, body) = client_request(&addr, "POST", "/v1/jobs", &manifest).unwrap();
+    assert_eq!(status, 202, "{body}");
+    let accepted = json::parse(&body).unwrap();
+    let served: Vec<_> = accepted
+        .get("jobs")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|job| {
+            let id = job.get("id").and_then(Value::as_str).unwrap();
+            let (status, body) =
+                client_request(&addr, "GET", &format!("/v1/jobs/{id}?wait=120"), "").unwrap();
+            assert_eq!(status, 200, "{body}");
+            let view = json::parse(&body).unwrap();
+            assert_eq!(
+                view.get("state").and_then(Value::as_str),
+                Some("done"),
+                "{body}"
+            );
+            verdict(&view)
+        })
+        .collect();
+    signal(serve.id(), "-TERM");
+    assert_eq!(serve.wait().expect("serve exits").code(), Some(0));
+
+    let run = autocsp()
+        .arg("run")
+        .arg(supervise.join("jobs.toml"))
+        .args(["--format", "json", "--no-cache"])
+        .output()
+        .expect("autocsp runs");
+    let ran = run_verdicts(&run.stdout);
+    assert_eq!(ran.len(), 11, "{ran:?}");
+    // The example manifest covers every job kind.
+    for kind in ["check", "conform", "analyze"] {
+        assert!(manifest.contains(&format!("kind = \"{kind}\"")), "{kind}");
+    }
+    assert_eq!(served, ran, "serve and run disagree");
+}
