@@ -643,8 +643,7 @@ impl Evaluator {
                 }
             }
             Expr::Let { bindings, body } => {
-                let mut scope = Bindings::new();
-                scopes.push(scope);
+                scopes.push(Bindings::new());
                 for (name, value) in bindings {
                     let v = match self.eval(value, scopes) {
                         Ok(v) => v,
@@ -659,8 +658,7 @@ impl Evaluator {
                         .push((name.clone(), v));
                 }
                 let result = self.eval(body, scopes);
-                scope = scopes.pop().expect("scope just pushed");
-                let _ = scope;
+                scopes.pop().expect("scope just pushed");
                 result
             }
             Expr::Stop => Ok(Value::Process(Process::Stop)),

@@ -604,7 +604,7 @@ impl Checker {
 
             if norm.divergent(node) {
                 return Verdict::Fail(Counterexample::new(
-                    rebuild_norm_trace(&order, &parents, idx),
+                    rebuild_norm_trace(&parents, idx),
                     FailureKind::Divergence,
                 ));
             }
@@ -612,7 +612,7 @@ impl Checker {
                 let refusable = norm.acceptances(node).any(|a| !a.contains(e));
                 if refusable {
                     return Verdict::Fail(Counterexample::new(
-                        rebuild_norm_trace(&order, &parents, idx),
+                        rebuild_norm_trace(&parents, idx),
                         FailureKind::Nondeterminism { event: e },
                     ));
                 }
@@ -1010,11 +1010,7 @@ pub(crate) fn refine_zero_one_resumable(
     Ok((Verdict::Pass, None))
 }
 
-fn rebuild_norm_trace(
-    order: &[NormNodeId],
-    parents: &[(u32, Option<EventId>)],
-    mut idx: u32,
-) -> Trace {
+fn rebuild_norm_trace(parents: &[(u32, Option<EventId>)], mut idx: u32) -> Trace {
     let mut events: Vec<TraceEvent> = Vec::new();
     while idx != 0 {
         let (parent, label) = parents[idx as usize];
@@ -1023,7 +1019,6 @@ fn rebuild_norm_trace(
         }
         idx = parent;
     }
-    let _ = order;
     events.reverse();
     events.into_iter().collect()
 }

@@ -15,29 +15,27 @@
 //!   from the global injector or a sibling's deque, so stragglers never
 //!   idle at a level barrier (the previous engine was level-synchronised
 //!   and serialised the visited-set merge between levels).
-//! * **A sharded visited set.** Discovered `(impl state, spec node)` pairs
-//!   live in `N` lock-striped shards keyed by a hash of the pair, each
-//!   padded to its own cache line. A worker touches exactly one shard per
-//!   discovered edge, so contention falls off with the shard count. Each
-//!   shard records the best known *visible depth* of its pairs and admits
-//!   re-expansion when a strictly shorter path is found, which keeps the
-//!   shortest-witness metric exact without global synchronisation.
-//! * **Parent recording during the pass.** Every worker appends discovered
-//!   nodes to a private arena with a parent pointer `(worker, index)` and
-//!   the visible event on the discovering edge. A violation therefore
-//!   yields a witness directly — there is no known-failing full serial
-//!   re-exploration as in the previous engine. The engine then re-walks
-//!   the product *bounded to the recorded minimum depth* with the serial
-//!   0-1 BFS, which canonicalises the witness: verdicts **and**
+//! * **An insert-once sharded visited set.** Discovered `(impl state,
+//!   spec node)` pairs live in `N` lock-striped shards keyed by a hash of
+//!   the pair, each padded to its own cache line. A worker touches exactly
+//!   one shard per discovered edge, so contention falls off with the shard
+//!   count. A pair is queued only by the insert that discovers it, so every
+//!   pair is expanded at most once.
+//! * **A canonical re-walk for counterexamples.** The pass ends at the
+//!   first recorded violation and keeps only its visible depth `L`. The
+//!   engine then re-walks the product *bounded to depth `L`* with the
+//!   serial 0-1 BFS, which canonicalises the witness: verdicts **and**
 //!   counterexample traces are identical to [`Checker::refine`] and
-//!   deterministic across runs and thread counts. The re-walk touches only
-//!   the ≤ `L` sphere of the product (where `L` is the witness length the
-//!   parallel pass already proved minimal), so a shallow violation in a
-//!   huge model costs a shallow walk, not a second full exploration.
+//!   deterministic across runs and thread counts. `L` is the depth of a
+//!   real path to a violation, so a violation at depth ≤ `L` is known to
+//!   exist and the bounded walk finds the minimal one. It touches only the
+//!   ≤ `L` sphere of the product, so a shallow violation in a huge model
+//!   costs a shallow walk, not a second full exploration.
 //!
 //! Termination uses a global pending-task counter: workers exit when every
-//! deque is empty and no task is in flight. A worker panic is converted
-//! into [`CheckError::Internal`] instead of aborting the process.
+//! deque is empty and no task is in flight, or as soon as a violation is
+//! recorded. A worker panic is converted into [`CheckError::Internal`]
+//! instead of aborting the process.
 //!
 //! One caveat is inherent to racing the product bound: when the product
 //! has *more* reachable pairs than [`Checker::max_product`] **and** also
@@ -45,14 +43,14 @@
 //! the violation or [`CheckError::ProductExceeded`] depending on discovery
 //! order. Within the bound, results are exact and deterministic.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::{Backoff, CachePadded};
-use csp::{CsrEdges, Definitions, EventId, Label, Lts, Process, StateId, Trace, TraceEvent};
+use csp::{CsrEdges, Definitions, Label, Lts, Process, StateId};
 
 use crate::checker::{
     refine_zero_one, Budget, CheckOptions, Checker, FailureProbe, RefinementModel,
@@ -66,7 +64,7 @@ use crate::store::CompiledModel;
 
 type Pair = (StateId, NormNodeId);
 
-/// Most workers the engine will spawn (worker ids are packed into a `u16`).
+/// Most workers the engine will spawn (worker ids are reported as a `u16`).
 const MAX_THREADS: usize = 256;
 
 /// Check `spec ⊑T impl_` using `threads` worker threads.
@@ -346,8 +344,8 @@ pub fn refine_compiled_with_options(
 /// frontier alongside any [`Verdict::Inconclusive`].
 ///
 /// Unlike the serial engine's exact continuation, a parallel frontier keeps
-/// only the merged visited set, the outstanding tasks and the best recorded
-/// witness depth — the verdict and counterexample are nevertheless exact,
+/// only the merged visited set, the outstanding tasks and the recorded
+/// violation depth — the verdict and counterexample are nevertheless exact,
 /// because every conclusive [`Verdict::Fail`] is produced by the canonical
 /// bounded serial re-walk, never by the racing pass itself. Callers must
 /// validate the frontier against these exact models first
@@ -422,12 +420,12 @@ fn refine_csr_resumable(
         &budget,
         resume,
     )?;
-    let (raw, exhausted, frontier, mut stats) = outcome;
+    let (violation, exhausted, frontier, mut stats) = outcome;
     if exhausted.is_some() {
         stats.wall_overshoot = budget.wall_overshoot();
     }
 
-    let (verdict, frontier) = match raw {
+    let (verdict, frontier) = match violation {
         None => match exhausted {
             Some(reason) => (
                 Verdict::Inconclusive(Inconclusive::new(stats.pairs_discovered, reason)),
@@ -435,13 +433,13 @@ fn refine_csr_resumable(
             ),
             None => (Verdict::Pass, None),
         },
-        Some(witness) => {
+        Some(depth) => {
             // Canonical witness recovery: re-walk the ≤ L sphere with the
-            // serial 0-1 BFS. On a complete pass L is proved minimal, so
-            // the walk must find a violation, finds it without ever
-            // expanding past depth L, and returns the exact verdict the
-            // serial checker would. On a budget-cut pass the re-walk runs
-            // under a fresh budget of its own and may itself come back
+            // serial 0-1 BFS. A violation at depth ≤ L is known to exist,
+            // so the walk finds the minimal one without ever expanding
+            // past depth L, and returns the exact verdict the serial
+            // checker would. On a budget-cut pass the re-walk runs under a
+            // fresh budget of its own and may itself come back
             // inconclusive.
             let rewalk_budget = if exhausted.is_some() {
                 Budget::start(options)
@@ -454,24 +452,11 @@ fn refine_csr_resumable(
                 impl_lts,
                 model,
                 checker.max_product(),
-                Some(witness.vlen),
+                Some(depth),
                 &rewalk_budget,
                 &mut rewalk,
             )?;
             stats.rewalk_expansions = rewalk.expansions;
-            // A resumed run's arenas only reach back to the resume point,
-            // so the recorded trace can be a suffix of the real witness —
-            // the depth is still exact, which is all the re-walk needs.
-            debug_assert!(
-                resume.is_some()
-                    || exhausted.is_some()
-                    || witness.trace.len()
-                        == match &bounded {
-                            Verdict::Fail(cex) => cex.trace().len(),
-                            _ => usize::MAX,
-                        },
-                "recorded and canonical witness lengths must agree"
-            );
             match bounded {
                 Verdict::Pass => (
                     Verdict::Inconclusive(Inconclusive::new(
@@ -489,48 +474,18 @@ fn refine_csr_resumable(
     Ok((verdict, frontier, stats))
 }
 
-/// A violation as recorded by the parallel pass: the witness rebuilt from
-/// the per-worker parent arenas, plus its visible depth.
-struct RecordedWitness {
-    trace: Trace,
-    vlen: u32,
-}
-
-/// One node of a worker's parent arena. `parent == self` marks the root.
-#[derive(Clone, Copy)]
-struct NodeRec {
-    parent: NodeRef,
-    label: Option<EventId>,
-}
-
-/// Cross-arena node address.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct NodeRef {
-    worker: u16,
-    idx: u32,
-}
-
-/// A unit of work: one product pair to expand, with its visible depth and
-/// its arena address (for parent chains). Self-contained, so stolen tasks
-/// never read another worker's arena.
+/// A unit of work: one product pair to expand, with the visible depth of
+/// the path that discovered it.
 #[derive(Clone, Copy)]
 struct Task {
     s: StateId,
     n: NormNodeId,
     vlen: u32,
-    node: NodeRef,
-}
-
-/// The best violation seen so far.
-#[derive(Clone, Copy)]
-struct Candidate {
-    vlen: u32,
-    node: NodeRef,
 }
 
 /// State shared by all workers.
 struct Shared {
-    shards: Vec<CachePadded<Mutex<HashMap<Pair, u32>>>>,
+    shards: Vec<CachePadded<Mutex<HashSet<Pair>>>>,
     shard_mask: usize,
     injector: Injector<Task>,
     stealers: Vec<Stealer<Task>>,
@@ -538,11 +493,9 @@ struct Shared {
     pending: AtomicUsize,
     /// Distinct pairs discovered (for the product bound).
     discovered: AtomicUsize,
-    /// Visible depth of the best violation found so far (`u32::MAX` while
-    /// none); doubles as the pruning bound — no witness shorter than the
-    /// best can pass through a pair at depth ≥ best.
-    best: AtomicU32,
-    candidate: Mutex<Option<Candidate>>,
+    /// Visible depth of the recorded violation (`u32::MAX` while none).
+    /// Once set, every worker winds down: the canonical re-walk takes over.
+    violation: AtomicU32,
     /// Product bound tripped: abandon the run.
     overflow: AtomicBool,
     /// A resource budget ran out: wind down and report
@@ -567,6 +520,19 @@ impl Shared {
         slot.get_or_insert(reason);
         self.budget_hit.store(true, Ordering::Relaxed);
     }
+
+    /// Insert `pair` into its shard; `true` when it was not there before.
+    fn insert(&self, pair: Pair) -> bool {
+        lock_shard(&self.shards[shard_of(pair, self.shard_mask)]).insert(pair)
+    }
+
+    /// Whether any worker should stop taking tasks.
+    fn winding_down(&self) -> bool {
+        self.violation.load(Ordering::Relaxed) != u32::MAX
+            || self.overflow.load(Ordering::Relaxed)
+            || self.budget_hit.load(Ordering::Relaxed)
+            || self.panicked.load(Ordering::Relaxed)
+    }
 }
 
 fn shard_of(pair: Pair, mask: usize) -> usize {
@@ -577,8 +543,15 @@ fn shard_of(pair: Pair, mask: usize) -> usize {
     ((h >> 32) as usize) & mask
 }
 
-fn lock_shard(shard: &Mutex<HashMap<Pair, u32>>) -> std::sync::MutexGuard<'_, HashMap<Pair, u32>> {
+fn lock_shard(shard: &Mutex<HashSet<Pair>>) -> std::sync::MutexGuard<'_, HashSet<Pair>> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn pair_at(s: u32, n: u32) -> Pair {
+    (
+        StateId::from_index(s as usize),
+        NormNodeId::from_index(n as usize),
+    )
 }
 
 /// Per-worker counters, merged into [`CheckStats`] after the join.
@@ -607,9 +580,10 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// The parallel decision pass. Returns the recorded witness (from parent
-/// arenas) when a violation exists, `None` when the refinement holds, plus
-/// a continuation frontier whenever a budget cut the pass short.
+/// The parallel decision pass. Returns the visible depth of the recorded
+/// violation (`None` when none was recorded), the budget that cut the pass
+/// short and the continuation frontier (both `None` on a complete pass),
+/// and the pass's statistics.
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn explore(
     norm: &NormalisedLts,
@@ -623,7 +597,7 @@ fn explore(
     resume: Option<&ParallelFrontier>,
 ) -> Result<
     (
-        Option<RecordedWitness>,
+        Option<u32>,
         Option<BudgetReason>,
         Option<ParallelFrontier>,
         CheckStats,
@@ -631,8 +605,8 @@ fn explore(
     CheckError,
 > {
     let shard_count = (threads.next_power_of_two() * 16).clamp(16, 512);
-    let shards: Vec<CachePadded<Mutex<HashMap<Pair, u32>>>> = (0..shard_count)
-        .map(|_| CachePadded::new(Mutex::new(HashMap::new())))
+    let shards: Vec<CachePadded<Mutex<HashSet<Pair>>>> = (0..shard_count)
+        .map(|_| CachePadded::new(Mutex::new(HashSet::new())))
         .collect();
 
     let locals: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
@@ -645,8 +619,7 @@ fn explore(
         stealers,
         pending: AtomicUsize::new(0),
         discovered: AtomicUsize::new(0),
-        best: AtomicU32::new(u32::MAX),
-        candidate: Mutex::new(None),
+        violation: AtomicU32::new(u32::MAX),
         overflow: AtomicBool::new(false),
         budget_hit: AtomicBool::new(false),
         budget_reason: Mutex::new(None),
@@ -655,84 +628,45 @@ fn explore(
         budget: *budget,
     };
 
-    // Seed. On a fresh run the root pair lives in worker 0's arena at
-    // index 0 and is published through the injector so whichever worker
-    // starts first claims it. On a resumed run the checkpoint's visited
-    // set repopulates the shards and every outstanding task is republished
-    // through the injector with a fresh arena root in worker 0's arena
-    // (parent chains before the interrupt are gone; only witness *depths*
-    // must survive, and they travel inside the tasks).
-    let root = (impl_initial, norm.initial());
-    let mut worker0_arena: Vec<NodeRec> = Vec::new();
+    // Seed: the root pair on a fresh run; on a resumed run the checkpoint's
+    // visited set, violation depth and outstanding tasks. Tasks go through
+    // the injector so whichever worker starts first claims them.
     match resume {
         Some(f) => {
-            for &(s, n, vlen) in &f.visited {
-                let pair = (
-                    StateId::from_index(s as usize),
-                    NormNodeId::from_index(n as usize),
-                );
-                lock_shard(&shared.shards[shard_of(pair, shared.shard_mask)]).insert(pair, vlen);
+            for &(s, n) in &f.visited {
+                shared.insert(pair_at(s, n));
             }
             shared
                 .discovered
                 .store(f.discovered as usize, Ordering::Relaxed);
-            shared.best.store(f.best, Ordering::Relaxed);
+            shared.violation.store(f.best, Ordering::Relaxed);
             shared.pending.store(f.frontier.len(), Ordering::Relaxed);
             for &(s, n, vlen) in &f.frontier {
-                let node = NodeRef {
-                    worker: 0,
-                    idx: worker0_arena.len() as u32,
-                };
-                worker0_arena.push(NodeRec {
-                    parent: node,
-                    label: None,
-                });
-                shared.injector.push(Task {
-                    s: StateId::from_index(s as usize),
-                    n: NormNodeId::from_index(n as usize),
-                    vlen,
-                    node,
-                });
+                let (s, n) = pair_at(s, n);
+                shared.injector.push(Task { s, n, vlen });
             }
         }
         None => {
-            let root_ref = NodeRef { worker: 0, idx: 0 };
-            lock_shard(&shared.shards[shard_of(root, shared.shard_mask)]).insert(root, 0);
+            let (s, n) = (impl_initial, norm.initial());
+            shared.insert((s, n));
             shared.discovered.store(1, Ordering::Relaxed);
             shared.pending.store(1, Ordering::Relaxed);
-            shared.injector.push(Task {
-                s: root.0,
-                n: root.1,
-                vlen: 0,
-                node: root_ref,
-            });
-            worker0_arena.push(NodeRec {
-                parent: root_ref,
-                label: None,
-            });
+            shared.injector.push(Task { s, n, vlen: 0 });
         }
     }
 
-    let mut arenas: Vec<Vec<NodeRec>> = Vec::with_capacity(threads);
     let mut merged = WorkerStats::default();
     let mut leftover_tasks: Vec<Task> = Vec::new();
     let mut panic_message: Option<(u16, String)> = None;
 
     crossbeam::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
-        let mut worker0_arena = Some(worker0_arena);
         for (me, local) in locals.into_iter().enumerate() {
             let shared = &shared;
-            let arena = if me == 0 {
-                worker0_arena.take().expect("worker 0 arena seeded once")
-            } else {
-                Vec::new()
-            };
             handles.push(scope.spawn(move |_| {
                 let mut ctx = WorkerCtx {
-                    me: me as u16,
+                    me,
                     local,
-                    arena,
                     shared,
                     norm,
                     csr,
@@ -744,29 +678,26 @@ fn explore(
                 ctx.run();
                 // Drain what this worker never got to: on a budget exit
                 // the local deque still holds queued tasks that belong in
-                // the checkpoint frontier (empty on normal completion).
+                // the checkpoint frontier.
                 let mut leftovers: Vec<Task> = Vec::new();
                 while let Some(task) = ctx.local.pop() {
                     leftovers.push(task);
                 }
-                (ctx.arena, ctx.stats, leftovers)
+                (ctx.stats, leftovers)
             }));
         }
         for (me, handle) in handles.into_iter().enumerate() {
             match handle.join() {
-                Ok((arena, stats, leftovers)) => {
+                Ok((stats, leftovers)) => {
                     merged.expansions += stats.expansions;
                     merged.transitions += stats.transitions;
                     merged.steals += stats.steals;
                     merged.frontier_peak = merged.frontier_peak.max(stats.frontier_peak);
                     merged.busy += stats.busy;
-                    arenas.push(arena);
                     leftover_tasks.extend(leftovers);
                 }
                 Err(payload) => {
                     panic_message.get_or_insert_with(|| (me as u16, panic_text(payload.as_ref())));
-                    // Keep arena indexing consistent for the survivors.
-                    arenas.push(Vec::new());
                 }
             }
         }
@@ -789,6 +720,7 @@ fn explore(
         .budget_reason
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
+    let violation = shared.violation.load(Ordering::Relaxed);
 
     // Counters accumulate across interrupt/resume so the final stats read
     // as if the run had never stopped.
@@ -830,12 +762,12 @@ fn explore(
             }
         }
         tasks.sort_unstable();
-        let mut visited: Vec<(u32, u32, u32)> = Vec::with_capacity(stats.pairs_discovered as usize);
+        let mut visited: Vec<(u32, u32)> = Vec::with_capacity(stats.pairs_discovered as usize);
         for shard in &shared.shards {
             visited.extend(
                 lock_shard(shard)
                     .iter()
-                    .map(|(&(s, n), &vlen)| (s.index() as u32, n.index() as u32, vlen)),
+                    .map(|&(s, n)| (s.index() as u32, n.index() as u32)),
             );
         }
         visited.sort_unstable();
@@ -843,7 +775,7 @@ fn explore(
             visited,
             frontier: tasks,
             discovered: stats.pairs_discovered,
-            best: shared.best.load(Ordering::Relaxed),
+            best: violation,
             expansions: stats.expansions,
             transitions: stats.transitions,
             steals: stats.steals,
@@ -851,31 +783,12 @@ fn explore(
         }
     });
 
-    let witness = shared
-        .candidate
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .map(|candidate| {
-            let trace = recorded_trace(&arenas, candidate.node);
-            // Resumed arenas only reach back to the resume point, so the
-            // rebuilt trace can be a suffix; its depth is still exact.
-            debug_assert!(resume.is_some() || trace.len() as u32 == candidate.vlen);
-            RecordedWitness {
-                trace,
-                vlen: candidate.vlen,
-            }
-        })
-        .or_else(|| {
-            // A violation recorded before the interrupt survives only as
-            // the seeded pruning bound; resurrect it so the canonical
-            // re-walk still runs and the verdict stays conclusive.
-            let best = shared.best.load(Ordering::Relaxed);
-            (best != u32::MAX).then(|| RecordedWitness {
-                trace: Trace::empty(),
-                vlen: best,
-            })
-        });
-    Ok((witness, exhausted, frontier, stats))
+    Ok((
+        (violation != u32::MAX).then_some(violation),
+        exhausted,
+        frontier,
+        stats,
+    ))
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -888,28 +801,10 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Rebuild the visible trace of `node` from the per-worker parent arenas.
-fn recorded_trace(arenas: &[Vec<NodeRec>], mut node: NodeRef) -> Trace {
-    let mut events: Vec<TraceEvent> = Vec::new();
-    loop {
-        let rec = arenas[node.worker as usize][node.idx as usize];
-        if let Some(e) = rec.label {
-            events.push(TraceEvent::Event(e));
-        }
-        if rec.parent == node {
-            break;
-        }
-        node = rec.parent;
-    }
-    events.reverse();
-    events.into_iter().collect()
-}
-
 /// One worker's execution context.
 struct WorkerCtx<'a> {
-    me: u16,
+    me: usize,
     local: Worker<Task>,
-    arena: Vec<NodeRec>,
     shared: &'a Shared,
     norm: &'a NormalisedLts,
     csr: &'a CsrEdges,
@@ -932,10 +827,7 @@ impl WorkerCtx<'_> {
             armed: true,
         };
         loop {
-            if self.shared.overflow.load(Ordering::Relaxed)
-                || self.shared.budget_hit.load(Ordering::Relaxed)
-                || self.shared.panicked.load(Ordering::Relaxed)
-            {
+            if self.shared.winding_down() {
                 break;
             }
             // Wall-clock budget: sampled every 256th task to stay off the
@@ -996,7 +888,7 @@ impl WorkerCtx<'_> {
             }
             let n = self.shared.stealers.len();
             for k in 1..n {
-                let victim = (self.me as usize + k) % n;
+                let victim = (self.me + k) % n;
                 match self.shared.stealers[victim].steal_batch_and_pop(&self.local) {
                     Steal::Success(task) => {
                         self.stats.steals += 1;
@@ -1012,22 +904,9 @@ impl WorkerCtx<'_> {
         }
     }
 
-    /// Expand one product pair: scan its implementation edges, offer the
-    /// successors, record any violation.
+    /// Expand one product pair: scan its implementation edges and offer the
+    /// successors, or record a violation and stop.
     fn process(&mut self, task: Task) {
-        // No witness shorter than the current best can pass through here.
-        if task.vlen >= self.shared.best.load(Ordering::Relaxed) {
-            return;
-        }
-        // Superseded by a shorter path to the same pair? Skip the stale
-        // expansion; the improved task is (or was) queued separately.
-        let pair = (task.s, task.n);
-        {
-            let shard = &self.shared.shards[shard_of(pair, self.shared.shard_mask)];
-            if lock_shard(shard).get(&pair).is_some_and(|&d| d < task.vlen) {
-                return;
-            }
-        }
         self.stats.expansions += 1;
         // Failures mode: the same stability/refusal test the serial engine
         // runs when it dequeues a pair. A refusal violation's witness is
@@ -1039,95 +918,45 @@ impl WorkerCtx<'_> {
                 .violation(self.norm, task.n, self.csr.edges(task.s), omega)
                 .is_some()
             {
-                self.record_violation(task.vlen, task.node);
-                return;
+                return self.record_violation(task.vlen);
             }
         }
         for &(label, target) in self.csr.edges(task.s) {
             self.stats.transitions += 1;
             match label {
-                Label::Tau => self.offer(target, task.n, task.vlen, None, task.node),
+                Label::Tau => self.offer(target, task.n, task.vlen),
                 Label::Event(e) => match self.norm.after(task.n, e) {
-                    Some(n2) => self.offer(target, n2, task.vlen + 1, Some(e), task.node),
-                    None => self.record_violation(task.vlen, task.node),
+                    Some(n2) => self.offer(target, n2, task.vlen + 1),
+                    None => return self.record_violation(task.vlen),
                 },
                 Label::Tick => {
                     if !self.norm.allows_tick(task.n) {
-                        self.record_violation(task.vlen, task.node);
+                        return self.record_violation(task.vlen);
                     }
                 }
             }
         }
     }
 
-    /// Offer a successor pair at visible depth `vlen`: insert or improve
-    /// its shard entry, append a parent record, and queue a task.
-    fn offer(
-        &mut self,
-        s: StateId,
-        n: NormNodeId,
-        vlen: u32,
-        label: Option<EventId>,
-        parent: NodeRef,
-    ) {
-        if vlen >= self.shared.best.load(Ordering::Relaxed) {
-            return; // cannot lead to a shorter witness than the best known
+    /// Offer a successor pair at visible depth `vlen`: the worker whose
+    /// insert discovers it queues it; every later offer is a no-op.
+    fn offer(&mut self, s: StateId, n: NormNodeId, vlen: u32) {
+        if !self.shared.insert((s, n)) {
+            return;
         }
-        let pair = (s, n);
-        {
-            let shard = &self.shared.shards[shard_of(pair, self.shared.shard_mask)];
-            let mut map = lock_shard(shard);
-            match map.entry(pair) {
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    if *entry.get() <= vlen {
-                        return;
-                    }
-                    entry.insert(vlen); // shorter path: re-expand
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    let count = self.shared.discovered.fetch_add(1, Ordering::Relaxed) + 1;
-                    if count > self.shared.max_product {
-                        self.shared.overflow.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    entry.insert(vlen);
-                }
-            }
+        let count = self.shared.discovered.fetch_add(1, Ordering::Relaxed) + 1;
+        if count > self.shared.max_product {
+            self.shared.overflow.store(true, Ordering::Relaxed);
+            return;
         }
-        let node = NodeRef {
-            worker: self.me,
-            idx: self.arena.len() as u32,
-        };
-        self.arena.push(NodeRec { parent, label });
         let pending = self.shared.pending.fetch_add(1, Ordering::Release) + 1;
         self.stats.frontier_peak = self.stats.frontier_peak.max(pending as u64);
-        self.local.push(Task { s, n, vlen, node });
+        self.local.push(Task { s, n, vlen });
     }
 
-    /// Record a violation at visible depth `vlen` and tighten the pruning
-    /// bound.
-    fn record_violation(&self, vlen: u32, node: NodeRef) {
-        let mut current = self.shared.best.load(Ordering::Relaxed);
-        while vlen < current {
-            match self.shared.best.compare_exchange_weak(
-                current,
-                vlen,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(observed) => current = observed,
-            }
-        }
-        let mut slot = self
-            .shared
-            .candidate
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match *slot {
-            Some(existing) if existing.vlen <= vlen => {}
-            _ => *slot = Some(Candidate { vlen, node }),
-        }
+    /// Record a violation at visible depth `vlen`, ending the pass.
+    fn record_violation(&self, vlen: u32) {
+        self.shared.violation.fetch_min(vlen, Ordering::Relaxed);
     }
 }
 
@@ -1182,8 +1011,56 @@ mod tests {
         assert!(v.is_pass());
         assert_eq!(stats.threads, 4);
         assert_eq!(stats.pairs_discovered, 3u64.pow(7));
-        assert!(stats.expansions >= stats.pairs_discovered);
+        assert_eq!(stats.expansions, stats.pairs_discovered);
         assert!(stats.rewalk_expansions == 0, "no re-walk on pass");
+    }
+
+    #[test]
+    fn a_shorter_path_found_later_does_not_re_expand() {
+        // Each subtree is reachable after two visible events, and after one
+        // visible and one hidden event. The halves mirror each other, so
+        // whatever the edge order, a depth-first worker reaches one subtree
+        // by its longer path first; a visited set keyed on depth would then
+        // expand that subtree twice.
+        let subtree = |base: u32| {
+            Process::interleave_all(
+                (0..3)
+                    .map(|i| {
+                        Process::prefix_chain([e(base + 2 * i), e(base + 2 * i + 1)], Process::Stop)
+                    })
+                    .collect(),
+            )
+        };
+        let (q1, q2) = (subtree(0), subtree(6));
+        let hidden = e(30);
+        let impl_ = Process::hide(
+            Process::external_choice_all(vec![
+                Process::prefix_chain([e(12), hidden], q1.clone()),
+                Process::prefix_chain([e(13), e(16)], q1),
+                Process::prefix_chain([e(14), e(17)], q2.clone()),
+                Process::prefix_chain([e(15), hidden], q2),
+            ]),
+            csp::EventSet::singleton(hidden),
+        );
+        let mut specdefs = Definitions::new();
+        let universe: csp::EventSet = (0..18).map(e).collect();
+        let spec = crate::properties::run(&mut specdefs, "RUN", &universe);
+        let c = Checker::new();
+        let (serial, serial_stats) = c
+            .trace_refinement_with_stats(&spec, &impl_, &specdefs)
+            .unwrap();
+        assert!(serial.is_pass());
+        assert_eq!(serial_stats.expansions, serial_stats.pairs_discovered);
+        for threads in [1usize, 2, 4] {
+            let (v, stats) =
+                trace_refinement_with_stats(&c, &spec, &impl_, &specdefs, threads).unwrap();
+            assert!(v.is_pass());
+            assert_eq!(stats.pairs_discovered, serial_stats.pairs_discovered);
+            assert_eq!(
+                stats.expansions, stats.pairs_discovered,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
@@ -1218,7 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn recorded_witness_matches_canonical_length() {
+    fn recorded_violation_depth_bounds_the_canonical_rewalk() {
         let defs = Definitions::new();
         let spec = Process::prefix(e(0), Process::prefix(e(1), Process::Stop));
         let impl_ = Process::prefix(
@@ -1230,7 +1107,7 @@ mod tests {
         let norm = c.normalise(&spec_lts).unwrap();
         let impl_lts = c.compile(&impl_, &defs).unwrap();
         let csr = impl_lts.to_csr();
-        let (witness, exhausted, frontier, _) = explore(
+        let (violation, exhausted, frontier, _) = explore(
             &norm,
             &csr,
             impl_lts.initial(),
@@ -1244,9 +1121,7 @@ mod tests {
         .unwrap();
         assert!(exhausted.is_none());
         assert!(frontier.is_none());
-        let witness = witness.expect("violation expected");
-        assert_eq!(witness.vlen, 2);
-        assert_eq!(witness.trace.len(), 2);
+        assert_eq!(violation, Some(2));
 
         let (verdict, stats) =
             refine_product(&c, &norm, &impl_lts, RefinementModel::Traces, 4).unwrap();

@@ -72,7 +72,7 @@ pub const STALE_LOCK: Code = Code("STO406");
 
 const MAGIC_MODEL: &[u8; 8] = b"FDRLMDL\x01";
 const MAGIC_NORM: &[u8; 8] = b"FDRLNRM\x02";
-const MAGIC_CKPT: &[u8; 8] = b"FDRLCKP\x01";
+const MAGIC_CKPT: &[u8; 8] = b"FDRLCKP\x02";
 const FORMAT_VERSION: u32 = 1;
 
 /// Default cache capacity: 256 MiB of `.bin` payload.
@@ -874,16 +874,16 @@ impl SerialFrontier {
 }
 
 /// The continuation state of an interrupted parallel exploration: the
-/// merged visited set, the outstanding tasks, and the best violation
-/// depth seen so far (`u32::MAX` when none).
+/// merged visited set, the outstanding tasks, and the visible depth of
+/// the recorded violation (`u32::MAX` when none).
 ///
-/// No parent pointers are persisted: the canonical counterexample is
-/// always recovered by a depth-bounded serial re-walk, which needs only
-/// `best`.
+/// No parent pointers or per-pair depths are persisted: the visited set is
+/// insert-once, and the canonical counterexample is always recovered by a
+/// depth-bounded serial re-walk, which needs only `best`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ParallelFrontier {
-    /// `(impl state, spec node, best visible depth)` for every visited pair.
-    pub visited: Vec<(u32, u32, u32)>,
+    /// `(impl state, spec node)` for every visited pair.
+    pub visited: Vec<(u32, u32)>,
     /// `(impl state, spec node, visible depth)` for every pending task.
     pub frontier: Vec<(u32, u32, u32)>,
     pub discovered: u64,
@@ -897,9 +897,10 @@ pub(crate) struct ParallelFrontier {
 impl ParallelFrontier {
     /// Structural validity against the models the resume will run over.
     pub(crate) fn validate(&self, impl_states: usize, norm_nodes: usize) -> bool {
-        let ok =
-            |&(s, n, _): &(u32, u32, u32)| (s as usize) < impl_states && (n as usize) < norm_nodes;
-        !self.visited.is_empty() && self.visited.iter().all(ok) && self.frontier.iter().all(ok)
+        let ok = |s: u32, n: u32| (s as usize) < impl_states && (n as usize) < norm_nodes;
+        !self.visited.is_empty()
+            && self.visited.iter().all(|&(s, n)| ok(s, n))
+            && self.frontier.iter().all(|&(s, n, _)| ok(s, n))
     }
 }
 
@@ -955,10 +956,9 @@ fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
         EngineFrontier::Parallel(f) => {
             enc.u8(2);
             enc.u32(f.visited.len() as u32);
-            for &(s, n, d) in &f.visited {
+            for &(s, n) in &f.visited {
                 enc.u32(s);
                 enc.u32(n);
-                enc.u32(d);
             }
             enc.u32(f.frontier.len() as u32);
             for &(s, n, v) in &f.frontier {
@@ -1033,10 +1033,10 @@ fn decode_checkpoint(bytes: &[u8], want: CheckId) -> DecResult<Checkpoint> {
             EngineFrontier::Serial(f)
         }
         2 => {
-            let v = dec.len(12)?;
+            let v = dec.len(8)?;
             let mut visited = Vec::with_capacity(v);
             for _ in 0..v {
-                visited.push((dec.u32()?, dec.u32()?, dec.u32()?));
+                visited.push((dec.u32()?, dec.u32()?));
             }
             let fr = dec.len(12)?;
             let mut frontier = Vec::with_capacity(fr);
@@ -2074,7 +2074,7 @@ mod tests {
             id: id2,
             model: RefinementModel::Traces,
             frontier: EngineFrontier::Parallel(ParallelFrontier {
-                visited: vec![(0, 0, 0), (1, 1, 1)],
+                visited: vec![(0, 0), (1, 1)],
                 frontier: vec![(1, 1, 1)],
                 discovered: 2,
                 best: u32::MAX,
@@ -2104,7 +2104,7 @@ mod tests {
             id,
             model: RefinementModel::Traces,
             frontier: EngineFrontier::Parallel(ParallelFrontier {
-                visited: vec![(0, 0, 0)],
+                visited: vec![(0, 0)],
                 frontier: vec![],
                 discovered: 1,
                 best: u32::MAX,

@@ -13,8 +13,9 @@ use std::time::Duration;
 ///
 /// * `pairs_discovered` — distinct `(impl state, spec node)` pairs inserted
 ///   into the visited set (the memory-side cost);
-/// * `expansions` — tasks processed, *including* re-expansions after a
-///   shorter path to an already-known pair is found (the CPU-side cost);
+/// * `expansions` — product pairs expanded (the CPU-side cost). Both
+///   engines expand each pair at most once, so a passing check reports
+///   `expansions == pairs_discovered`; a failing one stops early;
 /// * `transitions` — product edges traversed;
 /// * `frontier_peak` — maximum number of pending tasks observed;
 /// * `steals` — successful steal operations (victim deques + injector);
@@ -40,7 +41,7 @@ pub struct CheckStats {
     pub shards: usize,
     /// Distinct product pairs discovered.
     pub pairs_discovered: u64,
-    /// Tasks expanded, including shorter-path re-expansions.
+    /// Product pairs expanded; each pair at most once.
     pub expansions: u64,
     /// Product transitions traversed.
     pub transitions: u64,

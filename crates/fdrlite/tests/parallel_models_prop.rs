@@ -6,7 +6,7 @@
 //!    `parallel::failures_divergences_refinement` must return the
 //!    **identical** verdict — exact counterexample trace and failure kind,
 //!    not just pass/fail — as the serial checker, and on a pass the same
-//!    reachable product-pair count.
+//!    reachable product-pair count, each pair expanded exactly once.
 //! 2. A cache entry written under the *previous* normal-form format
 //!    version (magic `FDRLNRM\x01`, valid checksum) must be quarantined as
 //!    stale and recompiled, never decoded — with the verdict unchanged.
@@ -95,6 +95,7 @@ proptest! {
                         // A pass explores the full reachable product in both
                         // engines; a fail races discovery order.
                         prop_assert_eq!(ss.pairs_discovered, ps.pairs_discovered);
+                        prop_assert_eq!(ps.expansions, ps.pairs_discovered);
                     }
                 }
                 (Err(se), Err(pe)) => prop_assert_eq!(se, pe),
@@ -130,6 +131,7 @@ proptest! {
                     }
                     if s.is_pass() {
                         prop_assert_eq!(ss.pairs_discovered, ps.pairs_discovered);
+                        prop_assert_eq!(ps.expansions, ps.pairs_discovered);
                     }
                 }
                 (Err(se), Err(pe)) => prop_assert_eq!(se, pe),

@@ -2,7 +2,8 @@
 //! engines: for randomly generated spec/impl process pairs and every
 //! thread count from 1 to 8, `parallel::trace_refinement` must return the
 //! **identical** verdict — including the exact counterexample trace, not
-//! just its length — as `Checker::trace_refinement`.
+//! just its length — as `Checker::trace_refinement`. On a pass the
+//! work-stealing engine must also expand each product pair exactly once.
 
 use csp::{Definitions, EventId, EventSet, Process};
 use fdrlite::{parallel, CheckError, Checker};
@@ -59,12 +60,16 @@ proptest! {
         let checker = Checker::new();
         let serial = checker.trace_refinement(&spec, &impl_, &defs);
         for threads in 1..=8usize {
-            let parallel = parallel::trace_refinement(&checker, &spec, &impl_, &defs, threads);
+            let parallel =
+                parallel::trace_refinement_with_stats(&checker, &spec, &impl_, &defs, threads);
             match (&serial, &parallel) {
-                (Ok(s), Ok(p)) => {
+                (Ok(s), Ok((p, stats))) => {
                     prop_assert_eq!(s, p);
                     if let (Some(sc), Some(pc)) = (s.counterexample(), p.counterexample()) {
                         prop_assert_eq!(sc.trace().len(), pc.trace().len());
+                    }
+                    if p.is_pass() {
+                        prop_assert_eq!(stats.expansions, stats.pairs_discovered);
                     }
                 }
                 (Err(se), Err(pe)) => prop_assert_eq!(se, pe),

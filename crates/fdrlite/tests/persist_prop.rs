@@ -9,6 +9,10 @@
 //!    damage) must degrade to a quarantine + recompile, never a wrong
 //!    verdict or a panic. Likewise a corrupted checkpoint must restart the
 //!    check from scratch, not poison it.
+//! 3. A parallel checkpoint written by the previous checkpoint codec
+//!    (magic `FDRLCKP\x01`, valid checksum) must be quarantined as
+//!    `STO405`, and the check must restart and reach the uninterrupted
+//!    verdict.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,6 +254,72 @@ proptest! {
             .trace_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
             .expect("resume over a damaged checkpoint must not abort");
         prop_assert_eq!(&verdict, &ref_verdict);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The cache codec's FNV-1a trailer, reproduced so the test can forge an
+/// *internally consistent* checkpoint that differs only in its format
+/// version.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn old_format_parallel_checkpoint_is_quarantined(
+        spec in arb_process(3),
+        impl_ in arb_process(4),
+    ) {
+        let defs = Definitions::new();
+        let checker = Checker::new();
+        let Ok((ref_verdict, _)) = ModelStore::new().trace_refinement(
+            &checker, &spec, &impl_, &defs, 8, &CheckOptions::UNBOUNDED,
+        ) else {
+            return Ok(());
+        };
+
+        // A one-pair budget cuts every check at its root, so every case
+        // leaves a parallel checkpoint behind.
+        let dir = fresh_dir("oldckpt");
+        let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
+        let cut_opts = CheckOptions { max_states: Some(1), max_wall_ms: None };
+        let (first, _) = persisted_store(&cache, ResumePolicy::Off)
+            .trace_refinement(&checker, &spec, &impl_, &defs, 8, &cut_opts)
+            .expect("budgeted run succeeds");
+        let token = first.inconclusive().and_then(|i| i.resume.clone());
+        prop_assert!(token.is_some(), "a root cut must leave a resume token: {:?}", first);
+        let token = token.unwrap();
+
+        // Rewrite the checkpoint as the previous codec would have framed
+        // it: old version byte in the magic, checksum recomputed, so only
+        // the version tells it apart.
+        let ckpt = dir.join("checkpoints").join(format!("{token}.ckpt"));
+        let mut bytes = std::fs::read(&ckpt).expect("checkpoint readable");
+        prop_assert_eq!(&bytes[..8], b"FDRLCKP\x02");
+        bytes[7] = 0x01;
+        let body_len = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&ckpt, &bytes).expect("checkpoint writable");
+
+        let id = CheckId::from_token(&token).expect("token parses");
+        let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
+        let (verdict, _) = persisted_store(&cache2, ResumePolicy::Token(id))
+            .trace_refinement(&checker, &spec, &impl_, &defs, 8, &CheckOptions::UNBOUNDED)
+            .expect("resume over an old-format checkpoint must not abort");
+        prop_assert_eq!(&verdict, &ref_verdict);
+        prop_assert_eq!(cache2.quarantined(), 1);
+        let codes: Vec<&str> = cache2.take_diagnostics().iter().map(|d| d.code.0).collect();
+        prop_assert_eq!(codes, vec![fdrlite::persist::BAD_CHECKPOINT.0]);
+        prop_assert!(dir.join("quarantine").join(format!("{token}.ckpt")).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,12 +5,20 @@
 //! `Content-Length` bodies, `Connection: close` responses. That subset
 //! is exactly what `curl`, the CI harness and the bench client need —
 //! no chunked encoding, no keep-alive, no TLS.
+//!
+//! Every request is read under hard limits, so one client cannot grow
+//! server memory or pin a connection thread: the request line plus
+//! headers are capped at [`MAX_HEAD`] bytes, the body at [`MAX_BODY`],
+//! and the whole request must arrive within the caller's deadline.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
+/// Upper bound on the request line plus headers.
+pub const MAX_HEAD: u64 = 64 << 10;
 /// Upper bound on accepted request bodies (a manifest, not a corpus).
-const MAX_BODY: usize = 1 << 20;
+pub const MAX_BODY: usize = 1 << 20;
 
 /// One parsed request.
 #[derive(Debug, Clone)]
@@ -35,21 +43,60 @@ impl Request {
     }
 }
 
-/// Read one request from the stream. `Ok(None)` means the peer closed
-/// (or sent garbage) before a full request arrived.
+/// Why [`read_request`] produced no request.
+#[derive(Debug)]
+pub enum RequestError {
+    /// The peer closed, missed the deadline, or sent something that is
+    /// not an HTTP request: there is nobody worth answering.
+    Dropped,
+    /// The request line plus headers exceed [`MAX_HEAD`] (answer 431).
+    HeadTooLarge,
+    /// `Content-Length` announces more than [`MAX_BODY`] (answer 413).
+    BodyTooLarge,
+}
+
+/// Reads from a socket under one deadline for the whole request, however
+/// the client splits it into packets.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Read one request from the stream, which must arrive in full within
+/// `timeout`.
 ///
 /// # Errors
 ///
-/// Propagates socket I/O errors; malformed requests map to `Ok(None)`.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
-    let mut reader = BufReader::new(stream);
+/// [`RequestError::HeadTooLarge`] and [`RequestError::BodyTooLarge`] when
+/// a limit is exceeded; [`RequestError::Dropped`] for socket errors, the
+/// deadline, an early close and malformed requests.
+pub fn read_request(stream: &mut TcpStream, timeout: Duration) -> Result<Request, RequestError> {
+    let source = DeadlineReader {
+        stream,
+        deadline: Instant::now() + timeout,
+    };
+    let mut head = BufReader::new(source).take(MAX_HEAD);
+    let mut next_line = |line: &mut String| match head.read_line(line) {
+        Ok(_) if line.ends_with('\n') => Ok(()),
+        Ok(_) if head.limit() == 0 => Err(RequestError::HeadTooLarge),
+        _ => Err(RequestError::Dropped),
+    };
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
+    next_line(&mut line)?;
     let mut parts = line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Ok(None);
+        return Err(RequestError::Dropped);
     };
     let method = method.to_ascii_uppercase();
     let (path, query_raw) = match target.split_once('?') {
@@ -68,9 +115,7 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
     let mut content_length = 0_usize;
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Ok(None);
-        }
+        next_line(&mut header)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -82,18 +127,18 @@ pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> 
         }
     }
     if content_length > MAX_BODY {
-        return Ok(None);
+        return Err(RequestError::BodyTooLarge);
     }
     let mut body = vec![0_u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body)?;
-    }
-    Ok(Some(Request {
+    head.into_inner()
+        .read_exact(&mut body)
+        .map_err(|_| RequestError::Dropped)?;
+    Ok(Request {
         method,
         path,
         query,
         body,
-    }))
+    })
 }
 
 /// Write one `Connection: close` response with a JSON (or plain) body.
@@ -173,7 +218,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let request = read_request(&mut stream).unwrap().unwrap();
+            let request = read_request(&mut stream, Duration::from_secs(30)).unwrap();
             assert_eq!(request.method, "POST");
             assert_eq!(request.path, "/v1/jobs");
             assert_eq!(request.query_param("wait"), Some("5"));

@@ -33,7 +33,7 @@ use diag::json_string;
 use fdrlite::supervisor::RetryPolicy;
 
 use crate::exec::ExecConfig;
-use crate::http::{read_request, respond, Request};
+use crate::http::{read_request, respond, Request, RequestError, MAX_BODY, MAX_HEAD};
 use crate::orchestrator::{
     Accepted, Health, JobView, Orchestrator, OrchestratorConfig, SubmitError,
 };
@@ -42,6 +42,15 @@ use crate::worker::{run_worker, WorkerConfig};
 
 /// Cap on `?wait=` long-polls (seconds).
 const MAX_WAIT_S: u64 = 300;
+
+/// How long a client has to send its whole request. Only reading the
+/// request is bounded; a `?wait=` long-poll afterwards is not. Unit tests
+/// shorten it so the slow-client test stays fast.
+const REQUEST_TIMEOUT: Duration = if cfg!(test) {
+    Duration::from_millis(300)
+} else {
+    Duration::from_secs(10)
+};
 
 /// How worker slots are realised.
 #[derive(Debug)]
@@ -363,13 +372,11 @@ fn maintain_slots(
     sabotage: &Arc<Mutex<Option<u64>>>,
 ) {
     while slots.len() < want {
-        let index = slots.len();
         slots.push(Slot {
             token: String::new(),
             generation: 0,
             handle: None,
         });
-        let _ = index;
     }
     for (index, slot) in slots.iter_mut().enumerate() {
         let alive = !slot.token.is_empty() && orch.knows_worker(&slot.token);
@@ -524,8 +531,23 @@ fn http_accept_loop(
                     .name("svc-http-conn".to_string())
                     .spawn(move || {
                         let mut stream = stream;
-                        if let Ok(Some(request)) = read_request(&mut stream) {
-                            handle_request(&mut stream, &request, &orch, &scripts_root);
+                        match read_request(&mut stream, REQUEST_TIMEOUT) {
+                            Ok(request) => {
+                                handle_request(&mut stream, &request, &orch, &scripts_root);
+                            }
+                            Err(RequestError::HeadTooLarge) => error_response(
+                                &mut stream,
+                                431,
+                                "Request Header Fields Too Large",
+                                &format!("request head exceeds {MAX_HEAD} bytes"),
+                            ),
+                            Err(RequestError::BodyTooLarge) => error_response(
+                                &mut stream,
+                                413,
+                                "Content Too Large",
+                                &format!("request body exceeds {MAX_BODY} bytes"),
+                            ),
+                            Err(RequestError::Dropped) => {}
                         }
                     });
             }
@@ -839,6 +861,89 @@ mod tests {
         assert_eq!(status, 404);
         let (status, _) = client_request(&addr, "GET", "/v1/nope", "").unwrap();
         assert_eq!(status, 404);
+
+        server.shutdown();
+        fdrlite::clear_interrupt();
+    }
+
+    /// Send `bytes` on a raw connection and read until the server closes
+    /// it (or 5 s pass): the raw response, and how long the close took.
+    fn raw_exchange(addr: &str, bytes: &[u8]) -> (String, Duration) {
+        use std::io::{Read, Write};
+        let start = std::time::Instant::now();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(bytes).unwrap();
+        let mut response = Vec::new();
+        stream
+            .read_to_end(&mut response)
+            .expect("the server closes the connection within 5 s");
+        (
+            String::from_utf8_lossy(&response).into_owned(),
+            start.elapsed(),
+        )
+    }
+
+    #[test]
+    fn http_limits_answer_or_close_every_abusive_request() {
+        let dir = tmpdir("limits");
+        let server = Server::start(test_config(&dir, 1)).unwrap();
+        let addr = server.http_addr().to_string();
+
+        // A request line that never ends: cut off at the head cap. It is
+        // exactly `MAX_HEAD` bytes, so the server has read all of it when
+        // it answers; closing on unread input would reset the connection
+        // and lose the answer.
+        let mut endless = b"GET /v1/health?pad=".to_vec();
+        endless.resize(MAX_HEAD as usize, b'a');
+        let (response, _) = raw_exchange(&addr, &endless);
+        assert!(response.starts_with("HTTP/1.1 431 "), "{response}");
+
+        // A body over the cap: refused from its Content-Length alone.
+        let big = format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        let (response, _) = raw_exchange(&addr, big.as_bytes());
+        assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
+
+        // A client that stalls — silent, or mid-request — is hung up on
+        // once the request deadline passes.
+        for stall in [&b""[..], b"GET /v1/health HTTP/1.1\r\n"] {
+            let (response, waited) = raw_exchange(&addr, stall);
+            assert_eq!(response, "");
+            assert!(waited >= REQUEST_TIMEOUT, "{waited:?}");
+        }
+
+        server.shutdown();
+        fdrlite::clear_interrupt();
+    }
+
+    #[test]
+    fn long_polls_outlast_the_request_deadline() {
+        // The deadline bounds reading a request, not answering it. With no
+        // workers the job stays queued, so the poll waits its full second.
+        let dir = tmpdir("longpoll");
+        fs::write(dir.join("m.csp"), SCRIPT).unwrap();
+        let server = Server::start(test_config(&dir, 0)).unwrap();
+        let addr = server.http_addr().to_string();
+        let manifest = "[[job]]\nname = \"all\"\nkind = \"check\"\nscript = \"m.csp\"\n";
+        let (status, body) = client_request(&addr, "POST", "/v1/jobs", manifest).unwrap();
+        assert_eq!(status, 202, "{body}");
+        let parsed = diag::json::parse(&body).unwrap();
+        let id = parsed.get("jobs").unwrap().as_array().unwrap()[0]
+            .get("id")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        let start = std::time::Instant::now();
+        let (status, body) =
+            client_request(&addr, "GET", &format!("/v1/jobs/{id}?wait=1"), "").unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert!(start.elapsed() > REQUEST_TIMEOUT);
 
         server.shutdown();
         fdrlite::clear_interrupt();
