@@ -6,6 +6,10 @@
 //! performs `e`; `e ∈ α(P)` promises nothing. That direction is exactly
 //! what the semantic lints need — every finding below is a statement of
 //! the form "this event can *never* happen here".
+//!
+//! Internally alphabets are dense bitsets over event indices, so the
+//! per-node union/difference work is a few machine words rather than a
+//! sort of the whole alphabet; the public API speaks [`EventSet`].
 
 use std::collections::{HashMap, HashSet};
 
@@ -61,6 +65,8 @@ pub enum AlphaFinding {
 pub struct AlphabetInference {
     /// Least-fixpoint may-alphabet per definition, indexed by `DefId`.
     def_alpha: Vec<EventSet>,
+    /// The same alphabets as bitsets, for the structural walks.
+    def_bits: Vec<Bits>,
     /// Interned body of each *defined* definition.
     def_body: Vec<Option<TermId>>,
     /// Fixpoint rounds until stabilisation (diagnostics/bench interest).
@@ -87,7 +93,7 @@ impl AlphabetInference {
             }
         }
 
-        let mut def_alpha = vec![EventSet::empty(); n];
+        let mut def_bits = vec![Bits::default(); n];
         let mut rounds = 0;
         loop {
             rounds += 1;
@@ -95,9 +101,9 @@ impl AlphabetInference {
             let mut memo = HashMap::new();
             for i in 0..n {
                 let Some(body) = def_body[i] else { continue };
-                let a = alphabet_of_with(arena, body, &def_alpha, &mut memo);
-                if a != def_alpha[i] {
-                    def_alpha[i] = a;
+                let a = alphabet_of_with(arena, body, &def_bits, &mut memo);
+                if a != def_bits[i] {
+                    def_bits[i] = a;
                     changed = true;
                     // Alphabets grew: memoised results may be stale.
                     memo.clear();
@@ -109,7 +115,8 @@ impl AlphabetInference {
         }
 
         AlphabetInference {
-            def_alpha,
+            def_alpha: def_bits.iter().map(Bits::to_event_set).collect(),
+            def_bits,
             def_body,
             rounds,
         }
@@ -133,7 +140,7 @@ impl AlphabetInference {
     /// The may-alphabet of an arbitrary interned term, using the
     /// definition alphabets computed by [`AlphabetInference::infer`].
     pub fn alphabet_of(&self, arena: &TermArena, t: TermId) -> EventSet {
-        alphabet_of_with(arena, t, &self.def_alpha, &mut HashMap::new())
+        alphabet_of_with(arena, t, &self.def_bits, &mut HashMap::new()).to_event_set()
     }
 
     /// Walk the term graph under `root` (not following definition
@@ -164,8 +171,8 @@ impl AlphabetInference {
                     stack.push(a);
                 }
                 Term::Parallel { sync, left, right } => {
-                    let al = alphabet_of_with(arena, left, &self.def_alpha, &mut memo);
-                    let ar = alphabet_of_with(arena, right, &self.def_alpha, &mut memo);
+                    let al = alphabet_of_with(arena, left, &self.def_bits, &mut memo);
+                    let ar = alphabet_of_with(arena, right, &self.def_bits, &mut memo);
                     for event in arena.set(sync).iter() {
                         match (al.contains(event), ar.contains(event)) {
                             (true, true) => {}
@@ -188,7 +195,7 @@ impl AlphabetInference {
                     stack.push(left);
                 }
                 Term::Hide(inner, set) => {
-                    let ai = alphabet_of_with(arena, inner, &self.def_alpha, &mut memo);
+                    let ai = alphabet_of_with(arena, inner, &self.def_bits, &mut memo);
                     for event in arena.set(set).iter() {
                         if !ai.contains(event) {
                             findings.push(AlphaFinding::HiddenNeverPerformable { at: t, event });
@@ -245,17 +252,75 @@ impl AlphabetInference {
     }
 }
 
+/// A set of events as a dense bitset over [`EventId`] indices.
+///
+/// Trailing zero words are trimmed, so two sets are equal exactly when
+/// their words are — the fixpoint's change test relies on that.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn contains(&self, e: EventId) -> bool {
+        let i = e.index();
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    fn insert(&mut self, e: EventId) {
+        let (word, bit) = (e.index() / 64, e.index() % 64);
+        if self.0.len() <= word {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << bit;
+    }
+
+    /// Remove every event of `set` for which `keep` is false.
+    fn remove_unless(&mut self, set: &EventSet, keep: impl Fn(EventId) -> bool) {
+        for e in set.iter() {
+            if let Some(w) = self.0.get_mut(e.index() / 64) {
+                if !keep(e) {
+                    *w &= !(1 << (e.index() % 64));
+                }
+            }
+        }
+        while self.0.last() == Some(&0) {
+            self.0.pop();
+        }
+    }
+
+    fn union_with(&mut self, other: &Bits) {
+        if self.0.len() < other.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a |= b;
+        }
+    }
+
+    /// The events in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = EventId> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &w)| {
+            (0..64)
+                .filter(move |b| w >> b & 1 == 1)
+                .map(move |b| EventId::from_index(i * 64 + b))
+        })
+    }
+
+    fn to_event_set(&self) -> EventSet {
+        self.iter().collect()
+    }
+}
+
 /// Structural may-alphabet of `t` against fixed definition alphabets.
 ///
 /// Iterative post-order so arbitrarily deep terms (long prefix chains from
 /// lifted traces) cannot overflow the stack. `memo` is keyed by `TermId`
-/// and is only valid for one `def_alpha` snapshot.
+/// and is only valid for one `def_bits` snapshot.
 fn alphabet_of_with(
     arena: &TermArena,
     root: TermId,
-    def_alpha: &[EventSet],
-    memo: &mut HashMap<TermId, EventSet>,
-) -> EventSet {
+    def_bits: &[Bits],
+    memo: &mut HashMap<TermId, Bits>,
+) -> Bits {
     enum Frame {
         Visit(TermId),
         Compute(TermId),
@@ -290,35 +355,47 @@ fn alphabet_of_with(
             }
             Frame::Compute(t) => {
                 let a = match arena.term(t) {
-                    Term::Stop | Term::Skip | Term::Omega => EventSet::empty(),
-                    Term::Prefix(e, rest) => memo[rest].union(&EventSet::from_iter_dedup([*e])),
+                    Term::Stop | Term::Skip | Term::Omega => Bits::default(),
+                    Term::Prefix(e, rest) => {
+                        let mut a = memo[rest].clone();
+                        a.insert(*e);
+                        a
+                    }
                     Term::ExternalChoice(xs) | Term::InternalChoice(xs) => {
-                        let mut acc = EventSet::empty();
+                        let mut acc = Bits::default();
                         for x in xs {
-                            acc = acc.union(&memo[x]);
+                            acc.union_with(&memo[x]);
                         }
                         acc
                     }
                     Term::Seq(a, b) | Term::Interrupt(a, b) | Term::Timeout(a, b) => {
-                        memo[a].union(&memo[b])
+                        let mut acc = memo[a].clone();
+                        acc.union_with(&memo[b]);
+                        acc
                     }
                     Term::Parallel { sync, left, right } => {
-                        let s = arena.set(*sync);
-                        let al = &memo[left];
-                        let ar = &memo[right];
-                        al.difference(s)
-                            .union(&ar.difference(s))
-                            .union(&al.intersection(ar).intersection(s))
+                        // Outside the sync set either side may perform an
+                        // event; inside it, both must.
+                        let (al, ar) = (&memo[left], &memo[right]);
+                        let mut acc = al.clone();
+                        acc.union_with(ar);
+                        acc.remove_unless(arena.set(*sync), |e| al.contains(e) && ar.contains(e));
+                        acc
                     }
-                    Term::Hide(inner, set) => memo[inner].difference(arena.set(*set)),
+                    Term::Hide(inner, set) => {
+                        let mut acc = memo[inner].clone();
+                        acc.remove_unless(arena.set(*set), |_| false);
+                        acc
+                    }
                     Term::Rename(inner, map) => {
                         let m = arena.map(*map);
-                        EventSet::from_iter_dedup(memo[inner].iter().map(|e| m.apply(e)))
+                        let mut acc = Bits::default();
+                        for e in memo[inner].iter() {
+                            acc.insert(m.apply(e));
+                        }
+                        acc
                     }
-                    Term::Var(d) => def_alpha
-                        .get(d.index())
-                        .cloned()
-                        .unwrap_or_else(EventSet::empty),
+                    Term::Var(d) => def_bits.get(d.index()).cloned().unwrap_or_default(),
                 };
                 memo.insert(t, a);
             }
@@ -352,6 +429,26 @@ mod tests {
         assert_eq!(inf.def_alphabet(p), &expect);
         assert_eq!(inf.def_alphabet(q), &expect);
         assert!(inf.rounds() >= 2);
+    }
+
+    #[test]
+    fn bitsets_span_words_and_compare_by_contents() {
+        let events = [0, 63, 64, 130].map(EventId::from_index);
+        let mut bits = Bits::default();
+        for e in events {
+            bits.insert(e);
+        }
+        assert_eq!(bits.iter().collect::<Vec<_>>(), events);
+        assert!(bits.contains(events[3]));
+        assert!(!bits.contains(EventId::from_index(129)));
+        // Removing the high events trims their words, so the result equals
+        // a set that never held them.
+        let high = EventSet::from_iter_dedup([events[2], events[3]]);
+        bits.remove_unless(&high, |_| false);
+        let mut low = Bits::default();
+        low.insert(events[0]);
+        low.insert(events[1]);
+        assert_eq!(bits, low);
     }
 
     #[test]

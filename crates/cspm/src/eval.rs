@@ -8,9 +8,16 @@
 //! distinct instantiation of a parameterised process (`P(0)`, `P(1)`, …)
 //! becomes its own definition, which is how FDR compiles parameterised
 //! scripts too.
+//!
+//! Type and channel-field domains are computed once per script and shared
+//! ([`Domain`] behind an [`Rc`]): every event prefix enumerates and
+//! membership-tests its channel's domains by reference, so elaboration
+//! cost grows linearly with the script rather than with the square of the
+//! channels' type sizes.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::rc::Rc;
 
 use csp::{Alphabet, DefId, Definitions, EventId, EventSet, Process, RenameMap};
 
@@ -168,17 +175,37 @@ impl PartialOrd for Value {
 
 type Bindings = Vec<(String, Value)>;
 
+/// A finite domain — a type's or a channel field's values — in declaration
+/// order, which fixes the order events are enumerated and interned in, plus
+/// a hashed index for membership tests.
+#[derive(Debug)]
+struct Domain {
+    values: Vec<Value>,
+    index: HashSet<Value>,
+}
+
+impl Domain {
+    fn new(values: Vec<Value>) -> Rc<Domain> {
+        let index = values.iter().cloned().collect();
+        Rc::new(Domain { values, index })
+    }
+
+    fn contains(&self, v: &Value) -> bool {
+        self.index.contains(v)
+    }
+}
+
 /// The evaluator: shared interning state plus the script's declarations.
 pub(crate) struct Evaluator {
     pub alphabet: Alphabet,
     pub defs: Definitions,
     channels_raw: HashMap<String, Vec<TypeExpr>>,
     channel_order: Vec<String>,
-    channel_memo: HashMap<String, Vec<Vec<Value>>>,
+    channel_memo: HashMap<String, Rc<[Rc<Domain>]>>,
     datatypes_raw: HashMap<String, Vec<Ctor>>,
     nametypes_raw: HashMap<String, Expr>,
     ctor_fields: HashMap<String, Vec<TypeExpr>>,
-    type_memo: HashMap<String, Vec<Value>>,
+    type_memo: HashMap<String, Rc<Domain>>,
     globals: HashMap<String, (Vec<String>, Expr)>,
     proc_ids: HashMap<(String, Vec<Value>), DefId>,
     in_progress: HashSet<(String, Vec<Value>)>,
@@ -266,12 +293,12 @@ impl Evaluator {
 
     // ---- types and channels --------------------------------------------
 
-    fn type_domain(&mut self, name: &str) -> Result<Vec<Value>, CspmError> {
+    fn type_domain(&mut self, name: &str) -> Result<Rc<Domain>, CspmError> {
         if let Some(d) = self.type_memo.get(name) {
-            return Ok(d.clone());
+            return Ok(Rc::clone(d));
         }
         if name == "Bool" {
-            return Ok(vec![Value::Bool(false), Value::Bool(true)]);
+            return Ok(Domain::new(vec![Value::Bool(false), Value::Bool(true)]));
         }
         if !self.type_in_progress.insert(name.to_owned()) {
             return Err(CspmError::eval(format!(
@@ -299,24 +326,32 @@ impl Evaluator {
             }
         })();
         self.type_in_progress.remove(name);
-        let domain = result?;
-        self.type_memo.insert(name.to_owned(), domain.clone());
+        let domain = Domain::new(result?);
+        self.type_memo.insert(name.to_owned(), Rc::clone(&domain));
         Ok(domain)
     }
 
-    fn type_expr_domain(&mut self, t: &TypeExpr) -> Result<Vec<Value>, CspmError> {
+    /// Whether `name` names a type: `Bool`, a datatype or a nametype.
+    fn is_type(&self, name: &str) -> bool {
+        name == "Bool"
+            || self.datatypes_raw.contains_key(name)
+            || self.nametypes_raw.contains_key(name)
+    }
+
+    fn type_expr_domain(&mut self, t: &TypeExpr) -> Result<Rc<Domain>, CspmError> {
         match t {
             TypeExpr::Name(n) => self.type_domain(n),
             TypeExpr::Set(e) => {
                 let v = self.eval(e, &mut Vec::new())?;
-                Ok(v.into_set()?.into_iter().collect())
+                Ok(Domain::new(v.into_set()?.into_iter().collect()))
             }
         }
     }
 
-    fn channel_domains(&mut self, name: &str) -> Result<Vec<Vec<Value>>, CspmError> {
+    /// The domain of each field of channel `name`, computed once per script.
+    fn channel_domains(&mut self, name: &str) -> Result<Rc<[Rc<Domain>]>, CspmError> {
         if let Some(d) = self.channel_memo.get(name) {
-            return Ok(d.clone());
+            return Ok(Rc::clone(d));
         }
         let Some(fields) = self.channels_raw.get(name).cloned() else {
             return Err(CspmError::eval(format!("unknown channel `{name}`")));
@@ -325,7 +360,9 @@ impl Evaluator {
         for f in &fields {
             domains.push(self.type_expr_domain(f)?);
         }
-        self.channel_memo.insert(name.to_owned(), domains.clone());
+        let domains: Rc<[Rc<Domain>]> = domains.into();
+        self.channel_memo
+            .insert(name.to_owned(), Rc::clone(&domains));
         Ok(domains)
     }
 
@@ -392,8 +429,9 @@ impl Evaluator {
             }
             return Ok(Value::Set(all));
         }
-        if let Ok(domain) = self.type_domain(name) {
-            return Ok(Value::Set(domain.into_iter().collect()));
+        if self.is_type(name) {
+            let domain = self.type_domain(name)?;
+            return Ok(Value::Set(domain.values.iter().cloned().collect()));
         }
         Err(CspmError::eval(format!("unknown name `{name}`")))
     }
@@ -938,9 +976,8 @@ impl Evaluator {
     ) -> Result<Vec<(EventId, Bindings)>, CspmError> {
         let domains = self.channel_domains(&pat.channel)?;
         let mut out = Vec::new();
-        let channel = pat.channel.clone();
         self.complete_fields(
-            &channel,
+            &pat.channel,
             &domains,
             0,
             &pat.fields,
@@ -958,7 +995,7 @@ impl Evaluator {
     fn complete_fields(
         &mut self,
         channel: &str,
-        domains: &[Vec<Value>],
+        domains: &[Rc<Domain>],
         field_idx: usize,
         pats: &[FieldPat],
         pat_idx: usize,
@@ -978,7 +1015,7 @@ impl Evaluator {
             out.push((event, binds));
             return Ok(());
         }
-        let domain = domains[field_idx].clone();
+        let domain = &domains[field_idx];
         match pats.get(pat_idx) {
             None => {
                 if !partial_ok {
@@ -986,9 +1023,9 @@ impl Evaluator {
                         "event on channel `{channel}` is missing fields"
                     )));
                 }
-                for v in domain {
+                for v in &domain.values {
                     let mut vs = values.clone();
-                    vs.push(v);
+                    vs.push(v.clone());
                     self.complete_fields(
                         channel,
                         domains,
@@ -1047,16 +1084,16 @@ impl Evaluator {
                     }
                     None => None,
                 };
-                for v in domain {
+                for v in &domain.values {
                     if let Some(allowed) = &allowed {
-                        if !allowed.contains(&v) {
+                        if !allowed.contains(v) {
                             continue;
                         }
                     }
                     let mut vs = values.clone();
                     vs.push(v.clone());
                     let mut bs = binds.clone();
-                    bs.push((var.clone(), v));
+                    bs.push((var.clone(), v.clone()));
                     self.complete_fields(
                         channel,
                         domains,
@@ -1082,7 +1119,7 @@ impl Evaluator {
     fn complete_ctor(
         &mut self,
         channel: &str,
-        domains: &[Vec<Value>],
+        domains: &[Rc<Domain>],
         field_idx: usize,
         pats: &[FieldPat],
         pat_idx: usize,
@@ -1116,7 +1153,7 @@ impl Evaluator {
                         )));
                     }
                     for (payload, bs) in &partials {
-                        for v in &domain {
+                        for v in &domain.values {
                             let mut p = payload.clone();
                             p.push(v.clone());
                             next.push((p, bs.clone()));
@@ -1152,7 +1189,7 @@ impl Evaluator {
                             }
                             None => None,
                         };
-                        for v in &domain {
+                        for v in &domain.values {
                             if let Some(allowed) = &allowed {
                                 if !allowed.contains(v) {
                                     continue;
@@ -1273,12 +1310,12 @@ fn event_component(v: &Value, out: &mut String) {
 }
 
 /// Cartesian product of the given domains (empty product = one empty row).
-fn cartesian(domains: &[Vec<Value>]) -> Vec<Vec<Value>> {
+fn cartesian(domains: &[Rc<Domain>]) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> = vec![Vec::new()];
     for d in domains {
-        let mut next = Vec::with_capacity(rows.len() * d.len());
+        let mut next = Vec::with_capacity(rows.len() * d.values.len());
         for row in &rows {
-            for v in d {
+            for v in &d.values {
                 let mut r = row.clone();
                 r.push(v.clone());
                 next.push(r);
@@ -1323,6 +1360,14 @@ mod tests {
         match load_module(&m) {
             Ok(_) => panic!("expected an error"),
             Err(e) => e,
+        }
+    }
+
+    /// The message of the evaluation error `src` fails to load with.
+    fn eval_error(src: &str) -> String {
+        match load_err(src) {
+            CspmError::Eval { message } => message,
+            other => panic!("expected an evaluation error, got {other}"),
         }
     }
 
@@ -1626,6 +1671,86 @@ mod tests {
         let a = ev.alphabet.lookup("a").unwrap();
         let b = ev.alphabet.lookup("b").unwrap();
         assert!(csp::traces::has_trace(&lts, &[a, b]));
+    }
+
+    #[test]
+    fn out_of_domain_channel_value_errors() {
+        assert_eq!(
+            eval_error("channel c : {0..2}\nP = c.5 -> STOP"),
+            "value is not in the domain of field 0 of channel `c`"
+        );
+    }
+
+    #[test]
+    fn out_of_domain_payload_value_errors() {
+        let message = eval_error(
+            "datatype Agent = alice | bob\n\
+             datatype Packet = Msg1.Agent | Done\n\
+             channel comm : Packet\n\
+             P = comm.Msg1.5 -> STOP",
+        );
+        assert_eq!(message, "payload value not in domain of `Msg1` field 0");
+    }
+
+    #[test]
+    fn constructor_value_outside_the_field_domain_errors() {
+        // `Msg1.bob` is a well-formed `Packet`, but the channel only carries
+        // the subset `Sub`.
+        let message = eval_error(
+            "datatype Agent = alice | bob\n\
+             datatype Packet = Msg1.Agent | Done\n\
+             nametype Sub = {Msg1.alice, Done}\n\
+             channel comm : Sub\n\
+             P = comm.Msg1.bob -> STOP",
+        );
+        assert_eq!(
+            message,
+            "`Msg1` value is not in the domain of field 0 of `comm`"
+        );
+    }
+
+    #[test]
+    fn restricted_input_and_productions_intern_in_declaration_order() {
+        // Events are interned in domain (declaration) order whichever way a
+        // channel's events are enumerated; `EventId`s follow that order.
+        let names = |src: &str| {
+            let (ev, _) = load(src);
+            (0..ev.alphabet.len())
+                .map(|i| ev.alphabet.name(EventId::from_index(i)).to_owned())
+                .collect::<Vec<_>>()
+        };
+        let decls = "datatype Agent = alice | bob\n\
+                     datatype Packet = Msg1.Agent | Done\n\
+                     channel comm : Packet\n";
+        let restricted = names(&format!(
+            "{decls}P = comm?x:{{Done, Msg1.bob, Msg1.alice}} -> STOP"
+        ));
+        let productions = names(&format!("{decls}S = {{| comm |}}"));
+        let payload_input = names(&format!(
+            "{decls}P = comm.Msg1?a -> STOP [] comm.Done -> STOP"
+        ));
+        let expect = ["comm.Msg1.alice", "comm.Msg1.bob", "comm.Done"];
+        assert_eq!(restricted, expect);
+        assert_eq!(productions, expect);
+        assert_eq!(payload_input, expect);
+    }
+
+    #[test]
+    fn nametype_error_names_the_real_fault() {
+        let message = eval_error(
+            "nametype T = {0..N}\n\
+             channel c : {0..3}\n\
+             P = [] x : T @ c.x -> STOP",
+        );
+        assert_eq!(message, "unknown name `N`");
+    }
+
+    #[test]
+    fn recursive_datatype_named_as_a_set_reports_recursion() {
+        assert_eq!(
+            eval_error("datatype T = leaf | node.T\nS = card(T)"),
+            "recursive type `T` has no finite domain"
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! End-to-end acceptance of `autocsp analyze` and determinism regression
-//! for the diagnostic-emitting subcommands: two identical invocations must
-//! produce byte-identical stdout and stderr, in both output formats.
+//! End-to-end acceptance of `autocsp analyze`, its checked-in JSON
+//! goldens, and determinism regression for the diagnostic-emitting
+//! subcommands: two identical invocations must produce byte-identical
+//! stdout and stderr, in both output formats.
 
+use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -105,6 +107,51 @@ fn analyze_budget_prediction_fires_before_exploration() {
     let out = run(&["analyze", ota.to_str().unwrap(), "--max-states", "1"]);
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("ANA307"), "{text}");
+}
+
+/// Every shipped model (`examples/*.csp`, `examples/faults/*.csp`) must be
+/// free of semantic findings, and its full JSON report — inferred
+/// alphabets, SCC/divergence classification, state-space predictions —
+/// byte-identical to `examples/analyze/<name>.json`. The report names the
+/// model by the path it was given, so the models are passed relative to
+/// the repository root. Regenerate a golden there with
+/// `autocsp analyze examples/<model>.csp --format json --deny-warnings`.
+#[test]
+fn every_example_model_matches_its_analyze_golden() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut models = Vec::new();
+    for dir in ["examples", "examples/faults"] {
+        for entry in fs::read_dir(root.join(dir)).expect("examples directory") {
+            let file = entry.expect("directory entry").file_name();
+            let file = file.to_str().expect("UTF-8 file name");
+            if let Some(name) = file.strip_suffix(".csp") {
+                models.push((format!("{dir}/{file}"), name.to_owned()));
+            }
+        }
+    }
+    models.sort();
+    assert!(!models.is_empty(), "no example models found");
+    for (model, name) in models {
+        let out = autocsp()
+            .current_dir(&root)
+            .args(["analyze", &model, "--format", "json", "--deny-warnings"])
+            .output()
+            .expect("autocsp runs");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{model}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let golden = root.join(format!("examples/analyze/{name}.json"));
+        let expected =
+            fs::read_to_string(&golden).unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected,
+            "{model}: the report differs from its golden"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
