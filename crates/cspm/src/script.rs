@@ -303,57 +303,72 @@ impl LoadedScript {
         options: &CheckOptions,
         store: &ModelStore,
     ) -> Result<Vec<AssertionResult>, CspmError> {
-        let mut out = Vec::with_capacity(self.assertions.len());
-        for a in &self.assertions {
-            let mut stats = None;
-            let verdict = match &a.kind {
-                ResolvedCheck::Refinement { model, spec, impl_ } => {
-                    let (verdict, s) = match model {
-                        RefModel::Traces => store.trace_refinement(
-                            checker,
-                            spec,
-                            impl_,
-                            &self.defs,
-                            options.threads,
-                            &options.budget(),
-                        )?,
-                        RefModel::Failures => store.failures_refinement(
-                            checker,
-                            spec,
-                            impl_,
-                            &self.defs,
-                            options.threads,
-                            &options.budget(),
-                        )?,
-                        RefModel::FailuresDivergences => store.failures_divergences_refinement(
-                            checker,
-                            spec,
-                            impl_,
-                            &self.defs,
-                            options.threads,
-                            &options.budget(),
-                        )?,
-                    };
-                    if options.collect_stats {
-                        stats = Some(s);
-                    }
-                    verdict
+        self.assertions
+            .iter()
+            .map(|a| self.check_assertion(a, checker, options, store))
+            .collect()
+    }
+
+    /// Check one of this script's [`LoadedScript::assertions`], compiling
+    /// through `store` as [`LoadedScript::check_with_store`] does. A caller
+    /// that wants only some assertions checks just those.
+    ///
+    /// # Errors
+    ///
+    /// [`CspmError::Check`] when the checker hits a state-space bound or a
+    /// parallel worker fails.
+    pub fn check_assertion(
+        &self,
+        assertion: &ResolvedAssertion,
+        checker: &Checker,
+        options: &CheckOptions,
+        store: &ModelStore,
+    ) -> Result<AssertionResult, CspmError> {
+        let mut stats = None;
+        let verdict = match &assertion.kind {
+            ResolvedCheck::Refinement { model, spec, impl_ } => {
+                let (verdict, s) = match model {
+                    RefModel::Traces => store.trace_refinement(
+                        checker,
+                        spec,
+                        impl_,
+                        &self.defs,
+                        options.threads,
+                        &options.budget(),
+                    )?,
+                    RefModel::Failures => store.failures_refinement(
+                        checker,
+                        spec,
+                        impl_,
+                        &self.defs,
+                        options.threads,
+                        &options.budget(),
+                    )?,
+                    RefModel::FailuresDivergences => store.failures_divergences_refinement(
+                        checker,
+                        spec,
+                        impl_,
+                        &self.defs,
+                        options.threads,
+                        &options.budget(),
+                    )?,
+                };
+                if options.collect_stats {
+                    stats = Some(s);
                 }
-                ResolvedCheck::Property { process, property } => match property {
-                    PropKind::DeadlockFree => store.deadlock_free(checker, process, &self.defs)?,
-                    PropKind::DivergenceFree => {
-                        store.divergence_free(checker, process, &self.defs)?
-                    }
-                    PropKind::Deterministic => store.deterministic(checker, process, &self.defs)?,
-                },
-            };
-            out.push(AssertionResult {
-                description: a.description.clone(),
-                verdict,
-                stats,
-            });
-        }
-        Ok(out)
+                verdict
+            }
+            ResolvedCheck::Property { process, property } => match property {
+                PropKind::DeadlockFree => store.deadlock_free(checker, process, &self.defs)?,
+                PropKind::DivergenceFree => store.divergence_free(checker, process, &self.defs)?,
+                PropKind::Deterministic => store.deterministic(checker, process, &self.defs)?,
+            },
+        };
+        Ok(AssertionResult {
+            description: assertion.description.clone(),
+            verdict,
+            stats,
+        })
     }
 }
 

@@ -11,6 +11,12 @@
 //! names and bytes, not paths, so a deduplicated verdict must read the
 //! same for every client that shares it.
 //!
+//! An executor outlives its jobs, so it re-reads a job's script on every
+//! run and reuses the script it loaded last only while the bytes on disk
+//! are unchanged: a script edited in place is checked as it now reads. A
+//! check job that names an `assertion` checks only the assertions it
+//! matches.
+//!
 //! The executor's [`fdrlite::ModelStore`] attaches the cache directory
 //! with [`fdrlite::ResumePolicy::Auto`] by default: a check job
 //! re-dispatched after a worker death picks up the dead worker's
@@ -31,16 +37,16 @@ use fdrlite::{Checker, PersistConfig, PersistentCache, ResumePolicy};
 
 use crate::ResolvedJob;
 
-/// A CSPm script loaded once and shared by every job that references it.
+/// A loaded CSPm script, shared by every job that references it while
+/// its source stays the same.
 struct Bundle {
     source: String,
     script: cspm::Script,
     loaded: cspm::LoadedScript,
 }
 
-fn load_bundle(path: &Path) -> Result<Rc<Bundle>, String> {
+fn load_bundle(path: &Path, source: String) -> Result<Rc<Bundle>, String> {
     let display = path.display();
-    let source = fs::read_to_string(path).map_err(|e| format!("cannot read `{display}`: {e}"))?;
     let script = cspm::Script::parse(&source).map_err(|e| format!("{display}: {e}"))?;
     let loaded = script.load().map_err(|e| format!("{display}: {e}"))?;
     Ok(Rc::new(Bundle {
@@ -71,13 +77,14 @@ pub struct Notes {
     pub resume_tokens: Vec<String>,
 }
 
-/// Executes jobs. Owns the model store, checker and script cache;
-/// scripts referenced by several jobs load once.
+/// Executes jobs. Owns the model store, checker and script cache; an
+/// unchanged script referenced by several jobs loads once.
 pub struct Executor {
     store: fdrlite::ModelStore,
     cache: Option<Arc<PersistentCache>>,
     checker: Checker,
-    bundles: HashMap<PathBuf, Result<Rc<Bundle>, String>>,
+    /// The last script loaded from each path.
+    bundles: HashMap<PathBuf, Rc<Bundle>>,
     notes: Notes,
 }
 
@@ -133,11 +140,21 @@ impl Executor {
         std::mem::take(&mut self.notes)
     }
 
+    /// The script at `path` as it reads now: the memoised bundle when its
+    /// source equals the bytes on disk, else a fresh load that replaces it.
     fn bundle(&mut self, path: &Path) -> Result<Rc<Bundle>, String> {
-        self.bundles
-            .entry(path.to_path_buf())
-            .or_insert_with(|| load_bundle(path))
-            .clone()
+        let loaded = match fs::read_to_string(path) {
+            Ok(source) => match self.bundles.get(path) {
+                Some(bundle) if bundle.source == source => return Ok(Rc::clone(bundle)),
+                _ => load_bundle(path, source),
+            },
+            Err(e) => Err(format!("cannot read `{}`: {e}", path.display())),
+        };
+        match &loaded {
+            Ok(bundle) => self.bundles.insert(path.to_path_buf(), Rc::clone(bundle)),
+            Err(_) => self.bundles.remove(path),
+        };
+        loaded
     }
 
     /// Run one job attempt to a verdict.
@@ -172,21 +189,21 @@ impl Executor {
             max_states: job.max_states,
             max_wall_ms: job.timeout_ms,
         };
-        let results = bundle
-            .loaded
-            .check_with_store(&self.checker, &options, &self.store)
-            .map_err(|e| JobError::Permanent(e.to_string()))?;
         let mut lines = Vec::new();
         let mut refuted = 0_u32;
         let mut inconclusive = 0_u32;
         let mut matched = 0_u32;
         let mut interrupted = false;
-        for r in &results {
-            if let Some(filter) = &job.assertion {
-                if !r.description.contains(filter.as_str()) {
-                    continue;
-                }
-            }
+        let wanted = bundle.loaded.assertions().iter().filter(|a| {
+            job.assertion
+                .as_deref()
+                .is_none_or(|filter| a.description.contains(filter))
+        });
+        for a in wanted {
+            let r = bundle
+                .loaded
+                .check_assertion(a, &self.checker, &options, &self.store)
+                .map_err(|e| JobError::Permanent(e.to_string()))?;
             matched += 1;
             if let Some(cex) = r.verdict.counterexample() {
                 refuted += 1;
@@ -498,6 +515,94 @@ assert SPEC [T= BAD
         assert!(matches!(exec.run(&job, 1), Err(JobError::Permanent(_))));
         job.assertion = Some("IMPL".into());
         assert_eq!(exec.run(&job, 1).unwrap().status, JobStatus::Passed);
+    }
+
+    fn check_job(script: &Path, assertion: Option<&str>) -> ResolvedJob {
+        ResolvedJob {
+            name: "j".into(),
+            kind: cspm::manifest::JobKind::Check,
+            script: script.to_path_buf(),
+            spec: None,
+            corpus: None,
+            assertion: assertion.map(str::to_owned),
+            threads: 1,
+            max_states: None,
+            timeout_ms: None,
+            chaos: None,
+        }
+    }
+
+    fn fresh_run(job: &ResolvedJob) -> JobReport {
+        Executor::new(&ExecConfig::default())
+            .unwrap()
+            .run(job, 1)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_script_edited_in_place_is_checked_as_it_now_reads() {
+        let dir = tmpdir("edited");
+        let script = write_script(&dir, "m.csp", SCRIPT);
+        let job = check_job(&script, Some("IMPL"));
+        let mut exec = Executor::new(&ExecConfig::default()).unwrap();
+        assert_eq!(exec.run(&job, 1).unwrap().status, JobStatus::Passed);
+
+        fs::write(
+            &script,
+            SCRIPT.replace("IMPL = a -> IMPL", "IMPL = b -> IMPL"),
+        )
+        .unwrap();
+        let edited = exec.run(&job, 1).unwrap();
+        assert_eq!(edited.status, JobStatus::Refuted, "{edited:?}");
+        assert_eq!(edited, fresh_run(&job));
+        assert_eq!(exec.bundles.len(), 1, "one bundle per path");
+    }
+
+    #[test]
+    fn a_script_fixed_after_a_parse_error_loads_again() {
+        let dir = tmpdir("fixed");
+        let script = write_script(&dir, "m.csp", "channel a\nP = a ->\n");
+        let job = check_job(&script, Some("IMPL"));
+        let mut exec = Executor::new(&ExecConfig::default()).unwrap();
+        assert!(matches!(exec.run(&job, 1), Err(JobError::Permanent(_))));
+
+        fs::write(&script, SCRIPT).unwrap();
+        let fixed = exec.run(&job, 1).unwrap();
+        assert_eq!(fixed.status, JobStatus::Passed, "{fixed:?}");
+        assert_eq!(fixed, fresh_run(&job));
+    }
+
+    #[test]
+    fn a_filtered_job_checks_only_its_own_assertion() {
+        const DECLS: &str = "
+channel a, b
+SPEC1 = a -> SPEC1
+IMPL1 = a -> IMPL1
+SPEC2 = b -> SPEC2
+IMPL2 = b -> a -> IMPL2
+";
+        let dir = tmpdir("filter-first");
+        let both = write_script(
+            &dir,
+            "both.csp",
+            &format!("{DECLS}assert SPEC1 [T= IMPL1\nassert SPEC2 [T= IMPL2\n"),
+        );
+        let only = write_script(
+            &dir,
+            "only.csp",
+            &format!("{DECLS}assert SPEC2 [T= IMPL2\n"),
+        );
+
+        let mut exec = Executor::new(&ExecConfig::default()).unwrap();
+        let filtered = exec.run(&check_job(&both, Some("IMPL2")), 1).unwrap();
+        let unfiltered = fresh_run(&check_job(&both, None));
+        assert_eq!(filtered.status, JobStatus::Refuted);
+        assert_eq!(unfiltered.lines.len(), 3, "{unfiltered:?}");
+        assert_eq!(filtered.lines, unfiltered.lines[1..]);
+
+        let mut alone = Executor::new(&ExecConfig::default()).unwrap();
+        alone.run(&check_job(&only, None), 1).unwrap();
+        assert_eq!(exec.store.misses(), alone.store.misses());
     }
 
     #[test]

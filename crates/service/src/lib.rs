@@ -39,8 +39,10 @@
 //! - **Graceful degradation.** SIGTERM drains: in-flight jobs are
 //!   interrupted to checkpoints, pending jobs stay journaled, and a
 //!   restarted service completes them byte-identically
-//!   ([`codes::DRAIN_DEFERRED`]). The journal is rewritten atomically
-//!   (temp file + rename, checksummed), like the model cache.
+//!   ([`codes::DRAIN_DEFERRED`]). The journal is an append-only log of
+//!   checksummed records: a crash can tear only the last one, which
+//!   replay drops, and opening it compacts the log with an atomic
+//!   rewrite (temp file + rename), like the model cache.
 //!
 //! The submission format *is* the `jobs.toml` manifest
 //! (`cspm::manifest::Manifest`), and a batch submitted to the service or
@@ -77,9 +79,10 @@ pub mod codes {
     /// A submission was rejected because the queue is at capacity
     /// (HTTP 429 + `Retry-After`).
     pub const QUEUE_FULL: Code = Code("SRV602");
-    /// The job journal could not be read or written, or a journaled
-    /// job's on-disk content changed; affected entries were dropped,
-    /// never trusted. Used by the service and by `autocsp run`.
+    /// The job journal could not be read or written, is in another
+    /// format or ends in a torn or corrupt record, or a journaled job's
+    /// on-disk content changed; affected entries were dropped, never
+    /// trusted. Used by the service and by `autocsp run`.
     pub const JOURNAL_ERROR: Code = Code("SRV603");
     /// A worker could not be spawned or never completed its handshake.
     pub const WORKER_SPAWN: Code = Code("SRV604");

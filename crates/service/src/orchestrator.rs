@@ -18,7 +18,10 @@
 //! Every transition happens under the lock and is mirrored to the
 //! crash-safe [`crate::journal::ServiceJournal`] at the points that
 //! matter for restart: admission (pending entry) and terminal states
-//! (verdict or failure). Retries in between are process-local.
+//! (verdict or failure). Each mirror appends one record to the
+//! journal's log under the lock, so the file order is the transition
+//! order and a record costs the same however many jobs the service has
+//! seen. Retries in between are process-local.
 //!
 //! The orchestrator never performs I/O towards workers itself — it hands
 //! the server thread a cloned stream plus an encoded frame

@@ -17,6 +17,10 @@
 //! - **monitor** — ticks the orchestrator (heartbeat deadlines, retry
 //!   promotion), SIGKILLs wedged workers and respawns lost slots.
 //!
+//! Both accept loops block in `accept`, so a connection is served as
+//! soon as it arrives; [`Server::shutdown`] sets the stop flag and then
+//! wakes each loop with one connection.
+//!
 //! The same [`Server`] embeds in-process for tests and the bench
 //! harness, where worker slots run as threads instead of child
 //! processes ([`LauncherKind::InProcess`]).
@@ -51,6 +55,12 @@ const REQUEST_TIMEOUT: Duration = if cfg!(test) {
 } else {
     Duration::from_secs(10)
 };
+
+/// How long an accept loop waits after a failed `accept` before the next.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long [`Server::shutdown`] waits to connect to a listener it wakes.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How worker slots are realised.
 #[derive(Debug)]
@@ -147,6 +157,7 @@ struct Slot {
 pub struct Server {
     orch: Arc<Orchestrator>,
     http_addr: std::net::SocketAddr,
+    worker_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
     slots: Arc<Mutex<Vec<Slot>>>,
@@ -203,12 +214,6 @@ impl Server {
         let worker_addr = worker_listener
             .local_addr()
             .map_err(|e| format!("cannot read worker port: {e}"))?;
-        http_listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot configure listener: {e}"))?;
-        worker_listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot configure listener: {e}"))?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let slots = Arc::new(Mutex::new(Vec::<Slot>::new()));
@@ -300,6 +305,7 @@ impl Server {
         Ok(Server {
             orch,
             http_addr,
+            worker_addr,
             stop,
             threads,
             slots,
@@ -333,9 +339,14 @@ impl Server {
     /// Stop every thread and kill remaining worker processes. In-process
     /// worker threads end when their sockets close.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         for mut stream in self.orch.begin_drain() {
             send_shutdown(&mut stream);
+        }
+        // The accept loops block in `accept`: one connection each wakes
+        // them to see the stop flag.
+        for addr in [self.http_addr, self.worker_addr] {
+            wake(addr);
         }
         for thread in self.threads.drain(..) {
             let _ = thread.join();
@@ -351,6 +362,18 @@ impl Server {
             }
         }
     }
+}
+
+/// Connect to the listener bound at `addr` (over loopback when it is
+/// bound to an unspecified address), so its blocked `accept` returns.
+fn wake(mut addr: std::net::SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
 }
 
 fn spawn_named(name: &str, body: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
@@ -458,20 +481,23 @@ fn launch_worker(
 // Worker connections
 // ---------------------------------------------------------------------------
 
+/// Accept worker connections until [`Server::shutdown`] sets `stop` and
+/// wakes the blocked `accept`.
 fn worker_accept_loop(listener: &TcpListener, orch: &Arc<Orchestrator>, stop: &Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let orch = Arc::clone(orch);
                 let _ = std::thread::Builder::new()
                     .name("svc-worker-conn".to_string())
                     .spawn(move || worker_connection(stream, &orch));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(15)),
+            // Out of descriptors or similar: back off instead of spinning.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -515,16 +541,21 @@ fn worker_connection(stream: TcpStream, orch: &Arc<Orchestrator>) {
 // HTTP surface
 // ---------------------------------------------------------------------------
 
+/// Accept HTTP connections, one thread each, until [`Server::shutdown`]
+/// sets `stop` and wakes the blocked `accept`.
 fn http_accept_loop(
     listener: &TcpListener,
     orch: &Arc<Orchestrator>,
     stop: &Arc<AtomicBool>,
     scripts_root: &std::path::Path,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let orch = Arc::clone(orch);
                 let scripts_root = scripts_root.to_path_buf();
                 let _ = std::thread::Builder::new()
@@ -551,13 +582,8 @@ fn http_accept_loop(
                         }
                     });
             }
-            // A short accept poll keeps the stop flag responsive without
-            // adding double-digit milliseconds to every fresh connection
-            // (submit→verdict latency is dominated by this on small jobs).
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            // Out of descriptors or similar: back off instead of spinning.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }

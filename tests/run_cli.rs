@@ -236,32 +236,95 @@ fn verdicts_are_byte_identical_across_runs_and_thread_counts() {
 #[cfg(unix)]
 #[test]
 fn kill_nine_then_resume_matches_undisturbed_run() {
+    use std::os::unix::process::ExitStatusExt as _;
+
     let dir = scratch("kill");
     let path = slow_manifest(&dir);
 
     let baseline = run(&["run", &path]);
     assert_eq!(baseline.status.code(), Some(1), "{baseline:?}");
 
-    for round in 0..3 {
+    // The journal sits next to the manifest, or under `--cache-dir` when
+    // there is one; each cache round starts from an empty cache.
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let rounds: [(u64, &[&str]); 5] = [
+        (300, &[]),
+        (550, &[]),
+        (800, &[]),
+        (550, &["--cache-dir", cache, "--threads", "1"]),
+        (550, &["--cache-dir", cache, "--threads", "8"]),
+    ];
+    for (round, (kill_ms, extra)) in rounds.into_iter().enumerate() {
+        let _ = fs::remove_dir_all(cache);
         // Fresh journal for each round (`run` without --resume resets it).
         let mut child = autocsp()
             .args(["run", &path])
+            .args(extra)
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::null())
             .spawn()
             .expect("spawn");
-        std::thread::sleep(std::time::Duration::from_millis(300 + round * 250));
+        std::thread::sleep(std::time::Duration::from_millis(kill_ms));
         let _ = child.kill(); // SIGKILL: no chance to clean up
-        let _ = child.wait();
+        let killed = child.wait().expect("wait for the killed run");
+        assert_eq!(
+            killed.signal(),
+            Some(9),
+            "round {round}: the kill must land mid-run"
+        );
 
-        let resumed = run(&["run", &path, "--resume"]);
+        let resumed = autocsp()
+            .args(["run", &path, "--resume", "--stats"])
+            .args(extra)
+            .output()
+            .expect("autocsp runs");
         assert_eq!(resumed.status.code(), Some(1), "round {round}");
+        let err = String::from_utf8_lossy(&resumed.stderr);
+        assert!(
+            err.contains("replayed from journal"),
+            "round {round}: {err}"
+        );
         assert_eq!(
             String::from_utf8_lossy(&baseline.stdout),
             String::from_utf8_lossy(&resumed.stdout),
             "round {round}: resumed verdicts must match the undisturbed run"
         );
     }
+}
+
+#[test]
+fn seeded_storage_faults_cost_retries_never_verdicts() {
+    let dir = scratch("storage-faults");
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let baseline = run(&["run", &manifest(), "--threads", "1"]);
+    assert_eq!(baseline.status.code(), Some(1), "{baseline:?}");
+
+    // The first run writes through a fault hook that corrupts every other
+    // cache write; the second reads the poisoned cache back. The damage
+    // shows only as quarantine warnings on stderr.
+    let faulty = run(&[
+        "run",
+        &manifest(),
+        "--cache-dir",
+        cache,
+        "--storage-faults",
+        "1373:2",
+    ]);
+    let poisoned = run(&["run", &manifest(), "--cache-dir", cache]);
+    assert_eq!(faulty.status.code(), Some(1), "{faulty:?}");
+    assert_eq!(poisoned.status.code(), Some(1), "{poisoned:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&baseline.stdout),
+        String::from_utf8_lossy(&faulty.stdout)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&baseline.stdout),
+        String::from_utf8_lossy(&poisoned.stdout)
+    );
+    let err = String::from_utf8_lossy(&poisoned.stderr);
+    assert!(err.contains("STO401"), "{err}");
 }
 
 #[cfg(unix)]

@@ -328,3 +328,66 @@ fn every_job_kind_reads_the_same_from_run_and_serve() {
     }
     assert_eq!(served, ran, "serve and run disagree");
 }
+
+/// Submit `manifest`'s one job to the service at `addr` and wait for its
+/// verdict: `(id, status, lines)`.
+fn submit_and_wait(addr: &str, manifest: &str) -> (String, String, Vec<String>) {
+    let (status, body) = client_request(addr, "POST", "/v1/jobs", manifest).unwrap();
+    assert_eq!(status, 202, "{body}");
+    let accepted = json::parse(&body).unwrap();
+    let id = accepted.get("jobs").and_then(Value::as_array).unwrap()[0]
+        .get("id")
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    let (status, body) =
+        client_request(addr, "GET", &format!("/v1/jobs/{id}?wait=120"), "").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (_, status, lines) = verdict(&json::parse(&body).unwrap());
+    (id, status, lines)
+}
+
+#[test]
+fn a_script_edited_between_submissions_gets_the_verdict_of_its_new_content() {
+    use service::exec::{ExecConfig, Executor};
+    use service::server::{LauncherKind, Server, ServerConfig};
+
+    const SCRIPT: &str = "channel a, b\nSPEC = a -> SPEC\nIMPL = a -> IMPL\nassert SPEC [T= IMPL\n";
+    const MANIFEST: &str = "[[job]]\nname = \"spec\"\nkind = \"check\"\nscript = \"m.csp\"\n";
+    let dir = scratch("edited");
+    let script = dir.join("m.csp");
+    fs::write(&script, SCRIPT).unwrap();
+    // One worker, so both jobs run on the same long-lived executor.
+    let mut config = ServerConfig::with_defaults(dir.join("state")).expect("server config");
+    config.workers = 1;
+    config.scripts_root = dir.clone();
+    config.launcher = LauncherKind::InProcess {
+        die_after_states: None,
+    };
+    let server = Server::start(config).expect("server starts");
+    let addr = server.http_addr().to_string();
+
+    let (first, status, _) = submit_and_wait(&addr, MANIFEST);
+    assert_eq!(status, "passed");
+    fs::write(
+        &script,
+        SCRIPT.replace("IMPL = a -> IMPL", "IMPL = b -> IMPL"),
+    )
+    .unwrap();
+    let (second, status, lines) = submit_and_wait(&addr, MANIFEST);
+    server.shutdown();
+    fdrlite::clear_interrupt();
+    assert_ne!(first, second, "the id keys the new content");
+
+    let manifest = cspm::manifest::Manifest::parse(MANIFEST, &dir).unwrap();
+    let job = &service::resolve_jobs(&manifest, &service::JobDefaults::default())[0];
+    let fresh = Executor::new(&ExecConfig::default())
+        .unwrap()
+        .run(job, 1)
+        .unwrap();
+    assert_eq!(fresh.status.label(), "refuted");
+    assert_eq!(
+        (status.as_str(), lines),
+        (fresh.status.label(), fresh.lines)
+    );
+}
