@@ -12,7 +12,6 @@
 
 use crate::alphabet::Label;
 use crate::lts::{CsrEdges, Lts, StateId};
-use crate::process::Process;
 
 /// The τ-cycle / divergence classification of one edge relation — the one
 /// shared divergence routine in the stack. [`GraphAnalysis::of_csr`], the
@@ -95,17 +94,16 @@ pub struct GraphAnalysis {
 }
 
 impl GraphAnalysis {
-    /// Analyse a CSR edge snapshot. `omega[s]` must say whether state `s`
-    /// is the terminated process Ω (a terminal Ω state is successful
-    /// termination, not a deadlock).
+    /// Analyse `lts` through its CSR edge snapshot `csr` (which must be
+    /// `lts.to_csr()`). A terminal Ω state is successful termination, not
+    /// a deadlock.
     ///
     /// # Panics
     ///
-    /// When `omega.len()` differs from the snapshot's state count.
+    /// When `csr` has more states than `lts`.
     #[must_use]
-    pub fn of_csr(csr: &CsrEdges, omega: &[bool]) -> GraphAnalysis {
+    pub fn of_csr(csr: &CsrEdges, lts: &Lts) -> GraphAnalysis {
         let n = csr.state_count();
-        assert_eq!(omega.len(), n, "omega flags must cover every state");
 
         let tau_transition_count = (0..n)
             .map(|s| {
@@ -132,7 +130,10 @@ impl GraphAnalysis {
         let divergent_count = divergent.iter().filter(|&&b| b).count();
 
         let deadlock: Vec<bool> = (0..n)
-            .map(|s| csr.edges(StateId::from_index(s)).is_empty() && !omega[s])
+            .map(|s| {
+                let s = StateId::from_index(s);
+                csr.edges(s).is_empty() && !lts.is_omega(s)
+            })
             .collect();
         let deadlock_count = deadlock.iter().filter(|&&b| b).count();
 
@@ -149,15 +150,10 @@ impl GraphAnalysis {
         }
     }
 
-    /// Analyse an [`Lts`] directly (snapshots the edges itself and derives
-    /// the Ω flags from the state table).
+    /// Analyse an [`Lts`] directly (snapshots the edges itself).
     #[must_use]
     pub fn of_lts(lts: &Lts) -> GraphAnalysis {
-        let omega: Vec<bool> = lts
-            .state_ids()
-            .map(|s| matches!(lts.state(s), Process::Omega))
-            .collect();
-        GraphAnalysis::of_csr(&lts.to_csr(), &omega)
+        GraphAnalysis::of_csr(&lts.to_csr(), lts)
     }
 
     /// States in the analysed LTS.

@@ -29,16 +29,19 @@ pub struct Compressed {
 /// Compute the strong-bisimulation quotient of `lts`.
 ///
 /// The returned LTS has one state per equivalence class; its initial state
-/// is the class of the original initial state. Process terms on quotient
-/// states are taken from an arbitrary class representative.
+/// is the class of the original initial state.
 pub fn quotient_bisim(lts: &Lts) -> Compressed {
     // Re-blocking key: (old block, signature).
     type SigKey<'a> = (usize, &'a BTreeSet<(Label, usize)>);
 
     let n = lts.state_count();
-    // Start with one block: all states together.
-    let mut block_of: Vec<usize> = vec![0; n];
-    let mut block_count = 1usize;
+    // Start from the Ω bit: Ω and a deadlocked state both have no edges,
+    // but only one of them has terminated.
+    let mut block_of: Vec<usize> = lts
+        .state_ids()
+        .map(|s| usize::from(lts.is_omega(s)))
+        .collect();
+    let mut block_count = 1 + usize::from(block_of.iter().any(|&b| b != block_of[0]));
 
     loop {
         // Signature of a state: the set of (label, target block) pairs.
@@ -93,12 +96,12 @@ pub fn quotient_bisim(lts: &Lts) -> Compressed {
         }
     }
 
-    let mut states = vec![None; block_count];
+    let mut omega = vec![false; block_count];
     let mut transitions: Vec<Vec<(Label, StateId)>> = vec![Vec::new(); block_count];
     for b in 0..block_count {
         let rep = representative[b].expect("every block has a member");
         let q = renumber[b].expect("renumbered");
-        states[q] = Some(lts.state(rep).clone());
+        omega[q] = lts.is_omega(rep);
         let mut edges: Vec<(Label, StateId)> = lts
             .edges(rep)
             .iter()
@@ -118,13 +121,7 @@ pub fn quotient_bisim(lts: &Lts) -> Compressed {
         .collect();
 
     Compressed {
-        lts: Lts::from_parts(
-            states
-                .into_iter()
-                .map(|s| s.expect("every block filled"))
-                .collect(),
-            transitions,
-        ),
+        lts: Lts::from_parts(&omega, transitions),
         class_of,
     }
 }
@@ -234,6 +231,26 @@ mod tests {
         let lts = lts_of(p);
         let compressed = quotient_bisim(&lts);
         assert_eq!(traces_upto(&lts, 6), traces_upto(&compressed.lts, 6));
+    }
+
+    #[test]
+    fn termination_and_deadlock_stay_apart() {
+        // b -> STOP [] a -> SKIP: STOP and Ω both have no edges, but only
+        // Ω has terminated, so the quotient keeps both.
+        let p = Process::external_choice(
+            Process::prefix(e(1), Process::Stop),
+            Process::prefix(e(0), Process::Skip),
+        );
+        let lts = lts_of(p);
+        let compressed = quotient_bisim(&lts);
+        assert_eq!(compressed.lts.state_count(), lts.state_count());
+        let omega: Vec<StateId> = compressed
+            .lts
+            .state_ids()
+            .filter(|&s| compressed.lts.is_omega(s))
+            .collect();
+        assert_eq!(omega.len(), 1);
+        assert!(compressed.lts.is_terminal(omega[0]));
     }
 
     #[test]

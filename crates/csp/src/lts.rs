@@ -1,11 +1,38 @@
 //! Labelled transition system construction by explicit state enumeration.
+//!
+//! [`Lts::build_in`] compiles a process the way FDR compiles a parallel
+//! composition, as a supercombinator over small component systems:
+//!
+//! * **Spine and leaves.** The root's static operator spine — `Parallel`
+//!   nodes, plus any `Hide` or `Rename` whose operand is a `Parallel` — is
+//!   split once into nodes over *leaves*, the maximal subterms below it.
+//!   A root `Var` chain whose body is such a spine unfolds into a distinct
+//!   initial state, as the `Var` term is one.
+//! * **Leaf states.** A leaf state is a term of the [`TermArena`], fired by
+//!   [`TermArena::transitions`] the first time the product reaches it and
+//!   memoised in the arena's emission order.
+//! * **Composite states.** A composite state is the tuple of its leaf
+//!   states, numbered per build and stored flat. Its successors come from
+//!   the spine's rules over the leaves' memoised moves; no composite term
+//!   is built or hashed.
+//!
+//! The spine rules emit successors in the order the arena's rules emit the
+//! successors of the composite term, so BFS numbering and edge lists are
+//! those of exploring the hash-consed terms one by one. `tests/term_prop.rs`
+//! pins this against the tree semantics. A root with no spine is the
+//! one-leaf case of the same rules.
+//!
+//! Only one fact about a state's term is observable downstream: whether it
+//! is the terminated process `Ω`. An [`Lts`] keeps exactly that, as a
+//! bitset.
 
 use std::collections::HashMap;
 
-use crate::alphabet::Label;
+use crate::alphabet::{EventSet, Label, RenameMap};
 use crate::error::CspError;
 use crate::process::{Definitions, Process};
-use crate::term::{TermArena, TermId};
+use crate::semantics::MAX_UNFOLD_DEPTH;
+use crate::term::{Term, TermArena, TermId};
 
 /// Index of a state within an [`Lts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,17 +51,11 @@ impl StateId {
 }
 
 /// An explicit labelled transition system: the reachable state graph of a
-/// process term.
-///
-/// States are deduplicated by hash-consed [`TermId`]s — structurally equal
-/// terms intern to the same id, so the visited-set lookup is a single word
-/// comparison instead of a deep tree hash. This is the miniature equivalent
-/// of FDR's *explicate* compilation step.
+/// process term, state 0 initial, with one `Ω` bit per state.
 #[derive(Debug, Clone)]
 pub struct Lts {
-    states: Vec<Process>,
+    omega: Vec<u64>,
     transitions: Vec<Vec<(Label, StateId)>>,
-    initial: StateId,
 }
 
 impl Lts {
@@ -62,38 +83,67 @@ impl Lts {
     ///
     /// # Errors
     ///
-    /// As for [`Lts::build`].
+    /// As for [`Lts::build`]. A leaf state is fired only once the product
+    /// reaches it, so each error arises at the same state as it would when
+    /// firing the composite term there.
     pub fn build_in(
         arena: &mut TermArena,
         root: TermId,
         defs: &Definitions,
         max_states: usize,
     ) -> Result<Lts, CspError> {
-        let mut ids: Vec<TermId> = Vec::new();
-        let mut index: HashMap<TermId, StateId> = HashMap::new();
-        let mut out: Vec<Vec<(Label, StateId)>> = Vec::new();
-
-        let initial = StateId(0);
-        index.insert(root, initial);
-        ids.push(root);
-        out.push(Vec::new());
+        let (spine, unfolded) = Spine::of(arena, root, defs);
+        let width = spine.leaves.len();
+        let mut leaves = LeafMoves::default();
+        let mut tuples: Vec<u32> = spine.leaves.iter().map(|&t| leaves.number(t)).collect();
+        let mut omega = vec![leaves.is_omega(arena, &tuples)];
+        let mut out: Vec<Vec<(Label, StateId)>> = vec![Vec::new()];
+        let mut index = TupleIndex::default();
+        // An unfolded root `Var` is a state of its own: its body's tuple,
+        // if reached, is a different one.
+        if unfolded == 0 {
+            index.insert(&tuples, width, StateId(0));
+        }
+        let mut omega_state: Option<StateId> = None;
+        let mut fired = vec![(0, 0); width];
+        let mut buffers = MoveBuffers::default();
 
         let mut frontier = 0usize;
-        while frontier < ids.len() {
-            let current = ids[frontier];
-            let succs = arena.transitions(current, defs)?;
-            let mut edges = Vec::with_capacity(succs.len());
-            for (label, succ) in succs {
-                let id = match index.get(&succ) {
-                    Some(&id) => id,
+        while frontier < out.len() {
+            if omega[frontier] {
+                frontier += 1;
+                continue;
+            }
+            // The root's unfoldings count towards its leaves' recursion depth.
+            let depth = if frontier == 0 { unfolded } else { 0 };
+            let at = frontier * width;
+            for (i, range) in fired.iter_mut().enumerate() {
+                *range = leaves.fire(arena, defs, tuples[at + i], depth)?;
+            }
+            let moves = spine.moves(&leaves, &fired, &tuples[at..at + width], &mut buffers);
+            let mut edges = Vec::with_capacity(moves.labels.len());
+            for (&label, slots) in moves.labels.iter().zip(moves.slots.chunks_exact(width)) {
+                let known = if slots[0] == OMEGA {
+                    omega_state
+                } else {
+                    index.find(&tuples, width, slots)
+                };
+                let id = match known {
+                    Some(id) => id,
                     None => {
-                        if ids.len() >= max_states {
+                        if out.len() >= max_states {
                             return Err(CspError::StateSpaceExceeded { limit: max_states });
                         }
-                        let id = StateId(ids.len() as u32);
-                        index.insert(succ, id);
-                        ids.push(succ);
+                        let id = StateId(out.len() as u32);
+                        tuples.extend_from_slice(slots);
                         out.push(Vec::new());
+                        if slots[0] == OMEGA {
+                            omega.push(true);
+                            omega_state = Some(id);
+                        } else {
+                            omega.push(leaves.is_omega(arena, slots));
+                            index.insert(&tuples, width, id);
+                        }
                         id
                     }
                 };
@@ -104,44 +154,38 @@ impl Lts {
             out[frontier] = edges;
             frontier += 1;
         }
-
-        let states = ids
-            .into_iter()
-            .map(|t| arena.process_of(t).as_ref().clone())
-            .collect();
-        Ok(Lts {
-            states,
-            transitions: out,
-            initial,
-        })
+        Ok(Lts::from_parts(&omega, out))
     }
 
-    /// Assemble an LTS directly from states and transition lists (used by
-    /// compression and by cache deserialisation). State 0 is the initial
-    /// state.
+    /// Assemble an LTS directly from per-state `Ω` flags and transition
+    /// lists (used by compression and by cache deserialisation). State 0 is
+    /// the initial state.
     ///
     /// # Panics
     ///
-    /// Panics if `states` and `transitions` have different lengths or are
+    /// Panics if `omega` and `transitions` have different lengths or are
     /// empty.
-    pub fn from_parts(states: Vec<Process>, transitions: Vec<Vec<(Label, StateId)>>) -> Lts {
-        assert_eq!(states.len(), transitions.len());
-        assert!(!states.is_empty());
+    pub fn from_parts(omega: &[bool], transitions: Vec<Vec<(Label, StateId)>>) -> Lts {
+        assert_eq!(omega.len(), transitions.len());
+        assert!(!omega.is_empty());
+        let mut bits = vec![0u64; omega.len().div_ceil(64)];
+        for (i, _) in omega.iter().enumerate().filter(|(_, &o)| o) {
+            bits[i / 64] |= 1 << (i % 64);
+        }
         Lts {
-            states,
+            omega: bits,
             transitions,
-            initial: StateId(0),
         }
     }
 
     /// The initial state.
     pub fn initial(&self) -> StateId {
-        self.initial
+        StateId(0)
     }
 
     /// Number of states.
     pub fn state_count(&self) -> usize {
-        self.states.len()
+        self.transitions.len()
     }
 
     /// Total number of transitions.
@@ -149,9 +193,10 @@ impl Lts {
         self.transitions.iter().map(Vec::len).sum()
     }
 
-    /// The process term a state stands for.
-    pub fn state(&self, id: StateId) -> &Process {
-        &self.states[id.index()]
+    /// Whether a state is the terminated process `Ω` (a terminal `Ω` is
+    /// successful termination, not a deadlock).
+    pub fn is_omega(&self, id: StateId) -> bool {
+        self.omega[id.index() / 64] >> (id.index() % 64) & 1 == 1
     }
 
     /// The outgoing edges of a state, sorted by `(label, target)`.
@@ -161,7 +206,7 @@ impl Lts {
 
     /// Iterate over all state ids.
     pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
-        (0..self.states.len() as u32).map(StateId)
+        (0..self.transitions.len() as u32).map(StateId)
     }
 
     /// Whether `id` has no outgoing transitions at all (deadlock if it is
@@ -173,7 +218,7 @@ impl Lts {
     /// States reachable from `from` by following only `τ` transitions
     /// (including `from` itself), in ascending order.
     pub fn tau_closure(&self, from: StateId) -> Vec<StateId> {
-        let mut seen = vec![false; self.states.len()];
+        let mut seen = vec![false; self.transitions.len()];
         let mut stack = vec![from];
         seen[from.index()] = true;
         while let Some(s) = stack.pop() {
@@ -184,7 +229,7 @@ impl Lts {
                 }
             }
         }
-        (0..self.states.len())
+        (0..self.transitions.len())
             .filter(|&i| seen[i])
             .map(|i| StateId(i as u32))
             .collect()
@@ -195,7 +240,7 @@ impl Lts {
     /// Runs Kahn's algorithm on the τ-subgraph: a cycle exists exactly when
     /// topological sorting cannot consume every state.
     pub fn has_tau_cycle(&self) -> bool {
-        let n = self.states.len();
+        let n = self.transitions.len();
         let mut indegree = vec![0usize; n];
         let mut tau_succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (s, edges) in self.transitions.iter().enumerate() {
@@ -277,6 +322,351 @@ impl CsrEdges {
     }
 }
 
+/// The slot value of a composite's `✓` move: its successor is `Ω`, not a
+/// tuple. Leaf states are numbered from 0 and never reach `u32::MAX`.
+const OMEGA: u32 = u32::MAX;
+
+/// One node of a root's operator spine, in post-order.
+#[derive(Debug)]
+enum Node {
+    /// The leaf at this position of the tuple.
+    Leaf(usize),
+    /// `P [| sync |] Q` over the leaves `lo..mid` (`P`) and `mid..hi` (`Q`).
+    Parallel {
+        sync: EventSet,
+        lo: usize,
+        mid: usize,
+        hi: usize,
+    },
+    /// `P \ A`: the operand's visible events in `A` become `τ`.
+    Hide(EventSet),
+    /// `P[[R]]`: the operand's visible events are renamed.
+    Rename(RenameMap),
+}
+
+/// A root term split into its operator spine and the leaves below it.
+#[derive(Debug, Default)]
+struct Spine {
+    nodes: Vec<Node>,
+    leaves: Vec<TermId>,
+}
+
+impl Spine {
+    /// Split `root`, first unfolding a root `Var` chain whose body has a
+    /// spine. Also returns the number of definitions unfolded.
+    fn of(arena: &mut TermArena, root: TermId, defs: &Definitions) -> (Spine, usize) {
+        let (top, unfolded) = unfold_root(arena, root, defs).unwrap_or((root, 0));
+        let mut spine = Spine::default();
+        spine.split(arena, top);
+        (spine, unfolded)
+    }
+
+    fn split(&mut self, arena: &TermArena, t: TermId) {
+        match *arena.term(t) {
+            Term::Parallel { sync, left, right } => {
+                let lo = self.leaves.len();
+                self.split(arena, left);
+                let mid = self.leaves.len();
+                self.split(arena, right);
+                let sync = arena.set(sync).clone();
+                let hi = self.leaves.len();
+                self.nodes.push(Node::Parallel { sync, lo, mid, hi });
+            }
+            Term::Hide(inner, hidden) if is_parallel(arena, inner) => {
+                self.split(arena, inner);
+                self.nodes.push(Node::Hide(arena.set(hidden).clone()));
+            }
+            Term::Rename(inner, map) if is_parallel(arena, inner) => {
+                self.split(arena, inner);
+                self.nodes.push(Node::Rename(arena.map(map).clone()));
+            }
+            _ => {
+                self.nodes.push(Node::Leaf(self.leaves.len()));
+                self.leaves.push(t);
+            }
+        }
+    }
+
+    /// The moves of the composite state `cur`, whose leaves' moves are
+    /// `leaves.edges[fired[i]]`, in the order the arena's rules emit the
+    /// successors of the composite term.
+    fn moves<'s>(
+        &self,
+        leaves: &LeafMoves,
+        fired: &[(u32, u32)],
+        cur: &[u32],
+        buffers: &'s mut MoveBuffers,
+    ) -> &'s Moves {
+        let MoveBuffers { stack, pool } = buffers;
+        pool.append(stack);
+        for node in &self.nodes {
+            match node {
+                Node::Leaf(i) => {
+                    let mut m = fresh(pool);
+                    let (lo, hi) = fired[*i];
+                    for &(label, t) in &leaves.edges[lo as usize..hi as usize] {
+                        m.labels.push(label);
+                        m.slots.push(t);
+                    }
+                    stack.push(m);
+                }
+                Node::Parallel { sync, lo, mid, hi } => {
+                    let right = stack.pop().expect("a parallel node has two operands");
+                    let left = stack.pop().expect("a parallel node has two operands");
+                    let mut m = fresh(pool);
+                    parallel(
+                        sync,
+                        &left,
+                        &right,
+                        &cur[*lo..*mid],
+                        &cur[*mid..*hi],
+                        &mut m,
+                    );
+                    pool.extend([left, right]);
+                    stack.push(m);
+                }
+                Node::Hide(hidden) => {
+                    let m = stack.last_mut().expect("hiding has an operand");
+                    for label in &mut m.labels {
+                        if matches!(*label, Label::Event(e) if hidden.contains(e)) {
+                            *label = Label::Tau;
+                        }
+                    }
+                }
+                Node::Rename(map) => {
+                    let m = stack.last_mut().expect("renaming has an operand");
+                    for label in &mut m.labels {
+                        if let Label::Event(e) = *label {
+                            *label = Label::Event(map.apply(e));
+                        }
+                    }
+                }
+            }
+        }
+        stack.last().expect("the spine has a root")
+    }
+}
+
+/// Follow a root `Var` chain to a body with a spine, as firing the root
+/// would. `None` when the chain ends elsewhere or cannot be followed; the
+/// root is then a leaf, and firing it reports any error.
+fn unfold_root(arena: &mut TermArena, root: TermId, defs: &Definitions) -> Option<(TermId, usize)> {
+    let mut t = root;
+    let mut depth = 0;
+    while let Term::Var(d) = *arena.term(t) {
+        if depth >= MAX_UNFOLD_DEPTH {
+            return None;
+        }
+        t = arena.def_term(d, defs).ok()?;
+        depth += 1;
+    }
+    let composite = match *arena.term(t) {
+        Term::Parallel { .. } => true,
+        Term::Hide(inner, _) | Term::Rename(inner, _) => is_parallel(arena, inner),
+        _ => false,
+    };
+    (depth > 0 && composite).then_some((t, depth))
+}
+
+fn is_parallel(arena: &TermArena, t: TermId) -> bool {
+    matches!(arena.term(t), Term::Parallel { .. })
+}
+
+/// The `P [| sync |] Q` rule over the operands' moves (`left`, `right`)
+/// and current leaf states (`cur_l`, `cur_r`): `P`'s independent moves,
+/// then `Q`'s, then synchronised pairs, then distributed `✓`.
+fn parallel(
+    sync: &EventSet,
+    left: &Moves,
+    right: &Moves,
+    cur_l: &[u32],
+    cur_r: &[u32],
+    out: &mut Moves,
+) {
+    let independent = |label: Label| match label {
+        Label::Tau => true,
+        Label::Tick => false,
+        Label::Event(e) => !sync.contains(e),
+    };
+    for (label, slots) in left.iter(cur_l.len()) {
+        if independent(label) {
+            out.push(label, slots, cur_r);
+        }
+    }
+    for (label, slots) in right.iter(cur_r.len()) {
+        if independent(label) {
+            out.push(label, cur_l, slots);
+        }
+    }
+    for (ll, ls) in left.iter(cur_l.len()) {
+        if !matches!(ll, Label::Event(e) if sync.contains(e)) {
+            continue;
+        }
+        for (rl, rs) in right.iter(cur_r.len()) {
+            if rl == ll {
+                out.push(ll, ls, rs);
+            }
+        }
+    }
+    if left.labels.contains(&Label::Tick) && right.labels.contains(&Label::Tick) {
+        out.labels.push(Label::Tick);
+        out.slots
+            .extend(std::iter::repeat_n(OMEGA, cur_l.len() + cur_r.len()));
+    }
+}
+
+/// The moves of one spine node: a label per move and, flat, the node's
+/// leaf states after it.
+#[derive(Debug, Default)]
+struct Moves {
+    labels: Vec<Label>,
+    slots: Vec<u32>,
+}
+
+impl Moves {
+    fn iter(&self, width: usize) -> impl Iterator<Item = (Label, &[u32])> {
+        self.labels
+            .iter()
+            .copied()
+            .zip(self.slots.chunks_exact(width))
+    }
+
+    fn push(&mut self, label: Label, left: &[u32], right: &[u32]) {
+        self.labels.push(label);
+        self.slots.extend_from_slice(left);
+        self.slots.extend_from_slice(right);
+    }
+}
+
+/// Move buffers reused across states: the evaluation stack of the spine
+/// and the free ones.
+#[derive(Debug, Default)]
+struct MoveBuffers {
+    stack: Vec<Moves>,
+    pool: Vec<Moves>,
+}
+
+fn fresh(pool: &mut Vec<Moves>) -> Moves {
+    let mut m = pool.pop().unwrap_or_default();
+    m.labels.clear();
+    m.slots.clear();
+    m
+}
+
+/// Every leaf state the product has reached, numbered in order of
+/// discovery, and the moves of those it has fired, in the arena's emission
+/// order: leaf state `l` is the term `terms[l]` and moves along
+/// `edges[memo[l]]`. Numbering keeps the memo as small as the leaf state
+/// space, however large a shared arena has grown.
+#[derive(Debug, Default)]
+struct LeafMoves {
+    terms: Vec<TermId>,
+    numbers: HashMap<TermId, u32>,
+    memo: Vec<(u32, u32)>,
+    edges: Vec<(Label, u32)>,
+}
+
+impl LeafMoves {
+    const UNFIRED: (u32, u32) = (u32::MAX, 0);
+
+    /// The number of leaf term `t`, numbering it if it is new.
+    fn number(&mut self, t: TermId) -> u32 {
+        *self.numbers.entry(t).or_insert_with(|| {
+            self.terms.push(t);
+            self.memo.push(Self::UNFIRED);
+            (self.terms.len() - 1) as u32
+        })
+    }
+
+    /// The range of `edges` holding the moves of leaf state `l`, firing its
+    /// term (at recursion depth `depth`) if no state has reached it yet.
+    fn fire(
+        &mut self,
+        arena: &mut TermArena,
+        defs: &Definitions,
+        l: u32,
+        depth: usize,
+    ) -> Result<(u32, u32), CspError> {
+        let l = l as usize;
+        if self.memo[l] != Self::UNFIRED {
+            return Ok(self.memo[l]);
+        }
+        let lo = self.edges.len() as u32;
+        for (label, t) in arena.transitions_at(self.terms[l], defs, depth)? {
+            let next = self.number(t);
+            self.edges.push((label, next));
+        }
+        self.memo[l] = (lo, self.edges.len() as u32);
+        Ok(self.memo[l])
+    }
+
+    /// A tuple stands for `Ω` only when it is a single leaf state that is
+    /// `Ω`: a composite's `Ω` is the [`OMEGA`] successor, never a tuple.
+    fn is_omega(&self, arena: &TermArena, tuple: &[u32]) -> bool {
+        matches!(tuple, [l] if matches!(arena.term(self.terms[*l as usize]), Term::Omega))
+    }
+}
+
+/// An open-addressed index from leaf tuples to the ids of the states that
+/// own them. Slots hold only ids; keys are read from the state table.
+#[derive(Debug, Default)]
+struct TupleIndex {
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl TupleIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    fn home(&self, key: &[u32]) -> usize {
+        let mut h = 0u64;
+        for &x in key {
+            h = (h.rotate_left(5) ^ u64::from(x)).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+        // Fibonacci hashing: the high bits are the well-mixed ones.
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    fn find(&self, tuples: &[u32], width: usize, key: &[u32]) -> Option<StateId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let id = self.slots[i];
+            if id == Self::EMPTY {
+                return None;
+            }
+            let at = id as usize * width;
+            if &tuples[at..at + width] == key {
+                return Some(StateId(id));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Index state `id`, whose tuple is already in `tuples`.
+    fn insert(&mut self, tuples: &[u32], width: usize, id: StateId) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let grown = vec![Self::EMPTY; (self.slots.len() * 2).max(64)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            self.len = 0;
+            for id in old.into_iter().filter(|&id| id != Self::EMPTY) {
+                self.insert(tuples, width, StateId(id));
+            }
+        }
+        let at = id.index() * width;
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(&tuples[at..at + width]);
+        while self.slots[i] != Self::EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = id.0;
+        self.len += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +687,36 @@ mod tests {
         let lts = Lts::build(Process::var(d), &defs, 100).unwrap();
         assert_eq!(lts.state_count(), 2);
         assert_eq!(lts.transition_count(), 2);
+    }
+
+    /// `NAME0 = NAME1 = … = NAME{len-1} = last`; returns `NAME0`.
+    fn chain(defs: &mut Definitions, name: &str, len: usize, last: Process) -> Process {
+        let ids: Vec<_> = (0..len)
+            .map(|i| defs.declare(&format!("{name}{i}")))
+            .collect();
+        for link in ids.windows(2) {
+            defs.define(link[0], Process::var(link[1]));
+        }
+        defs.define(ids[len - 1], last);
+        Process::var(ids[0])
+    }
+
+    #[test]
+    fn an_unfolded_root_counts_towards_its_leaves_recursion_depth() {
+        // A 100-definition root chain into `L ||| STOP`, where `L` is a
+        // 40-definition chain: each chain alone is guarded enough, but
+        // firing the root unfolds 140 definitions in one derivation.
+        let mut defs = Definitions::new();
+        let leaf = chain(&mut defs, "L", 40, Process::prefix(e(0), Process::Stop));
+        let root = chain(
+            &mut defs,
+            "R",
+            100,
+            Process::interleave(leaf, Process::Stop),
+        );
+        let want = crate::semantics::transitions(&root, &defs).unwrap_err();
+        assert!(matches!(want, CspError::UnguardedRecursion { .. }));
+        assert_eq!(Lts::build(root, &defs, 100).unwrap_err(), want);
     }
 
     #[test]

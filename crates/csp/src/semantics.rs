@@ -490,7 +490,7 @@ mod interrupt_timeout_tests {
             .find(|(l, _)| l.is_tick())
             .map(|&(_, t)| t)
             .expect("tick available");
-        assert_eq!(lts.state(tick_target), &Process::Omega);
+        assert!(lts.is_omega(tick_target));
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! Hash-consed process terms: structural sharing with O(1) equality.
 //!
-//! [`Lts::build`](crate::lts::Lts::build) historically keyed its visited set
-//! by whole [`Process`] trees, re-hashing every subtree each time a successor
-//! was looked up. A [`TermArena`] interns each distinct subterm exactly once
-//! and hands out a small copyable [`TermId`], so
+//! A [`TermArena`] interns each distinct subterm exactly once and hands out
+//! a small copyable [`TermId`], so
 //!
-//! * equality and hashing of states are single word comparisons,
+//! * equality and hashing of terms are single word comparisons,
 //! * structurally shared subterms are stored once, and
 //! * the firing rules ([`TermArena::transitions`]) return successor *ids*
 //!   instead of cloned trees.
 //!
+//! [`Lts::build_in`](crate::lts::Lts::build_in) uses the arena for the
+//! *leaves* of a process — the components below its parallel spine: each
+//! leaf state is a term here, fired once. Composite states are tuples of
+//! leaf ids kept by the LTS, not terms of the arena.
+//!
 //! The firing rules here mirror [`crate::semantics::transitions`] arm for
-//! arm, including the order in which successors are emitted; the explicit
-//! LTS built over ids is therefore state-for-state identical (numbering and
-//! edge lists included) to one built over raw `Process` trees. The property
+//! arm, including the order in which successors are emitted, which is what
+//! keeps an explicit LTS state-for-state identical (numbering and edge
+//! lists included) to one built over raw `Process` trees. The property
 //! tests in `tests/term_prop.rs` pin this down.
 //!
 //! An arena memoises the bodies of named definitions by [`DefId`], so one
@@ -116,8 +119,6 @@ pub struct TermArena {
     set_index: HashMap<Arc<EventSet>, SetId>,
     maps: Vec<Arc<RenameMap>>,
     map_index: HashMap<Arc<RenameMap>, MapId>,
-    /// Memoised materialisation of each term back into a `Process`.
-    procs: Vec<Option<Arc<Process>>>,
     /// Memoised interning of definition bodies, indexed by `DefId`.
     def_terms: Vec<Option<TermId>>,
 }
@@ -161,7 +162,6 @@ impl TermArena {
         let id = TermId(self.terms.len() as u32);
         self.terms.push(t.clone());
         self.term_index.insert(t, id);
-        self.procs.push(None);
         id
     }
 
@@ -224,58 +224,47 @@ impl TermArena {
         self.mk(t)
     }
 
-    /// Materialise a term back into a `Process` tree, memoised per id so
-    /// shared subterms come back as shared [`Arc`]s.
-    pub fn process_of(&mut self, id: TermId) -> Arc<Process> {
-        if let Some(p) = &self.procs[id.index()] {
-            return Arc::clone(p);
-        }
-        let term = self.terms[id.index()].clone();
-        let p = match term {
+    /// Materialise a term back into a `Process` tree.
+    pub fn process_of(&self, id: TermId) -> Arc<Process> {
+        let p = match self.term(id) {
             Term::Stop => Process::Stop,
             Term::Skip => Process::Skip,
             Term::Omega => Process::Omega,
-            Term::Prefix(e, rest) => Process::Prefix(e, self.process_of(rest)),
+            Term::Prefix(e, rest) => Process::Prefix(*e, self.process_of(*rest)),
             Term::ExternalChoice(children) => {
-                Process::ExternalChoice(children.into_iter().map(|c| self.process_of(c)).collect())
+                Process::ExternalChoice(children.iter().map(|&c| self.process_of(c)).collect())
             }
             Term::InternalChoice(children) => {
-                Process::InternalChoice(children.into_iter().map(|c| self.process_of(c)).collect())
+                Process::InternalChoice(children.iter().map(|&c| self.process_of(c)).collect())
             }
             Term::Seq(first, second) => {
-                Process::Seq(self.process_of(first), self.process_of(second))
+                Process::Seq(self.process_of(*first), self.process_of(*second))
             }
-            Term::Parallel { sync, left, right } => {
-                let sync = Arc::clone(&self.sets[sync.index()]);
-                Process::Parallel {
-                    sync,
-                    left: self.process_of(left),
-                    right: self.process_of(right),
-                }
-            }
-            Term::Hide(inner, hidden) => {
-                let hidden = Arc::clone(&self.sets[hidden.index()]);
-                Process::Hide(self.process_of(inner), hidden)
-            }
+            Term::Parallel { sync, left, right } => Process::Parallel {
+                sync: Arc::clone(&self.sets[sync.index()]),
+                left: self.process_of(*left),
+                right: self.process_of(*right),
+            },
+            Term::Hide(inner, hidden) => Process::Hide(
+                self.process_of(*inner),
+                Arc::clone(&self.sets[hidden.index()]),
+            ),
             Term::Rename(inner, map) => {
-                let map = Arc::clone(&self.maps[map.index()]);
-                Process::Rename(self.process_of(inner), map)
+                Process::Rename(self.process_of(*inner), Arc::clone(&self.maps[map.index()]))
             }
             Term::Interrupt(left, right) => {
-                Process::Interrupt(self.process_of(left), self.process_of(right))
+                Process::Interrupt(self.process_of(*left), self.process_of(*right))
             }
             Term::Timeout(left, right) => {
-                Process::Timeout(self.process_of(left), self.process_of(right))
+                Process::Timeout(self.process_of(*left), self.process_of(*right))
             }
-            Term::Var(d) => Process::Var(d),
+            Term::Var(d) => Process::Var(*d),
         };
-        let arc = Arc::new(p);
-        self.procs[id.index()] = Some(Arc::clone(&arc));
-        arc
+        Arc::new(p)
     }
 
     /// The interned body of definition `d`, memoised per arena.
-    fn def_term(&mut self, d: DefId, defs: &Definitions) -> Result<TermId, CspError> {
+    pub(crate) fn def_term(&mut self, d: DefId, defs: &Definitions) -> Result<TermId, CspError> {
         let idx = d.index();
         if self.def_terms.len() <= idx {
             self.def_terms.resize(idx + 1, None);
@@ -309,7 +298,8 @@ impl TermArena {
         self.transitions_at(id, defs, 0)
     }
 
-    fn transitions_at(
+    /// [`TermArena::transitions`] `depth` definition unfoldings deep.
+    pub(crate) fn transitions_at(
         &mut self,
         id: TermId,
         defs: &Definitions,

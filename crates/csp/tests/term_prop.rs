@@ -2,12 +2,17 @@
 //! process-tree semantics: for randomly generated processes, the arena's
 //! id-based firing rules must produce the same transitions, in the same
 //! order, as [`csp::semantics::transitions`], and [`csp::Lts::build`]
-//! (which runs on the arena) must match a reference BFS driven by the tree
-//! semantics state for state and edge for edge.
+//! (which composes leaf states fired on the arena) must match a reference
+//! BFS driven by the tree semantics state for state and edge for edge —
+//! over closed processes, and over recursive definition tables whose root
+//! is a `Var` chain into a parallel spine.
 
 use std::collections::HashMap;
 
-use csp::{semantics, Definitions, EventId, EventSet, Label, Lts, Process, RenameMap, TermArena};
+use csp::{
+    semantics, CspError, DefId, Definitions, EventId, EventSet, Label, Lts, Process, RenameMap,
+    TermArena,
+};
 use proptest::prelude::*;
 
 fn e(n: usize) -> EventId {
@@ -60,10 +65,121 @@ fn arb_process(depth: u32) -> BoxedStrategy<Process> {
     .boxed()
 }
 
+/// The `i`-th definition declared in any table.
+fn def(i: usize) -> DefId {
+    let mut defs = Definitions::new();
+    (0..=i)
+        .map(|_| defs.declare("_"))
+        .last()
+        .expect("i + 1 declarations")
+}
+
+/// `D0..D2` of every table [`arb_model`] builds are sequential; `D3`
+/// composes two of them in parallel.
+const SEQUENTIAL: usize = 3;
+
+fn arb_events(len: std::ops::Range<usize>) -> impl Strategy<Value = EventSet> {
+    proptest::collection::vec(0usize..4, len).prop_map(|es| es.into_iter().map(e).collect())
+}
+
+/// A sequential definition body: an external or internal choice of one or
+/// two guarded branches, each one or two events (optionally followed by
+/// `;`) into a call of a sequential definition, `SKIP` or `STOP`.
+fn arb_sequential() -> BoxedStrategy<Process> {
+    let tail = prop_oneof![
+        (0..SEQUENTIAL).prop_map(|i| Process::var(def(i))),
+        Just(Process::Skip),
+        Just(Process::Stop),
+    ];
+    let branch = (
+        proptest::collection::vec(0usize..4, 1..3),
+        tail,
+        any::<bool>(),
+    )
+        .prop_map(|(es, tail, seq)| {
+            let events = es.into_iter().map(e);
+            if seq {
+                Process::seq(Process::prefix_chain(events, Process::Skip), tail)
+            } else {
+                Process::prefix_chain(events, tail)
+            }
+        });
+    (proptest::collection::vec(branch, 1..3), any::<bool>())
+        .prop_map(|(branches, internal)| {
+            if internal {
+                Process::internal_choice_all(branches)
+            } else {
+                Process::external_choice_all(branches)
+            }
+        })
+        .boxed()
+}
+
+/// A `Parallel` over two `operand`s with a random sync set, bare or under
+/// a random `Hide` or `Rename`.
+fn arb_composite(operand: BoxedStrategy<Process>) -> BoxedStrategy<Process> {
+    let par = (operand.clone(), operand, arb_events(0..3))
+        .prop_map(|(p, q, sync)| Process::parallel(sync, p, q))
+        .boxed();
+    prop_oneof![
+        par.clone(),
+        (par.clone(), arb_events(1..3)).prop_map(|(p, hidden)| Process::hide(p, hidden)),
+        (par, proptest::collection::vec((0usize..4, 0usize..4), 1..3)).prop_map(|(p, pairs)| {
+            let mut map = RenameMap::new();
+            for (from, to) in pairs {
+                map.insert(e(from), e(to));
+            }
+            Process::rename(p, map)
+        }),
+    ]
+    .boxed()
+}
+
+/// A random recursive model: sequential `D0..D2`, `D3 = Di [| A |] Dj`,
+/// and a root `Var` chain `R0 = R1 = ...` of one to three definitions whose
+/// last body is a spine of `Parallel`, `Hide` and `Rename` over `Var`,
+/// `SKIP` and `STOP` leaves.
+fn arb_model() -> impl Strategy<Value = (Definitions, Process)> {
+    // Four leaves in six call `D0..D3`.
+    let leaf = (0..SEQUENTIAL + 3).prop_map(|i| match i {
+        i if i <= SEQUENTIAL => Process::var(def(i)),
+        i if i == SEQUENTIAL + 1 => Process::Skip,
+        _ => Process::Stop,
+    });
+    let spine = arb_composite(leaf.prop_recursive(1, 8, 2, arb_composite));
+    let composed = (0..SEQUENTIAL, 0..SEQUENTIAL, arb_events(0..3));
+    (
+        proptest::collection::vec(arb_sequential(), SEQUENTIAL..SEQUENTIAL + 1),
+        composed,
+        spine,
+        1usize..4,
+    )
+        .prop_map(|(bodies, (i, j, sync), spine, chain)| {
+            let mut defs = Definitions::new();
+            for (k, body) in bodies.into_iter().enumerate() {
+                defs.add(&format!("D{k}"), body);
+            }
+            let composed = Process::parallel(sync, Process::var(def(i)), Process::var(def(j)));
+            defs.add("D3", composed);
+            let chain: Vec<DefId> = (0..chain).map(|k| defs.declare(&format!("R{k}"))).collect();
+            for link in chain.windows(2) {
+                defs.define(link[0], Process::var(link[1]));
+            }
+            defs.define(*chain.last().expect("a non-empty chain"), spine);
+            (defs, Process::var(chain[0]))
+        })
+}
+
 /// Reference LTS construction driven purely by the tree semantics: BFS with
 /// the visited set keyed on structural [`Process`] equality, edges sorted
-/// and deduplicated exactly as [`Lts::build`] does.
-fn reference_lts(root: &Process, defs: &Definitions) -> (Vec<Process>, Vec<Vec<(Label, usize)>>) {
+/// and deduplicated exactly as [`Lts::build`] does. `None` beyond `cap`
+/// states.
+#[allow(clippy::type_complexity)]
+fn reference_lts(
+    root: &Process,
+    defs: &Definitions,
+    cap: usize,
+) -> Option<(Vec<Process>, Vec<Vec<(Label, usize)>>)> {
     let mut states: Vec<Process> = vec![root.clone()];
     let mut index: HashMap<Process, usize> = HashMap::new();
     index.insert(root.clone(), 0);
@@ -77,6 +193,9 @@ fn reference_lts(root: &Process, defs: &Definitions) -> (Vec<Process>, Vec<Vec<(
             let id = match index.get(&succ) {
                 Some(&id) => id,
                 None => {
+                    if states.len() == cap {
+                        return None;
+                    }
                     let id = states.len();
                     index.insert(succ.clone(), id);
                     states.push(succ);
@@ -91,7 +210,7 @@ fn reference_lts(root: &Process, defs: &Definitions) -> (Vec<Process>, Vec<Vec<(
         out[frontier] = edges;
         frontier += 1;
     }
-    (states, out)
+    Some((states, out))
 }
 
 proptest! {
@@ -128,19 +247,45 @@ proptest! {
     #[test]
     fn lts_build_matches_reference_bfs(p in arb_process(4)) {
         let defs = Definitions::new();
-        let (ref_states, ref_edges) = reference_lts(&p, &defs);
+        let (ref_states, ref_edges) = reference_lts(&p, &defs, usize::MAX).expect("uncapped");
         let lts = Lts::build(p, &defs, 100_000).expect("finite process");
+        matches_reference(&lts, &ref_states, &ref_edges)?;
+    }
 
-        prop_assert_eq!(lts.state_count(), ref_states.len());
-        for (i, expected) in ref_states.iter().enumerate() {
-            let s = csp::StateId::from_index(i);
-            prop_assert_eq!(lts.state(s), expected);
-            let got: Vec<(Label, usize)> = lts
-                .edges(s)
-                .iter()
-                .map(|&(l, t)| (l, t.index()))
-                .collect();
-            prop_assert_eq!(&got, &ref_edges[i]);
+    #[test]
+    fn lts_build_matches_reference_bfs_over_recursive_definitions(
+        (defs, root) in arb_model(),
+        cut in 0usize..1_000_000,
+    ) {
+        let reference = reference_lts(&root, &defs, 4_000);
+        prop_assume!(reference.is_some());
+        let (ref_states, ref_edges) = reference.expect("assumed");
+        let lts = Lts::build(root.clone(), &defs, 100_000).expect("finite model");
+        matches_reference(&lts, &ref_states, &ref_edges)?;
+
+        // Any bound below the reference count is exceeded, and reported as
+        // that bound (the initial state is always admitted).
+        if ref_states.len() > 1 {
+            let limit = cut % ref_states.len();
+            let err = Lts::build(root, &defs, limit).expect_err("bound below the state count");
+            prop_assert_eq!(err, CspError::StateSpaceExceeded { limit });
         }
     }
+}
+
+/// State count, numbering, every edge list and every Ω bit of `lts` equal
+/// the reference BFS's.
+fn matches_reference(
+    lts: &Lts,
+    ref_states: &[Process],
+    ref_edges: &[Vec<(Label, usize)>],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(lts.state_count(), ref_states.len());
+    for (i, expected) in ref_states.iter().enumerate() {
+        let s = csp::StateId::from_index(i);
+        prop_assert_eq!(lts.is_omega(s), matches!(expected, Process::Omega));
+        let got: Vec<(Label, usize)> = lts.edges(s).iter().map(|&(l, t)| (l, t.index())).collect();
+        prop_assert_eq!(&got, &ref_edges[i]);
+    }
+    Ok(())
 }

@@ -516,7 +516,7 @@ impl Checker {
     pub fn deadlock_free_compiled(&self, lts: &Lts) -> Verdict {
         let deadlocked: Vec<bool> = lts
             .state_ids()
-            .map(|s| lts.is_terminal(s) && !matches!(lts.state(s), Process::Omega))
+            .map(|s| lts.is_terminal(s) && !lts.is_omega(s))
             .collect();
         self.deadlock_free_with_flags(lts, &deadlocked)
     }
@@ -963,8 +963,7 @@ pub(crate) fn refine_zero_one_resumable(
         let (s, n) = pair;
 
         if model == RefinementModel::Failures {
-            let omega = matches!(impl_lts.state(s), Process::Omega);
-            if let Some(kind) = probe.violation(spec, n, impl_lts.edges(s), omega) {
+            if let Some(kind) = probe.violation(spec, n, impl_lts.edges(s), impl_lts.is_omega(s)) {
                 return Ok((
                     Verdict::Fail(Counterexample::new(ex.trace_to(idx), kind)),
                     None,
@@ -1420,6 +1419,27 @@ mod fd_and_compression_tests {
         b.compress(true);
         let compressed = b.build().trace_refinement(&spec, &imp, &defs).unwrap();
         assert_eq!(plain.is_pass(), compressed.is_pass());
+    }
+
+    #[test]
+    fn compression_keeps_a_deadlock_apart_from_termination() {
+        // a -> SKIP [] c -> b -> STOP: after ⟨c, b⟩ it deadlocks. That STOP
+        // and the Ω after ⟨a, ✓⟩ both have no edges, yet are not bisimilar.
+        let defs = Definitions::new();
+        let p = Process::external_choice(
+            Process::prefix(e(0), Process::Skip),
+            Process::prefix(e(2), Process::prefix(e(1), Process::Stop)),
+        );
+        let plain = Checker::new().deadlock_free(&p, &defs).unwrap();
+        let mut b = CheckerBuilder::new();
+        b.compress(true);
+        let compressed = b.build().deadlock_free(&p, &defs).unwrap();
+        let cex = plain
+            .counterexample()
+            .expect("the plain checker finds the deadlock");
+        assert_eq!(cex.trace(), &csp::Trace::from_events([e(2), e(1)]));
+        assert_eq!(cex.kind(), &FailureKind::Deadlock);
+        assert_eq!(compressed, plain);
     }
 
     #[test]

@@ -400,21 +400,11 @@ fn refine_csr_resumable(
     let start = Instant::now();
     let threads = threads.clamp(1, MAX_THREADS);
     let budget = Budget::start(options);
-    // Ω-ness is the one per-state fact the failures probe needs that the
-    // CSR snapshot does not carry; precompute it once so workers never
-    // touch the term arena.
-    let omega: Vec<bool> = match model {
-        RefinementModel::Traces => Vec::new(),
-        RefinementModel::Failures => (0..impl_lts.state_count())
-            .map(|i| matches!(impl_lts.state(StateId::from_index(i)), Process::Omega))
-            .collect(),
-    };
     let outcome = explore(
         norm,
+        impl_lts,
         csr,
-        impl_lts.initial(),
         model,
-        &omega,
         threads,
         checker.max_product(),
         &budget,
@@ -587,10 +577,9 @@ impl Drop for PanicGuard<'_> {
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn explore(
     norm: &NormalisedLts,
+    impl_lts: &Lts,
     csr: &CsrEdges,
-    impl_initial: StateId,
     model: RefinementModel,
-    omega: &[bool],
     threads: usize,
     max_product: usize,
     budget: &Budget,
@@ -647,7 +636,7 @@ fn explore(
             }
         }
         None => {
-            let (s, n) = (impl_initial, norm.initial());
+            let (s, n) = (impl_lts.initial(), norm.initial());
             shared.insert((s, n));
             shared.discovered.store(1, Ordering::Relaxed);
             shared.pending.store(1, Ordering::Relaxed);
@@ -671,7 +660,7 @@ fn explore(
                     norm,
                     csr,
                     model,
-                    omega,
+                    impl_lts,
                     probe: FailureProbe::new(norm),
                     stats: WorkerStats::default(),
                 };
@@ -809,8 +798,8 @@ struct WorkerCtx<'a> {
     norm: &'a NormalisedLts,
     csr: &'a CsrEdges,
     model: RefinementModel,
-    /// Ω-flags per implementation state (empty in trace mode).
-    omega: &'a [bool],
+    /// The implementation, read only for its Ω bits: `csr` holds its edges.
+    impl_lts: &'a Lts,
     /// Per-worker scratch row for the word-level refusal test.
     probe: FailureProbe,
     stats: WorkerStats,
@@ -912,7 +901,7 @@ impl WorkerCtx<'_> {
         // runs when it dequeues a pair. A refusal violation's witness is
         // the path *to* the pair, so its depth is exactly `task.vlen`.
         if self.model == RefinementModel::Failures {
-            let omega = self.omega[task.s.index()];
+            let omega = self.impl_lts.is_omega(task.s);
             if self
                 .probe
                 .violation(self.norm, task.n, self.csr.edges(task.s), omega)
@@ -1109,10 +1098,9 @@ mod tests {
         let csr = impl_lts.to_csr();
         let (violation, exhausted, frontier, _) = explore(
             &norm,
+            &impl_lts,
             &csr,
-            impl_lts.initial(),
             RefinementModel::Traces,
-            &[],
             4,
             1_000_000,
             &Budget::unbounded(),

@@ -30,12 +30,10 @@
 //! (dead pid, or an ancient stamp) and stolen with an [`STALE_LOCK`]
 //! warning, so one crash never wedges every later writer.
 //!
-//! Only the *transition structure* of an [`Lts`] is persisted, plus a
-//! per-state Ω flag; every other state term is rehydrated as a
-//! placeholder. This is sound because Ω-ness is the only state-term
-//! property any checking path reads (deadlock detection and the `✓`
-//! handling in refinement) — the CSR snapshot, normalisation and both
-//! engines consume edges only.
+//! An [`Lts`] is persisted whole: its transition structure plus its Ω
+//! bitset, which is all an [`Lts`] holds. State terms are not part of a
+//! compiled model; Ω-ness is the only state fact any checking path reads
+//! (deadlock detection and the `✓` handling in refinement).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -576,7 +574,7 @@ fn encode_lts(enc: &mut Enc, lts: &Lts) {
     enc.u32(n as u32);
     let mut omega = vec![0u8; n.div_ceil(8)];
     for s in lts.state_ids() {
-        if matches!(lts.state(s), Process::Omega) {
+        if lts.is_omega(s) {
             omega[s.index() / 8] |= 1 << (s.index() % 8);
         }
     }
@@ -637,19 +635,7 @@ fn decode_lts(dec: &mut Dec<'_>) -> DecResult<Lts> {
         }
         transitions.push(edges);
     }
-    let states: Vec<Process> = omega
-        .into_iter()
-        // Only Ω-ness is observable through the checking API; every other
-        // state term is a placeholder (see the module docs).
-        .map(|is_omega| {
-            if is_omega {
-                Process::Omega
-            } else {
-                Process::Stop
-            }
-        })
-        .collect();
-    Ok(Lts::from_parts(states, transitions))
+    Ok(Lts::from_parts(&omega, transitions))
 }
 
 // Normal forms are stored in the flat CSR/bitset layout the checker runs
@@ -1746,7 +1732,7 @@ mod tests {
     fn sample_lts() -> Lts {
         // 0 --a--> 1 --tick--> 2(Ω), plus a tau self-ish edge 0 --tau--> 1.
         Lts::from_parts(
-            vec![Process::Stop, Process::Stop, Process::Omega],
+            &[false, false, true],
             vec![
                 vec![
                     (Label::Tau, StateId::from_index(1)),
@@ -1783,10 +1769,7 @@ mod tests {
         assert_eq!(back.state_count(), lts.state_count());
         for s in lts.state_ids() {
             assert_eq!(back.edges(s), lts.edges(s));
-            assert_eq!(
-                matches!(back.state(s), Process::Omega),
-                matches!(lts.state(s), Process::Omega),
-            );
+            assert_eq!(back.is_omega(s), lts.is_omega(s));
         }
         assert_eq!(cache.disk_hits(), 1);
         assert_eq!(cache.disk_misses(), 0);
@@ -1908,7 +1891,7 @@ mod tests {
     #[test]
     fn norm_roundtrips_verbatim() {
         let lts = Lts::from_parts(
-            vec![Process::Stop, Process::Stop, Process::Omega],
+            &[false, false, true],
             vec![
                 vec![
                     (Label::Event(e(0)), StateId::from_index(1)),

@@ -310,12 +310,7 @@ impl StoreInner {
             return Arc::clone(analysis);
         }
         self.analysis_misses += 1;
-        let lts = model.lts();
-        let omega: Vec<bool> = lts
-            .state_ids()
-            .map(|s| matches!(lts.state(s), Process::Omega))
-            .collect();
-        let analysis = Arc::new(GraphAnalysis::of_csr(model.csr(), &omega));
+        let analysis = Arc::new(GraphAnalysis::of_csr(model.csr(), model.lts()));
         self.analysed.insert(key, Arc::clone(&analysis));
         analysis
     }
