@@ -42,24 +42,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use csp::{Definitions, EventSet, Process};
-use fdrlite::{CheckStats, Checker, Verdict};
+use fdrlite::{CheckRequest, CheckStats, Checker, ModelStore, RefinementModel, Verdict};
 use ota::system::OtaSystem;
 
-/// Which refinement check a sweep times.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BenchModel {
-    Traces,
-    Failures,
-    FailuresDivergences,
-}
-
-impl BenchModel {
-    fn tag(self) -> &'static str {
-        match self {
-            BenchModel::Traces => "T",
-            BenchModel::Failures => "F",
-            BenchModel::FailuresDivergences => "FD",
-        }
+/// The assertion tag of a model, as in `[T=`.
+fn tag(model: RefinementModel) -> &'static str {
+    match model {
+        RefinementModel::Traces => "T",
+        RefinementModel::Failures => "F",
+        RefinementModel::FailuresDivergences => "FD",
     }
 }
 
@@ -69,6 +60,25 @@ struct Workload {
     impl_: Process,
     /// Expected product size for the passing variant, `None` for failing.
     expect_pairs: Option<u64>,
+}
+
+/// Check `workload` in `model` through `store` on `threads` workers,
+/// without budgets.
+fn check(
+    store: &ModelStore,
+    workload: &Workload,
+    model: RefinementModel,
+    threads: usize,
+) -> Result<(Verdict, CheckStats), fdrlite::CheckError> {
+    let request = CheckRequest {
+        model,
+        spec: &workload.spec,
+        impl_: &workload.impl_,
+        defs: &workload.defs,
+        threads,
+        options: fdrlite::CheckOptions::UNBOUNDED,
+    };
+    store.check(&Checker::new(), &request)
 }
 
 /// `k` interleaved copies of the OTA update dialogue against `RUN` over
@@ -149,39 +159,9 @@ struct Point {
 /// so compilation, normalisation and (for `[FD=`) the cached
 /// `GraphAnalysis` divergence bits are off the clock — the sweep times the
 /// product exploration the way `autocsp check --threads` dispatches it.
-fn measure(workload: &Workload, model: BenchModel, threads: usize, reps: u32) -> Point {
-    let checker = Checker::new();
-    let store = fdrlite::ModelStore::new();
-    let options = fdrlite::CheckOptions::UNBOUNDED;
-    let run = || -> (Verdict, CheckStats) {
-        let res = match model {
-            BenchModel::Traces => store.trace_refinement(
-                &checker,
-                &workload.spec,
-                &workload.impl_,
-                &workload.defs,
-                threads,
-                &options,
-            ),
-            BenchModel::Failures => store.failures_refinement(
-                &checker,
-                &workload.spec,
-                &workload.impl_,
-                &workload.defs,
-                threads,
-                &options,
-            ),
-            BenchModel::FailuresDivergences => store.failures_divergences_refinement(
-                &checker,
-                &workload.spec,
-                &workload.impl_,
-                &workload.defs,
-                threads,
-                &options,
-            ),
-        };
-        res.expect("refinement succeeds")
-    };
+fn measure(workload: &Workload, model: RefinementModel, threads: usize, reps: u32) -> Point {
+    let store = ModelStore::new();
+    let run = || check(&store, workload, model, threads).expect("refinement succeeds");
     let _ = run(); // warm: compile + normalise + analysis now cached
 
     let mut best: Option<(u128, Verdict, CheckStats)> = None;
@@ -227,19 +207,9 @@ struct StoreProbe {
 /// compiles everything, the warm run must be served entirely from cache
 /// (zero misses, near-zero compile wall) with a verbatim-equal verdict.
 fn probe_store(workload: &Workload, threads: usize) -> StoreProbe {
-    let checker = Checker::new();
-    let store = fdrlite::ModelStore::new();
-    let options = fdrlite::CheckOptions::UNBOUNDED;
+    let store = ModelStore::new();
     let run = || {
-        store
-            .trace_refinement(
-                &checker,
-                &workload.spec,
-                &workload.impl_,
-                &workload.defs,
-                threads,
-                &options,
-            )
+        check(&store, workload, RefinementModel::Traces, threads)
             .expect("store refinement succeeds")
     };
     let (cold_verdict, cold) = run();
@@ -271,21 +241,9 @@ struct NormProbe {
 /// through the same store must report it as zero (normal form served from
 /// cache, no rebuild).
 fn probe_normalise(workload: &Workload) -> NormProbe {
-    let checker = Checker::new();
-    let store = fdrlite::ModelStore::new();
-    let options = fdrlite::CheckOptions::UNBOUNDED;
-    let run = || {
-        store
-            .failures_refinement(
-                &checker,
-                &workload.spec,
-                &workload.impl_,
-                &workload.defs,
-                1,
-                &options,
-            )
-            .expect("refinement succeeds")
-    };
+    let store = ModelStore::new();
+    let run =
+        || check(&store, workload, RefinementModel::Failures, 1).expect("refinement succeeds");
     let (_, cold) = run();
     let (_, warm) = run();
     let probe = NormProbe {
@@ -325,25 +283,20 @@ struct DiskProbe {
 fn probe_disk(workload: &Workload, threads: usize) -> DiskProbe {
     let dir = env::temp_dir().join(format!("fdrlite-bench-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let checker = Checker::new();
-    let options = fdrlite::CheckOptions::UNBOUNDED;
     let run = |cache: &Arc<fdrlite::PersistentCache>| {
-        let store = fdrlite::ModelStore::new();
+        let store = ModelStore::new();
         store.set_persist(fdrlite::PersistConfig {
             cache: Arc::clone(cache),
             checkpoint_every: None,
             resume: fdrlite::ResumePolicy::Off,
         });
-        store
-            .failures_divergences_refinement(
-                &checker,
-                &workload.spec,
-                &workload.impl_,
-                &workload.defs,
-                threads,
-                &options,
-            )
-            .expect("disk-backed refinement succeeds")
+        check(
+            &store,
+            workload,
+            RefinementModel::FailuresDivergences,
+            threads,
+        )
+        .expect("disk-backed refinement succeeds")
     };
     let cold_cache = Arc::new(fdrlite::PersistentCache::open(&dir).expect("cache opens"));
     let (cold_verdict, cold) = run(&cold_cache);
@@ -451,36 +404,18 @@ fn probe_supervise(workload: &Workload, jobs: u32) -> SuperviseProbe {
     use fdrlite::supervisor::{JobError, JobReport, JobStatus};
     use service::supervisor as sup;
 
-    let checker = Checker::new();
-    let store = fdrlite::ModelStore::new();
-    let options = fdrlite::CheckOptions::UNBOUNDED;
+    let store = ModelStore::new();
     // Warm the store first: both loops then measure per-check dispatch,
     // not one-off compilation.
-    let (expected, _) = store
-        .trace_refinement(
-            &checker,
-            &workload.spec,
-            &workload.impl_,
-            &workload.defs,
-            1,
-            &options,
-        )
-        .expect("warm-up refinement succeeds");
+    let (expected, _) =
+        check(&store, workload, RefinementModel::Traces, 1).expect("warm-up refinement succeeds");
     let expected_pass = expected.is_pass();
 
     let started = Instant::now();
     let mut bare_agree = true;
     for _ in 0..jobs {
-        let (v, _) = store
-            .trace_refinement(
-                &checker,
-                &workload.spec,
-                &workload.impl_,
-                &workload.defs,
-                1,
-                &options,
-            )
-            .expect("bare refinement succeeds");
+        let (v, _) =
+            check(&store, workload, RefinementModel::Traces, 1).expect("bare refinement succeeds");
         bare_agree &= v == expected;
     }
     let bare_us = started.elapsed().as_micros().max(1);
@@ -521,15 +456,7 @@ fn probe_supervise(workload: &Workload, jobs: u32) -> SuperviseProbe {
         if job.name.ends_with(['0', '2', '4', '6', '8']) && ctx.attempt == 1 {
             return Err(JobError::Transient("injected (bench chaos)".into()));
         }
-        let (v, _) = store
-            .trace_refinement(
-                &checker,
-                &workload.spec,
-                &workload.impl_,
-                &workload.defs,
-                1,
-                &fdrlite::CheckOptions::UNBOUNDED,
-            )
+        let (v, _) = check(&store, workload, RefinementModel::Traces, 1)
             .map_err(|e| JobError::Permanent(e.to_string()))?;
         Ok(JobReport {
             status: if v.is_pass() {
@@ -592,7 +519,7 @@ fn main() -> ExitCode {
         "refinement_scaling: scale={scale} (5^{scale} pairs), reps={reps}, threads={threads:?}"
     );
 
-    let sweep = |workload: &Workload, model: BenchModel, expect_pass: bool| -> Vec<Point> {
+    let sweep = |workload: &Workload, model: RefinementModel, expect_pass: bool| -> Vec<Point> {
         threads
             .iter()
             .map(|&t| {
@@ -601,11 +528,11 @@ fn main() -> ExitCode {
                     p.pass,
                     expect_pass,
                     "[{}=: workload verdict flipped at {t} threads",
-                    model.tag()
+                    tag(model)
                 );
                 eprintln!(
                     "  [{:>2}= {} threads={:<2} wall={:>9} µs  cex_len={:?}",
-                    model.tag(),
+                    tag(model),
                     if expect_pass { "pass" } else { "fail" },
                     t,
                     p.wall_us_min,
@@ -631,12 +558,12 @@ fn main() -> ExitCode {
     let failing = failing_workload(scale);
     let chaos = chaos_workload(scale);
 
-    let pass_points = sweep(&passing, BenchModel::Traces, true);
-    let fail_points = sweep(&failing, BenchModel::Traces, false);
-    let pass_f_points = sweep(&chaos, BenchModel::Failures, true);
-    let fail_f_points = sweep(&failing, BenchModel::Failures, false);
-    let pass_fd_points = sweep(&chaos, BenchModel::FailuresDivergences, true);
-    let fail_fd_points = sweep(&failing, BenchModel::FailuresDivergences, false);
+    let pass_points = sweep(&passing, RefinementModel::Traces, true);
+    let fail_points = sweep(&failing, RefinementModel::Traces, false);
+    let pass_f_points = sweep(&chaos, RefinementModel::Failures, true);
+    let fail_f_points = sweep(&failing, RefinementModel::Failures, false);
+    let pass_fd_points = sweep(&chaos, RefinementModel::FailuresDivergences, true);
+    let fail_fd_points = sweep(&failing, RefinementModel::FailuresDivergences, false);
 
     let cex_agree = assert_cex_agree(&fail_points, "T")
         && assert_cex_agree(&fail_f_points, "F")

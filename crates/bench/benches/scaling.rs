@@ -77,8 +77,18 @@ fn parallel_vs_serial(c: &mut Criterion) {
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
+                let request = fdrlite::CheckRequest {
+                    model: fdrlite::RefinementModel::Traces,
+                    spec: &run,
+                    impl_: &system,
+                    defs: &defs,
+                    threads,
+                    options: fdrlite::CheckOptions::UNBOUNDED,
+                };
+                // A fresh store per iteration: compiled like the serial run.
                 b.iter(|| {
-                    fdrlite::parallel::trace_refinement(&checker, &run, &system, &defs, threads)
+                    fdrlite::ModelStore::new()
+                        .check(&checker, &request)
                         .unwrap()
                 });
             },

@@ -54,6 +54,13 @@ fn attacked_requirements(c: &mut Criterion) {
                             study.definitions(),
                         )
                         .unwrap(),
+                    RefinementModel::FailuresDivergences => checker
+                        .failures_divergences_refinement(
+                            &sc.requirement.spec,
+                            &sc.requirement.scoped_system,
+                            study.definitions(),
+                        )
+                        .unwrap(),
                 };
                 assert!(!verdict.is_pass());
                 verdict

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use csp::{Alphabet, Definitions, Process};
-use fdrlite::{CheckStats, Checker, ModelStore, Verdict};
+use fdrlite::{CheckRequest, CheckStats, Checker, ModelStore, RefinementModel, Verdict};
 
 use crate::ast::{Assertion, Decl, Module, PropKind, RefModel};
 use crate::error::CspmError;
@@ -152,12 +152,11 @@ pub struct AssertionResult {
 #[derive(Debug, Clone)]
 pub struct CheckOptions {
     /// Worker threads for refinement assertions (`[T=`, `[F=` and `[FD=`
-    /// alike). `1` (the default) uses the serial engine; anything larger
-    /// routes the product walk through
-    /// [`fdrlite::parallel`]. Verdicts and counterexamples are identical
-    /// either way — the parallel engine's witness recovery is canonical —
-    /// *except* when a budget below is exhausted mid-run (see
-    /// [`fdrlite::CheckOptions`]).
+    /// alike), passed to [`ModelStore::check`]: `1` (the default) runs the
+    /// serial engine, anything larger the work-stealing one. Verdicts and
+    /// counterexamples are identical either way — the work-stealing
+    /// engine's witness recovery is canonical — *except* when a budget
+    /// below is exhausted mid-run (see [`fdrlite::CheckOptions`]).
     pub threads: usize,
     /// Collect [`CheckStats`] for assertions that support it.
     pub collect_stats: bool,
@@ -327,32 +326,20 @@ impl LoadedScript {
         let mut stats = None;
         let verdict = match &assertion.kind {
             ResolvedCheck::Refinement { model, spec, impl_ } => {
-                let (verdict, s) = match model {
-                    RefModel::Traces => store.trace_refinement(
-                        checker,
-                        spec,
-                        impl_,
-                        &self.defs,
-                        options.threads,
-                        &options.budget(),
-                    )?,
-                    RefModel::Failures => store.failures_refinement(
-                        checker,
-                        spec,
-                        impl_,
-                        &self.defs,
-                        options.threads,
-                        &options.budget(),
-                    )?,
-                    RefModel::FailuresDivergences => store.failures_divergences_refinement(
-                        checker,
-                        spec,
-                        impl_,
-                        &self.defs,
-                        options.threads,
-                        &options.budget(),
-                    )?,
+                let model = match model {
+                    RefModel::Traces => RefinementModel::Traces,
+                    RefModel::Failures => RefinementModel::Failures,
+                    RefModel::FailuresDivergences => RefinementModel::FailuresDivergences,
                 };
+                let request = CheckRequest {
+                    model,
+                    spec,
+                    impl_,
+                    defs: &self.defs,
+                    threads: options.threads,
+                    options: options.budget(),
+                };
+                let (verdict, s) = store.check(checker, &request)?;
                 if options.collect_stats {
                     stats = Some(s);
                 }

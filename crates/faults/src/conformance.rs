@@ -19,7 +19,10 @@
 use canoe_sim::{TraceEntry, TraceEvent};
 use csp::Process;
 use cspm::LoadedScript;
-use fdrlite::{CheckError, CheckOptions, Checker, Counterexample, ModelStore, Verdict};
+use fdrlite::{
+    CheckError, CheckOptions, CheckRequest, Checker, Counterexample, ModelStore, RefinementModel,
+    Verdict,
+};
 use std::fmt;
 
 use crate::plan::{ConformanceSpec, MapOn, MapRule};
@@ -194,14 +197,15 @@ pub fn check_lifted_with(
     };
 
     let trace_process = Process::prefix_chain(ids, Process::Stop);
-    let (verdict, _) = store.trace_refinement(
-        checker,
+    let request = CheckRequest {
+        model: RefinementModel::Traces,
         spec,
-        &trace_process,
-        loaded.definitions(),
-        1,
-        &CheckOptions::UNBOUNDED,
-    )?;
+        impl_: &trace_process,
+        defs: loaded.definitions(),
+        threads: 1,
+        options: CheckOptions::UNBOUNDED,
+    };
+    let (verdict, _) = store.check(checker, &request)?;
     Ok(ConformanceReport {
         spec: spec_name.to_string(),
         events: events.to_vec(),

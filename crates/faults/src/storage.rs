@@ -384,13 +384,16 @@ mod tests {
             csp::Process::prefix(csp::EventId::from_index(1), csp::Process::Stop),
         );
         let (verdict, _) = store
-            .trace_refinement(
+            .check(
                 &checker,
-                &a,
-                &a,
-                &defs,
-                1,
-                &fdrlite::CheckOptions::UNBOUNDED,
+                &fdrlite::CheckRequest {
+                    model: fdrlite::RefinementModel::Traces,
+                    spec: &a,
+                    impl_: &a,
+                    defs: &defs,
+                    threads: 1,
+                    options: fdrlite::CheckOptions::UNBOUNDED,
+                },
             )
             .expect("check runs");
         assert!(verdict.is_pass(), "P ⊑T P holds regardless of cache faults");

@@ -73,6 +73,24 @@ impl Budget {
         }
     }
 
+    /// This budget with another state limit and the same wall-clock
+    /// deadline: one checkpoint slice of a check whose clock keeps running
+    /// across its slices.
+    pub(crate) fn with_max_states(self, max_states: Option<u64>) -> Budget {
+        Budget { max_states, ..self }
+    }
+
+    /// A fresh instance of this budget: the same limits, with the wall
+    /// clock restarted now.
+    pub(crate) fn restarted(&self) -> Budget {
+        Budget {
+            max_states: self.max_states,
+            wall: self
+                .wall
+                .map(|(_, ms)| (Instant::now() + Duration::from_millis(ms), ms)),
+        }
+    }
+
     /// Is the state budget exhausted with `discovered` states known?
     pub(crate) fn states_exceeded(&self, discovered: u64) -> Option<BudgetReason> {
         match self.max_states {
@@ -256,6 +274,9 @@ impl Checker {
 
     /// Check `spec ⊑T impl_` (trace refinement).
     ///
+    /// A failing verdict carries a counterexample of minimum visible-trace
+    /// length (states are explored in 0-1 BFS order).
+    ///
     /// # Errors
     ///
     /// Compilation or exploration exceeded its bound.
@@ -265,10 +286,7 @@ impl Checker {
         impl_: &Process,
         defs: &Definitions,
     ) -> Result<Verdict, CheckError> {
-        let spec_lts = self.compile(spec, defs)?;
-        let norm = self.normalise(&spec_lts)?;
-        let impl_lts = self.compile(impl_, defs)?;
-        self.refine(&norm, &impl_lts, RefinementModel::Traces)
+        self.refinement(RefinementModel::Traces, spec, impl_, defs)
     }
 
     /// Check `spec ⊑F impl_` (stable-failures refinement).
@@ -282,10 +300,7 @@ impl Checker {
         impl_: &Process,
         defs: &Definitions,
     ) -> Result<Verdict, CheckError> {
-        let spec_lts = self.compile(spec, defs)?;
-        let norm = self.normalise(&spec_lts)?;
-        let impl_lts = self.compile(impl_, defs)?;
-        self.refine(&norm, &impl_lts, RefinementModel::Failures)
+        self.refinement(RefinementModel::Failures, spec, impl_, defs)
     }
 
     /// Check `spec ⊑FD impl_` (failures-divergences refinement).
@@ -304,200 +319,39 @@ impl Checker {
         impl_: &Process,
         defs: &Definitions,
     ) -> Result<Verdict, CheckError> {
-        let divergence = self.divergence_free(impl_, defs)?;
-        if !divergence.is_pass() {
-            return Ok(divergence);
-        }
-        self.failures_refinement(spec, impl_, defs)
+        self.refinement(RefinementModel::FailuresDivergences, spec, impl_, defs)
     }
 
-    /// Refinement of a pre-compiled implementation against a pre-normalised
-    /// specification. Useful when one spec is checked against many
-    /// implementations (or vice versa).
-    ///
-    /// A failing verdict carries a counterexample of minimum visible-trace
-    /// length (states are explored in 0-1 BFS order).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::ProductExceeded`] if the product grows past its bound.
-    pub fn refine(
+    /// The store-free reference for [`crate::ModelStore::check`]: compile
+    /// the implementation (an `[FD=` check refutes a divergent one here),
+    /// then compile and normalise the spec, then walk the product serially
+    /// without budgets.
+    fn refinement(
         &self,
-        spec: &NormalisedLts,
-        impl_lts: &Lts,
         model: RefinementModel,
+        spec: &Process,
+        impl_: &Process,
+        defs: &Definitions,
     ) -> Result<Verdict, CheckError> {
-        let mut stats = CheckStats::default();
+        let impl_lts = self.compile(impl_, defs)?;
+        if model == RefinementModel::FailuresDivergences {
+            let divergence = self.divergence_free_compiled(&impl_lts);
+            if !divergence.is_pass() {
+                return Ok(divergence);
+            }
+        }
+        let norm = self.normalise(&self.compile(spec, defs)?)?;
         refine_zero_one(
-            spec,
-            impl_lts,
-            model,
+            &norm,
+            &impl_lts,
+            model.walk(),
             self.max_product,
             None,
             &Budget::unbounded(),
-            &mut stats,
-        )
-    }
-
-    /// Like [`Checker::refine`], also returning the exploration's
-    /// [`CheckStats`].
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::ProductExceeded`] if the product grows past its bound.
-    pub fn refine_with_stats(
-        &self,
-        spec: &NormalisedLts,
-        impl_lts: &Lts,
-        model: RefinementModel,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
-        self.refine_with_options(spec, impl_lts, model, &CheckOptions::UNBOUNDED)
-    }
-
-    /// Like [`Checker::refine_with_stats`], under the resource budgets of
-    /// `options`. Exhausting a budget yields [`Verdict::Inconclusive`]
-    /// (stats attached), never a panic or an unbounded run.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::ProductExceeded`] if the product grows past its hard
-    /// bound before any budget is reached.
-    pub fn refine_with_options(
-        &self,
-        spec: &NormalisedLts,
-        impl_lts: &Lts,
-        model: RefinementModel,
-        options: &CheckOptions,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
-        self.refine_with_options_resumable(spec, impl_lts, model, options, None)
-            .map(|(verdict, _, stats)| (verdict, stats))
-    }
-
-    /// [`Checker::refine_with_options`] with checkpoint/resume: pass
-    /// `resume` to continue an interrupted exploration, and receive the
-    /// continuation frontier alongside any [`Verdict::Inconclusive`]. See
-    /// [`refine_zero_one_resumable`] for the exact-continuation contract.
-    pub(crate) fn refine_with_options_resumable(
-        &self,
-        spec: &NormalisedLts,
-        impl_lts: &Lts,
-        model: RefinementModel,
-        options: &CheckOptions,
-        resume: Option<&SerialFrontier>,
-    ) -> Result<(Verdict, Option<SerialFrontier>, CheckStats), CheckError> {
-        let start = Instant::now();
-        let mut stats = CheckStats {
-            threads: 1,
-            shards: 1,
-            ..CheckStats::default()
-        };
-        let budget = Budget::start(options);
-        let (verdict, frontier) = refine_zero_one_resumable(
-            spec,
-            impl_lts,
-            model,
-            self.max_product,
+            &mut CheckStats::default(),
             None,
-            &budget,
-            &mut stats,
-            resume,
-        )?;
-        stats.shard_peak = stats.pairs_discovered;
-        stats.wall = start.elapsed();
-        stats.cpu_busy = stats.wall;
-        stats.explore_wall = stats.wall;
-        Ok((verdict, frontier, stats))
-    }
-
-    /// Like [`Checker::trace_refinement`], also returning the exploration's
-    /// [`CheckStats`] (compilation and normalisation are not counted).
-    ///
-    /// # Errors
-    ///
-    /// Compilation or exploration exceeded its bound.
-    pub fn trace_refinement_with_stats(
-        &self,
-        spec: &Process,
-        impl_: &Process,
-        defs: &Definitions,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
-        self.trace_refinement_with_options(spec, impl_, defs, &CheckOptions::UNBOUNDED)
-    }
-
-    /// Like [`Checker::trace_refinement_with_stats`], under the resource
-    /// budgets of `options` (see [`CheckOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// Compilation or exploration exceeded a hard bound.
-    pub fn trace_refinement_with_options(
-        &self,
-        spec: &Process,
-        impl_: &Process,
-        defs: &Definitions,
-        options: &CheckOptions,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
-        let compile_start = Instant::now();
-        let spec_lts = self.compile(spec, defs)?;
-        let norm_start = Instant::now();
-        let norm = self.normalise(&spec_lts)?;
-        let normalise_wall = norm_start.elapsed();
-        let impl_lts = self.compile(impl_, defs)?;
-        let compile_wall = compile_start.elapsed();
-        let (verdict, mut stats) =
-            self.refine_with_options(&norm, &impl_lts, RefinementModel::Traces, options)?;
-        stats.compile_wall = compile_wall;
-        stats.normalise_wall = normalise_wall;
-        Ok((verdict, stats))
-    }
-
-    /// Like [`Checker::failures_refinement`], under the resource budgets of
-    /// `options` (see [`CheckOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// Compilation or exploration exceeded a hard bound.
-    pub fn failures_refinement_with_options(
-        &self,
-        spec: &Process,
-        impl_: &Process,
-        defs: &Definitions,
-        options: &CheckOptions,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
-        let compile_start = Instant::now();
-        let spec_lts = self.compile(spec, defs)?;
-        let norm_start = Instant::now();
-        let norm = self.normalise(&spec_lts)?;
-        let normalise_wall = norm_start.elapsed();
-        let impl_lts = self.compile(impl_, defs)?;
-        let compile_wall = compile_start.elapsed();
-        let (verdict, mut stats) =
-            self.refine_with_options(&norm, &impl_lts, RefinementModel::Failures, options)?;
-        stats.compile_wall = compile_wall;
-        stats.normalise_wall = normalise_wall;
-        Ok((verdict, stats))
-    }
-
-    /// Like [`Checker::failures_divergences_refinement`], under the resource
-    /// budgets of `options`. The divergence phase runs unbudgeted (it is
-    /// linear in the implementation LTS); the failures phase honours the
-    /// budgets.
-    ///
-    /// # Errors
-    ///
-    /// Compilation or exploration exceeded a hard bound.
-    pub fn failures_divergences_refinement_with_options(
-        &self,
-        spec: &Process,
-        impl_: &Process,
-        defs: &Definitions,
-        options: &CheckOptions,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
-        let divergence = self.divergence_free(impl_, defs)?;
-        if !divergence.is_pass() {
-            return Ok((divergence, CheckStats::default()));
-        }
-        self.failures_refinement_with_options(spec, impl_, defs, options)
+        )
+        .map(|(verdict, _)| verdict)
     }
 
     /// Is `p` deadlock free? A deadlock is a reachable state with no
@@ -508,24 +362,18 @@ impl Checker {
     /// Compilation exceeded its bound.
     pub fn deadlock_free(&self, p: &Process, defs: &Definitions) -> Result<Verdict, CheckError> {
         let lts = self.compile(p, defs)?;
-        Ok(self.deadlock_free_compiled(&lts))
-    }
-
-    /// [`Checker::deadlock_free`] over an already-compiled LTS (e.g. one
-    /// served by a [`crate::ModelStore`]).
-    pub fn deadlock_free_compiled(&self, lts: &Lts) -> Verdict {
         let deadlocked: Vec<bool> = lts
             .state_ids()
             .map(|s| lts.is_terminal(s) && !lts.is_omega(s))
             .collect();
-        self.deadlock_free_with_flags(lts, &deadlocked)
+        Ok(self.deadlock_free_with_flags(&lts, &deadlocked))
     }
 
-    /// [`Checker::deadlock_free_compiled`] with the per-state deadlock
-    /// flags precomputed (e.g. by a cached
+    /// [`Checker::deadlock_free`] over a compiled LTS with the per-state
+    /// deadlock flags precomputed (e.g. by a cached
     /// [`csp::analysis::GraphAnalysis`]). The witness search — and
     /// therefore the verdict and counterexample — is identical.
-    pub fn deadlock_free_with_flags(&self, lts: &Lts, deadlocked: &[bool]) -> Verdict {
+    pub(crate) fn deadlock_free_with_flags(&self, lts: &Lts, deadlocked: &[bool]) -> Verdict {
         let reach = Reachability::explore(lts);
         for (idx, &s) in reach.order.iter().enumerate() {
             if deadlocked[s.index()] {
@@ -548,9 +396,8 @@ impl Checker {
         Ok(self.divergence_free_compiled(&lts))
     }
 
-    /// [`Checker::divergence_free`] over an already-compiled LTS (e.g. one
-    /// served by a [`crate::ModelStore`]).
-    pub fn divergence_free_compiled(&self, lts: &Lts) -> Verdict {
+    /// [`Checker::divergence_free`] over an already-compiled LTS.
+    fn divergence_free_compiled(&self, lts: &Lts) -> Verdict {
         let divergent = crate::normalise::divergent_states_of(lts);
         self.divergence_free_with_flags(lts, &divergent)
     }
@@ -561,7 +408,7 @@ impl Checker {
     /// with the *same* shared [`csp::analysis::tau_divergence`] routine).
     /// The witness search — and therefore the verdict and counterexample —
     /// is identical.
-    pub fn divergence_free_with_flags(&self, lts: &Lts, divergent: &[bool]) -> Verdict {
+    pub(crate) fn divergence_free_with_flags(&self, lts: &Lts, divergent: &[bool]) -> Verdict {
         let reach = Reachability::explore(lts);
         for (idx, &s) in reach.order.iter().enumerate() {
             if divergent[s.index()] {
@@ -590,7 +437,7 @@ impl Checker {
     /// [`Checker::deterministic`] over an already-normalised LTS (e.g. one
     /// served by a [`crate::ModelStore`]). The check runs entirely on the
     /// normal form.
-    pub fn deterministic_compiled(&self, norm: &NormalisedLts) -> Verdict {
+    pub(crate) fn deterministic_compiled(&self, norm: &NormalisedLts) -> Verdict {
         // BFS over the normal form with parent tracking for witness traces.
         let mut parents: Vec<(u32, Option<EventId>)> = vec![(0, None)];
         let mut order: Vec<NormNodeId> = vec![norm.initial()];
@@ -639,6 +486,21 @@ pub enum RefinementModel {
     Traces,
     /// Stable failures (`⊑F`).
     Failures,
+    /// Failures-divergences (`⊑FD`): divergence-freedom of the
+    /// implementation, then the stable-failures walk.
+    FailuresDivergences,
+}
+
+impl RefinementModel {
+    /// The model the product walk runs in. An `[FD=` check is refuted by
+    /// a divergence before any product exists, so its walk, its check
+    /// identity and its checkpoints are those of `[F=`.
+    pub(crate) fn walk(self) -> RefinementModel {
+        match self {
+            RefinementModel::FailuresDivergences => RefinementModel::Failures,
+            other => other,
+        }
+    }
 }
 
 /// The stable-failures violation test, shared verbatim by the serial and
@@ -870,7 +732,8 @@ impl Explorer {
 }
 
 /// Serial product exploration in 0-1 BFS order (`τ` = 0, visible = 1), so
-/// the first violation found has minimum visible-trace length.
+/// the first violation found has minimum visible-trace length. `model` is
+/// a walk model ([`RefinementModel::walk`]).
 ///
 /// With `bound: Some(l)`, exploration never queues a pair beyond visible
 /// depth `l`. When a violation at depth ≤ `l` is known to exist (the
@@ -878,40 +741,16 @@ impl Explorer {
 /// the ≤ `l` sphere of the product without changing which violation is
 /// found first — the expansion order of in-bound nodes is identical to the
 /// unbounded walk's.
-pub(crate) fn refine_zero_one(
-    spec: &NormalisedLts,
-    impl_lts: &Lts,
-    model: RefinementModel,
-    max_product: usize,
-    bound: Option<u32>,
-    budget: &Budget,
-    stats: &mut CheckStats,
-) -> Result<Verdict, CheckError> {
-    refine_zero_one_resumable(
-        spec,
-        impl_lts,
-        model,
-        max_product,
-        bound,
-        budget,
-        stats,
-        None,
-    )
-    .map(|(verdict, _)| verdict)
-}
-
-/// [`refine_zero_one`] with checkpoint/resume: pass `resume` to continue an
-/// interrupted exploration, and receive the continuation frontier alongside
-/// any `Inconclusive` verdict.
 ///
-/// The frontier is an *exact* continuation — node arena, pair map and deque
-/// order are restored verbatim — so interrupt + resume reaches a verdict
-/// (including the counterexample trace and the final state count)
-/// bit-identical to an uninterrupted run. Callers must validate the
-/// frontier against these exact models first
-/// ([`SerialFrontier::validate`]).
+/// Pass `resume` to continue an interrupted exploration; an `Inconclusive`
+/// verdict comes back with the continuation frontier. The frontier is an
+/// *exact* continuation — node arena, pair map and deque order are
+/// restored verbatim — so interrupt + resume reaches a verdict (including
+/// the counterexample trace and the final state count) bit-identical to an
+/// uninterrupted run. Callers must validate the frontier against these
+/// exact models first ([`SerialFrontier::validate`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_zero_one_resumable(
+pub(crate) fn refine_zero_one(
     spec: &NormalisedLts,
     impl_lts: &Lts,
     model: RefinementModel,
@@ -1075,6 +914,28 @@ mod tests {
 
     fn checker() -> Checker {
         Checker::new()
+    }
+
+    /// A budgeted check at one thread: the serial engine under `options`.
+    fn budgeted(
+        model: RefinementModel,
+        spec: &Process,
+        impl_: &Process,
+        options: CheckOptions,
+    ) -> (Verdict, CheckStats) {
+        crate::ModelStore::new()
+            .check(
+                &checker(),
+                &crate::CheckRequest {
+                    model,
+                    spec,
+                    impl_,
+                    defs: &Definitions::new(),
+                    threads: 1,
+                    options,
+                },
+            )
+            .unwrap()
     }
 
     #[test]
@@ -1254,15 +1115,12 @@ mod tests {
 
     #[test]
     fn serial_state_budget_degrades_to_inconclusive() {
-        let defs = Definitions::new();
         let spec = Process::prefix_chain((0..100).map(e), Process::Stop);
         let options = CheckOptions {
             max_states: Some(10),
             max_wall_ms: None,
         };
-        let (v, stats) = checker()
-            .trace_refinement_with_options(&spec, &spec.clone(), &defs, &options)
-            .unwrap();
+        let (v, stats) = budgeted(RefinementModel::Traces, &spec, &spec, options);
         let inc = v.inconclusive().expect("must be inconclusive");
         assert_eq!(
             inc.reason,
@@ -1275,15 +1133,12 @@ mod tests {
 
     #[test]
     fn serial_zero_wall_budget_degrades_to_inconclusive() {
-        let defs = Definitions::new();
         let spec = Process::prefix_chain((0..100).map(e), Process::Stop);
         let options = CheckOptions {
             max_states: None,
             max_wall_ms: Some(0),
         };
-        let (v, _) = checker()
-            .trace_refinement_with_options(&spec, &spec.clone(), &defs, &options)
-            .unwrap();
+        let (v, _) = budgeted(RefinementModel::Traces, &spec, &spec, options);
         assert!(
             matches!(
                 v,
@@ -1298,27 +1153,21 @@ mod tests {
 
     #[test]
     fn serial_violation_found_within_budget_stays_conclusive() {
-        let defs = Definitions::new();
         let spec = Process::prefix(e(0), Process::Stop);
         let impl_ = Process::prefix(e(0), Process::prefix(e(1), Process::Stop));
         let options = CheckOptions {
             max_states: Some(100),
             max_wall_ms: None,
         };
-        let (v, _) = checker()
-            .trace_refinement_with_options(&spec, &impl_, &defs, &options)
-            .unwrap();
+        let (v, _) = budgeted(RefinementModel::Traces, &spec, &impl_, options);
         assert!(v.counterexample().is_some(), "{v:?}");
     }
 
     #[test]
     fn unbounded_options_change_nothing() {
-        let defs = Definitions::new();
         let p = Process::prefix(e(0), Process::prefix(e(1), Process::Stop));
         assert!(!CheckOptions::UNBOUNDED.is_bounded());
-        let (v, _) = checker()
-            .trace_refinement_with_options(&p, &p.clone(), &defs, &CheckOptions::UNBOUNDED)
-            .unwrap();
+        let (v, _) = budgeted(RefinementModel::Traces, &p, &p, CheckOptions::UNBOUNDED);
         assert!(v.is_pass());
         let opts = CheckOptions {
             max_states: Some(1),
@@ -1329,20 +1178,18 @@ mod tests {
 
     #[test]
     fn budgeted_failures_refinement_is_inconclusive_not_failing() {
-        let defs = Definitions::new();
         let spec = Process::prefix_chain((0..50).map(e), Process::Stop);
         let options = CheckOptions {
             max_states: Some(5),
             max_wall_ms: None,
         };
-        let (v, _) = checker()
-            .failures_refinement_with_options(&spec, &spec.clone(), &defs, &options)
-            .unwrap();
-        assert!(v.is_inconclusive(), "{v:?}");
-        let (fd, _) = checker()
-            .failures_divergences_refinement_with_options(&spec, &spec.clone(), &defs, &options)
-            .unwrap();
-        assert!(fd.is_inconclusive(), "{fd:?}");
+        for model in [
+            RefinementModel::Failures,
+            RefinementModel::FailuresDivergences,
+        ] {
+            let (v, _) = budgeted(model, &spec, &spec, options);
+            assert!(v.is_inconclusive(), "{model:?}: {v:?}");
+        }
     }
 
     #[test]

@@ -58,8 +58,8 @@ pub struct Inconclusive {
     /// Resume token for `autocsp check --resume`, present when a persistent
     /// cache was attached and a checkpoint was written. The token is a
     /// deterministic function of the check's identity (model hashes,
-    /// semantic model, compile bounds, engine class), so re-running the
-    /// same check yields the same token.
+    /// semantic model, compile bounds), so re-running the same check, at
+    /// any thread count, yields the same token.
     pub resume: Option<String>,
 }
 

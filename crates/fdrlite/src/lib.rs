@@ -8,6 +8,8 @@
 //! * **Stable-failures refinement** (`SPEC ⊑F IMPL`):
 //!   [`Checker::failures_refinement`], FDR's next semantic model, needed to
 //!   detect a system that avoids insecure traces only by refusing to respond.
+//! * **Failures-divergences refinement** (`SPEC ⊑FD IMPL`):
+//!   [`Checker::failures_divergences_refinement`].
 //! * **Deadlock freedom**: [`Checker::deadlock_free`].
 //! * **Divergence freedom** (livelock): [`Checker::divergence_free`].
 //! * **Determinism**: [`Checker::deterministic`] (nondeterminism is how
@@ -16,6 +18,14 @@
 //! Failed checks come back as a [`Verdict::Fail`] carrying a
 //! [`Counterexample`] — the message-sequence witness the paper feeds back to
 //! software designers (Fig. 1).
+//!
+//! The `Checker` methods compile, normalise and walk the product serially,
+//! with no cache and no budget. The rest of the stack asks its refinement
+//! questions through [`ModelStore::check`] instead: it compiles through a
+//! shared cache, runs the serial engine at one thread and a work-stealing
+//! one above, honours [`CheckOptions`] budgets and, with a
+//! [`PersistConfig`], checkpoints and resumes long walks. Its verdicts and
+//! counterexamples equal the `Checker`'s at every thread count.
 //!
 //! # Example
 //!
@@ -54,11 +64,11 @@ mod counterexample;
 mod error;
 mod interrupt;
 mod normalise;
+mod parallel;
 mod stats;
 mod store;
 
 pub mod hypertrace;
-pub mod parallel;
 pub mod persist;
 pub mod properties;
 pub mod supervisor;
@@ -70,4 +80,4 @@ pub use interrupt::{clear_interrupt, interrupt_requested, request_interrupt};
 pub use normalise::{Acceptance, AcceptanceId, AcceptanceView, NormNodeId, NormalisedLts};
 pub use persist::{CheckId, PersistConfig, PersistentCache, ResumePolicy, StorageFaultHook};
 pub use stats::CheckStats;
-pub use store::{CompiledModel, ModelStore};
+pub use store::{CheckRequest, CompiledModel, ModelStore};

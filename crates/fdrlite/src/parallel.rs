@@ -25,7 +25,8 @@
 //!   first recorded violation and keeps only its visible depth `L`. The
 //!   engine then re-walks the product *bounded to depth `L`* with the
 //!   serial 0-1 BFS, which canonicalises the witness: verdicts **and**
-//!   counterexample traces are identical to [`Checker::refine`] and
+//!   counterexample traces are identical to the serial engine's (and to
+//!   [`crate::Checker::trace_refinement`] and its siblings) and
 //!   deterministic across runs and thread counts. `L` is the depth of a
 //!   real path to a violation, so a violation at depth ≤ `L` is known to
 //!   exist and the bounded walk finds the minimal one. It touches only the
@@ -38,7 +39,7 @@
 //! instead of aborting the process.
 //!
 //! One caveat is inherent to racing the product bound: when the product
-//! has *more* reachable pairs than [`Checker::max_product`] **and** also
+//! has *more* reachable pairs than [`crate::Checker::max_product`] **and** also
 //! contains a violation, the engine may deterministically report either
 //! the violation or [`CheckError::ProductExceeded`] depending on discovery
 //! order. Within the bound, results are exact and deterministic.
@@ -50,11 +51,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::{Backoff, CachePadded};
-use csp::{CsrEdges, Definitions, Label, Lts, Process, StateId};
+use csp::{CsrEdges, Label, Lts, StateId};
 
-use crate::checker::{
-    refine_zero_one, Budget, CheckOptions, Checker, FailureProbe, RefinementModel,
-};
+use crate::checker::{refine_zero_one, Budget, FailureProbe, RefinementModel};
 use crate::counterexample::{BudgetReason, Inconclusive, Verdict};
 use crate::error::CheckError;
 use crate::normalise::{NormNodeId, NormalisedLts};
@@ -65,233 +64,14 @@ use crate::store::CompiledModel;
 type Pair = (StateId, NormNodeId);
 
 /// Most workers the engine will spawn (worker ids are reported as a `u16`).
-const MAX_THREADS: usize = 256;
+pub(crate) const MAX_THREADS: usize = 256;
 
-/// Check `spec ⊑T impl_` using `threads` worker threads.
+/// Refine a compiled implementation against a normalised spec on `threads`
+/// workers, in walk model `model` ([`RefinementModel::walk`]), under
+/// `budget`. Pass `resume` to continue an interrupted exploration; an
+/// `Inconclusive` verdict comes back with the continuation frontier.
 ///
-/// Semantically identical to [`Checker::trace_refinement`]: the verdict and
-/// the counterexample (trace *and* failure kind) are the same, for any
-/// thread count, on every run.
-///
-/// # Errors
-///
-/// Propagates compilation/normalisation failures and bound violations from
-/// the underlying checker; a worker panic surfaces as
-/// [`CheckError::Internal`].
-pub fn trace_refinement(
-    checker: &Checker,
-    spec: &Process,
-    impl_: &Process,
-    defs: &Definitions,
-    threads: usize,
-) -> Result<Verdict, CheckError> {
-    trace_refinement_with_stats(checker, spec, impl_, defs, threads).map(|(v, _)| v)
-}
-
-/// Like [`trace_refinement`], also returning the exploration's
-/// [`CheckStats`] (compilation and normalisation are not counted).
-///
-/// # Errors
-///
-/// As for [`trace_refinement`].
-pub fn trace_refinement_with_stats(
-    checker: &Checker,
-    spec: &Process,
-    impl_: &Process,
-    defs: &Definitions,
-    threads: usize,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    trace_refinement_with_options(
-        checker,
-        spec,
-        impl_,
-        defs,
-        threads,
-        &CheckOptions::UNBOUNDED,
-    )
-}
-
-/// Like [`trace_refinement_with_stats`], under the resource budgets of
-/// `options` (see [`CheckOptions`]). Exhausting a budget yields
-/// [`Verdict::Inconclusive`]; a violation discovered before exhaustion is
-/// still recovered and reported as a conclusive [`Verdict::Fail`] whenever
-/// the canonical re-walk also fits in a fresh instance of the same budget.
-///
-/// # Errors
-///
-/// As for [`trace_refinement`].
-pub fn trace_refinement_with_options(
-    checker: &Checker,
-    spec: &Process,
-    impl_: &Process,
-    defs: &Definitions,
-    threads: usize,
-    options: &CheckOptions,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    refinement_with_options(
-        checker,
-        spec,
-        impl_,
-        defs,
-        RefinementModel::Traces,
-        threads,
-        options,
-    )
-}
-
-/// Check `spec ⊑F impl_` (stable-failures refinement) using `threads`
-/// worker threads. Semantically identical to
-/// [`Checker::failures_refinement`] at any thread count, on every run.
-///
-/// # Errors
-///
-/// As for [`trace_refinement`].
-pub fn failures_refinement(
-    checker: &Checker,
-    spec: &Process,
-    impl_: &Process,
-    defs: &Definitions,
-    threads: usize,
-) -> Result<Verdict, CheckError> {
-    failures_refinement_with_options(
-        checker,
-        spec,
-        impl_,
-        defs,
-        threads,
-        &CheckOptions::UNBOUNDED,
-    )
-    .map(|(v, _)| v)
-}
-
-/// Like [`failures_refinement`], under the resource budgets of `options`,
-/// also returning the exploration's [`CheckStats`].
-///
-/// # Errors
-///
-/// As for [`trace_refinement`].
-pub fn failures_refinement_with_options(
-    checker: &Checker,
-    spec: &Process,
-    impl_: &Process,
-    defs: &Definitions,
-    threads: usize,
-    options: &CheckOptions,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    refinement_with_options(
-        checker,
-        spec,
-        impl_,
-        defs,
-        RefinementModel::Failures,
-        threads,
-        options,
-    )
-}
-
-/// Check `spec ⊑FD impl_` (failures-divergences refinement) using
-/// `threads` worker threads: divergence-freedom of the implementation
-/// (linear, via the shared τ-divergence routine) followed by a parallel
-/// stable-failures product walk. Semantically identical to
-/// [`Checker::failures_divergences_refinement`] at any thread count.
-///
-/// # Errors
-///
-/// As for [`trace_refinement`].
-pub fn failures_divergences_refinement(
-    checker: &Checker,
-    spec: &Process,
-    impl_: &Process,
-    defs: &Definitions,
-    threads: usize,
-) -> Result<Verdict, CheckError> {
-    failures_divergences_refinement_with_options(
-        checker,
-        spec,
-        impl_,
-        defs,
-        threads,
-        &CheckOptions::UNBOUNDED,
-    )
-    .map(|(v, _)| v)
-}
-
-/// Like [`failures_divergences_refinement`], under the resource budgets of
-/// `options` (the divergence phase runs unbudgeted, as in the serial
-/// checker), also returning the failures phase's [`CheckStats`].
-///
-/// # Errors
-///
-/// As for [`trace_refinement`].
-pub fn failures_divergences_refinement_with_options(
-    checker: &Checker,
-    spec: &Process,
-    impl_: &Process,
-    defs: &Definitions,
-    threads: usize,
-    options: &CheckOptions,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    let divergence = checker.divergence_free(impl_, defs)?;
-    if !divergence.is_pass() {
-        return Ok((divergence, CheckStats::default()));
-    }
-    failures_refinement_with_options(checker, spec, impl_, defs, threads, options)
-}
-
-fn refinement_with_options(
-    checker: &Checker,
-    spec: &Process,
-    impl_: &Process,
-    defs: &Definitions,
-    model: RefinementModel,
-    threads: usize,
-    options: &CheckOptions,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    let compile_start = Instant::now();
-    let spec_lts = checker.compile(spec, defs)?;
-    let norm_start = Instant::now();
-    let norm = checker.normalise(&spec_lts)?;
-    let normalise_wall = norm_start.elapsed();
-    let impl_lts = checker.compile(impl_, defs)?;
-    let compile_wall = compile_start.elapsed();
-    let (verdict, mut stats) =
-        refine_product_with_options(checker, &norm, &impl_lts, model, threads, options)?;
-    stats.compile_wall = compile_wall;
-    stats.normalise_wall = normalise_wall;
-    Ok((verdict, stats))
-}
-
-/// Parallel refinement of a pre-compiled implementation against a
-/// pre-normalised specification in the given semantic `model` — the engine
-/// core, exposed for callers (such as the benchmark harness) that amortise
-/// compilation across runs. An `[FD=` check composes this
-/// (`RefinementModel::Failures`) with a divergence-freedom pre-phase, as
-/// [`failures_divergences_refinement`] does.
-///
-/// # Errors
-///
-/// [`CheckError::ProductExceeded`] if the product grows past the checker's
-/// bound; [`CheckError::Internal`] if a worker panics.
-pub fn refine_product(
-    checker: &Checker,
-    norm: &NormalisedLts,
-    impl_lts: &Lts,
-    model: RefinementModel,
-    threads: usize,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    refine_product_with_options(
-        checker,
-        norm,
-        impl_lts,
-        model,
-        threads,
-        &CheckOptions::UNBOUNDED,
-    )
-}
-
-/// Like [`refine_product`], under the resource budgets of `options`.
-///
-/// When a budget is exhausted mid-pass:
+/// When the budget runs out mid-pass:
 ///
 /// * with no violation recorded, the verdict is [`Verdict::Inconclusive`];
 /// * with a violation recorded, the canonical re-walk runs under a *fresh*
@@ -300,117 +80,34 @@ pub fn refine_product(
 ///   regardless of how much of the product was explored); if it too runs
 ///   out, the verdict degrades to [`Verdict::Inconclusive`].
 ///
-/// Determinism across runs and thread counts is only guaranteed for
-/// unbudgeted checks: a wall-clock budget observes real time, and a state
-/// budget races discovery order between workers.
-///
-/// # Errors
-///
-/// [`CheckError::ProductExceeded`] if the product grows past the checker's
-/// bound; [`CheckError::Internal`] if a worker panics.
-pub fn refine_product_with_options(
-    checker: &Checker,
-    norm: &NormalisedLts,
-    impl_lts: &Lts,
-    model: RefinementModel,
-    threads: usize,
-    options: &CheckOptions,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    let csr = impl_lts.to_csr();
-    refine_csr_with_options(checker, norm, impl_lts, &csr, model, threads, options)
-}
-
-/// Like [`refine_product_with_options`], over a [`CompiledModel`] from a
-/// [`crate::ModelStore`] — the model's prebuilt CSR snapshot is traversed
-/// directly instead of being reflattened per call.
-///
-/// # Errors
-///
-/// As for [`refine_product_with_options`].
-pub fn refine_compiled_with_options(
-    checker: &Checker,
-    norm: &NormalisedLts,
-    compiled: &CompiledModel,
-    model: RefinementModel,
-    threads: usize,
-    options: &CheckOptions,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    refine_compiled_resumable(checker, norm, compiled, model, threads, options, None)
-        .map(|(verdict, _, stats)| (verdict, stats))
-}
-
-/// [`refine_compiled_with_options`] with checkpoint/resume: pass `resume`
-/// to continue an interrupted exploration, and receive the continuation
-/// frontier alongside any [`Verdict::Inconclusive`].
-///
 /// Unlike the serial engine's exact continuation, a parallel frontier keeps
 /// only the merged visited set, the outstanding tasks and the recorded
-/// violation depth — the verdict and counterexample are nevertheless exact,
+/// violation depth. The verdict and counterexample are nevertheless exact,
 /// because every conclusive [`Verdict::Fail`] is produced by the canonical
 /// bounded serial re-walk, never by the racing pass itself. Callers must
 /// validate the frontier against these exact models first
-/// ([`ParallelFrontier::validate`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_compiled_resumable(
-    checker: &Checker,
+/// ([`ParallelFrontier::validate`]). Determinism across runs and thread
+/// counts holds for unbudgeted checks: a wall-clock budget observes real
+/// time, and a state budget races discovery order between workers.
+///
+/// The returned stats leave `wall` and `explore_wall` to the caller.
+///
+/// # Errors
+///
+/// [`CheckError::ProductExceeded`] if the product grows past
+/// `max_product`; [`CheckError::Internal`] if a worker panics.
+pub(crate) fn refine(
     norm: &NormalisedLts,
     compiled: &CompiledModel,
     model: RefinementModel,
     threads: usize,
-    options: &CheckOptions,
+    max_product: usize,
+    budget: &Budget,
     resume: Option<&ParallelFrontier>,
 ) -> Result<(Verdict, Option<ParallelFrontier>, CheckStats), CheckError> {
-    refine_csr_resumable(
-        checker,
-        norm,
-        compiled.lts(),
-        compiled.csr(),
-        model,
-        threads,
-        options,
-        resume,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn refine_csr_with_options(
-    checker: &Checker,
-    norm: &NormalisedLts,
-    impl_lts: &Lts,
-    csr: &CsrEdges,
-    model: RefinementModel,
-    threads: usize,
-    options: &CheckOptions,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    refine_csr_resumable(checker, norm, impl_lts, csr, model, threads, options, None)
-        .map(|(verdict, _, stats)| (verdict, stats))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn refine_csr_resumable(
-    checker: &Checker,
-    norm: &NormalisedLts,
-    impl_lts: &Lts,
-    csr: &CsrEdges,
-    model: RefinementModel,
-    threads: usize,
-    options: &CheckOptions,
-    resume: Option<&ParallelFrontier>,
-) -> Result<(Verdict, Option<ParallelFrontier>, CheckStats), CheckError> {
-    let start = Instant::now();
     let threads = threads.clamp(1, MAX_THREADS);
-    let budget = Budget::start(options);
-    let outcome = explore(
-        norm,
-        impl_lts,
-        csr,
-        model,
-        threads,
-        checker.max_product(),
-        &budget,
-        resume,
-    )?;
-    let (violation, exhausted, frontier, mut stats) = outcome;
+    let (violation, exhausted, frontier, mut stats) =
+        explore(norm, compiled, model, threads, max_product, budget, resume)?;
     if exhausted.is_some() {
         stats.wall_overshoot = budget.wall_overshoot();
     }
@@ -432,19 +129,20 @@ fn refine_csr_resumable(
             // fresh budget of its own and may itself come back
             // inconclusive.
             let rewalk_budget = if exhausted.is_some() {
-                Budget::start(options)
+                budget.restarted()
             } else {
                 Budget::unbounded()
             };
             let mut rewalk = CheckStats::default();
-            let bounded = refine_zero_one(
+            let (bounded, _) = refine_zero_one(
                 norm,
-                impl_lts,
+                compiled.lts(),
                 model,
-                checker.max_product(),
+                max_product,
                 Some(depth),
                 &rewalk_budget,
                 &mut rewalk,
+                None,
             )?;
             stats.rewalk_expansions = rewalk.expansions;
             match bounded {
@@ -459,9 +157,12 @@ fn refine_csr_resumable(
             }
         }
     };
-    stats.wall = start.elapsed();
-    stats.explore_wall = stats.wall;
     Ok((verdict, frontier, stats))
+}
+
+/// The visited-set shard count for `threads` workers.
+pub(crate) fn shard_count(threads: usize) -> usize {
+    (threads.clamp(1, MAX_THREADS).next_power_of_two() * 16).clamp(16, 512)
 }
 
 /// A unit of work: one product pair to expand, with the visible depth of
@@ -574,11 +275,10 @@ impl Drop for PanicGuard<'_> {
 /// violation (`None` when none was recorded), the budget that cut the pass
 /// short and the continuation frontier (both `None` on a complete pass),
 /// and the pass's statistics.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+#[allow(clippy::type_complexity)]
 fn explore(
     norm: &NormalisedLts,
-    impl_lts: &Lts,
-    csr: &CsrEdges,
+    compiled: &CompiledModel,
     model: RefinementModel,
     threads: usize,
     max_product: usize,
@@ -593,7 +293,8 @@ fn explore(
     ),
     CheckError,
 > {
-    let shard_count = (threads.next_power_of_two() * 16).clamp(16, 512);
+    let (impl_lts, csr) = (compiled.lts(), compiled.csr());
+    let shard_count = shard_count(threads);
     let shards: Vec<CachePadded<Mutex<HashSet<Pair>>>> = (0..shard_count)
         .map(|_| CachePadded::new(Mutex::new(HashSet::new())))
         .collect();
@@ -952,11 +653,58 @@ impl WorkerCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::{CheckOptions, Checker};
     use crate::counterexample::FailureKind;
-    use csp::EventId;
+    use csp::{Definitions, EventId, Process};
 
     fn e(n: u32) -> EventId {
         EventId::from_index(n as usize)
+    }
+
+    /// The work-stealing engine on `threads` workers, from scratch, under
+    /// `options`' budgets.
+    fn work_stealing(
+        c: &Checker,
+        model: RefinementModel,
+        spec: &Process,
+        impl_: &Process,
+        defs: &Definitions,
+        threads: usize,
+        options: &CheckOptions,
+    ) -> Result<(Verdict, CheckStats), CheckError> {
+        let norm = c.normalise(&c.compile(spec, defs)?)?;
+        let compiled = CompiledModel::from_lts(c.compile(impl_, defs)?);
+        let budget = Budget::start(options);
+        refine(
+            &norm,
+            &compiled,
+            model,
+            threads,
+            c.max_product(),
+            &budget,
+            None,
+        )
+        .map(|(verdict, _, stats)| (verdict, stats))
+    }
+
+    fn traces(
+        c: &Checker,
+        spec: &Process,
+        impl_: &Process,
+        defs: &Definitions,
+        threads: usize,
+    ) -> Result<Verdict, CheckError> {
+        let unbounded = CheckOptions::UNBOUNDED;
+        work_stealing(
+            c,
+            RefinementModel::Traces,
+            spec,
+            impl_,
+            defs,
+            threads,
+            &unbounded,
+        )
+        .map(|(verdict, _)| verdict)
     }
 
     #[test]
@@ -968,7 +716,7 @@ mod tests {
         );
         let impl_ = Process::prefix(e(0), Process::Stop);
         let c = Checker::new();
-        let v = trace_refinement(&c, &spec, &impl_, &defs, 4).unwrap();
+        let v = traces(&c, &spec, &impl_, &defs, 4).unwrap();
         assert!(v.is_pass());
     }
 
@@ -978,7 +726,7 @@ mod tests {
         let spec = Process::prefix(e(0), Process::Stop);
         let impl_ = Process::prefix(e(0), Process::prefix(e(1), Process::Stop));
         let c = Checker::new();
-        let parallel = trace_refinement(&c, &spec, &impl_, &defs, 4).unwrap();
+        let parallel = traces(&c, &spec, &impl_, &defs, 4).unwrap();
         let serial = c.trace_refinement(&spec, &impl_, &defs).unwrap();
         assert_eq!(parallel, serial);
         assert!(!parallel.is_pass());
@@ -996,7 +744,16 @@ mod tests {
         let universe: csp::EventSet = (0..2 * n).map(e).collect();
         let spec = crate::properties::run(&mut specdefs, "RUN", &universe);
         let c = Checker::new();
-        let (v, stats) = trace_refinement_with_stats(&c, &spec, &impl_, &specdefs, 4).unwrap();
+        let (v, stats) = work_stealing(
+            &c,
+            RefinementModel::Traces,
+            &spec,
+            &impl_,
+            &specdefs,
+            4,
+            &CheckOptions::UNBOUNDED,
+        )
+        .unwrap();
         assert!(v.is_pass());
         assert_eq!(stats.threads, 4);
         assert_eq!(stats.pairs_discovered, 3u64.pow(7));
@@ -1035,14 +792,32 @@ mod tests {
         let universe: csp::EventSet = (0..18).map(e).collect();
         let spec = crate::properties::run(&mut specdefs, "RUN", &universe);
         let c = Checker::new();
-        let (serial, serial_stats) = c
-            .trace_refinement_with_stats(&spec, &impl_, &specdefs)
+        let (serial, serial_stats) = crate::ModelStore::new()
+            .check(
+                &c,
+                &crate::CheckRequest {
+                    model: RefinementModel::Traces,
+                    spec: &spec,
+                    impl_: &impl_,
+                    defs: &specdefs,
+                    threads: 1,
+                    options: CheckOptions::UNBOUNDED,
+                },
+            )
             .unwrap();
         assert!(serial.is_pass());
         assert_eq!(serial_stats.expansions, serial_stats.pairs_discovered);
         for threads in [1usize, 2, 4] {
-            let (v, stats) =
-                trace_refinement_with_stats(&c, &spec, &impl_, &specdefs, threads).unwrap();
+            let (v, stats) = work_stealing(
+                &c,
+                RefinementModel::Traces,
+                &spec,
+                &impl_,
+                &specdefs,
+                threads,
+                &CheckOptions::UNBOUNDED,
+            )
+            .unwrap();
             assert!(v.is_pass());
             assert_eq!(stats.pairs_discovered, serial_stats.pairs_discovered);
             assert_eq!(
@@ -1078,7 +853,7 @@ mod tests {
             &FailureKind::TraceViolation { event: Some(e(99)) }
         );
         for threads in [1usize, 2, 3, 4, 8] {
-            let par = trace_refinement(&c, &spec, &impl_, &specdefs, threads).unwrap();
+            let par = traces(&c, &spec, &impl_, &specdefs, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -1094,12 +869,10 @@ mod tests {
         let c = Checker::new();
         let spec_lts = c.compile(&spec, &defs).unwrap();
         let norm = c.normalise(&spec_lts).unwrap();
-        let impl_lts = c.compile(&impl_, &defs).unwrap();
-        let csr = impl_lts.to_csr();
+        let compiled = CompiledModel::from_lts(c.compile(&impl_, &defs).unwrap());
         let (violation, exhausted, frontier, _) = explore(
             &norm,
-            &impl_lts,
-            &csr,
+            &compiled,
             RefinementModel::Traces,
             4,
             1_000_000,
@@ -1111,8 +884,16 @@ mod tests {
         assert!(frontier.is_none());
         assert_eq!(violation, Some(2));
 
-        let (verdict, stats) =
-            refine_product(&c, &norm, &impl_lts, RefinementModel::Traces, 4).unwrap();
+        let (verdict, _, stats) = refine(
+            &norm,
+            &compiled,
+            RefinementModel::Traces,
+            4,
+            c.max_product(),
+            &Budget::unbounded(),
+            None,
+        )
+        .unwrap();
         let cex = verdict.counterexample().expect("violation expected");
         assert_eq!(cex.trace().len(), 2);
         assert!(stats.rewalk_expansions > 0);
@@ -1133,36 +914,20 @@ mod tests {
             Process::prefix(e(1), Process::Stop),
         );
         let c = Checker::new();
-        assert!(trace_refinement(&c, &spec, &impl_, &defs, 4)
-            .unwrap()
-            .is_pass());
+        assert!(traces(&c, &spec, &impl_, &defs, 4).unwrap().is_pass());
         let serial = c.failures_refinement(&spec, &impl_, &defs).unwrap();
         assert!(!serial.is_pass());
         for threads in [1usize, 2, 4, 8] {
-            let par = failures_refinement(&c, &spec, &impl_, &defs, threads).unwrap();
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_fd_reports_divergence_before_the_product() {
-        let mut defs = Definitions::new();
-        let universe = csp::EventSet::singleton(e(0));
-        let spec = crate::properties::run(&mut defs, "RUN", &universe);
-        // A hidden b-loop diverges immediately after `a`.
-        let cell = defs.declare("LOOP");
-        defs.define(cell, Process::prefix(e(1), Process::Var(cell)));
-        let impl_ = Process::hide(
-            Process::prefix(e(0), Process::Var(cell)),
-            csp::EventSet::singleton(e(1)),
-        );
-        let c = Checker::new();
-        let serial = c
-            .failures_divergences_refinement(&spec, &impl_, &defs)
+            let (par, _) = work_stealing(
+                &c,
+                RefinementModel::Failures,
+                &spec,
+                &impl_,
+                &defs,
+                threads,
+                &CheckOptions::UNBOUNDED,
+            )
             .unwrap();
-        assert!(!serial.is_pass());
-        for threads in [1usize, 4] {
-            let par = failures_divergences_refinement(&c, &spec, &impl_, &defs, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -1174,7 +939,7 @@ mod tests {
         b.max_product(4);
         let c = b.build();
         let spec = Process::prefix_chain((0..10).map(e), Process::Stop);
-        let err = trace_refinement(&c, &spec, &spec.clone(), &defs, 4).unwrap_err();
+        let err = traces(&c, &spec, &spec, &defs, 4).unwrap_err();
         assert_eq!(err, CheckError::ProductExceeded { limit: 4 });
     }
 
@@ -1225,8 +990,16 @@ mod tests {
             max_states: Some(100),
             max_wall_ms: None,
         };
-        let (v, stats) =
-            trace_refinement_with_options(&c, &spec, &impl_, &specdefs, 4, &options).unwrap();
+        let (v, stats) = work_stealing(
+            &c,
+            RefinementModel::Traces,
+            &spec,
+            &impl_,
+            &specdefs,
+            4,
+            &options,
+        )
+        .unwrap();
         let inc = v.inconclusive().expect("must be inconclusive");
         assert_eq!(inc.reason, BudgetReason::States { limit: 100 });
         assert!(inc.states_explored >= 100);
@@ -1248,8 +1021,16 @@ mod tests {
             max_states: None,
             max_wall_ms: Some(0),
         };
-        let (v, _) =
-            trace_refinement_with_options(&c, &spec, &impl_, &specdefs, 2, &options).unwrap();
+        let (v, _) = work_stealing(
+            &c,
+            RefinementModel::Traces,
+            &spec,
+            &impl_,
+            &specdefs,
+            2,
+            &options,
+        )
+        .unwrap();
         match v {
             Verdict::Inconclusive(inc) => {
                 assert_eq!(inc.reason, BudgetReason::Wall { limit_ms: 0 });
@@ -1270,7 +1051,16 @@ mod tests {
             max_states: Some(1_000),
             max_wall_ms: None,
         };
-        let (v, _) = trace_refinement_with_options(&c, &spec, &impl_, &defs, 4, &options).unwrap();
+        let (v, _) = work_stealing(
+            &c,
+            RefinementModel::Traces,
+            &spec,
+            &impl_,
+            &defs,
+            4,
+            &options,
+        )
+        .unwrap();
         let serial = c.trace_refinement(&spec, &impl_, &defs).unwrap();
         assert_eq!(v, serial);
         assert!(v.counterexample().is_some());
@@ -1281,7 +1071,16 @@ mod tests {
         let defs = Definitions::new();
         let spec = Process::prefix(e(0), Process::Stop);
         let c = Checker::new();
-        let (_, stats) = trace_refinement_with_stats(&c, &spec, &spec.clone(), &defs, 2).unwrap();
+        let (_, stats) = work_stealing(
+            &c,
+            RefinementModel::Traces,
+            &spec,
+            &spec,
+            &defs,
+            2,
+            &CheckOptions::UNBOUNDED,
+        )
+        .unwrap();
         let json = stats.to_json();
         assert!(json.contains("\"threads\":2"), "{json}");
         assert!(json.contains("\"shards\":"), "{json}");

@@ -16,9 +16,10 @@
 //! 2. **Checkpoints** — the frontier of an interrupted refinement check
 //!    (serial BFS or work-stealing parallel exploration), keyed by a
 //!    deterministic *check id* derived from both model hashes, the
-//!    semantic model, the compile bounds and the engine class. A resumed
-//!    run continues to a verdict bit-identical to an uninterrupted one;
-//!    see `docs/PERSISTENCE.md` for the exact guarantees.
+//!    semantic model and the compile bounds. A resumed run continues on
+//!    the engine that wrote the frontier, at any thread count, to a
+//!    verdict bit-identical to an uninterrupted one; see
+//!    `docs/PERSISTENCE.md` for the exact guarantees.
 //!
 //! Concurrent `autocsp` invocations may share one cache directory: writers
 //! take an advisory exclusive lock — a `store.lock` file created with
@@ -762,9 +763,10 @@ fn decode_norm(dec: &mut Dec<'_>) -> DecResult<NormalisedLts> {
 // ---------------------------------------------------------------------------
 
 /// Identity of one refinement check: both content hashes, the semantic
-/// model, the compile bounds and the engine class. Deliberately excludes
-/// the *budget* (`max_states` / `max_wall_ms` of [`crate::CheckOptions`])
-/// so a run interrupted under one budget can resume under another.
+/// model and the compile bounds. Deliberately excludes the *budget*
+/// (`max_states` / `max_wall_ms` of [`crate::CheckOptions`]) and the
+/// thread count, so a run interrupted under one budget or thread count can
+/// resume under another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CheckId(pub(crate) [u64; 2]);
 
@@ -801,7 +803,6 @@ pub(crate) struct CheckIdParts {
     pub max_norm_nodes: u64,
     pub max_product: u64,
     pub compress: bool,
-    pub parallel: bool,
 }
 
 impl CheckIdParts {
@@ -809,16 +810,21 @@ impl CheckIdParts {
         let mut h = Hasher128::new();
         h.h128(self.spec.0);
         h.h128(self.impl_.0);
-        h.u8(match self.model {
-            RefinementModel::Traces => 0,
-            RefinementModel::Failures => 1,
-        });
+        h.u8(model_tag(self.model));
         h.u64(self.max_states);
         h.u64(self.max_norm_nodes);
         h.u64(self.max_product);
         h.u8(u8::from(self.compress));
-        h.u8(u8::from(self.parallel));
         CheckId(h.finish())
+    }
+}
+
+/// The on-disk tag of a model: that of its product walk, so an `[FD=`
+/// check shares the identity and checkpoints of the `[F=` walk.
+fn model_tag(model: RefinementModel) -> u8 {
+    match model.walk() {
+        RefinementModel::Traces => 0,
+        _ => 1,
     }
 }
 
@@ -897,6 +903,24 @@ pub(crate) enum EngineFrontier {
     Parallel(ParallelFrontier),
 }
 
+impl EngineFrontier {
+    /// Structural validity against the models the resume will run over.
+    pub(crate) fn validate(&self, impl_states: usize, norm_nodes: usize) -> bool {
+        match self {
+            EngineFrontier::Serial(f) => f.validate(impl_states, norm_nodes),
+            EngineFrontier::Parallel(f) => f.validate(impl_states, norm_nodes),
+        }
+    }
+
+    /// Distinct product pairs discovered before the cut.
+    pub(crate) fn discovered(&self) -> u64 {
+        match self {
+            EngineFrontier::Serial(f) => f.pairs_discovered,
+            EngineFrontier::Parallel(f) => f.discovered,
+        }
+    }
+}
+
 /// A durable checkpoint: check identity plus the engine frontier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Checkpoint {
@@ -909,10 +933,7 @@ fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
     let mut enc = Enc::new(MAGIC_CKPT);
     enc.u64(ckpt.id.0[0]);
     enc.u64(ckpt.id.0[1]);
-    enc.u8(match ckpt.model {
-        RefinementModel::Traces => 0,
-        RefinementModel::Failures => 1,
-    });
+    enc.u8(model_tag(ckpt.model));
     match &ckpt.frontier {
         EngineFrontier::Serial(f) => {
             enc.u8(1);
@@ -2119,7 +2140,7 @@ mod tests {
     }
 
     #[test]
-    fn check_ids_separate_engine_model_and_bounds() {
+    fn check_ids_separate_model_and_bounds() {
         let base = CheckIdParts {
             spec: ModelHash([1, 2]),
             impl_: ModelHash([3, 4]),
@@ -2128,17 +2149,8 @@ mod tests {
             max_norm_nodes: 100,
             max_product: 100,
             compress: false,
-            parallel: false,
         };
         let id = base.id();
-        assert_ne!(
-            id,
-            CheckIdParts {
-                parallel: true,
-                ..base
-            }
-            .id()
-        );
         assert_ne!(
             id,
             CheckIdParts {
@@ -2154,6 +2166,19 @@ mod tests {
                 ..base
             }
             .id()
+        );
+        assert_eq!(
+            CheckIdParts {
+                model: RefinementModel::Failures,
+                ..base
+            }
+            .id(),
+            CheckIdParts {
+                model: RefinementModel::FailuresDivergences,
+                ..base
+            }
+            .id(),
+            "an [FD= check shares the identity of its [F= walk"
         );
         assert_eq!(id, base.id(), "ids must be deterministic");
     }

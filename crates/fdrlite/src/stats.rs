@@ -23,16 +23,15 @@ use std::time::Duration;
 ///   re-walk that recovers a deterministic shortest counterexample (zero
 ///   when the check passes).
 ///
-/// End-to-end entry points (`trace_refinement_with_options` and friends,
-/// and every check routed through a [`crate::ModelStore`]) additionally
-/// split their wall time into `compile_wall` (explication + normalisation,
-/// near zero on a store hit) and `explore_wall` (the product walk,
-/// including witness recovery); `normalise_wall` carves the subset
-/// construction's share out of `compile_wall` (`compile_wall` stays
-/// inclusive), and they report how many compiled artifacts the
-/// store served from cache (`store_hits`) versus built fresh
-/// (`store_misses`). Engine-level entry points that take pre-compiled
-/// artifacts leave `compile_wall` and the store counters at zero.
+/// [`crate::ModelStore::check`], which produces them, additionally splits
+/// its wall time into `compile_wall` (explication + normalisation, near
+/// zero on a store hit) and `explore_wall` (the product walk, including
+/// witness recovery); `normalise_wall` carves the subset construction's
+/// share out of `compile_wall` (`compile_wall` stays inclusive), and it
+/// reports how many compiled artifacts the store served from cache
+/// (`store_hits`) versus built fresh (`store_misses`). An `[FD=` check
+/// refuted by a divergence reports its thread count and compile wall and
+/// leaves the exploration counters at zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckStats {
     /// Worker threads used (1 for the serial engine).
@@ -80,8 +79,7 @@ pub struct CheckStats {
     /// of `compile_wall`, not an addition to it (zero when the normal form
     /// came from a warm store).
     pub normalise_wall: Duration,
-    /// Wall-clock time of the product exploration alone (equals `wall` for
-    /// engine-level runs).
+    /// Wall-clock time of the product exploration alone (equals `wall`).
     pub explore_wall: Duration,
     /// How far past the wall-clock deadline the engine ran before stopping
     /// (zero unless a wall budget tripped). The serial engine checks the

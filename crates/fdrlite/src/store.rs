@@ -11,11 +11,15 @@
 //! them, so structurally equal processes checked under equal bounds compile
 //! exactly once.
 //!
+//! The store is also where refinement is asked: [`ModelStore::check`] is
+//! the one entry point that runs the serial or the work-stealing engine,
+//! under budgets, with checkpoint/resume when persistence is attached.
+//!
 //! The store is a pure cache: every verdict, counterexample and witness
 //! trace produced through it is bit-identical to the corresponding direct
-//! [`Checker`] / [`crate::parallel`] call, at any thread count. What changes
-//! is only the [`CheckStats`] cost split — warm runs report near-zero
-//! `compile_wall` and nonzero `store_hits`.
+//! [`Checker`] call, at any thread count. What changes is only the
+//! [`CheckStats`] cost split — warm runs report near-zero `compile_wall`
+//! and nonzero `store_hits`.
 //!
 //! # Sharing one store across definitions tables
 //!
@@ -34,14 +38,14 @@ use std::time::{Duration, Instant};
 use csp::analysis::GraphAnalysis;
 use csp::{CsrEdges, Definitions, Lts, Process, TermArena, TermId};
 
-use crate::checker::{CheckOptions, Checker, RefinementModel};
+use crate::checker::{refine_zero_one, Budget, CheckOptions, Checker, RefinementModel};
 use crate::counterexample::{BudgetReason, Verdict};
 use crate::error::CheckError;
 use crate::normalise::NormalisedLts;
 use crate::parallel;
 use crate::persist::{
     content_hash, CheckId, CheckIdParts, Checkpoint, EngineFrontier, ModelHash, ModelKey,
-    NormDiskKey, PersistConfig, PersistentCache, ResumePolicy,
+    NormDiskKey, ParallelFrontier, PersistConfig, PersistentCache, ResumePolicy, SerialFrontier,
 };
 use crate::stats::CheckStats;
 
@@ -73,6 +77,25 @@ impl CompiledModel {
     pub fn csr(&self) -> &CsrEdges {
         &self.csr
     }
+}
+
+/// One refinement question for [`ModelStore::check`]: is `spec ⊑ impl_` in
+/// `model`, with both processes built under `defs`?
+#[derive(Debug, Clone, Copy)]
+pub struct CheckRequest<'a> {
+    /// The semantic model.
+    pub model: RefinementModel,
+    /// The specification.
+    pub spec: &'a Process,
+    /// The implementation.
+    pub impl_: &'a Process,
+    /// The definitions table both processes are built under.
+    pub defs: &'a Definitions,
+    /// Worker threads for the product walk: 1 runs the serial 0-1 BFS,
+    /// more the work-stealing engine.
+    pub threads: usize,
+    /// Resource budgets for the whole walk.
+    pub options: CheckOptions,
 }
 
 /// Cache key for a compiled model: the interned term plus every checker
@@ -184,7 +207,6 @@ impl StoreInner {
         impl_: &Process,
         defs: &Definitions,
         model: RefinementModel,
-        threads: usize,
     ) -> CheckId {
         let defs_id = self.defs_id(defs);
         let spec_term = self.arenas[defs_id as usize].intern(spec);
@@ -199,7 +221,6 @@ impl StoreInner {
             max_norm_nodes: checker.max_norm_nodes() as u64,
             max_product: checker.max_product() as u64,
             compress: checker.compress(),
-            parallel: threads > 1,
         }
         .id()
     }
@@ -298,13 +319,22 @@ impl StoreInner {
         Ok((norm, norm_wall))
     }
 
-    /// The SCC/divergence/deadlock classification of an already-compiled
-    /// model, cached per [`CompileKey`] so it is computed at most once per
+    /// The SCC/divergence/deadlock classification of `p`'s already-compiled
+    /// `model`, cached per [`CompileKey`] so it is computed at most once per
     /// compiled artifact. The analysis is derived data (always recomputable
     /// from the compile), so it lives in memory only and keeps its own
     /// hit/miss counters — the `hits`/`misses` pair stays a pure measure of
     /// compile/normalise work.
-    fn analysis(&mut self, key: CompileKey, model: &CompiledModel) -> Arc<GraphAnalysis> {
+    fn analysis(
+        &mut self,
+        checker: &Checker,
+        p: &Process,
+        defs: &Definitions,
+        model: &CompiledModel,
+    ) -> Arc<GraphAnalysis> {
+        let defs_id = self.defs_id(defs);
+        let term = self.arenas[defs_id as usize].intern(p);
+        let key = CompileKey::new(term, defs_id, checker);
         if let Some(analysis) = self.analysed.get(&key) {
             self.analysis_hits += 1;
             return Arc::clone(analysis);
@@ -382,9 +412,15 @@ impl ModelStore {
         self.lock().misses
     }
 
-    fn counters(&self) -> (u64, u64) {
+    /// Store hits, store misses, analysis hits, analysis misses.
+    fn counters(&self) -> [u64; 4] {
         let inner = self.lock();
-        (inner.hits, inner.misses)
+        [
+            inner.hits,
+            inner.misses,
+            inner.analysis_hits,
+            inner.analysis_misses,
+        ]
     }
 
     /// Graph analyses served from cache so far.
@@ -395,11 +431,6 @@ impl ModelStore {
     /// Graph analyses computed fresh so far.
     pub fn analysis_misses(&self) -> u64 {
         self.lock().analysis_misses
-    }
-
-    fn analysis_counters(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.analysis_hits, inner.analysis_misses)
     }
 
     /// The SCC/divergence/deadlock classification of `p`'s compiled LTS
@@ -417,13 +448,8 @@ impl ModelStore {
         p: &Process,
         defs: &Definitions,
     ) -> Result<Arc<GraphAnalysis>, CheckError> {
-        let disk = self.cache_handle();
-        let mut inner = self.lock();
-        let model = inner.compile(checker, p, defs, disk.as_deref())?;
-        let defs_id = inner.defs_id(defs);
-        let term = inner.arenas[defs_id as usize].intern(p);
-        let key = CompileKey::new(term, defs_id, checker);
-        Ok(inner.analysis(key, &model))
+        self.compile_and_analyse(checker, p, defs)
+            .map(|(_, analysis)| analysis)
     }
 
     /// Compile `p` (explicate + optional compression + CSR snapshot),
@@ -462,143 +488,108 @@ impl ModelStore {
             .map(|(norm, _)| norm)
     }
 
-    /// Check `spec ⊑T impl_` through the store. With `threads > 1` the
-    /// product exploration runs on [`parallel`]'s work-stealing engine over
-    /// the cached CSR snapshot; the verdict and counterexample are
-    /// bit-identical either way.
+    /// Check `spec ⊑ impl_` in `request.model`: the one refinement entry
+    /// point of the checking stack.
+    ///
+    /// The implementation is compiled first; an `[FD=` check then refutes
+    /// a divergent implementation from the cached [`GraphAnalysis`]
+    /// divergence bits before any product exists. Otherwise the spec's
+    /// normal form is served from the cache and the product walk runs
+    /// outside the store lock: the serial 0-1 BFS at one thread, the
+    /// work-stealing engine above. The verdict and counterexample are
+    /// bit-identical at every thread count, and to the store-free
+    /// [`Checker::trace_refinement`] and its siblings.
+    ///
+    /// The budgets of `request.options` cover the whole walk, however many
+    /// checkpoint slices it takes; exhausting one yields
+    /// [`Verdict::Inconclusive`]. With a [`PersistConfig`] attached, such a
+    /// verdict writes a checkpoint and carries its resume token, and a
+    /// conclusive one removes it. A checkpoint found under the resume
+    /// policy continues on the engine that wrote it: a work-stealing
+    /// frontier at the requested thread count, a serial one serially.
     ///
     /// The returned [`CheckStats`] carry the compile/explore wall split and
     /// the store hit/miss deltas of this call.
     ///
     /// # Errors
     ///
-    /// Compilation or exploration exceeded a hard bound.
-    pub fn trace_refinement(
+    /// Compilation or exploration exceeded a hard bound; a worker panic
+    /// surfaces as [`CheckError::Internal`].
+    pub fn check(
         &self,
         checker: &Checker,
-        spec: &Process,
-        impl_: &Process,
-        defs: &Definitions,
-        threads: usize,
-        options: &CheckOptions,
+        request: &CheckRequest<'_>,
     ) -> Result<(Verdict, CheckStats), CheckError> {
-        self.refinement(
-            checker,
+        let CheckRequest {
+            model,
             spec,
             impl_,
             defs,
             threads,
-            RefinementModel::Traces,
             options,
-        )
-    }
-
-    /// Check `spec ⊑F impl_` through the store. With `threads > 1` the
-    /// stable-failures product walk runs on [`parallel`]'s work-stealing
-    /// engine (same bit-identical verdict/counterexample guarantee as
-    /// [`ModelStore::trace_refinement`]).
-    ///
-    /// # Errors
-    ///
-    /// Compilation or exploration exceeded a hard bound.
-    pub fn failures_refinement(
-        &self,
-        checker: &Checker,
-        spec: &Process,
-        impl_: &Process,
-        defs: &Definitions,
-        threads: usize,
-        options: &CheckOptions,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
-        self.refinement(
-            checker,
-            spec,
-            impl_,
-            defs,
-            threads,
-            RefinementModel::Failures,
-            options,
-        )
-    }
-
-    /// Check `spec ⊑FD impl_` through the store: divergence-freedom of the
-    /// implementation first (over the cached compile and its cached
-    /// [`GraphAnalysis`] divergence bits), then stable-failures refinement
-    /// reusing that same compiled model — on the work-stealing engine when
-    /// `threads > 1`.
-    ///
-    /// # Errors
-    ///
-    /// Compilation or exploration exceeded a hard bound.
-    pub fn failures_divergences_refinement(
-        &self,
-        checker: &Checker,
-        spec: &Process,
-        impl_: &Process,
-        defs: &Definitions,
-        threads: usize,
-        options: &CheckOptions,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
+        } = *request;
         let persist = self.persist_config();
         let disk = persist.as_ref().map(|cfg| Arc::clone(&cfg.cache));
-        let (hits0, misses0) = self.counters();
-        let (ahits0, amisses0) = self.analysis_counters();
+        let before = self.counters();
         let compile_start = Instant::now();
-        let (impl_m, analysis) = self.compile_and_analyse(checker, impl_, defs)?;
-        let divergence = checker.divergence_free_with_flags(impl_m.lts(), analysis.divergent());
-        if !divergence.is_pass() {
-            let (hits1, misses1) = self.counters();
-            let (ahits1, amisses1) = self.analysis_counters();
+        let (impl_m, analysis) = {
+            let mut inner = self.lock();
+            let impl_m = inner.compile(checker, impl_, defs, disk.as_deref())?;
+            let analysis = (model == RefinementModel::FailuresDivergences)
+                .then(|| inner.analysis(checker, impl_, defs, &impl_m));
+            (impl_m, analysis)
+        };
+        let divergence = analysis.map_or(Verdict::Pass, |analysis| {
+            checker.divergence_free_with_flags(impl_m.lts(), analysis.divergent())
+        });
+        let (verdict, mut stats) = if divergence.is_pass() {
+            let model = model.walk();
+            let (norm, norm_wall, id) = {
+                let mut inner = self.lock();
+                let (norm, norm_wall) = inner.normalised(checker, spec, defs, disk.as_deref())?;
+                let id = persist
+                    .as_ref()
+                    .map(|_| inner.check_id(checker, spec, impl_, defs, model));
+                (norm, norm_wall, id)
+            };
+            let compile_wall = compile_start.elapsed();
+            let (verdict, mut stats) = self.engine_run(
+                checker,
+                &norm,
+                &impl_m,
+                threads,
+                model,
+                &options,
+                persist.as_ref().zip(id),
+            )?;
+            stats.compile_wall = compile_wall;
+            stats.normalise_wall = norm_wall;
+            // Sound a-priori bound on the product walk: every explored pair
+            // is (impl state, spec normal-form node).
+            stats.predicted_pairs =
+                (norm.node_count() as u64).saturating_mul(impl_m.lts().state_count() as u64);
+            (verdict, stats)
+        } else {
+            // Refuted before the product walk: report the engine shape the
+            // thread count selects, with nothing explored.
+            let threads = threads.clamp(1, parallel::MAX_THREADS);
             let stats = CheckStats {
+                threads,
+                shards: if threads > 1 {
+                    parallel::shard_count(threads)
+                } else {
+                    1
+                },
                 compile_wall: compile_start.elapsed(),
-                store_hits: hits1 - hits0,
-                store_misses: misses1 - misses0,
-                analysis_hits: ahits1 - ahits0,
-                analysis_misses: amisses1 - amisses0,
                 ..CheckStats::default()
             };
-            return Ok((divergence, stats));
-        }
-        // The divergence phase is linear and re-run fresh on resume; the
-        // stable-failures walk is the part worth checkpointing, and it
-        // shares its check identity with a plain ⊑F of the same models.
-        let (norm, norm_wall, id) = {
-            let mut inner = self.lock();
-            let (norm, norm_wall) = inner.normalised(checker, spec, defs, disk.as_deref())?;
-            let id = persist.as_ref().map(|_| {
-                inner.check_id(
-                    checker,
-                    spec,
-                    impl_,
-                    defs,
-                    RefinementModel::Failures,
-                    threads,
-                )
-            });
-            (norm, norm_wall, id)
+            (divergence, stats)
         };
-        let compile_wall = compile_start.elapsed();
-        let (verdict, mut stats) = self.engine_run(
-            checker,
-            &norm,
-            &impl_m,
-            threads,
-            RefinementModel::Failures,
-            options,
-            persist
-                .as_ref()
-                .map(|cfg| (cfg, id.expect("id with persist"))),
-        )?;
-        stats.compile_wall = compile_wall;
-        stats.normalise_wall = norm_wall;
-        stats.predicted_pairs =
-            (norm.node_count() as u64).saturating_mul(impl_m.lts().state_count() as u64);
-        let (hits1, misses1) = self.counters();
-        stats.store_hits = hits1 - hits0;
-        stats.store_misses = misses1 - misses0;
-        let (ahits1, amisses1) = self.analysis_counters();
-        stats.analysis_hits = ahits1 - ahits0;
-        stats.analysis_misses = amisses1 - amisses0;
+        let after = self.counters();
+        stats.store_hits = after[0] - before[0];
+        stats.store_misses = after[1] - before[1];
+        stats.analysis_hits = after[2] - before[2];
+        stats.analysis_misses = after[3] - before[3];
         Ok((verdict, stats))
     }
 
@@ -648,15 +639,12 @@ impl ModelStore {
         let disk = self.cache_handle();
         let mut inner = self.lock();
         let model = inner.compile(checker, p, defs, disk.as_deref())?;
-        let defs_id = inner.defs_id(defs);
-        let term = inner.arenas[defs_id as usize].intern(p);
-        let key = CompileKey::new(term, defs_id, checker);
-        let analysis = inner.analysis(key, &model);
+        let analysis = inner.analysis(checker, p, defs, &model);
         Ok((model, analysis))
     }
 
-    /// Is `p` deterministic? Normalises through the cache, then runs
-    /// [`Checker::deterministic_compiled`].
+    /// Is `p` deterministic? Normalises through the cache, then runs the
+    /// checker's determinism walk over the normal form.
     ///
     /// # Errors
     ///
@@ -671,69 +659,16 @@ impl ModelStore {
         Ok(checker.deterministic_compiled(&norm))
     }
 
-    /// Refinement of a cached spec normal form against a cached impl
-    /// compile; the engines run outside the store lock.
-    #[allow(clippy::too_many_arguments)]
-    fn refinement(
-        &self,
-        checker: &Checker,
-        spec: &Process,
-        impl_: &Process,
-        defs: &Definitions,
-        threads: usize,
-        model: RefinementModel,
-        options: &CheckOptions,
-    ) -> Result<(Verdict, CheckStats), CheckError> {
-        let persist = self.persist_config();
-        let disk = persist.as_ref().map(|cfg| Arc::clone(&cfg.cache));
-        let (hits0, misses0) = self.counters();
-        let compile_start = Instant::now();
-        let (norm, norm_wall, impl_m, id) = {
-            let mut inner = self.lock();
-            let (norm, norm_wall) = inner.normalised(checker, spec, defs, disk.as_deref())?;
-            let impl_m = inner.compile(checker, impl_, defs, disk.as_deref())?;
-            let id = persist
-                .as_ref()
-                .map(|_| inner.check_id(checker, spec, impl_, defs, model, threads));
-            (norm, norm_wall, impl_m, id)
-        };
-        let compile_wall = compile_start.elapsed();
-        let (verdict, mut stats) = self.engine_run(
-            checker,
-            &norm,
-            &impl_m,
-            threads,
-            model,
-            options,
-            persist
-                .as_ref()
-                .map(|cfg| (cfg, id.expect("id with persist"))),
-        )?;
-        stats.compile_wall = compile_wall;
-        stats.normalise_wall = norm_wall;
-        // Sound a-priori bound on the product walk: every explored pair is
-        // (impl state, spec normal-form node).
-        stats.predicted_pairs =
-            (norm.node_count() as u64).saturating_mul(impl_m.lts().state_count() as u64);
-        let (hits1, misses1) = self.counters();
-        stats.store_hits = hits1 - hits0;
-        stats.store_misses = misses1 - misses0;
-        Ok((verdict, stats))
-    }
-
-    /// Run the refinement engine (serial or work-stealing) over compiled
-    /// artifacts, with checkpoint/resume when a [`PersistConfig`] is
-    /// attached.
+    /// Run the product walk of one check in walk model `model`
+    /// ([`RefinementModel::walk`]), slice by slice.
     ///
-    /// With persistence, a run that exhausts its budget writes a checkpoint
-    /// keyed by the check's [`CheckId`] and carries the resume token in the
-    /// `Inconclusive` verdict; a conclusive verdict removes any checkpoint.
-    /// `checkpoint_every` is implemented by segmenting the *state* budget:
-    /// the engine is driven in slices of that many newly discovered product
-    /// pairs, a checkpoint is written at each slice boundary, and the run
-    /// continues in-process — the serial frontier is an exact continuation
-    /// and the parallel verdict is canonicalised by the bounded re-walk, so
-    /// segmentation never changes a verdict or counterexample.
+    /// The budget starts once; each slice gets what remains of its wall
+    /// clock. `checkpoint_every` segments the *state* budget: each slice
+    /// stops after that many newly discovered pairs, writes a checkpoint
+    /// and hands its frontier to the next slice in-process. The serial
+    /// frontier is an exact continuation and the work-stealing verdict is
+    /// canonicalised by the bounded re-walk, so slicing never changes a
+    /// verdict or counterexample. Without persistence there is one slice.
     #[allow(clippy::too_many_arguments)]
     fn engine_run(
         &self,
@@ -745,111 +680,110 @@ impl ModelStore {
         options: &CheckOptions,
         persist: Option<(&PersistConfig, CheckId)>,
     ) -> Result<(Verdict, CheckStats), CheckError> {
-        let parallel_engine = threads > 1;
-        let Some((cfg, id)) = persist else {
-            return if parallel_engine {
-                parallel::refine_compiled_with_options(
-                    checker, norm, impl_m, model, threads, options,
-                )
-            } else {
-                checker.refine_with_options(norm, impl_m.lts(), model, options)
+        let budget = Budget::start(options);
+        let serial = |slice: &Budget, resume: Option<&SerialFrontier>| {
+            let started = Instant::now();
+            let mut stats = CheckStats {
+                threads: 1,
+                shards: 1,
+                ..CheckStats::default()
             };
+            let (verdict, frontier) = refine_zero_one(
+                norm,
+                impl_m.lts(),
+                model,
+                checker.max_product(),
+                None,
+                slice,
+                &mut stats,
+                resume,
+            )?;
+            stats.shard_peak = stats.pairs_discovered;
+            stats.cpu_busy = started.elapsed();
+            Ok::<_, CheckError>((verdict, frontier.map(EngineFrontier::Serial), stats))
+        };
+        let work_stealing = |slice: &Budget, resume: Option<&ParallelFrontier>| {
+            let (verdict, frontier, stats) = parallel::refine(
+                norm,
+                impl_m,
+                model,
+                threads,
+                checker.max_product(),
+                slice,
+                resume,
+            )?;
+            Ok::<_, CheckError>((verdict, frontier.map(EngineFrontier::Parallel), stats))
         };
 
-        let cache = &cfg.cache;
-        let want_resume = match cfg.resume {
-            ResumePolicy::Off => false,
-            ResumePolicy::Auto => true,
-            ResumePolicy::Token(token) => token == id,
-        };
-        let mut carried: Option<EngineFrontier> = if want_resume {
-            cache.load_checkpoint(id).and_then(|ckpt| {
-                let states = impl_m.lts().state_count();
-                let nodes = norm.node_count();
-                let fits = ckpt.model == model
-                    && match (&ckpt.frontier, parallel_engine) {
-                        (EngineFrontier::Serial(f), false) => f.validate(states, nodes),
-                        (EngineFrontier::Parallel(f), true) => f.validate(states, nodes),
-                        _ => false,
-                    };
-                if fits {
-                    Some(ckpt.frontier)
-                } else {
-                    cache.discard_checkpoint(id, "frontier does not fit the current models");
-                    None
-                }
-            })
-        } else {
-            None
-        };
-
+        let mut carried = persist.and_then(|(cfg, id)| {
+            let wanted = match cfg.resume {
+                ResumePolicy::Off => false,
+                ResumePolicy::Auto => true,
+                ResumePolicy::Token(token) => token == id,
+            };
+            if !wanted {
+                return None;
+            }
+            let ckpt = cfg.cache.load_checkpoint(id)?;
+            if ckpt.model == model
+                && ckpt
+                    .frontier
+                    .validate(impl_m.lts().state_count(), norm.node_count())
+            {
+                Some(ckpt.frontier)
+            } else {
+                cfg.cache
+                    .discard_checkpoint(id, "frontier does not fit the current models");
+                None
+            }
+        });
         let explore_start = Instant::now();
         let mut cpu_total = Duration::ZERO;
         loop {
-            let discovered = match &carried {
-                Some(EngineFrontier::Serial(f)) => f.pairs_discovered,
-                Some(EngineFrontier::Parallel(f)) => f.discovered,
-                None => 0,
-            };
             // Slice the state budget at the next checkpoint boundary (never
             // past the caller's real budget).
-            let slice_limit = cfg.checkpoint_every.map(|every| {
-                let target = discovered.saturating_add(every.max(1));
-                options.max_states.map_or(target, |real| real.min(target))
-            });
-            let slice = CheckOptions {
-                max_states: slice_limit.or(options.max_states),
-                max_wall_ms: options.max_wall_ms,
-            };
-            let (verdict, frontier, mut stats) = if parallel_engine {
-                let resume = match &carried {
-                    Some(EngineFrontier::Parallel(f)) => Some(f),
-                    _ => None,
-                };
-                let (v, f, s) = parallel::refine_compiled_resumable(
-                    checker, norm, impl_m, model, threads, &slice, resume,
-                )?;
-                (v, f.map(EngineFrontier::Parallel), s)
-            } else {
-                let resume = match &carried {
-                    Some(EngineFrontier::Serial(f)) => Some(f),
-                    _ => None,
-                };
-                let (v, f, s) = checker.refine_with_options_resumable(
-                    norm,
-                    impl_m.lts(),
-                    model,
-                    &slice,
-                    resume,
-                )?;
-                (v, f.map(EngineFrontier::Serial), s)
+            let slice_limit = persist
+                .and_then(|(cfg, _)| cfg.checkpoint_every)
+                .map(|every| {
+                    let discovered = carried.as_ref().map_or(0, EngineFrontier::discovered);
+                    let target = discovered.saturating_add(every.max(1));
+                    options.max_states.map_or(target, |real| real.min(target))
+                });
+            let slice = budget.with_max_states(slice_limit.or(options.max_states));
+            let (verdict, frontier, mut stats) = match &carried {
+                Some(EngineFrontier::Serial(f)) => serial(&slice, Some(f))?,
+                Some(EngineFrontier::Parallel(f)) => work_stealing(&slice, Some(f))?,
+                None if threads > 1 => work_stealing(&slice, None)?,
+                None => serial(&slice, None)?,
             };
             cpu_total += stats.cpu_busy;
             stats.wall = explore_start.elapsed();
             stats.explore_wall = stats.wall;
             stats.cpu_busy = cpu_total;
 
+            let Some((cfg, id)) = persist else {
+                return Ok((verdict, stats));
+            };
             match verdict {
                 Verdict::Inconclusive(mut inc) => {
                     if let Some(frontier) = frontier {
-                        cache.save_checkpoint(&Checkpoint {
+                        let ckpt = Checkpoint {
                             id,
                             model,
-                            frontier: frontier.clone(),
-                        });
-                        // A slice boundary is not the caller's budget: keep
-                        // exploring in-process. Only the caller's own state
-                        // or wall budget surfaces as Inconclusive.
-                        let synthetic = match inc.reason {
-                            BudgetReason::States { limit } => {
-                                slice_limit == Some(limit) && options.max_states != Some(limit)
-                            }
-                            // A real wall budget or a shutdown request always
-                            // surfaces to the caller (with the resume token).
-                            BudgetReason::Wall { .. } | BudgetReason::Interrupted => false,
+                            frontier,
                         };
-                        if synthetic {
-                            carried = Some(frontier);
+                        cfg.cache.save_checkpoint(&ckpt);
+                        // A slice boundary is not the caller's budget: keep
+                        // exploring in-process. The caller's own state or
+                        // wall budget, or a shutdown request, surfaces as
+                        // Inconclusive with the resume token.
+                        let slice_end = matches!(
+                            inc.reason,
+                            BudgetReason::States { limit }
+                                if slice_limit == Some(limit) && options.max_states != Some(limit)
+                        );
+                        if slice_end {
+                            carried = Some(ckpt.frontier);
                             continue;
                         }
                         inc.resume = Some(id.token());
@@ -857,7 +791,7 @@ impl ModelStore {
                     return Ok((Verdict::Inconclusive(inc), stats));
                 }
                 conclusive => {
-                    cache.remove_checkpoint(id);
+                    cfg.cache.remove_checkpoint(id);
                     return Ok((conclusive, stats));
                 }
             }
@@ -873,6 +807,24 @@ mod tests {
 
     fn e(n: u32) -> EventId {
         EventId::from_index(n as usize)
+    }
+
+    /// An unbudgeted request.
+    fn request<'a>(
+        model: RefinementModel,
+        spec: &'a Process,
+        impl_: &'a Process,
+        defs: &'a Definitions,
+        threads: usize,
+    ) -> CheckRequest<'a> {
+        CheckRequest {
+            model,
+            spec,
+            impl_,
+            defs,
+            threads,
+            options: CheckOptions::UNBOUNDED,
+        }
     }
 
     #[test]
@@ -926,26 +878,20 @@ mod tests {
         let pb = defs_b.declare("P");
         defs_b.define(pb, Process::prefix(e(1), Process::Stop));
 
+        let impl_a = Process::var(pa);
         let (a, _) = store
-            .trace_refinement(
+            .check(
                 &checker,
-                &spec,
-                &Process::var(pa),
-                &defs_a,
-                1,
-                &CheckOptions::UNBOUNDED,
+                &request(RefinementModel::Traces, &spec, &impl_a, &defs_a, 1),
             )
             .unwrap();
         assert!(a.is_pass(), "P = a -> STOP refines a -> STOP");
 
+        let impl_b = Process::var(pb);
         let (b, _) = store
-            .trace_refinement(
+            .check(
                 &checker,
-                &spec,
-                &Process::var(pb),
-                &defs_b,
-                1,
-                &CheckOptions::UNBOUNDED,
+                &request(RefinementModel::Traces, &spec, &impl_b, &defs_b, 1),
             )
             .unwrap();
         assert!(
@@ -967,9 +913,8 @@ mod tests {
         let impl_ = Process::prefix(e(0), Process::prefix(e(1), Process::Stop));
 
         let direct = checker.trace_refinement(&spec, &impl_, &defs).unwrap();
-        let (via_store, stats) = store
-            .trace_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
-            .unwrap();
+        let traces = request(RefinementModel::Traces, &spec, &impl_, &defs, 1);
+        let (via_store, stats) = store.check(&checker, &traces).unwrap();
         assert_eq!(direct, via_store);
         assert_eq!(
             via_store.counterexample().unwrap().kind(),
@@ -979,14 +924,11 @@ mod tests {
         assert_eq!(stats.store_hits, 0);
 
         // Warm re-check: same verdict, everything served from cache.
+        let (spec2, impl2) = (spec.clone(), impl_.clone());
         let (warm, warm_stats) = store
-            .trace_refinement(
+            .check(
                 &checker,
-                &spec.clone(),
-                &impl_.clone(),
-                &defs,
-                1,
-                &CheckOptions::UNBOUNDED,
+                &request(RefinementModel::Traces, &spec2, &impl2, &defs, 1),
             )
             .unwrap();
         assert_eq!(warm, via_store);
@@ -1003,10 +945,16 @@ mod tests {
         let impl_ = Process::prefix(e(0), Process::prefix(e(1), Process::Stop));
 
         let (serial, _) = store
-            .trace_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
+            .check(
+                &checker,
+                &request(RefinementModel::Traces, &spec, &impl_, &defs, 1),
+            )
             .unwrap();
         let (par, _) = store
-            .trace_refinement(&checker, &spec, &impl_, &defs, 4, &CheckOptions::UNBOUNDED)
+            .check(
+                &checker,
+                &request(RefinementModel::Traces, &spec, &impl_, &defs, 4),
+            )
             .unwrap();
         assert_eq!(serial, par);
     }
@@ -1022,7 +970,10 @@ mod tests {
             .failures_divergences_refinement(&p, &p, &defs)
             .unwrap();
         let (via_store, stats) = store
-            .failures_divergences_refinement(&checker, &p, &p, &defs, 1, &CheckOptions::UNBOUNDED)
+            .check(
+                &checker,
+                &request(RefinementModel::FailuresDivergences, &p, &p, &defs, 1),
+            )
             .unwrap();
         assert_eq!(direct, via_store);
         // The impl compile is reused when the spec (equal term here) is
@@ -1034,24 +985,35 @@ mod tests {
     #[test]
     fn fd_divergent_impl_fails_with_stats() {
         let checker = Checker::new();
-        let store = ModelStore::new();
         let mut defs = Definitions::new();
         let d = defs.declare("P");
         defs.define(d, Process::prefix(e(0), Process::var(d)));
         let divergent = Process::hide(Process::var(d), EventSet::singleton(e(0)));
 
-        let (v, stats) = store
-            .failures_divergences_refinement(
-                &checker,
+        let direct = checker
+            .failures_divergences_refinement(&Process::Stop, &divergent, &defs)
+            .unwrap();
+        assert_eq!(
+            direct.counterexample().unwrap().kind(),
+            &FailureKind::Divergence
+        );
+        for (threads, shards) in [(1, 1), (4, 64)] {
+            let store = ModelStore::new();
+            let fd = request(
+                RefinementModel::FailuresDivergences,
                 &Process::Stop,
                 &divergent,
                 &defs,
-                1,
-                &CheckOptions::UNBOUNDED,
-            )
-            .unwrap();
-        assert_eq!(v.counterexample().unwrap().kind(), &FailureKind::Divergence);
-        assert_eq!(stats.store_misses, 1, "only the impl was compiled");
+                threads,
+            );
+            let (v, stats) = store.check(&checker, &fd).unwrap();
+            assert_eq!(v, direct);
+            assert_eq!(stats.store_misses, 1, "only the impl was compiled");
+            // Refuted before the product walk, the check still reports the
+            // engine its thread count selects.
+            assert_eq!((stats.threads, stats.shards), (threads, shards));
+            assert_eq!(stats.pairs_discovered, 0);
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::collections::HashSet;
 
 use csp::analysis::{estimate, AlphabetInference};
 use csp::{DefId, Definitions, EventId, EventSet, Process, RenameMap, TermArena};
-use fdrlite::{CheckOptions, Checker, ModelStore};
+use fdrlite::{CheckOptions, CheckRequest, Checker, ModelStore, RefinementModel};
 use proptest::prelude::*;
 
 fn e(n: usize) -> EventId {
@@ -165,9 +165,15 @@ proptest! {
     ) {
         let checker = Checker::new();
         let store = ModelStore::new();
-        if let Ok((_, stats)) = store.trace_refinement(
-            &checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
-        {
+        let request = CheckRequest {
+            model: RefinementModel::Traces,
+            spec: &spec,
+            impl_: &impl_,
+            defs: &defs,
+            threads: 1,
+            options: CheckOptions::UNBOUNDED,
+        };
+        if let Ok((_, stats)) = store.check(&checker, &request) {
             prop_assert!(
                 stats.predicted_pairs >= stats.pairs_discovered,
                 "predicted {} < discovered {}",

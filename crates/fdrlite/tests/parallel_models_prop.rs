@@ -2,11 +2,11 @@
 //! the failures-family models, mirroring `parallel_prop.rs` for `[T=`:
 //!
 //! 1. For random spec/impl pairs and every thread count from 1 to 8,
-//!    `parallel::failures_refinement` and
-//!    `parallel::failures_divergences_refinement` must return the
-//!    **identical** verdict — exact counterexample trace and failure kind,
-//!    not just pass/fail — as the serial checker, and on a pass the same
-//!    reachable product-pair count, each pair expanded exactly once.
+//!    `ModelStore::check` in `[F=` and `[FD=` must return the **identical**
+//!    verdict — exact counterexample trace and failure kind, not just
+//!    pass/fail — as the serial `Checker`, and on a pass the same
+//!    reachable product-pair count as the serial engine, each pair
+//!    expanded exactly once.
 //! 2. A cache entry written under the *previous* normal-form format
 //!    version (magic `FDRLNRM\x01`, valid checksum) must be quarantined as
 //!    stale and recompiled, never decoded — with the verdict unchanged.
@@ -17,12 +17,84 @@ use std::sync::Arc;
 
 use csp::{Definitions, EventId, EventSet, Process};
 use fdrlite::{
-    parallel, CheckOptions, Checker, ModelStore, PersistConfig, PersistentCache, ResumePolicy,
+    CheckError, CheckOptions, CheckRequest, CheckStats, Checker, ModelStore, PersistConfig,
+    PersistentCache, RefinementModel, ResumePolicy, Verdict,
 };
 use proptest::prelude::*;
 
 fn e(n: usize) -> EventId {
     EventId::from_index(n)
+}
+
+/// `spec ⊑ impl_` in `model` through `store` on `threads` workers.
+fn check(
+    store: &ModelStore,
+    model: RefinementModel,
+    spec: &Process,
+    impl_: &Process,
+    defs: &Definitions,
+    threads: usize,
+) -> Result<(Verdict, CheckStats), CheckError> {
+    store.check(
+        &Checker::new(),
+        &CheckRequest {
+            model,
+            spec,
+            impl_,
+            defs,
+            threads,
+            options: CheckOptions::UNBOUNDED,
+        },
+    )
+}
+
+/// The `Checker` reference and `check` at every thread count from 1 to 8
+/// must agree verbatim; on a pass, every thread count discovers the serial
+/// engine's product and expands each pair once.
+fn engines_agree(
+    model: RefinementModel,
+    spec: &Process,
+    impl_: &Process,
+) -> Result<(), TestCaseError> {
+    let defs = Definitions::new();
+    let checker = Checker::new();
+    let reference = match model {
+        RefinementModel::Failures => checker.failures_refinement(spec, impl_, &defs),
+        _ => checker.failures_divergences_refinement(spec, impl_, &defs),
+    };
+    let store = ModelStore::new();
+    let serial_pairs =
+        check(&store, model, spec, impl_, &defs, 1).map_or(0, |(_, stats)| stats.pairs_discovered);
+    for threads in 1..=8usize {
+        match (
+            &reference,
+            &check(&store, model, spec, impl_, &defs, threads),
+        ) {
+            (Ok(s), Ok((p, ps))) => {
+                prop_assert_eq!(s, p);
+                if let (Some(sc), Some(pc)) = (s.counterexample(), p.counterexample()) {
+                    prop_assert_eq!(sc.trace(), pc.trace());
+                    prop_assert_eq!(sc.kind(), pc.kind());
+                }
+                if s.is_pass() {
+                    // A pass explores the full reachable product in both
+                    // engines; a fail races discovery order.
+                    prop_assert_eq!(ps.pairs_discovered, serial_pairs);
+                    prop_assert_eq!(ps.expansions, ps.pairs_discovered);
+                }
+            }
+            (Err(se), Err(pe)) => prop_assert_eq!(se, pe),
+            (s, p) => prop_assert!(
+                false,
+                "{:?} engines disagree at {} threads: serial={:?} parallel={:?}",
+                model,
+                threads,
+                s,
+                p
+            ),
+        }
+    }
+    Ok(())
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -76,36 +148,7 @@ proptest! {
         spec in arb_process(3),
         impl_ in arb_process(4),
     ) {
-        let defs = Definitions::new();
-        let checker = Checker::new();
-        let serial =
-            checker.failures_refinement_with_options(&spec, &impl_, &defs, &CheckOptions::UNBOUNDED);
-        for threads in 1..=8usize {
-            let par = parallel::failures_refinement_with_options(
-                &checker, &spec, &impl_, &defs, threads, &CheckOptions::UNBOUNDED,
-            );
-            match (&serial, &par) {
-                (Ok((s, ss)), Ok((p, ps))) => {
-                    prop_assert_eq!(s, p);
-                    if let (Some(sc), Some(pc)) = (s.counterexample(), p.counterexample()) {
-                        prop_assert_eq!(sc.trace(), pc.trace());
-                        prop_assert_eq!(sc.kind(), pc.kind());
-                    }
-                    if s.is_pass() {
-                        // A pass explores the full reachable product in both
-                        // engines; a fail races discovery order.
-                        prop_assert_eq!(ss.pairs_discovered, ps.pairs_discovered);
-                        prop_assert_eq!(ps.expansions, ps.pairs_discovered);
-                    }
-                }
-                (Err(se), Err(pe)) => prop_assert_eq!(se, pe),
-                (s, p) => prop_assert!(
-                    false,
-                    "⊑F engines disagree at {} threads: serial={:?} parallel={:?}",
-                    threads, s, p
-                ),
-            }
-        }
+        engines_agree(RefinementModel::Failures, &spec, &impl_)?;
     }
 
     #[test]
@@ -113,35 +156,7 @@ proptest! {
         spec in arb_process(3),
         impl_ in arb_process(4),
     ) {
-        let defs = Definitions::new();
-        let checker = Checker::new();
-        let serial = checker.failures_divergences_refinement_with_options(
-            &spec, &impl_, &defs, &CheckOptions::UNBOUNDED,
-        );
-        for threads in 1..=8usize {
-            let par = parallel::failures_divergences_refinement_with_options(
-                &checker, &spec, &impl_, &defs, threads, &CheckOptions::UNBOUNDED,
-            );
-            match (&serial, &par) {
-                (Ok((s, ss)), Ok((p, ps))) => {
-                    prop_assert_eq!(s, p);
-                    if let (Some(sc), Some(pc)) = (s.counterexample(), p.counterexample()) {
-                        prop_assert_eq!(sc.trace(), pc.trace());
-                        prop_assert_eq!(sc.kind(), pc.kind());
-                    }
-                    if s.is_pass() {
-                        prop_assert_eq!(ss.pairs_discovered, ps.pairs_discovered);
-                        prop_assert_eq!(ps.expansions, ps.pairs_discovered);
-                    }
-                }
-                (Err(se), Err(pe)) => prop_assert_eq!(se, pe),
-                (s, p) => prop_assert!(
-                    false,
-                    "⊑FD engines disagree at {} threads: serial={:?} parallel={:?}",
-                    threads, s, p
-                ),
-            }
-        }
+        engines_agree(RefinementModel::FailuresDivergences, &spec, &impl_)?;
     }
 }
 
@@ -193,10 +208,9 @@ proptest! {
         impl_ in arb_process(4),
     ) {
         let defs = Definitions::new();
-        let checker = Checker::new();
-        let Ok((ref_verdict, _)) = ModelStore::new().failures_refinement(
-            &checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED,
-        ) else {
+        let Ok((ref_verdict, _)) =
+            check(&ModelStore::new(), RefinementModel::Failures, &spec, &impl_, &defs, 1)
+        else {
             return Ok(());
         };
 
@@ -204,8 +218,8 @@ proptest! {
         // previous format version (checksum kept valid).
         let dir = fresh_dir("stale");
         let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
-        persisted_store(&cache, ResumePolicy::Off)
-            .failures_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
+        let store = persisted_store(&cache, ResumePolicy::Off);
+        check(&store, RefinementModel::Failures, &spec, &impl_, &defs, 1)
             .expect("cold run succeeds");
         let mut downgraded = 0u64;
         for entry in std::fs::read_dir(&dir).expect("cache dir listable") {
@@ -221,8 +235,8 @@ proptest! {
         // A fresh store over the stale cache must quarantine the entry and
         // rebuild, reaching the reference verdict.
         let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
-        let (verdict, _) = persisted_store(&cache2, ResumePolicy::Off)
-            .failures_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
+        let store2 = persisted_store(&cache2, ResumePolicy::Off);
+        let (verdict, _) = check(&store2, RefinementModel::Failures, &spec, &impl_, &defs, 1)
             .expect("stale cache must not abort the check");
         prop_assert_eq!(&verdict, &ref_verdict);
         prop_assert!(

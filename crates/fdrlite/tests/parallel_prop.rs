@@ -1,16 +1,41 @@
 //! Property-based equivalence of the serial and work-stealing refinement
 //! engines: for randomly generated spec/impl process pairs and every
-//! thread count from 1 to 8, `parallel::trace_refinement` must return the
-//! **identical** verdict — including the exact counterexample trace, not
-//! just its length — as `Checker::trace_refinement`. On a pass the
-//! work-stealing engine must also expand each product pair exactly once.
+//! thread count from 1 to 8, `ModelStore::check` (the serial engine at one
+//! thread, the work-stealing one above) must return the **identical**
+//! verdict — including the exact counterexample trace, not just its length
+//! — as `Checker::trace_refinement`. On a pass both engines must discover
+//! the same product and expand each pair exactly once.
 
 use csp::{Definitions, EventId, EventSet, Process};
-use fdrlite::{parallel, CheckError, Checker};
+use fdrlite::{
+    CheckError, CheckOptions, CheckRequest, CheckStats, Checker, ModelStore, RefinementModel,
+    Verdict,
+};
 use proptest::prelude::*;
 
 fn e(n: usize) -> EventId {
     EventId::from_index(n)
+}
+
+/// `spec ⊑T impl_` through a fresh store on `threads` workers.
+fn check(
+    checker: &Checker,
+    spec: &Process,
+    impl_: &Process,
+    defs: &Definitions,
+    threads: usize,
+) -> Result<(Verdict, CheckStats), CheckError> {
+    ModelStore::new().check(
+        checker,
+        &CheckRequest {
+            model: RefinementModel::Traces,
+            spec,
+            impl_,
+            defs,
+            threads,
+            options: CheckOptions::UNBOUNDED,
+        },
+    )
 }
 
 /// A random finite process over a 4-event alphabet, exercising prefixing,
@@ -59,9 +84,10 @@ proptest! {
         let defs = Definitions::new();
         let checker = Checker::new();
         let serial = checker.trace_refinement(&spec, &impl_, &defs);
+        let serial_pairs = check(&checker, &spec, &impl_, &defs, 1)
+            .map_or(0, |(_, stats)| stats.pairs_discovered);
         for threads in 1..=8usize {
-            let parallel =
-                parallel::trace_refinement_with_stats(&checker, &spec, &impl_, &defs, threads);
+            let parallel = check(&checker, &spec, &impl_, &defs, threads);
             match (&serial, &parallel) {
                 (Ok(s), Ok((p, stats))) => {
                     prop_assert_eq!(s, p);
@@ -69,6 +95,7 @@ proptest! {
                         prop_assert_eq!(sc.trace().len(), pc.trace().len());
                     }
                     if p.is_pass() {
+                        prop_assert_eq!(stats.pairs_discovered, serial_pairs);
                         prop_assert_eq!(stats.expansions, stats.pairs_discovered);
                     }
                 }
@@ -97,7 +124,7 @@ proptest! {
         let checker = builder.build();
         let spec = Process::prefix(e(0), Process::Stop);
         let serial = checker.trace_refinement(&spec, &impl_, &defs);
-        let parallel = parallel::trace_refinement(&checker, &spec, &impl_, &defs, 4);
+        let parallel = check(&checker, &spec, &impl_, &defs, 4).map(|(verdict, _)| verdict);
         match (&serial, &parallel) {
             (Ok(s), Ok(p)) => prop_assert_eq!(s, p),
             (Err(CheckError::ProductExceeded { limit: a }),

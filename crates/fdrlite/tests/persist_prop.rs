@@ -3,8 +3,10 @@
 //! 1. Interrupting a refinement at a *random* state budget, then resuming
 //!    from the on-disk checkpoint, must reproduce the uninterrupted run
 //!    verbatim — verdict, counterexample trace and (for the serial engine,
-//!    and for the parallel engine on a pass) the final state count — at
-//!    both 1 and 8 threads.
+//!    and for the parallel engine on a pass) the final state count — when
+//!    the cut and the resume each run at 1 or 8 threads, and must leave no
+//!    checkpoint behind. A wall budget covers every checkpoint slice of a
+//!    check together.
 //! 2. Corrupting on-disk cache entries (bit flips, truncation, header
 //!    damage) must degrade to a quarantine + recompile, never a wrong
 //!    verdict or a panic. Likewise a corrupted checkpoint must restart the
@@ -20,12 +22,40 @@ use std::sync::Arc;
 
 use csp::{Definitions, EventId, EventSet, Process};
 use fdrlite::{
-    CheckId, CheckOptions, Checker, ModelStore, PersistConfig, PersistentCache, ResumePolicy,
+    BudgetReason, CheckError, CheckId, CheckOptions, CheckRequest, CheckStats, Checker, ModelStore,
+    PersistConfig, PersistentCache, RefinementModel, ResumePolicy, Verdict,
 };
 use proptest::prelude::*;
 
 fn e(n: usize) -> EventId {
     EventId::from_index(n)
+}
+
+/// `spec ⊑T impl_` through `store` on `threads` workers under `options`.
+fn check(
+    store: &ModelStore,
+    spec: &Process,
+    impl_: &Process,
+    defs: &Definitions,
+    threads: usize,
+    options: CheckOptions,
+) -> Result<(Verdict, CheckStats), CheckError> {
+    store.check(
+        &Checker::new(),
+        &CheckRequest {
+            model: RefinementModel::Traces,
+            spec,
+            impl_,
+            defs,
+            threads,
+            options,
+        },
+    )
+}
+
+/// Checkpoint files left in a cache directory.
+fn checkpoints_left(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir.join("checkpoints")).map_or(0, Iterator::count)
 }
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -91,22 +121,22 @@ proptest! {
         cut in 1u64..40,
     ) {
         let defs = Definitions::new();
-        let checker = Checker::new();
-        for &threads in &[1usize, 8] {
-            let reference = ModelStore::new().trace_refinement(
-                &checker, &spec, &impl_, &defs, threads, &CheckOptions::UNBOUNDED,
-            );
-            let Ok((ref_verdict, ref_stats)) = reference else {
-                // A hard cap aborted the reference; nothing to resume.
-                continue;
-            };
-
+        let unbounded = CheckOptions::UNBOUNDED;
+        let Ok((ref_verdict, ref_stats)) =
+            check(&ModelStore::new(), &spec, &impl_, &defs, 1, unbounded)
+        else {
+            // A hard cap aborted the reference; nothing to resume.
+            return Ok(());
+        };
+        for (cut_threads, resume_threads) in [(1usize, 1usize), (1, 8), (8, 8), (8, 1)] {
             let dir = fresh_dir("resume");
             let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
             let cut_opts = CheckOptions { max_states: Some(cut), max_wall_ms: None };
-            let (first, _) = persisted_store(&cache, ResumePolicy::Off)
-                .trace_refinement(&checker, &spec, &impl_, &defs, threads, &cut_opts)
-                .expect("budgeted run cannot hit a hard cap the reference missed");
+            let (first, _) = check(
+                &persisted_store(&cache, ResumePolicy::Off),
+                &spec, &impl_, &defs, cut_threads, cut_opts,
+            )
+            .expect("budgeted run cannot hit a hard cap the reference missed");
 
             let (final_verdict, final_stats) = if let Some(inc) = first.inconclusive() {
                 let token = inc.resume.as_deref();
@@ -115,31 +145,100 @@ proptest! {
                     "a budget-cut persistent check must leave a resume token"
                 );
                 let id = CheckId::from_token(token.unwrap()).expect("token parses");
-                persisted_store(&cache, ResumePolicy::Token(id))
-                    .trace_refinement(
-                        &checker, &spec, &impl_, &defs, threads, &CheckOptions::UNBOUNDED,
-                    )
-                    .expect("resumed run cannot hit a hard cap the reference missed")
+                check(
+                    &persisted_store(&cache, ResumePolicy::Token(id)),
+                    &spec, &impl_, &defs, resume_threads, unbounded,
+                )
+                .expect("resumed run cannot hit a hard cap the reference missed")
             } else {
                 // The check finished before the budget bit; it must already
                 // agree with the reference.
-                persisted_store(&cache, ResumePolicy::Off)
-                    .trace_refinement(
-                        &checker, &spec, &impl_, &defs, threads, &CheckOptions::UNBOUNDED,
-                    )
-                    .expect("warm re-run cannot hit a hard cap the reference missed")
+                check(
+                    &persisted_store(&cache, ResumePolicy::Off),
+                    &spec, &impl_, &defs, cut_threads, unbounded,
+                )
+                .expect("warm re-run cannot hit a hard cap the reference missed")
             };
 
             prop_assert_eq!(&final_verdict, &ref_verdict);
-            // State counts: exact for the serial engine (the checkpoint is
-            // an exact continuation); the parallel engine's discovery
-            // order races on a fail, so only a pass pins the count (the
-            // full reachable product).
-            if threads == 1 || ref_verdict.is_pass() {
+            // State counts: exact when the serial engine wrote the
+            // checkpoint (it resumes serially, as an exact continuation);
+            // the parallel engine's discovery order races on a fail, so
+            // only a pass pins its count (the full reachable product).
+            if cut_threads == 1 || ref_verdict.is_pass() {
                 prop_assert_eq!(final_stats.pairs_discovered, ref_stats.pairs_discovered);
             }
+            // The resume found the cut's checkpoint, whatever the thread
+            // counts, and a conclusive verdict removed it.
+            prop_assert!(
+                checkpoints_left(&dir) == 0,
+                "checkpoint left after a cut at {} thread(s) resumed at {}",
+                cut_threads,
+                resume_threads
+            );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// `k` interleaved three-event cycles against an `m`-node ring spec that
+/// allows every event: a passing check over `3^k · m / 3` product pairs
+/// (for `m` divisible by 3).
+fn cycles_against_ring(k: usize, m: usize) -> (Definitions, Process, Process) {
+    let mut defs = Definitions::new();
+    let cycles: Vec<Process> = (0..k)
+        .map(|i| {
+            let d = defs.declare(&format!("P{i}"));
+            let events = [e(3 * i), e(3 * i + 1), e(3 * i + 2)];
+            defs.define(d, Process::prefix_chain(events, Process::var(d)));
+            Process::var(d)
+        })
+        .collect();
+    let ring: Vec<_> = (0..m).map(|j| defs.declare(&format!("SPEC{j}"))).collect();
+    for (j, &node) in ring.iter().enumerate() {
+        let next = Process::var(ring[(j + 1) % m]);
+        let body = (0..3 * k)
+            .map(|ev| Process::prefix(e(ev), next.clone()))
+            .collect();
+        defs.define(node, Process::external_choice_all(body));
+    }
+    (defs, Process::var(ring[0]), Process::interleave_all(cycles))
+}
+
+#[test]
+fn wall_budget_spans_every_checkpoint_slice() {
+    // Each slice of 1,000 new pairs, checkpoint included, ends well inside
+    // the budget; the whole walk over 196,830 pairs takes far longer.
+    let (defs, spec, impl_) = cycles_against_ring(8, 90);
+    let budget = CheckOptions {
+        max_states: None,
+        max_wall_ms: Some(1_500),
+    };
+    for threads in [1usize, 8] {
+        let dir = fresh_dir("wall");
+        let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
+        let store = ModelStore::new();
+        store.set_persist(PersistConfig {
+            cache: Arc::clone(&cache),
+            checkpoint_every: Some(1_000),
+            resume: ResumePolicy::Off,
+        });
+        let (verdict, stats) =
+            check(&store, &spec, &impl_, &defs, threads, budget).expect("the check runs");
+        let inc = verdict.inconclusive().unwrap_or_else(|| {
+            panic!("{threads} thread(s): the budget must cut the walk, got {verdict:?}")
+        });
+        assert_eq!(
+            inc.reason,
+            BudgetReason::Wall { limit_ms: 1_500 },
+            "{threads} thread(s)"
+        );
+        assert!(
+            inc.resume.is_some(),
+            "a cut persistent check leaves a token"
+        );
+        assert!(stats.pairs_discovered < 196_830);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -180,19 +279,18 @@ proptest! {
         at in 0usize..4096,
     ) {
         let defs = Definitions::new();
-        let checker = Checker::new();
-        let Ok((ref_verdict, _)) = ModelStore::new().trace_refinement(
-            &checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED,
-        ) else {
+        let unbounded = CheckOptions::UNBOUNDED;
+        let Ok((ref_verdict, _)) =
+            check(&ModelStore::new(), &spec, &impl_, &defs, 1, unbounded)
+        else {
             return Ok(());
         };
 
         // Warm the cache, then damage every entry on disk.
         let dir = fresh_dir("fuzz");
         let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
-        persisted_store(&cache, ResumePolicy::Off)
-            .trace_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
-            .expect("cold run succeeds");
+        let store = persisted_store(&cache, ResumePolicy::Off);
+        check(&store, &spec, &impl_, &defs, 1, unbounded).expect("cold run succeeds");
         let mut damaged = 0u64;
         for entry in std::fs::read_dir(&dir).expect("cache dir listable") {
             let path = entry.expect("dir entry").path();
@@ -206,8 +304,8 @@ proptest! {
         // A fresh store over the damaged cache must still reach the
         // reference verdict, quarantining what it rejects.
         let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
-        let (verdict, _) = persisted_store(&cache2, ResumePolicy::Off)
-            .trace_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
+        let store2 = persisted_store(&cache2, ResumePolicy::Off);
+        let (verdict, _) = check(&store2, &spec, &impl_, &defs, 1, unbounded)
             .expect("damaged cache must not abort the check");
         prop_assert_eq!(&verdict, &ref_verdict);
         prop_assert!(
@@ -226,19 +324,19 @@ proptest! {
         at in 0usize..4096,
     ) {
         let defs = Definitions::new();
-        let checker = Checker::new();
-        let Ok((ref_verdict, _)) = ModelStore::new().trace_refinement(
-            &checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED,
-        ) else {
+        let unbounded = CheckOptions::UNBOUNDED;
+        let Ok((ref_verdict, _)) =
+            check(&ModelStore::new(), &spec, &impl_, &defs, 1, unbounded)
+        else {
             return Ok(());
         };
 
         let dir = fresh_dir("ckpt");
         let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
         let cut_opts = CheckOptions { max_states: Some(cut), max_wall_ms: None };
-        let (first, _) = persisted_store(&cache, ResumePolicy::Off)
-            .trace_refinement(&checker, &spec, &impl_, &defs, 1, &cut_opts)
-            .expect("budgeted run succeeds");
+        let store = persisted_store(&cache, ResumePolicy::Off);
+        let (first, _) =
+            check(&store, &spec, &impl_, &defs, 1, cut_opts).expect("budgeted run succeeds");
         let Some(token) = first.inconclusive().and_then(|i| i.resume.clone()) else {
             // Conclusive before the cut: no checkpoint to corrupt.
             let _ = std::fs::remove_dir_all(&dir);
@@ -250,8 +348,8 @@ proptest! {
 
         let id = CheckId::from_token(&token).expect("token parses");
         let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
-        let (verdict, _) = persisted_store(&cache2, ResumePolicy::Token(id))
-            .trace_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
+        let store2 = persisted_store(&cache2, ResumePolicy::Token(id));
+        let (verdict, _) = check(&store2, &spec, &impl_, &defs, 1, unbounded)
             .expect("resume over a damaged checkpoint must not abort");
         prop_assert_eq!(&verdict, &ref_verdict);
         let _ = std::fs::remove_dir_all(&dir);
@@ -279,10 +377,10 @@ proptest! {
         impl_ in arb_process(4),
     ) {
         let defs = Definitions::new();
-        let checker = Checker::new();
-        let Ok((ref_verdict, _)) = ModelStore::new().trace_refinement(
-            &checker, &spec, &impl_, &defs, 8, &CheckOptions::UNBOUNDED,
-        ) else {
+        let unbounded = CheckOptions::UNBOUNDED;
+        let Ok((ref_verdict, _)) =
+            check(&ModelStore::new(), &spec, &impl_, &defs, 8, unbounded)
+        else {
             return Ok(());
         };
 
@@ -291,9 +389,9 @@ proptest! {
         let dir = fresh_dir("oldckpt");
         let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
         let cut_opts = CheckOptions { max_states: Some(1), max_wall_ms: None };
-        let (first, _) = persisted_store(&cache, ResumePolicy::Off)
-            .trace_refinement(&checker, &spec, &impl_, &defs, 8, &cut_opts)
-            .expect("budgeted run succeeds");
+        let store = persisted_store(&cache, ResumePolicy::Off);
+        let (first, _) =
+            check(&store, &spec, &impl_, &defs, 8, cut_opts).expect("budgeted run succeeds");
         let token = first.inconclusive().and_then(|i| i.resume.clone());
         prop_assert!(token.is_some(), "a root cut must leave a resume token: {:?}", first);
         let token = token.unwrap();
@@ -312,8 +410,8 @@ proptest! {
 
         let id = CheckId::from_token(&token).expect("token parses");
         let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
-        let (verdict, _) = persisted_store(&cache2, ResumePolicy::Token(id))
-            .trace_refinement(&checker, &spec, &impl_, &defs, 8, &CheckOptions::UNBOUNDED)
+        let store2 = persisted_store(&cache2, ResumePolicy::Token(id));
+        let (verdict, _) = check(&store2, &spec, &impl_, &defs, 8, unbounded)
             .expect("resume over an old-format checkpoint must not abort");
         prop_assert_eq!(&verdict, &ref_verdict);
         prop_assert_eq!(cache2.quarantined(), 1);

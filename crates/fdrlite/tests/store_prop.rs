@@ -6,11 +6,36 @@
 //! threads while serving strictly more artifacts from cache.
 
 use csp::{Definitions, EventId, EventSet, Process};
-use fdrlite::{CheckOptions, Checker, ModelStore};
+use fdrlite::{
+    CheckError, CheckOptions, CheckRequest, CheckStats, Checker, ModelStore, RefinementModel,
+    Verdict,
+};
 use proptest::prelude::*;
 
 fn e(n: usize) -> EventId {
     EventId::from_index(n)
+}
+
+/// `spec ⊑ impl_` in `model` through `store` on `threads` workers.
+fn check(
+    store: &ModelStore,
+    model: RefinementModel,
+    spec: &Process,
+    impl_: &Process,
+    defs: &Definitions,
+    threads: usize,
+) -> Result<(Verdict, CheckStats), CheckError> {
+    store.check(
+        &Checker::new(),
+        &CheckRequest {
+            model,
+            spec,
+            impl_,
+            defs,
+            threads,
+            options: CheckOptions::UNBOUNDED,
+        },
+    )
 }
 
 /// A random finite process over a 4-event alphabet (same shape as the
@@ -58,9 +83,8 @@ proptest! {
         let checker = Checker::new();
         let direct = checker.trace_refinement(&spec, &impl_, &defs);
         let store = ModelStore::new();
-        let via_store = store
-            .trace_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
-            .map(|(v, _)| v);
+        let via_store =
+            check(&store, RefinementModel::Traces, &spec, &impl_, &defs, 1).map(|(v, _)| v);
         match (&direct, &via_store) {
             (Ok(d), Ok(s)) => prop_assert_eq!(d, s),
             (Err(de), Err(se)) => prop_assert_eq!(de, se),
@@ -77,13 +101,10 @@ proptest! {
         impl_ in arb_process(4),
     ) {
         let defs = Definitions::new();
-        let checker = Checker::new();
         for threads in [1usize, 8] {
             let store = ModelStore::new();
-            let cold = store.trace_refinement(
-                &checker, &spec, &impl_, &defs, threads, &CheckOptions::UNBOUNDED);
-            let warm = store.trace_refinement(
-                &checker, &spec, &impl_, &defs, threads, &CheckOptions::UNBOUNDED);
+            let cold = check(&store, RefinementModel::Traces, &spec, &impl_, &defs, threads);
+            let warm = check(&store, RefinementModel::Traces, &spec, &impl_, &defs, threads);
             match (&cold, &warm) {
                 (Ok((cv, cs)), Ok((wv, ws))) => {
                     prop_assert_eq!(cv, wv);
@@ -114,9 +135,8 @@ proptest! {
         let store = ModelStore::new();
 
         let direct_f = checker.failures_refinement(&spec, &impl_, &defs);
-        let store_f = store
-            .failures_refinement(&checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
-            .map(|(v, _)| v);
+        let store_f =
+            check(&store, RefinementModel::Failures, &spec, &impl_, &defs, 1).map(|(v, _)| v);
         match (&direct_f, &store_f) {
             (Ok(d), Ok(s)) => prop_assert_eq!(d, s),
             (Err(de), Err(se)) => prop_assert_eq!(de, se),
@@ -124,10 +144,10 @@ proptest! {
         }
 
         let direct_fd = checker.failures_divergences_refinement(&spec, &impl_, &defs);
-        let store_fd = store
-            .failures_divergences_refinement(
-                &checker, &spec, &impl_, &defs, 1, &CheckOptions::UNBOUNDED)
-            .map(|(v, _)| v);
+        let store_fd = check(
+            &store, RefinementModel::FailuresDivergences, &spec, &impl_, &defs, 1,
+        )
+        .map(|(v, _)| v);
         match (&direct_fd, &store_fd) {
             (Ok(d), Ok(s)) => prop_assert_eq!(d, s),
             (Err(de), Err(se)) => prop_assert_eq!(de, se),

@@ -152,6 +152,9 @@ mod tests {
             RefinementModel::Failures => c
                 .failures_refinement(&req.spec, &req.scoped_system, study.definitions())
                 .unwrap(),
+            RefinementModel::FailuresDivergences => c
+                .failures_divergences_refinement(&req.spec, &req.scoped_system, study.definitions())
+                .unwrap(),
         }
     }
 

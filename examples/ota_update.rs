@@ -78,6 +78,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &sc.requirement.scoped_system,
                 study.definitions(),
             )?,
+            RefinementModel::FailuresDivergences => checker.failures_divergences_refinement(
+                &sc.requirement.spec,
+                &sc.requirement.scoped_system,
+                study.definitions(),
+            )?,
         };
         println!("  {:?} attack — {}", sc.kind, sc.description);
         match verdict.counterexample() {

@@ -78,14 +78,17 @@ fn parallel_checker_agrees_on_the_case_study() {
         let serial = checker
             .trace_refinement(&req.spec, &req.scoped_system, study.definitions())
             .unwrap();
-        let parallel = fdrlite::parallel::trace_refinement(
-            &checker,
-            &req.spec,
-            &req.scoped_system,
-            study.definitions(),
-            4,
-        )
-        .unwrap();
+        let request = fdrlite::CheckRequest {
+            model: fdrlite::RefinementModel::Traces,
+            spec: &req.spec,
+            impl_: &req.scoped_system,
+            defs: study.definitions(),
+            threads: 4,
+            options: fdrlite::CheckOptions::UNBOUNDED,
+        };
+        let (parallel, _) = fdrlite::ModelStore::new()
+            .check(&checker, &request)
+            .unwrap();
         assert_eq!(serial, parallel, "{} differs in parallel mode", req.id);
     }
 }

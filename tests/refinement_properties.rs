@@ -161,8 +161,15 @@ proptest! {
         let defs = Definitions::new();
         let checker = Checker::new();
         let serial = checker.trace_refinement(&spec, &imp, &defs).unwrap();
-        let parallel =
-            fdrlite::parallel::trace_refinement(&checker, &spec, &imp, &defs, 4).unwrap();
+        let request = fdrlite::CheckRequest {
+            model: fdrlite::RefinementModel::Traces,
+            spec: &spec,
+            impl_: &imp,
+            defs: &defs,
+            threads: 4,
+            options: fdrlite::CheckOptions::UNBOUNDED,
+        };
+        let (parallel, _) = fdrlite::ModelStore::new().check(&checker, &request).unwrap();
         prop_assert_eq!(serial.is_pass(), parallel.is_pass());
     }
 }

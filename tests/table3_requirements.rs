@@ -19,6 +19,9 @@ fn run(req: &requirements::Requirement, study: &OtaSystem) -> Verdict {
         RefinementModel::Failures => checker
             .failures_refinement(&req.spec, &req.scoped_system, study.definitions())
             .unwrap(),
+        RefinementModel::FailuresDivergences => checker
+            .failures_divergences_refinement(&req.spec, &req.scoped_system, study.definitions())
+            .unwrap(),
     }
 }
 
