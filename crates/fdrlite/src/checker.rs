@@ -8,7 +8,7 @@
 //! same metric, which is what makes its verdicts and witness lengths agree
 //! with the serial checker by construction.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 use csp::{Definitions, EventId, Label, Lts, Process, StateId, Trace, TraceEvent};
@@ -16,7 +16,7 @@ use csp::{Definitions, EventId, Label, Lts, Process, StateId, Trace, TraceEvent}
 use crate::counterexample::{BudgetReason, Counterexample, FailureKind, Inconclusive, Verdict};
 use crate::error::CheckError;
 use crate::normalise::{NormNodeId, NormalisedLts};
-use crate::persist::{CkptNode, SerialFrontier};
+use crate::persist::{pair_at, Frontier};
 use crate::stats::CheckStats;
 
 /// Resource budgets for a refinement exploration.
@@ -71,13 +71,6 @@ impl Budget {
             max_states: None,
             wall: None,
         }
-    }
-
-    /// This budget with another state limit and the same wall-clock
-    /// deadline: one checkpoint slice of a check whose clock keeps running
-    /// across its slices.
-    pub(crate) fn with_max_states(self, max_states: Option<u64>) -> Budget {
-        Budget { max_states, ..self }
     }
 
     /// A fresh instance of this budget: the same limits, with the wall
@@ -138,6 +131,23 @@ impl Budget {
             Some((deadline, _)) => Instant::now().saturating_duration_since(deadline),
             None => Duration::ZERO,
         }
+    }
+}
+
+/// Checkpoints in passing: an engine hands `save` its frontier each time
+/// its discovered-pair count reaches the next multiple of `every`, then
+/// keeps exploring.
+pub(crate) struct Checkpoints<'a> {
+    pub every: u64,
+    pub save: &'a mut dyn FnMut(Frontier),
+}
+
+impl Checkpoints<'_> {
+    /// The discovered-pair count at which the next checkpoint is due, with
+    /// `discovered` pairs known now.
+    pub(crate) fn due_after(&self, discovered: u64) -> u64 {
+        let every = self.every.max(1);
+        (discovered / every).saturating_add(1).saturating_mul(every)
     }
 }
 
@@ -348,10 +358,10 @@ impl Checker {
             self.max_product,
             None,
             &Budget::unbounded(),
-            &mut CheckStats::default(),
+            None,
             None,
         )
-        .map(|(verdict, _)| verdict)
+        .map(|(verdict, ..)| verdict)
     }
 
     /// Is `p` deadlock free? A deadlock is a reachable state with no
@@ -374,16 +384,7 @@ impl Checker {
     /// [`csp::analysis::GraphAnalysis`]). The witness search — and
     /// therefore the verdict and counterexample — is identical.
     pub(crate) fn deadlock_free_with_flags(&self, lts: &Lts, deadlocked: &[bool]) -> Verdict {
-        let reach = Reachability::explore(lts);
-        for (idx, &s) in reach.order.iter().enumerate() {
-            if deadlocked[s.index()] {
-                return Verdict::Fail(Counterexample::new(
-                    reach.trace_to(idx),
-                    FailureKind::Deadlock,
-                ));
-            }
-        }
-        Verdict::Pass
+        first_flagged(lts, deadlocked, FailureKind::Deadlock)
     }
 
     /// Is `p` divergence free (no reachable τ-loop)?
@@ -409,16 +410,7 @@ impl Checker {
     /// The witness search — and therefore the verdict and counterexample —
     /// is identical.
     pub(crate) fn divergence_free_with_flags(&self, lts: &Lts, divergent: &[bool]) -> Verdict {
-        let reach = Reachability::explore(lts);
-        for (idx, &s) in reach.order.iter().enumerate() {
-            if divergent[s.index()] {
-                return Verdict::Fail(Counterexample::new(
-                    reach.trace_to(idx),
-                    FailureKind::Divergence,
-                ));
-            }
-        }
-        Verdict::Pass
+        first_flagged(lts, divergent, FailureKind::Divergence)
     }
 
     /// Is `p` deterministic? After every trace, no event may be both
@@ -451,7 +443,7 @@ impl Checker {
 
             if norm.divergent(node) {
                 return Verdict::Fail(Counterexample::new(
-                    rebuild_norm_trace(&parents, idx),
+                    trace_back(idx, |i| parents[i as usize]),
                     FailureKind::Divergence,
                 ));
             }
@@ -459,7 +451,7 @@ impl Checker {
                 let refusable = norm.acceptances(node).any(|a| !a.contains(e));
                 if refusable {
                     return Verdict::Fail(Counterexample::new(
-                        rebuild_norm_trace(&parents, idx),
+                        trace_back(idx, |i| parents[i as usize]),
                         FailureKind::Nondeterminism { event: e },
                     ));
                 }
@@ -572,9 +564,10 @@ impl FailureProbe {
     }
 }
 
-/// One discovered product pair in the 0-1 BFS arena. Improvements append a
-/// fresh node and repoint the pair's map entry, so parent chains of
-/// already-recorded nodes stay immutable.
+/// One discovered product pair in the 0-1 BFS arena, which holds one node
+/// per pair in discovery order. A shorter path to a pending pair rewrites
+/// its node in place: a pending node is no node's parent yet, so parent
+/// chains of expanded nodes never change.
 struct ProductNode {
     pair: (StateId, NormNodeId),
     vlen: u32,
@@ -582,40 +575,109 @@ struct ProductNode {
     label: Option<EventId>,
 }
 
+/// The `current` entry of a pair that has been expanded: its depth is
+/// settled, and no later offer may queue it again.
+const EXPANDED: u32 = u32::MAX;
+
+/// What a serial walk stopped at.
+enum Stop {
+    Pass,
+    /// The violation found on expanding arena node `idx`.
+    Violation(u32, FailureKind),
+    /// A violation at this visible depth that the arena cannot trace a
+    /// witness for: it was restored from a frontier.
+    Untraced(u32),
+    /// A budget ran out between two expansions.
+    Budget(BudgetReason),
+}
+
 /// The mutable state of a serial 0-1 BFS product exploration.
 struct Explorer {
     nodes: Vec<ProductNode>,
-    /// Current best arena node per pair.
+    /// Each discovered pair's arena node while it is pending, [`EXPANDED`]
+    /// once it is not.
     current: HashMap<(StateId, NormNodeId), u32>,
     deque: VecDeque<u32>,
     max_product: usize,
     /// Hard cap on visible trace length; children beyond it are not queued.
     bound: Option<u32>,
+    /// Restored from a [`Frontier`]: nodes discovered before the cut have
+    /// no parent pointers, so no witness can be traced from this arena.
+    resumed: bool,
 }
 
 impl Explorer {
     fn new(root: (StateId, NormNodeId), max_product: usize, bound: Option<u32>) -> Explorer {
-        let mut ex = Explorer {
-            nodes: Vec::new(),
-            current: HashMap::new(),
-            deque: VecDeque::new(),
-            max_product,
-            bound,
-        };
-        ex.nodes.push(ProductNode {
+        let node = ProductNode {
             pair: root,
             vlen: 0,
             parent: 0,
             label: None,
-        });
-        ex.current.insert(root, 0);
-        ex.deque.push_back(0);
+        };
+        Explorer {
+            nodes: vec![node],
+            current: HashMap::from([(root, 0)]),
+            deque: VecDeque::from([0]),
+            max_product,
+            bound,
+            resumed: false,
+        }
+    }
+
+    /// Rebuild an exploration from a frontier written by either engine.
+    /// Visited pairs that are not pending are expanded and are never
+    /// queued again. Pending pairs are seeded in nondecreasing visible
+    /// depth; the sort is stable, so a serial frontier keeps its own deque
+    /// order and the walk continues exactly as if it had never stopped.
+    fn restore(f: &Frontier, max_product: usize, bound: Option<u32>) -> Explorer {
+        // Each pending pair's position in the frontier and visible depth.
+        let mut pending: HashMap<(StateId, NormNodeId), (usize, u32)> =
+            HashMap::with_capacity(f.pending.len());
+        for (pos, &(s, n, vlen)) in f.pending.iter().enumerate() {
+            pending.entry(pair_at(s, n)).or_insert((pos, vlen));
+        }
+        let mut ex = Explorer {
+            nodes: Vec::with_capacity(f.visited.len()),
+            current: HashMap::with_capacity(f.visited.len()),
+            deque: VecDeque::with_capacity(pending.len()),
+            max_product,
+            bound,
+            resumed: true,
+        };
+        let mut seeds: Vec<(u32, usize, u32)> = Vec::with_capacity(pending.len());
+        // A pending pair is always visited; one listed only as pending is
+        // taken as visited rather than lost.
+        let visited = f.visited.iter().map(|&(s, n)| pair_at(s, n));
+        let orphans = f.pending.iter().map(|&(s, n, _)| pair_at(s, n));
+        for pair in visited.chain(orphans) {
+            if ex.current.contains_key(&pair) {
+                continue;
+            }
+            let idx = ex.nodes.len() as u32;
+            let (vlen, entry) = match pending.get(&pair) {
+                Some(&(pos, vlen)) => {
+                    seeds.push((vlen, pos, idx));
+                    (vlen, idx)
+                }
+                None => (0, EXPANDED),
+            };
+            ex.nodes.push(ProductNode {
+                pair,
+                vlen,
+                parent: 0,
+                label: None,
+            });
+            ex.current.insert(pair, entry);
+        }
+        seeds.sort_unstable();
+        ex.deque.extend(seeds.into_iter().map(|(_, _, idx)| idx));
         ex
     }
 
     /// Offer a child pair at visible depth `vlen`; queue it when it is new
-    /// or improves on the best known depth (τ edges go to the front of the
-    /// deque, visible edges to the back — the 0-1 BFS discipline).
+    /// or improves on the depth of its pending node (τ edges go to the
+    /// front of the deque, visible edges to the back — the 0-1 BFS
+    /// discipline).
     fn relax(
         &mut self,
         child: (StateId, NormNodeId),
@@ -627,26 +689,35 @@ impl Explorer {
         if self.bound.is_some_and(|b| vlen > b) {
             return Ok(());
         }
-        if let Some(&known) = self.current.get(&child) {
-            if vlen >= self.nodes[known as usize].vlen {
-                return Ok(());
-            }
-        } else {
-            if self.current.len() >= self.max_product {
-                return Err(CheckError::ProductExceeded {
-                    limit: self.max_product,
-                });
-            }
-            stats.pairs_discovered += 1;
-        }
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(ProductNode {
+        let node = ProductNode {
             pair: child,
             vlen,
             parent,
             label,
-        });
-        self.current.insert(child, idx);
+        };
+        let idx = match self.current.get(&child) {
+            Some(&EXPANDED) => return Ok(()),
+            Some(&known) => {
+                let slot = &mut self.nodes[known as usize];
+                if vlen >= slot.vlen {
+                    return Ok(());
+                }
+                *slot = node;
+                known
+            }
+            None => {
+                if self.current.len() >= self.max_product {
+                    return Err(CheckError::ProductExceeded {
+                        limit: self.max_product,
+                    });
+                }
+                stats.pairs_discovered += 1;
+                let idx = self.nodes.len() as u32;
+                self.nodes.push(node);
+                self.current.insert(child, idx);
+                idx
+            }
+        };
         if label.is_none() {
             self.deque.push_front(idx);
         } else {
@@ -656,99 +727,157 @@ impl Explorer {
         Ok(())
     }
 
-    /// Snapshot the exploration into a [`SerialFrontier`] checkpoint. The
-    /// cumulative stats counters travel with the frontier so a resumed run
-    /// reports totals as if it had never stopped.
-    fn capture(&self, stats: &CheckStats) -> SerialFrontier {
-        SerialFrontier {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| CkptNode {
-                    s: n.pair.0.index() as u32,
-                    n: n.pair.1.index() as u32,
-                    vlen: n.vlen,
-                    parent: n.parent,
-                    label: n.label,
-                })
-                .collect(),
-            deque: self.deque.iter().copied().collect(),
-            pairs_discovered: stats.pairs_discovered,
+    /// Snapshot the exploration as a [`Frontier`]: visited pairs in
+    /// discovery order, then the pending nodes in deque order, so a cut
+    /// writes the same bytes on every run. The cumulative counters travel
+    /// with the frontier so a resumed run reports totals as if it had
+    /// never stopped.
+    fn capture(&self, stats: &CheckStats) -> Frontier {
+        let raw = |(s, n): (StateId, NormNodeId)| (s.index() as u32, n.index() as u32);
+        // An improved pending node sits in the deque twice; keep the first.
+        let mut queued: HashSet<u32> = HashSet::with_capacity(self.deque.len());
+        let pending = self
+            .deque
+            .iter()
+            .filter(|&&idx| {
+                self.current.get(&self.nodes[idx as usize].pair) == Some(&idx) && queued.insert(idx)
+            })
+            .map(|&idx| {
+                let node = &self.nodes[idx as usize];
+                let (s, n) = raw(node.pair);
+                (s, n, node.vlen)
+            })
+            .collect();
+        Frontier {
+            visited: self.nodes.iter().map(|node| raw(node.pair)).collect(),
+            pending,
+            discovered: stats.pairs_discovered,
+            violation: u32::MAX,
             expansions: stats.expansions,
             transitions: stats.transitions,
+            steals: stats.steals,
             frontier_peak: stats.frontier_peak,
         }
     }
 
-    /// Rebuild an exploration from a checkpoint. The pair map is replayed in
-    /// arena order under [`Explorer::relax`]'s exact insert-or-improve rule,
-    /// so each pair ends up pointing at the same arena node it did when the
-    /// frontier was captured and the stale-entry checks behave identically.
-    fn restore(f: &SerialFrontier, max_product: usize, bound: Option<u32>) -> Explorer {
-        let mut ex = Explorer {
-            nodes: Vec::with_capacity(f.nodes.len()),
-            current: HashMap::with_capacity(f.nodes.len()),
-            deque: f.deque.iter().copied().collect(),
-            max_product,
-            bound,
-        };
-        for n in &f.nodes {
-            ex.nodes.push(ProductNode {
-                pair: (
-                    StateId::from_index(n.s as usize),
-                    NormNodeId::from_index(n.n as usize),
-                ),
-                vlen: n.vlen,
-                parent: n.parent,
-                label: n.label,
-            });
-        }
-        for idx in 0..ex.nodes.len() {
-            let (pair, vlen) = (ex.nodes[idx].pair, ex.nodes[idx].vlen);
-            let improves = match ex.current.get(&pair) {
-                None => true,
-                Some(&known) => vlen < ex.nodes[known as usize].vlen,
-            };
-            if improves {
-                ex.current.insert(pair, idx as u32);
+    /// Walk the product in 0-1 BFS order until it is exhausted, a
+    /// violation turns up, or `budget` runs out. The budget is checked
+    /// before each pop, so a cut leaves every pending node queued and the
+    /// frontier a complete continuation; `checkpoints` are taken at the
+    /// same point, and the walk goes on.
+    fn walk(
+        &mut self,
+        spec: &NormalisedLts,
+        impl_lts: &Lts,
+        model: RefinementModel,
+        budget: &Budget,
+        stats: &mut CheckStats,
+        mut checkpoints: Option<Checkpoints<'_>>,
+    ) -> Result<Stop, CheckError> {
+        let mut probe = FailureProbe::new(spec);
+        let mut due = checkpoints
+            .as_ref()
+            .map_or(u64::MAX, |c| c.due_after(stats.pairs_discovered));
+        while !self.deque.is_empty() {
+            if let Some(reason) = budget.exceeded(stats.pairs_discovered) {
+                stats.wall_overshoot = budget.wall_overshoot();
+                return Ok(Stop::Budget(reason));
+            }
+            if stats.pairs_discovered >= due {
+                if let Some(c) = checkpoints.as_mut() {
+                    (c.save)(self.capture(stats));
+                    due = c.due_after(stats.pairs_discovered);
+                }
+            }
+            let idx = self.deque.pop_front().expect("deque checked non-empty");
+            let node = &self.nodes[idx as usize];
+            let (pair, vlen) = (node.pair, node.vlen);
+            match self.current.get_mut(&pair) {
+                Some(entry) if *entry == idx => *entry = EXPANDED,
+                _ => continue, // expanded from an earlier deque entry
+            }
+            stats.expansions += 1;
+            let (s, n) = pair;
+
+            if model == RefinementModel::Failures {
+                if let Some(kind) =
+                    probe.violation(spec, n, impl_lts.edges(s), impl_lts.is_omega(s))
+                {
+                    return Ok(self.violation(idx, kind));
+                }
+            }
+
+            for &(label, target) in impl_lts.edges(s) {
+                stats.transitions += 1;
+                match label {
+                    Label::Tau => {
+                        self.relax((target, n), vlen, idx, None, stats)?;
+                    }
+                    Label::Event(e) => match spec.after(n, e) {
+                        Some(n2) => {
+                            self.relax((target, n2), vlen + 1, idx, Some(e), stats)?;
+                        }
+                        None => {
+                            let kind = FailureKind::TraceViolation { event: Some(e) };
+                            return Ok(self.violation(idx, kind));
+                        }
+                    },
+                    Label::Tick => {
+                        if !spec.allows_tick(n) {
+                            let kind = FailureKind::TraceViolation { event: None };
+                            return Ok(self.violation(idx, kind));
+                        }
+                        // Nothing to explore after successful termination.
+                    }
+                }
             }
         }
-        ex
+        Ok(Stop::Pass)
+    }
+
+    /// The stop at a violation found on expanding node `idx`: a restored
+    /// arena has no parent pointers for the pairs it restored.
+    fn violation(&self, idx: u32, kind: FailureKind) -> Stop {
+        if self.resumed {
+            Stop::Untraced(self.nodes[idx as usize].vlen)
+        } else {
+            Stop::Violation(idx, kind)
+        }
     }
 
     /// The visible trace leading to arena node `idx`.
-    fn trace_to(&self, mut idx: u32) -> Trace {
-        let mut events: Vec<TraceEvent> = Vec::new();
-        while idx != 0 {
-            let node = &self.nodes[idx as usize];
-            if let Some(e) = node.label {
-                events.push(TraceEvent::Event(e));
-            }
-            idx = node.parent;
-        }
-        events.reverse();
-        events.into_iter().collect()
+    fn trace_to(&self, idx: u32) -> Trace {
+        trace_back(idx, |i| {
+            let node = &self.nodes[i as usize];
+            (node.parent, node.label)
+        })
     }
 }
 
-/// Serial product exploration in 0-1 BFS order (`τ` = 0, visible = 1), so
-/// the first violation found has minimum visible-trace length. `model` is
-/// a walk model ([`RefinementModel::walk`]).
+/// The serial engine: product exploration in 0-1 BFS order (`τ` = 0,
+/// visible = 1), so the first violation found has minimum visible-trace
+/// length. `model` is a walk model ([`RefinementModel::walk`]).
+///
+/// The walk starts at the root, or continues from `resume`, a frontier
+/// either engine wrote (validated against these models by the caller). It
+/// runs under `budget` and takes `checkpoints` in passing; an
+/// `Inconclusive` verdict comes back with the continuation frontier.
 ///
 /// With `bound: Some(l)`, exploration never queues a pair beyond visible
-/// depth `l`. When a violation at depth ≤ `l` is known to exist (the
-/// parallel engine's canonical witness recovery), this bounds the walk to
-/// the ≤ `l` sphere of the product without changing which violation is
-/// found first — the expansion order of in-bound nodes is identical to the
-/// unbounded walk's.
+/// depth `l`. When a violation at depth ≤ `l` is known to exist, this
+/// bounds the walk to the ≤ `l` sphere of the product without changing
+/// which violation is found first — the expansion order of in-bound nodes
+/// is identical to the unbounded walk's. So the bounded walk from the root
+/// is the *canonical re-walk*: it settles a violation whose witness cannot
+/// be traced with the exact verdict and counterexample of an uninterrupted
+/// serial run.
 ///
-/// Pass `resume` to continue an interrupted exploration; an `Inconclusive`
-/// verdict comes back with the continuation frontier. The frontier is an
-/// *exact* continuation — node arena, pair map and deque order are
-/// restored verbatim — so interrupt + resume reaches a verdict (including
-/// the counterexample trace and the final state count) bit-identical to an
-/// uninterrupted run. Callers must validate the frontier against these
-/// exact models first ([`SerialFrontier::validate`]).
+/// A resumed walk has no parent pointers for the pairs it restored, so a
+/// violation it finds, or one its frontier already records, is settled by
+/// the canonical re-walk. Resuming a frontier this engine wrote repeats no
+/// work, and the counters end as an uninterrupted run's.
+///
+/// The returned stats leave `wall` and `explore_wall` to the caller.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_zero_one(
     spec: &NormalisedLts,
@@ -757,101 +886,71 @@ pub(crate) fn refine_zero_one(
     max_product: usize,
     bound: Option<u32>,
     budget: &Budget,
-    stats: &mut CheckStats,
-    resume: Option<&SerialFrontier>,
-) -> Result<(Verdict, Option<SerialFrontier>), CheckError> {
+    resume: Option<&Frontier>,
+    checkpoints: Option<Checkpoints<'_>>,
+) -> Result<(Verdict, Option<Frontier>, CheckStats), CheckError> {
+    let started = Instant::now();
+    let mut stats = CheckStats {
+        threads: 1,
+        shards: 1,
+        ..CheckStats::default()
+    };
     let mut ex = match resume {
-        Some(frontier) => {
-            stats.pairs_discovered = frontier.pairs_discovered;
-            stats.expansions = frontier.expansions;
-            stats.transitions = frontier.transitions;
-            stats.frontier_peak = stats.frontier_peak.max(frontier.frontier_peak);
-            Explorer::restore(frontier, max_product, bound)
+        Some(f) => {
+            stats.pairs_discovered = f.discovered;
+            stats.expansions = f.expansions;
+            stats.transitions = f.transitions;
+            stats.steals = f.steals;
+            stats.frontier_peak = f.frontier_peak;
+            Explorer::restore(f, max_product, bound)
         }
         None => {
-            let root = (impl_lts.initial(), spec.initial());
-            stats.pairs_discovered += 1;
-            Explorer::new(root, max_product, bound)
+            stats.pairs_discovered = 1;
+            Explorer::new((impl_lts.initial(), spec.initial()), max_product, bound)
         }
     };
-    let mut probe = FailureProbe::new(spec);
-
-    loop {
-        if ex.deque.is_empty() {
-            break;
+    let stop = match resume {
+        Some(f) if f.violation != u32::MAX => Stop::Untraced(f.violation),
+        _ => ex.walk(spec, impl_lts, model, budget, &mut stats, checkpoints)?,
+    };
+    let (verdict, frontier) = match stop {
+        Stop::Pass => (Verdict::Pass, None),
+        Stop::Violation(idx, kind) => (
+            Verdict::Fail(Counterexample::new(ex.trace_to(idx), kind)),
+            None,
+        ),
+        Stop::Untraced(depth) => {
+            // The canonical re-walk: bounded to `depth`, from the root.
+            let (verdict, _, rewalk) = refine_zero_one(
+                spec,
+                impl_lts,
+                model,
+                max_product,
+                Some(depth),
+                &Budget::unbounded(),
+                None,
+                None,
+            )?;
+            stats.rewalk_expansions = rewalk.expansions;
+            (verdict, None)
         }
-        // Budget check before the pop (same stats as the post-pop check the
-        // engine used to do, so trip points are unchanged) — the pending
-        // node stays in the deque and the frontier remains a complete
-        // continuation.
-        if let Some(reason) = budget.exceeded(stats.pairs_discovered) {
-            stats.wall_overshoot = budget.wall_overshoot();
-            let frontier = ex.capture(stats);
-            return Ok((
-                Verdict::Inconclusive(Inconclusive::new(stats.pairs_discovered, reason)),
-                Some(frontier),
-            ));
-        }
-        let idx = ex.deque.pop_front().expect("deque checked non-empty");
-        let node = &ex.nodes[idx as usize];
-        let (pair, vlen) = (node.pair, node.vlen);
-        if ex.current.get(&pair) != Some(&idx) {
-            continue; // superseded by a shorter path
-        }
-        stats.expansions += 1;
-        let (s, n) = pair;
-
-        if model == RefinementModel::Failures {
-            if let Some(kind) = probe.violation(spec, n, impl_lts.edges(s), impl_lts.is_omega(s)) {
-                return Ok((
-                    Verdict::Fail(Counterexample::new(ex.trace_to(idx), kind)),
-                    None,
-                ));
-            }
-        }
-
-        for &(label, target) in impl_lts.edges(s) {
-            stats.transitions += 1;
-            match label {
-                Label::Tau => {
-                    ex.relax((target, n), vlen, idx, None, stats)?;
-                }
-                Label::Event(e) => match spec.after(n, e) {
-                    Some(n2) => {
-                        ex.relax((target, n2), vlen + 1, idx, Some(e), stats)?;
-                    }
-                    None => {
-                        return Ok((
-                            Verdict::Fail(Counterexample::new(
-                                ex.trace_to(idx),
-                                FailureKind::TraceViolation { event: Some(e) },
-                            )),
-                            None,
-                        ));
-                    }
-                },
-                Label::Tick => {
-                    if !spec.allows_tick(n) {
-                        return Ok((
-                            Verdict::Fail(Counterexample::new(
-                                ex.trace_to(idx),
-                                FailureKind::TraceViolation { event: None },
-                            )),
-                            None,
-                        ));
-                    }
-                    // Nothing to explore after successful termination.
-                }
-            }
-        }
-    }
-    Ok((Verdict::Pass, None))
+        Stop::Budget(reason) => (
+            Verdict::Inconclusive(Inconclusive::new(stats.pairs_discovered, reason)),
+            // A bounded walk's frontier continues only the bounded walk.
+            bound.is_none().then(|| ex.capture(&stats)),
+        ),
+    };
+    stats.shard_peak = stats.pairs_discovered;
+    stats.cpu_busy = started.elapsed();
+    Ok((verdict, frontier, stats))
 }
 
-fn rebuild_norm_trace(parents: &[(u32, Option<EventId>)], mut idx: u32) -> Trace {
+/// The visible trace to node `idx` of a parent-pointer table whose root is
+/// node 0; `step` gives a node's parent and the label of the edge to it.
+fn trace_back(mut idx: u32, step: impl Fn(u32) -> (u32, Option<EventId>)) -> Trace {
     let mut events: Vec<TraceEvent> = Vec::new();
     while idx != 0 {
-        let (parent, label) = parents[idx as usize];
+        let (parent, label) = step(idx);
         if let Some(e) = label {
             events.push(TraceEvent::Event(e));
         }
@@ -861,46 +960,30 @@ fn rebuild_norm_trace(parents: &[(u32, Option<EventId>)], mut idx: u32) -> Trace
     events.into_iter().collect()
 }
 
-/// BFS over a single LTS with parent tracking for witness extraction.
-struct Reachability {
-    order: Vec<StateId>,
-    parents: Vec<(u32, Option<EventId>)>,
-}
-
-impl Reachability {
-    fn explore(lts: &Lts) -> Reachability {
-        let mut order = vec![lts.initial()];
-        let mut parents: Vec<(u32, Option<EventId>)> = vec![(0, None)];
-        let mut seen = vec![false; lts.state_count()];
-        seen[lts.initial().index()] = true;
-        let mut frontier = 0usize;
-        while frontier < order.len() {
-            let s = order[frontier];
-            for &(label, target) in lts.edges(s) {
-                if seen[target.index()] {
-                    continue;
-                }
+/// The first state of `lts` in breadth-first order whose flag is set, as a
+/// counterexample of `kind`: the shortest witness trace to it.
+fn first_flagged(lts: &Lts, flags: &[bool], kind: FailureKind) -> Verdict {
+    let mut order = vec![lts.initial()];
+    let mut parents: Vec<(u32, Option<EventId>)> = vec![(0, None)];
+    let mut seen = vec![false; lts.state_count()];
+    seen[lts.initial().index()] = true;
+    let mut frontier = 0usize;
+    while frontier < order.len() {
+        let s = order[frontier];
+        if flags[s.index()] {
+            let trace = trace_back(frontier as u32, |i| parents[i as usize]);
+            return Verdict::Fail(Counterexample::new(trace, kind));
+        }
+        for &(label, target) in lts.edges(s) {
+            if !seen[target.index()] {
                 seen[target.index()] = true;
                 order.push(target);
                 parents.push((frontier as u32, label.event()));
             }
-            frontier += 1;
         }
-        Reachability { order, parents }
+        frontier += 1;
     }
-
-    fn trace_to(&self, mut idx: usize) -> Trace {
-        let mut events: Vec<TraceEvent> = Vec::new();
-        while idx != 0 {
-            let (parent, label) = self.parents[idx];
-            if let Some(e) = label {
-                events.push(TraceEvent::Event(e));
-            }
-            idx = parent as usize;
-        }
-        events.reverse();
-        events.into_iter().collect()
-    }
+    Verdict::Pass
 }
 
 #[cfg(test)]

@@ -38,6 +38,14 @@
 //! recorded. A worker panic is converted into [`CheckError::Internal`]
 //! instead of aborting the process.
 //!
+//! A budget cut or a checkpoint captures the frontier format both engines
+//! share ([`Frontier`]): the visited set, the outstanding tasks with their
+//! visible depths and the recorded violation depth. Checkpoints are taken
+//! in passing. When the discovered count reaches the next checkpoint, the
+//! workers wind down as for a budget cut, the frontier is handed over, and
+//! the leftover tasks are re-seeded for a fresh round of workers over the
+//! same shards; nothing is restored or re-inserted within a run.
+//!
 //! One caveat is inherent to racing the product bound: when the product
 //! has *more* reachable pairs than [`crate::Checker::max_product`] **and** also
 //! contains a violation, the engine may deterministically report either
@@ -53,11 +61,11 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::{Backoff, CachePadded};
 use csp::{CsrEdges, Label, Lts, StateId};
 
-use crate::checker::{refine_zero_one, Budget, FailureProbe, RefinementModel};
+use crate::checker::{refine_zero_one, Budget, Checkpoints, FailureProbe, RefinementModel};
 use crate::counterexample::{BudgetReason, Inconclusive, Verdict};
 use crate::error::CheckError;
 use crate::normalise::{NormNodeId, NormalisedLts};
-use crate::persist::ParallelFrontier;
+use crate::persist::{pair_at, Frontier};
 use crate::stats::CheckStats;
 use crate::store::CompiledModel;
 
@@ -68,8 +76,9 @@ pub(crate) const MAX_THREADS: usize = 256;
 
 /// Refine a compiled implementation against a normalised spec on `threads`
 /// workers, in walk model `model` ([`RefinementModel::walk`]), under
-/// `budget`. Pass `resume` to continue an interrupted exploration; an
-/// `Inconclusive` verdict comes back with the continuation frontier.
+/// `budget`, taking `checkpoints` in passing. Pass `resume` to continue
+/// from a frontier either engine wrote; an `Inconclusive` verdict comes
+/// back with the continuation frontier.
 ///
 /// When the budget runs out mid-pass:
 ///
@@ -80,15 +89,14 @@ pub(crate) const MAX_THREADS: usize = 256;
 ///   regardless of how much of the product was explored); if it too runs
 ///   out, the verdict degrades to [`Verdict::Inconclusive`].
 ///
-/// Unlike the serial engine's exact continuation, a parallel frontier keeps
-/// only the merged visited set, the outstanding tasks and the recorded
-/// violation depth. The verdict and counterexample are nevertheless exact,
-/// because every conclusive [`Verdict::Fail`] is produced by the canonical
-/// bounded serial re-walk, never by the racing pass itself. Callers must
-/// validate the frontier against these exact models first
-/// ([`ParallelFrontier::validate`]). Determinism across runs and thread
-/// counts holds for unbudgeted checks: a wall-clock budget observes real
-/// time, and a state budget races discovery order between workers.
+/// The frontier keeps only the visited set, the outstanding tasks and the
+/// recorded violation depth. The verdict and counterexample are
+/// nevertheless exact, because every conclusive [`Verdict::Fail`] is
+/// produced by the canonical bounded serial re-walk, never by the racing
+/// pass itself. Callers must validate the frontier against these exact
+/// models first ([`Frontier::validate`]). Determinism across runs and
+/// thread counts holds for unbudgeted checks: a wall-clock budget observes
+/// real time, and a state budget races discovery order between workers.
 ///
 /// The returned stats leave `wall` and `explore_wall` to the caller.
 ///
@@ -96,6 +104,7 @@ pub(crate) const MAX_THREADS: usize = 256;
 ///
 /// [`CheckError::ProductExceeded`] if the product grows past
 /// `max_product`; [`CheckError::Internal`] if a worker panics.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn refine(
     norm: &NormalisedLts,
     compiled: &CompiledModel,
@@ -103,57 +112,49 @@ pub(crate) fn refine(
     threads: usize,
     max_product: usize,
     budget: &Budget,
-    resume: Option<&ParallelFrontier>,
-) -> Result<(Verdict, Option<ParallelFrontier>, CheckStats), CheckError> {
+    resume: Option<&Frontier>,
+    checkpoints: Option<Checkpoints<'_>>,
+) -> Result<(Verdict, Option<Frontier>, CheckStats), CheckError> {
     let threads = threads.clamp(1, MAX_THREADS);
-    let (violation, exhausted, frontier, mut stats) =
-        explore(norm, compiled, model, threads, max_product, budget, resume)?;
+    let (violation, exhausted, frontier, mut stats) = explore(
+        norm,
+        compiled,
+        model,
+        threads,
+        max_product,
+        budget,
+        resume,
+        checkpoints,
+    )?;
     if exhausted.is_some() {
         stats.wall_overshoot = budget.wall_overshoot();
     }
 
-    let (verdict, frontier) = match violation {
-        None => match exhausted {
-            Some(reason) => (
-                Verdict::Inconclusive(Inconclusive::new(stats.pairs_discovered, reason)),
-                frontier,
-            ),
-            None => (Verdict::Pass, None),
-        },
+    let verdict = match violation {
+        None => exhausted.map_or(Verdict::Pass, |reason| {
+            Verdict::Inconclusive(Inconclusive::new(stats.pairs_discovered, reason))
+        }),
         Some(depth) => {
-            // Canonical witness recovery: re-walk the ≤ L sphere with the
-            // serial 0-1 BFS. A violation at depth ≤ L is known to exist,
-            // so the walk finds the minimal one without ever expanding
-            // past depth L, and returns the exact verdict the serial
-            // checker would. On a budget-cut pass the re-walk runs under a
-            // fresh budget of its own and may itself come back
-            // inconclusive.
-            let rewalk_budget = if exhausted.is_some() {
-                budget.restarted()
-            } else {
-                Budget::unbounded()
-            };
-            let mut rewalk = CheckStats::default();
-            let (bounded, _) = refine_zero_one(
+            // On a budget-cut pass the re-walk runs under a fresh budget
+            // of its own and may itself come back inconclusive.
+            let rewalk_budget = exhausted.map_or_else(Budget::unbounded, |_| budget.restarted());
+            let (bounded, _, rewalk) = refine_zero_one(
                 norm,
                 compiled.lts(),
                 model,
                 max_product,
                 Some(depth),
                 &rewalk_budget,
-                &mut rewalk,
+                None,
                 None,
             )?;
             stats.rewalk_expansions = rewalk.expansions;
             match bounded {
-                Verdict::Pass => (
-                    Verdict::Inconclusive(Inconclusive::new(
-                        stats.pairs_discovered,
-                        exhausted.expect("bounded re-walk can only pass after a budget cut"),
-                    )),
-                    frontier,
-                ),
-                other => (other, None),
+                Verdict::Pass => Verdict::Inconclusive(Inconclusive::new(
+                    stats.pairs_discovered,
+                    exhausted.expect("bounded re-walk can only pass after a budget cut"),
+                )),
+                other => return Ok((other, None, stats)),
             }
         }
     };
@@ -179,7 +180,6 @@ struct Shared {
     shards: Vec<CachePadded<Mutex<HashSet<Pair>>>>,
     shard_mask: usize,
     injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
     /// Tasks queued or in flight; 0 ⇔ exploration is complete.
     pending: AtomicUsize,
     /// Distinct pairs discovered (for the product bound).
@@ -194,6 +194,9 @@ struct Shared {
     budget_hit: AtomicBool,
     /// Which budget ran out first.
     budget_reason: Mutex<Option<BudgetReason>>,
+    /// A checkpoint is due: wind down this round of workers, as for a
+    /// budget cut, so the frontier can be captured and re-seeded.
+    pause: AtomicBool,
     /// A sibling panicked: abandon the run instead of spinning forever on
     /// its undrained pending count.
     panicked: AtomicBool,
@@ -222,6 +225,7 @@ impl Shared {
         self.violation.load(Ordering::Relaxed) != u32::MAX
             || self.overflow.load(Ordering::Relaxed)
             || self.budget_hit.load(Ordering::Relaxed)
+            || self.pause.load(Ordering::Relaxed)
             || self.panicked.load(Ordering::Relaxed)
     }
 }
@@ -236,13 +240,6 @@ fn shard_of(pair: Pair, mask: usize) -> usize {
 
 fn lock_shard(shard: &Mutex<HashSet<Pair>>) -> std::sync::MutexGuard<'_, HashSet<Pair>> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn pair_at(s: u32, n: u32) -> Pair {
-    (
-        StateId::from_index(s as usize),
-        NormNodeId::from_index(n as usize),
-    )
 }
 
 /// Per-worker counters, merged into [`CheckStats`] after the join.
@@ -271,11 +268,24 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// The parallel decision pass. Returns the visible depth of the recorded
-/// violation (`None` when none was recorded), the budget that cut the pass
-/// short and the continuation frontier (both `None` on a complete pass),
-/// and the pass's statistics.
-#[allow(clippy::type_complexity)]
+/// What the parallel decision pass ended with: the visible depth of the
+/// recorded violation (`None` when none was recorded), the budget that cut
+/// the pass short and the continuation frontier (both `None` on a complete
+/// pass), and the pass's statistics.
+type Pass = (
+    Option<u32>,
+    Option<BudgetReason>,
+    Option<Frontier>,
+    CheckStats,
+);
+
+/// The parallel decision pass.
+///
+/// Workers run in rounds. A round ends with the pass, or when the
+/// discovered count reaches the next checkpoint: the workers wind down as
+/// for a budget cut, the frontier goes to `checkpoints`, and the leftover
+/// tasks are re-seeded for a fresh round of workers over the same shards.
+#[allow(clippy::too_many_arguments)]
 fn explore(
     norm: &NormalisedLts,
     compiled: &CompiledModel,
@@ -283,42 +293,39 @@ fn explore(
     threads: usize,
     max_product: usize,
     budget: &Budget,
-    resume: Option<&ParallelFrontier>,
-) -> Result<
-    (
-        Option<u32>,
-        Option<BudgetReason>,
-        Option<ParallelFrontier>,
-        CheckStats,
-    ),
-    CheckError,
-> {
+    resume: Option<&Frontier>,
+    mut checkpoints: Option<Checkpoints<'_>>,
+) -> Result<Pass, CheckError> {
     let (impl_lts, csr) = (compiled.lts(), compiled.csr());
     let shard_count = shard_count(threads);
     let shards: Vec<CachePadded<Mutex<HashSet<Pair>>>> = (0..shard_count)
         .map(|_| CachePadded::new(Mutex::new(HashSet::new())))
         .collect();
 
-    let locals: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<Task>> = locals.iter().map(Worker::stealer).collect();
-
     let shared = Shared {
         shards,
         shard_mask: shard_count - 1,
         injector: Injector::new(),
-        stealers,
         pending: AtomicUsize::new(0),
         discovered: AtomicUsize::new(0),
         violation: AtomicU32::new(u32::MAX),
         overflow: AtomicBool::new(false),
         budget_hit: AtomicBool::new(false),
         budget_reason: Mutex::new(None),
+        pause: AtomicBool::new(false),
         panicked: AtomicBool::new(false),
         max_product,
         budget: *budget,
     };
+    // Counters accumulate across interrupt/resume so the final stats read
+    // as if the run had never stopped.
+    let mut stats = CheckStats {
+        threads,
+        shards: shard_count,
+        ..CheckStats::default()
+    };
 
-    // Seed: the root pair on a fresh run; on a resumed run the checkpoint's
+    // Seed: the root pair on a fresh run; on a resumed run the frontier's
     // visited set, violation depth and outstanding tasks. Tasks go through
     // the injector so whichever worker starts first claims them.
     match resume {
@@ -329,12 +336,16 @@ fn explore(
             shared
                 .discovered
                 .store(f.discovered as usize, Ordering::Relaxed);
-            shared.violation.store(f.best, Ordering::Relaxed);
-            shared.pending.store(f.frontier.len(), Ordering::Relaxed);
-            for &(s, n, vlen) in &f.frontier {
+            shared.violation.store(f.violation, Ordering::Relaxed);
+            shared.pending.store(f.pending.len(), Ordering::Relaxed);
+            for &(s, n, vlen) in &f.pending {
                 let (s, n) = pair_at(s, n);
                 shared.injector.push(Task { s, n, vlen });
             }
+            stats.expansions = f.expansions;
+            stats.transitions = f.transitions;
+            stats.steals = f.steals;
+            stats.frontier_peak = f.frontier_peak;
         }
         None => {
             let (s, n) = (impl_lts.initial(), norm.initial());
@@ -345,140 +356,156 @@ fn explore(
         }
     }
 
-    let mut merged = WorkerStats::default();
-    let mut leftover_tasks: Vec<Task> = Vec::new();
-    let mut panic_message: Option<(u16, String)> = None;
-
-    crossbeam::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for (me, local) in locals.into_iter().enumerate() {
-            let shared = &shared;
-            handles.push(scope.spawn(move |_| {
-                let mut ctx = WorkerCtx {
-                    me,
-                    local,
-                    shared,
-                    norm,
-                    csr,
-                    model,
-                    impl_lts,
-                    probe: FailureProbe::new(norm),
-                    stats: WorkerStats::default(),
-                };
-                ctx.run();
-                // Drain what this worker never got to: on a budget exit
-                // the local deque still holds queued tasks that belong in
-                // the checkpoint frontier.
-                let mut leftovers: Vec<Task> = Vec::new();
-                while let Some(task) = ctx.local.pop() {
-                    leftovers.push(task);
-                }
-                (ctx.stats, leftovers)
-            }));
-        }
-        for (me, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok((stats, leftovers)) => {
-                    merged.expansions += stats.expansions;
-                    merged.transitions += stats.transitions;
-                    merged.steals += stats.steals;
-                    merged.frontier_peak = merged.frontier_peak.max(stats.frontier_peak);
-                    merged.busy += stats.busy;
-                    leftover_tasks.extend(leftovers);
-                }
-                Err(payload) => {
-                    panic_message.get_or_insert_with(|| (me as u16, panic_text(payload.as_ref())));
+    // One round of workers, until the pass ends or `pause_at` pairs are
+    // known. Their counters go to `stats`, and the tasks still queued in
+    // their deques to `leftovers`.
+    let round = |pause_at: u64,
+                 stats: &mut CheckStats,
+                 leftovers: &mut Vec<Task>|
+     -> Result<(), CheckError> {
+        let locals: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
+        let stealers: Vec<Stealer<Task>> = locals.iter().map(Worker::stealer).collect();
+        let mut panic_message: Option<(u16, String)> = None;
+        crossbeam::scope(|scope| {
+            let mut handles = Vec::with_capacity(threads);
+            for (me, local) in locals.into_iter().enumerate() {
+                let (shared, stealers) = (&shared, &stealers);
+                handles.push(scope.spawn(move |_| {
+                    let mut ctx = WorkerCtx {
+                        me,
+                        local,
+                        shared,
+                        stealers,
+                        pause_at,
+                        norm,
+                        csr,
+                        model,
+                        impl_lts,
+                        probe: FailureProbe::new(norm),
+                        stats: WorkerStats::default(),
+                    };
+                    ctx.run();
+                    // Drain what this worker never got to: after a wind-down
+                    // the local deque still holds queued tasks that belong
+                    // in the frontier.
+                    let leftovers: Vec<Task> = std::iter::from_fn(|| ctx.local.pop()).collect();
+                    (ctx.stats, leftovers)
+                }));
+            }
+            for (me, handle) in handles.into_iter().enumerate() {
+                match handle.join() {
+                    Ok((worker, tasks)) => {
+                        stats.expansions += worker.expansions;
+                        stats.transitions += worker.transitions;
+                        stats.steals += worker.steals;
+                        stats.frontier_peak = stats.frontier_peak.max(worker.frontier_peak);
+                        stats.cpu_busy += worker.busy;
+                        leftovers.extend(tasks);
+                    }
+                    Err(payload) => {
+                        panic_message
+                            .get_or_insert_with(|| (me as u16, panic_text(payload.as_ref())));
+                    }
                 }
             }
+        })
+        .map_err(|payload| CheckError::Internal {
+            message: panic_text(payload.as_ref()),
+            worker: None,
+        })?;
+        match panic_message {
+            Some((worker, message)) => Err(CheckError::Internal {
+                message,
+                worker: Some(worker),
+            }),
+            None => Ok(()),
         }
-    })
-    .map_err(|payload| CheckError::Internal {
-        message: panic_text(payload.as_ref()),
-        worker: None,
-    })?;
+    };
 
-    if let Some((worker, message)) = panic_message {
-        return Err(CheckError::Internal {
-            message,
-            worker: Some(worker),
-        });
+    let mut leftovers: Vec<Task> = Vec::new();
+    loop {
+        let discovered = shared.discovered.load(Ordering::Relaxed) as u64;
+        let pause_at = checkpoints
+            .as_ref()
+            .map_or(u64::MAX, |c| c.due_after(discovered));
+        round(pause_at, &mut stats, &mut leftovers)?;
+        if shared.overflow.load(Ordering::Relaxed) {
+            return Err(CheckError::ProductExceeded { limit: max_product });
+        }
+        if !shared.pause.swap(false, Ordering::Relaxed) || shared.winding_down() {
+            break;
+        }
+        // A checkpoint in passing: hand over the frontier, then put every
+        // leftover task back for the next round. Nothing is restored.
+        drain_injector(&shared, &mut leftovers);
+        if let Some(c) = checkpoints.as_mut() {
+            (c.save)(capture(&shared, &leftovers, &stats));
+        }
+        for task in leftovers.drain(..) {
+            shared.injector.push(task);
+        }
     }
-    if shared.overflow.load(Ordering::Relaxed) {
-        return Err(CheckError::ProductExceeded { limit: max_product });
-    }
+
     let exhausted = *shared
         .budget_reason
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
     let violation = shared.violation.load(Ordering::Relaxed);
-
-    // Counters accumulate across interrupt/resume so the final stats read
-    // as if the run had never stopped.
-    let mut stats = CheckStats {
-        threads,
-        shards: shard_count,
-        pairs_discovered: shared.discovered.load(Ordering::Relaxed) as u64,
-        expansions: merged.expansions + resume.map_or(0, |f| f.expansions),
-        transitions: merged.transitions + resume.map_or(0, |f| f.transitions),
-        frontier_peak: merged
-            .frontier_peak
-            .max(resume.map_or(0, |f| f.frontier_peak)),
-        steals: merged.steals + resume.map_or(0, |f| f.steals),
-        shard_peak: 0,
-        rewalk_expansions: 0,
-        wall: Duration::ZERO,
-        cpu_busy: merged.busy,
-        ..CheckStats::default()
-    };
+    stats.pairs_discovered = shared.discovered.load(Ordering::Relaxed) as u64;
     for shard in &shared.shards {
         stats.shard_peak = stats.shard_peak.max(lock_shard(shard).len() as u64);
     }
-
-    // Capture the continuation frontier on a budget exit: every task still
-    // queued in a worker deque or the injector, plus the merged visited
-    // set. Sorted so the checkpoint bytes are stable for a given cut.
     let frontier = exhausted.is_some().then(|| {
-        let mut tasks: Vec<(u32, u32, u32)> = leftover_tasks
-            .iter()
-            .map(|t| (t.s.index() as u32, t.n.index() as u32, t.vlen))
-            .collect();
-        loop {
-            match shared.injector.steal() {
-                Steal::Success(task) => {
-                    tasks.push((task.s.index() as u32, task.n.index() as u32, task.vlen));
-                }
-                Steal::Retry => {}
-                Steal::Empty => break,
-            }
-        }
-        tasks.sort_unstable();
-        let mut visited: Vec<(u32, u32)> = Vec::with_capacity(stats.pairs_discovered as usize);
-        for shard in &shared.shards {
-            visited.extend(
-                lock_shard(shard)
-                    .iter()
-                    .map(|&(s, n)| (s.index() as u32, n.index() as u32)),
-            );
-        }
-        visited.sort_unstable();
-        ParallelFrontier {
-            visited,
-            frontier: tasks,
-            discovered: stats.pairs_discovered,
-            best: violation,
-            expansions: stats.expansions,
-            transitions: stats.transitions,
-            steals: stats.steals,
-            frontier_peak: stats.frontier_peak,
-        }
+        drain_injector(&shared, &mut leftovers);
+        capture(&shared, &leftovers, &stats)
     });
-
     Ok((
         (violation != u32::MAX).then_some(violation),
         exhausted,
         frontier,
         stats,
     ))
+}
+
+/// Move every task still in the injector to `tasks`.
+fn drain_injector(shared: &Shared, tasks: &mut Vec<Task>) {
+    loop {
+        match shared.injector.steal() {
+            Steal::Success(task) => tasks.push(task),
+            Steal::Retry => {}
+            Steal::Empty => break,
+        }
+    }
+}
+
+/// The frontier of a wound-down pass: the visited set in shard order, the
+/// outstanding `tasks` (sorted, so the pending list does not depend on
+/// which worker held which task), the recorded violation and the counters.
+fn capture(shared: &Shared, tasks: &[Task], stats: &CheckStats) -> Frontier {
+    let mut pending: Vec<(u32, u32, u32)> = tasks
+        .iter()
+        .map(|t| (t.s.index() as u32, t.n.index() as u32, t.vlen))
+        .collect();
+    pending.sort_unstable();
+    let discovered = shared.discovered.load(Ordering::Relaxed);
+    let mut visited: Vec<(u32, u32)> = Vec::with_capacity(discovered);
+    for shard in &shared.shards {
+        visited.extend(
+            lock_shard(shard)
+                .iter()
+                .map(|&(s, n)| (s.index() as u32, n.index() as u32)),
+        );
+    }
+    Frontier {
+        visited,
+        pending,
+        discovered: discovered as u64,
+        violation: shared.violation.load(Ordering::Relaxed),
+        expansions: stats.expansions,
+        transitions: stats.transitions,
+        steals: stats.steals,
+        frontier_peak: stats.frontier_peak,
+    }
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -496,6 +523,10 @@ struct WorkerCtx<'a> {
     me: usize,
     local: Worker<Task>,
     shared: &'a Shared,
+    stealers: &'a [Stealer<Task>],
+    /// Discovered-pair count at which this round winds down for a
+    /// checkpoint (`u64::MAX` when none is due).
+    pause_at: u64,
     norm: &'a NormalisedLts,
     csr: &'a CsrEdges,
     model: RefinementModel,
@@ -541,6 +572,11 @@ impl WorkerCtx<'_> {
                         self.local.push(task);
                         break;
                     }
+                    if count >= self.pause_at {
+                        self.shared.pause.store(true, Ordering::Relaxed);
+                        self.local.push(task);
+                        break;
+                    }
                     backoff.reset();
                     processed += 1;
                     self.process(task);
@@ -576,10 +612,10 @@ impl WorkerCtx<'_> {
                 Steal::Retry => retry = true,
                 Steal::Empty => {}
             }
-            let n = self.shared.stealers.len();
+            let n = self.stealers.len();
             for k in 1..n {
                 let victim = (self.me + k) % n;
-                match self.shared.stealers[victim].steal_batch_and_pop(&self.local) {
+                match self.stealers[victim].steal_batch_and_pop(&self.local) {
                     Steal::Success(task) => {
                         self.stats.steals += 1;
                         return Some(task);
@@ -682,6 +718,7 @@ mod tests {
             threads,
             c.max_product(),
             &budget,
+            None,
             None,
         )
         .map(|(verdict, _, stats)| (verdict, stats))
@@ -878,6 +915,7 @@ mod tests {
             1_000_000,
             &Budget::unbounded(),
             None,
+            None,
         )
         .unwrap();
         assert!(exhausted.is_none());
@@ -891,6 +929,7 @@ mod tests {
             4,
             c.max_product(),
             &Budget::unbounded(),
+            None,
             None,
         )
         .unwrap();

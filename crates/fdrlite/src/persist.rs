@@ -13,13 +13,15 @@
 //!    warning, and falls back to recompiling. A corrupt cache can cost
 //!    time, never correctness.
 //!
-//! 2. **Checkpoints** — the frontier of an interrupted refinement check
-//!    (serial BFS or work-stealing parallel exploration), keyed by a
-//!    deterministic *check id* derived from both model hashes, the
-//!    semantic model and the compile bounds. A resumed run continues on
-//!    the engine that wrote the frontier, at any thread count, to a
-//!    verdict bit-identical to an uninterrupted one; see
-//!    `docs/PERSISTENCE.md` for the exact guarantees.
+//! 2. **Checkpoints** — the frontier of an interrupted refinement check,
+//!    keyed by a deterministic *check id* derived from both model hashes,
+//!    the semantic model and the compile bounds. Both engines write and
+//!    read one frontier layout: the visited pairs, the pending tasks with
+//!    their visible depths, the depth of a recorded violation and the
+//!    counters. A checkpoint resumes on the engine the requested thread
+//!    count selects, whichever engine wrote it, to a verdict bit-identical
+//!    to an uninterrupted one; see `docs/PERSISTENCE.md` for the exact
+//!    guarantees.
 //!
 //! Concurrent `autocsp` invocations may share one cache directory: writers
 //! take an advisory exclusive lock — a `store.lock` file created with
@@ -326,6 +328,16 @@ pub enum EntryError {
     Corrupt(&'static str),
     /// Unknown magic or format version: quarantine under [`STALE_VERSION`].
     Version,
+}
+
+impl EntryError {
+    /// The reason, as surfaced in a diagnostic.
+    pub fn why(self) -> &'static str {
+        match self {
+            EntryError::Corrupt(why) => why,
+            EntryError::Version => "unknown magic or format version",
+        }
+    }
 }
 
 /// Result alias used throughout the codec.
@@ -828,247 +840,113 @@ fn model_tag(model: RefinementModel) -> u8 {
     }
 }
 
-/// One node of the serial explorer's parent-pointer table. `label` is the
-/// visible event on the edge from the parent (`None` for τ edges and the
-/// root), exactly as the explorer records it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CkptNode {
-    pub s: u32,
-    pub n: u32,
-    pub vlen: u32,
-    pub parent: u32,
-    pub label: Option<EventId>,
-}
-
-/// The complete continuation state of an interrupted serial 0-1 BFS.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SerialFrontier {
-    /// Full node table (pair, visible depth, parent pointer, edge label).
-    pub nodes: Vec<CkptNode>,
-    /// Pending node indices, front to back, exactly as the deque stood.
-    pub deque: Vec<u32>,
-    pub pairs_discovered: u64,
-    pub expansions: u64,
-    pub transitions: u64,
-    pub frontier_peak: u64,
-}
-
-impl SerialFrontier {
-    /// Structural validity against the models the resume will run over.
-    pub(crate) fn validate(&self, impl_states: usize, norm_nodes: usize) -> bool {
-        let n = self.nodes.len() as u32;
-        !self.nodes.is_empty()
-            && self.nodes.iter().all(|node| {
-                (node.s as usize) < impl_states && (node.n as usize) < norm_nodes && node.parent < n
-            })
-            && self.deque.iter().all(|&idx| idx < n)
-    }
-}
-
-/// The continuation state of an interrupted parallel exploration: the
-/// merged visited set, the outstanding tasks, and the visible depth of
-/// the recorded violation (`u32::MAX` when none).
+/// The continuation state of an interrupted product walk, written and read
+/// by both engines: every visited pair, the pending tasks with their
+/// visible depths, the visible depth of a recorded violation (`u32::MAX`
+/// when none), and the counters so far.
 ///
-/// No parent pointers or per-pair depths are persisted: the visited set is
-/// insert-once, and the canonical counterexample is always recovered by a
-/// depth-bounded serial re-walk, which needs only `best`.
+/// A visited pair that is not pending has been expanded. No parent
+/// pointers or per-pair depths are kept: a violation found after a resume
+/// is settled by the canonical bounded re-walk, which needs only its depth.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ParallelFrontier {
-    /// `(impl state, spec node)` for every visited pair.
+pub(crate) struct Frontier {
+    /// `(impl state, spec node)` for every visited pair, pending ones
+    /// included, in the order the engine lists them.
     pub visited: Vec<(u32, u32)>,
     /// `(impl state, spec node, visible depth)` for every pending task.
-    pub frontier: Vec<(u32, u32, u32)>,
+    pub pending: Vec<(u32, u32, u32)>,
     pub discovered: u64,
-    pub best: u32,
+    pub violation: u32,
     pub expansions: u64,
     pub transitions: u64,
     pub steals: u64,
     pub frontier_peak: u64,
 }
 
-impl ParallelFrontier {
+impl Frontier {
     /// Structural validity against the models the resume will run over.
     pub(crate) fn validate(&self, impl_states: usize, norm_nodes: usize) -> bool {
         let ok = |s: u32, n: u32| (s as usize) < impl_states && (n as usize) < norm_nodes;
         !self.visited.is_empty()
             && self.visited.iter().all(|&(s, n)| ok(s, n))
-            && self.frontier.iter().all(|&(s, n, _)| ok(s, n))
+            && self.pending.iter().all(|&(s, n, _)| ok(s, n))
     }
 }
 
-/// Engine-specific continuation data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum EngineFrontier {
-    Serial(SerialFrontier),
-    Parallel(ParallelFrontier),
+/// The product pair a frontier entry `(impl state, spec node)` names.
+pub(crate) fn pair_at(s: u32, n: u32) -> (StateId, NormNodeId) {
+    (
+        StateId::from_index(s as usize),
+        NormNodeId::from_index(n as usize),
+    )
 }
 
-impl EngineFrontier {
-    /// Structural validity against the models the resume will run over.
-    pub(crate) fn validate(&self, impl_states: usize, norm_nodes: usize) -> bool {
-        match self {
-            EngineFrontier::Serial(f) => f.validate(impl_states, norm_nodes),
-            EngineFrontier::Parallel(f) => f.validate(impl_states, norm_nodes),
-        }
-    }
+/// The frontier layout's tag. Tag 1 was a serial layout with a parent
+/// pointer per node; it is rejected, and its check restarts from scratch.
+const FRONTIER_TAG: u8 = 2;
 
-    /// Distinct product pairs discovered before the cut.
-    pub(crate) fn discovered(&self) -> u64 {
-        match self {
-            EngineFrontier::Serial(f) => f.pairs_discovered,
-            EngineFrontier::Parallel(f) => f.discovered,
-        }
-    }
-}
-
-/// A durable checkpoint: check identity plus the engine frontier.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Checkpoint {
-    pub id: CheckId,
-    pub model: RefinementModel,
-    pub frontier: EngineFrontier,
-}
-
-fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
+/// A durable checkpoint: the check's identity and walk model, then `f`.
+fn encode_checkpoint(id: CheckId, model: RefinementModel, f: &Frontier) -> Vec<u8> {
     let mut enc = Enc::new(MAGIC_CKPT);
-    enc.u64(ckpt.id.0[0]);
-    enc.u64(ckpt.id.0[1]);
-    enc.u8(model_tag(ckpt.model));
-    match &ckpt.frontier {
-        EngineFrontier::Serial(f) => {
-            enc.u8(1);
-            enc.u32(f.nodes.len() as u32);
-            for node in &f.nodes {
-                enc.u32(node.s);
-                enc.u32(node.n);
-                enc.u32(node.vlen);
-                enc.u32(node.parent);
-                match node.label {
-                    None => enc.u8(0),
-                    Some(e) => {
-                        enc.u8(1);
-                        enc.u32(e.index() as u32);
-                    }
-                }
-            }
-            enc.u32(f.deque.len() as u32);
-            for &idx in &f.deque {
-                enc.u32(idx);
-            }
-            enc.u64(f.pairs_discovered);
-            enc.u64(f.expansions);
-            enc.u64(f.transitions);
-            enc.u64(f.frontier_peak);
-        }
-        EngineFrontier::Parallel(f) => {
-            enc.u8(2);
-            enc.u32(f.visited.len() as u32);
-            for &(s, n) in &f.visited {
-                enc.u32(s);
-                enc.u32(n);
-            }
-            enc.u32(f.frontier.len() as u32);
-            for &(s, n, v) in &f.frontier {
-                enc.u32(s);
-                enc.u32(n);
-                enc.u32(v);
-            }
-            enc.u64(f.discovered);
-            enc.u32(f.best);
-            enc.u64(f.expansions);
-            enc.u64(f.transitions);
-            enc.u64(f.steals);
-            enc.u64(f.frontier_peak);
-        }
+    enc.u64(id.0[0]);
+    enc.u64(id.0[1]);
+    enc.u8(model_tag(model));
+    enc.u8(FRONTIER_TAG);
+    enc.u32(f.visited.len() as u32);
+    for &(s, n) in &f.visited {
+        enc.u32(s);
+        enc.u32(n);
     }
+    enc.u32(f.pending.len() as u32);
+    for &(s, n, v) in &f.pending {
+        enc.u32(s);
+        enc.u32(n);
+        enc.u32(v);
+    }
+    enc.u64(f.discovered);
+    enc.u32(f.violation);
+    enc.u64(f.expansions);
+    enc.u64(f.transitions);
+    enc.u64(f.steals);
+    enc.u64(f.frontier_peak);
     enc.finish()
 }
 
-fn decode_checkpoint(bytes: &[u8], want: CheckId) -> DecResult<Checkpoint> {
+fn decode_checkpoint(bytes: &[u8], id: CheckId, model: RefinementModel) -> DecResult<Frontier> {
     let mut dec = Dec::open(bytes, MAGIC_CKPT)?;
-    let id = CheckId([dec.u64()?, dec.u64()?]);
-    if id != want {
+    if CheckId([dec.u64()?, dec.u64()?]) != id {
         return corrupt("checkpoint is keyed to a different check");
     }
-    let model = match dec.u8()? {
-        0 => RefinementModel::Traces,
-        1 => RefinementModel::Failures,
-        _ => return corrupt("unknown refinement model tag"),
-    };
-    let frontier = match dec.u8()? {
-        1 => {
-            let n = dec.len(17)?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (s, nn, vlen, parent) = (dec.u32()?, dec.u32()?, dec.u32()?, dec.u32()?);
-                let label = match dec.u8()? {
-                    0 => None,
-                    1 => Some(EventId::from_index(dec.u32()? as usize)),
-                    _ => return corrupt("unknown node label tag"),
-                };
-                nodes.push(CkptNode {
-                    s,
-                    n: nn,
-                    vlen,
-                    parent,
-                    label,
-                });
-            }
-            let d = dec.len(4)?;
-            let mut deque = Vec::with_capacity(d);
-            for _ in 0..d {
-                let idx = dec.u32()?;
-                if idx as usize >= nodes.len() {
-                    return corrupt("deque index out of range");
-                }
-                deque.push(idx);
-            }
-            let f = SerialFrontier {
-                nodes,
-                deque,
-                pairs_discovered: dec.u64()?,
-                expansions: dec.u64()?,
-                transitions: dec.u64()?,
-                frontier_peak: dec.u64()?,
-            };
-            if f.nodes
-                .iter()
-                .any(|node| node.parent as usize >= f.nodes.len())
-            {
-                return corrupt("parent pointer out of range");
-            }
-            EngineFrontier::Serial(f)
-        }
-        2 => {
-            let v = dec.len(8)?;
-            let mut visited = Vec::with_capacity(v);
-            for _ in 0..v {
-                visited.push((dec.u32()?, dec.u32()?));
-            }
-            let fr = dec.len(12)?;
-            let mut frontier = Vec::with_capacity(fr);
-            for _ in 0..fr {
-                frontier.push((dec.u32()?, dec.u32()?, dec.u32()?));
-            }
-            EngineFrontier::Parallel(ParallelFrontier {
-                visited,
-                frontier,
-                discovered: dec.u64()?,
-                best: dec.u32()?,
-                expansions: dec.u64()?,
-                transitions: dec.u64()?,
-                steals: dec.u64()?,
-                frontier_peak: dec.u64()?,
-            })
-        }
-        _ => return corrupt("unknown engine tag"),
+    if dec.u8()? != model_tag(model) {
+        return corrupt("checkpoint is for another refinement model");
+    }
+    match dec.u8()? {
+        FRONTIER_TAG => {}
+        1 => return corrupt("retired serial frontier layout"),
+        _ => return corrupt("unknown frontier layout tag"),
+    }
+    let v = dec.len(8)?;
+    let mut visited = Vec::with_capacity(v);
+    for _ in 0..v {
+        visited.push((dec.u32()?, dec.u32()?));
+    }
+    let p = dec.len(12)?;
+    let mut pending = Vec::with_capacity(p);
+    for _ in 0..p {
+        pending.push((dec.u32()?, dec.u32()?, dec.u32()?));
+    }
+    let frontier = Frontier {
+        visited,
+        pending,
+        discovered: dec.u64()?,
+        violation: dec.u32()?,
+        expansions: dec.u64()?,
+        transitions: dec.u64()?,
+        steals: dec.u64()?,
+        frontier_peak: dec.u64()?,
     };
     dec.done()?;
-    Ok(Checkpoint {
-        id,
-        model,
-        frontier,
-    })
+    Ok(frontier)
 }
 
 // ---------------------------------------------------------------------------
@@ -1536,24 +1414,30 @@ impl PersistentCache {
         }
     }
 
-    /// Move a bad entry out of the lookup path and record why.
-    fn quarantine(&self, name: &str, err: EntryError) {
-        let from = self.root.join(name);
-        let to = self.root.join("quarantine").join(name);
-        if fs::rename(&from, &to).is_err() {
+    /// Move the entry `rel` (relative to the cache root) into the
+    /// quarantine directory, or delete it when it cannot be moved.
+    fn move_to_quarantine(&self, rel: &str) {
+        let from = self.root.join(rel);
+        let name = rel.rsplit('/').next().unwrap_or(rel);
+        if fs::rename(&from, self.root.join("quarantine").join(name)).is_err() {
             let _ = fs::remove_file(&from);
         }
-        let _ = fs::remove_file(self.root.join(format!("{name}.used")));
         self.quarantined.fetch_add(1, Ordering::Relaxed);
-        let (code, why) = match err {
-            EntryError::Corrupt(why) => (CORRUPT_ENTRY, why),
-            EntryError::Version => (STALE_VERSION, "unknown magic or format version"),
+    }
+
+    /// Move a bad entry out of the lookup path and record why.
+    fn quarantine(&self, name: &str, err: EntryError) {
+        self.move_to_quarantine(name);
+        let _ = fs::remove_file(self.root.join(format!("{name}.used")));
+        let code = match err {
+            EntryError::Corrupt(_) => CORRUPT_ENTRY,
+            EntryError::Version => STALE_VERSION,
         };
         self.push_diag(
             Diagnostic::warning(
                 code,
                 Span::unknown(),
-                format!("quarantined cache entry `{name}`: {why}"),
+                format!("quarantined cache entry `{name}`: {}", err.why()),
             )
             .with_note(
                 "the model was recompiled; delete the quarantine directory to reclaim space",
@@ -1654,70 +1538,37 @@ impl PersistentCache {
         self.write_entry(&key.file_name(), enc.finish());
     }
 
-    /// Persist a checkpoint under its check id (best effort).
-    pub(crate) fn save_checkpoint(&self, ckpt: &Checkpoint) {
-        let rel = format!("checkpoints/{}.ckpt", ckpt.id.token());
-        self.write_entry(&rel, encode_checkpoint(ckpt));
+    /// The checkpoint entry of check `id`, relative to the cache root.
+    fn checkpoint_entry(id: CheckId) -> String {
+        format!("checkpoints/{}.ckpt", id.token())
     }
 
-    /// Load the checkpoint for `id`, or `None` (with a [`BAD_CHECKPOINT`]
-    /// diagnostic if a file existed but was rejected).
-    pub(crate) fn load_checkpoint(&self, id: CheckId) -> Option<Checkpoint> {
-        let name = format!("{}.ckpt", id.token());
-        let path = self.root.join("checkpoints").join(&name);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == ErrorKind::NotFound => return None,
-            Err(e) => {
-                self.push_diag(Diagnostic::warning(
-                    CACHE_IO,
-                    Span::unknown(),
-                    format!("failed to read checkpoint `{name}`: {e}"),
-                ));
-                return None;
-            }
-        };
-        match decode_checkpoint(&bytes, id) {
-            Ok(ckpt) => Some(ckpt),
-            Err(err) => {
-                let to = self.root.join("quarantine").join(&name);
-                if fs::rename(&path, &to).is_err() {
-                    let _ = fs::remove_file(&path);
-                }
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                let why = match err {
-                    EntryError::Corrupt(why) => why,
-                    EntryError::Version => "unknown magic or format version",
-                };
-                self.push_diag(
-                    Diagnostic::warning(
-                        BAD_CHECKPOINT,
-                        Span::unknown(),
-                        format!("rejected checkpoint `{name}`: {why}"),
-                    )
-                    .with_note("the check restarts from scratch"),
-                );
-                None
-            }
-        }
+    /// Persist the frontier of check `id`, walked in `model` (best effort).
+    pub(crate) fn save_checkpoint(&self, id: CheckId, model: RefinementModel, f: &Frontier) {
+        self.write_entry(&Self::checkpoint_entry(id), encode_checkpoint(id, model, f));
     }
 
-    /// Discard a checkpoint that decoded cleanly but does not fit the
-    /// models of the current check (e.g. written by an older script
-    /// revision whose state spaces were shaped differently).
+    /// Load the frontier of check `id`, walked in `model`, or `None`
+    /// (quarantined, with a [`BAD_CHECKPOINT`] diagnostic, if a file
+    /// existed but was rejected).
+    pub(crate) fn load_checkpoint(&self, id: CheckId, model: RefinementModel) -> Option<Frontier> {
+        let bytes = self.read_entry(&Self::checkpoint_entry(id))?;
+        decode_checkpoint(&bytes, id, model)
+            .map_err(|err| self.discard_checkpoint(id, err.why()))
+            .ok()
+    }
+
+    /// Quarantine the checkpoint for `id`: it did not decode, or does not
+    /// fit the models of the current check (e.g. written by an older
+    /// script revision whose state spaces were shaped differently).
     pub(crate) fn discard_checkpoint(&self, id: CheckId, why: &str) {
-        let name = format!("{}.ckpt", id.token());
-        let from = self.root.join("checkpoints").join(&name);
-        let to = self.root.join("quarantine").join(&name);
-        if fs::rename(&from, &to).is_err() {
-            let _ = fs::remove_file(&from);
-        }
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
+        let rel = Self::checkpoint_entry(id);
+        self.move_to_quarantine(&rel);
         self.push_diag(
             Diagnostic::warning(
                 BAD_CHECKPOINT,
                 Span::unknown(),
-                format!("discarded checkpoint `{name}`: {why}"),
+                format!("quarantined checkpoint `{rel}`: {why}"),
             )
             .with_note("the check restarts from scratch"),
         );
@@ -1725,11 +1576,7 @@ impl PersistentCache {
 
     /// Remove the checkpoint for `id` (called when a resumed run completes).
     pub(crate) fn remove_checkpoint(&self, id: CheckId) {
-        let path = self
-            .root
-            .join("checkpoints")
-            .join(format!("{}.ckpt", id.token()));
-        let _ = fs::remove_file(path);
+        let _ = fs::remove_file(self.root.join(Self::checkpoint_entry(id)));
     }
 }
 
@@ -2039,60 +1886,29 @@ mod tests {
         assert!(cache.load_model(&key).is_none());
     }
 
-    #[test]
-    fn checkpoint_roundtrips_both_engines() {
-        let cache = PersistentCache::open(tmpdir("ckpt")).unwrap();
-        let id = CheckId([42, 43]);
-        let serial = Checkpoint {
-            id,
-            model: RefinementModel::Traces,
-            frontier: EngineFrontier::Serial(SerialFrontier {
-                nodes: vec![
-                    CkptNode {
-                        s: 0,
-                        n: 0,
-                        vlen: 0,
-                        parent: 0,
-                        label: None,
-                    },
-                    CkptNode {
-                        s: 1,
-                        n: 0,
-                        vlen: 1,
-                        parent: 0,
-                        label: Some(e(7)),
-                    },
-                ],
-                deque: vec![1],
-                pairs_discovered: 2,
-                expansions: 1,
-                transitions: 3,
-                frontier_peak: 2,
-            }),
-        };
-        cache.save_checkpoint(&serial);
-        assert_eq!(cache.load_checkpoint(id).as_ref(), Some(&serial));
+    fn sample_frontier() -> Frontier {
+        Frontier {
+            visited: vec![(0, 0), (1, 1), (2, 0)],
+            pending: vec![(1, 1, 1), (2, 0, 2)],
+            discovered: 3,
+            violation: 7,
+            expansions: 5,
+            transitions: 9,
+            steals: 1,
+            frontier_peak: 2,
+        }
+    }
 
-        let id2 = CheckId([7, 9]);
-        let par = Checkpoint {
-            id: id2,
-            model: RefinementModel::Traces,
-            frontier: EngineFrontier::Parallel(ParallelFrontier {
-                visited: vec![(0, 0), (1, 1)],
-                frontier: vec![(1, 1, 1)],
-                discovered: 2,
-                best: u32::MAX,
-                expansions: 5,
-                transitions: 9,
-                steals: 1,
-                frontier_peak: 2,
-            }),
-        };
-        cache.save_checkpoint(&par);
-        assert_eq!(cache.load_checkpoint(id2).as_ref(), Some(&par));
+    #[test]
+    fn checkpoint_roundtrips() {
+        let cache = PersistentCache::open(tmpdir("ckpt")).unwrap();
+        let (id, model) = (CheckId([42, 43]), RefinementModel::Failures);
+        let frontier = sample_frontier();
+        cache.save_checkpoint(id, model, &frontier);
+        assert_eq!(cache.load_checkpoint(id, model), Some(frontier));
 
         cache.remove_checkpoint(id);
-        assert!(cache.load_checkpoint(id).is_none());
+        assert!(cache.load_checkpoint(id, model).is_none());
         assert!(
             cache.take_diagnostics().is_empty(),
             "a removed checkpoint is a clean miss, not an error"
@@ -2103,22 +1919,8 @@ mod tests {
     fn checkpoint_keyed_to_another_check_is_rejected() {
         let dir = tmpdir("ckpt-key");
         let cache = PersistentCache::open(&dir).unwrap();
-        let id = CheckId([1, 2]);
-        let ckpt = Checkpoint {
-            id,
-            model: RefinementModel::Traces,
-            frontier: EngineFrontier::Parallel(ParallelFrontier {
-                visited: vec![(0, 0)],
-                frontier: vec![],
-                discovered: 1,
-                best: u32::MAX,
-                expansions: 0,
-                transitions: 0,
-                steals: 0,
-                frontier_peak: 1,
-            }),
-        };
-        cache.save_checkpoint(&ckpt);
+        let (id, model) = (CheckId([1, 2]), RefinementModel::Traces);
+        cache.save_checkpoint(id, model, &sample_frontier());
         let other = CheckId([9, 9]);
         fs::rename(
             dir.join("checkpoints").join(format!("{}.ckpt", id.token())),
@@ -2126,7 +1928,7 @@ mod tests {
                 .join(format!("{}.ckpt", other.token())),
         )
         .unwrap();
-        assert!(cache.load_checkpoint(other).is_none());
+        assert!(cache.load_checkpoint(other, model).is_none());
         assert_eq!(cache.take_diagnostics()[0].code, BAD_CHECKPOINT);
     }
 

@@ -13,7 +13,11 @@
 //!
 //! The store is also where refinement is asked: [`ModelStore::check`] is
 //! the one entry point that runs the serial or the work-stealing engine,
-//! under budgets, with checkpoint/resume when persistence is attached.
+//! under budgets, with checkpoint/resume when persistence is attached. It
+//! loads a checkpoint under the resume policy, runs the engine the thread
+//! count selects once (the engine checkpoints in passing), and then saves
+//! the final frontier of an inconclusive walk or removes the checkpoint of
+//! a conclusive one. Both engines write and read one frontier format.
 //!
 //! The store is a pure cache: every verdict, counterexample and witness
 //! trace produced through it is bit-identical to the corresponding direct
@@ -38,14 +42,16 @@ use std::time::{Duration, Instant};
 use csp::analysis::GraphAnalysis;
 use csp::{CsrEdges, Definitions, Lts, Process, TermArena, TermId};
 
-use crate::checker::{refine_zero_one, Budget, CheckOptions, Checker, RefinementModel};
-use crate::counterexample::{BudgetReason, Verdict};
+use crate::checker::{
+    refine_zero_one, Budget, CheckOptions, Checker, Checkpoints, RefinementModel,
+};
+use crate::counterexample::Verdict;
 use crate::error::CheckError;
 use crate::normalise::NormalisedLts;
 use crate::parallel;
 use crate::persist::{
-    content_hash, CheckId, CheckIdParts, Checkpoint, EngineFrontier, ModelHash, ModelKey,
-    NormDiskKey, ParallelFrontier, PersistConfig, PersistentCache, ResumePolicy, SerialFrontier,
+    content_hash, CheckId, CheckIdParts, Frontier, ModelHash, ModelKey, NormDiskKey, PersistConfig,
+    PersistentCache, ResumePolicy,
 };
 use crate::stats::CheckStats;
 
@@ -500,13 +506,13 @@ impl ModelStore {
     /// bit-identical at every thread count, and to the store-free
     /// [`Checker::trace_refinement`] and its siblings.
     ///
-    /// The budgets of `request.options` cover the whole walk, however many
-    /// checkpoint slices it takes; exhausting one yields
-    /// [`Verdict::Inconclusive`]. With a [`PersistConfig`] attached, such a
-    /// verdict writes a checkpoint and carries its resume token, and a
-    /// conclusive one removes it. A checkpoint found under the resume
-    /// policy continues on the engine that wrote it: a work-stealing
-    /// frontier at the requested thread count, a serial one serially.
+    /// The budgets of `request.options` cover the whole walk; exhausting
+    /// one yields [`Verdict::Inconclusive`]. With a [`PersistConfig`]
+    /// attached, such a verdict writes a checkpoint and carries its resume
+    /// token, and a conclusive one removes it; `checkpoint_every` makes the
+    /// engine write checkpoints in passing as well. A checkpoint found
+    /// under the resume policy continues on the engine the thread count
+    /// selects, whichever engine wrote it.
     ///
     /// The returned [`CheckStats`] carry the compile/explore wall split and
     /// the store hit/miss deltas of this call.
@@ -660,15 +666,14 @@ impl ModelStore {
     }
 
     /// Run the product walk of one check in walk model `model`
-    /// ([`RefinementModel::walk`]), slice by slice.
+    /// ([`RefinementModel::walk`]) once, under one budget.
     ///
-    /// The budget starts once; each slice gets what remains of its wall
-    /// clock. `checkpoint_every` segments the *state* budget: each slice
-    /// stops after that many newly discovered pairs, writes a checkpoint
-    /// and hands its frontier to the next slice in-process. The serial
-    /// frontier is an exact continuation and the work-stealing verdict is
-    /// canonicalised by the bounded re-walk, so slicing never changes a
-    /// verdict or counterexample. Without persistence there is one slice.
+    /// With persistence attached: a checkpoint found under the resume
+    /// policy seeds the walk on the engine the thread count selects,
+    /// whichever engine wrote it; the engine saves a checkpoint in passing
+    /// every `checkpoint_every` newly discovered pairs; an `Inconclusive`
+    /// walk saves its final frontier and carries the resume token, and a
+    /// conclusive one removes the checkpoint.
     #[allow(clippy::too_many_arguments)]
     fn engine_run(
         &self,
@@ -681,119 +686,74 @@ impl ModelStore {
         persist: Option<(&PersistConfig, CheckId)>,
     ) -> Result<(Verdict, CheckStats), CheckError> {
         let budget = Budget::start(options);
-        let serial = |slice: &Budget, resume: Option<&SerialFrontier>| {
-            let started = Instant::now();
-            let mut stats = CheckStats {
-                threads: 1,
-                shards: 1,
-                ..CheckStats::default()
-            };
-            let (verdict, frontier) = refine_zero_one(
-                norm,
-                impl_m.lts(),
-                model,
-                checker.max_product(),
-                None,
-                slice,
-                &mut stats,
-                resume,
-            )?;
-            stats.shard_peak = stats.pairs_discovered;
-            stats.cpu_busy = started.elapsed();
-            Ok::<_, CheckError>((verdict, frontier.map(EngineFrontier::Serial), stats))
+        let wanted = |(cfg, id): &(&PersistConfig, CheckId)| match cfg.resume {
+            ResumePolicy::Off => false,
+            ResumePolicy::Auto => true,
+            ResumePolicy::Token(token) => token == *id,
         };
-        let work_stealing = |slice: &Budget, resume: Option<&ParallelFrontier>| {
-            let (verdict, frontier, stats) = parallel::refine(
-                norm,
-                impl_m,
-                model,
-                threads,
-                checker.max_product(),
-                slice,
-                resume,
-            )?;
-            Ok::<_, CheckError>((verdict, frontier.map(EngineFrontier::Parallel), stats))
-        };
-
-        let mut carried = persist.and_then(|(cfg, id)| {
-            let wanted = match cfg.resume {
-                ResumePolicy::Off => false,
-                ResumePolicy::Auto => true,
-                ResumePolicy::Token(token) => token == id,
-            };
-            if !wanted {
-                return None;
-            }
-            let ckpt = cfg.cache.load_checkpoint(id)?;
-            if ckpt.model == model
-                && ckpt
-                    .frontier
-                    .validate(impl_m.lts().state_count(), norm.node_count())
-            {
-                Some(ckpt.frontier)
+        let resume = persist.filter(wanted).and_then(|(cfg, id)| {
+            let frontier = cfg.cache.load_checkpoint(id, model)?;
+            if frontier.validate(impl_m.lts().state_count(), norm.node_count()) {
+                Some(frontier)
             } else {
                 cfg.cache
                     .discard_checkpoint(id, "frontier does not fit the current models");
                 None
             }
         });
-        let explore_start = Instant::now();
-        let mut cpu_total = Duration::ZERO;
-        loop {
-            // Slice the state budget at the next checkpoint boundary (never
-            // past the caller's real budget).
-            let slice_limit = persist
-                .and_then(|(cfg, _)| cfg.checkpoint_every)
-                .map(|every| {
-                    let discovered = carried.as_ref().map_or(0, EngineFrontier::discovered);
-                    let target = discovered.saturating_add(every.max(1));
-                    options.max_states.map_or(target, |real| real.min(target))
-                });
-            let slice = budget.with_max_states(slice_limit.or(options.max_states));
-            let (verdict, frontier, mut stats) = match &carried {
-                Some(EngineFrontier::Serial(f)) => serial(&slice, Some(f))?,
-                Some(EngineFrontier::Parallel(f)) => work_stealing(&slice, Some(f))?,
-                None if threads > 1 => work_stealing(&slice, None)?,
-                None => serial(&slice, None)?,
-            };
-            cpu_total += stats.cpu_busy;
-            stats.wall = explore_start.elapsed();
-            stats.explore_wall = stats.wall;
-            stats.cpu_busy = cpu_total;
+        let mut save = |frontier: Frontier| {
+            if let Some((cfg, id)) = persist {
+                cfg.cache.save_checkpoint(id, model, &frontier);
+            }
+        };
+        let checkpoints = persist
+            .and_then(|(cfg, _)| cfg.checkpoint_every)
+            .map(|every| Checkpoints {
+                every,
+                save: &mut save,
+            });
 
-            let Some((cfg, id)) = persist else {
-                return Ok((verdict, stats));
-            };
-            match verdict {
-                Verdict::Inconclusive(mut inc) => {
-                    if let Some(frontier) = frontier {
-                        let ckpt = Checkpoint {
-                            id,
-                            model,
-                            frontier,
-                        };
-                        cfg.cache.save_checkpoint(&ckpt);
-                        // A slice boundary is not the caller's budget: keep
-                        // exploring in-process. The caller's own state or
-                        // wall budget, or a shutdown request, surfaces as
-                        // Inconclusive with the resume token.
-                        let slice_end = matches!(
-                            inc.reason,
-                            BudgetReason::States { limit }
-                                if slice_limit == Some(limit) && options.max_states != Some(limit)
-                        );
-                        if slice_end {
-                            carried = Some(ckpt.frontier);
-                            continue;
-                        }
-                        inc.resume = Some(id.token());
-                    }
-                    return Ok((Verdict::Inconclusive(inc), stats));
+        let explore_start = Instant::now();
+        let (verdict, frontier, mut stats) = if threads > 1 {
+            parallel::refine(
+                norm,
+                impl_m,
+                model,
+                threads,
+                checker.max_product(),
+                &budget,
+                resume.as_ref(),
+                checkpoints,
+            )?
+        } else {
+            refine_zero_one(
+                norm,
+                impl_m.lts(),
+                model,
+                checker.max_product(),
+                None,
+                &budget,
+                resume.as_ref(),
+                checkpoints,
+            )?
+        };
+        stats.wall = explore_start.elapsed();
+        stats.explore_wall = stats.wall;
+
+        let Some((cfg, id)) = persist else {
+            return Ok((verdict, stats));
+        };
+        match verdict {
+            Verdict::Inconclusive(mut inc) => {
+                if let Some(frontier) = frontier {
+                    save(frontier);
+                    inc.resume = Some(id.token());
                 }
-                conclusive => {
-                    cfg.cache.remove_checkpoint(id);
-                    return Ok((conclusive, stats));
-                }
+                Ok((Verdict::Inconclusive(inc), stats))
+            }
+            conclusive => {
+                cfg.cache.remove_checkpoint(id);
+                Ok((conclusive, stats))
             }
         }
     }

@@ -2,19 +2,20 @@
 //!
 //! 1. Interrupting a refinement at a *random* state budget, then resuming
 //!    from the on-disk checkpoint, must reproduce the uninterrupted run
-//!    verbatim — verdict, counterexample trace and (for the serial engine,
-//!    and for the parallel engine on a pass) the final state count — when
-//!    the cut and the resume each run at 1 or 8 threads, and must leave no
-//!    checkpoint behind. A wall budget covers every checkpoint slice of a
-//!    check together.
+//!    verbatim — verdict, counterexample trace and (when both runs use one
+//!    thread, or on a pass) the final state count — when the cut and the
+//!    resume each run at 1 or 8 threads and each checkpoints in passing at
+//!    a random cadence, and must leave no checkpoint behind. A passing
+//!    resume expands every pair once. A wall budget covers a whole check,
+//!    whatever its checkpoint cadence.
 //! 2. Corrupting on-disk cache entries (bit flips, truncation, header
 //!    damage) must degrade to a quarantine + recompile, never a wrong
 //!    verdict or a panic. Likewise a corrupted checkpoint must restart the
 //!    check from scratch, not poison it.
-//! 3. A parallel checkpoint written by the previous checkpoint codec
-//!    (magic `FDRLCKP\x01`, valid checksum) must be quarantined as
-//!    `STO405`, and the check must restart and reach the uninterrupted
-//!    verdict.
+//! 3. A checkpoint written by a retired codec — the previous version of
+//!    the magic (`FDRLCKP\x01`), or the serial frontier layout (tag 1) —
+//!    with a valid checksum must be quarantined as `STO405`, and the check
+//!    must restart and reach the uninterrupted verdict.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,13 +103,26 @@ fn arb_process(depth: u32) -> BoxedStrategy<Process> {
 }
 
 fn persisted_store(cache: &Arc<PersistentCache>, resume: ResumePolicy) -> ModelStore {
+    checkpointing_store(cache, resume, None)
+}
+
+fn checkpointing_store(
+    cache: &Arc<PersistentCache>,
+    resume: ResumePolicy,
+    checkpoint_every: Option<u64>,
+) -> ModelStore {
     let store = ModelStore::new();
     store.set_persist(PersistConfig {
         cache: Arc::clone(cache),
-        checkpoint_every: None,
+        checkpoint_every,
         resume,
     });
     store
+}
+
+/// No checkpoints in passing, or one every 1–16 new pairs.
+fn arb_cadence() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![Just(None), (1u64..=16).prop_map(Some)]
 }
 
 proptest! {
@@ -119,6 +133,8 @@ proptest! {
         spec in arb_process(3),
         impl_ in arb_process(4),
         cut in 1u64..40,
+        cut_every in arb_cadence(),
+        resume_every in arb_cadence(),
     ) {
         let defs = Definitions::new();
         let unbounded = CheckOptions::UNBOUNDED;
@@ -133,7 +149,7 @@ proptest! {
             let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
             let cut_opts = CheckOptions { max_states: Some(cut), max_wall_ms: None };
             let (first, _) = check(
-                &persisted_store(&cache, ResumePolicy::Off),
+                &checkpointing_store(&cache, ResumePolicy::Off, cut_every),
                 &spec, &impl_, &defs, cut_threads, cut_opts,
             )
             .expect("budgeted run cannot hit a hard cap the reference missed");
@@ -146,7 +162,7 @@ proptest! {
                 );
                 let id = CheckId::from_token(token.unwrap()).expect("token parses");
                 check(
-                    &persisted_store(&cache, ResumePolicy::Token(id)),
+                    &checkpointing_store(&cache, ResumePolicy::Token(id), resume_every),
                     &spec, &impl_, &defs, resume_threads, unbounded,
                 )
                 .expect("resumed run cannot hit a hard cap the reference missed")
@@ -161,12 +177,16 @@ proptest! {
             };
 
             prop_assert_eq!(&final_verdict, &ref_verdict);
-            // State counts: exact when the serial engine wrote the
-            // checkpoint (it resumes serially, as an exact continuation);
-            // the parallel engine's discovery order races on a fail, so
-            // only a pass pins its count (the full reachable product).
-            if cut_threads == 1 || ref_verdict.is_pass() {
+            // State counts: exact when both runs use the serial engine (a
+            // serial cut resumes serially as an exact continuation); the
+            // parallel engine's discovery order races on a fail, so only a
+            // pass pins its count (the full reachable product).
+            if (cut_threads, resume_threads) == (1, 1) || ref_verdict.is_pass() {
                 prop_assert_eq!(final_stats.pairs_discovered, ref_stats.pairs_discovered);
+            }
+            // Every pair is expanded once, across the cut as well.
+            if final_verdict.is_pass() {
+                prop_assert_eq!(final_stats.expansions, final_stats.pairs_discovered);
             }
             // The resume found the cut's checkpoint, whatever the thread
             // counts, and a conclusive verdict removed it.
@@ -207,12 +227,13 @@ fn cycles_against_ring(k: usize, m: usize) -> (Definitions, Process, Process) {
 
 #[test]
 fn wall_budget_spans_every_checkpoint_slice() {
-    // Each slice of 1,000 new pairs, checkpoint included, ends well inside
-    // the budget; the whole walk over 196,830 pairs takes far longer.
+    // Each stretch of 1,000 new pairs between checkpoints ends well inside
+    // the budget; the whole walk over 196,830 pairs takes several times
+    // longer, checkpoints or not.
     let (defs, spec, impl_) = cycles_against_ring(8, 90);
     let budget = CheckOptions {
         max_states: None,
-        max_wall_ms: Some(1_500),
+        max_wall_ms: Some(300),
     };
     for threads in [1usize, 8] {
         let dir = fresh_dir("wall");
@@ -230,7 +251,7 @@ fn wall_budget_spans_every_checkpoint_slice() {
         });
         assert_eq!(
             inc.reason,
-            BudgetReason::Wall { limit_ms: 1_500 },
+            BudgetReason::Wall { limit_ms: 300 },
             "{threads} thread(s)"
         );
         assert!(
@@ -413,6 +434,73 @@ proptest! {
         let store2 = persisted_store(&cache2, ResumePolicy::Token(id));
         let (verdict, _) = check(&store2, &spec, &impl_, &defs, 8, unbounded)
             .expect("resume over an old-format checkpoint must not abort");
+        prop_assert_eq!(&verdict, &ref_verdict);
+        prop_assert_eq!(cache2.quarantined(), 1);
+        let codes: Vec<&str> = cache2.take_diagnostics().iter().map(|d| d.code.0).collect();
+        prop_assert_eq!(codes, vec![fdrlite::persist::BAD_CHECKPOINT.0]);
+        prop_assert!(dir.join("quarantine").join(format!("{token}.ckpt")).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn serial_layout_checkpoint_is_quarantined(
+        spec in arb_process(3),
+        impl_ in arb_process(4),
+    ) {
+        let defs = Definitions::new();
+        let unbounded = CheckOptions::UNBOUNDED;
+        let Ok((ref_verdict, _)) =
+            check(&ModelStore::new(), &spec, &impl_, &defs, 1, unbounded)
+        else {
+            return Ok(());
+        };
+
+        // A one-pair budget cuts every check at its root, so every case
+        // leaves a checkpoint behind.
+        let dir = fresh_dir("serialckpt");
+        let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
+        let cut_opts = CheckOptions { max_states: Some(1), max_wall_ms: None };
+        let store = persisted_store(&cache, ResumePolicy::Off);
+        let (first, _) =
+            check(&store, &spec, &impl_, &defs, 1, cut_opts).expect("budgeted run succeeds");
+        let token = first.inconclusive().and_then(|i| i.resume.clone());
+        prop_assert!(token.is_some(), "a root cut must leave a resume token: {:?}", first);
+        let token = token.unwrap();
+
+        // Rewrite the checkpoint in the retired serial layout (frontier
+        // tag 1), checksum recomputed: the root pair (both compilers number
+        // their initial state 0) as the only node, pending at depth 0.
+        let ckpt = dir.join("checkpoints").join(format!("{token}.ckpt"));
+        let written = std::fs::read(&ckpt).expect("checkpoint readable");
+        prop_assert_eq!(&written[..8], b"FDRLCKP\x02");
+        // Magic, format version, check id and model tag.
+        let mut bytes = written[..29].to_vec();
+        bytes.push(1);
+        bytes.extend(1u32.to_le_bytes());
+        for field in [0u32; 4] {
+            // impl state, spec node, visible depth, parent
+            bytes.extend(field.to_le_bytes());
+        }
+        bytes.push(0); // no edge label
+        bytes.extend(1u32.to_le_bytes());
+        bytes.extend(0u32.to_le_bytes()); // deque: the root node
+        for counter in [1u64, 0, 0, 1] {
+            // discovered, expansions, transitions, frontier peak
+            bytes.extend(counter.to_le_bytes());
+        }
+        let sum = fnv1a64(&bytes);
+        bytes.extend(sum.to_le_bytes());
+        std::fs::write(&ckpt, &bytes).expect("checkpoint writable");
+
+        let id = CheckId::from_token(&token).expect("token parses");
+        let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
+        let store2 = persisted_store(&cache2, ResumePolicy::Token(id));
+        let (verdict, _) = check(&store2, &spec, &impl_, &defs, 1, unbounded)
+            .expect("resume over a serial-layout checkpoint must not abort");
         prop_assert_eq!(&verdict, &ref_verdict);
         prop_assert_eq!(cache2.quarantined(), 1);
         let codes: Vec<&str> = cache2.take_diagnostics().iter().map(|d| d.code.0).collect();

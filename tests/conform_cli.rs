@@ -235,11 +235,55 @@ fn traces_dir_ingests_every_jsonl_sorted_and_stdin_appends() {
 // Determinism: JSON verdicts are thread-count- and repeat-invariant
 // ---------------------------------------------------------------------------
 
+/// SplitMix64: a seeded generator for test corpora.
+struct SplitMix(u64);
+
+impl SplitMix {
+    /// A uniform draw from `0..bound`.
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        (z % bound as u64) as usize
+    }
+}
+
+/// Write 5,000 seeded traces to `path`, each a prefix of the HONEST update
+/// dialogue (prefix-closed, so conformant). About 15% have one event
+/// replaced by a dialogue event, and about 5% carry an event the model
+/// does not declare, so every verdict class is on the diffed path.
+fn generated_corpus(path: &std::path::Path) {
+    const SPINE: [&str; 4] = ["rec.reqSw", "send.rptSw", "rec.reqApp", "send.rptUpd"];
+    let mut rng = SplitMix(1373);
+    let mut lines = String::new();
+    for i in 0..5_000 {
+        let mut trace: Vec<&str> = SPINE[..rng.below(SPINE.len() + 1)].to_vec();
+        let roll = rng.below(100);
+        if roll < 15 && !trace.is_empty() {
+            let at = rng.below(trace.len());
+            trace[at] = SPINE[rng.below(SPINE.len())];
+        } else if roll < 20 {
+            trace.insert(rng.below(trace.len() + 1), "ghost.evt");
+        }
+        let events: Vec<String> = trace.iter().map(|e| format!("\"{e}\"")).collect();
+        lines += &format!(
+            "{{\"id\": \"gen-{i}\", \"events\": [{}]}}\n",
+            events.join(", ")
+        );
+    }
+    fs::write(path, lines).expect("corpus written");
+}
+
 #[test]
 fn json_verdicts_are_byte_identical_at_1_and_8_threads() {
+    let corpus = scratch("determinism").join("corpus.jsonl");
+    generated_corpus(&corpus);
     let base: Vec<String> = vec![
         "conform".into(),
         model(),
+        corpus.to_str().unwrap().to_owned(),
         "--spec".into(),
         "HONEST".into(),
         "--traces-dir".into(),

@@ -1,7 +1,7 @@
 //! End-to-end tests for the fault-injection → conformance → replay loop
 //! over the X.1373 case study, driven by the *shipped* example artefacts in
 //! `examples/faults/` — the same files the README walkthrough, the docs and
-//! the CI `fault-matrix` job use, so these tests keep all of them honest.
+//! `tests/fault_matrix.rs` use, so these tests keep all of them honest.
 
 use auto_csp::canoe_sim::{CaplValue, Simulation, TraceEvent};
 use auto_csp::faults::conformance::{check_conformance, ConformanceVerdict};
