@@ -217,8 +217,8 @@ fn probe_store(workload: &Workload, threads: usize) -> StoreProbe {
     let probe = StoreProbe {
         cold_compile_us: cold.compile_wall.as_micros(),
         warm_compile_us: warm.compile_wall.as_micros(),
-        cold_explore_us: cold.explore_wall.as_micros(),
-        warm_explore_us: warm.explore_wall.as_micros(),
+        cold_explore_us: cold.wall.as_micros(),
+        warm_explore_us: warm.wall.as_micros(),
         cold_misses: cold.store_misses,
         warm_hits: warm.store_hits,
         warm_misses: warm.store_misses,

@@ -1,11 +1,21 @@
-//! A hand-rolled JSON value parser shared across the toolchain.
+//! JSON in and out: one value parser and one writer for the toolchain.
 //!
-//! The vendored `serde` is an API stand-in with no deserializer, and the
-//! places that read JSON — trace corpora (`faults::batch`), the checking
-//! service's wire frames (`crates/service`) and the CLI's machine-output
-//! tests — only need values, not a data-model mapping. This module is the
-//! inbound counterpart of [`crate::json_string`]: full value grammar
-//! (null, bools, numbers, strings with escapes, arrays, objects).
+//! The vendored `serde` is an API stand-in with neither a serializer nor
+//! a deserializer, and the toolchain only needs values, not a data-model
+//! mapping.
+//!
+//! - [`parse`] reads one value (null, bools, numbers, strings with
+//!   escapes, arrays, objects). Trace corpora (`faults::batch`), the
+//!   checking service's wire frames (`crates/service`) and the CLI's
+//!   machine-output tests read through it. Nesting is bounded by
+//!   [`MAX_DEPTH`], so hostile input gets a [`JsonError`], not a stack
+//!   overflow.
+//! - [`Writer`] writes one compact document. Every JSON document the
+//!   toolchain emits goes through it: CLI reports, HTTP bodies, wire
+//!   frames, stats and counterexample files. It holds the one string
+//!   escaping rule ([`crate::json_string`] goes through it); numbers are
+//!   written as the caller formats them, so a `{:.3}` ratio keeps its
+//!   three decimals.
 
 use std::fmt;
 
@@ -96,15 +106,22 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. A trace
+/// corpus line nests 2 deep and an `autocsp analyze` report 6.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse exactly one JSON value (plus surrounding whitespace).
 ///
 /// # Errors
 ///
-/// [`JsonError`] with the first syntax error (1-based column).
+/// [`JsonError`] with the first syntax error (1-based column), or where
+/// the nesting first exceeds [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -116,8 +133,11 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -162,8 +182,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -266,11 +297,9 @@ impl Parser<'_> {
                     return Err(self.error("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is &str, so
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar: `pos` only ever stops on
+                    // a scalar boundary of the `&str` input.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -312,6 +341,128 @@ impl Parser<'_> {
                 message: format!("invalid number `{text}`"),
             })
     }
+}
+
+/// Writes one compact JSON document into a `String`.
+///
+/// Arrays and objects nest through closures, so every `[` and `{` is
+/// closed, and the writer places the commas. Inside an object, call
+/// [`Writer::key`] before each value:
+///
+/// ```
+/// let json = diag::json::object(|w| {
+///     w.key("ratio").number(format_args!("{:.3}", 1.5));
+///     w.key("ids").array(|w| {
+///         w.string("a\"b").null();
+///     });
+/// });
+/// assert_eq!(json, r#"{"ratio":1.500,"ids":["a\"b",null]}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// Whether a sibling precedes the next value, which then needs a `,`.
+    comma: bool,
+}
+
+impl Writer {
+    /// An empty document.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.comma = false;
+        body(self);
+        self.out.push(close);
+        self.comma = true;
+        self
+    }
+
+    /// An object whose fields `body` writes, each as [`Writer::key`]
+    /// followed by one value.
+    pub fn object(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.container('{', '}', body)
+    }
+
+    /// An array whose items `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.container('[', ']', body)
+    }
+
+    /// An object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.string(key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// A string, escaped: quotes, backslashes and control characters.
+    pub fn string(&mut self, s: &str) -> &mut Self {
+        use fmt::Write as _;
+        self.separate();
+        self.out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(self.out, "\\u{:04x}", c as u32);
+                }
+                c => self.out.push(c),
+            }
+        }
+        self.out.push('"');
+        self
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.display(b)
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.display("null")
+    }
+
+    /// A number, written as `n` displays: pass `format_args!("{:.1}", x)`
+    /// to fix the precision. The caller keeps it a valid JSON number.
+    pub fn number(&mut self, n: impl fmt::Display) -> &mut Self {
+        self.display(n)
+    }
+
+    fn display(&mut self, value: impl fmt::Display) -> &mut Self {
+        use fmt::Write as _;
+        self.separate();
+        let _ = write!(self.out, "{value}");
+        self
+    }
+}
+
+/// A document holding one object, whose fields `body` writes.
+pub fn object(body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::new();
+    w.object(body);
+    w.finish()
 }
 
 #[cfg(test)]

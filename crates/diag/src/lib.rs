@@ -213,25 +213,27 @@ impl Diagnostic {
 
     /// This diagnostic as a JSON object (fully escaped, no trailing newline).
     pub fn to_json(&self, file: &str) -> String {
-        let mut notes = String::from("[");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                notes.push(',');
-            }
-            notes.push_str(&json_string(n));
-        }
-        notes.push(']');
-        format!(
-            "{{\"code\":{},\"severity\":{},\"file\":{},\"line\":{},\"col\":{},\"len\":{},\"message\":{},\"notes\":{}}}",
-            json_string(self.code.0),
-            json_string(self.severity.label()),
-            json_string(file),
-            self.span.line,
-            self.span.col,
-            self.span.len,
-            json_string(&self.message),
-            notes
-        )
+        let mut w = json::Writer::new();
+        self.write_json(&mut w, file);
+        w.finish()
+    }
+
+    /// Write this diagnostic as one JSON object value into `w`.
+    pub fn write_json(&self, w: &mut json::Writer, file: &str) {
+        w.object(|w| {
+            w.key("code").string(self.code.0);
+            w.key("severity").string(self.severity.label());
+            w.key("file").string(file);
+            w.key("line").number(self.span.line);
+            w.key("col").number(self.span.col);
+            w.key("len").number(self.span.len);
+            w.key("message").string(&self.message);
+            w.key("notes").array(|w| {
+                for note in &self.notes {
+                    w.string(note);
+                }
+            });
+        });
     }
 }
 
@@ -244,23 +246,12 @@ fn digits(mut n: u32) -> usize {
     d
 }
 
-/// Escape `s` as a JSON string literal (with surrounding quotes).
+/// Escape `s` as a JSON string literal (with surrounding quotes), as
+/// [`json::Writer::string`] does.
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let mut w = json::Writer::new();
+    w.string(s);
+    w.finish()
 }
 
 /// Stable codes of the `ANA3xx` family: semantic model analysis.

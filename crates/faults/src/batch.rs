@@ -268,27 +268,24 @@ impl BatchStats {
 
     /// Render as a single JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"threads\":{},\"traces\":{},\"conformant\":{},\"refuted\":{},\
-             \"unknown_event\":{},\"total_events\":{},\"trie_nodes\":{},\
-             \"dedup_ratio\":{:.3},\"norm_nodes\":{},\"store_hits\":{},\
-             \"store_misses\":{},\"ingest_us\":{},\"check_us\":{},\
-             \"traces_per_sec\":{:.1}}}",
-            self.threads,
-            self.traces,
-            self.conformant,
-            self.refuted,
-            self.unknown_event,
-            self.total_events,
-            self.trie_nodes,
-            self.dedup_ratio,
-            self.norm_nodes,
-            self.store_hits,
-            self.store_misses,
-            self.ingest_wall.as_micros(),
-            self.check_wall.as_micros(),
-            self.traces_per_sec(),
-        )
+        diag::json::object(|w| {
+            w.key("threads").number(self.threads);
+            w.key("traces").number(self.traces);
+            w.key("conformant").number(self.conformant);
+            w.key("refuted").number(self.refuted);
+            w.key("unknown_event").number(self.unknown_event);
+            w.key("total_events").number(self.total_events);
+            w.key("trie_nodes").number(self.trie_nodes);
+            w.key("dedup_ratio")
+                .number(format_args!("{:.3}", self.dedup_ratio));
+            w.key("norm_nodes").number(self.norm_nodes);
+            w.key("store_hits").number(self.store_hits);
+            w.key("store_misses").number(self.store_misses);
+            w.key("ingest_us").number(self.ingest_wall.as_micros());
+            w.key("check_us").number(self.check_wall.as_micros());
+            w.key("traces_per_sec")
+                .number(format_args!("{:.1}", self.traces_per_sec()));
+        })
     }
 }
 

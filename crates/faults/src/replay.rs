@@ -7,15 +7,12 @@
 //! the forbidden responses — turning a formal witness into a concrete bus
 //! recording, the paper's "failure trace fed back to designers" (Fig. 1).
 //!
-//! The on-disk format is a small JSON object, written by
-//! [`counterexample_to_json`] and read by [`ReplayFile::parse`]:
+//! The on-disk format is a small JSON object on one line, written by
+//! [`counterexample_to_json`] and read by [`ReplayFile::parse`] (which
+//! also accepts it spread over several lines):
 //!
 //! ```json
-//! {
-//!   "assertion": "SP02 [T= ROGUE",
-//!   "kind": "trace-violation",
-//!   "events": ["rec.reqSw", "send.rptSw", "send.rptSw"]
-//! }
+//! {"assertion":"SP02 [T= ROGUE","kind":"trace-violation","events":["rec.reqSw","send.rptSw","send.rptSw"]}
 //! ```
 //!
 //! `events` is the full violating sequence — the witness trace plus, for
@@ -24,7 +21,6 @@
 use candb::Database;
 use canoe_sim::{Frame, SimError, Simulation, TraceEvent};
 use csp::Alphabet;
-use diag::json_string;
 use fdrlite::{Counterexample, FailureKind};
 use std::fmt;
 
@@ -50,9 +46,9 @@ fn kind_tag(kind: &FailureKind) -> &'static str {
     }
 }
 
-/// Serialise a counterexample for later replay. The `events` array is the
-/// witness trace; for trace violations the offending event is appended so
-/// the array is the complete forbidden sequence.
+/// Serialise a counterexample for later replay, as one JSON line. The
+/// `events` array is the witness trace; for trace violations the offending
+/// event is appended so the array is the complete forbidden sequence.
 pub fn counterexample_to_json(
     assertion: &str,
     cex: &Counterexample,
@@ -68,21 +64,17 @@ pub fn counterexample_to_json(
     if let FailureKind::TraceViolation { event: Some(e) } = cex.kind() {
         names.push(alphabet.name(*e).to_string());
     }
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"assertion\": {},\n", json_string(assertion)));
-    out.push_str(&format!(
-        "  \"kind\": {},\n",
-        json_string(kind_tag(cex.kind()))
-    ));
-    out.push_str("  \"events\": [");
-    for (i, name) in names.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&json_string(name));
-    }
-    out.push_str("]\n}\n");
-    out
+    let mut json = diag::json::object(|w| {
+        w.key("assertion").string(assertion);
+        w.key("kind").string(kind_tag(cex.kind()));
+        w.key("events").array(|w| {
+            for name in &names {
+                w.string(name);
+            }
+        });
+    });
+    json.push('\n');
+    json
 }
 
 /// Errors from parsing or replaying a counterexample file.
@@ -116,118 +108,34 @@ impl From<SimError> for ReplayError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (we control the writer; only the shapes above occur)
-// ---------------------------------------------------------------------------
-
-struct JsonReader<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> JsonReader<'a> {
-    fn new(src: &'a str) -> Self {
-        JsonReader {
-            chars: src.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(' ' | '\t' | '\n' | '\r' | ',')) {
-            self.chars.next();
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), ReplayError> {
-        self.skip_ws();
-        match self.chars.next() {
-            Some(got) if got == c => Ok(()),
-            Some(got) => Err(ReplayError::Json(format!("expected `{c}`, found `{got}`"))),
-            None => Err(ReplayError::Json(format!(
-                "expected `{c}`, found end of input"
-            ))),
-        }
-    }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.chars.peek() == Some(&c)
-    }
-
-    fn string(&mut self) -> Result<String, ReplayError> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d =
-                                self.chars.next().and_then(|c| c.to_digit(16)).ok_or_else(
-                                    || ReplayError::Json("bad \\u escape".to_string()),
-                                )?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => {
-                        return Err(ReplayError::Json(format!("bad escape `\\{other:?}`")));
-                    }
-                },
-                Some(c) => out.push(c),
-                None => return Err(ReplayError::Json("unterminated string".to_string())),
-            }
-        }
-    }
-
-    fn string_array(&mut self) -> Result<Vec<String>, ReplayError> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        loop {
-            if self.peek_is(']') {
-                self.chars.next();
-                return Ok(out);
-            }
-            out.push(self.string()?);
-        }
-    }
-}
-
 impl ReplayFile {
     /// Parse a counterexample JSON file.
     pub fn parse(src: &str) -> Result<ReplayFile, ReplayError> {
-        let mut r = JsonReader::new(src);
-        r.expect('{')?;
-        let mut assertion = None;
-        let mut kind = None;
-        let mut events = None;
-        loop {
-            if r.peek_is('}') {
-                break;
-            }
-            let key = r.string()?;
-            r.expect(':')?;
-            match key.as_str() {
-                "assertion" => assertion = Some(r.string()?),
-                "kind" => kind = Some(r.string()?),
-                "events" => events = Some(r.string_array()?),
-                other => {
-                    return Err(ReplayError::Json(format!("unknown field `{other}`")));
-                }
-            }
-        }
+        let value = diag::json::parse(src).map_err(|e| ReplayError::Json(e.to_string()))?;
+        let field = |key: &str| {
+            value
+                .get(key)
+                .ok_or_else(|| ReplayError::Json(format!("missing `{key}`")))
+        };
+        let string = |key: &str| {
+            field(key)?
+                .as_str()
+                .map(str::to_owned)
+                .ok_or_else(|| ReplayError::Json(format!("`{key}` is not a string")))
+        };
+        let events = field("events")?
+            .as_array()
+            .and_then(|items| {
+                items
+                    .iter()
+                    .map(|e| e.as_str().map(str::to_owned))
+                    .collect::<Option<Vec<_>>>()
+            })
+            .ok_or_else(|| ReplayError::Json("`events` is not an array of strings".into()))?;
         Ok(ReplayFile {
-            assertion: assertion
-                .ok_or_else(|| ReplayError::Json("missing `assertion`".to_string()))?,
-            kind: kind.ok_or_else(|| ReplayError::Json("missing `kind`".to_string()))?,
-            events: events.ok_or_else(|| ReplayError::Json("missing `events`".to_string()))?,
+            assertion: string("assertion")?,
+            kind: string("kind")?,
+            events,
         })
     }
 }
@@ -353,6 +261,7 @@ fn is_subsequence(needle: &[String], haystack: &[String]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diag::json_string;
 
     #[test]
     fn json_round_trips() {

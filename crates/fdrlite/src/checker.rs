@@ -877,7 +877,7 @@ impl Explorer {
 /// the canonical re-walk. Resuming a frontier this engine wrote repeats no
 /// work, and the counters end as an uninterrupted run's.
 ///
-/// The returned stats leave `wall` and `explore_wall` to the caller.
+/// The returned stats leave `wall` to the caller.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_zero_one(
     spec: &NormalisedLts,

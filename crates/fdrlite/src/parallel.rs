@@ -98,7 +98,7 @@ pub(crate) const MAX_THREADS: usize = 256;
 /// thread counts holds for unbudgeted checks: a wall-clock budget observes
 /// real time, and a state budget races discovery order between workers.
 ///
-/// The returned stats leave `wall` and `explore_wall` to the caller.
+/// The returned stats leave `wall` to the caller.
 ///
 /// # Errors
 ///

@@ -23,11 +23,12 @@ use std::time::Duration;
 ///   re-walk that recovers a deterministic shortest counterexample (zero
 ///   when the check passes).
 ///
-/// [`crate::ModelStore::check`], which produces them, additionally splits
-/// its wall time into `compile_wall` (explication + normalisation, near
-/// zero on a store hit) and `explore_wall` (the product walk, including
-/// witness recovery); `normalise_wall` carves the subset construction's
-/// share out of `compile_wall` (`compile_wall` stays inclusive), and it
+/// [`crate::ModelStore::check`], which produces them, additionally times
+/// `compile_wall` (explication + normalisation, near zero on a store hit)
+/// apart from `wall` (the product walk, including witness recovery), so a
+/// check took `compile_wall + wall` in all; `normalise_wall` carves the
+/// subset construction's share out of `compile_wall` (`compile_wall` stays
+/// inclusive), and it
 /// reports how many compiled artifacts the store served from cache
 /// (`store_hits`) versus built fresh (`store_misses`). An `[FD=` check
 /// refuted by a divergence reports its thread count and compile wall and
@@ -67,7 +68,8 @@ pub struct CheckStats {
     /// nodes × implementation states). Always ≥ `pairs_discovered`; zero
     /// when the check never reached the product phase.
     pub predicted_pairs: u64,
-    /// Wall-clock time of the exploration (including witness recovery).
+    /// Wall-clock time of the product exploration (including witness
+    /// recovery), not counting `compile_wall`.
     pub wall: Duration,
     /// Aggregate busy time across workers (≈ CPU time; excludes idle
     /// spinning while waiting for work).
@@ -79,8 +81,6 @@ pub struct CheckStats {
     /// of `compile_wall`, not an addition to it (zero when the normal form
     /// came from a warm store).
     pub normalise_wall: Duration,
-    /// Wall-clock time of the product exploration alone (equals `wall`).
-    pub explore_wall: Duration,
     /// How far past the wall-clock deadline the engine ran before stopping
     /// (zero unless a wall budget tripped). The serial engine checks the
     /// clock before every expansion, so this is bounded by one state's work;
@@ -110,35 +110,40 @@ impl CheckStats {
 
     /// Render as a single JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"threads\":{},\"shards\":{},\"pairs_discovered\":{},\"expansions\":{},\
-             \"transitions\":{},\"frontier_peak\":{},\"steals\":{},\"shard_peak\":{},\
-             \"rewalk_expansions\":{},\"store_hits\":{},\"store_misses\":{},\
-             \"analysis_hits\":{},\"analysis_misses\":{},\"predicted_pairs\":{},\"wall_us\":{},\
-             \"cpu_busy_us\":{},\"compile_us\":{},\"normalise_us\":{},\"explore_us\":{},\
-             \"wall_overshoot_us\":{},\"states_per_sec\":{:.1}}}",
-            self.threads,
-            self.shards,
-            self.pairs_discovered,
-            self.expansions,
-            self.transitions,
-            self.frontier_peak,
-            self.steals,
-            self.shard_peak,
-            self.rewalk_expansions,
-            self.store_hits,
-            self.store_misses,
-            self.analysis_hits,
-            self.analysis_misses,
-            self.predicted_pairs,
-            self.wall.as_micros(),
-            self.cpu_busy.as_micros(),
-            self.compile_wall.as_micros(),
-            self.normalise_wall.as_micros(),
-            self.explore_wall.as_micros(),
-            self.wall_overshoot.as_micros(),
-            self.states_per_sec(),
-        )
+        let mut w = diag::json::Writer::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Write these stats as one JSON object value into `w`. Times are in
+    /// microseconds; `explore_us` repeats `wall_us`, the exploration wall.
+    pub fn write_json(&self, w: &mut diag::json::Writer) {
+        w.object(|w| {
+            w.key("threads").number(self.threads);
+            w.key("shards").number(self.shards);
+            w.key("pairs_discovered").number(self.pairs_discovered);
+            w.key("expansions").number(self.expansions);
+            w.key("transitions").number(self.transitions);
+            w.key("frontier_peak").number(self.frontier_peak);
+            w.key("steals").number(self.steals);
+            w.key("shard_peak").number(self.shard_peak);
+            w.key("rewalk_expansions").number(self.rewalk_expansions);
+            w.key("store_hits").number(self.store_hits);
+            w.key("store_misses").number(self.store_misses);
+            w.key("analysis_hits").number(self.analysis_hits);
+            w.key("analysis_misses").number(self.analysis_misses);
+            w.key("predicted_pairs").number(self.predicted_pairs);
+            w.key("wall_us").number(self.wall.as_micros());
+            w.key("cpu_busy_us").number(self.cpu_busy.as_micros());
+            w.key("compile_us").number(self.compile_wall.as_micros());
+            w.key("normalise_us")
+                .number(self.normalise_wall.as_micros());
+            w.key("explore_us").number(self.wall.as_micros());
+            w.key("wall_overshoot_us")
+                .number(self.wall_overshoot.as_micros());
+            w.key("states_per_sec")
+                .number(format_args!("{:.1}", self.states_per_sec()));
+        });
     }
 }
 
@@ -159,10 +164,10 @@ impl fmt::Display for CheckStats {
             self.shards,
             self.shard_peak,
             self.rewalk_expansions,
-            self.wall.as_secs_f64() * 1e3,
+            (self.compile_wall + self.wall).as_secs_f64() * 1e3,
             self.compile_wall.as_secs_f64() * 1e3,
             self.normalise_wall.as_secs_f64() * 1e3,
-            self.explore_wall.as_secs_f64() * 1e3,
+            self.wall.as_secs_f64() * 1e3,
             self.cpu_busy.as_secs_f64() * 1e3,
             self.store_hits,
             self.store_hits + self.store_misses,
@@ -199,7 +204,6 @@ mod tests {
             cpu_busy: Duration::from_micros(9_000),
             compile_wall: Duration::from_micros(400),
             normalise_wall: Duration::from_micros(150),
-            explore_wall: Duration::from_micros(2_100),
             wall_overshoot: Duration::from_micros(12),
         };
         let json = stats.to_json();
@@ -222,7 +226,7 @@ mod tests {
             "\"cpu_busy_us\":9000",
             "\"compile_us\":400",
             "\"normalise_us\":150",
-            "\"explore_us\":2100",
+            "\"explore_us\":2500",
             "\"wall_overshoot_us\":12",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

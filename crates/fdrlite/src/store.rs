@@ -738,7 +738,6 @@ impl ModelStore {
             )?
         };
         stats.wall = explore_start.elapsed();
-        stats.explore_wall = stats.wall;
 
         let Some((cfg, id)) = persist else {
             return Ok((verdict, stats));

@@ -1,9 +1,13 @@
 //! Job execution: the one way a job runs.
 //!
-//! An [`Executor`] runs [`ResolvedJob`]s to [`JobReport`]s. Each service
-//! worker owns one, and so does `autocsp run`, which drives it under the
-//! in-process [`crate::supervisor::Supervisor`]; a batch therefore prints
-//! the same verdict lines whichever way it runs.
+//! An [`Executor`] runs [`ResolvedJob`]s. Each service worker owns one,
+//! and so does `autocsp run`, which drives it under the in-process
+//! [`crate::supervisor::Supervisor`]; a batch therefore prints the same
+//! verdict lines whichever way it runs. `autocsp check`, `conform` and
+//! `analyze` run one job each on an executor too: [`Executor::check`],
+//! [`Executor::conform`] and [`Executor::analyze`] hand back the loaded
+//! script with what the engine said, and each caller renders that its own
+//! way. [`Executor::run`] renders it as a job's verdict lines.
 //!
 //! Verdict lines name no host paths: an analysis reports only its
 //! counts, and a trace without an id is labelled `<file name>:<line>`.
@@ -24,12 +28,14 @@
 //! undisturbed run would have reached.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use diag::Severity;
+use diag::{Diagnostic, Severity};
+use faults::batch::BatchReport;
 use faults::conformance::ConformanceVerdict;
 use faults::storage::TransientJobFaults;
 use fdrlite::supervisor::{JobError, JobReport, JobStatus};
@@ -39,21 +45,71 @@ use crate::ResolvedJob;
 
 /// A loaded CSPm script, shared by every job that references it while
 /// its source stays the same.
-struct Bundle {
-    source: String,
-    script: cspm::Script,
-    loaded: cspm::LoadedScript,
+#[derive(Debug)]
+pub struct Bundle {
+    /// The script's text.
+    pub source: String,
+    /// The parsed module.
+    pub script: cspm::Script,
+    /// The elaborated script the engines check.
+    pub loaded: cspm::LoadedScript,
 }
 
-fn load_bundle(path: &Path, source: String) -> Result<Rc<Bundle>, String> {
-    let display = path.display();
-    let script = cspm::Script::parse(&source).map_err(|e| format!("{display}: {e}"))?;
-    let loaded = script.load().map_err(|e| format!("{display}: {e}"))?;
-    Ok(Rc::new(Bundle {
-        source,
-        script,
-        loaded,
-    }))
+/// Why a job produced no result. Its [`fmt::Display`] is the bare cause.
+#[derive(Debug)]
+pub enum ExecError {
+    /// The script could not be read; the message names its path.
+    Read(String),
+    /// The script does not parse.
+    Parse {
+        /// The script's text.
+        source: String,
+        /// The parse error, with its position.
+        error: cspm::CspmError,
+    },
+    /// The script parses but does not elaborate.
+    Load {
+        /// The script's text.
+        source: String,
+        /// The parsed module, which a caller may still lint.
+        script: cspm::Script,
+        /// The elaboration error.
+        error: cspm::CspmError,
+    },
+    /// The job cannot run as given: no matching assertion, no spec or
+    /// corpus, or an engine error.
+    Job(String),
+}
+
+impl fmt::Display for ExecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExecError::Read(message) | ExecError::Job(message) => f.write_str(message),
+            ExecError::Parse { error, .. } | ExecError::Load { error, .. } => error.fmt(f),
+        }
+    }
+}
+
+/// What [`Executor::conform`] found besides the script.
+#[derive(Debug)]
+pub struct Conformance {
+    /// Per-trace verdicts in ingest order, plus the run's stats.
+    pub report: BatchReport,
+    /// Where each trace came from, in verdict order.
+    pub origins: Vec<TraceOrigin>,
+    /// Each corpus source's parse findings, in source order.
+    pub findings: Vec<Vec<Diagnostic>>,
+}
+
+/// Where one ingested trace came from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceOrigin {
+    /// The trace's id, else `<source label>:<line>`.
+    pub label: String,
+    /// Index of its source.
+    pub source: usize,
+    /// 1-based line in that source.
+    pub line: u32,
 }
 
 /// How an [`Executor`] attaches to persistent storage.
@@ -135,6 +191,11 @@ impl Executor {
         self.cache.as_ref()
     }
 
+    /// The model store every job compiles through: for its counters.
+    pub fn store(&self) -> &fdrlite::ModelStore {
+        &self.store
+    }
+
     /// Take the notes of the last [`Executor::run`].
     pub fn take_notes(&mut self) -> Notes {
         std::mem::take(&mut self.notes)
@@ -142,19 +203,146 @@ impl Executor {
 
     /// The script at `path` as it reads now: the memoised bundle when its
     /// source equals the bytes on disk, else a fresh load that replaces it.
-    fn bundle(&mut self, path: &Path) -> Result<Rc<Bundle>, String> {
-        let loaded = match fs::read_to_string(path) {
-            Ok(source) => match self.bundles.get(path) {
-                Some(bundle) if bundle.source == source => return Ok(Rc::clone(bundle)),
-                _ => load_bundle(path, source),
-            },
-            Err(e) => Err(format!("cannot read `{}`: {e}", path.display())),
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Read`], [`ExecError::Parse`] or [`ExecError::Load`].
+    pub fn load(&mut self, path: &Path) -> Result<Rc<Bundle>, ExecError> {
+        let source = fs::read_to_string(path).map_err(|e| {
+            self.bundles.remove(path);
+            ExecError::Read(format!("cannot read `{}`: {e}", path.display()))
+        })?;
+        if let Some(bundle) = self.bundles.get(path).filter(|b| b.source == source) {
+            return Ok(Rc::clone(bundle));
+        }
+        self.bundles.remove(path);
+        let script = match cspm::Script::parse(&source) {
+            Ok(script) => script,
+            Err(error) => return Err(ExecError::Parse { source, error }),
         };
-        match &loaded {
-            Ok(bundle) => self.bundles.insert(path.to_path_buf(), Rc::clone(bundle)),
-            Err(_) => self.bundles.remove(path),
+        let loaded = match script.load() {
+            Ok(loaded) => loaded,
+            Err(error) => {
+                return Err(ExecError::Load {
+                    source,
+                    script,
+                    error,
+                })
+            }
         };
-        loaded
+        let bundle = Rc::new(Bundle {
+            source,
+            script,
+            loaded,
+        });
+        self.bundles.insert(path.to_path_buf(), Rc::clone(&bundle));
+        Ok(bundle)
+    }
+
+    /// Check the job's assertions (those matching its `assertion` filter,
+    /// if any), in script order, each with its [`fdrlite::CheckStats`].
+    ///
+    /// # Errors
+    ///
+    /// The script did not load, no assertion matched, or the engine
+    /// failed.
+    pub fn check(
+        &mut self,
+        job: &ResolvedJob,
+    ) -> Result<(Rc<Bundle>, Vec<cspm::AssertionResult>), ExecError> {
+        let bundle = self.load(&job.script)?;
+        let options = cspm::CheckOptions {
+            threads: job.threads,
+            collect_stats: true,
+            max_states: job.max_states,
+            max_wall_ms: job.timeout_ms,
+        };
+        let results = bundle
+            .loaded
+            .assertions()
+            .iter()
+            .filter(|a| {
+                job.assertion
+                    .as_deref()
+                    .is_none_or(|filter| a.description.contains(filter))
+            })
+            .map(|a| {
+                bundle
+                    .loaded
+                    .check_assertion(a, &self.checker, &options, &self.store)
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| ExecError::Job(e.to_string()))?;
+        if results.is_empty() {
+            return Err(ExecError::Job(match &job.assertion {
+                Some(f) => format!("no assertion matches filter `{f}`"),
+                None => "script contains no `assert` declarations".to_owned(),
+            }));
+        }
+        Ok((bundle, results))
+    }
+
+    /// Check every trace of `sources`, `(label, JSONL text)` pairs in
+    /// order, against the job's spec in one batch. A trace without an id
+    /// is labelled `<source label>:<line>`.
+    ///
+    /// # Errors
+    ///
+    /// The job names no spec, the script did not load, or the spec is
+    /// not one of its processes.
+    pub fn conform(
+        &mut self,
+        job: &ResolvedJob,
+        sources: &[(String, String)],
+    ) -> Result<(Rc<Bundle>, Conformance), ExecError> {
+        let spec = job_spec(job)?;
+        let bundle = self.load(&job.script)?;
+        let mut run =
+            faults::batch::BatchRun::new(&bundle.loaded, spec, &self.checker, &self.store)
+                .map_err(|e| ExecError::Job(e.to_string()))?;
+        // Streaming ingest: each source parses, merges into the trie, and
+        // drops its trace vector before the next is parsed.
+        let mut origins = Vec::new();
+        let mut findings = Vec::new();
+        for (source, (label, text)) in sources.iter().enumerate() {
+            let (traces, diagnostics) = faults::batch::parse_corpus(text);
+            for (line, trace) in traces {
+                run.push(&trace.events);
+                origins.push(TraceOrigin {
+                    label: trace.id.unwrap_or_else(|| format!("{label}:{line}")),
+                    source,
+                    line,
+                });
+            }
+            findings.push(diagnostics);
+        }
+        let conformance = Conformance {
+            report: run.finish(job.threads),
+            origins,
+            findings,
+        };
+        Ok((bundle, conformance))
+    }
+
+    /// Analyze the job's script: alphabets, graph classification and
+    /// state-space predictions against the job's `max_states`.
+    ///
+    /// # Errors
+    ///
+    /// The script did not load.
+    pub fn analyze(
+        &mut self,
+        job: &ResolvedJob,
+    ) -> Result<(Rc<Bundle>, cspm::analyze::ScriptAnalysis), ExecError> {
+        let bundle = self.load(&job.script)?;
+        let analysis = cspm::analyze::analyze_script(
+            bundle.script.module(),
+            &bundle.loaded,
+            &self.checker,
+            &self.store,
+            job.max_states,
+        );
+        Ok((bundle, analysis))
     }
 
     /// Run one job attempt to a verdict.
@@ -174,43 +362,32 @@ impl Executor {
                 ));
             }
         }
-        let bundle = self.bundle(&job.script).map_err(JobError::Permanent)?;
-        match job.kind {
-            cspm::manifest::JobKind::Check => self.run_check(job, &bundle),
-            cspm::manifest::JobKind::Conform => self.run_conform(job, &bundle),
-            cspm::manifest::JobKind::Analyze => Ok(self.run_analyze(job, &bundle)),
-        }
+        let report = match job.kind {
+            cspm::manifest::JobKind::Check => self.run_check(job),
+            cspm::manifest::JobKind::Conform => self.run_conform(job),
+            cspm::manifest::JobKind::Analyze => self.run_analyze(job),
+        };
+        report.map_err(|e| {
+            JobError::Permanent(match e {
+                ExecError::Parse { .. } | ExecError::Load { .. } => {
+                    format!("{}: {e}", job.script.display())
+                }
+                ExecError::Read(_) | ExecError::Job(_) => e.to_string(),
+            })
+        })
     }
 
-    fn run_check(&mut self, job: &ResolvedJob, bundle: &Bundle) -> Result<JobReport, JobError> {
-        let options = cspm::CheckOptions {
-            threads: job.threads,
-            collect_stats: false,
-            max_states: job.max_states,
-            max_wall_ms: job.timeout_ms,
-        };
+    fn run_check(&mut self, job: &ResolvedJob) -> Result<JobReport, ExecError> {
+        let (bundle, results) = self.check(job)?;
         let mut lines = Vec::new();
-        let mut refuted = 0_u32;
-        let mut inconclusive = 0_u32;
-        let mut matched = 0_u32;
-        let mut interrupted = false;
-        let wanted = bundle.loaded.assertions().iter().filter(|a| {
-            job.assertion
-                .as_deref()
-                .is_none_or(|filter| a.description.contains(filter))
-        });
-        for a in wanted {
-            let r = bundle
-                .loaded
-                .check_assertion(a, &self.checker, &options, &self.store)
-                .map_err(|e| JobError::Permanent(e.to_string()))?;
-            matched += 1;
+        let (mut refuted, mut inconclusive, mut interrupted) = (false, false, false);
+        for r in results {
             if let Some(cex) = r.verdict.counterexample() {
-                refuted += 1;
+                refuted = true;
                 lines.push(format!("assert {}  ...  FAIL", r.description));
                 lines.push(format!("  {}", cex.display(bundle.loaded.alphabet())));
             } else if let Some(inc) = r.verdict.inconclusive() {
-                inconclusive += 1;
+                inconclusive = true;
                 // No budget detail: verdict lines must be identical
                 // between disturbed and undisturbed runs.
                 lines.push(format!("assert {}  ...  INCONCLUSIVE", r.description));
@@ -222,54 +399,24 @@ impl Executor {
                 lines.push(format!("assert {}  ...  PASS", r.description));
             }
         }
-        if matched == 0 {
-            return Err(JobError::Permanent(match &job.assertion {
-                Some(f) => format!("no assertion matches filter `{f}`"),
-                None => "script contains no `assert` declarations".to_owned(),
-            }));
-        }
-        let status = if refuted > 0 {
-            JobStatus::Refuted
-        } else if inconclusive > 0 {
-            JobStatus::Inconclusive
-        } else {
-            JobStatus::Passed
-        };
-        Ok(JobReport {
-            status,
-            lines,
-            interrupted,
-        })
+        Ok(job_report(lines, refuted, inconclusive, interrupted))
     }
 
-    fn run_conform(&self, job: &ResolvedJob, bundle: &Bundle) -> Result<JobReport, JobError> {
-        let spec_name = job
-            .spec
-            .as_deref()
-            .ok_or_else(|| JobError::Permanent("conform job needs `spec = \"NAME\"`".into()))?;
+    fn run_conform(&mut self, job: &ResolvedJob) -> Result<JobReport, ExecError> {
+        // A job's errors in the order it meets them: script, spec, corpus.
+        self.load(&job.script)?;
+        job_spec(job)?;
         let dir = job
             .corpus
             .as_deref()
-            .ok_or_else(|| JobError::Permanent("conform job needs `corpus = \"DIR\"`".into()))?;
-        let corpus = read_corpus_dir(dir).map_err(JobError::Permanent)?;
-        let mut run =
-            faults::batch::BatchRun::new(&bundle.loaded, spec_name, &self.checker, &self.store)
-                .map_err(|e| JobError::Permanent(e.to_string()))?;
-        let mut labels = Vec::new();
-        for (file, text) in &corpus {
-            let (traces, _findings) = faults::batch::parse_corpus(text);
-            for (line, trace) in traces {
-                let label = trace.id.clone().unwrap_or_else(|| format!("{file}:{line}"));
-                run.push(&trace.events);
-                labels.push(label);
-            }
-        }
-        let report = run.finish(job.threads);
+            .ok_or_else(|| ExecError::Job("conform job needs `corpus = \"DIR\"`".into()))?;
+        let sources = read_corpus_dir(dir).map_err(ExecError::Job)?;
+        let (bundle, conformance) = self.conform(job, &sources)?;
+        let report = &conformance.report;
         let mut lines = Vec::new();
-        let mut inconclusive = 0_u32;
-        let mut interrupted = false;
-        for (i, verdict) in report.verdicts.iter().enumerate() {
-            let label = &labels[i];
+        let (mut inconclusive, mut interrupted) = (false, false);
+        for (verdict, origin) in report.verdicts.iter().zip(&conformance.origins) {
+            let label = &origin.label;
             match verdict {
                 ConformanceVerdict::Conformant => {}
                 ConformanceVerdict::Refuted(cex) => {
@@ -283,7 +430,7 @@ impl Executor {
                     ));
                 }
                 ConformanceVerdict::Inconclusive(inc) => {
-                    inconclusive += 1;
+                    inconclusive = true;
                     lines.push(format!("trace {label}  ...  INCONCLUSIVE"));
                     if inc.reason == fdrlite::BudgetReason::Interrupted {
                         interrupted = true;
@@ -293,38 +440,18 @@ impl Executor {
         }
         let refuted = report.stats.refuted;
         let unknown = report.stats.unknown_event;
-        let outcome = if refuted + unknown > 0 {
-            "FAIL"
-        } else {
-            "PASS"
-        };
+        let failed = refuted + unknown > 0;
+        let outcome = if failed { "FAIL" } else { "PASS" };
         lines.push(format!(
             "conformance {} [T= corpus  ...  {outcome}: {} trace(s), \
              {} conformant, {refuted} refuted, {unknown} unknown-event",
             report.spec, report.stats.traces, report.stats.conformant
         ));
-        let status = if refuted + unknown > 0 {
-            JobStatus::Refuted
-        } else if inconclusive > 0 {
-            JobStatus::Inconclusive
-        } else {
-            JobStatus::Passed
-        };
-        Ok(JobReport {
-            status,
-            lines,
-            interrupted,
-        })
+        Ok(job_report(lines, failed, inconclusive, interrupted))
     }
 
-    fn run_analyze(&mut self, job: &ResolvedJob, bundle: &Bundle) -> JobReport {
-        let analysis = cspm::analyze::analyze_script(
-            bundle.script.module(),
-            &bundle.loaded,
-            &self.checker,
-            &self.store,
-            job.max_states,
-        );
+    fn run_analyze(&mut self, job: &ResolvedJob) -> Result<JobReport, ExecError> {
+        let (bundle, analysis) = self.analyze(job)?;
         let count = |severity: Severity| {
             analysis
                 .diagnostics
@@ -339,33 +466,62 @@ impl Executor {
                 .findings
                 .push_str(&d.render(&script_label, &bundle.source));
         }
-        JobReport {
-            status: if errors > 0 {
-                JobStatus::Refuted
-            } else {
-                JobStatus::Passed
-            },
-            lines: vec![format!("analyze: {errors} error(s), {warnings} warning(s)")],
-            interrupted: false,
-        }
+        let line = format!("analyze: {errors} error(s), {warnings} warning(s)");
+        Ok(job_report(vec![line], errors > 0, false, false))
     }
 }
 
-/// `*.jsonl` files under a corpus directory, sorted by name, as
+/// A job's report: refuted over inconclusive over passed.
+fn job_report(
+    lines: Vec<String>,
+    refuted: bool,
+    inconclusive: bool,
+    interrupted: bool,
+) -> JobReport {
+    let status = if refuted {
+        JobStatus::Refuted
+    } else if inconclusive {
+        JobStatus::Inconclusive
+    } else {
+        JobStatus::Passed
+    };
+    JobReport {
+        status,
+        lines,
+        interrupted,
+    }
+}
+
+fn job_spec(job: &ResolvedJob) -> Result<&str, ExecError> {
+    job.spec
+        .as_deref()
+        .ok_or_else(|| ExecError::Job("conform job needs `spec = \"NAME\"`".into()))
+}
+
+/// The `*.jsonl` files directly under `dir`, sorted by name.
+///
+/// # Errors
+///
+/// The directory is unreadable.
+pub fn corpus_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
+        .filter_map(Result::ok)
+        .map(|entry| entry.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
+        .collect();
+    paths.sort();
+    Ok(paths)
+}
+
+/// A conform job's corpus directory as [`corpus_files`] lists it, as
 /// `(file name, text)` pairs.
 ///
 /// # Errors
 ///
 /// The directory (or a file in it) is unreadable, or holds no corpora.
 pub fn read_corpus_dir(dir: &Path) -> Result<Vec<(String, String)>, String> {
-    let entries = fs::read_dir(dir)
+    let paths = corpus_files(dir)
         .map_err(|e| format!("cannot read corpus directory `{}`: {e}", dir.display()))?;
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|entry| entry.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-        .collect();
-    paths.sort();
     let mut out = Vec::new();
     for p in paths {
         let text =
@@ -475,20 +631,7 @@ assert SPEC [T= BAD
     fn check_jobs_report_run_identical_lines() {
         let dir = tmpdir("check");
         let script = write_script(&dir, "m.csp", SCRIPT);
-        let mut exec = Executor::new(&ExecConfig::default()).unwrap();
-        let job = ResolvedJob {
-            name: "j".into(),
-            kind: cspm::manifest::JobKind::Check,
-            script,
-            spec: None,
-            corpus: None,
-            assertion: None,
-            threads: 1,
-            max_states: None,
-            timeout_ms: None,
-            chaos: None,
-        };
-        let out = exec.run(&job, 1).unwrap();
+        let out = fresh_run(&check_job(&script, None));
         assert_eq!(out.status, JobStatus::Refuted);
         assert!(out.lines[0].contains("PASS"));
         assert!(out.lines[1].contains("FAIL"));
@@ -500,18 +643,7 @@ assert SPEC [T= BAD
         let dir = tmpdir("filter");
         let script = write_script(&dir, "m.csp", SCRIPT);
         let mut exec = Executor::new(&ExecConfig::default()).unwrap();
-        let mut job = ResolvedJob {
-            name: "j".into(),
-            kind: cspm::manifest::JobKind::Check,
-            script,
-            spec: None,
-            corpus: None,
-            assertion: Some("no-such-assert".into()),
-            threads: 1,
-            max_states: None,
-            timeout_ms: None,
-            chaos: None,
-        };
+        let mut job = check_job(&script, Some("no-such-assert"));
         assert!(matches!(exec.run(&job, 1), Err(JobError::Permanent(_))));
         job.assertion = Some("IMPL".into());
         assert_eq!(exec.run(&job, 1).unwrap().status, JobStatus::Passed);
@@ -611,20 +743,12 @@ IMPL2 = b -> a -> IMPL2
         let script = write_script(&dir, "m.csp", SCRIPT);
         let mut exec = Executor::new(&ExecConfig::default()).unwrap();
         let mut job = ResolvedJob {
-            name: "j".into(),
-            kind: cspm::manifest::JobKind::Check,
-            script,
-            spec: None,
-            corpus: None,
-            assertion: Some("IMPL".into()),
-            threads: 1,
-            max_states: None,
-            timeout_ms: None,
             chaos: Some(crate::ChaosCfg {
                 seed: 0,
                 transient_attempts: 2,
                 every_nth: 1,
             }),
+            ..check_job(&script, Some("IMPL"))
         };
         assert!(matches!(exec.run(&job, 1), Err(JobError::Transient(_))));
         assert!(matches!(exec.run(&job, 2), Err(JobError::Transient(_))));
@@ -638,18 +762,7 @@ IMPL2 = b -> a -> IMPL2
         let dir = tmpdir("key");
         let a = write_script(&dir, "a.csp", SCRIPT);
         let b = write_script(&dir, "b.csp", SCRIPT);
-        let job = |script: &Path| ResolvedJob {
-            name: "j".into(),
-            kind: cspm::manifest::JobKind::Check,
-            script: script.to_path_buf(),
-            spec: None,
-            corpus: None,
-            assertion: None,
-            threads: 1,
-            max_states: None,
-            timeout_ms: None,
-            chaos: None,
-        };
+        let job = |script: &Path| check_job(script, None);
         assert_eq!(job_content_key(&job(&a)), job_content_key(&job(&b)));
         fs::write(&b, format!("{SCRIPT}\n-- changed")).unwrap();
         assert_ne!(job_content_key(&job(&a)), job_content_key(&job(&b)));
@@ -690,16 +803,8 @@ IMPL2 = b -> a -> IMPL2
         fs::write(corpus.join("s.jsonl"), "[\"a\"]\n[\"b\"]\n").unwrap();
         let mut exec = Executor::new(&ExecConfig::default()).unwrap();
         let job = ResolvedJob {
-            name: "j".into(),
             kind: cspm::manifest::JobKind::Analyze,
-            script,
-            spec: None,
-            corpus: None,
-            assertion: None,
-            threads: 1,
-            max_states: None,
-            timeout_ms: None,
-            chaos: None,
+            ..check_job(&script, None)
         };
         let analyzed = exec.run(&job, 1).unwrap();
         assert_eq!(analyzed.lines, ["analyze: 0 error(s), 0 warning(s)"]);

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use diag::json_string;
+use diag::json;
 use fdrlite::supervisor::RetryPolicy;
 
 use crate::exec::ExecConfig;
@@ -617,22 +617,31 @@ fn handle_request(
                     "Too Many Requests",
                     &[("Retry-After", retry_after_s.to_string())],
                     "application/json",
-                    &format!(
-                        "{{\"error\":\"queue full\",\"code\":\"{}\",\"retry_after_s\":{retry_after_s}}}",
-                        crate::codes::QUEUE_FULL.0
-                    ),
+                    &json::object(|w| {
+                        w.key("error").string("queue full");
+                        w.key("code").string(crate::codes::QUEUE_FULL.0);
+                        w.key("retry_after_s").number(retry_after_s);
+                    }),
                 ),
                 Err(SubmitError::Draining) => {
-                    return error_response(stream, 503, "Service Unavailable", "service is draining")
+                    return error_response(
+                        stream,
+                        503,
+                        "Service Unavailable",
+                        "service is draining",
+                    )
                 }
             }
         }
         ("GET", "/v1/jobs") => {
             let views = orch.job_views();
-            let body = format!(
-                "{{\"jobs\":[{}]}}",
-                views.iter().map(render_job).collect::<Vec<_>>().join(",")
-            );
+            let body = json::object(|w| {
+                w.key("jobs").array(|w| {
+                    for view in &views {
+                        w.object(|w| job_fields(w, view));
+                    }
+                });
+            });
             respond(stream, 200, "OK", &[], "application/json", &body)
         }
         ("GET", path) if path.starts_with("/v1/jobs/") => {
@@ -655,7 +664,7 @@ fn handle_request(
                     "OK",
                     &[],
                     "application/json",
-                    &render_job(&view),
+                    &json::object(|w| job_fields(w, &view)),
                 ),
                 None => return error_response(stream, 404, "Not Found", "unknown job id"),
             }
@@ -677,95 +686,83 @@ fn handle_request(
 }
 
 fn error_response(stream: &mut TcpStream, status: u16, reason: &str, message: &str) {
-    let body = format!("{{\"error\":{}}}", json_string(message));
+    let body = json::object(|w| {
+        w.key("error").string(message);
+    });
     let _ = respond(stream, status, reason, &[], "application/json", &body);
 }
 
 fn render_accepted(accepted: &[Accepted]) -> String {
-    let jobs: Vec<String> = accepted
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"name\":{},\"id\":{},\"state\":{},\"dedup\":{}}}",
-                json_string(&a.name),
-                json_string(&crate::format_job_id(a.id)),
-                json_string(a.state),
-                a.dedup
-            )
-        })
-        .collect();
-    format!("{{\"jobs\":[{}]}}", jobs.join(","))
+    json::object(|w| {
+        w.key("jobs").array(|w| {
+            for a in accepted {
+                w.object(|w| {
+                    w.key("name").string(&a.name);
+                    w.key("id").string(&crate::format_job_id(a.id));
+                    w.key("state").string(a.state);
+                    w.key("dedup").bool(a.dedup);
+                });
+            }
+        });
+    })
 }
 
-fn render_job(view: &JobView) -> String {
-    let mut out = format!(
-        "{{\"id\":{},\"name\":{},\"kind\":{},\"state\":{},\"attempts\":{}",
-        json_string(&crate::format_job_id(view.id)),
-        json_string(&view.name),
-        json_string(view.kind),
-        json_string(view.state),
-        view.attempts
-    );
+/// A job view's fields, for its JSON object.
+fn job_fields(w: &mut json::Writer, view: &JobView) {
+    w.key("id").string(&crate::format_job_id(view.id));
+    w.key("name").string(&view.name);
+    w.key("kind").string(view.kind);
+    w.key("state").string(view.state);
+    w.key("attempts").number(view.attempts);
     if let Some(outcome) = &view.outcome {
-        out.push_str(&format!(
-            ",\"status\":{},\"interrupted\":{},\"lines\":[{}]",
-            json_string(outcome.status.label()),
-            outcome.interrupted,
-            outcome
-                .lines
-                .iter()
-                .map(|l| json_string(l))
-                .collect::<Vec<_>>()
-                .join(",")
-        ));
+        w.key("status").string(outcome.status.label());
+        w.key("interrupted").bool(outcome.interrupted);
+        w.key("lines").array(|w| {
+            for line in &outcome.lines {
+                w.string(line);
+            }
+        });
     }
     if let Some(failure) = &view.failure {
-        out.push_str(&format!(",\"failure\":{}", json_string(failure)));
+        w.key("failure").string(failure);
     }
-    out.push('}');
-    out
 }
 
 fn render_health(health: &Health) -> String {
-    let workers: Vec<String> = health
-        .workers
-        .iter()
-        .map(|w| {
-            let busy = w.busy.map_or_else(
-                || "null".to_string(),
-                |id| json_string(&crate::format_job_id(id)),
-            );
-            format!(
-                "{{\"token\":{},\"pid\":{},\"busy\":{busy}}}",
-                json_string(&w.token),
-                w.pid
-            )
-        })
-        .collect();
-    let c = &health.counters;
-    format!(
-        "{{\"draining\":{},\"queue_cap\":{},\"queued\":{},\"delayed\":{},\"running\":{},\
-         \"deferred\":{},\"done\":{},\"failed\":{},\"workers\":[{}],\
-         \"counters\":{{\"submitted\":{},\"dedup_hits\":{},\"completed\":{},\"failed\":{},\
-         \"retried\":{},\"workers_lost\":{},\"rejected\":{},\"deferred\":{}}}}}",
-        health.draining,
-        health.queue_cap,
-        health.queued,
-        health.delayed,
-        health.running,
-        health.deferred,
-        health.done,
-        health.failed,
-        workers.join(","),
-        c.submitted,
-        c.dedup_hits,
-        c.completed,
-        c.failed,
-        c.retried,
-        c.workers_lost,
-        c.rejected,
-        c.deferred
-    )
+    json::object(|w| {
+        w.key("draining").bool(health.draining);
+        w.key("queue_cap").number(health.queue_cap);
+        w.key("queued").number(health.queued);
+        w.key("delayed").number(health.delayed);
+        w.key("running").number(health.running);
+        w.key("deferred").number(health.deferred);
+        w.key("done").number(health.done);
+        w.key("failed").number(health.failed);
+        w.key("workers").array(|w| {
+            for worker in &health.workers {
+                w.object(|w| {
+                    w.key("token").string(&worker.token);
+                    w.key("pid").number(worker.pid);
+                    w.key("busy");
+                    match worker.busy {
+                        Some(id) => w.string(&crate::format_job_id(id)),
+                        None => w.null(),
+                    };
+                });
+            }
+        });
+        let c = &health.counters;
+        w.key("counters").object(|w| {
+            w.key("submitted").number(c.submitted);
+            w.key("dedup_hits").number(c.dedup_hits);
+            w.key("completed").number(c.completed);
+            w.key("failed").number(c.failed);
+            w.key("retried").number(c.retried);
+            w.key("workers_lost").number(c.workers_lost);
+            w.key("rejected").number(c.rejected);
+            w.key("deferred").number(c.deferred);
+        });
+    })
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! Frames are deliberately flat and self-describing; unknown fields are
 //! ignored so the two ends can evolve independently within a release.
 
-use diag::{json, json_string};
+use diag::json;
 use fdrlite::supervisor::{JobReport, JobStatus};
 
 use crate::{ChaosCfg, ResolvedJob};
@@ -66,103 +66,76 @@ pub enum Frame {
     Shutdown,
 }
 
-fn push_field(out: &mut String, key: &str, value: &str) {
-    out.push(',');
-    out.push_str(&json_string(key));
-    out.push(':');
-    out.push_str(value);
-}
-
-fn push_opt_str(out: &mut String, key: &str, value: Option<&str>) {
-    if let Some(v) = value {
-        push_field(out, key, &json_string(v));
-    }
-}
-
-fn push_opt_u64(out: &mut String, key: &str, value: Option<u64>) {
-    if let Some(v) = value {
-        push_field(out, key, &v.to_string());
-    }
-}
-
 /// Encode a frame as one newline-terminated JSON line.
 pub fn encode(frame: &Frame) -> String {
-    let mut out = String::from("{");
-    match frame {
+    let mut line = json::object(|w| match frame {
         Frame::Hello { token, pid } => {
-            out.push_str("\"type\":\"hello\"");
-            push_field(&mut out, "token", &json_string(token));
-            push_field(&mut out, "pid", &pid.to_string());
+            w.key("type").string("hello");
+            w.key("token").string(token);
+            w.key("pid").number(pid);
         }
         Frame::Job { id, attempt, job } => {
-            out.push_str("\"type\":\"job\"");
-            push_field(&mut out, "id", &json_string(&crate::format_job_id(*id)));
-            push_field(&mut out, "attempt", &attempt.to_string());
-            push_field(&mut out, "name", &json_string(&job.name));
-            push_field(&mut out, "kind", &json_string(job.kind.label()));
-            push_field(
-                &mut out,
-                "script",
-                &json_string(&job.script.display().to_string()),
-            );
-            push_opt_str(&mut out, "spec", job.spec.as_deref());
-            push_opt_str(
-                &mut out,
-                "corpus",
-                job.corpus
-                    .as_ref()
-                    .map(|p| p.display().to_string())
-                    .as_deref(),
-            );
-            push_opt_str(&mut out, "assertion", job.assertion.as_deref());
-            push_field(&mut out, "threads", &job.threads.to_string());
-            push_opt_u64(&mut out, "max_states", job.max_states);
-            push_opt_u64(&mut out, "timeout_ms", job.timeout_ms);
+            w.key("type").string("job");
+            w.key("id").string(&crate::format_job_id(*id));
+            w.key("attempt").number(attempt);
+            w.key("name").string(&job.name);
+            w.key("kind").string(job.kind.label());
+            w.key("script").string(&job.script.display().to_string());
+            if let Some(spec) = &job.spec {
+                w.key("spec").string(spec);
+            }
+            if let Some(corpus) = &job.corpus {
+                w.key("corpus").string(&corpus.display().to_string());
+            }
+            if let Some(assertion) = &job.assertion {
+                w.key("assertion").string(assertion);
+            }
+            w.key("threads").number(job.threads);
+            if let Some(max_states) = job.max_states {
+                w.key("max_states").number(max_states);
+            }
+            if let Some(timeout_ms) = job.timeout_ms {
+                w.key("timeout_ms").number(timeout_ms);
+            }
             if let Some(c) = &job.chaos {
-                push_field(
-                    &mut out,
-                    "chaos",
-                    &format!(
-                        "{{\"seed\":{},\"transient_attempts\":{},\"every_nth\":{}}}",
-                        c.seed, c.transient_attempts, c.every_nth
-                    ),
-                );
+                w.key("chaos").object(|w| {
+                    w.key("seed").number(c.seed);
+                    w.key("transient_attempts").number(c.transient_attempts);
+                    w.key("every_nth").number(c.every_nth);
+                });
             }
         }
         Frame::Heartbeat { busy } => {
-            out.push_str("\"type\":\"heartbeat\"");
-            push_field(&mut out, "busy", if *busy { "true" } else { "false" });
+            w.key("type").string("heartbeat");
+            w.key("busy").bool(*busy);
         }
         Frame::Result { id, outcome } => {
-            out.push_str("\"type\":\"result\"");
-            push_field(&mut out, "id", &json_string(&crate::format_job_id(*id)));
-            push_field(&mut out, "status", &json_string(outcome.status.label()));
-            let lines: Vec<String> = outcome.lines.iter().map(|l| json_string(l)).collect();
-            push_field(&mut out, "lines", &format!("[{}]", lines.join(",")));
-            push_field(
-                &mut out,
-                "interrupted",
-                if outcome.interrupted { "true" } else { "false" },
-            );
+            w.key("type").string("result");
+            w.key("id").string(&crate::format_job_id(*id));
+            w.key("status").string(outcome.status.label());
+            w.key("lines").array(|w| {
+                for line in &outcome.lines {
+                    w.string(line);
+                }
+            });
+            w.key("interrupted").bool(outcome.interrupted);
         }
         Frame::Error {
             id,
             transient,
             message,
         } => {
-            out.push_str("\"type\":\"error\"");
-            push_field(&mut out, "id", &json_string(&crate::format_job_id(*id)));
-            push_field(
-                &mut out,
-                "transient",
-                if *transient { "true" } else { "false" },
-            );
-            push_field(&mut out, "message", &json_string(message));
+            w.key("type").string("error");
+            w.key("id").string(&crate::format_job_id(*id));
+            w.key("transient").bool(*transient);
+            w.key("message").string(message);
         }
-        Frame::Shutdown => out.push_str("\"type\":\"shutdown\""),
-    }
-    out.push_str("}\n");
-    out
+        Frame::Shutdown => {
+            w.key("type").string("shutdown");
+        }
+    });
+    line.push('\n');
+    line
 }
 
 fn need_str(v: &json::Value, key: &str) -> Result<String, String> {

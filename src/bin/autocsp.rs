@@ -29,10 +29,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use cspm::manifest::JobKind;
 use diag::{Diagnostic, Severity, Span};
 use faults::conformance::ConformanceVerdict;
 use faults::{lint_plan, FaultPlan};
 use fdrlite::Checker;
+use service::exec::{ExecConfig, ExecError, Executor};
+use service::ResolvedJob;
 use translator::{NodeSpec, Pipeline, SystemBuilder, TranslateConfig};
 
 /// Exit code for runs where at least one check was cut short by a resource
@@ -224,6 +227,7 @@ USAGE:
       Print the toolchain version.
 ";
 
+#[derive(Default)]
 struct Flags {
     positional: Vec<String>,
     dbc: Option<String>,
@@ -267,80 +271,57 @@ struct Flags {
     die_after_states: Option<u64>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 enum OutputFormat {
+    #[default]
     Text,
     Json,
 }
 
+/// The argument after `flag` (at `*i`), stepping `*i` onto it.
+fn value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
+    *i += 1;
+    args.get(*i)
+        .cloned()
+        .ok_or_else(|| format!("`{flag}` needs a value"))
+}
+
+/// [`value`] as a number.
+fn number<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String> {
+    value(args, i, flag)?
+        .parse()
+        .map_err(|_| format!("`{flag}` needs a number"))
+}
+
+/// [`value`] as a number ≥ 1.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    args: &[String],
+    i: &mut usize,
+    flag: &str,
+) -> Result<T, String> {
+    value(args, i, flag)?
+        .parse()
+        .ok()
+        .filter(|n| *n >= T::from(1))
+        .ok_or_else(|| format!("`{flag}` needs a number ≥ 1"))
+}
+
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags {
-        positional: Vec::new(),
-        dbc: None,
-        node: None,
-        gateway: false,
-        buffered: None,
-        output: None,
         for_ms: 1_000,
-        format: OutputFormat::Text,
-        deny_warnings: false,
         threads: 1,
-        stats: false,
-        stats_json: None,
-        max_states: None,
-        timeout_ms: None,
-        cex_json: None,
-        cache_dir: None,
-        no_cache: false,
-        resume: None,
-        checkpoint_every: None,
-        faults: None,
-        seed: None,
-        conformance: None,
-        spec: None,
-        traces_dir: None,
-        stdin: false,
-        stimulus: Vec::new(),
-        expect: Vec::new(),
         gap_us: 10_000,
-        storage_faults: None,
-        force_panic: None,
-        addr: None,
-        workers: None,
-        state_dir: None,
-        scripts_root: None,
-        queue_cap: None,
-        heartbeat_ms: None,
-        retries: None,
-        connect: None,
-        token: None,
-        die_after_states: None,
+        ..Flags::default()
     };
     let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("`{flag}` needs a value"))
-    };
     while i < args.len() {
         match args[i].as_str() {
             "--dbc" => flags.dbc = Some(value(args, &mut i, "--dbc")?),
             "--node" => flags.node = Some(value(args, &mut i, "--node")?),
             "--gateway" => flags.gateway = true,
-            "--buffered" => {
-                flags.buffered = Some(
-                    value(args, &mut i, "--buffered")?
-                        .parse()
-                        .map_err(|_| "`--buffered` needs a number".to_owned())?,
-                );
-            }
+            "--buffered" => flags.buffered = Some(number(args, &mut i, "--buffered")?),
             "-o" | "--output" => flags.output = Some(value(args, &mut i, "-o")?),
-            "--for-ms" => {
-                flags.for_ms = value(args, &mut i, "--for-ms")?
-                    .parse()
-                    .map_err(|_| "`--for-ms` needs a number".to_owned())?;
-            }
+            "--for-ms" => flags.for_ms = number(args, &mut i, "--for-ms")?,
             "--format" => {
                 flags.format = match value(args, &mut i, "--format")?.as_str() {
                     "text" => OutputFormat::Text,
@@ -349,29 +330,11 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 }
             }
             "--deny-warnings" => flags.deny_warnings = true,
-            "--threads" | "-j" => {
-                flags.threads = value(args, &mut i, "--threads")?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| "`--threads` needs a number ≥ 1".to_owned())?;
-            }
+            "--threads" | "-j" => flags.threads = positive(args, &mut i, "--threads")?,
             "--stats" => flags.stats = true,
             "--stats-json" => flags.stats_json = Some(value(args, &mut i, "--stats-json")?),
-            "--max-states" => {
-                flags.max_states = Some(
-                    value(args, &mut i, "--max-states")?
-                        .parse()
-                        .map_err(|_| "`--max-states` needs a number".to_owned())?,
-                );
-            }
-            "--timeout-ms" => {
-                flags.timeout_ms = Some(
-                    value(args, &mut i, "--timeout-ms")?
-                        .parse()
-                        .map_err(|_| "`--timeout-ms` needs a number".to_owned())?,
-                );
-            }
+            "--max-states" => flags.max_states = Some(number(args, &mut i, "--max-states")?),
+            "--timeout-ms" => flags.timeout_ms = Some(number(args, &mut i, "--timeout-ms")?),
             "--cex-json" => flags.cex_json = Some(value(args, &mut i, "--cex-json")?),
             "--cache-dir" => flags.cache_dir = Some(value(args, &mut i, "--cache-dir")?),
             "--no-cache" => flags.no_cache = true,
@@ -390,84 +353,36 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 }
             }
             "--checkpoint-every" => {
-                flags.checkpoint_every = Some(
-                    value(args, &mut i, "--checkpoint-every")?
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "`--checkpoint-every` needs a number ≥ 1".to_owned())?,
-                );
+                flags.checkpoint_every = Some(positive(args, &mut i, "--checkpoint-every")?);
             }
             "--faults" => flags.faults = Some(value(args, &mut i, "--faults")?),
-            "--seed" => {
-                flags.seed = Some(
-                    value(args, &mut i, "--seed")?
-                        .parse()
-                        .map_err(|_| "`--seed` needs a number".to_owned())?,
-                );
-            }
+            "--seed" => flags.seed = Some(number(args, &mut i, "--seed")?),
             "--conformance" => flags.conformance = Some(value(args, &mut i, "--conformance")?),
             "--spec" => flags.spec = Some(value(args, &mut i, "--spec")?),
             "--traces-dir" => flags.traces_dir = Some(value(args, &mut i, "--traces-dir")?),
             "--stdin" => flags.stdin = true,
             "--stimulus" => flags.stimulus.push(value(args, &mut i, "--stimulus")?),
             "--expect" => flags.expect.push(value(args, &mut i, "--expect")?),
-            "--gap-us" => {
-                flags.gap_us = value(args, &mut i, "--gap-us")?
-                    .parse()
-                    .map_err(|_| "`--gap-us` needs a number".to_owned())?;
-            }
+            "--gap-us" => flags.gap_us = number(args, &mut i, "--gap-us")?,
             "--storage-faults" => {
                 flags.storage_faults = Some(value(args, &mut i, "--storage-faults")?);
             }
             "--force-panic" => flags.force_panic = Some(value(args, &mut i, "--force-panic")?),
             "--addr" => flags.addr = Some(value(args, &mut i, "--addr")?),
-            "--workers" => {
-                flags.workers = Some(
-                    value(args, &mut i, "--workers")?
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "`--workers` needs a number ≥ 1".to_owned())?,
-                );
-            }
+            "--workers" => flags.workers = Some(positive(args, &mut i, "--workers")?),
             "--state-dir" => flags.state_dir = Some(value(args, &mut i, "--state-dir")?),
             "--scripts-root" => flags.scripts_root = Some(value(args, &mut i, "--scripts-root")?),
-            "--queue-cap" => {
-                flags.queue_cap = Some(
-                    value(args, &mut i, "--queue-cap")?
-                        .parse()
-                        .map_err(|_| "`--queue-cap` needs a number".to_owned())?,
-                );
-            }
+            "--queue-cap" => flags.queue_cap = Some(number(args, &mut i, "--queue-cap")?),
             "--heartbeat-ms" => {
-                flags.heartbeat_ms = Some(
-                    value(args, &mut i, "--heartbeat-ms")?
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "`--heartbeat-ms` needs a number ≥ 1".to_owned())?,
-                );
+                flags.heartbeat_ms = Some(positive(args, &mut i, "--heartbeat-ms")?);
             }
-            "--retries" => {
-                flags.retries = Some(
-                    value(args, &mut i, "--retries")?
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| "`--retries` needs a number ≥ 1".to_owned())?,
-                );
-            }
+            "--retries" => flags.retries = Some(positive(args, &mut i, "--retries")?),
             "--connect" => flags.connect = Some(value(args, &mut i, "--connect")?),
             "--token" => flags.token = Some(value(args, &mut i, "--token")?),
+            // Undocumented chaos hook for the CI kill drills: the worker
+            // checkpoints at this budget, then drops dead.
             "--die-after-states" => {
-                // Undocumented chaos hook for the CI kill drills: the
-                // worker checkpoints at this budget, then drops dead.
-                flags.die_after_states = Some(
-                    value(args, &mut i, "--die-after-states")?
-                        .parse()
-                        .map_err(|_| "`--die-after-states` needs a number".to_owned())?,
-                );
+                flags.die_after_states = Some(number(args, &mut i, "--die-after-states")?);
             }
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             other => flags.positional.push(other.to_owned()),
@@ -510,33 +425,49 @@ struct FileFindings {
     diagnostics: Vec<Diagnostic>,
 }
 
-/// Print findings (text to stderr) and apply the gating policy: errors always
-/// fail; warnings fail under `--deny-warnings`.
+/// Print findings (text to stderr) and apply the gating policy.
 fn gate(findings: &[FileFindings], deny_warnings: bool) -> Result<(), String> {
     for f in findings {
         for d in &f.diagnostics {
             eprint!("{}", d.render(&f.file, &f.source));
         }
     }
-    let errors = count(findings, Severity::Error);
-    let warnings = count(findings, Severity::Warning);
+    policy(
+        "lint",
+        tally(findings.iter().flat_map(|f| &f.diagnostics)),
+        deny_warnings,
+    )
+}
+
+/// `(errors, warnings)` among the diagnostics.
+fn tally<'a>(diagnostics: impl IntoIterator<Item = &'a Diagnostic>) -> (usize, usize) {
+    let (mut errors, mut warnings) = (0, 0);
+    for d in diagnostics {
+        match d.severity {
+            Severity::Error => errors += 1,
+            Severity::Warning => warnings += 1,
+            Severity::Info => {}
+        }
+    }
+    (errors, warnings)
+}
+
+/// The gating policy over `what` findings: errors always fail; warnings
+/// fail under `--deny-warnings`.
+fn policy(
+    what: &str,
+    (errors, warnings): (usize, usize),
+    deny_warnings: bool,
+) -> Result<(), String> {
     if errors > 0 {
-        Err(format!("{errors} lint error(s)"))
+        Err(format!("{errors} {what} error(s)"))
     } else if deny_warnings && warnings > 0 {
         Err(format!(
-            "{warnings} lint warning(s) denied (--deny-warnings)"
+            "{warnings} {what} warning(s) denied (--deny-warnings)"
         ))
     } else {
         Ok(())
     }
-}
-
-fn count(findings: &[FileFindings], severity: Severity) -> usize {
-    findings
-        .iter()
-        .flat_map(|f| &f.diagnostics)
-        .filter(|d| d.severity == severity)
-        .count()
 }
 
 fn translate(args: &[String]) -> Result<ExitCode, String> {
@@ -619,26 +550,23 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
     for path in &flags.positional {
         let source = read(path)?;
         let diagnostics = if path.ends_with(".csp") || path.ends_with(".cspm") {
-            match cspm::Script::parse(&source) {
-                Ok(script) => {
-                    let mut d = lint::lint_module(script.module());
-                    // Semantic pass, when the script also evaluates. A script
-                    // that parses but fails to load keeps its syntactic
-                    // findings; `check` surfaces the load error itself.
-                    if let Ok(loaded) = script.load() {
-                        let store = fdrlite::ModelStore::new();
-                        let analysis = cspm::analyze::analyze_script(
-                            script.module(),
-                            &loaded,
-                            &Checker::new(),
-                            &store,
-                            None,
-                        );
-                        d.extend(analysis.diagnostics);
-                    }
+            let job = ResolvedJob {
+                max_states: None,
+                ..one_job(JobKind::Analyze, path, &flags)
+            };
+            match Executor::new(&ExecConfig::default())?.analyze(&job) {
+                Ok((script, analysis)) => {
+                    let mut d = lint::lint_module(script.script.module());
+                    d.extend(analysis.diagnostics);
                     d
                 }
-                Err(e) => vec![cspm_parse_diagnostic(&e)],
+                // A script that parses but fails to load keeps its
+                // syntactic findings; `check` surfaces the load error.
+                Err(ExecError::Load { script, .. }) => lint::lint_module(script.module()),
+                Err(ExecError::Parse { error, .. }) => {
+                    vec![cspm_diagnostic(lint::codes::CSP_PARSE_ERROR, &error)]
+                }
+                Err(e) => return Err(e.to_string()),
             }
         } else {
             match capl::parse(&source) {
@@ -689,8 +617,7 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
         cspm::analyze::sort_diagnostics(&mut f.diagnostics);
     }
 
-    let errors = count(&findings, Severity::Error);
-    let warnings = count(&findings, Severity::Warning);
+    let (errors, warnings) = tally(findings.iter().flat_map(|f| &f.diagnostics));
 
     match flags.format {
         OutputFormat::Text => {
@@ -702,36 +629,33 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
             println!("{errors} error(s), {warnings} warning(s)");
         }
         OutputFormat::Json => {
-            let items: Vec<String> = findings
-                .iter()
-                .flat_map(|f| f.diagnostics.iter().map(|d| d.to_json(&f.file)))
-                .collect();
-            println!(
-                "{{\"diagnostics\":[{}],\"errors\":{errors},\"warnings\":{warnings}}}",
-                items.join(",")
-            );
+            let json = diag::json::object(|w| {
+                w.key("diagnostics").array(|w| {
+                    for f in &findings {
+                        for d in &f.diagnostics {
+                            d.write_json(w, &f.file);
+                        }
+                    }
+                });
+                w.key("errors").number(errors);
+                w.key("warnings").number(warnings);
+            });
+            println!("{json}");
         }
     }
 
-    if errors > 0 {
-        Err(format!("{errors} lint error(s)"))
-    } else if flags.deny_warnings && warnings > 0 {
-        Err(format!(
-            "{warnings} lint warning(s) denied (--deny-warnings)"
-        ))
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
+    policy("lint", (errors, warnings), flags.deny_warnings).map(|()| ExitCode::SUCCESS)
 }
 
-fn cspm_parse_diagnostic(e: &cspm::CspmError) -> Diagnostic {
+/// A CSPm (or jobs manifest) error as a `code` error at its position.
+fn cspm_diagnostic(code: diag::Code, e: &cspm::CspmError) -> Diagnostic {
     let span = match e {
         cspm::CspmError::Lex { pos, .. } | cspm::CspmError::Parse { pos, .. } => {
             Span::point(pos.line, pos.col)
         }
         _ => Span::unknown(),
     };
-    Diagnostic::error(lint::codes::CSP_PARSE_ERROR, span, e.to_string())
+    Diagnostic::error(code, span, e.to_string())
 }
 
 fn analyze_cmd(args: &[String]) -> Result<ExitCode, String> {
@@ -739,47 +663,35 @@ fn analyze_cmd(args: &[String]) -> Result<ExitCode, String> {
     let [script_path] = flags.positional.as_slice() else {
         return Err("analyze needs exactly one CSPm file".into());
     };
-    let source = read(script_path)?;
-    let script = match cspm::Script::parse(&source) {
-        Ok(script) => script,
-        Err(e) => {
-            let d = cspm_parse_diagnostic(&e);
+    let mut executor = Executor::new(&ExecConfig::default())?;
+    let (script, analysis) = match executor.analyze(&one_job(JobKind::Analyze, script_path, &flags))
+    {
+        Ok(analyzed) => analyzed,
+        Err(ExecError::Parse { source, error }) => {
+            let d = cspm_diagnostic(lint::codes::CSP_PARSE_ERROR, &error);
             match flags.format {
                 OutputFormat::Text => {
                     print!("{}", d.render(script_path, &source));
                     println!("1 error(s), 0 warning(s)");
                 }
-                OutputFormat::Json => println!(
-                    "{{\"file\":{},\"rounds\":0,\"definitions\":[],\"assertions\":[],\"diagnostics\":[{}],\"errors\":1,\"warnings\":0}}",
-                    diag::json_string(script_path),
-                    d.to_json(script_path)
-                ),
+                OutputFormat::Json => {
+                    let analysis = cspm::analyze::ScriptAnalysis {
+                        rounds: 0,
+                        definitions: Vec::new(),
+                        assertions: Vec::new(),
+                        diagnostics: vec![d],
+                    };
+                    println!("{}", analysis_json(script_path, &analysis, 1, 0));
+                }
             }
             return Err("1 analysis error(s)".into());
         }
+        Err(e) => return Err(e.to_string()),
     };
-    let loaded = script.load().map_err(|e| e.to_string())?;
-    let store = fdrlite::ModelStore::new();
-    let analysis = cspm::analyze::analyze_script(
-        script.module(),
-        &loaded,
-        &Checker::new(),
-        &store,
-        flags.max_states,
-    );
-    let errors = analysis
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let warnings = analysis
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .count();
+    let (errors, warnings) = tally(&analysis.diagnostics);
     match flags.format {
         OutputFormat::Text => {
-            render_analysis_text(script_path, &source, &analysis);
+            render_analysis_text(script_path, &script.source, &analysis);
             println!("{errors} error(s), {warnings} warning(s)");
         }
         OutputFormat::Json => {
@@ -789,15 +701,7 @@ fn analyze_cmd(args: &[String]) -> Result<ExitCode, String> {
             );
         }
     }
-    if errors > 0 {
-        Err(format!("{errors} analysis error(s)"))
-    } else if flags.deny_warnings && warnings > 0 {
-        Err(format!(
-            "{warnings} analysis warning(s) denied (--deny-warnings)"
-        ))
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
+    policy("analysis", (errors, warnings), flags.deny_warnings).map(|()| ExitCode::SUCCESS)
 }
 
 /// Human-readable rendering of a [`cspm::analyze::ScriptAnalysis`].
@@ -861,84 +765,109 @@ fn analysis_json(
     errors: usize,
     warnings: usize,
 ) -> String {
-    use diag::json_string as js;
-    let definitions: Vec<String> = analysis
-        .definitions
-        .iter()
-        .map(|d| {
-            let alphabet: Vec<String> = d.alphabet.iter().map(|e| js(e)).collect();
-            format!(
-                "{{\"name\":{},\"line\":{},\"col\":{},\"reachable\":{},\"alphabet\":[{}]}}",
-                js(&d.name),
-                d.span.line,
-                d.span.col,
-                d.reachable,
-                alphabet.join(",")
-            )
-        })
-        .collect();
-    let assertions: Vec<String> = analysis
-        .assertions
-        .iter()
-        .map(|a| {
-            let processes: Vec<String> = a
-                .processes
-                .iter()
-                .map(|p| {
-                    let graph = p.graph.as_ref().map_or_else(
-                        || "null".to_owned(),
-                        |g| {
-                            format!(
-                                "{{\"states\":{},\"transitions\":{},\"tau_transitions\":{},\"scc_count\":{},\"tau_cycle_states\":{},\"divergent_states\":{},\"deadlock_states\":{},\"divergence_free\":{},\"deadlock_free\":{}}}",
-                                g.states,
-                                g.transitions,
-                                g.tau_transitions,
-                                g.scc_count,
-                                g.tau_cycle_states,
-                                g.divergent_states,
-                                g.deadlock_states,
-                                g.divergence_free(),
-                                g.deadlock_free()
-                            )
-                        },
-                    );
-                    let compile_error = p
-                        .compile_error
-                        .as_deref()
-                        .map_or_else(|| "null".to_owned(), js);
-                    format!(
-                        "{{\"role\":{},\"graph\":{graph},\"compile_error\":{compile_error},\"predicted_states\":{},\"estimate_exact\":{},\"components\":{},\"parallel_count\":{},\"sync_coupling\":{}}}",
-                        js(p.role),
-                        p.predicted_states,
-                        p.estimate_exact,
-                        p.components,
-                        p.parallel_count,
-                        p.sync_coupling
-                    )
-                })
-                .collect();
-            let product = a
-                .predicted_product
-                .map_or_else(|| "null".to_owned(), |n| n.to_string());
-            format!(
-                "{{\"assertion\":{},\"predicted_product\":{product},\"processes\":[{}]}}",
-                js(&a.description),
-                processes.join(",")
-            )
-        })
-        .collect();
-    let diagnostics: Vec<String> = analysis
-        .diagnostics
-        .iter()
-        .map(|d| d.to_json(file))
-        .collect();
-    format!(
-        "{{\"file\":{},\"rounds\":{},\"definitions\":[{}],\"assertions\":[{}],\"diagnostics\":[{}],\"errors\":{errors},\"warnings\":{warnings}}}",
-        js(file),
-        analysis.rounds,
-        definitions.join(","),
-        assertions.join(","),
-        diagnostics.join(",")
+    diag::json::object(|w| {
+        w.key("file").string(file);
+        w.key("rounds").number(analysis.rounds);
+        w.key("definitions").array(|w| {
+            for d in &analysis.definitions {
+                w.object(|w| {
+                    w.key("name").string(&d.name);
+                    w.key("line").number(d.span.line);
+                    w.key("col").number(d.span.col);
+                    w.key("reachable").bool(d.reachable);
+                    w.key("alphabet").array(|w| {
+                        for event in &d.alphabet {
+                            w.string(event);
+                        }
+                    });
+                });
+            }
+        });
+        w.key("assertions").array(|w| {
+            for a in &analysis.assertions {
+                w.object(|w| {
+                    w.key("assertion").string(&a.description);
+                    w.key("predicted_product");
+                    match a.predicted_product {
+                        Some(n) => w.number(n),
+                        None => w.null(),
+                    };
+                    w.key("processes").array(|w| {
+                        for p in &a.processes {
+                            w.object(|w| {
+                                w.key("role").string(p.role);
+                                w.key("graph");
+                                match &p.graph {
+                                    Some(g) => w.object(|w| {
+                                        w.key("states").number(g.states);
+                                        w.key("transitions").number(g.transitions);
+                                        w.key("tau_transitions").number(g.tau_transitions);
+                                        w.key("scc_count").number(g.scc_count);
+                                        w.key("tau_cycle_states").number(g.tau_cycle_states);
+                                        w.key("divergent_states").number(g.divergent_states);
+                                        w.key("deadlock_states").number(g.deadlock_states);
+                                        w.key("divergence_free").bool(g.divergence_free());
+                                        w.key("deadlock_free").bool(g.deadlock_free());
+                                    }),
+                                    None => w.null(),
+                                };
+                                w.key("compile_error");
+                                match &p.compile_error {
+                                    Some(e) => w.string(e),
+                                    None => w.null(),
+                                };
+                                w.key("predicted_states").number(p.predicted_states);
+                                w.key("estimate_exact").bool(p.estimate_exact);
+                                w.key("components").number(p.components);
+                                w.key("parallel_count").number(p.parallel_count);
+                                w.key("sync_coupling").number(p.sync_coupling);
+                            });
+                        }
+                    });
+                });
+            }
+        });
+        w.key("diagnostics").array(|w| {
+            for d in &analysis.diagnostics {
+                d.write_json(w, file);
+            }
+        });
+        w.key("errors").number(errors);
+        w.key("warnings").number(warnings);
+    })
+}
+
+/// `path` as a one-job run of `kind` with the flags' thread count and
+/// budgets.
+fn one_job(kind: JobKind, path: &str, flags: &Flags) -> ResolvedJob {
+    ResolvedJob {
+        name: path.to_owned(),
+        kind,
+        script: PathBuf::from(path),
+        spec: None,
+        corpus: None,
+        assertion: None,
+        threads: flags.threads,
+        max_states: flags.max_states,
+        timeout_ms: flags.timeout_ms,
+        chaos: None,
+    }
+}
+
+/// The executor `check` and `run` share: the cache under `--cache-dir`
+/// unless `--no-cache`, checkpointing every `--checkpoint-every` new
+/// pairs, and resuming checkpoints as `resume` says.
+fn executor(flags: &Flags, resume: fdrlite::ResumePolicy) -> Result<Executor, String> {
+    Executor::with_resume(
+        &ExecConfig {
+            cache_dir: flags
+                .cache_dir
+                .as_ref()
+                .filter(|_| !flags.no_cache)
+                .map(PathBuf::from),
+            checkpoint_every: flags.checkpoint_every,
+        },
+        resume,
     )
 }
 
@@ -948,99 +877,70 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
         return Err("check needs exactly one CSPm file".into());
     };
     install_sigterm_handler();
-    let source = read(script_path)?;
-    let script = cspm::Script::parse(&source).map_err(|e| e.to_string())?;
-    let findings = [FileFindings {
-        file: script_path.clone(),
-        source: source.clone(),
-        diagnostics: lint::lint_module(script.module()),
-    }];
-    gate(&findings, flags.deny_warnings)?;
-    let loaded = script.load().map_err(|e| e.to_string())?;
-    if loaded.assertions().is_empty() {
+    let resume = match flags.resume.as_deref() {
+        None => fdrlite::ResumePolicy::Off,
+        Some(_) if flags.cache_dir.is_none() || flags.no_cache => {
+            return Err("`--resume` needs `--cache-dir` (checkpoints live there)".into());
+        }
+        Some("auto") => fdrlite::ResumePolicy::Auto,
+        Some(token) => fdrlite::ResumePolicy::Token(
+            fdrlite::CheckId::from_token(token)
+                .ok_or_else(|| format!("invalid resume token `{token}`"))?,
+        ),
+    };
+    let mut executor = executor(&flags, resume)?;
+    let job = one_job(JobKind::Check, script_path, &flags);
+    let gate_script = |source: &str, diagnostics| {
+        let findings = FileFindings {
+            file: script_path.clone(),
+            source: source.to_owned(),
+            diagnostics,
+        };
+        gate(&[findings], flags.deny_warnings)
+    };
+    // Syntactic lints gate first, even when the script fails to load.
+    let script = match executor.load(&job.script) {
+        Ok(script) => script,
+        Err(ExecError::Load {
+            source,
+            script,
+            error,
+        }) => {
+            gate_script(&source, lint::lint_module(script.module()))?;
+            return Err(error.to_string());
+        }
+        Err(e) => return Err(e.to_string()),
+    };
+    gate_script(&script.source, lint::lint_module(script.script.module()))?;
+    if script.loaded.assertions().is_empty() {
         return Err("script contains no `assert` declarations".into());
     }
-    let options = cspm::CheckOptions {
-        threads: flags.threads,
-        collect_stats: flags.stats || flags.stats_json.is_some(),
-        max_states: flags.max_states,
-        max_wall_ms: flags.timeout_ms,
-    };
-    let store = fdrlite::ModelStore::new();
-    let cache = match (&flags.cache_dir, flags.no_cache) {
-        (Some(dir), false) => {
-            let cache = Arc::new(
-                fdrlite::PersistentCache::open(dir)
-                    .map_err(|e| format!("cannot open cache directory `{dir}`: {e}"))?,
-            );
-            let resume = match flags.resume.as_deref() {
-                None => fdrlite::ResumePolicy::Off,
-                Some("auto") => fdrlite::ResumePolicy::Auto,
-                Some(token) => fdrlite::ResumePolicy::Token(
-                    fdrlite::CheckId::from_token(token)
-                        .ok_or_else(|| format!("invalid resume token `{token}`"))?,
-                ),
-            };
-            store.set_persist(fdrlite::PersistConfig {
-                cache: Arc::clone(&cache),
-                checkpoint_every: flags.checkpoint_every,
-                resume,
-            });
-            Some(cache)
-        }
-        _ => {
-            if flags.resume.is_some() {
-                return Err("`--resume` needs `--cache-dir` (checkpoints live there)".into());
-            }
-            None
-        }
-    };
-    // Semantic analysis before exploration: compiles route through `store`
-    // (after the persist config, so on-disk keys match the check's), which
-    // warms both the compile and the graph-classification caches the checker
-    // reuses below. Analysis findings are ANA3xx warnings and follow the
-    // same gating policy as the syntactic lints.
-    let checker = Checker::new();
-    let analysis =
-        cspm::analyze::analyze_script(script.module(), &loaded, &checker, &store, flags.max_states);
-    gate(
-        &[FileFindings {
-            file: script_path.clone(),
-            source: source.clone(),
-            diagnostics: analysis.diagnostics,
-        }],
-        flags.deny_warnings,
-    )?;
-    let results = loaded
-        .check_with_store(&checker, &options, &store)
-        .map_err(|e| e.to_string())?;
+    // Semantic analysis before exploration, in the store the check then
+    // compiles through (with the cache attached, so on-disk keys match
+    // the check's): it warms both the compile and the graph-classification
+    // caches the checker reuses. Analysis findings are ANA3xx warnings and
+    // follow the same gating policy as the syntactic lints.
+    let (_, analysis) = executor.analyze(&job).map_err(|e| e.to_string())?;
+    gate_script(&script.source, analysis.diagnostics)?;
+    let (script, results) = executor.check(&job).map_err(|e| e.to_string())?;
+    let alphabet = script.loaded.alphabet();
+    // JSON mode: stdout carries exactly one JSON object (assertion
+    // verdicts in script order); diagnostics and stats stay on stderr.
     let json_mode = flags.format == OutputFormat::Json;
     let mut failures = 0;
     let mut inconclusive = 0;
     let mut cex_written = false;
-    // JSON mode: stdout carries exactly one JSON object (assertion
-    // verdicts in script order); diagnostics and stats stay on stderr.
-    let mut assertion_json: Vec<String> = Vec::new();
     for r in &results {
         if let Some(cex) = r.verdict.counterexample() {
             failures += 1;
-            if json_mode {
-                assertion_json.push(format!(
-                    "{{\"assertion\":{},\"verdict\":\"fail\",\"counterexample\":{}}}",
-                    diag::json_string(&r.description),
-                    diag::json_string(&cex.display(loaded.alphabet()).to_string())
-                ));
-            } else {
+            if !json_mode {
                 println!("assert {}  ...  FAIL", r.description);
-                println!("  {}", cex.display(loaded.alphabet()));
+                println!("  {}", cex.display(alphabet));
             }
             if let Some(path) = &flags.cex_json {
                 if !cex_written {
-                    let json = faults::replay::counterexample_to_json(
-                        &r.description,
-                        cex,
-                        loaded.alphabet(),
-                    );
+                    let json =
+                        faults::replay::counterexample_to_json(&r.description, cex, alphabet);
                     fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
                     eprintln!("wrote {path}");
                     cex_written = true;
@@ -1048,28 +948,13 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
             }
         } else if let Some(inc) = r.verdict.inconclusive() {
             inconclusive += 1;
-            if json_mode {
-                let resume = inc.resume.as_ref().map_or_else(
-                    || "null".to_owned(),
-                    |token| diag::json_string(&token.to_string()),
-                );
-                assertion_json.push(format!(
-                    "{{\"assertion\":{},\"verdict\":\"inconclusive\",\"reason\":{},\"resume\":{resume}}}",
-                    diag::json_string(&r.description),
-                    diag::json_string(&inc.to_string())
-                ));
-            } else {
+            if !json_mode {
                 println!("assert {}  ...  INCONCLUSIVE ({inc})", r.description);
                 if let Some(token) = &inc.resume {
                     println!("  checkpoint saved; continue with `--resume {token}`");
                 }
             }
-        } else if json_mode {
-            assertion_json.push(format!(
-                "{{\"assertion\":{},\"verdict\":\"pass\"}}",
-                diag::json_string(&r.description)
-            ));
-        } else {
+        } else if !json_mode {
             println!("assert {}  ...  PASS", r.description);
         }
         if flags.stats {
@@ -1080,12 +965,37 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
     }
     if json_mode {
         println!(
-            "{{\"script\":{},\"assertions\":[{}],\"failures\":{failures},\"inconclusive\":{inconclusive}}}",
-            diag::json_string(script_path),
-            assertion_json.join(",")
+            "{}",
+            diag::json::object(|w| {
+                w.key("script").string(script_path);
+                w.key("assertions").array(|w| {
+                    for r in &results {
+                        w.object(|w| {
+                            w.key("assertion").string(&r.description);
+                            if let Some(cex) = r.verdict.counterexample() {
+                                w.key("verdict").string("fail");
+                                w.key("counterexample")
+                                    .string(&cex.display(alphabet).to_string());
+                            } else if let Some(inc) = r.verdict.inconclusive() {
+                                w.key("verdict").string("inconclusive");
+                                w.key("reason").string(&inc.to_string());
+                                w.key("resume");
+                                match &inc.resume {
+                                    Some(token) => w.string(&token.to_string()),
+                                    None => w.null(),
+                                };
+                            } else {
+                                w.key("verdict").string("pass");
+                            }
+                        });
+                    }
+                });
+                w.key("failures").number(failures);
+                w.key("inconclusive").number(inconclusive);
+            })
         );
     }
-    if let Some(cache) = &cache {
+    if let Some(cache) = executor.cache() {
         let root = cache.root().display().to_string();
         for d in cache.take_diagnostics() {
             eprint!("{}", d.render(&root, ""));
@@ -1101,6 +1011,7 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     if flags.stats {
+        let store = executor.store();
         eprintln!(
             "model store: {} hit(s), {} miss(es); analysis {} hit(s), {} miss(es) across {} assertion(s)",
             store.hits(),
@@ -1111,22 +1022,24 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     if let Some(path) = &flags.stats_json {
-        let lines: Vec<String> = results
-            .iter()
-            .map(|r| {
-                let stats = r
-                    .stats
-                    .as_ref()
-                    .map_or_else(|| "null".to_owned(), fdrlite::CheckStats::to_json);
-                format!(
-                    "{{\"assertion\":{:?},\"pass\":{},\"inconclusive\":{},\"stats\":{stats}}}",
-                    r.description,
-                    r.verdict.is_pass(),
-                    r.verdict.is_inconclusive()
-                )
-            })
-            .collect();
-        fs::write(path, format!("[{}]\n", lines.join(",")))
+        let mut w = diag::json::Writer::new();
+        w.array(|w| {
+            for r in &results {
+                w.object(|w| {
+                    w.key("assertion").string(&r.description);
+                    w.key("pass").bool(r.verdict.is_pass());
+                    w.key("inconclusive").bool(r.verdict.is_inconclusive());
+                    w.key("stats");
+                    match &r.stats {
+                        Some(stats) => stats.write_json(w),
+                        None => {
+                            w.null();
+                        }
+                    }
+                });
+            }
+        });
+        fs::write(path, format!("{}\n", w.finish()))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         eprintln!("wrote {path}");
     }
@@ -1157,33 +1070,17 @@ fn serve_cmd(args: &[String]) -> Result<ExitCode, String> {
             .unwrap_or_else(|| ".autocsp-service".to_owned()),
     );
     let mut config = service::server::ServerConfig::with_defaults(state_dir)?;
-    if let Some(addr) = flags.addr {
-        config.addr = addr;
-    }
-    if let Some(workers) = flags.workers {
-        config.workers = workers;
-    }
-    if let Some(dir) = flags.cache_dir {
-        config.cache_dir = Some(PathBuf::from(dir));
-    }
-    if let Some(root) = flags.scripts_root {
-        config.scripts_root = PathBuf::from(root);
-    }
-    if let Some(cap) = flags.queue_cap {
-        config.queue_cap = cap;
-    }
-    if let Some(hb) = flags.heartbeat_ms {
-        config.heartbeat_ms = hb;
-    }
-    if let Some(every) = flags.checkpoint_every {
-        config.checkpoint_every = Some(every);
-    }
-    if let Some(retries) = flags.retries {
-        config.retry.max_attempts = retries;
-    }
-    if let Some(seed) = flags.seed {
-        config.retry.seed = seed;
-    }
+    config.addr = flags.addr.unwrap_or(config.addr);
+    config.workers = flags.workers.unwrap_or(config.workers);
+    config.cache_dir = flags.cache_dir.map(PathBuf::from).or(config.cache_dir);
+    config.scripts_root = flags
+        .scripts_root
+        .map_or(config.scripts_root, PathBuf::from);
+    config.queue_cap = flags.queue_cap.unwrap_or(config.queue_cap);
+    config.heartbeat_ms = flags.heartbeat_ms.unwrap_or(config.heartbeat_ms);
+    config.checkpoint_every = flags.checkpoint_every.or(config.checkpoint_every);
+    config.retry.max_attempts = flags.retries.unwrap_or(config.retry.max_attempts);
+    config.retry.seed = flags.seed.unwrap_or(config.retry.seed);
     config.default_threads = flags.threads;
     config.default_max_states = flags.max_states;
     config.default_timeout_ms = flags.timeout_ms;
@@ -1315,13 +1212,7 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
     let manifest = match cspm::manifest::Manifest::parse(&manifest_source, &base_dir) {
         Ok(m) => m,
         Err(e) => {
-            let span = match &e {
-                cspm::CspmError::Parse { pos, .. } | cspm::CspmError::Lex { pos, .. } => {
-                    Span::point(pos.line, pos.col)
-                }
-                _ => Span::unknown(),
-            };
-            let d = Diagnostic::error(sup::MANIFEST_ERROR, span, e.to_string());
+            let d = cspm_diagnostic(sup::MANIFEST_ERROR, &e);
             eprint!("{}", d.render(manifest_path, &manifest_source));
             return Err(format!("cannot load manifest `{manifest_path}`"));
         }
@@ -1340,15 +1231,8 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
     // job, so jobs over the same script reuse its compiled and normalised
     // models. Per-check checkpoints are resumed only under `--resume`.
     let resuming = flags.resume.is_some();
-    let mut executor = service::exec::Executor::with_resume(
-        &service::exec::ExecConfig {
-            cache_dir: flags
-                .cache_dir
-                .as_ref()
-                .filter(|_| !flags.no_cache)
-                .map(PathBuf::from),
-            checkpoint_every: flags.checkpoint_every,
-        },
+    let mut executor = executor(
+        &flags,
         if resuming {
             fdrlite::ResumePolicy::Auto
         } else {
@@ -1479,32 +1363,33 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
         // One JSON object on stdout; everything else is on stderr. The
         // object is deterministic for a given manifest outcome, so
         // disturbed and resumed runs still diff byte-identical.
-        let jobs_json: Vec<String> = outcome
-            .jobs
-            .iter()
-            .map(|job| {
-                let lines: Vec<String> = job.lines.iter().map(|l| diag::json_string(l)).collect();
-                format!(
-                    "{{\"name\":{},\"status\":{},\"replayed\":{},\"lines\":[{}]}}",
-                    diag::json_string(&job.name),
-                    diag::json_string(job.status.label()),
-                    job.replayed,
-                    lines.join(",")
-                )
-            })
-            .collect();
-        let deferred: Vec<String> = outcome
-            .deferred
-            .iter()
-            .map(|name| diag::json_string(name))
-            .collect();
-        println!(
-            "{{\"manifest\":{},\"jobs\":[{}],\"passed\":{passed},\"refuted\":{refuted},\
-             \"inconclusive\":{inconclusive},\"failed\":{failed},\"deferred\":[{}]}}",
-            diag::json_string(manifest_path),
-            jobs_json.join(","),
-            deferred.join(",")
-        );
+        let json = diag::json::object(|w| {
+            w.key("manifest").string(manifest_path);
+            w.key("jobs").array(|w| {
+                for job in &outcome.jobs {
+                    w.object(|w| {
+                        w.key("name").string(&job.name);
+                        w.key("status").string(job.status.label());
+                        w.key("replayed").bool(job.replayed);
+                        w.key("lines").array(|w| {
+                            for line in &job.lines {
+                                w.string(line);
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("passed").number(passed);
+            w.key("refuted").number(refuted);
+            w.key("inconclusive").number(inconclusive);
+            w.key("failed").number(failed);
+            w.key("deferred").array(|w| {
+                for name in &outcome.deferred {
+                    w.string(name);
+                }
+            });
+        });
+        println!("{json}");
     } else {
         println!(
             "run: {} job(s): {passed} passed, {refuted} refuted, {inconclusive} inconclusive, \
@@ -1726,14 +1611,6 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Where one ingested trace came from, for labelling verdicts and placing
-/// `SIM311` findings.
-struct TraceOrigin {
-    label: String,
-    file: usize,
-    line: u32,
-}
-
 fn conform(args: &[String]) -> Result<ExitCode, String> {
     let flags = parse_flags(args)?;
     let Some((model_path, corpus_paths)) = flags.positional.split_first() else {
@@ -1764,16 +1641,10 @@ fn conform(args: &[String]) -> Result<ExitCode, String> {
         sources.push((path.clone(), read(path)?));
     }
     if let Some(dir) = &flags.traces_dir {
-        let entries =
-            fs::read_dir(dir).map_err(|e| format!("cannot read directory `{dir}`: {e}"))?;
-        let mut paths: Vec<String> = entries
-            .filter_map(Result::ok)
-            .map(|entry| entry.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-            .filter_map(|p| p.to_str().map(str::to_owned))
-            .collect();
-        paths.sort();
+        let paths = service::exec::corpus_files(Path::new(dir))
+            .map_err(|e| format!("cannot read directory `{dir}`: {e}"))?;
         for path in paths {
+            let path = path.display().to_string();
             let text = read(&path)?;
             sources.push((path, text));
         }
@@ -1793,40 +1664,24 @@ fn conform(args: &[String]) -> Result<ExitCode, String> {
         );
     }
 
-    let model_source = read(model_path)?;
-    let loaded = cspm::Script::parse(&model_source)
-        .map_err(|e| e.to_string())?
-        .load()
+    let job = ResolvedJob {
+        spec: Some(spec_name),
+        ..one_job(JobKind::Conform, model_path, &flags)
+    };
+    let (script, conformance) = Executor::new(&ExecConfig::default())?
+        .conform(&job, &sources)
         .map_err(|e| e.to_string())?;
-    let checker = Checker::new();
-    let store = fdrlite::ModelStore::new();
-    let mut run = faults::batch::BatchRun::new(&loaded, &spec_name, &checker, &store)
-        .map_err(|e| e.to_string())?;
-
-    // Streaming ingest: each source parses, merges into the trie, and drops
-    // its trace vector before the next is read; only the source text (kept
-    // for rendering findings) and the trie stay resident.
-    let mut origins: Vec<TraceOrigin> = Vec::new();
-    let mut findings: Vec<FileFindings> = Vec::new();
-    for (file_index, (file, text)) in sources.iter().enumerate() {
-        let (traces, diagnostics) = faults::batch::parse_corpus(text);
-        for (line, trace) in traces {
-            let label = trace.id.clone().unwrap_or_else(|| format!("{file}:{line}"));
-            let index = run.push(&trace.events);
-            debug_assert_eq!(index, origins.len());
-            origins.push(TraceOrigin {
-                label,
-                file: file_index,
-                line,
-            });
-        }
-        findings.push(FileFindings {
-            file: file.clone(),
-            source: text.clone(),
+    let (report, origins) = (&conformance.report, &conformance.origins);
+    let mut findings: Vec<FileFindings> = sources
+        .into_iter()
+        .zip(conformance.findings)
+        .map(|((file, source), diagnostics)| FileFindings {
+            file,
+            source,
             diagnostics,
-        });
-    }
-    if run.is_empty() {
+        })
+        .collect();
+    if origins.is_empty() {
         findings[0].diagnostics.push(
             Diagnostic::warning(
                 faults::codes::CORPUS_EMPTY,
@@ -1836,20 +1691,18 @@ fn conform(args: &[String]) -> Result<ExitCode, String> {
             .with_note("every verdict set over an empty corpus is vacuously conformant"),
         );
     }
-
-    let report = run.finish(flags.threads);
-
-    for (i, verdict) in report.verdicts.iter().enumerate() {
+    for (verdict, origin) in report.verdicts.iter().zip(origins) {
         if let ConformanceVerdict::UnknownEvent { event, index } = verdict {
-            let origin = &origins[i];
-            findings[origin.file].diagnostics.push(Diagnostic::warning(
-                faults::codes::CORPUS_UNKNOWN_EVENT,
-                Span::point(origin.line, 1),
-                format!(
-                    "trace `{}` event #{index} `{event}` is not in the model's alphabet",
-                    origin.label
-                ),
-            ));
+            findings[origin.source]
+                .diagnostics
+                .push(Diagnostic::warning(
+                    faults::codes::CORPUS_UNKNOWN_EVENT,
+                    Span::point(origin.line, 1),
+                    format!(
+                        "trace `{}` event #{index} `{event}` is not in the model's alphabet",
+                        origin.label
+                    ),
+                ));
         }
     }
     for f in &mut findings {
@@ -1860,8 +1713,9 @@ fn conform(args: &[String]) -> Result<ExitCode, String> {
             eprint!("{}", d.render(&f.file, &f.source));
         }
     }
-    let warnings = count(&findings, Severity::Warning);
+    let (_, warnings) = tally(findings.iter().flat_map(|f| &f.diagnostics));
 
+    let alphabet = script.loaded.alphabet();
     let refuted = report.stats.refuted;
     let unknown = report.stats.unknown_event;
     let inconclusive = report
@@ -1873,13 +1727,13 @@ fn conform(args: &[String]) -> Result<ExitCode, String> {
 
     match flags.format {
         OutputFormat::Text => {
-            for (i, verdict) in report.verdicts.iter().enumerate() {
-                let label = &origins[i].label;
+            for (verdict, origin) in report.verdicts.iter().zip(origins) {
+                let label = &origin.label;
                 match verdict {
                     ConformanceVerdict::Conformant => {}
                     ConformanceVerdict::Refuted(cex) => {
                         println!("trace {label}  ...  FAIL");
-                        println!("  {}", cex.display(loaded.alphabet()));
+                        println!("  {}", cex.display(alphabet));
                     }
                     ConformanceVerdict::UnknownEvent { event, index } => {
                         println!("trace {label}  ...  FAIL");
@@ -1901,41 +1755,40 @@ fn conform(args: &[String]) -> Result<ExitCode, String> {
             // Deliberately timing-free: the object is a pure function of the
             // (model, corpus) pair, so runs at different `--threads` counts —
             // or on different machines — diff byte-identical.
-            use diag::json_string as js;
-            let verdicts: Vec<String> = report
-                .verdicts
-                .iter()
-                .enumerate()
-                .map(|(i, verdict)| {
-                    let label = js(&origins[i].label);
-                    match verdict {
-                        ConformanceVerdict::Conformant => {
-                            format!("{{\"trace\":{label},\"verdict\":\"conformant\"}}")
-                        }
-                        ConformanceVerdict::Refuted(cex) => format!(
-                            "{{\"trace\":{label},\"verdict\":\"refuted\",\"counterexample\":{}}}",
-                            js(&cex.display(loaded.alphabet()).to_string())
-                        ),
-                        ConformanceVerdict::UnknownEvent { event, index } => format!(
-                            "{{\"trace\":{label},\"verdict\":\"unknown_event\",\
-                             \"event\":{},\"index\":{index}}}",
-                            js(event)
-                        ),
-                        ConformanceVerdict::Inconclusive(inc) => format!(
-                            "{{\"trace\":{label},\"verdict\":\"inconclusive\",\"reason\":{}}}",
-                            js(&inc.to_string())
-                        ),
+            let json = diag::json::object(|w| {
+                w.key("spec").string(&report.spec);
+                w.key("traces").number(report.stats.traces);
+                w.key("conformant").number(report.stats.conformant);
+                w.key("refuted").number(refuted);
+                w.key("unknown_event").number(unknown);
+                w.key("verdicts").array(|w| {
+                    for (verdict, origin) in report.verdicts.iter().zip(origins) {
+                        w.object(|w| {
+                            w.key("trace").string(&origin.label);
+                            match verdict {
+                                ConformanceVerdict::Conformant => {
+                                    w.key("verdict").string("conformant");
+                                }
+                                ConformanceVerdict::Refuted(cex) => {
+                                    w.key("verdict").string("refuted");
+                                    w.key("counterexample")
+                                        .string(&cex.display(alphabet).to_string());
+                                }
+                                ConformanceVerdict::UnknownEvent { event, index } => {
+                                    w.key("verdict").string("unknown_event");
+                                    w.key("event").string(event);
+                                    w.key("index").number(index);
+                                }
+                                ConformanceVerdict::Inconclusive(inc) => {
+                                    w.key("verdict").string("inconclusive");
+                                    w.key("reason").string(&inc.to_string());
+                                }
+                            }
+                        });
                     }
-                })
-                .collect();
-            println!(
-                "{{\"spec\":{},\"traces\":{},\"conformant\":{},\"refuted\":{refuted},\
-                 \"unknown_event\":{unknown},\"verdicts\":[{}]}}",
-                js(&report.spec),
-                report.stats.traces,
-                report.stats.conformant,
-                verdicts.join(",")
-            );
+                });
+            });
+            println!("{json}");
         }
     }
 

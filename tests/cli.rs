@@ -109,6 +109,40 @@ fn check_fails_with_nonzero_exit_on_violation() {
 }
 
 #[test]
+fn check_lints_a_script_that_fails_to_load_before_reporting_it() {
+    let dir = fixture_dir("lint-then-load");
+    let model = dir.join("broken.csp");
+    fs::write(
+        &model,
+        "channel a, b\nP = a -> P\nQ = b -> Q\nR = P [| {b} |] Q\nS = a -> T\nassert P [T= R\n",
+    )
+    .unwrap();
+    let check = |extra: &[&str]| {
+        autocsp()
+            .args(["check", model.to_str().unwrap()])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+    let out = check(&[]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("warning[CSP201]"), "{stderr}");
+    assert!(
+        stderr.ends_with("error: evaluation error: unknown name `T`\n"),
+        "{stderr}"
+    );
+
+    let denied = check(&["--deny-warnings"]);
+    assert_eq!(denied.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&denied.stderr);
+    assert!(
+        stderr.ends_with("error: 2 lint warning(s) denied (--deny-warnings)\n"),
+        "the lint gate comes before the load error: {stderr}"
+    );
+}
+
+#[test]
 fn simulate_prints_the_trace() {
     let dir = fixture_dir("simulate");
     let out = autocsp()

@@ -162,6 +162,40 @@ fn corpus_hygiene_findings_carry_codes_and_spans() {
 }
 
 #[test]
+fn a_line_nested_30000_deep_is_skipped_not_a_stack_overflow() {
+    let dir = scratch("deep");
+    let corpus = dir.join("deep.jsonl");
+    fs::write(
+        &corpus,
+        format!(
+            "{{\"id\":\"honest\",\"events\":[\"rec.reqSw\",\"send.rptSw\"]}}\n{}\n\
+             {{\"id\":\"unsolicited\",\"events\":[\"send.rptSw\"]}}\n",
+            "[".repeat(30_000)
+        ),
+    )
+    .unwrap();
+    let out = run(&[
+        "conform",
+        &model(),
+        corpus.to_str().unwrap(),
+        "--spec",
+        "HONEST",
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("warning[SIM310]"), "{err}");
+    assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+    assert!(err.contains(":2:129"), "SIM310 points at the 129th `[`");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("trace unsolicited  ...  FAIL"), "{text}");
+    assert!(
+        text.contains("FAIL: 2 trace(s), 1 conformant, 1 refuted, 0 unknown-event"),
+        "{text}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn empty_corpus_warns_sim312_and_deny_warnings_fails_it() {
     let dir = scratch("empty");
     let corpus = dir.join("empty.jsonl");

@@ -139,6 +139,21 @@ fn lint_cli_reports_all_three_classes_and_fails() {
     assert!(stdout.contains("error[DBC101]"), "{stdout}");
     assert!(stdout.contains("warning[CSP201]"), "{stdout}");
     assert!(stdout.contains("deadlock"), "{stdout}");
+
+    let denied = autocsp()
+        .arg("lint")
+        .arg(fixture("defective.can"))
+        .arg(fixture("onesided.csp"))
+        .arg("--dbc")
+        .arg(fixture("net.dbc"))
+        .arg("--deny-warnings")
+        .output()
+        .unwrap();
+    assert!(
+        !denied.status.success(),
+        "seeded defects must fail under --deny-warnings too"
+    );
+    assert_eq!(denied.stdout, out.stdout, "the same findings either way");
 }
 
 #[test]
