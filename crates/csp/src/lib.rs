@@ -9,9 +9,8 @@
 //! Three layers are provided:
 //!
 //! * **Syntax** — [`Process`] is an immutable, `Arc`-shared process tree built
-//!   through the constructors on [`Process`] or the free functions in
-//!   [`builder`]. Events are interned in an [`Alphabet`] and referenced by the
-//!   copyable [`EventId`].
+//!   through its constructors. Events are interned in an [`Alphabet`] and
+//!   referenced by the copyable [`EventId`].
 //! * **Operational semantics** — [`semantics::transitions`] computes the
 //!   single-step firing rules (including the silent `τ` and termination `✓`
 //!   labels) following Roscoe's *Understanding Concurrent Systems*.
@@ -49,9 +48,7 @@ mod error;
 mod process;
 
 pub mod analysis;
-pub mod builder;
 pub mod compress;
-pub mod dot;
 pub mod laws;
 pub mod lts;
 pub mod semantics;

@@ -3,7 +3,8 @@
 //! A manifest names a batch of checking jobs — refinement/property check
 //! runs, trace-conformance sweeps, semantic analyses — to be executed by
 //! `autocsp run` or submitted to `autocsp serve` (both in the `service`
-//! crate). The format is a small TOML subset, read line by line:
+//! crate). It is written in the toolchain's TOML subset, read by
+//! [`diag::toml`]:
 //!
 //! ```toml
 //! [run]
@@ -49,6 +50,9 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use diag::toml::{self, Fields, Section};
+use diag::{Code, Diagnostic, Span};
 
 use crate::error::{CspmError, Pos};
 
@@ -158,277 +162,125 @@ pub struct Manifest {
     pub chaos: Option<ChaosSpec>,
 }
 
+/// The code `autocsp run` and `autocsp serve` report manifest problems
+/// under (`SUP510`); a [`CspmError`] keeps only the message and position.
+const MANIFEST_ERROR: Code = Code("SUP510");
+
 impl Manifest {
     /// Parse manifest text; `base_dir` anchors the relative paths inside
     /// it (pass the manifest file's directory).
     ///
     /// # Errors
     ///
-    /// [`CspmError::Parse`] (with the offending line) for malformed
-    /// lines, unknown sections/keys/kinds, duplicate or missing job
-    /// names, or a `conform` job without a corpus.
+    /// [`CspmError::Parse`] at the first problem: a syntax error, an
+    /// unknown section, key or kind, a wrong type, a duplicate key or job
+    /// name, a missing job name or script, a `conform` job without a
+    /// corpus, or no job at all.
     pub fn parse(source: &str, base_dir: &Path) -> Result<Manifest, CspmError> {
-        Parser {
-            base_dir,
-            manifest: Manifest {
-                run: RunSettings::default(),
-                jobs: Vec::new(),
-                chaos: None,
-            },
-        }
-        .parse(source)
-    }
-}
-
-enum Section {
-    Top,
-    Run,
-    Job,
-    Chaos,
-}
-
-struct Parser<'a> {
-    base_dir: &'a Path,
-    manifest: Manifest,
-}
-
-fn err(line: u32, message: impl Into<String>) -> CspmError {
-    CspmError::Parse {
-        pos: Pos { line, col: 1 },
-        message: message.into(),
-    }
-}
-
-impl Parser<'_> {
-    fn parse(mut self, source: &str) -> Result<Manifest, CspmError> {
-        let mut section = Section::Top;
-        for (i, raw) in source.lines().enumerate() {
-            let lineno = u32::try_from(i + 1).unwrap_or(u32::MAX);
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
+        let first = |errors: Vec<Diagnostic>| {
+            let d = &errors[0];
+            CspmError::Parse {
+                pos: Pos {
+                    line: d.span.line,
+                    col: d.span.col,
+                },
+                message: d.message.clone(),
             }
-            if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-                match header.trim() {
-                    "job" => {
-                        self.finish_job(lineno)?;
-                        self.manifest.jobs.push(JobSpec {
-                            name: String::new(),
-                            kind: JobKind::Check,
-                            script: PathBuf::new(),
-                            spec: None,
-                            corpus: None,
-                            assertion: None,
-                            threads: None,
-                            max_states: None,
-                            timeout_ms: None,
-                        });
-                        section = Section::Job;
-                    }
-                    other => {
-                        return Err(err(lineno, format!("unknown array section `[[{other}]]`")))
-                    }
-                }
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                self.finish_job(lineno)?;
-                section = match header.trim() {
-                    "run" => Section::Run,
-                    "chaos" => {
-                        self.manifest.chaos = Some(ChaosSpec {
-                            seed: 0,
-                            transient_attempts: 1,
-                            every_nth: 1,
-                        });
-                        Section::Chaos
-                    }
-                    other => return Err(err(lineno, format!("unknown section `[{other}]`"))),
-                };
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(err(lineno, format!("expected `key = value`, got `{line}`")));
-            };
-            let key = key.trim();
-            let value = Value::parse(value.trim(), lineno)?;
-            match section {
-                Section::Top => {
-                    return Err(err(
-                        lineno,
-                        "key outside any section; start with `[run]` or `[[job]]`",
-                    ))
-                }
-                Section::Run => self.run_key(key, &value, lineno)?,
-                Section::Job => self.job_key_line(key, &value, lineno)?,
-                Section::Chaos => self.chaos_key(key, &value, lineno)?,
-            }
-        }
-        let last = u32::try_from(source.lines().count()).unwrap_or(u32::MAX);
-        self.finish_job(last)?;
-        if self.manifest.jobs.is_empty() {
-            return Err(err(last, "manifest declares no `[[job]]`"));
-        }
-        Ok(self.manifest)
-    }
-
-    /// Validate the job currently being filled in, if any.
-    fn finish_job(&mut self, lineno: u32) -> Result<(), CspmError> {
-        let Some(job) = self.manifest.jobs.last() else {
-            return Ok(());
         };
-        if job.name.is_empty() {
-            return Err(err(lineno, "job is missing `name`"));
+        let sections = toml::parse(source, MANIFEST_ERROR).map_err(first)?;
+        let mut manifest = Manifest {
+            run: RunSettings::default(),
+            jobs: Vec::new(),
+            chaos: None,
+        };
+        let mut errors = Vec::new();
+        for section in &sections {
+            let mut f = Fields::new(section, MANIFEST_ERROR);
+            match (section.name.as_str(), section.array) {
+                ("run", false) => {
+                    let run = &mut manifest.run;
+                    run.threads = f.uint("threads").or(run.threads);
+                    run.max_states = f.uint("max_states").or(run.max_states);
+                    run.timeout_ms = f.uint("timeout_ms").or(run.timeout_ms);
+                    run.run_timeout_ms = f.uint("run_timeout_ms").or(run.run_timeout_ms);
+                    run.retries = f.uint("retries").or(run.retries);
+                    run.retry_base_ms = f.uint("retry_base_ms").or(run.retry_base_ms);
+                    run.retry_max_ms = f.uint("retry_max_ms").or(run.retry_max_ms);
+                    run.retry_seed = f.uint("retry_seed").or(run.retry_seed);
+                }
+                ("chaos", false) => {
+                    manifest.chaos = Some(ChaosSpec {
+                        seed: f.uint("seed").unwrap_or(0),
+                        transient_attempts: f.uint("transient_attempts").unwrap_or(1),
+                        every_nth: f.uint("every_nth").unwrap_or(1),
+                    });
+                }
+                ("job", true) => {
+                    let job = job(&mut f, section, base_dir);
+                    if manifest.jobs.iter().any(|j| j.name == job.name) {
+                        f.error(section.span, format!("duplicate job name `{}`", job.name));
+                    }
+                    manifest.jobs.push(job);
+                }
+                _ => {
+                    errors.push(Diagnostic::error(
+                        MANIFEST_ERROR,
+                        section.span,
+                        format!("unknown section `{}`", section.header()),
+                    ));
+                    continue;
+                }
+            }
+            errors.extend(f.finish());
         }
-        if job.script.as_os_str().is_empty() {
-            return Err(err(
-                lineno,
-                format!("job `{}` is missing `script`", job.name),
+        if manifest.jobs.is_empty() {
+            let last = u32::try_from(source.lines().count()).unwrap_or(u32::MAX);
+            errors.push(Diagnostic::error(
+                MANIFEST_ERROR,
+                Span::point(last, 1),
+                "manifest declares no `[[job]]`",
             ));
         }
-        if job.kind == JobKind::Conform && job.corpus.is_none() {
-            return Err(err(
-                lineno,
-                format!("conform job `{}` is missing `corpus`", job.name),
-            ));
+        if errors.is_empty() {
+            Ok(manifest)
+        } else {
+            Err(first(errors))
         }
-        let name = &job.name;
-        if self
-            .manifest
-            .jobs
-            .iter()
-            .filter(|j| &j.name == name)
-            .count()
-            > 1
-        {
-            return Err(err(lineno, format!("duplicate job name `{name}`")));
-        }
-        Ok(())
-    }
-
-    fn run_key(&mut self, key: &str, value: &Value, lineno: u32) -> Result<(), CspmError> {
-        let run = &mut self.manifest.run;
-        match key {
-            "threads" => run.threads = Some(value.usize(lineno, key)?),
-            "max_states" => run.max_states = Some(value.u64(lineno, key)?),
-            "timeout_ms" => run.timeout_ms = Some(value.u64(lineno, key)?),
-            "run_timeout_ms" => run.run_timeout_ms = Some(value.u64(lineno, key)?),
-            "retries" => run.retries = Some(value.u32(lineno, key)?),
-            "retry_base_ms" => run.retry_base_ms = Some(value.u64(lineno, key)?),
-            "retry_max_ms" => run.retry_max_ms = Some(value.u64(lineno, key)?),
-            "retry_seed" => run.retry_seed = Some(value.u64(lineno, key)?),
-            other => return Err(err(lineno, format!("unknown `[run]` key `{other}`"))),
-        }
-        Ok(())
-    }
-
-    fn job_key_line(&mut self, key: &str, value: &Value, lineno: u32) -> Result<(), CspmError> {
-        let base = self.base_dir;
-        let job = self
-            .manifest
-            .jobs
-            .last_mut()
-            .expect("Section::Job implies a job");
-        match key {
-            "name" => job.name = value.string(lineno, key)?.to_string(),
-            "kind" => {
-                let raw = value.string(lineno, key)?;
-                job.kind = JobKind::parse(raw).ok_or_else(|| {
-                    err(
-                        lineno,
-                        format!("unknown job kind `{raw}` (expected check, conform or analyze)"),
-                    )
-                })?;
-            }
-            "script" => job.script = base.join(value.string(lineno, key)?),
-            "spec" => job.spec = Some(value.string(lineno, key)?.to_string()),
-            "corpus" => job.corpus = Some(base.join(value.string(lineno, key)?)),
-            "assertion" => job.assertion = Some(value.string(lineno, key)?.to_string()),
-            "threads" => job.threads = Some(value.usize(lineno, key)?),
-            "max_states" => job.max_states = Some(value.u64(lineno, key)?),
-            "timeout_ms" => job.timeout_ms = Some(value.u64(lineno, key)?),
-            other => return Err(err(lineno, format!("unknown `[[job]]` key `{other}`"))),
-        }
-        Ok(())
-    }
-
-    fn chaos_key(&mut self, key: &str, value: &Value, lineno: u32) -> Result<(), CspmError> {
-        let chaos = self
-            .manifest
-            .chaos
-            .as_mut()
-            .expect("Section::Chaos implies chaos");
-        match key {
-            "seed" => chaos.seed = value.u64(lineno, key)?,
-            "transient_attempts" => chaos.transient_attempts = value.u32(lineno, key)?,
-            "every_nth" => chaos.every_nth = value.u64(lineno, key)?,
-            other => return Err(err(lineno, format!("unknown `[chaos]` key `{other}`"))),
-        }
-        Ok(())
     }
 }
 
-/// Strip a `#` comment, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
+/// One `[[job]]` section.
+fn job(f: &mut Fields<'_>, section: &Section, base_dir: &Path) -> JobSpec {
+    let name = f.require_str("name").unwrap_or_default();
+    let script = f.require_str("script").unwrap_or_default();
+    let kind = match f.str("kind") {
+        None => JobKind::Check,
+        Some(word) => JobKind::parse(&word).unwrap_or_else(|| {
+            f.error(
+                section.span,
+                format!("unknown job kind `{word}` (expected check, conform or analyze)"),
+            );
+            JobKind::Check
+        }),
+    };
+    let job = JobSpec {
+        name,
+        kind,
+        script: base_dir.join(script),
+        spec: f.str("spec"),
+        corpus: f.str("corpus").map(|corpus| base_dir.join(corpus)),
+        assertion: f.str("assertion"),
+        threads: f.uint("threads"),
+        max_states: f.uint("max_states"),
+        timeout_ms: f.uint("timeout_ms"),
+    };
+    if job.kind == JobKind::Conform && job.corpus.is_none() {
+        f.error(
+            section.span,
+            format!("conform job `{}` is missing `corpus`", job.name),
+        );
     }
-    line
-}
-
-enum Value {
-    Str(String),
-    Int(u64),
-}
-
-impl Value {
-    fn parse(raw: &str, lineno: u32) -> Result<Value, CspmError> {
-        if let Some(body) = raw.strip_prefix('"') {
-            let Some(body) = body.strip_suffix('"') else {
-                return Err(err(lineno, format!("unterminated string `{raw}`")));
-            };
-            if body.contains('"') {
-                return Err(err(lineno, format!("stray quote inside string `{raw}`")));
-            }
-            return Ok(Value::Str(body.to_string()));
-        }
-        match raw.replace('_', "").parse::<u64>() {
-            Ok(n) => Ok(Value::Int(n)),
-            Err(_) => Err(err(
-                lineno,
-                format!("expected a quoted string or a non-negative integer, got `{raw}`"),
-            )),
-        }
-    }
-
-    fn string(&self, lineno: u32, key: &str) -> Result<&str, CspmError> {
-        match self {
-            Value::Str(s) => Ok(s),
-            Value::Int(_) => Err(err(lineno, format!("`{key}` expects a quoted string"))),
-        }
-    }
-
-    fn u64(&self, lineno: u32, key: &str) -> Result<u64, CspmError> {
-        match self {
-            Value::Int(n) => Ok(*n),
-            Value::Str(_) => Err(err(lineno, format!("`{key}` expects an integer"))),
-        }
-    }
-
-    fn u32(&self, lineno: u32, key: &str) -> Result<u32, CspmError> {
-        u32::try_from(self.u64(lineno, key)?)
-            .map_err(|_| err(lineno, format!("`{key}` does not fit in 32 bits")))
-    }
-
-    fn usize(&self, lineno: u32, key: &str) -> Result<usize, CspmError> {
-        usize::try_from(self.u64(lineno, key)?)
-            .map_err(|_| err(lineno, format!("`{key}` does not fit in usize")))
-    }
+    job
 }
 
 #[cfg(test)]

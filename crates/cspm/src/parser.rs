@@ -27,7 +27,11 @@ use crate::lexer::{Token, TokenKind};
 ///
 /// [`CspmError::Parse`] on the first syntax error.
 pub(crate) fn parse_module(tokens: &[Token]) -> Result<Module, CspmError> {
-    let mut p = Parser { tokens, i: 0 };
+    let mut p = Parser {
+        tokens,
+        i: 0,
+        depth: 0,
+    };
     let mut decls = Vec::new();
     while !p.at_eof() {
         decls.push(p.decl()?);
@@ -35,9 +39,21 @@ pub(crate) fn parse_module(tokens: &[Token]) -> Result<Module, CspmError> {
     Ok(Module { decls })
 }
 
+/// How deep expressions may nest, counted in atoms: each parenthesis,
+/// brace, prefix `->`, unary operator or call argument opens one level.
+/// Deeper input is a parse error instead of a stack overflow.
+///
+/// Every example script and every script the benchmark generates nests
+/// at most 7 deep. A release build parses about 450 nested parentheses
+/// in a 2 MiB thread stack and a debug build about 300 in 8 MiB, so the
+/// limit leaves at least twice the room in both.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     tokens: &'a [Token],
     i: usize,
+    /// Atoms open around `i`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -320,17 +336,20 @@ impl<'a> Parser<'a> {
         Ok(lhs)
     }
 
+    /// `c1 & c2 & P`, right-associated, read in a loop.
     fn guard(&mut self) -> Result<Expr, CspmError> {
-        let e = self.bool_or()?;
-        if self.eat(&TokenKind::Amp) {
-            let body = self.guard()?;
-            Ok(Expr::Guard {
-                cond: Box::new(e),
-                body: Box::new(body),
-            })
-        } else {
-            Ok(e)
+        let mut body = self.bool_or()?;
+        let mut conds = Vec::new();
+        while self.eat(&TokenKind::Amp) {
+            conds.push(std::mem::replace(&mut body, self.bool_or()?));
         }
+        while let Some(cond) = conds.pop() {
+            body = Expr::Guard {
+                cond: Box::new(cond),
+                body: Box::new(body),
+            };
+        }
+        Ok(body)
     }
 
     fn bool_or(&mut self) -> Result<Expr, CspmError> {
@@ -449,7 +468,19 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One atom, one level deeper; past [`MAX_DEPTH`] levels, an error at
+    /// the token that would open the next one.
     fn atom(&mut self) -> Result<Expr, CspmError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("expression nested deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let atom = self.atom_body();
+        self.depth -= 1;
+        atom
+    }
+
+    fn atom_body(&mut self) -> Result<Expr, CspmError> {
         match self.peek().clone() {
             TokenKind::Int(n) => {
                 self.bump();
@@ -1007,6 +1038,37 @@ mod tests {
         let tokens = lex("P = ->").unwrap();
         let err = parse_module(&tokens).unwrap_err();
         assert!(matches!(err, CspmError::Parse { .. }));
+    }
+
+    /// Parse `src` on a thread with room for a debug build's frames.
+    fn parse_on_big_stack(src: String) -> Result<Module, CspmError> {
+        std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(move || parse_module(&lex(&src).unwrap()))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_chains_are_not() {
+        // `n` parentheses around `1` nest `n + 1` atoms.
+        let nest = |n: usize| format!("N = {}1{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_on_big_stack(nest(MAX_DEPTH - 1)).is_ok());
+        let Err(CspmError::Parse { pos, message }) = parse_on_big_stack(nest(MAX_DEPTH)) else {
+            panic!("one level too deep must fail");
+        };
+        assert_eq!(message, "expression nested deeper than 128");
+        assert_eq!((pos.line, pos.col), (1, 5 + 128), "at the `1`");
+        let prefixes = format!("channel a\nN = {}STOP", "a -> ".repeat(MAX_DEPTH));
+        let Err(CspmError::Parse { pos, .. }) = parse_on_big_stack(prefixes) else {
+            panic!("a prefix chain nests");
+        };
+        assert_eq!((pos.line, pos.col), (2, 5 + 5 * 128), "at `STOP`");
+        for link in ["a -> STOP [] ", "a -> STOP |~| ", "a -> STOP ; ", "true & "] {
+            let chain = format!("channel a\nN = {}STOP", link.repeat(2_000));
+            assert!(parse_on_big_stack(chain).is_ok(), "{link}");
+        }
     }
 
     #[test]

@@ -29,11 +29,16 @@
 //!  3 |   ghost = 1;
 //!    |   ^^^^^
 //! ```
+//!
+//! Two readers sit beside the diagnostics: [`json`], the one JSON parser
+//! and writer, and [`toml`], the one reader of the TOML subset that fault
+//! plans and `jobs.toml` manifests are written in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod toml;
 
 use std::fmt;
 

@@ -8,8 +8,8 @@
 //! simulation trace is still a trace of the formal model.
 //!
 //! * [`FaultPlan`] — a declarative, plain-text fault plan (`[plan]`,
-//!   `[[fault]]`, `[conformance]`, `[[map]]` sections) parsed with
-//!   [`diag`] diagnostics (`SIM3xx` codes);
+//!   `[[fault]]`, `[conformance]`, `[[map]]` sections) read by
+//!   [`diag::toml`], with `SIM3xx` diagnostics;
 //! * [`FaultEngine`] — a seeded [`canoe_sim::Interceptor`] composing drop,
 //!   corruption, delay/jitter, duplication, replay, spoofing and bus-off
 //!   faults; same plan + same seed ⇒ byte-identical trace;

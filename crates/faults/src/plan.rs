@@ -1,10 +1,8 @@
 //! Fault plans: the declarative input of the fault-injection subsystem.
 //!
-//! A plan is a plain-text file in a small TOML subset — sections, `key =
-//! value` pairs, integers (decimal or `0x…`), floats, quoted strings,
-//! booleans and flat integer lists. Only the constructs used by fault plans
-//! are supported; anything else is reported as a `SIM300` parse diagnostic
-//! with a precise source span.
+//! A plan is written in the toolchain's TOML subset, read by
+//! [`diag::toml`]; every syntax error, wrong type, missing or unknown key
+//! is reported as a `SIM300` parse diagnostic with a precise source span.
 //!
 //! ```text
 //! [plan]
@@ -32,6 +30,7 @@
 //! [`candb::Database`].
 
 use candb::Database;
+use diag::toml::{self, Fields, Section, Value};
 use diag::{Diagnostic, Span};
 
 /// A parsed fault plan.
@@ -202,345 +201,8 @@ use crate::codes::{
     UNKNOWN_NODE as SIM305,
 };
 
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-/// A parsed `key = value` right-hand side.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Int(i64),
-    Float(f64),
-    Str(String),
-    IntList(Vec<i64>),
-    Bool(bool),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::IntList(_) => "integer list",
-            Value::Bool(_) => "boolean",
-        }
-    }
-}
-
-/// One `key = value` line with its source position.
-#[derive(Debug, Clone)]
-struct Entry {
-    key: String,
-    value: Value,
-    span: Span,
-}
-
-/// A `[name]` or `[[name]]` section with its entries.
-#[derive(Debug, Clone)]
-struct Section {
-    name: String,
-    span: Span,
-    entries: Vec<Entry>,
-}
-
 fn parse_err(span: Span, message: impl Into<String>) -> Diagnostic {
     Diagnostic::error(SIM300, span, message)
-}
-
-/// Split the source into sections; syntax errors are collected, not fatal
-/// per-line, so several mistakes surface in one pass.
-fn parse_sections(src: &str) -> Result<Vec<Section>, Vec<Diagnostic>> {
-    let mut sections: Vec<Section> = Vec::new();
-    let mut errors: Vec<Diagnostic> = Vec::new();
-    for (idx, raw) in src.lines().enumerate() {
-        let lineno = u32::try_from(idx + 1).unwrap_or(u32::MAX);
-        let line = match raw.find('#') {
-            // A '#' inside a quoted string must survive; only strip comments
-            // on lines that are not string-valued or where '#' precedes any
-            // quote.
-            Some(pos) if !raw[..pos].contains('"') => &raw[..pos],
-            _ => raw,
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let col = u32::try_from(line.len() - line.trim_start().len() + 1).unwrap_or(1);
-        if let Some(rest) = trimmed.strip_prefix("[[") {
-            let Some(name) = rest.strip_suffix("]]") else {
-                errors.push(parse_err(
-                    Span::new(lineno, col, trimmed.chars().count() as u32),
-                    "unterminated `[[…]]` section header",
-                ));
-                continue;
-            };
-            sections.push(Section {
-                name: name.trim().to_string(),
-                span: Span::new(lineno, col, trimmed.chars().count() as u32),
-                entries: Vec::new(),
-            });
-        } else if let Some(rest) = trimmed.strip_prefix('[') {
-            let Some(name) = rest.strip_suffix(']') else {
-                errors.push(parse_err(
-                    Span::new(lineno, col, trimmed.chars().count() as u32),
-                    "unterminated `[…]` section header",
-                ));
-                continue;
-            };
-            sections.push(Section {
-                name: name.trim().to_string(),
-                span: Span::new(lineno, col, trimmed.chars().count() as u32),
-                entries: Vec::new(),
-            });
-        } else if let Some(eq) = trimmed.find('=') {
-            let key = trimmed[..eq].trim();
-            let value_text = trimmed[eq + 1..].trim();
-            let span = Span::new(lineno, col, key.chars().count().max(1) as u32);
-            if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                errors.push(parse_err(span, format!("invalid key `{key}`")));
-                continue;
-            }
-            let value = match parse_value(value_text, lineno, col + eq as u32 + 1) {
-                Ok(v) => v,
-                Err(d) => {
-                    errors.push(d);
-                    continue;
-                }
-            };
-            match sections.last_mut() {
-                Some(section) => section.entries.push(Entry {
-                    key: key.to_string(),
-                    value,
-                    span,
-                }),
-                None => errors.push(parse_err(
-                    span,
-                    format!("`{key}` appears before any section header"),
-                )),
-            }
-        } else {
-            errors.push(parse_err(
-                Span::new(lineno, col, trimmed.chars().count() as u32),
-                format!("expected `[section]` or `key = value`, found `{trimmed}`"),
-            ));
-        }
-    }
-    if errors.is_empty() {
-        Ok(sections)
-    } else {
-        Err(errors)
-    }
-}
-
-fn parse_value(text: &str, line: u32, col: u32) -> Result<Value, Diagnostic> {
-    let span = Span::new(line, col, text.chars().count().max(1) as u32);
-    if text.is_empty() {
-        return Err(parse_err(span, "missing value after `=`"));
-    }
-    if let Some(rest) = text.strip_prefix('"') {
-        let Some(inner) = rest.strip_suffix('"') else {
-            return Err(parse_err(span, "unterminated string"));
-        };
-        if inner.contains('"') {
-            return Err(parse_err(span, "embedded quotes are not supported"));
-        }
-        return Ok(Value::Str(inner.to_string()));
-    }
-    if text == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if text == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if let Some(rest) = text.strip_prefix('[') {
-        let Some(inner) = rest.strip_suffix(']') else {
-            return Err(parse_err(span, "unterminated list"));
-        };
-        let mut items = Vec::new();
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            items.push(parse_int(part).ok_or_else(|| {
-                parse_err(span, format!("`{part}` is not an integer list element"))
-            })?);
-        }
-        return Ok(Value::IntList(items));
-    }
-    if let Some(v) = parse_int(text) {
-        return Ok(Value::Int(v));
-    }
-    if let Ok(v) = text.parse::<f64>() {
-        return Ok(Value::Float(v));
-    }
-    Err(parse_err(
-        span,
-        format!("`{text}` is not a number, string, boolean or list"),
-    ))
-}
-
-fn parse_int(text: &str) -> Option<i64> {
-    let cleaned = text.replace('_', "");
-    if let Some(hex) = cleaned
-        .strip_prefix("0x")
-        .or_else(|| cleaned.strip_prefix("0X"))
-    {
-        i64::from_str_radix(hex, 16).ok()
-    } else {
-        cleaned.parse::<i64>().ok()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Section interpretation
-// ---------------------------------------------------------------------------
-
-/// Typed accessors over a section's entries, accumulating diagnostics.
-struct Fields<'a> {
-    section: &'a Section,
-    errors: Vec<Diagnostic>,
-    used: Vec<bool>,
-}
-
-impl<'a> Fields<'a> {
-    fn new(section: &'a Section) -> Self {
-        Fields {
-            section,
-            errors: Vec::new(),
-            used: vec![false; section.entries.len()],
-        }
-    }
-
-    fn find(&mut self, key: &str) -> Option<&'a Entry> {
-        for (i, entry) in self.section.entries.iter().enumerate() {
-            if entry.key == key {
-                self.used[i] = true;
-                return Some(entry);
-            }
-        }
-        None
-    }
-
-    fn str(&mut self, key: &str) -> Option<String> {
-        let entry = self.find(key)?;
-        match &entry.value {
-            Value::Str(s) => Some(s.clone()),
-            other => {
-                self.errors.push(parse_err(
-                    entry.span,
-                    format!("`{key}` must be a string, found {}", other.type_name()),
-                ));
-                None
-            }
-        }
-    }
-
-    fn u64(&mut self, key: &str) -> Option<u64> {
-        let entry = self.find(key)?;
-        match entry.value {
-            Value::Int(v) if v >= 0 => Some(v as u64),
-            Value::Int(_) => {
-                self.errors.push(parse_err(
-                    entry.span,
-                    format!("`{key}` must be non-negative"),
-                ));
-                None
-            }
-            ref other => {
-                self.errors.push(parse_err(
-                    entry.span,
-                    format!("`{key}` must be an integer, found {}", other.type_name()),
-                ));
-                None
-            }
-        }
-    }
-
-    fn f64(&mut self, key: &str) -> Option<f64> {
-        let entry = self.find(key)?;
-        match entry.value {
-            Value::Float(v) => Some(v),
-            Value::Int(v) => Some(v as f64),
-            ref other => {
-                self.errors.push(parse_err(
-                    entry.span,
-                    format!("`{key}` must be a number, found {}", other.type_name()),
-                ));
-                None
-            }
-        }
-    }
-
-    fn window(&mut self, key: &str) -> Option<(u64, u64)> {
-        let entry = self.find(key)?;
-        match &entry.value {
-            Value::IntList(items) if items.len() == 2 && items[0] >= 0 && items[1] >= 0 => {
-                Some((items[0] as u64, items[1] as u64))
-            }
-            _ => {
-                self.errors.push(parse_err(
-                    entry.span,
-                    format!("`{key}` must be a two-element list of non-negative integers, e.g. `[0, 50000]`"),
-                ));
-                None
-            }
-        }
-    }
-
-    fn payload(&mut self, key: &str) -> Option<[u8; 8]> {
-        let entry = self.find(key)?;
-        match &entry.value {
-            Value::IntList(items)
-                if items.len() <= 8 && items.iter().all(|&b| (0..=255).contains(&b)) =>
-            {
-                let mut payload = [0u8; 8];
-                for (i, &b) in items.iter().enumerate() {
-                    payload[i] = b as u8;
-                }
-                Some(payload)
-            }
-            _ => {
-                self.errors.push(parse_err(
-                    entry.span,
-                    format!("`{key}` must be a list of at most 8 bytes (0–255)"),
-                ));
-                None
-            }
-        }
-    }
-
-    fn require_str(&mut self, key: &str) -> Option<String> {
-        let got = self.str(key);
-        if got.is_none()
-            && !self
-                .errors
-                .iter()
-                .any(|d| d.message.contains(&format!("`{key}`")))
-        {
-            self.errors.push(parse_err(
-                self.section.span,
-                format!("`[{}]` section is missing `{key}`", self.section.name),
-            ));
-        }
-        got
-    }
-
-    fn finish(mut self) -> Vec<Diagnostic> {
-        for (i, entry) in self.section.entries.iter().enumerate() {
-            if !self.used[i] {
-                self.errors.push(parse_err(
-                    entry.span,
-                    format!(
-                        "unknown key `{}` in `[{}]` section",
-                        entry.key, self.section.name
-                    ),
-                ));
-            }
-        }
-        self.errors
-    }
 }
 
 impl FaultPlan {
@@ -548,7 +210,7 @@ impl FaultPlan {
     /// diagnostics (render them with [`diag::Diagnostic::render`] against
     /// the plan source).
     pub fn parse(src: &str) -> Result<FaultPlan, Vec<Diagnostic>> {
-        let sections = parse_sections(src)?;
+        let sections = toml::parse(src, SIM300)?;
         let mut errors: Vec<Diagnostic> = Vec::new();
         let mut plan = FaultPlan {
             name: String::new(),
@@ -564,11 +226,11 @@ impl FaultPlan {
             match section.name.as_str() {
                 "plan" => {
                     saw_plan = true;
-                    let mut f = Fields::new(section);
+                    let mut f = Fields::new(section, SIM300);
                     if let Some(name) = f.require_str("name") {
                         plan.name = name;
                     }
-                    plan.seed = f.u64("seed");
+                    plan.seed = f.uint("seed");
                     errors.extend(f.finish());
                 }
                 "fault" => match parse_fault(section) {
@@ -576,7 +238,7 @@ impl FaultPlan {
                     Err(errs) => errors.extend(errs),
                 },
                 "conformance" => {
-                    let mut f = Fields::new(section);
+                    let mut f = Fields::new(section, SIM300);
                     conformance_spec = f.require_str("spec");
                     errors.extend(f.finish());
                 }
@@ -617,38 +279,38 @@ impl FaultPlan {
 }
 
 fn parse_fault(section: &Section) -> Result<FaultSpec, Vec<Diagnostic>> {
-    let mut f = Fields::new(section);
+    let mut f = Fields::new(section, SIM300);
     let name = f.require_str("name").unwrap_or_default();
     let kind_word = f.require_str("kind").unwrap_or_default();
 
     let trigger = Trigger {
-        window: f.window("window"),
-        match_id: f.u64("match_id").map(|v| v as u32),
-        every_nth: f.u64("every_nth"),
+        window: window(&mut f),
+        match_id: f.uint::<u64>("match_id").map(|v| v as u32),
+        every_nth: f.uint("every_nth"),
         probability: f.f64("probability"),
-        max_fires: f.u64("max_fires"),
+        max_fires: f.uint("max_fires"),
     };
 
     let kind = match kind_word.as_str() {
         "drop" => Some(FaultKind::Drop),
         "corrupt" => Some(FaultKind::Corrupt {
-            byte: f.u64("byte").unwrap_or(0) as usize,
-            xor: (f.u64("xor").unwrap_or(0xFF) & 0xFF) as u8,
+            byte: f.uint::<u64>("byte").unwrap_or(0) as usize,
+            xor: (f.uint::<u64>("xor").unwrap_or(0xFF) & 0xFF) as u8,
         }),
         "delay" => Some(FaultKind::Delay {
-            delay_us: f.u64("delay_us").unwrap_or(0),
-            jitter_us: f.u64("jitter_us").unwrap_or(0),
+            delay_us: f.uint("delay_us").unwrap_or(0),
+            jitter_us: f.uint("jitter_us").unwrap_or(0),
         }),
         "duplicate" => Some(FaultKind::Duplicate {
-            copies: f.u64("copies").unwrap_or(1) as u32,
+            copies: f.uint::<u64>("copies").unwrap_or(1) as u32,
         }),
         "replay" => Some(FaultKind::Replay {
-            delay_us: f.u64("delay_us").unwrap_or(0),
+            delay_us: f.uint("delay_us").unwrap_or(0),
         }),
         "spoof" => {
-            let id = f.u64("id");
-            let payload = f.payload("payload").unwrap_or([0u8; 8]);
-            let dlc = f.u64("dlc").unwrap_or(8) as usize;
+            let id = f.uint::<u64>("id");
+            let payload = payload(&mut f).unwrap_or([0u8; 8]);
+            let dlc = f.uint::<u64>("dlc").unwrap_or(8) as usize;
             match id {
                 Some(id) => Some(FaultKind::Spoof {
                     id: id as u32,
@@ -656,10 +318,7 @@ fn parse_fault(section: &Section) -> Result<FaultSpec, Vec<Diagnostic>> {
                     dlc: dlc.min(8),
                 }),
                 None => {
-                    f.errors.push(parse_err(
-                        section.span,
-                        "`kind = \"spoof\"` requires an `id`",
-                    ));
+                    f.error(section.span, "`kind = \"spoof\"` requires an `id`");
                     None
                 }
             }
@@ -667,7 +326,7 @@ fn parse_fault(section: &Section) -> Result<FaultSpec, Vec<Diagnostic>> {
         "bus_off" => Some(FaultKind::BusOff),
         "node_crash" => {
             let node = f.str("node");
-            let window = f.window("window");
+            let window = window(&mut f);
             match (node, window) {
                 (Some(node), Some((from_us, until_us))) => Some(FaultKind::NodeCrash {
                     node,
@@ -675,22 +334,22 @@ fn parse_fault(section: &Section) -> Result<FaultSpec, Vec<Diagnostic>> {
                     until_us,
                 }),
                 _ => {
-                    f.errors.push(parse_err(
+                    f.error(
                         section.span,
                         "`kind = \"node_crash\"` requires `node` and `window = [from_us, until_us]`",
-                    ));
+                    );
                     None
                 }
             }
         }
         "" => None,
         other => {
-            f.errors.push(parse_err(
+            f.error(
                 section.span,
                 format!(
                     "unknown fault kind `{other}` (expected drop, corrupt, delay, duplicate, replay, spoof, bus_off or node_crash)"
                 ),
-            ));
+            );
             None
         }
     };
@@ -713,7 +372,7 @@ fn parse_fault(section: &Section) -> Result<FaultSpec, Vec<Diagnostic>> {
 }
 
 fn parse_map(section: &Section) -> Result<MapRule, Vec<Diagnostic>> {
-    let mut f = Fields::new(section);
+    let mut f = Fields::new(section, SIM300);
     let on_word = f.require_str("on").unwrap_or_default();
     let on = match on_word.as_str() {
         "transmit" => Some(MapOn::Transmit),
@@ -721,10 +380,10 @@ fn parse_map(section: &Section) -> Result<MapRule, Vec<Diagnostic>> {
         "inject" => Some(MapOn::Inject),
         "" => None,
         other => {
-            f.errors.push(parse_err(
+            f.error(
                 section.span,
                 format!("unknown map trigger `{other}` (expected transmit, receive or inject)"),
-            ));
+            );
             None
         }
     };
@@ -736,10 +395,10 @@ fn parse_map(section: &Section) -> Result<MapRule, Vec<Diagnostic>> {
         event_prefix: f.str("event_prefix"),
     };
     if rule.event.is_none() && rule.event_prefix.is_none() {
-        f.errors.push(parse_err(
+        f.error(
             section.span,
             "`[[map]]` rule needs `event` or `event_prefix`",
-        ));
+        );
     }
     let errors = f.finish();
     if errors.is_empty() {
@@ -747,6 +406,38 @@ fn parse_map(section: &Section) -> Result<MapRule, Vec<Diagnostic>> {
     } else {
         Err(errors)
     }
+}
+
+/// A trigger or outage window, `window = [from_us, until_us]`.
+fn window(f: &mut Fields<'_>) -> Option<(u64, u64)> {
+    f.get(
+        "window",
+        "two non-negative integers like `[0, 50000]`",
+        |v| match v {
+            Value::IntList(items) if items.len() == 2 => {
+                Some((u64::try_from(items[0]).ok()?, u64::try_from(items[1]).ok()?))
+            }
+            _ => None,
+        },
+    )
+}
+
+/// A spoofed frame's `payload`, zero-padded to 8 bytes.
+fn payload(f: &mut Fields<'_>) -> Option<[u8; 8]> {
+    f.get(
+        "payload",
+        "a list of at most 8 bytes (0–255)",
+        |v| match v {
+            Value::IntList(items) if items.len() <= 8 => {
+                let mut payload = [0u8; 8];
+                for (slot, &b) in payload.iter_mut().zip(items) {
+                    *slot = u8::try_from(b).ok()?;
+                }
+                Some(payload)
+            }
+            _ => None,
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------

@@ -17,22 +17,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use fdrlite::persist::fnv1a64;
 use fdrlite::StorageFaultHook;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// FNV-1a offset basis (the cache's trailing-checksum algorithm).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The ways a cache write can go wrong on its way to disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use csp::{Definitions, EventId, EventSet, Process};
+use fdrlite::persist::fnv1a64;
 use fdrlite::{
     CheckError, CheckOptions, CheckRequest, CheckStats, Checker, ModelStore, PersistConfig,
     PersistentCache, RefinementModel, ResumePolicy, Verdict,
@@ -168,17 +169,6 @@ fn persisted_store(cache: &Arc<PersistentCache>, resume: ResumePolicy) -> ModelS
         resume,
     });
     store
-}
-
-/// The cache codec's FNV-1a trailer, reproduced so the test can forge an
-/// *internally consistent* entry that differs only in its format version.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Rewrite a cache entry so it reads as a *valid* file written by the

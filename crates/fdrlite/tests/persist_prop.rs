@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use csp::{Definitions, EventId, EventSet, Process};
+use fdrlite::persist::fnv1a64;
 use fdrlite::{
     BudgetReason, CheckError, CheckId, CheckOptions, CheckRequest, CheckStats, Checker, ModelStore,
     PersistConfig, PersistentCache, RefinementModel, ResumePolicy, Verdict,
@@ -375,18 +376,6 @@ proptest! {
         prop_assert_eq!(&verdict, &ref_verdict);
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-/// The cache codec's FNV-1a trailer, reproduced so the test can forge an
-/// *internally consistent* checkpoint that differs only in its format
-/// version.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 proptest! {

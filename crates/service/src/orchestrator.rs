@@ -363,9 +363,6 @@ impl Orchestrator {
     pub fn submit(&self, source: &str, base_dir: &Path) -> Result<Vec<Accepted>, SubmitError> {
         let manifest = cspm::manifest::Manifest::parse(source, base_dir)
             .map_err(|e| SubmitError::Parse(e.to_string()))?;
-        if manifest.jobs.is_empty() {
-            return Err(SubmitError::Parse("manifest has no jobs".to_string()));
-        }
         let max_attempts = manifest
             .run
             .retries

@@ -241,3 +241,46 @@ fn lint_cli_surfaces_parse_errors_as_diagnostics() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("error[CAPL000]"), "{stdout}");
 }
+
+#[test]
+fn deep_cspm_nesting_is_a_positioned_parse_error_not_a_stack_overflow() {
+    let dir = std::env::temp_dir().join(format!("autocsp-nesting-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Each is followed by a stray `)`; both used to overflow the parser's
+    // stack before it got there. Level 129 opens at 1:133 in the nest and
+    // at 2:645 in the chain.
+    let scripts = [
+        (
+            "nest.csp",
+            format!("N = {}1{}\n)\n", "(".repeat(2_000), ")".repeat(2_000)),
+            "1:133",
+        ),
+        (
+            "chain.csp",
+            format!("channel a\nN = {}STOP\n)\n", "a -> ".repeat(5_000)),
+            "2:645",
+        ),
+    ];
+    for (name, text, at) in scripts {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = autocsp().arg("lint").arg(&path).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "lint {name}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&format!(
+                "error[CSP200]: parse error at {at}: expression nested deeper than 128"
+            )),
+            "lint {name}: {stdout}"
+        );
+        assert!(stdout.contains(&format!("{name}:{at}")), "lint {name}");
+        let out = autocsp().arg("check").arg(&path).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "check {name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("parse error at {at}: expression nested deeper")),
+            "check {name}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
