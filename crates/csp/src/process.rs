@@ -1,6 +1,7 @@
 //! The process syntax tree and named (possibly recursive) definitions.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::alphabet::{EventId, EventSet, RenameMap};
@@ -233,10 +234,37 @@ impl fmt::Display for Process {
 /// Definitions are used in two phases: [`Definitions::declare`] reserves a
 /// name (so recursive references can be built), then [`Definitions::define`]
 /// supplies the body.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct Definitions {
     names: Vec<String>,
     bodies: Vec<Option<Arc<Process>>>,
+    stamp: u64,
+}
+
+/// The next [`Definitions::stamp`], process-wide.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for Definitions {
+    fn default() -> Self {
+        Definitions {
+            names: Vec::new(),
+            bodies: Vec::new(),
+            stamp: fresh_stamp(),
+        }
+    }
+}
+
+impl fmt::Debug for Definitions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Definitions")
+            .field("names", &self.names)
+            .field("bodies", &self.bodies)
+            .finish()
+    }
 }
 
 impl Definitions {
@@ -245,17 +273,27 @@ impl Definitions {
         Self::default()
     }
 
+    /// The table's version stamp: two tables with equal stamps have equal
+    /// contents. A new table draws a fresh stamp from a process-wide
+    /// counter, every edit draws another, and a clone keeps its original's,
+    /// so a cache may remember what it derived from a table by its stamp.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
     /// Reserve a definition slot named `name` and return its handle.
     pub fn declare(&mut self, name: &str) -> DefId {
         let id = DefId(self.names.len() as u32);
         self.names.push(name.to_owned());
         self.bodies.push(None);
+        self.stamp = fresh_stamp();
         id
     }
 
     /// Supply (or replace) the body for `id`.
     pub fn define(&mut self, id: DefId, body: Process) {
         self.bodies[id.index()] = Some(Arc::new(body));
+        self.stamp = fresh_stamp();
     }
 
     /// Declare and define in one step.
@@ -348,6 +386,26 @@ mod tests {
             }
             other => panic!("unexpected {other}"),
         }
+    }
+
+    #[test]
+    fn every_table_and_edit_draws_a_fresh_stamp_and_a_clone_keeps_it() {
+        let (a, b) = (Definitions::new(), Definitions::default());
+        assert_ne!(a.stamp(), b.stamp());
+        let mut c = a.clone();
+        assert_eq!(c.stamp(), a.stamp());
+        let mut stamps = vec![a.stamp(), b.stamp()];
+        let id = c.declare("P");
+        stamps.push(c.stamp());
+        c.define(id, Process::Stop);
+        stamps.push(c.stamp());
+        c.add("Q", Process::Skip);
+        stamps.push(c.stamp());
+        let distinct: std::collections::HashSet<u64> = stamps.iter().copied().collect();
+        assert_eq!(distinct.len(), stamps.len(), "{stamps:?}");
+        // Debug output is about contents only.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(format!("{a:?}"), "Definitions { names: [], bodies: [] }");
     }
 
     #[test]

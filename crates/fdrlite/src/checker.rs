@@ -4,11 +4,15 @@
 //! The product walk is a 0-1 breadth-first search: `τ` edges cost 0 and
 //! visible edges cost 1, so states are expanded in order of *visible trace
 //! length* and the first violation found carries a minimum-length
-//! counterexample. The parallel engine ([`crate::parallel`]) maintains the
-//! same metric, which is what makes its verdicts and witness lengths agree
-//! with the serial checker by construction.
+//! counterexample. The serial explorer numbers its pairs in a
+//! [`PairIndex`]: a pair's number is its node in the walk's arena, so each
+//! offered edge costs one probe and each expansion none. Large walks move
+//! to the partitioned engine ([`crate::parallel`]), which settles every
+//! violation with this walk bounded to the violation's depth; that is what
+//! makes its verdicts and witnesses agree with the serial checker by
+//! construction.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use csp::{Definitions, EventId, Label, Lts, Process, StateId, Trace, TraceEvent};
@@ -16,7 +20,8 @@ use csp::{Definitions, EventId, Label, Lts, Process, StateId, Trace, TraceEvent}
 use crate::counterexample::{BudgetReason, Counterexample, FailureKind, Inconclusive, Verdict};
 use crate::error::CheckError;
 use crate::normalise::{NormNodeId, NormalisedLts};
-use crate::persist::{pair_at, Frontier};
+use crate::pairs::{entry_of, key_at, pack, unpack, PairIndex};
+use crate::persist::Frontier;
 use crate::stats::CheckStats;
 
 /// Resource budgets for a refinement exploration.
@@ -81,6 +86,15 @@ impl Budget {
             wall: self
                 .wall
                 .map(|(_, ms)| (Instant::now() + Duration::from_millis(ms), ms)),
+        }
+    }
+
+    /// This budget with its state limit lowered to `limit`, where it allows
+    /// more.
+    pub(crate) fn capped(&self, limit: u64) -> Budget {
+        Budget {
+            max_states: Some(self.max_states.map_or(limit, |own| own.min(limit))),
+            wall: self.wall,
         }
     }
 
@@ -499,7 +513,8 @@ impl RefinementModel {
 /// parallel engines: one reusable bitset scratch row at the spec's
 /// acceptance width, so each stable implementation state costs an edge scan
 /// plus word-level subset tests against the spec node's minimal
-/// acceptances — no per-state allocation.
+/// acceptances. Only a violation allocates, for its witness.
+#[derive(Default)]
 pub(crate) struct FailureProbe {
     scratch: Vec<u64>,
 }
@@ -530,16 +545,14 @@ impl FailureProbe {
         if omega {
             return None;
         }
-        let mut stable = true;
-        let mut events: Vec<EventId> = Vec::new();
         let mut tick = false;
         self.scratch.fill(0);
         for &(label, _) in edges {
             match label {
-                Label::Tau => stable = false,
+                // An unstable state has no stable failures either.
+                Label::Tau => return None,
                 Label::Tick => tick = true,
                 Label::Event(e) => {
-                    events.push(e);
                     let i = e.index();
                     if i / 64 < self.scratch.len() {
                         self.scratch[i / 64] |= 1 << (i % 64);
@@ -547,37 +560,36 @@ impl FailureProbe {
                 }
             }
         }
-        if !stable {
+        if spec
+            .acceptances(n)
+            .any(|spec_acc| spec_acc.is_subset_of_words(&self.scratch, tick))
+        {
             return None;
         }
-        let ok = spec
-            .acceptances(n)
-            .any(|spec_acc| spec_acc.is_subset_of_words(&self.scratch, tick));
-        if ok {
-            None
-        } else {
-            Some(FailureKind::RefusalViolation {
-                accepted: events,
-                accepts_tick: tick,
-            })
-        }
+        Some(FailureKind::RefusalViolation {
+            accepted: edges
+                .iter()
+                .filter_map(|&(label, _)| label.event())
+                .collect(),
+            accepts_tick: tick,
+        })
     }
 }
 
 /// One discovered product pair in the 0-1 BFS arena, which holds one node
-/// per pair in discovery order. A shorter path to a pending pair rewrites
-/// its node in place: a pending node is no node's parent yet, so parent
-/// chains of expanded nodes never change.
+/// per pair in discovery order: node `i` belongs to the pair the explorer's
+/// [`PairIndex`] numbers `i`. A shorter path to a pending pair rewrites its
+/// node in place: a pending node is no node's parent yet, so parent chains
+/// of expanded nodes never change. The default node is the root's.
+#[derive(Default)]
 struct ProductNode {
-    pair: (StateId, NormNodeId),
     vlen: u32,
     parent: u32,
     label: Option<EventId>,
+    /// The pair has been expanded: its depth is settled, and no later offer
+    /// may queue it again.
+    expanded: bool,
 }
-
-/// The `current` entry of a pair that has been expanded: its depth is
-/// settled, and no later offer may queue it again.
-const EXPANDED: u32 = u32::MAX;
 
 /// What a serial walk stopped at.
 enum Stop {
@@ -593,10 +605,9 @@ enum Stop {
 
 /// The mutable state of a serial 0-1 BFS product exploration.
 struct Explorer {
+    /// The discovered pairs, numbered like their arena nodes.
+    index: PairIndex,
     nodes: Vec<ProductNode>,
-    /// Each discovered pair's arena node while it is pending, [`EXPANDED`]
-    /// once it is not.
-    current: HashMap<(StateId, NormNodeId), u32>,
     deque: VecDeque<u32>,
     max_product: usize,
     /// Hard cap on visible trace length; children beyond it are not queued.
@@ -607,16 +618,12 @@ struct Explorer {
 }
 
 impl Explorer {
-    fn new(root: (StateId, NormNodeId), max_product: usize, bound: Option<u32>) -> Explorer {
-        let node = ProductNode {
-            pair: root,
-            vlen: 0,
-            parent: 0,
-            label: None,
-        };
+    fn new(root: u64, max_product: usize, bound: Option<u32>) -> Explorer {
+        let mut index = PairIndex::default();
+        index.insert(root);
         Explorer {
-            nodes: vec![node],
-            current: HashMap::from([(root, 0)]),
+            index,
+            nodes: vec![ProductNode::default()],
             deque: VecDeque::from([0]),
             max_product,
             bound,
@@ -630,44 +637,37 @@ impl Explorer {
     /// depth; the sort is stable, so a serial frontier keeps its own deque
     /// order and the walk continues exactly as if it had never stopped.
     fn restore(f: &Frontier, max_product: usize, bound: Option<u32>) -> Explorer {
-        // Each pending pair's position in the frontier and visible depth.
-        let mut pending: HashMap<(StateId, NormNodeId), (usize, u32)> =
-            HashMap::with_capacity(f.pending.len());
-        for (pos, &(s, n, vlen)) in f.pending.iter().enumerate() {
-            pending.entry(pair_at(s, n)).or_insert((pos, vlen));
-        }
         let mut ex = Explorer {
+            index: PairIndex::default(),
             nodes: Vec::with_capacity(f.visited.len()),
-            current: HashMap::with_capacity(f.visited.len()),
-            deque: VecDeque::with_capacity(pending.len()),
+            deque: VecDeque::with_capacity(f.pending.len()),
             max_product,
             bound,
             resumed: true,
         };
-        let mut seeds: Vec<(u32, usize, u32)> = Vec::with_capacity(pending.len());
         // A pending pair is always visited; one listed only as pending is
         // taken as visited rather than lost.
-        let visited = f.visited.iter().map(|&(s, n)| pair_at(s, n));
-        let orphans = f.pending.iter().map(|&(s, n, _)| pair_at(s, n));
-        for pair in visited.chain(orphans) {
-            if ex.current.contains_key(&pair) {
-                continue;
+        let visited = f.visited.iter().map(|&(s, n)| key_at(s, n));
+        let orphans = f.pending.iter().map(|&(s, n, _)| key_at(s, n));
+        for key in visited.chain(orphans) {
+            if ex.index.insert(key).1 {
+                ex.nodes.push(ProductNode {
+                    expanded: true,
+                    ..ProductNode::default()
+                });
             }
-            let idx = ex.nodes.len() as u32;
-            let (vlen, entry) = match pending.get(&pair) {
-                Some(&(pos, vlen)) => {
-                    seeds.push((vlen, pos, idx));
-                    (vlen, idx)
-                }
-                None => (0, EXPANDED),
-            };
-            ex.nodes.push(ProductNode {
-                pair,
-                vlen,
-                parent: 0,
-                label: None,
-            });
-            ex.current.insert(pair, entry);
+        }
+        // Each pending pair's visible depth and first position in the
+        // frontier.
+        let mut seeds: Vec<(u32, usize, u32)> = Vec::with_capacity(f.pending.len());
+        for (pos, &(s, n, vlen)) in f.pending.iter().enumerate() {
+            let (idx, _) = ex.index.insert(key_at(s, n));
+            let node = &mut ex.nodes[idx as usize];
+            if node.expanded {
+                node.expanded = false;
+                node.vlen = vlen;
+                seeds.push((vlen, pos, idx));
+            }
         }
         seeds.sort_unstable();
         ex.deque.extend(seeds.into_iter().map(|(_, _, idx)| idx));
@@ -680,7 +680,7 @@ impl Explorer {
     /// discipline).
     fn relax(
         &mut self,
-        child: (StateId, NormNodeId),
+        child: u64,
         vlen: u32,
         parent: u32,
         label: Option<EventId>,
@@ -690,34 +690,27 @@ impl Explorer {
             return Ok(());
         }
         let node = ProductNode {
-            pair: child,
             vlen,
             parent,
             label,
+            expanded: false,
         };
-        let idx = match self.current.get(&child) {
-            Some(&EXPANDED) => return Ok(()),
-            Some(&known) => {
-                let slot = &mut self.nodes[known as usize];
-                if vlen >= slot.vlen {
-                    return Ok(());
-                }
-                *slot = node;
-                known
+        let (idx, new) = self.index.insert(child);
+        if new {
+            if self.index.keys().len() > self.max_product {
+                return Err(CheckError::ProductExceeded {
+                    limit: self.max_product,
+                });
             }
-            None => {
-                if self.current.len() >= self.max_product {
-                    return Err(CheckError::ProductExceeded {
-                        limit: self.max_product,
-                    });
-                }
-                stats.pairs_discovered += 1;
-                let idx = self.nodes.len() as u32;
-                self.nodes.push(node);
-                self.current.insert(child, idx);
-                idx
+            stats.pairs_discovered += 1;
+            self.nodes.push(node);
+        } else {
+            let slot = &mut self.nodes[idx as usize];
+            if slot.expanded || vlen >= slot.vlen {
+                return Ok(());
             }
-        };
+            *slot = node;
+        }
         if label.is_none() {
             self.deque.push_front(idx);
         } else {
@@ -733,29 +726,28 @@ impl Explorer {
     /// with the frontier so a resumed run reports totals as if it had
     /// never stopped.
     fn capture(&self, stats: &CheckStats) -> Frontier {
-        let raw = |(s, n): (StateId, NormNodeId)| (s.index() as u32, n.index() as u32);
         // An improved pending node sits in the deque twice; keep the first.
-        let mut queued: HashSet<u32> = HashSet::with_capacity(self.deque.len());
+        let mut listed = vec![false; self.nodes.len()];
         let pending = self
             .deque
             .iter()
             .filter(|&&idx| {
-                self.current.get(&self.nodes[idx as usize].pair) == Some(&idx) && queued.insert(idx)
+                !self.nodes[idx as usize].expanded
+                    && !std::mem::replace(&mut listed[idx as usize], true)
             })
             .map(|&idx| {
-                let node = &self.nodes[idx as usize];
-                let (s, n) = raw(node.pair);
-                (s, n, node.vlen)
+                let (s, n) = entry_of(self.index.keys()[idx as usize]);
+                (s, n, self.nodes[idx as usize].vlen)
             })
             .collect();
         Frontier {
-            visited: self.nodes.iter().map(|node| raw(node.pair)).collect(),
+            visited: self.index.keys().iter().map(|&key| entry_of(key)).collect(),
             pending,
             discovered: stats.pairs_discovered,
             violation: u32::MAX,
             expansions: stats.expansions,
             transitions: stats.transitions,
-            steals: stats.steals,
+            batches: stats.batches,
             frontier_peak: stats.frontier_peak,
         }
     }
@@ -772,7 +764,7 @@ impl Explorer {
         model: RefinementModel,
         budget: &Budget,
         stats: &mut CheckStats,
-        mut checkpoints: Option<Checkpoints<'_>>,
+        mut checkpoints: Option<&mut Checkpoints<'_>>,
     ) -> Result<Stop, CheckError> {
         let mut probe = FailureProbe::new(spec);
         let mut due = checkpoints
@@ -790,14 +782,14 @@ impl Explorer {
                 }
             }
             let idx = self.deque.pop_front().expect("deque checked non-empty");
-            let node = &self.nodes[idx as usize];
-            let (pair, vlen) = (node.pair, node.vlen);
-            match self.current.get_mut(&pair) {
-                Some(entry) if *entry == idx => *entry = EXPANDED,
-                _ => continue, // expanded from an earlier deque entry
+            let node = &mut self.nodes[idx as usize];
+            if node.expanded {
+                continue; // expanded from an earlier deque entry
             }
+            node.expanded = true;
+            let vlen = node.vlen;
             stats.expansions += 1;
-            let (s, n) = pair;
+            let (s, n) = unpack(self.index.keys()[idx as usize]);
 
             if model == RefinementModel::Failures {
                 if let Some(kind) =
@@ -811,11 +803,11 @@ impl Explorer {
                 stats.transitions += 1;
                 match label {
                     Label::Tau => {
-                        self.relax((target, n), vlen, idx, None, stats)?;
+                        self.relax(pack(target, n), vlen, idx, None, stats)?;
                     }
                     Label::Event(e) => match spec.after(n, e) {
                         Some(n2) => {
-                            self.relax((target, n2), vlen + 1, idx, Some(e), stats)?;
+                            self.relax(pack(target, n2), vlen + 1, idx, Some(e), stats)?;
                         }
                         None => {
                             let kind = FailureKind::TraceViolation { event: Some(e) };
@@ -887,7 +879,7 @@ pub(crate) fn refine_zero_one(
     bound: Option<u32>,
     budget: &Budget,
     resume: Option<&Frontier>,
-    checkpoints: Option<Checkpoints<'_>>,
+    checkpoints: Option<&mut Checkpoints<'_>>,
 ) -> Result<(Verdict, Option<Frontier>, CheckStats), CheckError> {
     let started = Instant::now();
     let mut stats = CheckStats {
@@ -900,13 +892,13 @@ pub(crate) fn refine_zero_one(
             stats.pairs_discovered = f.discovered;
             stats.expansions = f.expansions;
             stats.transitions = f.transitions;
-            stats.steals = f.steals;
+            stats.batches = f.batches;
             stats.frontier_peak = f.frontier_peak;
             Explorer::restore(f, max_product, bound)
         }
         None => {
             stats.pairs_discovered = 1;
-            Explorer::new((impl_lts.initial(), spec.initial()), max_product, bound)
+            Explorer::new(pack(impl_lts.initial(), spec.initial()), max_product, bound)
         }
     };
     let stop = match resume {

@@ -22,10 +22,11 @@
 //! The `Checker` methods compile, normalise and walk the product serially,
 //! with no cache and no budget. The rest of the stack asks its refinement
 //! questions through [`ModelStore::check`] instead: it compiles through a
-//! shared cache, runs the serial engine at one thread and a work-stealing
-//! one above, honours [`CheckOptions`] budgets and, with a
-//! [`PersistConfig`], checkpoints and resumes long walks. Its verdicts and
-//! counterexamples equal the `Checker`'s at every thread count.
+//! shared cache, starts every walk on the serial engine and, given more
+//! than one thread, moves one that outgrows a measured size to an
+//! owner-partitioned parallel engine. It honours [`CheckOptions`] budgets
+//! and, with a [`PersistConfig`], checkpoints and resumes long walks. Its
+//! verdicts and counterexamples equal the `Checker`'s at every thread count.
 //!
 //! # Example
 //!
@@ -64,6 +65,7 @@ mod counterexample;
 mod error;
 mod interrupt;
 mod normalise;
+mod pairs;
 mod parallel;
 mod stats;
 mod store;

@@ -1,104 +1,342 @@
-//! Multi-threaded refinement checking: a work-stealing product exploration.
+//! Multi-threaded refinement checking, where [`crate::ModelStore::check`]
+//! moves a walk that outgrows the serial prefix: an owner-partitioned
+//! product exploration, like FDR's parallel checker (Gibson-Robinson et
+//! al., TACAS 2014), for `[T=`, `[F=` and (after its divergence phase)
+//! `[FD=`. `docs/PARALLEL.md` has the design; in short:
 //!
-//! The paper (§VII-A) points at FDR's grid/cloud support as the route to
-//! checking at automotive scale. This module is the single-machine
-//! analogue. The engine is *model-parameterised*: one product walker
-//! serves `[T=` (trace), `[F=` (stable-failures) and — composed with the
-//! shared τ-divergence routine — `[FD=` checks. In failures mode each
-//! worker additionally runs the same word-level refusal test as the serial
-//! engine (`FailureProbe`) against the spec's bitset acceptance pool when
-//! it expands a stable implementation state. It is built from three
-//! pieces:
+//! * Worker `i` owns the pairs a hash maps to `i`, in a private
+//!   [`PairIndex`] and FIFO queue; only the insert that discovers a pair
+//!   counts and queues it. A filter of recent offers drops repeats early.
+//! * Successors owned elsewhere travel in batches: an outbox is handed
+//!   over at [`BATCH`] tasks, every [`HAND_OVER_EVERY`] expansions and when
+//!   the sender runs dry, into an inbox swapped with a spare on receipt.
+//! * Discoveries reach the shared count in blocks of [`COUNT_BLOCK`], which
+//!   the product bound and state budget are tested against. One atomic
+//!   counts active workers plus batches in flight; zero ends the pass.
+//! * The pass stops at the first violation it records. The serial 0-1 BFS
+//!   bounded to that violation's depth then returns the canonical
+//!   counterexample, equal to the serial explorer's at any owner count.
 //!
-//! * **Per-worker deques with stealing.** Every worker owns a LIFO deque
-//!   ([`crossbeam::deque::Worker`]); when it runs dry it steals batches
-//!   from the global injector or a sibling's deque, so stragglers never
-//!   idle at a level barrier (the previous engine was level-synchronised
-//!   and serialised the visited-set merge between levels).
-//! * **An insert-once sharded visited set.** Discovered `(impl state,
-//!   spec node)` pairs live in `N` lock-striped shards keyed by a hash of
-//!   the pair, each padded to its own cache line. A worker touches exactly
-//!   one shard per discovered edge, so contention falls off with the shard
-//!   count. A pair is queued only by the insert that discovers it, so every
-//!   pair is expanded at most once.
-//! * **A canonical re-walk for counterexamples.** The pass ends at the
-//!   first recorded violation and keeps only its visible depth `L`. The
-//!   engine then re-walks the product *bounded to depth `L`* with the
-//!   serial 0-1 BFS, which canonicalises the witness: verdicts **and**
-//!   counterexample traces are identical to the serial engine's (and to
-//!   [`crate::Checker::trace_refinement`] and its siblings) and
-//!   deterministic across runs and thread counts. `L` is the depth of a
-//!   real path to a violation, so a violation at depth ≤ `L` is known to
-//!   exist and the bounded walk finds the minimal one. It touches only the
-//!   ≤ `L` sphere of the product, so a shallow violation in a huge model
-//!   costs a shallow walk, not a second full exploration.
-//!
-//! Termination uses a global pending-task counter: workers exit when every
-//! deque is empty and no task is in flight, or as soon as a violation is
-//! recorded. A worker panic is converted into [`CheckError::Internal`]
-//! instead of aborting the process.
-//!
-//! A budget cut or a checkpoint captures the frontier format both engines
-//! share ([`Frontier`]): the visited set, the outstanding tasks with their
-//! visible depths and the recorded violation depth. Checkpoints are taken
-//! in passing. When the discovered count reaches the next checkpoint, the
-//! workers wind down as for a budget cut, the frontier is handed over, and
-//! the leftover tasks are re-seeded for a fresh round of workers over the
-//! same shards; nothing is restored or re-inserted within a run.
-//!
-//! One caveat is inherent to racing the product bound: when the product
-//! has *more* reachable pairs than [`crate::Checker::max_product`] **and** also
-//! contains a violation, the engine may deterministically report either
-//! the violation or [`CheckError::ProductExceeded`] depending on discovery
-//! order. Within the bound, results are exact and deterministic.
+//! A budget cut or checkpoint settles every offer in flight into its owner
+//! and captures the owners as the shared [`Frontier`]. A worker panic
+//! becomes [`CheckError::Internal`]. A product that outgrows
+//! [`crate::Checker::max_product`] *and* holds a violation may report
+//! either, depending on discovery order.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::*};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use crossbeam::utils::{Backoff, CachePadded};
-use csp::{CsrEdges, Label, Lts, StateId};
+use csp::{CsrEdges, Label, Lts};
 
 use crate::checker::{refine_zero_one, Budget, Checkpoints, FailureProbe, RefinementModel};
 use crate::counterexample::{BudgetReason, Inconclusive, Verdict};
 use crate::error::CheckError;
-use crate::normalise::{NormNodeId, NormalisedLts};
-use crate::persist::{pair_at, Frontier};
+use crate::normalise::NormalisedLts;
+use crate::pairs::{entry_of, key_at, pack, unpack, PairIndex};
+use crate::persist::Frontier;
 use crate::stats::CheckStats;
 use crate::store::CompiledModel;
 
-type Pair = (StateId, NormNodeId);
-
 /// Most workers the engine will spawn (worker ids are reported as a `u16`).
 pub(crate) const MAX_THREADS: usize = 256;
+/// Tasks an outbox collects before it is handed over.
+const BATCH: usize = 256;
+/// Expansions between two hand-overs of every outbox; a worker also looks
+/// at its inbox and at the stop flag this often.
+const HAND_OVER_EVERY: u64 = 32;
+/// A worker's filter of recent offers has `1 << RECENT_BITS` slots.
+const RECENT_BITS: u32 = 12;
+/// Discoveries an owner adds to the shared count at a time.
+const COUNT_BLOCK: u64 = 64;
+
+/// One product pair to expand, packed, with the visible depth of the path
+/// to it.
+#[derive(Clone, Copy)]
+struct Task {
+    key: u64,
+    vlen: u32,
+}
+
+/// The owner of packed pair `key`: a hash unlike the [`PairIndex`]'s,
+/// scaled to the owner count.
+fn owner_of(key: u64, owners: usize) -> usize {
+    let h = (key ^ (key >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 32;
+    ((h * owners as u64) >> 32) as usize
+}
+
+/// The tasks handed over to one owner, on a cache line of its own.
+#[derive(Default)]
+#[repr(align(64))]
+struct Inbox {
+    tasks: Mutex<Vec<Task>>,
+    /// Batches ever handed over; bumped under the lock.
+    sent: AtomicU64,
+}
+
+/// State shared by all workers, and the walk's read-only inputs.
+struct Shared<'a> {
+    inboxes: Vec<Inbox>,
+    /// Active workers plus batches in flight; zero ends the pass.
+    active: AtomicUsize,
+    /// Pairs discovered, short by up to a block per owner mid-round.
+    discovered: AtomicU64,
+    /// Visible depth of the recorded violation (`u32::MAX` while none).
+    violation: AtomicU32,
+    /// Wind the round down: a violation, the product bound, a budget, a
+    /// due checkpoint or a panic.
+    stop: AtomicBool,
+    /// Which budget ran out first.
+    exhausted: Mutex<Option<BudgetReason>>,
+    /// The count at which this round winds down for a checkpoint.
+    pause_at: AtomicU64,
+    max_product: u64,
+    budget: Budget,
+    norm: &'a NormalisedLts,
+    csr: &'a CsrEdges,
+    /// The implementation, read only for its Ω bits: `csr` holds its edges.
+    impl_lts: &'a Lts,
+    model: RefinementModel,
+}
+
+impl Shared<'_> {
+    /// Record budget exhaustion (first reason wins) and wind down.
+    fn exhaust(&self, reason: BudgetReason) {
+        lock(&self.exhausted).get_or_insert(reason);
+        self.stop.store(true, Relaxed);
+    }
+
+    /// Record a violation at visible depth `vlen`, ending the pass.
+    fn record_violation(&self, vlen: u32) {
+        self.violation.fetch_min(vlen, Relaxed);
+        self.stop.store(true, Relaxed);
+    }
+
+    /// Add `block` discoveries to the shared count, and wind down when it
+    /// passes the product bound, the state budget or the next checkpoint.
+    fn count(&self, block: u64) {
+        let count = self.discovered.fetch_add(block, Relaxed) + block;
+        if let Some(reason) = self.budget.states_exceeded(count) {
+            self.exhaust(reason);
+        }
+        if count > self.max_product || count >= self.pause_at.load(Relaxed) {
+            self.stop.store(true, Relaxed);
+        }
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One owner's partition and counters, kept across rounds of workers.
+#[derive(Default)]
+struct Owner {
+    me: usize,
+    index: PairIndex,
+    queue: VecDeque<Task>,
+    outboxes: Vec<Vec<Task>>,
+    /// The last key offered in each slot, plus one (zero is free). An offer
+    /// found here was made before: its owner has the pair or will get it.
+    recent: Vec<u64>,
+    /// Swapped with the inbox's buffer on receipt.
+    spare: Vec<Task>,
+    /// Batches taken from the inbox so far.
+    received: u64,
+    /// Discoveries not yet added to the shared count.
+    uncounted: u64,
+    probe: FailureProbe,
+    expansions: u64,
+    transitions: u64,
+    queue_peak: u64,
+    busy: Duration,
+}
+
+impl Owner {
+    /// Insert an owned pair; a new one is counted and queued.
+    fn adopt(&mut self, shared: &Shared<'_>, task: Task) {
+        if !self.index.insert(task.key).1 {
+            return;
+        }
+        self.queue.push_back(task);
+        self.queue_peak = self.queue_peak.max(self.queue.len() as u64);
+        self.uncounted += 1;
+        if self.uncounted == COUNT_BLOCK {
+            self.uncounted = 0;
+            shared.count(COUNT_BLOCK);
+        }
+    }
+
+    /// One round of work, until the pass ends or the round winds down.
+    fn run(&mut self, shared: &Shared<'_>) {
+        let (started, mut idle) = (Instant::now(), Duration::ZERO);
+        let _guard = PanicGuard(shared);
+        let mut expanded: u64 = 0;
+        loop {
+            let Some(task) = self.queue.pop_front() else {
+                self.hand_over(shared, None);
+                if self.receive(shared, false) {
+                    continue;
+                }
+                let waiting = Instant::now();
+                let over = self.wait(shared);
+                idle += waiting.elapsed();
+                if over {
+                    break;
+                }
+                continue;
+            };
+            // An expansion is atomic: a task either offers every successor
+            // or goes back to the queue for the frontier.
+            if expanded.is_multiple_of(256) {
+                if let Some(reason) = shared.budget.wall_exceeded() {
+                    shared.exhaust(reason);
+                    self.queue.push_front(task);
+                    break;
+                }
+            }
+            self.expand(shared, task);
+            expanded += 1;
+            if expanded.is_multiple_of(HAND_OVER_EVERY) {
+                self.hand_over(shared, None);
+                self.receive(shared, false);
+                if shared.stop.load(Relaxed) {
+                    break;
+                }
+            }
+        }
+        self.busy += started.elapsed().saturating_sub(idle);
+    }
+
+    /// Give up this worker's unit and idle until a batch arrives (`false`)
+    /// or the pass ends or winds down (`true`).
+    fn wait(&mut self, shared: &Shared<'_>) -> bool {
+        shared.active.fetch_sub(1, SeqCst);
+        let mut polls = 0u32;
+        loop {
+            if shared.stop.load(Relaxed) {
+                return true;
+            }
+            if self.receive(shared, true) {
+                return false;
+            }
+            if shared.active.load(SeqCst) == 0 {
+                return true;
+            }
+            polls = polls.saturating_add(1);
+            match polls {
+                0..=63 => std::hint::spin_loop(),
+                64..=127 => std::thread::yield_now(),
+                _ => std::thread::sleep(Duration::from_micros(50)),
+            }
+        }
+    }
+
+    /// Expand one product pair: offer its successors, or record a
+    /// violation (a refusal's witness is the path *to* the pair) and stop.
+    fn expand(&mut self, shared: &Shared<'_>, task: Task) {
+        self.expansions += 1;
+        let (s, n) = unpack(task.key);
+        let edges = shared.csr.edges(s);
+        if shared.model == RefinementModel::Failures {
+            let omega = shared.impl_lts.is_omega(s);
+            if self.probe.violation(shared.norm, n, edges, omega).is_some() {
+                return shared.record_violation(task.vlen);
+            }
+        }
+        for &(label, target) in edges {
+            self.transitions += 1;
+            let (n, vlen) = match label {
+                Label::Tau => (n, task.vlen),
+                Label::Event(e) => match shared.norm.after(n, e) {
+                    Some(n2) => (n2, task.vlen + 1),
+                    None => return shared.record_violation(task.vlen),
+                },
+                Label::Tick if shared.norm.allows_tick(n) => continue,
+                Label::Tick => return shared.record_violation(task.vlen),
+            };
+            let key = pack(target, n);
+            let seen = &mut self.recent
+                [(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RECENT_BITS)) as usize];
+            if std::mem::replace(seen, key.wrapping_add(1)) == key.wrapping_add(1) {
+                continue;
+            }
+            let dest = owner_of(key, self.outboxes.len());
+            if dest == self.me {
+                self.adopt(shared, Task { key, vlen });
+            } else {
+                self.outboxes[dest].push(Task { key, vlen });
+                if self.outboxes[dest].len() >= BATCH {
+                    self.hand_over(shared, Some(dest));
+                }
+            }
+        }
+    }
+
+    /// Hand outbox `dest`, or every outbox, over whole. Each batch holds a
+    /// unit of the active count until its owner takes it.
+    fn hand_over(&mut self, shared: &Shared<'_>, dest: Option<usize>) {
+        let dests = dest.map_or(0..self.outboxes.len(), |d| d..d + 1);
+        for (outbox, inbox) in self.outboxes[dests.clone()]
+            .iter_mut()
+            .zip(&shared.inboxes[dests])
+        {
+            if !outbox.is_empty() {
+                shared.active.fetch_add(1, SeqCst);
+                let mut tasks = lock(&inbox.tasks);
+                tasks.append(outbox);
+                inbox.sent.fetch_add(1, Release);
+            }
+        }
+    }
+
+    /// Adopt the tasks of every batch in the inbox, releasing the batches'
+    /// units but one that an `idle` receiver keeps. Whether any came.
+    fn receive(&mut self, shared: &Shared<'_>, idle: bool) -> bool {
+        let inbox = &shared.inboxes[self.me];
+        if inbox.sent.load(Acquire) == self.received {
+            return false;
+        }
+        let mut tasks = std::mem::take(&mut self.spare);
+        let sent = {
+            let mut inboxed = lock(&inbox.tasks);
+            std::mem::swap(&mut *inboxed, &mut tasks);
+            inbox.sent.load(Relaxed)
+        };
+        let batches = sent - std::mem::replace(&mut self.received, sent);
+        for task in tasks.drain(..) {
+            self.adopt(shared, task);
+        }
+        self.spare = tasks;
+        shared
+            .active
+            .fetch_sub((batches - u64::from(idle)) as usize, SeqCst);
+        true
+    }
+}
+
+/// Winds the round down if its worker unwinds, so siblings stop waiting
+/// for its unit.
+struct PanicGuard<'a, 'b>(&'a Shared<'b>);
+
+impl Drop for PanicGuard<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop.store(true, Relaxed);
+        }
+    }
+}
 
 /// Refine a compiled implementation against a normalised spec on `threads`
-/// workers, in walk model `model` ([`RefinementModel::walk`]), under
-/// `budget`, taking `checkpoints` in passing. Pass `resume` to continue
-/// from a frontier either engine wrote; an `Inconclusive` verdict comes
-/// back with the continuation frontier.
-///
-/// When the budget runs out mid-pass:
-///
-/// * with no violation recorded, the verdict is [`Verdict::Inconclusive`];
-/// * with a violation recorded, the canonical re-walk runs under a *fresh*
-///   instance of the same budget — if it completes, the conclusive
-///   [`Verdict::Fail`] is returned (a found counterexample is sound
-///   regardless of how much of the product was explored); if it too runs
-///   out, the verdict degrades to [`Verdict::Inconclusive`].
-///
-/// The frontier keeps only the visited set, the outstanding tasks and the
-/// recorded violation depth. The verdict and counterexample are
-/// nevertheless exact, because every conclusive [`Verdict::Fail`] is
-/// produced by the canonical bounded serial re-walk, never by the racing
-/// pass itself. Callers must validate the frontier against these exact
-/// models first ([`Frontier::validate`]). Determinism across runs and
-/// thread counts holds for unbudgeted checks: a wall-clock budget observes
-/// real time, and a state budget races discovery order between workers.
-///
-/// The returned stats leave `wall` to the caller.
+/// owners, in walk model `model` ([`RefinementModel::walk`]), under
+/// `budget`, taking `checkpoints` in passing, from the root or from a
+/// `resume` frontier either engine wrote (validated by the caller). An
+/// `Inconclusive` verdict comes back with the continuation frontier. A
+/// violation recorded before a budget cut is settled by the re-walk under
+/// a fresh instance of the budget, and is conclusive if that completes.
+/// Unbudgeted verdicts are deterministic across runs and owner counts. The
+/// returned stats leave `wall` to the caller.
 ///
 /// # Errors
 ///
@@ -113,576 +351,211 @@ pub(crate) fn refine(
     max_product: usize,
     budget: &Budget,
     resume: Option<&Frontier>,
-    checkpoints: Option<Checkpoints<'_>>,
+    mut checkpoints: Option<&mut Checkpoints<'_>>,
 ) -> Result<(Verdict, Option<Frontier>, CheckStats), CheckError> {
     let threads = threads.clamp(1, MAX_THREADS);
-    let (violation, exhausted, frontier, mut stats) = explore(
-        norm,
-        compiled,
-        model,
-        threads,
-        max_product,
-        budget,
-        resume,
-        checkpoints,
-    )?;
-    if exhausted.is_some() {
-        stats.wall_overshoot = budget.wall_overshoot();
-    }
-
-    let verdict = match violation {
-        None => exhausted.map_or(Verdict::Pass, |reason| {
-            Verdict::Inconclusive(Inconclusive::new(stats.pairs_discovered, reason))
-        }),
-        Some(depth) => {
-            // On a budget-cut pass the re-walk runs under a fresh budget
-            // of its own and may itself come back inconclusive.
-            let rewalk_budget = exhausted.map_or_else(Budget::unbounded, |_| budget.restarted());
-            let (bounded, _, rewalk) = refine_zero_one(
-                norm,
-                compiled.lts(),
-                model,
-                max_product,
-                Some(depth),
-                &rewalk_budget,
-                None,
-                None,
-            )?;
-            stats.rewalk_expansions = rewalk.expansions;
-            match bounded {
-                Verdict::Pass => Verdict::Inconclusive(Inconclusive::new(
-                    stats.pairs_discovered,
-                    exhausted.expect("bounded re-walk can only pass after a budget cut"),
-                )),
-                other => return Ok((other, None, stats)),
-            }
-        }
-    };
-    Ok((verdict, frontier, stats))
-}
-
-/// The visited-set shard count for `threads` workers.
-pub(crate) fn shard_count(threads: usize) -> usize {
-    (threads.clamp(1, MAX_THREADS).next_power_of_two() * 16).clamp(16, 512)
-}
-
-/// A unit of work: one product pair to expand, with the visible depth of
-/// the path that discovered it.
-#[derive(Clone, Copy)]
-struct Task {
-    s: StateId,
-    n: NormNodeId,
-    vlen: u32,
-}
-
-/// State shared by all workers.
-struct Shared {
-    shards: Vec<CachePadded<Mutex<HashSet<Pair>>>>,
-    shard_mask: usize,
-    injector: Injector<Task>,
-    /// Tasks queued or in flight; 0 ⇔ exploration is complete.
-    pending: AtomicUsize,
-    /// Distinct pairs discovered (for the product bound).
-    discovered: AtomicUsize,
-    /// Visible depth of the recorded violation (`u32::MAX` while none).
-    /// Once set, every worker winds down: the canonical re-walk takes over.
-    violation: AtomicU32,
-    /// Product bound tripped: abandon the run.
-    overflow: AtomicBool,
-    /// A resource budget ran out: wind down and report
-    /// [`Verdict::Inconclusive`] (unless a violation was already found).
-    budget_hit: AtomicBool,
-    /// Which budget ran out first.
-    budget_reason: Mutex<Option<BudgetReason>>,
-    /// A checkpoint is due: wind down this round of workers, as for a
-    /// budget cut, so the frontier can be captured and re-seeded.
-    pause: AtomicBool,
-    /// A sibling panicked: abandon the run instead of spinning forever on
-    /// its undrained pending count.
-    panicked: AtomicBool,
-    max_product: usize,
-    budget: Budget,
-}
-
-impl Shared {
-    /// Record budget exhaustion (first reason wins) and signal wind-down.
-    fn exhaust(&self, reason: BudgetReason) {
-        let mut slot = self
-            .budget_reason
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        slot.get_or_insert(reason);
-        self.budget_hit.store(true, Ordering::Relaxed);
-    }
-
-    /// Insert `pair` into its shard; `true` when it was not there before.
-    fn insert(&self, pair: Pair) -> bool {
-        lock_shard(&self.shards[shard_of(pair, self.shard_mask)]).insert(pair)
-    }
-
-    /// Whether any worker should stop taking tasks.
-    fn winding_down(&self) -> bool {
-        self.violation.load(Ordering::Relaxed) != u32::MAX
-            || self.overflow.load(Ordering::Relaxed)
-            || self.budget_hit.load(Ordering::Relaxed)
-            || self.pause.load(Ordering::Relaxed)
-            || self.panicked.load(Ordering::Relaxed)
-    }
-}
-
-fn shard_of(pair: Pair, mask: usize) -> usize {
-    let x = pair.0.index() as u64;
-    let y = pair.1.index() as u64;
-    let h = (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ y.wrapping_mul(0xA24B_AED4_963E_E407))
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((h >> 32) as usize) & mask
-}
-
-fn lock_shard(shard: &Mutex<HashSet<Pair>>) -> std::sync::MutexGuard<'_, HashSet<Pair>> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Per-worker counters, merged into [`CheckStats`] after the join.
-#[derive(Default)]
-struct WorkerStats {
-    expansions: u64,
-    transitions: u64,
-    steals: u64,
-    frontier_peak: u64,
-    busy: Duration,
-}
-
-/// Arms on entry; disarmed on orderly exit. If the worker unwinds instead,
-/// `Drop` flips the shared flag so siblings stop waiting for its pending
-/// tasks.
-struct PanicGuard<'a> {
-    shared: &'a Shared,
-    armed: bool,
-}
-
-impl Drop for PanicGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.shared.panicked.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// What the parallel decision pass ended with: the visible depth of the
-/// recorded violation (`None` when none was recorded), the budget that cut
-/// the pass short and the continuation frontier (both `None` on a complete
-/// pass), and the pass's statistics.
-type Pass = (
-    Option<u32>,
-    Option<BudgetReason>,
-    Option<Frontier>,
-    CheckStats,
-);
-
-/// The parallel decision pass.
-///
-/// Workers run in rounds. A round ends with the pass, or when the
-/// discovered count reaches the next checkpoint: the workers wind down as
-/// for a budget cut, the frontier goes to `checkpoints`, and the leftover
-/// tasks are re-seeded for a fresh round of workers over the same shards.
-#[allow(clippy::too_many_arguments)]
-fn explore(
-    norm: &NormalisedLts,
-    compiled: &CompiledModel,
-    model: RefinementModel,
-    threads: usize,
-    max_product: usize,
-    budget: &Budget,
-    resume: Option<&Frontier>,
-    mut checkpoints: Option<Checkpoints<'_>>,
-) -> Result<Pass, CheckError> {
-    let (impl_lts, csr) = (compiled.lts(), compiled.csr());
-    let shard_count = shard_count(threads);
-    let shards: Vec<CachePadded<Mutex<HashSet<Pair>>>> = (0..shard_count)
-        .map(|_| CachePadded::new(Mutex::new(HashSet::new())))
-        .collect();
-
     let shared = Shared {
-        shards,
-        shard_mask: shard_count - 1,
-        injector: Injector::new(),
-        pending: AtomicUsize::new(0),
-        discovered: AtomicUsize::new(0),
+        inboxes: (0..threads).map(|_| Inbox::default()).collect(),
+        active: AtomicUsize::new(0),
+        discovered: AtomicU64::new(1),
         violation: AtomicU32::new(u32::MAX),
-        overflow: AtomicBool::new(false),
-        budget_hit: AtomicBool::new(false),
-        budget_reason: Mutex::new(None),
-        pause: AtomicBool::new(false),
-        panicked: AtomicBool::new(false),
-        max_product,
+        stop: AtomicBool::new(false),
+        exhausted: Mutex::new(None),
+        pause_at: AtomicU64::new(u64::MAX),
+        max_product: max_product as u64,
         budget: *budget,
+        norm,
+        csr: compiled.csr(),
+        impl_lts: compiled.lts(),
+        model,
     };
-    // Counters accumulate across interrupt/resume so the final stats read
-    // as if the run had never stopped.
-    let mut stats = CheckStats {
-        threads,
-        shards: shard_count,
-        ..CheckStats::default()
-    };
-
-    // Seed: the root pair on a fresh run; on a resumed run the frontier's
-    // visited set, violation depth and outstanding tasks. Tasks go through
-    // the injector so whichever worker starts first claims them.
-    match resume {
+    let mut owners: Vec<Owner> = (0..threads)
+        .map(|me| Owner {
+            me,
+            outboxes: vec![Vec::new(); threads],
+            recent: vec![0; 1 << RECENT_BITS],
+            probe: FailureProbe::new(norm),
+            ..Owner::default()
+        })
+        .collect();
+    // Counters carry on from the frontier's, as if the walk never stopped.
+    let mut base = CheckStats::default();
+    let pending: Vec<(u64, u32)> = match resume {
         Some(f) => {
             for &(s, n) in &f.visited {
-                shared.insert(pair_at(s, n));
+                let key = key_at(s, n);
+                owners[owner_of(key, threads)].index.insert(key);
             }
-            shared
-                .discovered
-                .store(f.discovered as usize, Ordering::Relaxed);
-            shared.violation.store(f.violation, Ordering::Relaxed);
-            shared.pending.store(f.pending.len(), Ordering::Relaxed);
-            for &(s, n, vlen) in &f.pending {
-                let (s, n) = pair_at(s, n);
-                shared.injector.push(Task { s, n, vlen });
-            }
-            stats.expansions = f.expansions;
-            stats.transitions = f.transitions;
-            stats.steals = f.steals;
-            stats.frontier_peak = f.frontier_peak;
+            shared.discovered.store(f.discovered, Relaxed);
+            shared.violation.store(f.violation, Relaxed);
+            (base.expansions, base.transitions) = (f.expansions, f.transitions);
+            (base.batches, base.frontier_peak) = (f.batches, f.frontier_peak);
+            f.pending
+                .iter()
+                .map(|&(s, n, vlen)| (key_at(s, n), vlen))
+                .collect()
         }
-        None => {
-            let (s, n) = (impl_lts.initial(), norm.initial());
-            shared.insert((s, n));
-            shared.discovered.store(1, Ordering::Relaxed);
-            shared.pending.store(1, Ordering::Relaxed);
-            shared.injector.push(Task { s, n, vlen: 0 });
-        }
+        None => vec![(pack(compiled.lts().initial(), norm.initial()), 0)],
+    };
+    // A pending pair is visited, even one the frontier lists only as pending.
+    for (key, vlen) in pending {
+        let owner = &mut owners[owner_of(key, threads)];
+        owner.index.insert(key);
+        owner.queue.push_back(Task { key, vlen });
     }
 
-    // One round of workers, until the pass ends or `pause_at` pairs are
-    // known. Their counters go to `stats`, and the tasks still queued in
-    // their deques to `leftovers`.
-    let round = |pause_at: u64,
-                 stats: &mut CheckStats,
-                 leftovers: &mut Vec<Task>|
-     -> Result<(), CheckError> {
-        let locals: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-        let stealers: Vec<Stealer<Task>> = locals.iter().map(Worker::stealer).collect();
-        let mut panic_message: Option<(u16, String)> = None;
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for (me, local) in locals.into_iter().enumerate() {
-                let (shared, stealers) = (&shared, &stealers);
-                handles.push(scope.spawn(move |_| {
-                    let mut ctx = WorkerCtx {
-                        me,
-                        local,
-                        shared,
-                        stealers,
-                        pause_at,
-                        norm,
-                        csr,
-                        model,
-                        impl_lts,
-                        probe: FailureProbe::new(norm),
-                        stats: WorkerStats::default(),
-                    };
-                    ctx.run();
-                    // Drain what this worker never got to: after a wind-down
-                    // the local deque still holds queued tasks that belong
-                    // in the frontier.
-                    let leftovers: Vec<Task> = std::iter::from_fn(|| ctx.local.pop()).collect();
-                    (ctx.stats, leftovers)
-                }));
-            }
-            for (me, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok((worker, tasks)) => {
-                        stats.expansions += worker.expansions;
-                        stats.transitions += worker.transitions;
-                        stats.steals += worker.steals;
-                        stats.frontier_peak = stats.frontier_peak.max(worker.frontier_peak);
-                        stats.cpu_busy += worker.busy;
-                        leftovers.extend(tasks);
-                    }
-                    Err(payload) => {
-                        panic_message
-                            .get_or_insert_with(|| (me as u16, panic_text(payload.as_ref())));
-                    }
-                }
-            }
-        })
-        .map_err(|payload| CheckError::Internal {
-            message: panic_text(payload.as_ref()),
-            worker: None,
-        })?;
-        match panic_message {
-            Some((worker, message)) => Err(CheckError::Internal {
-                message,
-                worker: Some(worker),
-            }),
-            None => Ok(()),
-        }
-    };
-
-    let mut leftovers: Vec<Task> = Vec::new();
     loop {
-        let discovered = shared.discovered.load(Ordering::Relaxed) as u64;
+        let discovered = shared.discovered.load(Relaxed);
+        if let Some(reason) = budget.states_exceeded(discovered) {
+            shared.exhaust(reason);
+        }
+        if shared.violation.load(Relaxed) != u32::MAX || lock(&shared.exhausted).is_some() {
+            break;
+        }
         let pause_at = checkpoints
             .as_ref()
             .map_or(u64::MAX, |c| c.due_after(discovered));
-        round(pause_at, &mut stats, &mut leftovers)?;
-        if shared.overflow.load(Ordering::Relaxed) {
+        shared.pause_at.store(pause_at, Relaxed);
+        round(&mut owners, &shared)?;
+        settle(&mut owners, &shared);
+        if shared.discovered.load(Relaxed) > shared.max_product {
             return Err(CheckError::ProductExceeded { limit: max_product });
         }
-        if !shared.pause.swap(false, Ordering::Relaxed) || shared.winding_down() {
+        // Unless the pass ended, the round wound down for a checkpoint.
+        let ended = shared.violation.load(Relaxed) != u32::MAX || lock(&shared.exhausted).is_some();
+        if ended || owners.iter().all(|o| o.queue.is_empty()) {
             break;
         }
-        // A checkpoint in passing: hand over the frontier, then put every
-        // leftover task back for the next round. Nothing is restored.
-        drain_injector(&shared, &mut leftovers);
         if let Some(c) = checkpoints.as_mut() {
-            (c.save)(capture(&shared, &leftovers, &stats));
-        }
-        for task in leftovers.drain(..) {
-            shared.injector.push(task);
+            (c.save)(capture(&owners, &shared, &totals(&owners, &base)));
         }
     }
 
-    let exhausted = *shared
-        .budget_reason
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let violation = shared.violation.load(Ordering::Relaxed);
-    stats.pairs_discovered = shared.discovered.load(Ordering::Relaxed) as u64;
-    for shard in &shared.shards {
-        stats.shard_peak = stats.shard_peak.max(lock_shard(shard).len() as u64);
+    let exhausted = *lock(&shared.exhausted);
+    let shard_peak = owners.iter().map(|o| o.index.keys().len()).max();
+    let mut stats = CheckStats {
+        threads,
+        shards: threads,
+        pairs_discovered: shared.discovered.load(Relaxed),
+        shard_peak: shard_peak.unwrap_or(0) as u64,
+        wall_overshoot: exhausted.map_or(Duration::ZERO, |_| budget.wall_overshoot()),
+        ..totals(&owners, &base)
+    };
+    let frontier = exhausted.map(|_| capture(&owners, &shared, &stats));
+    let explored = stats.pairs_discovered;
+    let inconclusive = |reason| Verdict::Inconclusive(Inconclusive::new(explored, reason));
+    let depth = shared.violation.load(Relaxed);
+    if depth == u32::MAX {
+        let verdict = exhausted.map_or(Verdict::Pass, inconclusive);
+        return Ok((verdict, frontier, stats));
     }
-    let frontier = exhausted.is_some().then(|| {
-        drain_injector(&shared, &mut leftovers);
-        capture(&shared, &leftovers, &stats)
-    });
-    Ok((
-        (violation != u32::MAX).then_some(violation),
-        exhausted,
-        frontier,
-        stats,
-    ))
+    // After a budget cut the re-walk runs under a fresh instance of it.
+    let rewalk_budget = exhausted.map_or_else(Budget::unbounded, |_| budget.restarted());
+    let (bounded, _, rewalk) = refine_zero_one(
+        norm,
+        compiled.lts(),
+        model,
+        max_product,
+        Some(depth),
+        &rewalk_budget,
+        None,
+        None,
+    )?;
+    stats.rewalk_expansions = rewalk.expansions;
+    match bounded {
+        Verdict::Pass => {
+            let reason = exhausted.expect("bounded re-walk can only pass after a budget cut");
+            Ok((inconclusive(reason), frontier, stats))
+        }
+        conclusive => Ok((conclusive, None, stats)),
+    }
 }
 
-/// Move every task still in the injector to `tasks`.
-fn drain_injector(shared: &Shared, tasks: &mut Vec<Task>) {
-    loop {
-        match shared.injector.steal() {
-            Steal::Success(task) => tasks.push(task),
-            Steal::Retry => {}
-            Steal::Empty => break,
+/// One round: a scoped worker thread per owner, until the pass ends or
+/// winds down.
+fn round(owners: &mut [Owner], shared: &Shared<'_>) -> Result<(), CheckError> {
+    shared.active.store(owners.len(), SeqCst);
+    shared.stop.store(false, Relaxed);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = owners
+            .iter_mut()
+            .map(|owner| scope.spawn(move || owner.run(shared)))
+            .collect();
+        let mut joined = workers
+            .into_iter()
+            .map(std::thread::ScopedJoinHandle::join)
+            .enumerate();
+        match joined.find_map(|(me, joined)| joined.err().map(|payload| (me, payload))) {
+            Some((me, payload)) => Err(CheckError::Internal {
+                message: panic_text(payload.as_ref()),
+                worker: Some(me as u16),
+            }),
+            None => Ok(()),
         }
+    })
+}
+
+/// After a round: move every offer still in an outbox or inbox into its
+/// owner, and make the shared count exact.
+fn settle(owners: &mut [Owner], shared: &Shared<'_>) {
+    let mut stray: Vec<Task> = Vec::new();
+    for (owner, inbox) in owners.iter_mut().zip(&shared.inboxes) {
+        owner
+            .outboxes
+            .iter_mut()
+            .for_each(|outbox| stray.append(outbox));
+        stray.append(&mut lock(&inbox.tasks));
+        owner.received = inbox.sent.load(Relaxed);
+    }
+    for task in stray {
+        owners[owner_of(task.key, owners.len())].adopt(shared, task);
+    }
+    let uncounted = owners.iter_mut().map(|o| std::mem::take(&mut o.uncounted));
+    shared.discovered.fetch_add(uncounted.sum(), Relaxed);
+}
+
+/// `base` plus the owners' counters.
+fn totals(owners: &[Owner], base: &CheckStats) -> CheckStats {
+    let sum = |count: fn(&Owner) -> u64| owners.iter().map(count).sum::<u64>();
+    CheckStats {
+        expansions: base.expansions + sum(|o| o.expansions),
+        transitions: base.transitions + sum(|o| o.transitions),
+        batches: base.batches + sum(|o| o.received),
+        frontier_peak: base.frontier_peak.max(sum(|o| o.queue_peak)),
+        cpu_busy: owners.iter().map(|o| o.busy).sum(),
+        ..CheckStats::default()
     }
 }
 
-/// The frontier of a wound-down pass: the visited set in shard order, the
-/// outstanding `tasks` (sorted, so the pending list does not depend on
-/// which worker held which task), the recorded violation and the counters.
-fn capture(shared: &Shared, tasks: &[Task], stats: &CheckStats) -> Frontier {
-    let mut pending: Vec<(u32, u32, u32)> = tasks
-        .iter()
-        .map(|t| (t.s.index() as u32, t.n.index() as u32, t.vlen))
+/// The frontier of a settled round: the owners' visited pairs and queues
+/// (sorted, whoever held which task), the violation and the counters.
+fn capture(owners: &[Owner], shared: &Shared<'_>, stats: &CheckStats) -> Frontier {
+    let queued = owners.iter().flat_map(|o| &o.queue);
+    let mut pending: Vec<(u32, u32, u32)> = queued
+        .map(|t| {
+            let (s, n) = entry_of(t.key);
+            (s, n, t.vlen)
+        })
         .collect();
     pending.sort_unstable();
-    let discovered = shared.discovered.load(Ordering::Relaxed);
-    let mut visited: Vec<(u32, u32)> = Vec::with_capacity(discovered);
-    for shard in &shared.shards {
-        visited.extend(
-            lock_shard(shard)
-                .iter()
-                .map(|&(s, n)| (s.index() as u32, n.index() as u32)),
-        );
-    }
+    let visited = owners.iter().flat_map(|o| o.index.keys());
     Frontier {
-        visited,
+        visited: visited.map(|&key| entry_of(key)).collect(),
         pending,
-        discovered: discovered as u64,
-        violation: shared.violation.load(Ordering::Relaxed),
+        discovered: shared.discovered.load(Relaxed),
+        violation: shared.violation.load(Relaxed),
         expansions: stats.expansions,
         transitions: stats.transitions,
-        steals: stats.steals,
+        batches: stats.batches,
         frontier_peak: stats.frontier_peak,
     }
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("worker thread panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("worker thread panicked: {s}")
-    } else {
-        "worker thread panicked".to_owned()
-    }
-}
-
-/// One worker's execution context.
-struct WorkerCtx<'a> {
-    me: usize,
-    local: Worker<Task>,
-    shared: &'a Shared,
-    stealers: &'a [Stealer<Task>],
-    /// Discovered-pair count at which this round winds down for a
-    /// checkpoint (`u64::MAX` when none is due).
-    pause_at: u64,
-    norm: &'a NormalisedLts,
-    csr: &'a CsrEdges,
-    model: RefinementModel,
-    /// The implementation, read only for its Ω bits: `csr` holds its edges.
-    impl_lts: &'a Lts,
-    /// Per-worker scratch row for the word-level refusal test.
-    probe: FailureProbe,
-    stats: WorkerStats,
-}
-
-impl WorkerCtx<'_> {
-    fn run(&mut self) {
-        let started = Instant::now();
-        let mut idle = Duration::ZERO;
-        let mut processed: u64 = 0;
-        let backoff = Backoff::new();
-        let mut guard = PanicGuard {
-            shared: self.shared,
-            armed: true,
-        };
-        loop {
-            if self.shared.winding_down() {
-                break;
-            }
-            // Wall-clock budget: sampled every 256th task to stay off the
-            // hot path (each worker samples independently).
-            if processed & 255 == 0 {
-                if let Some(reason) = self.shared.budget.wall_exceeded() {
-                    self.shared.exhaust(reason);
-                    break;
-                }
-            }
-            match self.find_task() {
-                Some(task) => {
-                    // State budget: checked between tasks, so an expansion
-                    // is atomic — a task either fully expands (all its
-                    // successors offered) or goes back in the deque for the
-                    // checkpoint frontier. A mid-expansion cut would leave
-                    // a half-offered task that no resume could finish.
-                    let count = self.shared.discovered.load(Ordering::Relaxed) as u64;
-                    if let Some(reason) = self.shared.budget.states_exceeded(count) {
-                        self.shared.exhaust(reason);
-                        self.local.push(task);
-                        break;
-                    }
-                    if count >= self.pause_at {
-                        self.shared.pause.store(true, Ordering::Relaxed);
-                        self.local.push(task);
-                        break;
-                    }
-                    backoff.reset();
-                    processed += 1;
-                    self.process(task);
-                    self.shared.pending.fetch_sub(1, Ordering::Release);
-                }
-                None => {
-                    if self.shared.pending.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    let waiting = Instant::now();
-                    backoff.snooze();
-                    idle += waiting.elapsed();
-                }
-            }
-        }
-        guard.armed = false;
-        drop(guard);
-        self.stats.busy = started.elapsed().saturating_sub(idle);
-    }
-
-    /// Pop local work, or steal a batch from the injector / a sibling.
-    fn find_task(&mut self) -> Option<Task> {
-        if let Some(task) = self.local.pop() {
-            return Some(task);
-        }
-        loop {
-            let mut retry = false;
-            match self.shared.injector.steal_batch_and_pop(&self.local) {
-                Steal::Success(task) => {
-                    self.stats.steals += 1;
-                    return Some(task);
-                }
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-            let n = self.stealers.len();
-            for k in 1..n {
-                let victim = (self.me + k) % n;
-                match self.stealers[victim].steal_batch_and_pop(&self.local) {
-                    Steal::Success(task) => {
-                        self.stats.steals += 1;
-                        return Some(task);
-                    }
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !retry {
-                return None;
-            }
-        }
-    }
-
-    /// Expand one product pair: scan its implementation edges and offer the
-    /// successors, or record a violation and stop.
-    fn process(&mut self, task: Task) {
-        self.stats.expansions += 1;
-        // Failures mode: the same stability/refusal test the serial engine
-        // runs when it dequeues a pair. A refusal violation's witness is
-        // the path *to* the pair, so its depth is exactly `task.vlen`.
-        if self.model == RefinementModel::Failures {
-            let omega = self.impl_lts.is_omega(task.s);
-            if self
-                .probe
-                .violation(self.norm, task.n, self.csr.edges(task.s), omega)
-                .is_some()
-            {
-                return self.record_violation(task.vlen);
-            }
-        }
-        for &(label, target) in self.csr.edges(task.s) {
-            self.stats.transitions += 1;
-            match label {
-                Label::Tau => self.offer(target, task.n, task.vlen),
-                Label::Event(e) => match self.norm.after(task.n, e) {
-                    Some(n2) => self.offer(target, n2, task.vlen + 1),
-                    None => return self.record_violation(task.vlen),
-                },
-                Label::Tick => {
-                    if !self.norm.allows_tick(task.n) {
-                        return self.record_violation(task.vlen);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Offer a successor pair at visible depth `vlen`: the worker whose
-    /// insert discovers it queues it; every later offer is a no-op.
-    fn offer(&mut self, s: StateId, n: NormNodeId, vlen: u32) {
-        if !self.shared.insert((s, n)) {
-            return;
-        }
-        let count = self.shared.discovered.fetch_add(1, Ordering::Relaxed) + 1;
-        if count > self.shared.max_product {
-            self.shared.overflow.store(true, Ordering::Relaxed);
-            return;
-        }
-        let pending = self.shared.pending.fetch_add(1, Ordering::Release) + 1;
-        self.stats.frontier_peak = self.stats.frontier_peak.max(pending as u64);
-        self.local.push(Task { s, n, vlen });
-    }
-
-    /// Record a violation at visible depth `vlen`, ending the pass.
-    fn record_violation(&self, vlen: u32) {
-        self.shared.violation.fetch_min(vlen, Ordering::Relaxed);
+    let text = payload.downcast_ref::<&str>().copied();
+    match text.or_else(|| payload.downcast_ref::<String>().map(String::as_str)) {
+        Some(s) => format!("worker thread panicked: {s}"),
+        None => "worker thread panicked".to_owned(),
     }
 }
 
@@ -691,15 +564,16 @@ mod tests {
     use super::*;
     use crate::checker::{CheckOptions, Checker};
     use crate::counterexample::FailureKind;
-    use csp::{Definitions, EventId, Process};
+    use csp::{Definitions, EventId, EventSet, Process};
+    use proptest::prelude::*;
 
     fn e(n: u32) -> EventId {
         EventId::from_index(n as usize)
     }
 
-    /// The work-stealing engine on `threads` workers, from scratch, under
+    /// The partitioned engine on `threads` owners, from scratch, under
     /// `options`' budgets.
-    fn work_stealing(
+    fn partitioned(
         c: &Checker,
         model: RefinementModel,
         spec: &Process,
@@ -732,7 +606,7 @@ mod tests {
         threads: usize,
     ) -> Result<Verdict, CheckError> {
         let unbounded = CheckOptions::UNBOUNDED;
-        work_stealing(
+        partitioned(
             c,
             RefinementModel::Traces,
             spec,
@@ -781,7 +655,7 @@ mod tests {
         let universe: csp::EventSet = (0..2 * n).map(e).collect();
         let spec = crate::properties::run(&mut specdefs, "RUN", &universe);
         let c = Checker::new();
-        let (v, stats) = work_stealing(
+        let (v, stats) = partitioned(
             &c,
             RefinementModel::Traces,
             &spec,
@@ -845,7 +719,7 @@ mod tests {
         assert!(serial.is_pass());
         assert_eq!(serial_stats.expansions, serial_stats.pairs_discovered);
         for threads in [1usize, 2, 4] {
-            let (v, stats) = work_stealing(
+            let (v, stats) = partitioned(
                 &c,
                 RefinementModel::Traces,
                 &spec,
@@ -907,22 +781,7 @@ mod tests {
         let spec_lts = c.compile(&spec, &defs).unwrap();
         let norm = c.normalise(&spec_lts).unwrap();
         let compiled = CompiledModel::from_lts(c.compile(&impl_, &defs).unwrap());
-        let (violation, exhausted, frontier, _) = explore(
-            &norm,
-            &compiled,
-            RefinementModel::Traces,
-            4,
-            1_000_000,
-            &Budget::unbounded(),
-            None,
-            None,
-        )
-        .unwrap();
-        assert!(exhausted.is_none());
-        assert!(frontier.is_none());
-        assert_eq!(violation, Some(2));
-
-        let (verdict, _, stats) = refine(
+        let (verdict, frontier, stats) = refine(
             &norm,
             &compiled,
             RefinementModel::Traces,
@@ -935,7 +794,10 @@ mod tests {
         .unwrap();
         let cex = verdict.counterexample().expect("violation expected");
         assert_eq!(cex.trace().len(), 2);
-        assert!(stats.rewalk_expansions > 0);
+        assert!(frontier.is_none());
+        // The violation lies at visible depth 2: the re-walk expands the
+        // three pairs of that sphere and nothing beyond.
+        assert_eq!(stats.rewalk_expansions, 3);
     }
 
     #[test]
@@ -957,7 +819,7 @@ mod tests {
         let serial = c.failures_refinement(&spec, &impl_, &defs).unwrap();
         assert!(!serial.is_pass());
         for threads in [1usize, 2, 4, 8] {
-            let (par, _) = work_stealing(
+            let (par, _) = partitioned(
                 &c,
                 RefinementModel::Failures,
                 &spec,
@@ -985,8 +847,8 @@ mod tests {
     #[test]
     fn worker_panics_become_internal_errors() {
         // Exercise the same join-and-translate path the engine uses.
-        let outcome: Result<(), CheckError> = crossbeam::scope(|scope| {
-            let handle = scope.spawn(|_| -> () { panic!("injected fault") });
+        let outcome: Result<(), CheckError> = std::thread::scope(|scope| {
+            let handle = scope.spawn(|| -> () { panic!("injected fault") });
             match handle.join() {
                 Ok(value) => Ok(value),
                 Err(payload) => Err(CheckError::Internal {
@@ -994,8 +856,7 @@ mod tests {
                     worker: Some(3),
                 }),
             }
-        })
-        .expect("scope itself survives a joined worker panic");
+        });
         let err = outcome.unwrap_err();
         assert_eq!(
             err,
@@ -1029,7 +890,7 @@ mod tests {
             max_states: Some(100),
             max_wall_ms: None,
         };
-        let (v, stats) = work_stealing(
+        let (v, stats) = partitioned(
             &c,
             RefinementModel::Traces,
             &spec,
@@ -1060,7 +921,7 @@ mod tests {
             max_states: None,
             max_wall_ms: Some(0),
         };
-        let (v, _) = work_stealing(
+        let (v, _) = partitioned(
             &c,
             RefinementModel::Traces,
             &spec,
@@ -1090,7 +951,7 @@ mod tests {
             max_states: Some(1_000),
             max_wall_ms: None,
         };
-        let (v, _) = work_stealing(
+        let (v, _) = partitioned(
             &c,
             RefinementModel::Traces,
             &spec,
@@ -1110,7 +971,7 @@ mod tests {
         let defs = Definitions::new();
         let spec = Process::prefix(e(0), Process::Stop);
         let c = Checker::new();
-        let (_, stats) = work_stealing(
+        let (_, stats) = partitioned(
             &c,
             RefinementModel::Traces,
             &spec,
@@ -1123,5 +984,171 @@ mod tests {
         let json = stats.to_json();
         assert!(json.contains("\"threads\":2"), "{json}");
         assert!(json.contains("\"shards\":"), "{json}");
+    }
+
+    /// `n` interleaved two-event components against `RUN` over their
+    /// events: a passing product of `3^n` pairs. With `rogue`, one more
+    /// component performs an event `RUN` forbids after two steps.
+    fn interleaving(n: u32, rogue: bool) -> (Process, Process, Definitions) {
+        let mut parts: Vec<Process> = (0..n)
+            .map(|i| Process::prefix_chain([e(2 * i), e(2 * i + 1)], Process::Stop))
+            .collect();
+        if rogue {
+            parts.push(Process::prefix_chain([e(0), e(2), e(99)], Process::Stop));
+        }
+        let mut defs = Definitions::new();
+        let universe: EventSet = (0..2 * n).map(e).collect();
+        let spec = crate::properties::run(&mut defs, "RUN", &universe);
+        (spec, Process::interleave_all(parts), defs)
+    }
+
+    /// The same random processes `tests/parallel_models_prop.rs` draws:
+    /// prefixing, both choices, sequencing, interleaving, synchronised
+    /// parallel and hiding over a 4-event alphabet.
+    fn arb_process(depth: u32) -> BoxedStrategy<Process> {
+        let leaf = prop_oneof![
+            Just(Process::Stop),
+            Just(Process::Skip),
+            (0u32..4).prop_map(|i| Process::prefix(e(i), Process::Stop)),
+        ];
+        leaf.prop_recursive(depth, 24, 2, |inner| {
+            prop_oneof![
+                ((0u32..4), inner.clone()).prop_map(|(i, p)| Process::prefix(e(i), p)),
+                (inner.clone(), inner.clone()).prop_map(|(p, q)| Process::external_choice(p, q)),
+                (inner.clone(), inner.clone()).prop_map(|(p, q)| Process::internal_choice(p, q)),
+                (inner.clone(), inner.clone()).prop_map(|(p, q)| Process::seq(p, q)),
+                (inner.clone(), inner.clone()).prop_map(|(p, q)| Process::interleave(p, q)),
+                (
+                    inner.clone(),
+                    inner.clone(),
+                    proptest::collection::vec(0u32..4, 0..3)
+                )
+                    .prop_map(|(p, q, sync)| {
+                        Process::parallel(sync.into_iter().map(e).collect(), p, q)
+                    }),
+                (inner, proptest::collection::vec(0u32..4, 1..3))
+                    .prop_map(|(p, hide)| { Process::hide(p, hide.into_iter().map(e).collect()) }),
+            ]
+        })
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Store checks of small models never leave the serial explorer,
+        /// so this drives the partitioned engine directly: at 1, 2, 3 and
+        /// 8 owners, in each model, it gives the serial explorer's verdict
+        /// and counterexample, and on a pass discovers the serial product
+        /// and expands each pair once.
+        #[test]
+        fn owners_match_the_serial_explorer(spec in arb_process(3), impl_ in arb_process(4)) {
+            let (c, defs) = (Checker::new(), Definitions::new());
+            let norm = c.normalise(&c.compile(&spec, &defs).unwrap()).unwrap();
+            let compiled = CompiledModel::from_lts(c.compile(&impl_, &defs).unwrap());
+            let divergent = !c.divergence_free(&impl_, &defs).unwrap().is_pass();
+            for model in [
+                RefinementModel::Traces,
+                RefinementModel::Failures,
+                RefinementModel::FailuresDivergences,
+            ] {
+                if model == RefinementModel::FailuresDivergences && divergent {
+                    continue; // refuted before any product exists
+                }
+                let walk = model.walk();
+                let unbounded = Budget::unbounded();
+                let (serial, _, serial_stats) = refine_zero_one(
+                    &norm, compiled.lts(), walk, c.max_product(), None, &unbounded, None, None,
+                )
+                .unwrap();
+                for owners in [1usize, 2, 3, 8] {
+                    let (verdict, _, stats) = refine(
+                        &norm, &compiled, walk, owners, c.max_product(), &unbounded, None, None,
+                    )
+                    .unwrap();
+                    prop_assert!(
+                        verdict == serial,
+                        "{:?} at {} owners: {:?} vs serial {:?}",
+                        model,
+                        owners,
+                        verdict,
+                        serial
+                    );
+                    if serial.is_pass() {
+                        prop_assert_eq!(stats.pairs_discovered, serial_stats.pairs_discovered);
+                        prop_assert_eq!(stats.expansions, stats.pairs_discovered);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_at_8_owners_resumes_at_1_and_8() {
+        let c = Checker::new();
+        for rogue in [false, true] {
+            let (spec, impl_, defs) = interleaving(9, rogue);
+            let norm = c.normalise(&c.compile(&spec, &defs).unwrap()).unwrap();
+            let compiled = CompiledModel::from_lts(c.compile(&impl_, &defs).unwrap());
+            let reference = c.trace_refinement(&spec, &impl_, &defs).unwrap();
+            assert_eq!(reference.is_pass(), !rogue);
+            let cut = Budget::start(&CheckOptions {
+                max_states: Some(2_000),
+                max_wall_ms: None,
+            });
+            let walk = RefinementModel::Traces;
+            let (verdict, frontier, _) =
+                refine(&norm, &compiled, walk, 8, c.max_product(), &cut, None, None).unwrap();
+            if rogue && !verdict.is_inconclusive() {
+                // The violation lies two steps in: the cut may come after it.
+                assert_eq!(verdict, reference);
+                continue;
+            }
+            assert!(verdict.is_inconclusive(), "{verdict:?}");
+            let frontier = frontier.expect("a cut returns its frontier");
+            assert!(!frontier.pending.is_empty());
+            assert_eq!(frontier.visited.len() as u64, frontier.discovered);
+            for owners in [1usize, 8] {
+                let (resumed, _, stats) = refine(
+                    &norm,
+                    &compiled,
+                    walk,
+                    owners,
+                    c.max_product(),
+                    &Budget::unbounded(),
+                    Some(&frontier),
+                    None,
+                )
+                .unwrap();
+                assert_eq!(resumed, reference, "rogue={rogue} owners={owners}");
+                if !rogue {
+                    assert_eq!(stats.pairs_discovered, 3u64.pow(9));
+                    assert_eq!(stats.expansions, stats.pairs_discovered);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn five_hundred_small_checks_at_8_owners_all_finish() {
+        let (spec, impl_, defs) = interleaving(4, false);
+        let c = Checker::new();
+        let norm = c.normalise(&c.compile(&spec, &defs).unwrap()).unwrap();
+        let compiled = CompiledModel::from_lts(c.compile(&impl_, &defs).unwrap());
+        for _ in 0..500 {
+            let (verdict, _, stats) = refine(
+                &norm,
+                &compiled,
+                RefinementModel::Traces,
+                8,
+                c.max_product(),
+                &Budget::unbounded(),
+                None,
+                None,
+            )
+            .unwrap();
+            assert!(verdict.is_pass());
+            assert_eq!(stats.pairs_discovered, 81);
+        }
     }
 }

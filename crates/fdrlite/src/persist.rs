@@ -179,20 +179,9 @@ impl fmt::Display for ModelHash {
 /// named.
 pub fn content_hash(p: &Process, defs: &Definitions) -> ModelHash {
     let mut memo: HashMap<usize, [u64; 2]> = HashMap::new();
-    let top = subtree_hash(p, &mut memo);
     let mut h = Hasher128::new();
-    h.h128(top);
-    h.u32(defs.len() as u32);
-    for id in defs.ids() {
-        match defs.body(id) {
-            Ok(body) => {
-                h.u8(1);
-                let child = child_hash(body, &mut memo);
-                h.h128(child);
-            }
-            Err(_) => h.u8(0),
-        }
-    }
+    h.h128(subtree_hash(p, &mut memo));
+    hash_defs(&mut h, defs, &mut memo);
     ModelHash(h.finish())
 }
 
@@ -203,20 +192,23 @@ pub fn content_hash(p: &Process, defs: &Definitions) -> ModelHash {
 /// the interned term: two scripts easily intern structurally identical
 /// terms whose definitions differ.
 pub(crate) fn defs_fingerprint(defs: &Definitions) -> u64 {
-    let mut memo: HashMap<usize, [u64; 2]> = HashMap::new();
     let mut h = Hasher128::new();
+    hash_defs(&mut h, defs, &mut HashMap::new());
+    h.finish()[0]
+}
+
+/// Every body of `defs` into `h`, a declared but undefined one as a mark.
+fn hash_defs(h: &mut Hasher128, defs: &Definitions, memo: &mut HashMap<usize, [u64; 2]>) {
     h.u32(defs.len() as u32);
     for id in defs.ids() {
         match defs.body(id) {
             Ok(body) => {
                 h.u8(1);
-                let child = child_hash(body, &mut memo);
-                h.h128(child);
+                h.h128(child_hash(body, memo));
             }
             Err(_) => h.u8(0),
         }
     }
-    h.finish()[0]
 }
 
 fn child_hash(p: &Arc<Process>, memo: &mut HashMap<usize, [u64; 2]>) -> [u64; 2] {
@@ -859,7 +851,8 @@ pub(crate) struct Frontier {
     pub violation: u32,
     pub expansions: u64,
     pub transitions: u64,
-    pub steals: u64,
+    /// Batches received, in the slot an earlier engine's steal count held.
+    pub batches: u64,
     pub frontier_peak: u64,
 }
 
@@ -871,14 +864,6 @@ impl Frontier {
             && self.visited.iter().all(|&(s, n)| ok(s, n))
             && self.pending.iter().all(|&(s, n, _)| ok(s, n))
     }
-}
-
-/// The product pair a frontier entry `(impl state, spec node)` names.
-pub(crate) fn pair_at(s: u32, n: u32) -> (StateId, NormNodeId) {
-    (
-        StateId::from_index(s as usize),
-        NormNodeId::from_index(n as usize),
-    )
 }
 
 /// The frontier layout's tag. Tag 1 was a serial layout with a parent
@@ -907,7 +892,7 @@ fn encode_checkpoint(id: CheckId, model: RefinementModel, f: &Frontier) -> Vec<u
     enc.u32(f.violation);
     enc.u64(f.expansions);
     enc.u64(f.transitions);
-    enc.u64(f.steals);
+    enc.u64(f.batches);
     enc.u64(f.frontier_peak);
     enc.finish()
 }
@@ -942,7 +927,7 @@ fn decode_checkpoint(bytes: &[u8], id: CheckId, model: RefinementModel) -> DecRe
         violation: dec.u32()?,
         expansions: dec.u64()?,
         transitions: dec.u64()?,
-        steals: dec.u64()?,
+        batches: dec.u64()?,
         frontier_peak: dec.u64()?,
     };
     dec.done()?;
@@ -1894,7 +1879,7 @@ mod tests {
             violation: 7,
             expansions: 5,
             transitions: 9,
-            steals: 1,
+            batches: 1,
             frontier_peak: 2,
         }
     }

@@ -1,5 +1,5 @@
 //! Observability for refinement runs: counters and timings collected by the
-//! serial and parallel engines, printable for humans (`autocsp check
+//! serial and partitioned engines, printable for humans (`autocsp check
 //! --stats`) and serialisable as JSON for the benchmark harness.
 
 use std::fmt;
@@ -7,9 +7,9 @@ use std::time::Duration;
 
 /// Counters and timings from one product exploration.
 ///
-/// Every field is filled by both engines; fields that only make sense for
-/// the work-stealing engine (`steals`, `shard_peak`) stay zero / one on the
-/// serial path. Counter semantics:
+/// Every field is filled by both engines; `threads` and `shards` name the
+/// one that finished the walk (1 and 1 for the serial explorer). Counters
+/// accumulate across the switch and across a resume. Counter semantics:
 ///
 /// * `pairs_discovered` — distinct `(impl state, spec node)` pairs inserted
 ///   into the visited set (the memory-side cost);
@@ -18,7 +18,7 @@ use std::time::Duration;
 ///   `expansions == pairs_discovered`; a failing one stops early;
 /// * `transitions` — product edges traversed;
 /// * `frontier_peak` — maximum number of pending tasks observed;
-/// * `steals` — successful steal operations (victim deques + injector);
+/// * `batches` — batches of offers owners received from each other;
 /// * `rewalk_expansions` — expansions spent by the bounded canonical
 ///   re-walk that recovers a deterministic shortest counterexample (zero
 ///   when the check passes).
@@ -35,9 +35,9 @@ use std::time::Duration;
 /// leaves the exploration counters at zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckStats {
-    /// Worker threads used (1 for the serial engine).
+    /// Worker threads of the engine that finished the walk.
     pub threads: usize,
-    /// Visited-set shards (1 for the serial engine).
+    /// Owner partitions of the visited set (1 for the serial explorer).
     pub shards: usize,
     /// Distinct product pairs discovered.
     pub pairs_discovered: u64,
@@ -47,9 +47,9 @@ pub struct CheckStats {
     pub transitions: u64,
     /// Peak number of pending tasks.
     pub frontier_peak: u64,
-    /// Successful steals (work-stealing engine only).
-    pub steals: u64,
-    /// Largest shard of the visited set, in pairs.
+    /// Batches of offers received from other owners.
+    pub batches: u64,
+    /// Largest owner partition of the visited set, in pairs.
     pub shard_peak: u64,
     /// Expansions spent recovering the canonical counterexample.
     pub rewalk_expansions: u64,
@@ -71,8 +71,8 @@ pub struct CheckStats {
     /// Wall-clock time of the product exploration (including witness
     /// recovery), not counting `compile_wall`.
     pub wall: Duration,
-    /// Aggregate busy time across workers (≈ CPU time; excludes idle
-    /// spinning while waiting for work).
+    /// Aggregate busy time across workers, the serial prefix included
+    /// (≈ CPU time; excludes idle waiting for work).
     pub cpu_busy: Duration,
     /// Wall-clock time spent compiling and normalising (zero when every
     /// artifact came pre-compiled or from a warm store).
@@ -82,9 +82,9 @@ pub struct CheckStats {
     /// came from a warm store).
     pub normalise_wall: Duration,
     /// How far past the wall-clock deadline the engine ran before stopping
-    /// (zero unless a wall budget tripped). The serial engine checks the
+    /// (zero unless a wall budget tripped). The serial explorer checks the
     /// clock before every expansion, so this is bounded by one state's work;
-    /// the parallel engine samples the clock every 256 tasks per worker.
+    /// the partitioned engine samples it every 256 tasks per worker.
     pub wall_overshoot: Duration,
 }
 
@@ -125,7 +125,7 @@ impl CheckStats {
             w.key("expansions").number(self.expansions);
             w.key("transitions").number(self.transitions);
             w.key("frontier_peak").number(self.frontier_peak);
-            w.key("steals").number(self.steals);
+            w.key("batches").number(self.batches);
             w.key("shard_peak").number(self.shard_peak);
             w.key("rewalk_expansions").number(self.rewalk_expansions);
             w.key("store_hits").number(self.store_hits);
@@ -152,7 +152,7 @@ impl fmt::Display for CheckStats {
         write!(
             f,
             "{} states ({:.0}/s), {} transitions, frontier peak {}, \
-             {} steals, {} shards (peak {}), rewalk {}, \
+             {} batches, {} shards (peak {}), rewalk {}, \
              wall {:.3} ms (compile {:.3} [norm {:.3}] + explore {:.3}), cpu {:.3} ms, \
              store {}/{} hit, analysis {}/{} hit, predicted ≤ {} pairs, \
              {} thread(s)",
@@ -160,7 +160,7 @@ impl fmt::Display for CheckStats {
             self.states_per_sec(),
             self.transitions,
             self.frontier_peak,
-            self.steals,
+            self.batches,
             self.shards,
             self.shard_peak,
             self.rewalk_expansions,
@@ -192,7 +192,7 @@ mod tests {
             expansions: 120,
             transitions: 300,
             frontier_peak: 40,
-            steals: 7,
+            batches: 7,
             shard_peak: 5,
             rewalk_expansions: 3,
             store_hits: 2,
@@ -214,7 +214,7 @@ mod tests {
             "\"expansions\":120",
             "\"transitions\":300",
             "\"frontier_peak\":40",
-            "\"steals\":7",
+            "\"batches\":7",
             "\"shard_peak\":5",
             "\"rewalk_expansions\":3",
             "\"store_hits\":2",

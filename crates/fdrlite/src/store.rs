@@ -12,12 +12,10 @@
 //! exactly once.
 //!
 //! The store is also where refinement is asked: [`ModelStore::check`] is
-//! the one entry point that runs the serial or the work-stealing engine,
-//! under budgets, with checkpoint/resume when persistence is attached. It
-//! loads a checkpoint under the resume policy, runs the engine the thread
-//! count selects once (the engine checkpoints in passing), and then saves
-//! the final frontier of an inconclusive walk or removes the checkpoint of
-//! a conclusive one. Both engines write and read one frontier format.
+//! the one entry point that runs the engines, under budgets, with
+//! checkpoint/resume when persistence is attached (see
+//! `ModelStore::engine_run`). Both engines write and read one frontier
+//! format.
 //!
 //! The store is a pure cache: every verdict, counterexample and witness
 //! trace produced through it is bit-identical to the corresponding direct
@@ -45,7 +43,7 @@ use csp::{CsrEdges, Definitions, Lts, Process, TermArena, TermId};
 use crate::checker::{
     refine_zero_one, Budget, CheckOptions, Checker, Checkpoints, RefinementModel,
 };
-use crate::counterexample::Verdict;
+use crate::counterexample::{BudgetReason, Verdict};
 use crate::error::CheckError;
 use crate::normalise::NormalisedLts;
 use crate::parallel;
@@ -55,8 +53,18 @@ use crate::persist::{
 };
 use crate::stats::CheckStats;
 
+/// Pairs a check with `threads > 1` walks serially before it switches to
+/// the partitioned engine: the smallest power of two from which two
+/// threads beat one in every family measured (`EXPERIMENTS.md`).
+pub(crate) const SERIAL_PAIRS: u64 = 16_384;
+
+/// How the serial prefix stops at the switch: as on a budget cut.
+const SWITCH: BudgetReason = BudgetReason::States {
+    limit: SERIAL_PAIRS,
+};
+
 /// A compiled process: its explicit [`Lts`] together with the CSR snapshot
-/// the work-stealing engine traverses.
+/// the partitioned engine traverses.
 ///
 /// Produced (and cached) by [`ModelStore::compile`]; handed to the engines
 /// behind an `Arc` so concurrent checks share one allocation.
@@ -97,8 +105,9 @@ pub struct CheckRequest<'a> {
     pub impl_: &'a Process,
     /// The definitions table both processes are built under.
     pub defs: &'a Definitions,
-    /// Worker threads for the product walk: 1 runs the serial 0-1 BFS,
-    /// more the work-stealing engine.
+    /// Worker threads for the product walk: past a measured size, a walk
+    /// with more than one moves from the serial 0-1 BFS to this many
+    /// owners of the partitioned engine.
     pub threads: usize,
     /// Resource budgets for the whole walk.
     pub options: CheckOptions,
@@ -150,7 +159,9 @@ struct StoreInner {
     normalised: HashMap<NormKey, Arc<NormalisedLts>>,
     analysed: HashMap<CompileKey, Arc<GraphAnalysis>>,
     hashes: HashMap<(TermId, u32), ModelHash>,
+    /// Table ids by content fingerprint, and by [`Definitions::stamp`].
     defs_ids: HashMap<u64, u32>,
+    stamps: HashMap<u64, u32>,
     hits: u64,
     misses: u64,
     analysis_hits: u64,
@@ -160,16 +171,20 @@ struct StoreInner {
 impl StoreInner {
     /// The store-local id of a definitions table, registered by content
     /// fingerprint. The first table seen gets id 0, the next distinct one
-    /// id 1, and so on; identical tables share an id, so single-script
-    /// workloads pay one fingerprint per call and cache exactly as before.
+    /// id 1, and so on; identical tables share an id. Only a stamp the
+    /// store has not seen is fingerprinted: an edit in place draws a fresh
+    /// one, and a stamp is never an address a later table could reuse.
     fn defs_id(&mut self, defs: &Definitions) -> u32 {
-        let fp = crate::persist::defs_fingerprint(defs);
-        if let Some(&id) = self.defs_ids.get(&fp) {
+        if let Some(&id) = self.stamps.get(&defs.stamp()) {
             return id;
         }
-        let id = u32::try_from(self.arenas.len()).unwrap_or(u32::MAX);
-        self.defs_ids.insert(fp, id);
-        self.arenas.push(TermArena::new());
+        let fp = crate::persist::defs_fingerprint(defs);
+        let fresh = u32::try_from(self.arenas.len()).unwrap_or(u32::MAX);
+        let id = *self.defs_ids.entry(fp).or_insert(fresh);
+        if id == fresh {
+            self.arenas.push(TermArena::new());
+        }
+        self.stamps.insert(defs.stamp(), id);
         id
     }
 
@@ -501,10 +516,10 @@ impl ModelStore {
     /// a divergent implementation from the cached [`GraphAnalysis`]
     /// divergence bits before any product exists. Otherwise the spec's
     /// normal form is served from the cache and the product walk runs
-    /// outside the store lock: the serial 0-1 BFS at one thread, the
-    /// work-stealing engine above. The verdict and counterexample are
-    /// bit-identical at every thread count, and to the store-free
-    /// [`Checker::trace_refinement`] and its siblings.
+    /// outside the store lock: the serial 0-1 BFS, and with `threads > 1`
+    /// past 16,384 pairs the partitioned engine. The verdict and
+    /// counterexample are bit-identical at every thread count, and to the
+    /// store-free [`Checker::trace_refinement`] and its siblings.
     ///
     /// The budgets of `request.options` cover the whole walk; exhausting
     /// one yields [`Verdict::Inconclusive`]. With a [`PersistConfig`]
@@ -576,16 +591,11 @@ impl ModelStore {
                 (norm.node_count() as u64).saturating_mul(impl_m.lts().state_count() as u64);
             (verdict, stats)
         } else {
-            // Refuted before the product walk: report the engine shape the
-            // thread count selects, with nothing explored.
-            let threads = threads.clamp(1, parallel::MAX_THREADS);
+            // Refuted before the product walk, by the serial engine every
+            // walk starts on, with nothing explored.
             let stats = CheckStats {
-                threads,
-                shards: if threads > 1 {
-                    parallel::shard_count(threads)
-                } else {
-                    1
-                },
+                threads: 1,
+                shards: 1,
                 compile_wall: compile_start.elapsed(),
                 ..CheckStats::default()
             };
@@ -668,11 +678,18 @@ impl ModelStore {
     /// Run the product walk of one check in walk model `model`
     /// ([`RefinementModel::walk`]) once, under one budget.
     ///
+    /// The walk starts on the serial explorer. With `threads > 1` it stops
+    /// at [`SERIAL_PAIRS`] pairs as on a budget cut, and its frontier seeds
+    /// the partitioned engine in memory, under the same budget and
+    /// checkpoints; a violation found before the switch keeps its serial
+    /// counterexample.
+    ///
     /// With persistence attached: a checkpoint found under the resume
-    /// policy seeds the walk on the engine the thread count selects,
-    /// whichever engine wrote it; the engine saves a checkpoint in passing
-    /// every `checkpoint_every` newly discovered pairs; an `Inconclusive`
-    /// walk saves its final frontier and carries the resume token, and a
+    /// policy seeds the walk, whichever engine wrote it (one at or past
+    /// [`SERIAL_PAIRS`] pairs goes straight to the partitioned engine when
+    /// `threads > 1`); the engines save a checkpoint in passing every
+    /// `checkpoint_every` newly discovered pairs; an `Inconclusive` walk
+    /// saves its final frontier and carries the resume token, and a
     /// conclusive one removes the checkpoint.
     #[allow(clippy::too_many_arguments)]
     fn engine_run(
@@ -706,37 +723,52 @@ impl ModelStore {
                 cfg.cache.save_checkpoint(id, model, &frontier);
             }
         };
-        let checkpoints = persist
-            .and_then(|(cfg, _)| cfg.checkpoint_every)
-            .map(|every| Checkpoints {
-                every,
-                save: &mut save,
-            });
+        let every = persist.and_then(|(cfg, _)| cfg.checkpoint_every);
+        let max_product = checker.max_product();
 
+        let mut checkpoints = every.map(|every| Checkpoints {
+            every,
+            save: &mut save,
+        });
         let explore_start = Instant::now();
-        let (verdict, frontier, mut stats) = if threads > 1 {
-            parallel::refine(
+        let (mut resume, mut walk, mut prefix_cpu) = (resume, None, Duration::ZERO);
+        if threads == 1 || resume.as_ref().is_none_or(|f| f.discovered < SERIAL_PAIRS) {
+            // With more than one thread, the switch is a state budget of
+            // SERIAL_PAIRS on the serial prefix, where the check's own
+            // budget allows more.
+            let prefix = budget.capped(if threads > 1 { SERIAL_PAIRS } else { u64::MAX });
+            match refine_zero_one(
+                norm,
+                impl_m.lts(),
+                model,
+                max_product,
+                None,
+                &prefix,
+                resume.as_ref(),
+                checkpoints.as_mut(),
+            )? {
+                (Verdict::Inconclusive(inc), Some(f), serial)
+                    if inc.reason == SWITCH && budget.states_exceeded(SERIAL_PAIRS).is_none() =>
+                {
+                    (resume, prefix_cpu) = (Some(f), serial.cpu_busy);
+                }
+                done => walk = Some(done),
+            }
+        }
+        let (verdict, frontier, mut stats) = match walk {
+            Some(done) => done,
+            None => parallel::refine(
                 norm,
                 impl_m,
                 model,
                 threads,
-                checker.max_product(),
+                max_product,
                 &budget,
                 resume.as_ref(),
-                checkpoints,
-            )?
-        } else {
-            refine_zero_one(
-                norm,
-                impl_m.lts(),
-                model,
-                checker.max_product(),
-                None,
-                &budget,
-                resume.as_ref(),
-                checkpoints,
-            )?
+                checkpoints.as_mut(),
+            )?,
         };
+        stats.cpu_busy += prefix_cpu;
         stats.wall = explore_start.elapsed();
 
         let Some((cfg, id)) = persist else {
@@ -864,6 +896,49 @@ mod tests {
     }
 
     #[test]
+    fn a_table_edited_in_place_is_checked_afresh() {
+        let checker = Checker::new();
+        let store = ModelStore::new();
+        let spec = Process::prefix(e(0), Process::Stop);
+        let mut defs = Definitions::new();
+        let p = defs.declare("P");
+        defs.define(p, Process::prefix(e(0), Process::Stop));
+        let impl_ = Process::var(p);
+        let traces = |defs: &Definitions| {
+            let request = request(RefinementModel::Traces, &spec, &impl_, defs, 1);
+            store.check(&checker, &request).unwrap().0
+        };
+        assert!(traces(&defs).is_pass());
+        defs.define(p, Process::prefix(e(1), Process::Stop));
+        let edited = traces(&defs);
+        assert_eq!(
+            edited.counterexample().map(|cex| cex.kind().clone()),
+            Some(FailureKind::TraceViolation { event: Some(e(1)) })
+        );
+    }
+
+    #[test]
+    fn only_a_walk_past_the_serial_prefix_switches_engines() {
+        // 3^k pairs: k = 8 stays below SERIAL_PAIRS, k = 10 passes it.
+        let checker = Checker::new();
+        for (k, switched) in [(8u32, false), (10, true)] {
+            let mut defs = Definitions::new();
+            let parts =
+                (0..k).map(|i| Process::prefix_chain([e(2 * i), e(2 * i + 1)], Process::Stop));
+            let impl_ = Process::interleave_all(parts.collect());
+            let universe: EventSet = (0..2 * k).map(e).collect();
+            let spec = crate::properties::run(&mut defs, "RUN", &universe);
+            let request = request(RefinementModel::Traces, &spec, &impl_, &defs, 2);
+            let (verdict, stats) = ModelStore::new().check(&checker, &request).unwrap();
+            assert!(verdict.is_pass());
+            assert_eq!(stats.pairs_discovered, 3u64.pow(k));
+            assert_eq!(stats.expansions, stats.pairs_discovered);
+            let engine = if switched { (2, 2) } else { (1, 1) };
+            assert_eq!((stats.threads, stats.shards), engine, "k={k}");
+        }
+    }
+
+    #[test]
     fn store_verdicts_match_direct_checker() {
         let checker = Checker::new();
         let store = ModelStore::new();
@@ -956,7 +1031,7 @@ mod tests {
             direct.counterexample().unwrap().kind(),
             &FailureKind::Divergence
         );
-        for (threads, shards) in [(1, 1), (4, 64)] {
+        for threads in [1, 4] {
             let store = ModelStore::new();
             let fd = request(
                 RefinementModel::FailuresDivergences,
@@ -968,9 +1043,9 @@ mod tests {
             let (v, stats) = store.check(&checker, &fd).unwrap();
             assert_eq!(v, direct);
             assert_eq!(stats.store_misses, 1, "only the impl was compiled");
-            // Refuted before the product walk, the check still reports the
-            // engine its thread count selects.
-            assert_eq!((stats.threads, stats.shards), (threads, shards));
+            // Refuted before the product walk, the check reports the
+            // serial explorer every walk starts on.
+            assert_eq!((stats.threads, stats.shards), (1, 1));
             assert_eq!(stats.pairs_discovered, 0);
         }
     }

@@ -1,5 +1,8 @@
-//! Property-based equivalence of the serial and work-stealing engines on
-//! the failures-family models, mirroring `parallel_prop.rs` for `[T=`:
+//! Property-based equivalence of `ModelStore::check` with the store-free
+//! checker on the failures-family models, mirroring `parallel_prop.rs` for
+//! `[T=` (and, like it, covering the store path: these small products
+//! never leave the serial explorer; `crates/fdrlite/src/parallel.rs` drives
+//! the partitioned engine directly):
 //!
 //! 1. For random spec/impl pairs and every thread count from 1 to 8,
 //!    `ModelStore::check` in `[F=` and `[FD=` must return the **identical**

@@ -1,10 +1,15 @@
-//! Property-based equivalence of the serial and work-stealing refinement
-//! engines: for randomly generated spec/impl process pairs and every
-//! thread count from 1 to 8, `ModelStore::check` (the serial engine at one
-//! thread, the work-stealing one above) must return the **identical**
-//! verdict — including the exact counterexample trace, not just its length
-//! — as `Checker::trace_refinement`. On a pass both engines must discover
+//! Property-based equivalence of `ModelStore::check` with the store-free
+//! checker: for randomly generated spec/impl process pairs and every
+//! thread count from 1 to 8, `check` must return the **identical** verdict
+//! — including the exact counterexample trace, not just its length — as
+//! `Checker::trace_refinement`. On a pass every thread count must discover
 //! the same product and expand each pair exactly once.
+//!
+//! These products stay far below the size at which a multi-threaded check
+//! leaves the serial explorer, so at every thread count this covers the
+//! store path: caching, the thread-count plumbing and the serial prefix.
+//! The partitioned engine itself is driven directly, at 1 to 8 owners, by
+//! the property tests in `crates/fdrlite/src/parallel.rs`.
 
 use csp::{Definitions, EventId, EventSet, Process};
 use fdrlite::{

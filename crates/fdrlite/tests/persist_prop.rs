@@ -7,7 +7,12 @@
 //!    resume each run at 1 or 8 threads and each checkpoints in passing at
 //!    a random cadence, and must leave no checkpoint behind. A passing
 //!    resume expands every pair once. A wall budget covers a whole check,
-//!    whatever its checkpoint cadence.
+//!    whatever its checkpoint cadence. These products stay below the size
+//!    at which a multi-threaded check leaves the serial explorer, so this
+//!    covers the store path at both thread counts; a cut of the
+//!    partitioned engine resumed at 1 and 8 owners is tested in
+//!    `crates/fdrlite/src/parallel.rs`, and at the CLI by
+//!    `tests/crash_matrix.rs`.
 //! 2. Corrupting on-disk cache entries (bit flips, truncation, header
 //!    damage) must degrade to a quarantine + recompile, never a wrong
 //!    verdict or a panic. Likewise a corrupted checkpoint must restart the

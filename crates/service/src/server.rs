@@ -62,6 +62,12 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// How long [`Server::shutdown`] waits to connect to a listener it wakes.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// Stack of an in-process worker thread: what a main thread gets. A debug
+/// build's CSPm parser needs ~26 KiB per nesting level, so its deepest
+/// accepted nest would overflow a default 2 MiB thread and abort the whole
+/// server.
+const WORKER_STACK: usize = 8 << 20;
+
 /// How worker slots are realised.
 #[derive(Debug)]
 pub enum LauncherKind {
@@ -468,6 +474,7 @@ fn launch_worker(
             };
             std::thread::Builder::new()
                 .name(format!("svc-{token}"))
+                .stack_size(WORKER_STACK)
                 .spawn(move || {
                     let _ = run_worker(&config);
                 })

@@ -115,10 +115,11 @@ USAGE:
                 [--cache-dir <DIR>] [--no-cache] [--resume <TOKEN|auto>]
                 [--checkpoint-every <N>]
       Run every `assert` in a CSPm script through the refinement checker.
-      `--threads N` (alias `-j`) checks refinement assertions of every
-      model (`[T=`, `[F=`, `[FD=`) with the work-stealing parallel
-      engine; verdicts and counterexamples are identical to the serial
-      engine for any N. `--max-states` / `--timeout-ms`
+      `--threads N` (alias `-j`) lets refinement assertions of every
+      model (`[T=`, `[F=`, `[FD=`) move from the serial engine to a
+      parallel one on N threads once the product passes 16,384 pairs;
+      verdicts and counterexamples are identical to the serial engine
+      for any N. `--max-states` / `--timeout-ms`
       bound each refinement assertion; a budgeted-out assertion reports
       INCONCLUSIVE, and a run with inconclusive results (and no failures)
       exits with code 3. `--stats` prints per-assertion exploration

@@ -10,7 +10,7 @@ use std::fs;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use diag::json::{self, Value};
@@ -329,6 +329,14 @@ fn every_job_kind_reads_the_same_from_run_and_serve() {
     assert_eq!(served, ran, "serve and run disagree");
 }
 
+/// Held by every test that runs an in-process server. A server's shutdown
+/// raises the process-wide interrupt flag, which would cut another such
+/// test's check short.
+fn in_process_server() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Submit `manifest`'s one job to the service at `addr` and wait for its
 /// verdict: `(id, status, lines)`.
 fn submit_and_wait(addr: &str, manifest: &str) -> (String, String, Vec<String>) {
@@ -354,6 +362,7 @@ fn a_script_edited_between_submissions_gets_the_verdict_of_its_new_content() {
 
     const SCRIPT: &str = "channel a, b\nSPEC = a -> SPEC\nIMPL = a -> IMPL\nassert SPEC [T= IMPL\n";
     const MANIFEST: &str = "[[job]]\nname = \"spec\"\nkind = \"check\"\nscript = \"m.csp\"\n";
+    let _server = in_process_server();
     let dir = scratch("edited");
     let script = dir.join("m.csp");
     fs::write(&script, SCRIPT).unwrap();
@@ -390,4 +399,36 @@ fn a_script_edited_between_submissions_gets_the_verdict_of_its_new_content() {
         (status.as_str(), lines),
         (fresh.status.label(), fresh.lines)
     );
+}
+
+#[test]
+fn an_in_process_worker_checks_the_deepest_nest_the_parser_accepts() {
+    use service::server::{LauncherKind, Server, ServerConfig};
+    const MANIFEST: &str = "[[job]]\nname = \"deep\"\nkind = \"check\"\nscript = \"deep.csp\"\n";
+
+    // 126 parentheses around `a -> STOP`: its `STOP` sits 127 atoms deep,
+    // one short of the parser's limit of 128. A debug-build parser needs
+    // more stack for that than a default 2 MiB thread has, and an overflow
+    // in an in-process worker would abort the whole server.
+    let depth = 126;
+    let script = format!(
+        "channel a\nP = {}a -> STOP{}\nassert P [T= P\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let _server = in_process_server();
+    let dir = scratch("deep");
+    fs::write(dir.join("deep.csp"), script).unwrap();
+    let mut config = ServerConfig::with_defaults(dir.join("state")).expect("server config");
+    config.workers = 1;
+    config.scripts_root = dir.clone();
+    config.launcher = LauncherKind::InProcess {
+        die_after_states: None,
+    };
+    let server = Server::start(config).expect("server starts");
+    let addr = server.http_addr().to_string();
+    let (_, status, lines) = submit_and_wait(&addr, MANIFEST);
+    server.shutdown();
+    fdrlite::clear_interrupt();
+    assert_eq!(status, "passed", "{lines:?}");
 }
