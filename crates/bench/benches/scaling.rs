@@ -4,7 +4,7 @@
 //! scale" but reports no numbers).
 //!
 //! Axes:
-//! * interleaved components (state space `3^n`),
+//! * interleaved components (state space `2^n + 1`),
 //! * intruder message-space size (knowledge lattice `2^m`),
 //! * NSPK end-to-end check (the heaviest single model in the repo).
 
@@ -22,6 +22,12 @@ fn component_scaling(c: &mut Criterion) {
         let system = loaded.process("SYSTEM").unwrap().clone();
         let run = loaded.process("RUN").unwrap().clone();
         let defs = loaded.definitions().clone();
+        // 2^n leaf-state tuples, plus the unfolded `SYSTEM` root.
+        let states = Checker::new()
+            .compile(&system, &defs)
+            .unwrap()
+            .state_count();
+        assert_eq!(states, (1 << n) + 1);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             let checker = Checker::new();
             b.iter(|| {

@@ -48,7 +48,8 @@ pub fn synthetic_dbc(n: usize) -> String {
 }
 
 /// A CSPm script with `n` interleaved two-event components — state space
-/// `3^n` — used for checker-scaling benchmarks.
+/// `2^n + 1`, counting the unfolded `SYSTEM` root — used for
+/// checker-scaling benchmarks.
 pub fn interleave_script(n: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "channel c : {{0..{}}}.{{0..1}}", n.saturating_sub(1));

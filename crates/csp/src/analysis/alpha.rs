@@ -82,7 +82,9 @@ impl AlphabetInference {
     ///
     /// The iteration is a Gauss–Seidel pass over a finite monotone
     /// lattice (subsets of the interned event universe), so it terminates;
-    /// each round re-evaluates every body against the freshest alphabets.
+    /// each round re-evaluates every body against the freshest alphabets,
+    /// callees before their callers, so an alphabet climbs a whole chain of
+    /// definitions in one round rather than one link per round.
     pub fn infer(arena: &mut TermArena, defs: &Definitions) -> Self {
         let n = defs.len();
         let mut def_body: Vec<Option<TermId>> = vec![None; n];
@@ -92,6 +94,7 @@ impl AlphabetInference {
                 def_body[d.index()] = Some(arena.intern(&body));
             }
         }
+        let order = callees_first(arena, &def_body);
 
         let mut def_bits = vec![Bits::default(); n];
         let mut rounds = 0;
@@ -99,7 +102,7 @@ impl AlphabetInference {
             rounds += 1;
             let mut changed = false;
             let mut memo = HashMap::new();
-            for i in 0..n {
+            for &i in &order {
                 let Some(body) = def_body[i] else { continue };
                 let a = alphabet_of_with(arena, body, &def_bits, &mut memo);
                 if a != def_bits[i] {
@@ -250,6 +253,72 @@ impl AlphabetInference {
         }
         reached
     }
+}
+
+/// Every definition index, in a depth-first post-order over the `Var`
+/// references of the bodies, from roots taken in `DefId` order: a callee
+/// comes before its callers except where a cycle closes.
+fn callees_first(arena: &TermArena, def_body: &[Option<TermId>]) -> Vec<usize> {
+    let n = def_body.len();
+    // The definitions each body names, in first-reference order. A term
+    // is walked once per body: `walked[t]` is the last body that reached it.
+    let mut walked = vec![usize::MAX; arena.len()];
+    let callees: Vec<Vec<usize>> = def_body
+        .iter()
+        .enumerate()
+        .map(|(i, body)| {
+            let mut calls = Vec::new();
+            let mut stack: Vec<TermId> = body.iter().copied().collect();
+            while let Some(t) = stack.pop() {
+                if std::mem::replace(&mut walked[t.index()], i) == i {
+                    continue;
+                }
+                match arena.term(t) {
+                    Term::Stop | Term::Skip | Term::Omega => {}
+                    Term::Prefix(_, rest) => stack.push(*rest),
+                    Term::ExternalChoice(xs) | Term::InternalChoice(xs) => {
+                        stack.extend(xs.iter().rev());
+                    }
+                    Term::Seq(a, b) | Term::Interrupt(a, b) | Term::Timeout(a, b) => {
+                        stack.push(*b);
+                        stack.push(*a);
+                    }
+                    Term::Parallel { left, right, .. } => {
+                        stack.push(*right);
+                        stack.push(*left);
+                    }
+                    Term::Hide(inner, _) | Term::Rename(inner, _) => stack.push(*inner),
+                    Term::Var(d) if d.index() < n => calls.push(d.index()),
+                    Term::Var(_) => {}
+                }
+            }
+            calls
+        })
+        .collect();
+
+    let mut order = Vec::with_capacity(n);
+    let mut visited = vec![false; n];
+    // Iterative, so a chain of any length fits the stack: (definition,
+    // next callee to visit).
+    let mut dfs: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if std::mem::replace(&mut visited[root], true) {
+            continue;
+        }
+        dfs.push((root, 0));
+        while let Some((d, next)) = dfs.last_mut() {
+            if let Some(&callee) = callees[*d].get(*next) {
+                *next += 1;
+                if !std::mem::replace(&mut visited[callee], true) {
+                    dfs.push((callee, 0));
+                }
+            } else {
+                order.push(*d);
+                dfs.pop();
+            }
+        }
+    }
+    order
 }
 
 /// A set of events as a dense bitset over [`EventId`] indices.
@@ -429,6 +498,27 @@ mod tests {
         assert_eq!(inf.def_alphabet(p), &expect);
         assert_eq!(inf.def_alphabet(q), &expect);
         assert!(inf.rounds() >= 2);
+    }
+
+    #[test]
+    fn a_ring_of_definitions_converges_in_three_rounds() {
+        // P(i) = a.i -> P((i+1) % n): each alphabet is the whole ring's, a
+        // chain n links long that a `DefId`-order pass climbs one link per
+        // round.
+        let n = 1_000;
+        let (mut al, mut arena, mut defs) = setup();
+        let events: Vec<EventId> = (0..n).map(|i| al.intern(&format!("a.{i}"))).collect();
+        let ids: Vec<DefId> = (0..n).map(|i| defs.declare(&format!("P.{i}"))).collect();
+        for i in 0..n {
+            defs.define(
+                ids[i],
+                Process::prefix(events[i], Process::var(ids[(i + 1) % n])),
+            );
+        }
+        let inf = AlphabetInference::infer(&mut arena, &defs);
+        assert!(inf.rounds() <= 3, "{} rounds", inf.rounds());
+        let ring = EventSet::from_iter_dedup(events);
+        assert!(ids.iter().all(|&d| inf.def_alphabet(d) == &ring));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! divergence phase of `[FD=` verbatim by construction.
 
 use crate::alphabet::Label;
-use crate::lts::{CsrEdges, Lts, StateId};
+use crate::lts::{Lts, StateId};
 
 /// The τ-cycle / divergence classification of one edge relation — the one
-/// shared divergence routine in the stack. [`GraphAnalysis::of_csr`], the
+/// shared divergence routine in the stack. [`GraphAnalysis::of_lts`], the
 /// specification normaliser's divergence flags and the `[FD=` divergence
 /// phase all call [`tau_divergence`], so the three can never drift apart.
 #[derive(Debug, Clone)]
@@ -28,8 +28,7 @@ pub struct TauDivergence {
 
 /// Classify every state of an `n`-state edge relation: which lie on a
 /// τ-cycle, and which diverge (τ-reach a τ-cycle). `succ` must return the
-/// outgoing edges of a state; both [`Lts::edges`] and [`CsrEdges::edges`]
-/// fit directly.
+/// outgoing edges of a state; [`Lts::edges`] fits directly.
 #[must_use]
 pub fn tau_divergence<'a>(
     n: usize,
@@ -94,46 +93,34 @@ pub struct GraphAnalysis {
 }
 
 impl GraphAnalysis {
-    /// Analyse `lts` through its CSR edge snapshot `csr` (which must be
-    /// `lts.to_csr()`). A terminal Ω state is successful termination, not
-    /// a deadlock.
-    ///
-    /// # Panics
-    ///
-    /// When `csr` has more states than `lts`.
+    /// Analyse `lts`. A terminal Ω state is successful termination, not a
+    /// deadlock.
     #[must_use]
-    pub fn of_csr(csr: &CsrEdges, lts: &Lts) -> GraphAnalysis {
-        let n = csr.state_count();
+    pub fn of_lts(lts: &Lts) -> GraphAnalysis {
+        let n = lts.state_count();
+        let succ = |s: StateId| lts.edges(s);
 
-        let tau_transition_count = (0..n)
-            .map(|s| {
-                csr.edges(StateId::from_index(s))
-                    .iter()
-                    .filter(|(l, _)| l.is_tau())
-                    .count()
-            })
+        let tau_transition_count = lts
+            .state_ids()
+            .map(|s| succ(s).iter().filter(|(l, _)| l.is_tau()).count())
             .sum();
-        let transition_count = (0..n)
-            .map(|s| csr.edges(StateId::from_index(s)).len())
-            .sum();
+        let transition_count = lts.transition_count();
 
         // Full-graph SCC count (structure metric for `analyze` output).
-        let (_, scc_count) = tarjan(n, |s| csr.edges(s), false);
+        let (_, scc_count) = tarjan(n, succ, false);
 
         // The shared τ-cycle/divergence classification (also used by the
         // normaliser and the `[FD=` divergence phase).
         let TauDivergence {
             on_cycle,
             divergent,
-        } = tau_divergence(n, |s| csr.edges(s));
+        } = tau_divergence(n, succ);
         let tau_cycle_states = on_cycle.iter().filter(|&&b| b).count();
         let divergent_count = divergent.iter().filter(|&&b| b).count();
 
-        let deadlock: Vec<bool> = (0..n)
-            .map(|s| {
-                let s = StateId::from_index(s);
-                csr.edges(s).is_empty() && !lts.is_omega(s)
-            })
+        let deadlock: Vec<bool> = lts
+            .state_ids()
+            .map(|s| lts.is_terminal(s) && !lts.is_omega(s))
             .collect();
         let deadlock_count = deadlock.iter().filter(|&&b| b).count();
 
@@ -148,12 +135,6 @@ impl GraphAnalysis {
             deadlock,
             deadlock_count,
         }
-    }
-
-    /// Analyse an [`Lts`] directly (snapshots the edges itself).
-    #[must_use]
-    pub fn of_lts(lts: &Lts) -> GraphAnalysis {
-        GraphAnalysis::of_csr(&lts.to_csr(), lts)
     }
 
     /// States in the analysed LTS.

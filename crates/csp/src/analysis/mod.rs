@@ -13,8 +13,8 @@
 //!   perform, so "event `e` is *not* in the alphabet" is a proof that `e`
 //!   never happens — the soundness direction the semantic lints need
 //!   (one-sided synchronisation, dead hides, unreachable definitions).
-//! * [`GraphAnalysis`] — a Tarjan SCC pass over a compiled LTS's
-//!   [`CsrEdges`](crate::lts::CsrEdges) that classifies τ-cycles, decides
+//! * [`GraphAnalysis`] — a Tarjan SCC pass over a compiled
+//!   [`Lts`](crate::lts::Lts)'s edge table that classifies τ-cycles, decides
 //!   divergence-freedom (a state diverges iff it can τ-reach a τ-cycle)
 //!   and flags guaranteed-deadlock sink states. The divergent-state set is
 //!   definitionally the same one the `[FD=` checker computes, so a cached

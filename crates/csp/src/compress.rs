@@ -14,7 +14,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::alphabet::Label;
-use crate::lts::{Lts, StateId};
+use crate::lts::{close_row, Lts, StateId};
 
 /// The result of compressing an [`Lts`]: the quotient system plus the
 /// block index of every original state.
@@ -75,53 +75,44 @@ pub fn quotient_bisim(lts: &Lts) -> Compressed {
         }
     }
 
-    // Build the quotient: representative per block, edges to target blocks.
+    // Quotient blocks must be renumbered so the initial class is state 0;
+    // the rest keep their order.
+    let init_block = block_of[lts.initial().index()];
+    let renumber: Vec<usize> = (0..block_count)
+        .map(|b| match b.cmp(&init_block) {
+            std::cmp::Ordering::Less => b + 1,
+            std::cmp::Ordering::Equal => 0,
+            std::cmp::Ordering::Greater => b,
+        })
+        .collect();
+    // One representative per quotient state: its block's first member.
     let mut representative: Vec<Option<StateId>> = vec![None; block_count];
     for s in lts.state_ids() {
-        let b = block_of[s.index()];
-        if representative[b].is_none() {
-            representative[b] = Some(s);
-        }
-    }
-    let init_block = block_of[lts.initial().index()];
-
-    // Quotient blocks must be renumbered so the initial class is state 0.
-    let mut renumber: Vec<Option<usize>> = vec![None; block_count];
-    renumber[init_block] = Some(0);
-    let mut next = 1usize;
-    for slot in &mut renumber {
-        if slot.is_none() {
-            *slot = Some(next);
-            next += 1;
-        }
+        representative[renumber[block_of[s.index()]]].get_or_insert(s);
     }
 
-    let mut omega = vec![false; block_count];
-    let mut transitions: Vec<Vec<(Label, StateId)>> = vec![Vec::new(); block_count];
-    for b in 0..block_count {
-        let rep = representative[b].expect("every block has a member");
-        let q = renumber[b].expect("renumbered");
-        omega[q] = lts.is_omega(rep);
-        let mut edges: Vec<(Label, StateId)> = lts
-            .edges(rep)
-            .iter()
-            .map(|&(label, target)| {
-                let tb = renumber[block_of[target.index()]].expect("renumbered");
-                (label, StateId::from_index(tb))
-            })
-            .collect();
-        edges.sort_unstable_by_key(|a| (a.0, a.1));
-        edges.dedup();
-        transitions[q] = edges;
+    let mut omega = Vec::with_capacity(block_count);
+    let mut offsets = vec![0u32];
+    let mut edges = Vec::new();
+    for rep in representative {
+        let rep = rep.expect("every block has a member");
+        omega.push(lts.is_omega(rep));
+        let row = edges.len();
+        edges.extend(lts.edges(rep).iter().map(|&(label, target)| {
+            let tb = renumber[block_of[target.index()]];
+            (label, StateId::from_index(tb))
+        }));
+        close_row(&mut edges, row);
+        offsets.push(edges.len() as u32);
     }
 
     let class_of = block_of
         .iter()
-        .map(|&b| StateId::from_index(renumber[b].expect("renumbered")))
+        .map(|&b| StateId::from_index(renumber[b]))
         .collect();
 
     Compressed {
-        lts: Lts::from_parts(&omega, transitions),
+        lts: Lts::from_parts(&omega, offsets, edges),
         class_of,
     }
 }

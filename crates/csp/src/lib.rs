@@ -57,7 +57,7 @@ pub mod traces;
 
 pub use alphabet::{Alphabet, EventId, EventSet, Label, RenameMap};
 pub use error::CspError;
-pub use lts::{CsrEdges, Lts, StateId};
+pub use lts::{Lts, StateId};
 pub use process::{DefId, Definitions, Process};
 pub use term::{Term, TermArena, TermId};
 pub use traces::{Trace, TraceEvent};

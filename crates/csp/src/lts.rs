@@ -13,8 +13,10 @@
 //!   memoised in the arena's emission order.
 //! * **Composite states.** A composite state is the tuple of its leaf
 //!   states, numbered per build and stored flat. Its successors come from
-//!   the spine's rules over the leaves' memoised moves; no composite term
-//!   is built or hashed.
+//!   one pass of the spine's rules over the leaves' memoised moves, in one
+//!   flat buffer: a move records only the leaves it changes, and only the
+//!   root writes out a successor tuple, hashed once to find or number it.
+//!   No composite term is built or hashed.
 //!
 //! The spine rules emit successors in the order the arena's rules emit the
 //! successors of the composite term, so BFS numbering and edge lists are
@@ -22,9 +24,11 @@
 //! pins this against the tree semantics. A root with no spine is the
 //! one-leaf case of the same rules.
 //!
-//! Only one fact about a state's term is observable downstream: whether it
-//! is the terminated process `Ω`. An [`Lts`] keeps exactly that, as a
-//! bitset.
+//! An [`Lts`] is the one table every consumer reads: the edges in CSR form,
+//! each state's sorted run appended as the search expands states in id
+//! order. Only one fact about a state's term is observable downstream:
+//! whether it is the terminated process `Ω`. An [`Lts`] keeps exactly
+//! that, as a bitset.
 
 use std::collections::HashMap;
 
@@ -52,10 +56,16 @@ impl StateId {
 
 /// An explicit labelled transition system: the reachable state graph of a
 /// process term, state 0 initial, with one `Ω` bit per state.
+///
+/// The edges are one flat array in CSR (compressed sparse row) form: state
+/// `s` owns `edges[offsets[s]..offsets[s + 1]]`, sorted by
+/// `(label, target)`. An `Lts` has no interior mutability, so any number
+/// of threads can traverse one at once.
 #[derive(Debug, Clone)]
 pub struct Lts {
     omega: Vec<u64>,
-    transitions: Vec<Vec<(Label, StateId)>>,
+    offsets: Vec<u32>,
+    edges: Vec<(Label, StateId)>,
 }
 
 impl Lts {
@@ -97,84 +107,105 @@ impl Lts {
         let mut leaves = LeafMoves::default();
         let mut tuples: Vec<u32> = spine.leaves.iter().map(|&t| leaves.number(t)).collect();
         let mut omega = vec![leaves.is_omega(arena, &tuples)];
-        let mut out: Vec<Vec<(Label, StateId)>> = vec![Vec::new()];
+        // The tuple hash of each state, by id.
+        let mut hashes = vec![tuple_hash(&tuples)];
         let mut index = TupleIndex::default();
         // An unfolded root `Var` is a state of its own: its body's tuple,
         // if reached, is a different one.
         if unfolded == 0 {
-            index.insert(&tuples, width, StateId(0));
+            index.find_or_insert(&tuples, width, hashes[0], StateId(0));
         }
         let mut omega_state: Option<StateId> = None;
         let mut fired = vec![(0, 0); width];
-        let mut buffers = MoveBuffers::default();
+        let mut moves = Moves::default();
+        let mut offsets = vec![0u32];
+        let mut edges: Vec<(Label, StateId)> = Vec::new();
 
         let mut frontier = 0usize;
-        while frontier < out.len() {
-            if omega[frontier] {
-                frontier += 1;
-                continue;
-            }
-            // The root's unfoldings count towards its leaves' recursion depth.
-            let depth = if frontier == 0 { unfolded } else { 0 };
-            let at = frontier * width;
-            for (i, range) in fired.iter_mut().enumerate() {
-                *range = leaves.fire(arena, defs, tuples[at + i], depth)?;
-            }
-            let moves = spine.moves(&leaves, &fired, &tuples[at..at + width], &mut buffers);
-            let mut edges = Vec::with_capacity(moves.labels.len());
-            for (&label, slots) in moves.labels.iter().zip(moves.slots.chunks_exact(width)) {
-                let known = if slots[0] == OMEGA {
-                    omega_state
-                } else {
-                    index.find(&tuples, width, slots)
-                };
-                let id = match known {
-                    Some(id) => id,
-                    None => {
-                        if out.len() >= max_states {
-                            return Err(CspError::StateSpaceExceeded { limit: max_states });
+        while frontier < omega.len() {
+            if !omega[frontier] {
+                // The root's unfoldings count towards its leaves' recursion
+                // depth.
+                let depth = if frontier == 0 { unfolded } else { 0 };
+                let at = frontier * width;
+                for (i, range) in fired.iter_mut().enumerate() {
+                    *range = leaves.fire(arena, defs, tuples[at + i], depth)?;
+                }
+                spine.eval(&leaves, &fired, &mut moves);
+                let row = edges.len();
+                for m in &moves.moves {
+                    let target = if m.lo == m.hi {
+                        // A composite `✓`: every one leads to the one `Ω`.
+                        match omega_state {
+                            Some(id) => id,
+                            None => {
+                                let id = admit(&mut omega, max_states, true)?;
+                                // Placeholders keep the tables indexed by
+                                // state id; `Ω` is never expanded.
+                                tuples.resize(tuples.len() + width, OMEGA);
+                                hashes.push(0);
+                                omega_state = Some(id);
+                                id
+                            }
                         }
-                        let id = StateId(out.len() as u32);
-                        tuples.extend_from_slice(slots);
-                        out.push(Vec::new());
-                        if slots[0] == OMEGA {
-                            omega.push(true);
-                            omega_state = Some(id);
-                        } else {
-                            omega.push(leaves.is_omega(arena, slots));
-                            index.insert(&tuples, width, id);
+                    } else {
+                        let next = tuples.len();
+                        tuples.extend_from_within(at..at + width);
+                        let mut hash = hashes[frontier];
+                        for &(pos, leaf) in moves.changes(m) {
+                            let slot = &mut tuples[next + pos as usize];
+                            hash = hash
+                                .wrapping_sub(mix(pos, *slot))
+                                .wrapping_add(mix(pos, leaf));
+                            *slot = leaf;
                         }
-                        id
-                    }
-                };
-                edges.push((label, id));
+                        let fresh = StateId(omega.len() as u32);
+                        match index.find_or_insert(&tuples, width, hash, fresh) {
+                            Some(id) => {
+                                tuples.truncate(next);
+                                id
+                            }
+                            None => {
+                                let terminated = leaves.is_omega(arena, &tuples[next..]);
+                                hashes.push(hash);
+                                admit(&mut omega, max_states, terminated)?
+                            }
+                        }
+                    };
+                    edges.push((m.label, target));
+                }
+                close_row(&mut edges, row);
             }
-            edges.sort_unstable_by_key(|a| (a.0, a.1));
-            edges.dedup();
-            out[frontier] = edges;
+            offsets.push(edges.len() as u32);
             frontier += 1;
         }
-        Ok(Lts::from_parts(&omega, out))
+        Ok(Lts::from_parts(&omega, offsets, edges))
     }
 
-    /// Assemble an LTS directly from per-state `Ω` flags and transition
-    /// lists (used by compression and by cache deserialisation). State 0 is
-    /// the initial state.
+    /// Assemble an LTS from per-state `Ω` flags and its edges in CSR form:
+    /// state `s` owns `edges[offsets[s]..offsets[s + 1]]`, sorted by
+    /// `(label, target)` without duplicates (used by compression and by
+    /// cache deserialisation). State 0 is the initial state.
     ///
     /// # Panics
     ///
-    /// Panics if `omega` and `transitions` have different lengths or are
-    /// empty.
-    pub fn from_parts(omega: &[bool], transitions: Vec<Vec<(Label, StateId)>>) -> Lts {
-        assert_eq!(omega.len(), transitions.len());
+    /// Panics if `omega` is empty, or if `offsets` does not run
+    /// monotonically from 0 to `edges.len()` in one more entry than
+    /// `omega` has.
+    pub fn from_parts(omega: &[bool], offsets: Vec<u32>, edges: Vec<(Label, StateId)>) -> Lts {
         assert!(!omega.is_empty());
+        assert_eq!(offsets.len(), omega.len() + 1);
+        assert_eq!(offsets[0], 0);
+        assert_eq!(offsets[omega.len()] as usize, edges.len());
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         let mut bits = vec![0u64; omega.len().div_ceil(64)];
         for (i, _) in omega.iter().enumerate().filter(|(_, &o)| o) {
             bits[i / 64] |= 1 << (i % 64);
         }
         Lts {
             omega: bits,
-            transitions,
+            offsets,
+            edges,
         }
     }
 
@@ -185,12 +216,12 @@ impl Lts {
 
     /// Number of states.
     pub fn state_count(&self) -> usize {
-        self.transitions.len()
+        self.offsets.len() - 1
     }
 
     /// Total number of transitions.
     pub fn transition_count(&self) -> usize {
-        self.transitions.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// Whether a state is the terminated process `Ω` (a terminal `Ω` is
@@ -201,38 +232,75 @@ impl Lts {
 
     /// The outgoing edges of a state, sorted by `(label, target)`.
     pub fn edges(&self, id: StateId) -> &[(Label, StateId)] {
-        &self.transitions[id.index()]
+        let lo = self.offsets[id.index()] as usize;
+        let hi = self.offsets[id.index() + 1] as usize;
+        &self.edges[lo..hi]
+    }
+
+    /// The `τ` edges of a state: `τ` sorts before every other label, so
+    /// they open its run.
+    fn tau_edges(&self, id: StateId) -> impl Iterator<Item = StateId> + '_ {
+        self.edges(id)
+            .iter()
+            .take_while(|(label, _)| label.is_tau())
+            .map(|&(_, target)| target)
     }
 
     /// Iterate over all state ids.
     pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
-        (0..self.transitions.len() as u32).map(StateId)
+        (0..self.state_count() as u32).map(StateId)
     }
 
     /// Whether `id` has no outgoing transitions at all (deadlock if it is
     /// also not the terminated state `Ω`).
     pub fn is_terminal(&self, id: StateId) -> bool {
-        self.transitions[id.index()].is_empty()
+        self.edges(id).is_empty()
     }
 
     /// States reachable from `from` by following only `τ` transitions
     /// (including `from` itself), in ascending order.
     pub fn tau_closure(&self, from: StateId) -> Vec<StateId> {
-        let mut seen = vec![false; self.transitions.len()];
-        let mut stack = vec![from];
-        seen[from.index()] = true;
-        while let Some(s) = stack.pop() {
-            for &(label, target) in self.edges(s) {
-                if label.is_tau() && !seen[target.index()] {
-                    seen[target.index()] = true;
-                    stack.push(target);
+        let mut closure = Vec::new();
+        self.tau_closure_into(&[from], &mut Vec::new(), &mut closure);
+        closure
+    }
+
+    /// The states reachable from any of `from` by `τ` transitions alone
+    /// (`from` included), ascending, into `out`.
+    ///
+    /// `marks` is a buffer to keep across calls: it must hold no `true` on
+    /// entry, and holds none on return. A call marks and unmarks only the
+    /// states it reaches, so once `marks` has grown to the state count a
+    /// closure of `k` states costs `O(k log k)`, however large the LTS.
+    pub fn tau_closure_into(
+        &self,
+        from: &[StateId],
+        marks: &mut Vec<bool>,
+        out: &mut Vec<StateId>,
+    ) {
+        if marks.len() < self.state_count() {
+            marks.resize(self.state_count(), false);
+        }
+        out.clear();
+        for &s in from {
+            if !std::mem::replace(&mut marks[s.index()], true) {
+                out.push(s);
+            }
+        }
+        // `out` doubles as the search queue.
+        let mut next = 0;
+        while let Some(&s) = out.get(next) {
+            next += 1;
+            for target in self.tau_edges(s) {
+                if !std::mem::replace(&mut marks[target.index()], true) {
+                    out.push(target);
                 }
             }
         }
-        (0..self.transitions.len())
-            .filter(|&i| seen[i])
-            .map(|i| StateId(i as u32))
-            .collect()
+        for s in out.iter() {
+            marks[s.index()] = false;
+        }
+        out.sort_unstable();
     }
 
     /// Whether a `τ`-cycle exists, i.e. the process can diverge.
@@ -240,104 +308,62 @@ impl Lts {
     /// Runs Kahn's algorithm on the τ-subgraph: a cycle exists exactly when
     /// topological sorting cannot consume every state.
     pub fn has_tau_cycle(&self) -> bool {
-        let n = self.transitions.len();
-        let mut indegree = vec![0usize; n];
-        let mut tau_succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (s, edges) in self.transitions.iter().enumerate() {
-            for &(label, target) in edges {
-                if label.is_tau() {
-                    tau_succs[s].push(target.index());
-                    indegree[target.index()] += 1;
-                }
-            }
+        let mut indegree = vec![0usize; self.state_count()];
+        for target in self.state_ids().flat_map(|s| self.tau_edges(s)) {
+            indegree[target.index()] += 1;
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut queue: Vec<StateId> = self
+            .state_ids()
+            .filter(|s| indegree[s.index()] == 0)
+            .collect();
         let mut processed = 0usize;
         while let Some(s) = queue.pop() {
             processed += 1;
-            for &t in &tau_succs[s] {
-                indegree[t] -= 1;
-                if indegree[t] == 0 {
+            for t in self.tau_edges(s) {
+                indegree[t.index()] -= 1;
+                if indegree[t.index()] == 0 {
                     queue.push(t);
                 }
             }
         }
-        processed < n
+        processed < self.state_count()
     }
+}
 
-    /// The maximum out-degree over all states — the natural per-task work
-    /// bound for parallel exploration.
-    pub fn max_out_degree(&self) -> usize {
-        self.transitions.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Flatten the transition lists into a compact CSR (compressed sparse
-    /// row) snapshot for concurrent read-only traversal.
-    ///
-    /// The per-state `Vec`s of an [`Lts`] are already shareable across
-    /// threads, but each is its own allocation; the CSR form packs every
-    /// edge into one contiguous array, which keeps a multi-worker product
-    /// exploration on warm cache lines instead of chasing pointers.
-    pub fn to_csr(&self) -> CsrEdges {
-        let mut offsets = Vec::with_capacity(self.transitions.len() + 1);
-        let mut edges = Vec::with_capacity(self.transition_count());
-        offsets.push(0u32);
-        for row in &self.transitions {
-            edges.extend_from_slice(row);
-            offsets.push(edges.len() as u32);
+/// Close the row that began at `edges[row]`: sort it by `(label, target)`
+/// and drop repeated edges.
+pub(crate) fn close_row(edges: &mut Vec<(Label, StateId)>, row: usize) {
+    edges[row..].sort_unstable();
+    let mut kept = row;
+    for i in row..edges.len() {
+        if kept == row || edges[i] != edges[kept - 1] {
+            edges[kept] = edges[i];
+            kept += 1;
         }
-        CsrEdges { offsets, edges }
     }
+    edges.truncate(kept);
 }
 
-/// A flat, read-only snapshot of an [`Lts`]'s transition relation in CSR
-/// form: one contiguous edge array plus per-state offsets.
-///
-/// `CsrEdges` is `Send + Sync` and carries no interior mutability, so any
-/// number of worker threads can traverse it concurrently without
-/// synchronisation. Built by [`Lts::to_csr`].
-#[derive(Debug, Clone)]
-pub struct CsrEdges {
-    offsets: Vec<u32>,
-    edges: Vec<(Label, StateId)>,
+/// Number a newly reached state, unless `max_states` are numbered already.
+fn admit(omega: &mut Vec<bool>, max_states: usize, is_omega: bool) -> Result<StateId, CspError> {
+    if omega.len() >= max_states {
+        return Err(CspError::StateSpaceExceeded { limit: max_states });
+    }
+    omega.push(is_omega);
+    Ok(StateId(omega.len() as u32 - 1))
 }
 
-impl CsrEdges {
-    /// The outgoing edges of `id`, sorted by `(label, target)` as in the
-    /// source [`Lts`].
-    pub fn edges(&self, id: StateId) -> &[(Label, StateId)] {
-        let lo = self.offsets[id.index()] as usize;
-        let hi = self.offsets[id.index() + 1] as usize;
-        &self.edges[lo..hi]
-    }
-
-    /// Number of states.
-    pub fn state_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-/// The slot value of a composite's `✓` move: its successor is `Ω`, not a
-/// tuple. Leaf states are numbered from 0 and never reach `u32::MAX`.
+/// The tuple slot value of the `Ω` state, which is no tuple. Leaf states
+/// are numbered from 0 and never reach `u32::MAX`.
 const OMEGA: u32 = u32::MAX;
 
 /// One node of a root's operator spine, in post-order.
 #[derive(Debug)]
 enum Node {
     /// The leaf at this position of the tuple.
-    Leaf(usize),
-    /// `P [| sync |] Q` over the leaves `lo..mid` (`P`) and `mid..hi` (`Q`).
-    Parallel {
-        sync: EventSet,
-        lo: usize,
-        mid: usize,
-        hi: usize,
-    },
+    Leaf(u32),
+    /// `P [| sync |] Q` over the two operands evaluated before it.
+    Parallel(EventSet),
     /// `P \ A`: the operand's visible events in `A` become `τ`.
     Hide(EventSet),
     /// `P[[R]]`: the operand's visible events are renamed.
@@ -364,13 +390,9 @@ impl Spine {
     fn split(&mut self, arena: &TermArena, t: TermId) {
         match *arena.term(t) {
             Term::Parallel { sync, left, right } => {
-                let lo = self.leaves.len();
                 self.split(arena, left);
-                let mid = self.leaves.len();
                 self.split(arena, right);
-                let sync = arena.set(sync).clone();
-                let hi = self.leaves.len();
-                self.nodes.push(Node::Parallel { sync, lo, mid, hi });
+                self.nodes.push(Node::Parallel(arena.set(sync).clone()));
             }
             Term::Hide(inner, hidden) if is_parallel(arena, inner) => {
                 self.split(arena, inner);
@@ -381,69 +403,58 @@ impl Spine {
                 self.nodes.push(Node::Rename(arena.map(map).clone()));
             }
             _ => {
-                self.nodes.push(Node::Leaf(self.leaves.len()));
+                self.nodes.push(Node::Leaf(self.leaves.len() as u32));
                 self.leaves.push(t);
             }
         }
     }
 
-    /// The moves of the composite state `cur`, whose leaves' moves are
-    /// `leaves.edges[fired[i]]`, in the order the arena's rules emit the
-    /// successors of the composite term.
-    fn moves<'s>(
-        &self,
-        leaves: &LeafMoves,
-        fired: &[(u32, u32)],
-        cur: &[u32],
-        buffers: &'s mut MoveBuffers,
-    ) -> &'s Moves {
-        let MoveBuffers { stack, pool } = buffers;
-        pool.append(stack);
+    /// Evaluate the spine into `out`, leaving there the moves of the
+    /// composite state whose leaves move along `leaves.edges[fired[i]]`, in
+    /// the order the arena's rules emit the successors of the composite
+    /// term.
+    fn eval(&self, leaves: &LeafMoves, fired: &[(u32, u32)], out: &mut Moves) {
+        out.moves.clear();
+        out.changes.clear();
+        out.starts.clear();
         for node in &self.nodes {
             match node {
-                Node::Leaf(i) => {
-                    let mut m = fresh(pool);
-                    let (lo, hi) = fired[*i];
-                    for &(label, t) in &leaves.edges[lo as usize..hi as usize] {
-                        m.labels.push(label);
-                        m.slots.push(t);
+                &Node::Leaf(pos) => {
+                    out.starts.push(out.moves.len());
+                    let (lo, hi) = fired[pos as usize];
+                    for &(label, leaf) in &leaves.edges[lo as usize..hi as usize] {
+                        let at = out.changes.len() as u32;
+                        out.changes.push((pos, leaf));
+                        out.moves.push(Move {
+                            label,
+                            lo: at,
+                            hi: at + 1,
+                        });
                     }
-                    stack.push(m);
                 }
-                Node::Parallel { sync, lo, mid, hi } => {
-                    let right = stack.pop().expect("a parallel node has two operands");
-                    let left = stack.pop().expect("a parallel node has two operands");
-                    let mut m = fresh(pool);
-                    parallel(
-                        sync,
-                        &left,
-                        &right,
-                        &cur[*lo..*mid],
-                        &cur[*mid..*hi],
-                        &mut m,
-                    );
-                    pool.extend([left, right]);
-                    stack.push(m);
+                Node::Parallel(sync) => {
+                    let right = out.starts.pop().expect("a parallel node has two operands");
+                    let left = *out.starts.last().expect("a parallel node has two operands");
+                    out.parallel(sync, left, right);
                 }
                 Node::Hide(hidden) => {
-                    let m = stack.last_mut().expect("hiding has an operand");
-                    for label in &mut m.labels {
-                        if matches!(*label, Label::Event(e) if hidden.contains(e)) {
-                            *label = Label::Tau;
+                    let run = *out.starts.last().expect("hiding has an operand");
+                    for m in &mut out.moves[run..] {
+                        if matches!(m.label, Label::Event(e) if hidden.contains(e)) {
+                            m.label = Label::Tau;
                         }
                     }
                 }
                 Node::Rename(map) => {
-                    let m = stack.last_mut().expect("renaming has an operand");
-                    for label in &mut m.labels {
-                        if let Label::Event(e) = *label {
-                            *label = Label::Event(map.apply(e));
+                    let run = *out.starts.last().expect("renaming has an operand");
+                    for m in &mut out.moves[run..] {
+                        if let Label::Event(e) = m.label {
+                            m.label = Label::Event(map.apply(e));
                         }
                     }
                 }
             }
         }
-        stack.last().expect("the spine has a root")
     }
 }
 
@@ -472,85 +483,92 @@ fn is_parallel(arena: &TermArena, t: TermId) -> bool {
     matches!(arena.term(t), Term::Parallel { .. })
 }
 
-/// The `P [| sync |] Q` rule over the operands' moves (`left`, `right`)
-/// and current leaf states (`cur_l`, `cur_r`): `P`'s independent moves,
-/// then `Q`'s, then synchronised pairs, then distributed `✓`.
-fn parallel(
-    sync: &EventSet,
-    left: &Moves,
-    right: &Moves,
-    cur_l: &[u32],
-    cur_r: &[u32],
-    out: &mut Moves,
-) {
-    let independent = |label: Label| match label {
-        Label::Tau => true,
-        Label::Tick => false,
-        Label::Event(e) => !sync.contains(e),
-    };
-    for (label, slots) in left.iter(cur_l.len()) {
-        if independent(label) {
-            out.push(label, slots, cur_r);
-        }
-    }
-    for (label, slots) in right.iter(cur_r.len()) {
-        if independent(label) {
-            out.push(label, cur_l, slots);
-        }
-    }
-    for (ll, ls) in left.iter(cur_l.len()) {
-        if !matches!(ll, Label::Event(e) if sync.contains(e)) {
-            continue;
-        }
-        for (rl, rs) in right.iter(cur_r.len()) {
-            if rl == ll {
-                out.push(ll, ls, rs);
-            }
-        }
-    }
-    if left.labels.contains(&Label::Tick) && right.labels.contains(&Label::Tick) {
-        out.labels.push(Label::Tick);
-        out.slots
-            .extend(std::iter::repeat_n(OMEGA, cur_l.len() + cur_r.len()));
-    }
+/// One move of a spine node: its label and the leaves it changes,
+/// `changes[lo..hi]`. A composite `✓` changes none: its successor is `Ω`,
+/// not a tuple.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    label: Label,
+    lo: u32,
+    hi: u32,
 }
 
-/// The moves of one spine node: a label per move and, flat, the node's
-/// leaf states after it.
+/// The moves of the spine's pending nodes in one flat buffer, reused
+/// across states: each pending node's moves are one run, from its entry in
+/// `starts` to the next node's.
 #[derive(Debug, Default)]
 struct Moves {
-    labels: Vec<Label>,
-    slots: Vec<u32>,
+    moves: Vec<Move>,
+    /// `(leaf position, leaf state)` pairs, as the moves index them.
+    changes: Vec<(u32, u32)>,
+    starts: Vec<usize>,
 }
 
 impl Moves {
-    fn iter(&self, width: usize) -> impl Iterator<Item = (Label, &[u32])> {
-        self.labels
-            .iter()
-            .copied()
-            .zip(self.slots.chunks_exact(width))
+    fn changes(&self, m: &Move) -> &[(u32, u32)] {
+        &self.changes[m.lo as usize..m.hi as usize]
     }
 
-    fn push(&mut self, label: Label, left: &[u32], right: &[u32]) {
-        self.labels.push(label);
-        self.slots.extend_from_slice(left);
-        self.slots.extend_from_slice(right);
+    /// The `P [| sync |] Q` rule over `P`'s run `moves[left..right]` and
+    /// `Q`'s run `moves[right..]`, leaving in `moves[left..]` `P`'s
+    /// independent moves, then `Q`'s, then synchronised pairs left-major,
+    /// then distributed `✓`.
+    fn parallel(&mut self, sync: &EventSet, left: usize, right: usize) {
+        let end = self.moves.len();
+        let ticks = |run: &[Move]| run.iter().any(|m| m.label == Label::Tick);
+        if sync.is_empty() && !ticks(&self.moves[left..end]) {
+            // An interleaving with no `✓` on offer: both runs stand.
+            return;
+        }
+        let tick = ticks(&self.moves[left..right]) && ticks(&self.moves[right..end]);
+        // Pairs first, while both runs are whole.
+        for l in left..right {
+            let lm = self.moves[l];
+            if !matches!(lm.label, Label::Event(e) if sync.contains(e)) {
+                continue;
+            }
+            for r in right..end {
+                let rm = self.moves[r];
+                if rm.label == lm.label {
+                    let lo = self.changes.len() as u32;
+                    self.changes
+                        .extend_from_within(lm.lo as usize..lm.hi as usize);
+                    self.changes
+                        .extend_from_within(rm.lo as usize..rm.hi as usize);
+                    let hi = self.changes.len() as u32;
+                    self.moves.push(Move {
+                        label: lm.label,
+                        lo,
+                        hi,
+                    });
+                }
+            }
+        }
+        // Then keep the independent moves of both runs, in place, and the
+        // pairs after them.
+        let mut kept = left;
+        for i in left..self.moves.len() {
+            let m = self.moves[i];
+            let keep = i >= end
+                || match m.label {
+                    Label::Tau => true,
+                    Label::Tick => false,
+                    Label::Event(e) => !sync.contains(e),
+                };
+            if keep {
+                self.moves[kept] = m;
+                kept += 1;
+            }
+        }
+        self.moves.truncate(kept);
+        if tick {
+            self.moves.push(Move {
+                label: Label::Tick,
+                lo: 0,
+                hi: 0,
+            });
+        }
     }
-}
-
-/// Move buffers reused across states: the evaluation stack of the spine
-/// and the free ones.
-#[derive(Debug, Default)]
-struct MoveBuffers {
-    stack: Vec<Moves>,
-    pool: Vec<Moves>,
-}
-
-fn fresh(pool: &mut Vec<Moves>) -> Moves {
-    let mut m = pool.pop().unwrap_or_default();
-    m.labels.clear();
-    m.slots.clear();
-    m
 }
 
 /// Every leaf state the product has reached, numbered in order of
@@ -601,69 +619,92 @@ impl LeafMoves {
     }
 
     /// A tuple stands for `Ω` only when it is a single leaf state that is
-    /// `Ω`: a composite's `Ω` is the [`OMEGA`] successor, never a tuple.
+    /// `Ω`: a composite's `Ω` is reached by its `✓`, never as a tuple.
     fn is_omega(&self, arena: &TermArena, tuple: &[u32]) -> bool {
         matches!(tuple, [l] if matches!(arena.term(self.terms[*l as usize]), Term::Omega))
     }
 }
 
+/// The hash of a leaf tuple is the wrapping sum of one mixed word per
+/// `(position, leaf state)`, so the hash of a successor follows from its
+/// predecessor's and the changes of the move alone.
+fn tuple_hash(tuple: &[u32]) -> u64 {
+    (0..)
+        .zip(tuple)
+        .map(|(pos, &leaf)| mix(pos, leaf))
+        .fold(0, u64::wrapping_add)
+}
+
+fn mix(pos: u32, leaf: u32) -> u64 {
+    let x = (u64::from(pos) << 32 | u64::from(leaf)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (x ^ x >> 32).wrapping_mul(0xd6e8_feb8_6659_fd93)
+}
+
 /// An open-addressed index from leaf tuples to the ids of the states that
-/// own them. Slots hold only ids; keys are read from the state table.
+/// own them. A slot holds the high half of the tuple's hash above the
+/// state's id; keys are read from the state table.
 #[derive(Debug, Default)]
 struct TupleIndex {
-    slots: Vec<u32>,
+    slots: Vec<u64>,
     len: usize,
 }
 
 impl TupleIndex {
-    const EMPTY: u32 = u32::MAX;
+    const EMPTY: u64 = u64::MAX;
 
-    fn home(&self, key: &[u32]) -> usize {
-        let mut h = 0u64;
-        for &x in key {
-            h = (h.rotate_left(5) ^ u64::from(x)).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-        // Fibonacci hashing: the high bits are the well-mixed ones.
-        (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    /// Fibonacci hashing: the high bits are the well-mixed ones, and a
+    /// slot keeps them (for tables of up to 2^32 slots).
+    fn home(hash: u64, slots: usize) -> usize {
+        (hash >> (64 - slots.trailing_zeros())) as usize
     }
 
-    fn find(&self, tuples: &[u32], width: usize, key: &[u32]) -> Option<StateId> {
-        if self.slots.is_empty() {
-            return None;
+    /// The state that owns the tuple ending `tuples`, the last `width`
+    /// values, whose hash is `hash`; when none does, index it as the state
+    /// `fresh` and return `None`.
+    fn find_or_insert(
+        &mut self,
+        tuples: &[u32],
+        width: usize,
+        hash: u64,
+        fresh: StateId,
+    ) -> Option<StateId> {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
         }
+        let key = &tuples[tuples.len() - width..];
+        let tag = hash >> 32;
         let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
+        let mut i = Self::home(hash, self.slots.len());
         loop {
-            let id = self.slots[i];
-            if id == Self::EMPTY {
+            let slot = self.slots[i];
+            if slot == Self::EMPTY {
+                self.slots[i] = tag << 32 | u64::from(fresh.0);
+                self.len += 1;
                 return None;
             }
-            let at = id as usize * width;
-            if &tuples[at..at + width] == key {
-                return Some(StateId(id));
+            if slot >> 32 == tag {
+                let at = (slot as u32) as usize * width;
+                if &tuples[at..at + width] == key {
+                    return Some(StateId(slot as u32));
+                }
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Index state `id`, whose tuple is already in `tuples`.
-    fn insert(&mut self, tuples: &[u32], width: usize, id: StateId) {
-        if (self.len + 1) * 2 > self.slots.len() {
-            let grown = vec![Self::EMPTY; (self.slots.len() * 2).max(64)];
-            let old = std::mem::replace(&mut self.slots, grown);
-            self.len = 0;
-            for id in old.into_iter().filter(|&id| id != Self::EMPTY) {
-                self.insert(tuples, width, StateId(id));
+    /// Double the slots, re-placing every indexed state by its kept hash.
+    fn grow(&mut self) {
+        let mut grown = vec![Self::EMPTY; (self.slots.len() * 2).max(64)];
+        assert!(grown.len() <= 1 << 32, "a slot keeps 32 bits of hash");
+        let mask = grown.len() - 1;
+        for &slot in self.slots.iter().filter(|&&slot| slot != Self::EMPTY) {
+            let mut i = Self::home(slot, grown.len());
+            while grown[i] != Self::EMPTY {
+                i = (i + 1) & mask;
             }
+            grown[i] = slot;
         }
-        let at = id.index() * width;
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(&tuples[at..at + width]);
-        while self.slots[i] != Self::EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = id.0;
-        self.len += 1;
+        self.slots = grown;
     }
 }
 
@@ -785,26 +826,44 @@ mod tests {
     }
 
     #[test]
-    fn csr_view_matches_edge_lists() {
+    fn edges_are_one_table_of_sorted_runs() {
         let defs = Definitions::new();
         let p = Process::interleave(
             Process::prefix(e(0), Process::prefix(e(1), Process::Stop)),
-            Process::prefix(e(2), Process::Stop),
+            Process::internal_choice(Process::prefix(e(2), Process::Stop), Process::Skip),
         );
         let lts = Lts::build(p, &defs, 100).unwrap();
-        let csr = lts.to_csr();
-        assert_eq!(csr.state_count(), lts.state_count());
-        assert_eq!(csr.edge_count(), lts.transition_count());
+        let runs: usize = lts.state_ids().map(|s| lts.edges(s).len()).sum();
+        assert_eq!(runs, lts.transition_count());
         for s in lts.state_ids() {
-            assert_eq!(csr.edges(s), lts.edges(s));
+            assert!(lts.edges(s).windows(2).all(|w| w[0] < w[1]));
         }
-        assert!(lts.max_out_degree() >= 1);
     }
 
     #[test]
-    fn lts_and_csr_are_shareable_across_threads() {
+    fn tau_closures_share_marks_and_leave_them_clear() {
+        let defs = Definitions::new();
+        // τ to either branch, then `a` or `b`: the closure of the root is
+        // three states, of a branch one.
+        let p = Process::internal_choice(
+            Process::prefix(e(0), Process::Stop),
+            Process::prefix(e(1), Process::Stop),
+        );
+        let lts = Lts::build(p, &defs, 100).unwrap();
+        let mut marks = Vec::new();
+        let mut out = Vec::new();
+        let branches: Vec<StateId> = lts.edges(lts.initial()).iter().map(|&(_, t)| t).collect();
+        lts.tau_closure_into(&branches, &mut marks, &mut out);
+        assert_eq!(out, branches);
+        assert!(marks.iter().all(|&m| !m));
+        lts.tau_closure_into(&[branches[1], lts.initial()], &mut marks, &mut out);
+        assert_eq!(out, lts.tau_closure(lts.initial()));
+        assert!(marks.iter().all(|&m| !m));
+    }
+
+    #[test]
+    fn lts_is_shareable_across_threads() {
         fn assert_sync_send<T: Sync + Send>() {}
         assert_sync_send::<Lts>();
-        assert_sync_send::<CsrEdges>();
     }
 }

@@ -4,8 +4,8 @@
 //! order, as [`csp::semantics::transitions`], and [`csp::Lts::build`]
 //! (which composes leaf states fired on the arena) must match a reference
 //! BFS driven by the tree semantics state for state and edge for edge —
-//! over closed processes, and over recursive definition tables whose root
-//! is a `Var` chain into a parallel spine.
+//! over closed processes, over recursive definition tables whose root is a
+//! `Var` chain into a parallel spine, and over fixed spine shapes.
 
 use std::collections::HashMap;
 
@@ -269,6 +269,61 @@ proptest! {
             let limit = cut % ref_states.len();
             let err = Lts::build(root, &defs, limit).expect_err("bound below the state count");
             prop_assert_eq!(err, CspError::StateSpaceExceeded { limit });
+        }
+    }
+}
+
+/// Spine shapes a random model reaches only by luck, each compiled and
+/// compared with the reference BFS: a three-way synchronisation (one move
+/// changes three leaves), hiding and renaming over a parallel, distributed
+/// `✓` (bare and under hiding), and a root with no spine, whose `✓` leads
+/// to a leaf tuple rather than the composite `Ω`.
+#[test]
+fn fixed_spines_match_reference_bfs() {
+    let (a, b, c) = (e(0), e(1), e(2));
+    let sync_a = || EventSet::singleton(a);
+    let mut defs = Definitions::new();
+    let p = defs.add("P", Process::prefix(a, Process::prefix(b, Process::Skip)));
+    let q = defs.declare("Q");
+    defs.define(q, Process::prefix(a, Process::prefix(c, Process::var(q))));
+    let r = defs.declare("R");
+    defs.define(
+        r,
+        Process::external_choice(Process::prefix(a, Process::var(r)), Process::Skip),
+    );
+    let three_way = Process::parallel(
+        sync_a(),
+        Process::parallel(sync_a(), Process::var(p), Process::var(q)),
+        Process::var(r),
+    );
+    let root = defs.add("ROOT", three_way.clone());
+    let mut renaming = RenameMap::new();
+    renaming.insert(a, c);
+    renaming.insert(b, a);
+    let pair = || {
+        Process::parallel(
+            sync_a(),
+            Process::prefix(a, Process::prefix(b, Process::Skip)),
+            Process::prefix(a, Process::Skip),
+        )
+    };
+    let cases = [
+        three_way,
+        Process::var(root),
+        Process::hide(pair(), EventSet::from_iter([a, b])),
+        Process::rename(pair(), renaming),
+        Process::interleave(Process::Skip, Process::Skip),
+        Process::hide(
+            Process::interleave(Process::Skip, Process::prefix(a, Process::Skip)),
+            sync_a(),
+        ),
+        Process::prefix(a, Process::Skip),
+    ];
+    for (i, case) in cases.into_iter().enumerate() {
+        let (ref_states, ref_edges) = reference_lts(&case, &defs, 10_000).expect("small");
+        let lts = Lts::build(case, &defs, 10_000).expect("finite");
+        if let Err(err) = matches_reference(&lts, &ref_states, &ref_edges) {
+            panic!("case {i}: {err:?}");
         }
     }
 }

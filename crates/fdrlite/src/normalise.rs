@@ -235,6 +235,8 @@ impl NormalisedLts {
 
         // Scratch reused across nodes.
         let mut succ_pairs: Vec<(EventId, StateId)> = Vec::new();
+        let mut targets: Vec<StateId> = Vec::new();
+        let mut marks: Vec<bool> = Vec::new();
         let mut closure: Vec<StateId> = Vec::new();
         let mut row = vec![0u64; wps];
 
@@ -289,13 +291,12 @@ impl NormalisedLts {
             let mut i = 0usize;
             while i < succ_pairs.len() {
                 let event = succ_pairs[i].0;
-                closure.clear();
+                targets.clear();
                 while i < succ_pairs.len() && succ_pairs[i].0 == event {
-                    closure.extend(lts.tau_closure(succ_pairs[i].1));
+                    targets.push(succ_pairs[i].1);
                     i += 1;
                 }
-                closure.sort_unstable();
-                closure.dedup();
+                lts.tau_closure_into(&targets, &mut marks, &mut closure);
                 let (id, is_new) = intern_key(&closure, &mut slab, &mut ranges, &mut buckets);
                 if is_new && ranges.len() > max_nodes {
                     return Err(CheckError::NormalisationExceeded { limit: max_nodes });

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering:
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use csp::{CsrEdges, Label, Lts};
+use csp::{Label, Lts};
 
 use crate::checker::{refine_zero_one, Budget, Checkpoints, FailureProbe, RefinementModel};
 use crate::counterexample::{BudgetReason, Inconclusive, Verdict};
@@ -94,8 +94,6 @@ struct Shared<'a> {
     max_product: u64,
     budget: Budget,
     norm: &'a NormalisedLts,
-    csr: &'a CsrEdges,
-    /// The implementation, read only for its Ω bits: `csr` holds its edges.
     impl_lts: &'a Lts,
     model: RefinementModel,
 }
@@ -238,7 +236,7 @@ impl Owner {
     fn expand(&mut self, shared: &Shared<'_>, task: Task) {
         self.expansions += 1;
         let (s, n) = unpack(task.key);
-        let edges = shared.csr.edges(s);
+        let edges = shared.impl_lts.edges(s);
         if shared.model == RefinementModel::Failures {
             let omega = shared.impl_lts.is_omega(s);
             if self.probe.violation(shared.norm, n, edges, omega).is_some() {
@@ -365,7 +363,6 @@ pub(crate) fn refine(
         max_product: max_product as u64,
         budget: *budget,
         norm,
-        csr: compiled.csr(),
         impl_lts: compiled.lts(),
         model,
     };

@@ -618,10 +618,12 @@ fn decode_lts(dec: &mut Dec<'_>) -> DecResult<Lts> {
             }
         }
     }
-    let mut transitions: Vec<Vec<(Label, StateId)>> = Vec::with_capacity(n);
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0u32);
+    let mut edges: Vec<(Label, StateId)> = Vec::new();
     for _ in 0..n {
         let e = dec.len(5)?;
-        let mut edges: Vec<(Label, StateId)> = Vec::with_capacity(e);
+        let row = edges.len();
         for _ in 0..e {
             let label = match dec.u8()? {
                 0 => Label::Tau,
@@ -635,12 +637,12 @@ fn decode_lts(dec: &mut Dec<'_>) -> DecResult<Lts> {
             }
             edges.push((label, StateId::from_index(target)));
         }
-        if !edges.windows(2).all(|w| w[0] < w[1]) {
+        if !edges[row..].windows(2).all(|w| w[0] < w[1]) {
             return corrupt("edge list not strictly sorted");
         }
-        transitions.push(edges);
+        offsets.push(edges.len() as u32);
     }
-    Ok(Lts::from_parts(&omega, transitions))
+    Ok(Lts::from_parts(&omega, offsets, edges))
 }
 
 // Normal forms are stored in the flat CSR/bitset layout the checker runs
@@ -1582,17 +1584,25 @@ mod tests {
         dir
     }
 
+    /// An LTS from per-state `Ω` flags and sorted edge rows.
+    fn lts_of(omega: &[bool], rows: &[&[(Label, usize)]]) -> Lts {
+        let mut offsets = vec![0];
+        let mut edges = Vec::new();
+        for row in rows {
+            edges.extend(row.iter().map(|&(l, t)| (l, StateId::from_index(t))));
+            offsets.push(edges.len() as u32);
+        }
+        Lts::from_parts(omega, offsets, edges)
+    }
+
     fn sample_lts() -> Lts {
         // 0 --a--> 1 --tick--> 2(Ω), plus a tau self-ish edge 0 --tau--> 1.
-        Lts::from_parts(
+        lts_of(
             &[false, false, true],
-            vec![
-                vec![
-                    (Label::Tau, StateId::from_index(1)),
-                    (Label::Event(e(0)), StateId::from_index(1)),
-                ],
-                vec![(Label::Tick, StateId::from_index(2))],
-                vec![],
+            &[
+                &[(Label::Tau, 1), (Label::Event(e(0)), 1)],
+                &[(Label::Tick, 2)],
+                &[],
             ],
         )
     }
@@ -1626,6 +1636,49 @@ mod tests {
         }
         assert_eq!(cache.disk_hits(), 1);
         assert_eq!(cache.disk_misses(), 0);
+    }
+
+    /// The model entry of [`pinned_lts`] under [`sample_key`], as the
+    /// `FDRLMDL\x01` format has always written it: caches on disk must
+    /// keep loading, so these bytes never change under this magic.
+    const PINNED_MODEL_ENTRY: &str = concat!(
+        "4644524c4d444c0101000000f0debc9a7856341221436587a9cbed0fa0860100",
+        "0000000000040000000802000000000100000002000000000200000002000000",
+        "010300000002010000000000000001000000022c010000020000000000000003",
+        "0a9673997bc90b",
+    );
+
+    /// Four states: τ and event edges out of 0, ✓ and an event out of 1,
+    /// an event id above 255 looping on 2, and 3 the `Ω` state.
+    fn pinned_lts() -> Lts {
+        lts_of(
+            &[false, false, false, true],
+            &[
+                &[(Label::Tau, 1), (Label::Event(e(0)), 2)],
+                &[(Label::Tick, 3), (Label::Event(e(1)), 0)],
+                &[(Label::Event(e(300)), 2)],
+                &[],
+            ],
+        )
+    }
+
+    #[test]
+    fn model_entry_bytes_are_pinned_and_decode_back() {
+        let lts = pinned_lts();
+        let key = sample_key();
+        let bytes = encode_model_entry(&key, &lts);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED_MODEL_ENTRY);
+        let mut dec = Dec::open(&bytes, MAGIC_MODEL).unwrap();
+        key.check_echo(&mut dec).unwrap();
+        let back = decode_lts(&mut dec).unwrap();
+        dec.done().unwrap();
+        assert_eq!(back.state_count(), 4);
+        assert_eq!(back.transition_count(), 5);
+        for s in lts.state_ids() {
+            assert_eq!(back.edges(s), lts.edges(s));
+            assert_eq!(back.is_omega(s), lts.is_omega(s));
+        }
     }
 
     #[test]
@@ -1743,15 +1796,12 @@ mod tests {
 
     #[test]
     fn norm_roundtrips_verbatim() {
-        let lts = Lts::from_parts(
+        let lts = lts_of(
             &[false, false, true],
-            vec![
-                vec![
-                    (Label::Event(e(0)), StateId::from_index(1)),
-                    (Label::Event(e(2)), StateId::from_index(0)),
-                ],
-                vec![(Label::Tick, StateId::from_index(2))],
-                vec![],
+            &[
+                &[(Label::Event(e(0)), 1), (Label::Event(e(2)), 0)],
+                &[(Label::Tick, 2)],
+                &[],
             ],
         );
         let norm = NormalisedLts::build(&lts, 1000).unwrap();

@@ -2,8 +2,7 @@
 //! checking stack.
 //!
 //! Every end-to-end check starts the same way: explicate the process tree
-//! into an [`Lts`], snapshot it as CSR for the parallel engine, and (for
-//! specifications) normalise it. Before this store existed each entry point
+//! into an [`Lts`] and (for specifications) normalise it. Before this store existed each entry point
 //! redid that work per call, so a script with five assertions over one
 //! `SYSTEM` compiled `SYSTEM` five times. A [`ModelStore`] interns every
 //! process into one hash-consed [`TermArena`] and caches the compiled
@@ -38,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use csp::analysis::GraphAnalysis;
-use csp::{CsrEdges, Definitions, Lts, Process, TermArena, TermId};
+use csp::{Definitions, Lts, Process, TermArena, TermId};
 
 use crate::checker::{
     refine_zero_one, Budget, CheckOptions, Checker, Checkpoints, RefinementModel,
@@ -63,33 +62,25 @@ const SWITCH: BudgetReason = BudgetReason::States {
     limit: SERIAL_PAIRS,
 };
 
-/// A compiled process: its explicit [`Lts`] together with the CSR snapshot
-/// the partitioned engine traverses.
+/// A compiled process: its explicit [`Lts`], the one table both engines,
+/// the graph analysis and the disk cache read.
 ///
 /// Produced (and cached) by [`ModelStore::compile`]; handed to the engines
 /// behind an `Arc` so concurrent checks share one allocation.
 #[derive(Debug)]
 pub struct CompiledModel {
     lts: Lts,
-    csr: CsrEdges,
 }
 
 impl CompiledModel {
-    /// Rebuild a compiled model from a deserialised [`Lts`] (disk-cache load
-    /// path); the CSR snapshot is recomputed, never trusted from disk.
+    /// Wrap a built or deserialised [`Lts`].
     pub(crate) fn from_lts(lts: Lts) -> CompiledModel {
-        let csr = lts.to_csr();
-        CompiledModel { lts, csr }
+        CompiledModel { lts }
     }
 
     /// The explicit transition system.
     pub fn lts(&self) -> &Lts {
         &self.lts
-    }
-
-    /// The flat CSR snapshot of the transition relation.
-    pub fn csr(&self) -> &CsrEdges {
-        &self.csr
     }
 }
 
@@ -285,8 +276,7 @@ impl StoreInner {
             let dkey = self.disk_model_key(term, checker, p, defs);
             cache.store_model(&dkey, &lts);
         }
-        let csr = lts.to_csr();
-        let model = Arc::new(CompiledModel { lts, csr });
+        let model = Arc::new(CompiledModel::from_lts(lts));
         self.compiled.insert(key, Arc::clone(&model));
         Ok(model)
     }
@@ -361,7 +351,7 @@ impl StoreInner {
             return Arc::clone(analysis);
         }
         self.analysis_misses += 1;
-        let analysis = Arc::new(GraphAnalysis::of_csr(model.csr(), model.lts()));
+        let analysis = Arc::new(GraphAnalysis::of_lts(model.lts()));
         self.analysed.insert(key, Arc::clone(&analysis));
         analysis
     }
@@ -473,7 +463,7 @@ impl ModelStore {
             .map(|(_, analysis)| analysis)
     }
 
-    /// Compile `p` (explicate + optional compression + CSR snapshot),
+    /// Compile `p` (explicate + optional compression),
     /// served from cache when an equal term was already compiled under
     /// equal bounds.
     ///
