@@ -148,12 +148,14 @@ impl Budget {
     }
 }
 
-/// Checkpoints in passing: an engine hands `save` its frontier each time
-/// its discovered-pair count reaches the next multiple of `every`, then
-/// keeps exploring.
+/// Checkpoints in passing: each time an engine's discovered-pair count
+/// reaches the next multiple of `every`, it hands `save` the next record of
+/// its checkpoint log — its first a whole frontier, each later one the
+/// pairs found since — then keeps exploring. `save` answers whether a
+/// record may follow that one; after `false` the next must be whole.
 pub(crate) struct Checkpoints<'a> {
     pub every: u64,
-    pub save: &'a mut dyn FnMut(Frontier),
+    pub save: &'a mut dyn FnMut(&Frontier) -> bool,
 }
 
 impl Checkpoints<'_> {
@@ -615,6 +617,8 @@ struct Explorer {
     /// Restored from a [`Frontier`]: nodes discovered before the cut have
     /// no parent pointers, so no witness can be traced from this arena.
     resumed: bool,
+    /// The leading arena nodes whose pairs the checkpoint log holds.
+    logged: usize,
 }
 
 impl Explorer {
@@ -628,6 +632,7 @@ impl Explorer {
             max_product,
             bound,
             resumed: false,
+            logged: 0,
         }
     }
 
@@ -644,6 +649,7 @@ impl Explorer {
             max_product,
             bound,
             resumed: true,
+            logged: 0,
         };
         // A pending pair is always visited; one listed only as pending is
         // taken as visited rather than lost.
@@ -721,11 +727,11 @@ impl Explorer {
     }
 
     /// Snapshot the exploration as a [`Frontier`]: visited pairs in
-    /// discovery order, then the pending nodes in deque order, so a cut
-    /// writes the same bytes on every run. The cumulative counters travel
-    /// with the frontier so a resumed run reports totals as if it had
-    /// never stopped.
-    fn capture(&self, stats: &CheckStats) -> Frontier {
+    /// discovery order — only those the checkpoint log lacks when `tail` —
+    /// then the pending nodes in deque order, so a cut writes the same
+    /// bytes on every run. The cumulative counters travel with the
+    /// frontier so a resumed run reports totals as if it had never stopped.
+    fn capture(&self, stats: &CheckStats, tail: bool) -> Frontier {
         // An improved pending node sits in the deque twice; keep the first.
         let mut listed = vec![false; self.nodes.len()];
         let pending = self
@@ -740,8 +746,14 @@ impl Explorer {
                 (s, n, self.nodes[idx as usize].vlen)
             })
             .collect();
+        let from = if tail { self.logged } else { 0 };
         Frontier {
-            visited: self.index.keys().iter().map(|&key| entry_of(key)).collect(),
+            base: from as u64,
+            visited: self.index.keys()[from..]
+                .iter()
+                .map(|&key| entry_of(key))
+                .collect(),
+            logged: (self.logged - from) as u64,
             pending,
             discovered: stats.pairs_discovered,
             violation: u32::MAX,
@@ -777,7 +789,8 @@ impl Explorer {
             }
             if stats.pairs_discovered >= due {
                 if let Some(c) = checkpoints.as_mut() {
-                    (c.save)(self.capture(stats));
+                    let follows = (c.save)(&self.capture(stats, true));
+                    self.logged = if follows { self.index.keys().len() } else { 0 };
                     due = c.due_after(stats.pairs_discovered);
                 }
             }
@@ -853,7 +866,8 @@ impl Explorer {
 /// The walk starts at the root, or continues from `resume`, a frontier
 /// either engine wrote (validated against these models by the caller). It
 /// runs under `budget` and takes `checkpoints` in passing; an
-/// `Inconclusive` verdict comes back with the continuation frontier.
+/// `Inconclusive` verdict comes back with the whole continuation frontier,
+/// whose first `logged` pairs its checkpoint log already holds.
 ///
 /// With `bound: Some(l)`, exploration never queues a pair beyond visible
 /// depth `l`. When a violation at depth ≤ `l` is known to exist, this
@@ -929,7 +943,7 @@ pub(crate) fn refine_zero_one(
         Stop::Budget(reason) => (
             Verdict::Inconclusive(Inconclusive::new(stats.pairs_discovered, reason)),
             // A bounded walk's frontier continues only the bounded walk.
-            bound.is_none().then(|| ex.capture(&stats)),
+            bound.is_none().then(|| ex.capture(&stats, false)),
         ),
     };
     stats.shard_peak = stats.pairs_discovered;

@@ -17,16 +17,17 @@
 //! equivalent `⟨trace⟩ → STOP` check (the linear implementation has a
 //! unique path, so the engine's shortest witness is that prefix).
 //!
-//! The walk parallelises by sharding disjoint subtrees over a work-stealing
-//! pool: a short breadth-first prefix walk fans the trie out into
-//! independent `(trie node, walk state)` tasks, and because a node's verdict
-//! is a pure function of the trie and the normal form, the merged result is
-//! bit-identical at every thread count.
+//! The walk parallelises by sharding disjoint subtrees over a pool of
+//! workers: a short breadth-first prefix walk fans the trie out into
+//! independent `(trie node, walk state)` tasks, each worker claims the next
+//! unclaimed one, and because a node's verdict is a pure function of the
+//! trie and the normal form, the merged result is bit-identical at every
+//! thread count.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use crossbeam::deque::{Injector, Steal};
 use csp::{EventId, Trace};
 
 use crate::counterexample::{Counterexample, FailureKind, Verdict};
@@ -157,8 +158,8 @@ enum WalkState {
 /// spec refuses). The walk is bounded by the trie, so no verdict is ever
 /// [`Verdict::Inconclusive`].
 ///
-/// With `threads > 1` disjoint subtrees are sharded over a work-stealing
-/// pool; verdicts are bit-identical to the serial walk for any thread
+/// With `threads > 1` disjoint subtrees are sharded over a pool of
+/// workers; verdicts are bit-identical to the serial walk for any thread
 /// count.
 pub fn check(norm: &NormalisedLts, trie: &TraceTrie, threads: usize) -> Vec<(u32, Verdict)> {
     let mut verdicts: Vec<(u32, Verdict)> = Vec::with_capacity(trie.traces as usize);
@@ -179,28 +180,21 @@ pub fn check(norm: &NormalisedLts, trie: &TraceTrie, threads: usize) -> Vec<(u32
     }
 
     if threads > 1 && !frontier.is_empty() {
-        let injector: Injector<(u32, WalkState)> = Injector::new();
-        for task in frontier {
-            injector.push(task);
-        }
+        let next_task = AtomicUsize::new(0);
         let worker_verdicts = thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let injector = &injector;
+                    let (frontier, next_task) = (&frontier, &next_task);
                     scope.spawn(move || {
                         let mut local: Vec<(u32, Verdict)> = Vec::new();
                         let mut stack: Vec<(u32, WalkState)> = Vec::new();
-                        loop {
-                            match injector.steal() {
-                                Steal::Success(task) => {
-                                    stack.push(task);
-                                    while let Some((node, state)) = stack.pop() {
-                                        resolve_terminals(trie, node, state, &mut local);
-                                        expand_children(norm, trie, node, state, &mut stack);
-                                    }
-                                }
-                                Steal::Retry => continue,
-                                Steal::Empty => break,
+                        while let Some(&task) =
+                            frontier.get(next_task.fetch_add(1, Ordering::Relaxed))
+                        {
+                            stack.push(task);
+                            while let Some((node, state)) = stack.pop() {
+                                resolve_terminals(trie, node, state, &mut local);
+                                expand_children(norm, trie, node, state, &mut stack);
                             }
                         }
                         local

@@ -18,7 +18,8 @@
 //!   counterexample, equal to the serial explorer's at any owner count.
 //!
 //! A budget cut or checkpoint settles every offer in flight into its owner
-//! and captures the owners as the shared [`Frontier`]. A worker panic
+//! and captures the owners as the shared [`Frontier`]; a checkpoint takes
+//! each owner's pairs since the last one. A worker panic
 //! becomes [`CheckError::Internal`]. A product that outgrows
 //! [`crate::Checker::max_product`] *and* holds a violation may report
 //! either, depending on discovery order.
@@ -142,6 +143,8 @@ struct Owner {
     spare: Vec<Task>,
     /// Batches taken from the inbox so far.
     received: u64,
+    /// The leading pairs of `index` the checkpoint log holds.
+    logged: usize,
     /// Discoveries not yet added to the shared count.
     uncounted: u64,
     probe: FailureProbe,
@@ -330,7 +333,8 @@ impl Drop for PanicGuard<'_, '_> {
 /// owners, in walk model `model` ([`RefinementModel::walk`]), under
 /// `budget`, taking `checkpoints` in passing, from the root or from a
 /// `resume` frontier either engine wrote (validated by the caller). An
-/// `Inconclusive` verdict comes back with the continuation frontier. A
+/// `Inconclusive` verdict comes back with the whole continuation frontier,
+/// whose first `logged` pairs its checkpoint log already holds. A
 /// violation recorded before a budget cut is settled by the re-walk under
 /// a fresh instance of the budget, and is conclusive if that completes.
 /// Unbudgeted verdicts are deterministic across runs and owner counts. The
@@ -424,7 +428,10 @@ pub(crate) fn refine(
             break;
         }
         if let Some(c) = checkpoints.as_mut() {
-            (c.save)(capture(&owners, &shared, &totals(&owners, &base)));
+            let follows = (c.save)(&capture(&owners, &shared, &totals(&owners, &base), true));
+            for o in &mut owners {
+                o.logged = if follows { o.index.keys().len() } else { 0 };
+            }
         }
     }
 
@@ -438,7 +445,7 @@ pub(crate) fn refine(
         wall_overshoot: exhausted.map_or(Duration::ZERO, |_| budget.wall_overshoot()),
         ..totals(&owners, &base)
     };
-    let frontier = exhausted.map(|_| capture(&owners, &shared, &stats));
+    let frontier = exhausted.map(|_| capture(&owners, &shared, &stats, false));
     let explored = stats.pairs_discovered;
     let inconclusive = |reason| Verdict::Inconclusive(Inconclusive::new(explored, reason));
     let depth = shared.violation.load(Relaxed);
@@ -524,9 +531,10 @@ fn totals(owners: &[Owner], base: &CheckStats) -> CheckStats {
     }
 }
 
-/// The frontier of a settled round: the owners' visited pairs and queues
+/// The frontier of a settled round: the owners' visited pairs, those the
+/// checkpoint log holds first (only the others when `tail`), and queues
 /// (sorted, whoever held which task), the violation and the counters.
-fn capture(owners: &[Owner], shared: &Shared<'_>, stats: &CheckStats) -> Frontier {
+fn capture(owners: &[Owner], shared: &Shared<'_>, stats: &CheckStats, tail: bool) -> Frontier {
     let queued = owners.iter().flat_map(|o| &o.queue);
     let mut pending: Vec<(u32, u32, u32)> = queued
         .map(|t| {
@@ -535,9 +543,16 @@ fn capture(owners: &[Owner], shared: &Shared<'_>, stats: &CheckStats) -> Frontie
         })
         .collect();
     pending.sort_unstable();
-    let visited = owners.iter().flat_map(|o| o.index.keys());
+    let logged: usize = owners.iter().map(|o| o.logged).sum();
+    let old = owners
+        .iter()
+        .filter(|_| !tail)
+        .flat_map(|o| &o.index.keys()[..o.logged]);
+    let new = owners.iter().flat_map(|o| &o.index.keys()[o.logged..]);
     Frontier {
-        visited: visited.map(|&key| entry_of(key)).collect(),
+        base: if tail { logged as u64 } else { 0 },
+        visited: old.chain(new).map(|&key| entry_of(key)).collect(),
+        logged: if tail { 0 } else { logged as u64 },
         pending,
         discovered: shared.discovered.load(Relaxed),
         violation: shared.violation.load(Relaxed),

@@ -15,13 +15,14 @@
 //!
 //! 2. **Checkpoints** — the frontier of an interrupted refinement check,
 //!    keyed by a deterministic *check id* derived from both model hashes,
-//!    the semantic model and the compile bounds. Both engines write and
-//!    read one frontier layout: the visited pairs, the pending tasks with
-//!    their visible depths, the depth of a recorded violation and the
-//!    counters. A checkpoint resumes on the engine the requested thread
-//!    count selects, whichever engine wrote it, to a verdict bit-identical
-//!    to an uninterrupted one; see `docs/PERSISTENCE.md` for the exact
-//!    guarantees.
+//!    the semantic model and the compile bounds. A checkpoint is a
+//!    [`RecordLog`], the append-only log the service's job journal uses
+//!    too: each record holds the visited pairs found since the record
+//!    before it, the pending tasks with their visible depths, the depth of
+//!    a recorded violation and the counters. A checkpoint resumes on the
+//!    engine the requested thread count selects, whichever engine wrote
+//!    it, to a verdict bit-identical to an uninterrupted one; see
+//!    `docs/PERSISTENCE.md` for the exact guarantees.
 //!
 //! Concurrent `autocsp` invocations may share one cache directory: writers
 //! take an advisory exclusive lock — a `store.lock` file created with
@@ -33,15 +34,13 @@
 //! (dead pid, or an ancient stamp) and stolen with an [`STALE_LOCK`]
 //! warning, so one crash never wedges every later writer.
 //!
-//! An [`Lts`] is persisted whole: its transition structure plus its Ω
-//! bitset, which is all an [`Lts`] holds. State terms are not part of a
-//! compiled model; Ω-ness is the only state fact any checking path reads
-//! (deadlock detection and the `✓` handling in refinement).
+//! An [`Lts`] is persisted whole: its transitions plus its Ω bitset, the
+//! only state fact any checking path reads (deadlock and `✓` handling).
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs;
-use std::io::ErrorKind;
+use std::fs::{self, File};
+use std::io::{ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -65,7 +64,8 @@ pub const CACHE_IO: Code = Code("STO403");
 /// `STO404` — entries were evicted to keep the cache under its size cap.
 pub const EVICTED: Code = Code("STO404");
 /// `STO405` — a checkpoint was rejected (corrupt, version-mismatched or
-/// keyed to a different check); the run restarted from scratch.
+/// keyed to a different check, down to its first record); the run
+/// restarted from scratch.
 pub const BAD_CHECKPOINT: Code = Code("STO405");
 /// `STO406` — a `store.lock` left behind by a dead (or long-vanished)
 /// process was detected as stale and stolen; writers proceed normally.
@@ -73,7 +73,7 @@ pub const STALE_LOCK: Code = Code("STO406");
 
 const MAGIC_MODEL: &[u8; 8] = b"FDRLMDL\x01";
 const MAGIC_NORM: &[u8; 8] = b"FDRLNRM\x02";
-const MAGIC_CKPT: &[u8; 8] = b"FDRLCKP\x02";
+const MAGIC_CKPT: &[u8; 8] = b"FDRLCKP\x03";
 const FORMAT_VERSION: u32 = 1;
 
 /// Default cache capacity: 256 MiB of `.bin` payload.
@@ -122,15 +122,11 @@ impl Hasher128 {
     }
 
     fn u32(&mut self, v: u32) {
-        for byte in v.to_le_bytes() {
-            self.u8(byte);
-        }
+        v.to_le_bytes().into_iter().for_each(|b| self.u8(b));
     }
 
     fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.u8(byte);
-        }
+        v.to_le_bytes().into_iter().for_each(|b| self.u8(b));
     }
 
     fn h128(&mut self, v: [u64; 2]) {
@@ -230,51 +226,31 @@ fn subtree_hash(p: &Process, memo: &mut HashMap<usize, [u64; 2]>) -> [u64; 2] {
         Process::Prefix(e, q) => {
             h.u8(3);
             h.u32(e.index() as u32);
-            let c = child_hash(q, memo);
-            h.h128(c);
+            h.h128(child_hash(q, memo));
         }
-        Process::ExternalChoice(children) => {
-            h.u8(4);
+        Process::ExternalChoice(children) | Process::InternalChoice(children) => {
+            h.u8(if matches!(p, Process::ExternalChoice(_)) {
+                4
+            } else {
+                5
+            });
             h.u32(children.len() as u32);
             for c in children {
-                let ch = child_hash(c, memo);
-                h.h128(ch);
+                h.h128(child_hash(c, memo));
             }
-        }
-        Process::InternalChoice(children) => {
-            h.u8(5);
-            h.u32(children.len() as u32);
-            for c in children {
-                let ch = child_hash(c, memo);
-                h.h128(ch);
-            }
-        }
-        Process::Seq(a, b) => {
-            h.u8(6);
-            let ha = child_hash(a, memo);
-            h.h128(ha);
-            let hb = child_hash(b, memo);
-            h.h128(hb);
         }
         Process::Parallel { sync, left, right } => {
             h.u8(7);
             h.u32(sync.len() as u32);
-            for e in sync.iter() {
-                h.u32(e.index() as u32);
-            }
-            let hl = child_hash(left, memo);
-            h.h128(hl);
-            let hr = child_hash(right, memo);
-            h.h128(hr);
+            sync.iter().for_each(|e| h.u32(e.index() as u32));
+            h.h128(child_hash(left, memo));
+            h.h128(child_hash(right, memo));
         }
         Process::Hide(q, set) => {
             h.u8(8);
             h.u32(set.len() as u32);
-            for e in set.iter() {
-                h.u32(e.index() as u32);
-            }
-            let c = child_hash(q, memo);
-            h.h128(c);
+            set.iter().for_each(|e| h.u32(e.index() as u32));
+            h.h128(child_hash(q, memo));
         }
         Process::Rename(q, map) => {
             h.u8(9);
@@ -284,22 +260,16 @@ fn subtree_hash(p: &Process, memo: &mut HashMap<usize, [u64; 2]>) -> [u64; 2] {
                 h.u32(from.index() as u32);
                 h.u32(to.index() as u32);
             }
-            let c = child_hash(q, memo);
-            h.h128(c);
+            h.h128(child_hash(q, memo));
         }
-        Process::Interrupt(a, b) => {
-            h.u8(10);
-            let ha = child_hash(a, memo);
-            h.h128(ha);
-            let hb = child_hash(b, memo);
-            h.h128(hb);
-        }
-        Process::Timeout(a, b) => {
-            h.u8(11);
-            let ha = child_hash(a, memo);
-            h.h128(ha);
-            let hb = child_hash(b, memo);
-            h.h128(hb);
+        Process::Seq(a, b) | Process::Interrupt(a, b) | Process::Timeout(a, b) => {
+            h.u8(match p {
+                Process::Seq(..) => 6,
+                Process::Interrupt(..) => 10,
+                _ => 11,
+            });
+            h.h128(child_hash(a, memo));
+            h.h128(child_hash(b, memo));
         }
         Process::Var(d) => {
             h.u8(12);
@@ -340,11 +310,9 @@ pub fn corrupt<T>(why: &'static str) -> DecResult<T> {
     Err(EntryError::Corrupt(why))
 }
 
-/// Little-endian append-only encoder.
-///
-/// Public so that the checking service's crash-safe job journal shares
-/// one wire discipline with the cache: magic + format version header,
-/// little-endian fields, trailing FNV-1a checksum.
+/// Little-endian encoder of one entry: magic + format version header,
+/// fields, trailing FNV-1a checksum. Cache entries, checkpoint records and
+/// the service's journal records all use it.
 pub struct Enc {
     buf: Vec<u8>,
 }
@@ -459,6 +427,20 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(raw.try_into().expect("8-byte slice")))
     }
 
+    /// A `0`/`1` byte as a flag.
+    ///
+    /// # Errors
+    ///
+    /// [`EntryError::Corrupt`] with `why` on any other byte, or at end of
+    /// entry.
+    pub fn flag(&mut self, why: &'static str) -> DecResult<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => corrupt(why),
+        }
+    }
+
     /// A length-prefixed UTF-8 string written by [`Enc::text`].
     ///
     /// # Errors
@@ -505,6 +487,130 @@ impl<'a> Dec<'a> {
 }
 
 // ---------------------------------------------------------------------------
+// Record logs
+// ---------------------------------------------------------------------------
+
+/// An append-only log of checksummed records, the one way the service's
+/// job journal and a check's checkpoints reach disk: an 8-byte magic, then
+/// records, each a little-endian `u32` length and one [`Enc`] entry under
+/// the same magic. A log is written whole by [`RecordLog::rewrite`], a temp
+/// file renamed into place, and grows only through the handle that returns.
+pub struct RecordLog {
+    path: PathBuf,
+    tmp: PathBuf,
+    magic: &'static [u8; 8],
+}
+
+/// Where [`RecordLog::replay`] stopped early.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Torn {
+    /// The file does not start with the log's magic.
+    Header,
+    /// The record at this byte offset is torn, corrupt or rejected, for
+    /// this reason.
+    Record(usize, &'static str),
+}
+
+impl RecordLog {
+    /// The log at `path` under `magic`, rewritten through `tmp` (on the
+    /// same file system). Touches nothing on disk.
+    pub fn new(path: PathBuf, tmp: PathBuf, magic: &'static [u8; 8]) -> RecordLog {
+        RecordLog { path, tmp, magic }
+    }
+
+    /// The log's file.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// One record: the finished [`Enc`] entry `entry`, length-prefixed.
+    pub fn record(entry: &[u8]) -> Vec<u8> {
+        let len = u32::try_from(entry.len()).unwrap_or(u32::MAX);
+        [&len.to_le_bytes(), entry].concat()
+    }
+
+    /// Hand each record of the log `bytes` to `apply` in file order, its
+    /// checksum and header verified, and check that `apply` read it all.
+    ///
+    /// # Errors
+    ///
+    /// Where replay stopped, after the records before it were applied.
+    pub fn replay(
+        &self,
+        bytes: &[u8],
+        mut apply: impl FnMut(&mut Dec<'_>) -> DecResult<()>,
+    ) -> Result<(), Torn> {
+        let mut rest = bytes
+            .strip_prefix(self.magic.as_slice())
+            .ok_or(Torn::Header)?;
+        while !rest.is_empty() {
+            let offset = bytes.len() - rest.len();
+            let torn = |why| Torn::Record(offset, why);
+            let (len, tail) = rest
+                .split_first_chunk::<4>()
+                .ok_or(torn("truncated length prefix"))?;
+            let (entry, tail) = (tail.split_at_checked(u32::from_le_bytes(*len) as usize))
+                .ok_or(torn("truncated record"))?;
+            Dec::open(entry, self.magic)
+                .and_then(|mut dec| apply(&mut dec).and_then(|()| dec.done()))
+                .map_err(|e| torn(e.why()))?;
+            rest = tail;
+        }
+        Ok(())
+    }
+
+    /// Replace the log with one of `records` (from [`RecordLog::record`]),
+    /// atomically, and return it open for appends.
+    ///
+    /// # Errors
+    ///
+    /// Any write or rename error; the old log is left as it was.
+    pub fn rewrite<R: AsRef<[u8]>>(
+        &self,
+        records: impl IntoIterator<Item = R>,
+    ) -> std::io::Result<File> {
+        let mut bytes = self.magic.to_vec();
+        records
+            .into_iter()
+            .for_each(|r| bytes.extend_from_slice(r.as_ref()));
+        let written = File::create(&self.tmp)
+            .and_then(|mut log| log.write_all(&bytes).map(|()| log))
+            .and_then(|log| fs::rename(&self.tmp, &self.path).map(|()| log));
+        if written.is_err() {
+            let _ = fs::remove_file(&self.tmp);
+        }
+        written
+    }
+
+    /// Append `record` (from [`RecordLog::record`]) through `log`, a handle
+    /// [`RecordLog::rewrite`] returned.
+    ///
+    /// # Errors
+    ///
+    /// Any write error, or `log` being closed. What part of the record
+    /// reached the file is cut off again, so later records stay readable;
+    /// when that fails too, `log` is closed and the log must be rewritten.
+    pub fn append(log: &mut Option<File>, record: &[u8]) -> std::io::Result<()> {
+        let Some(file) = log.as_mut() else {
+            return Err(std::io::Error::other("the log is not open"));
+        };
+        let end = file.seek(SeekFrom::End(0))?;
+        let Err(e) = file.write_all(record) else {
+            return Ok(());
+        };
+        if file.set_len(end).is_err() {
+            *log = None;
+        }
+        Err(e)
+    }
+
+    /// Delete the log's file, if there is one.
+    pub fn remove(&self) {
+        let _ = fs::remove_file(&self.path);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Keys
 // ---------------------------------------------------------------------------
 
@@ -537,17 +643,12 @@ impl ModelKey {
         let echo = ModelKey {
             hash: ModelHash([dec.u64()?, dec.u64()?]),
             max_states: dec.u64()?,
-            compress: match dec.u8()? {
-                0 => false,
-                1 => true,
-                _ => return corrupt("compress flag out of range"),
-            },
+            compress: dec.flag("compress flag out of range")?,
         };
-        if echo == *self {
-            Ok(())
-        } else {
-            corrupt("key echo does not match requested key")
+        if echo != *self {
+            return corrupt("key echo does not match requested key");
         }
+        Ok(())
     }
 }
 
@@ -695,24 +796,18 @@ fn decode_norm(dec: &mut Dec<'_>) -> DecResult<NormalisedLts> {
     let mut pool_words: Vec<u64> = Vec::with_capacity(pool_len * acc_wps as usize);
     let mut pool_ticks: Vec<bool> = Vec::with_capacity(pool_len);
     for _ in 0..pool_len {
-        pool_ticks.push(match dec.u8()? {
-            0 => false,
-            1 => true,
-            _ => return corrupt("acceptance tick flag out of range"),
-        });
+        pool_ticks.push(dec.flag("acceptance tick flag out of range")?);
         for _ in 0..acc_wps {
             pool_words.push(dec.u64()?);
         }
     }
-    let mut after_off: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut after_off = vec![0u32];
     let mut after_ev: Vec<EventId> = Vec::new();
     let mut after_tgt: Vec<NormNodeId> = Vec::new();
     let mut tick_ok: Vec<bool> = Vec::with_capacity(n);
     let mut div_flag: Vec<bool> = Vec::with_capacity(n);
-    let mut acc_off: Vec<u32> = Vec::with_capacity(n + 1);
+    let mut acc_off = vec![0u32];
     let mut acc_ids: Vec<AcceptanceId> = Vec::new();
-    after_off.push(0);
-    acc_off.push(0);
     for _ in 0..n {
         let after_len = dec.len(8)?;
         let mut prev: Option<u32> = None;
@@ -730,16 +825,8 @@ fn decode_norm(dec: &mut Dec<'_>) -> DecResult<NormalisedLts> {
             after_tgt.push(NormNodeId::from_index(target));
         }
         after_off.push(after_ev.len() as u32);
-        tick_ok.push(match dec.u8()? {
-            0 => false,
-            1 => true,
-            _ => return corrupt("tick flag out of range"),
-        });
-        div_flag.push(match dec.u8()? {
-            0 => false,
-            1 => true,
-            _ => return corrupt("divergence flag out of range"),
-        });
+        tick_ok.push(dec.flag("tick flag out of range")?);
+        div_flag.push(dec.flag("divergence flag out of range")?);
         let acc_len = dec.len(4)?;
         for _ in 0..acc_len {
             let id = dec.u32()? as usize;
@@ -835,18 +922,25 @@ fn model_tag(model: RefinementModel) -> u8 {
 }
 
 /// The continuation state of an interrupted product walk, written and read
-/// by both engines: every visited pair, the pending tasks with their
+/// by both engines: the visited pairs, the pending tasks with their
 /// visible depths, the visible depth of a recorded violation (`u32::MAX`
-/// when none), and the counters so far.
+/// when none), and the counters so far. A *whole* frontier (`base` 0)
+/// lists every visited pair; each record of a checkpoint log lists the
+/// pairs found since the record before it.
 ///
 /// A visited pair that is not pending has been expanded. No parent
 /// pointers or per-pair depths are kept: a violation found after a resume
 /// is settled by the canonical bounded re-walk, which needs only its depth.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Frontier {
-    /// `(impl state, spec node)` for every visited pair, pending ones
-    /// included, in the order the engine lists them.
+    /// Visited pairs the checkpoint log lists before `visited`.
+    pub base: u64,
+    /// `(impl state, spec node)` for visited pairs, pending ones included,
+    /// in the order the engine lists them.
     pub visited: Vec<(u32, u32)>,
+    /// The leading pairs of `visited` the log already holds: its next
+    /// record leaves them out.
+    pub logged: u64,
     /// `(impl state, spec node, visible depth)` for every pending task.
     pub pending: Vec<(u32, u32, u32)>,
     pub discovered: u64,
@@ -868,19 +962,16 @@ impl Frontier {
     }
 }
 
-/// The frontier layout's tag. Tag 1 was a serial layout with a parent
-/// pointer per node; it is rejected, and its check restarts from scratch.
-const FRONTIER_TAG: u8 = 2;
-
-/// A durable checkpoint: the check's identity and walk model, then `f`.
-fn encode_checkpoint(id: CheckId, model: RefinementModel, f: &Frontier) -> Vec<u8> {
+/// The checkpoint record of `f` for check `id`, walked in `model`: the
+/// check's identity and walk model, then `f` without its logged pairs.
+fn encode_record(id: CheckId, model: RefinementModel, f: &Frontier) -> Vec<u8> {
+    let logged = f.logged as usize;
     let mut enc = Enc::new(MAGIC_CKPT);
-    enc.u64(id.0[0]);
-    enc.u64(id.0[1]);
+    id.0.into_iter().for_each(|half| enc.u64(half));
     enc.u8(model_tag(model));
-    enc.u8(FRONTIER_TAG);
-    enc.u32(f.visited.len() as u32);
-    for &(s, n) in &f.visited {
+    enc.u64(f.base + logged as u64);
+    enc.u32((f.visited.len() - logged) as u32);
+    for &(s, n) in &f.visited[logged..] {
         enc.u32(s);
         enc.u32(n);
     }
@@ -892,48 +983,35 @@ fn encode_checkpoint(id: CheckId, model: RefinementModel, f: &Frontier) -> Vec<u
     }
     enc.u64(f.discovered);
     enc.u32(f.violation);
-    enc.u64(f.expansions);
-    enc.u64(f.transitions);
-    enc.u64(f.batches);
-    enc.u64(f.frontier_peak);
+    for counter in [f.expansions, f.transitions, f.batches, f.frontier_peak] {
+        enc.u64(counter);
+    }
     enc.finish()
 }
 
-fn decode_checkpoint(bytes: &[u8], id: CheckId, model: RefinementModel) -> DecResult<Frontier> {
-    let mut dec = Dec::open(bytes, MAGIC_CKPT)?;
+fn decode_record(dec: &mut Dec<'_>, id: CheckId, model: RefinementModel) -> DecResult<Frontier> {
     if CheckId([dec.u64()?, dec.u64()?]) != id {
         return corrupt("checkpoint is keyed to a different check");
     }
     if dec.u8()? != model_tag(model) {
         return corrupt("checkpoint is for another refinement model");
     }
-    match dec.u8()? {
-        FRONTIER_TAG => {}
-        1 => return corrupt("retired serial frontier layout"),
-        _ => return corrupt("unknown frontier layout tag"),
-    }
-    let v = dec.len(8)?;
-    let mut visited = Vec::with_capacity(v);
-    for _ in 0..v {
-        visited.push((dec.u32()?, dec.u32()?));
-    }
-    let p = dec.len(12)?;
-    let mut pending = Vec::with_capacity(p);
-    for _ in 0..p {
-        pending.push((dec.u32()?, dec.u32()?, dec.u32()?));
-    }
-    let frontier = Frontier {
-        visited,
-        pending,
+    Ok(Frontier {
+        base: dec.u64()?,
+        visited: (0..dec.len(8)?)
+            .map(|_| Ok((dec.u32()?, dec.u32()?)))
+            .collect::<DecResult<_>>()?,
+        logged: 0,
+        pending: (0..dec.len(12)?)
+            .map(|_| Ok((dec.u32()?, dec.u32()?, dec.u32()?)))
+            .collect::<DecResult<_>>()?,
         discovered: dec.u64()?,
         violation: dec.u32()?,
         expansions: dec.u64()?,
         transitions: dec.u64()?,
         batches: dec.u64()?,
         frontier_peak: dec.u64()?,
-    };
-    dec.done()?;
-    Ok(frontier)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -956,7 +1034,7 @@ pub enum ResumePolicy {
 /// Persistence configuration attached to a [`crate::ModelStore`]: where
 /// artifacts and checkpoints live, how often to checkpoint, and whether to
 /// resume.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct PersistConfig {
     /// The on-disk cache backing the store.
     pub cache: Arc<PersistentCache>,
@@ -968,29 +1046,19 @@ pub struct PersistConfig {
     pub resume: ResumePolicy,
 }
 
-impl fmt::Debug for PersistConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PersistConfig")
-            .field("cache", &self.cache.root())
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("resume", &self.resume)
-            .finish()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Storage-fault hook
 // ---------------------------------------------------------------------------
 
 /// Interception point for deterministic storage-fault injection
-/// (`crates/faults`). The hook sees every encoded entry immediately before
-/// it is written.
+/// (`crates/faults`). The hook sees every encoded cache entry, and the
+/// entry of every checkpoint record, immediately before it is written.
 ///
 /// Return `false` to suppress the write entirely (simulating a crash
-/// before the rename); return `true` to proceed with the (possibly
-/// mutated) bytes. Mutations model torn writes, truncation, bit flips and
-/// stale-version headers — all of which the load path must reject or
-/// survive.
+/// before the rename, or a record lost from a checkpoint log); return
+/// `true` to proceed with the (possibly mutated) bytes. Mutations model
+/// torn writes, truncation, bit flips and stale-version headers — all of
+/// which the load path must reject or survive.
 pub trait StorageFaultHook: Send + Sync {
     /// Possibly corrupt `bytes` for the entry `name`; `false` drops the
     /// write on the floor.
@@ -1035,20 +1103,13 @@ fn pid_alive(pid: u32) -> Option<bool> {
 fn lock_is_stale(path: &Path) -> bool {
     let content = fs::read_to_string(path).unwrap_or_default();
     let mut parts = content.split_whitespace();
-    let parsed = match (
-        parts.next().and_then(|p| p.parse::<u32>().ok()),
-        parts.next().and_then(|s| s.parse::<u64>().ok()),
-    ) {
-        (Some(pid), Some(stamp)) => Some((pid, stamp)),
-        _ => None,
-    };
-    match parsed {
+    let pid = parts.next().and_then(|p| p.parse::<u32>().ok());
+    match pid.zip(parts.next().and_then(|s| s.parse::<u64>().ok())) {
         Some((pid, stamp)) => {
             let aged = now_micros().saturating_sub(stamp) > STALE_LOCK_MICROS;
             match pid_alive(pid) {
                 Some(false) => true, // holder is gone — classic stale lock
-                Some(true) => aged,  // alive pid may be reuse; trust the stamp
-                None => aged,
+                _ => aged,           // alive (maybe a reused pid) or unknown: trust the stamp
             }
         }
         None => {
@@ -1300,11 +1361,10 @@ impl PersistentCache {
 
     /// Stamp `name`'s LRU sidecar with the current wall-clock micros.
     fn touch(&self, name: &str) {
-        let stamp = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
-        let _ = fs::write(self.root.join(format!("{name}.used")), stamp.to_le_bytes());
+        let _ = fs::write(
+            self.root.join(format!("{name}.used")),
+            now_micros().to_le_bytes(),
+        );
     }
 
     fn used_stamp(&self, name: &str) -> u64 {
@@ -1314,41 +1374,45 @@ impl PersistentCache {
             .unwrap_or(0)
     }
 
-    /// Atomically write `bytes` to `rel` (under the store lock), then
-    /// enforce the size cap. The fault hook sees the bytes first.
-    fn write_entry(&self, rel: &str, mut bytes: Vec<u8>) {
+    /// Show `bytes`, about to be written as `rel`, to the fault hook:
+    /// `false` drops the write.
+    fn passes_hook(&self, rel: &str, bytes: &mut Vec<u8>) -> bool {
         let hook = self.hook.lock().expect("hook lock poisoned").clone();
-        if let Some(hook) = hook {
-            if !hook.corrupt(rel, &mut bytes) {
-                return; // injected crash before the write ever happened
-            }
+        hook.is_none_or(|hook| hook.corrupt(rel, bytes))
+    }
+
+    fn write_failed(&self, rel: &str, e: &std::io::Error) {
+        self.push_diag(
+            Diagnostic::warning(
+                CACHE_IO,
+                Span::unknown(),
+                format!("failed to write cache entry `{rel}`: {e}"),
+            )
+            .with_note("the run continues without persisting this artifact"),
+        );
+    }
+
+    /// Atomically write `bytes` to the entry `name` (under the store
+    /// lock), then enforce the size cap. The fault hook sees the bytes
+    /// first.
+    fn write_entry(&self, name: &str, mut bytes: Vec<u8>) {
+        if !self.passes_hook(name, &mut bytes) {
+            return; // injected crash before the write ever happened
         }
         let _guard = self.lock_exclusive();
-        let final_path = self.root.join(rel);
-        let tmp_path = self.root.join(format!(
-            ".tmp-{}-{}",
-            std::process::id(),
-            rel.replace('/', "_")
-        ));
+        let tmp_path = self
+            .root
+            .join(format!(".tmp-{}-{name}", std::process::id()));
         let written =
-            fs::write(&tmp_path, &bytes).and_then(|()| fs::rename(&tmp_path, &final_path));
+            fs::write(&tmp_path, &bytes).and_then(|()| fs::rename(&tmp_path, self.root.join(name)));
         match written {
             Ok(()) => {
-                if !rel.contains('/') {
-                    self.touch(rel);
-                    self.enforce_capacity(rel);
-                }
+                self.touch(name);
+                self.enforce_capacity(name);
             }
             Err(e) => {
                 let _ = fs::remove_file(&tmp_path);
-                self.push_diag(
-                    Diagnostic::warning(
-                        CACHE_IO,
-                        Span::unknown(),
-                        format!("failed to write cache entry `{rel}`: {e}"),
-                    )
-                    .with_note("the run continues without persisting this artifact"),
-                );
+                self.write_failed(name, &e);
             }
         }
     }
@@ -1447,33 +1511,38 @@ impl PersistentCache {
         }
     }
 
-    /// Load a compiled model, or `None` (after quarantining) on any miss
-    /// or integrity failure.
-    pub(crate) fn load_model(&self, key: &ModelKey) -> Option<Lts> {
-        let name = key.file_name();
-        let Some(bytes) = self.read_entry(&name) else {
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let decoded = (|| {
-            let mut dec = Dec::open(&bytes, MAGIC_MODEL)?;
-            key.check_echo(&mut dec)?;
-            let lts = decode_lts(&mut dec)?;
-            dec.done()?;
-            Ok(lts)
-        })();
+    /// Decode the entry `name` under `magic` with `decode`, or `None`
+    /// (after quarantining) on any miss or integrity failure.
+    fn load_entry<T>(
+        &self,
+        name: &str,
+        magic: &[u8; 8],
+        decode: impl FnOnce(&mut Dec<'_>) -> DecResult<T>,
+    ) -> Option<T> {
+        let decoded = self.read_entry(name).map(|bytes| {
+            let mut dec = Dec::open(&bytes, magic)?;
+            let value = decode(&mut dec)?;
+            dec.done().map(|()| value)
+        });
         match decoded {
-            Ok(lts) => {
+            Some(Ok(value)) => {
                 self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.touch(&name);
-                Some(lts)
+                self.touch(name);
+                return Some(value);
             }
-            Err(err) => {
-                self.quarantine(&name, err);
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            Some(Err(err)) => self.quarantine(name, err),
+            None => {}
         }
+        self.disk_misses.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Load a compiled model, or `None` on miss/corruption.
+    pub(crate) fn load_model(&self, key: &ModelKey) -> Option<Lts> {
+        self.load_entry(&key.file_name(), MAGIC_MODEL, |dec| {
+            key.check_echo(dec)?;
+            decode_lts(dec)
+        })
     }
 
     /// Persist a compiled model (best effort).
@@ -1486,34 +1555,13 @@ impl PersistentCache {
 
     /// Load a normalised specification, or `None` on miss/corruption.
     pub(crate) fn load_norm(&self, key: &NormDiskKey) -> Option<NormalisedLts> {
-        let name = key.file_name();
-        let Some(bytes) = self.read_entry(&name) else {
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let decoded = (|| {
-            let mut dec = Dec::open(&bytes, MAGIC_NORM)?;
-            key.model.check_echo(&mut dec)?;
-            let norm_bound = dec.u64()?;
-            if norm_bound != key.max_norm_nodes {
+        self.load_entry(&key.file_name(), MAGIC_NORM, |dec| {
+            key.model.check_echo(dec)?;
+            if dec.u64()? != key.max_norm_nodes {
                 return corrupt("key echo does not match requested key");
             }
-            let norm = decode_norm(&mut dec)?;
-            dec.done()?;
-            Ok(norm)
-        })();
-        match decoded {
-            Ok(norm) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.touch(&name);
-                Some(norm)
-            }
-            Err(err) => {
-                self.quarantine(&name, err);
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+            decode_norm(dec)
+        })
     }
 
     /// Persist a normalised specification (best effort).
@@ -1525,45 +1573,116 @@ impl PersistentCache {
         self.write_entry(&key.file_name(), enc.finish());
     }
 
-    /// The checkpoint entry of check `id`, relative to the cache root.
-    fn checkpoint_entry(id: CheckId) -> String {
-        format!("checkpoints/{}.ckpt", id.token())
+    /// The checkpoint log of check `id`, walked in `model`. Touches
+    /// nothing on disk.
+    pub(crate) fn checkpoint_log(&self, id: CheckId, model: RefinementModel) -> CheckpointLog<'_> {
+        static LOGS: AtomicU64 = AtomicU64::new(0);
+        let rel = format!("checkpoints/{}.ckpt", id.token());
+        // Its own temp file, outside `checkpoints/`, where only logs live.
+        let seq = LOGS.fetch_add(1, Ordering::Relaxed);
+        let tmp = format!(".tmp-{}-{seq}-{}.ckpt", std::process::id(), id.token());
+        let records = RecordLog::new(self.root.join(&rel), self.root.join(tmp), MAGIC_CKPT);
+        CheckpointLog {
+            cache: self,
+            id,
+            model,
+            rel,
+            records,
+            log: None,
+        }
+    }
+}
+
+/// The checkpoint log of one check. An engine run's first record is a
+/// whole frontier in a fresh file, renamed into place, and its later ones
+/// append the pairs found since, through the handle the rename left open;
+/// so a resumed log is compacted, and two processes never mix records.
+pub(crate) struct CheckpointLog<'a> {
+    cache: &'a PersistentCache,
+    id: CheckId,
+    model: RefinementModel,
+    /// The log's path relative to the cache root.
+    rel: String,
+    records: RecordLog,
+    /// This run's log, open for appends; `None` before its first record.
+    log: Option<File>,
+}
+
+impl CheckpointLog<'_> {
+    /// The whole frontier on disk: the log's records folded in order, each
+    /// adding its pairs and replacing the pending tasks and counters, up to
+    /// the first torn record or gap in the visited count. `None` when there
+    /// is no log; one whose first record does not fold is quarantined.
+    pub(crate) fn load(&self) -> Option<Frontier> {
+        let bytes = self.cache.read_entry(&self.rel)?;
+        let mut whole: Option<Frontier> = None;
+        let stop = self.records.replay(&bytes, |dec| {
+            let mut next = decode_record(dec, self.id, self.model)?;
+            if next.base != whole.as_ref().map_or(0, |f| f.visited.len() as u64) {
+                return corrupt("gap in the visited-pair count");
+            }
+            if let Some(mut before) = whole.take() {
+                before.visited.append(&mut next.visited);
+                next.visited = before.visited;
+            }
+            whole = Some(Frontier { base: 0, ..next });
+            Ok(())
+        });
+        if whole.is_none() {
+            self.discard(match stop {
+                Err(Torn::Header) => EntryError::Version.why(),
+                Err(Torn::Record(_, why)) => why,
+                Ok(()) => "the log holds no record",
+            });
+        }
+        whole
     }
 
-    /// Persist the frontier of check `id`, walked in `model` (best effort).
-    pub(crate) fn save_checkpoint(&self, id: CheckId, model: RefinementModel, f: &Frontier) {
-        self.write_entry(&Self::checkpoint_entry(id), encode_checkpoint(id, model, f));
-    }
-
-    /// Load the frontier of check `id`, walked in `model`, or `None`
-    /// (quarantined, with a [`BAD_CHECKPOINT`] diagnostic, if a file
-    /// existed but was rejected).
-    pub(crate) fn load_checkpoint(&self, id: CheckId, model: RefinementModel) -> Option<Frontier> {
-        let bytes = self.read_entry(&Self::checkpoint_entry(id))?;
-        decode_checkpoint(&bytes, id, model)
-            .map_err(|err| self.discard_checkpoint(id, err.why()))
-            .ok()
-    }
-
-    /// Quarantine the checkpoint for `id`: it did not decode, or does not
-    /// fit the models of the current check (e.g. written by an older
-    /// script revision whose state spaces were shaped differently).
-    pub(crate) fn discard_checkpoint(&self, id: CheckId, why: &str) {
-        let rel = Self::checkpoint_entry(id);
-        self.move_to_quarantine(&rel);
-        self.push_diag(
+    /// Quarantine the log under [`BAD_CHECKPOINT`]: it did not fold, or
+    /// does not fit the models of the current check (e.g. written by an
+    /// older script revision whose state spaces were shaped differently).
+    pub(crate) fn discard(&self, why: &str) {
+        self.cache.move_to_quarantine(&self.rel);
+        self.cache.push_diag(
             Diagnostic::warning(
                 BAD_CHECKPOINT,
                 Span::unknown(),
-                format!("quarantined checkpoint `{rel}`: {why}"),
+                format!("quarantined checkpoint `{}`: {why}", self.rel),
             )
             .with_note("the check restarts from scratch"),
         );
     }
 
-    /// Remove the checkpoint for `id` (called when a resumed run completes).
-    pub(crate) fn remove_checkpoint(&self, id: CheckId) {
-        let _ = fs::remove_file(self.root.join(Self::checkpoint_entry(id)));
+    /// Write `f` as the log's next record (best effort): a whole frontier
+    /// starts a fresh file, any other record is appended. Whether a record
+    /// may follow this one; after `false` the next must be whole.
+    pub(crate) fn save(&mut self, f: &Frontier) -> bool {
+        if f.base + f.logged == 0 {
+            self.log = None;
+        } else if self.log.is_none() {
+            return false;
+        }
+        let mut entry = encode_record(self.id, self.model, f);
+        if !self.cache.passes_hook(&self.rel, &mut entry) {
+            return true; // injected loss: the record never reaches the file
+        }
+        let record = RecordLog::record(&entry);
+        let written = match self.log {
+            Some(_) => RecordLog::append(&mut self.log, &record),
+            None => self
+                .records
+                .rewrite([record])
+                .map(|log| self.log = Some(log)),
+        };
+        written
+            .map_err(|e| self.cache.write_failed(&self.rel, &e))
+            .is_ok()
+    }
+
+    /// Delete the log: the check reached a conclusive verdict.
+    pub(crate) fn remove(&mut self) {
+        self.log = None;
+        self.records.remove();
     }
 }
 
@@ -1923,7 +2042,9 @@ mod tests {
 
     fn sample_frontier() -> Frontier {
         Frontier {
+            base: 0,
             visited: vec![(0, 0), (1, 1), (2, 0)],
+            logged: 0,
             pending: vec![(1, 1, 1), (2, 0, 2)],
             discovered: 3,
             violation: 7,
@@ -1934,16 +2055,57 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_roundtrips() {
-        let cache = PersistentCache::open(tmpdir("ckpt")).unwrap();
-        let (id, model) = (CheckId([42, 43]), RefinementModel::Failures);
-        let frontier = sample_frontier();
-        cache.save_checkpoint(id, model, &frontier);
-        assert_eq!(cache.load_checkpoint(id, model), Some(frontier));
+    /// The record after `f` that adds the pair `(s, s)`, pending, and
+    /// counts it.
+    fn next_record(f: &Frontier, s: u32) -> Frontier {
+        Frontier {
+            base: f.base + f.visited.len() as u64,
+            visited: vec![(s, s)],
+            pending: vec![(s, s, s)],
+            discovered: f.discovered + 1,
+            ..f.clone()
+        }
+    }
 
-        cache.remove_checkpoint(id);
-        assert!(cache.load_checkpoint(id, model).is_none());
+    /// The whole frontier `records` fold to.
+    fn folded(records: &[&Frontier]) -> Frontier {
+        let visited = records.iter().flat_map(|f| f.visited.clone()).collect();
+        let last = records.last().expect("a record");
+        Frontier {
+            base: 0,
+            visited,
+            ..(*last).clone()
+        }
+    }
+
+    fn checkpoint_path(dir: &Path, id: CheckId) -> PathBuf {
+        dir.join("checkpoints").join(format!("{}.ckpt", id.token()))
+    }
+
+    #[test]
+    fn checkpoint_log_appends_records_and_folds_them() {
+        let dir = tmpdir("ckpt");
+        let cache = PersistentCache::open(&dir).unwrap();
+        let (id, model) = (CheckId([42, 43]), RefinementModel::Failures);
+        let mut log = cache.checkpoint_log(id, model);
+        let (first, second) = (sample_frontier(), next_record(&sample_frontier(), 3));
+        assert!(log.save(&first) && log.save(&second));
+        assert_eq!(log.load(), Some(folded(&[&first, &second])));
+
+        // A cut's whole frontier appends only the pairs the log lacks.
+        let third = next_record(&second, 4);
+        let cut = Frontier {
+            logged: 4,
+            ..folded(&[&first, &second, &third])
+        };
+        let before = fs::metadata(checkpoint_path(&dir, id)).unwrap().len();
+        assert!(log.save(&cut));
+        let grown = fs::metadata(checkpoint_path(&dir, id)).unwrap().len() - before;
+        assert_eq!(grown, 4 + encode_record(id, model, &third).len() as u64);
+        assert_eq!(log.load(), Some(Frontier { logged: 0, ..cut }));
+
+        log.remove();
+        assert!(log.load().is_none());
         assert!(
             cache.take_diagnostics().is_empty(),
             "a removed checkpoint is a clean miss, not an error"
@@ -1951,20 +2113,74 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_last_record_folds_to_the_record_before_it() {
+        let dir = tmpdir("ckpt-torn");
+        let cache = PersistentCache::open(&dir).unwrap();
+        let id = CheckId([5, 6]);
+        let mut log = cache.checkpoint_log(id, RefinementModel::Traces);
+        let first = sample_frontier();
+        let second = next_record(&first, 3);
+        for f in [&first, &second, &next_record(&second, 4)] {
+            assert!(log.save(f));
+        }
+        let path = checkpoint_path(&dir, id);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        assert_eq!(log.load(), Some(folded(&[&first, &second])));
+        assert_eq!(cache.quarantined(), 0);
+        assert!(cache.take_diagnostics().is_empty());
+    }
+
+    #[test]
+    fn the_fold_stops_at_a_gap_left_by_a_dropped_record() {
+        struct DropSecond(AtomicU64);
+        impl StorageFaultHook for DropSecond {
+            fn corrupt(&self, _name: &str, _bytes: &mut Vec<u8>) -> bool {
+                self.0.fetch_add(1, Ordering::Relaxed) != 1
+            }
+        }
+        let dir = tmpdir("ckpt-gap");
+        let cache = PersistentCache::open(&dir).unwrap();
+        cache.set_fault_hook(Arc::new(DropSecond(AtomicU64::new(0))));
+        let id = CheckId([7, 8]);
+        let mut log = cache.checkpoint_log(id, RefinementModel::Traces);
+        let mut records = vec![sample_frontier()];
+        for s in 3..6 {
+            records.push(next_record(records.last().unwrap(), s));
+        }
+        for f in &records {
+            assert!(log.save(f), "a dropped record is lost silently");
+        }
+        assert_eq!(log.load(), Some(records[0].clone()));
+        assert!(cache.take_diagnostics().is_empty());
+    }
+
+    #[test]
+    fn a_record_that_cannot_follow_asks_for_a_whole_one() {
+        let dir = tmpdir("ckpt-unopened");
+        let cache = PersistentCache::open(&dir).unwrap();
+        let id = CheckId([3, 4]);
+        let mut log = cache.checkpoint_log(id, RefinementModel::Traces);
+        assert!(!log.save(&next_record(&sample_frontier(), 3)));
+        assert!(!checkpoint_path(&dir, id).exists());
+        assert!(log.save(&sample_frontier()));
+        assert_eq!(log.load(), Some(sample_frontier()));
+    }
+
+    #[test]
     fn checkpoint_keyed_to_another_check_is_rejected() {
         let dir = tmpdir("ckpt-key");
         let cache = PersistentCache::open(&dir).unwrap();
         let (id, model) = (CheckId([1, 2]), RefinementModel::Traces);
-        cache.save_checkpoint(id, model, &sample_frontier());
+        assert!(cache.checkpoint_log(id, model).save(&sample_frontier()));
         let other = CheckId([9, 9]);
-        fs::rename(
-            dir.join("checkpoints").join(format!("{}.ckpt", id.token())),
-            dir.join("checkpoints")
-                .join(format!("{}.ckpt", other.token())),
-        )
-        .unwrap();
-        assert!(cache.load_checkpoint(other, model).is_none());
+        fs::rename(checkpoint_path(&dir, id), checkpoint_path(&dir, other)).unwrap();
+        assert!(cache.checkpoint_log(other, model).load().is_none());
         assert_eq!(cache.take_diagnostics()[0].code, BAD_CHECKPOINT);
+        assert!(dir
+            .join("quarantine")
+            .join(format!("{}.ckpt", other.token()))
+            .exists());
     }
 
     #[test]

@@ -47,8 +47,8 @@ use crate::error::CheckError;
 use crate::normalise::NormalisedLts;
 use crate::parallel;
 use crate::persist::{
-    content_hash, CheckId, CheckIdParts, Frontier, ModelHash, ModelKey, NormDiskKey, PersistConfig,
-    PersistentCache, ResumePolicy,
+    content_hash, CheckId, CheckIdParts, CheckpointLog, Frontier, ModelHash, ModelKey, NormDiskKey,
+    PersistConfig, PersistentCache, ResumePolicy,
 };
 use crate::stats::CheckStats;
 
@@ -677,10 +677,10 @@ impl ModelStore {
     /// With persistence attached: a checkpoint found under the resume
     /// policy seeds the walk, whichever engine wrote it (one at or past
     /// [`SERIAL_PAIRS`] pairs goes straight to the partitioned engine when
-    /// `threads > 1`); the engines save a checkpoint in passing every
-    /// `checkpoint_every` newly discovered pairs; an `Inconclusive` walk
-    /// saves its final frontier and carries the resume token, and a
-    /// conclusive one removes the checkpoint.
+    /// `threads > 1`); each engine run appends a record to the check's
+    /// checkpoint log every `checkpoint_every` newly discovered pairs; an
+    /// `Inconclusive` walk appends its final record and carries the resume
+    /// token, and a conclusive one removes the log.
     #[allow(clippy::too_many_arguments)]
     fn engine_run(
         &self,
@@ -698,21 +698,18 @@ impl ModelStore {
             ResumePolicy::Auto => true,
             ResumePolicy::Token(token) => token == *id,
         };
-        let resume = persist.filter(wanted).and_then(|(cfg, id)| {
-            let frontier = cfg.cache.load_checkpoint(id, model)?;
+        let mut log = persist.map(|(cfg, id)| cfg.cache.checkpoint_log(id, model));
+        let resume = persist.filter(wanted).and_then(|_| {
+            let log = log.as_ref()?;
+            let frontier = log.load()?;
             if frontier.validate(impl_m.lts().state_count(), norm.node_count()) {
                 Some(frontier)
             } else {
-                cfg.cache
-                    .discard_checkpoint(id, "frontier does not fit the current models");
+                log.discard("frontier does not fit the current models");
                 None
             }
         });
-        let mut save = |frontier: Frontier| {
-            if let Some((cfg, id)) = persist {
-                cfg.cache.save_checkpoint(id, model, &frontier);
-            }
-        };
+        let mut save = |frontier: &Frontier| log.as_mut().is_some_and(|log| log.save(frontier));
         let every = persist.and_then(|(cfg, _)| cfg.checkpoint_every);
         let max_product = checker.max_product();
 
@@ -761,19 +758,26 @@ impl ModelStore {
         stats.cpu_busy += prefix_cpu;
         stats.wall = explore_start.elapsed();
 
-        let Some((cfg, id)) = persist else {
+        let Some((_, id)) = persist else {
             return Ok((verdict, stats));
         };
         match verdict {
             Verdict::Inconclusive(mut inc) => {
                 if let Some(frontier) = frontier {
-                    save(frontier);
+                    // A tail that cannot follow the log's last record goes
+                    // in whole.
+                    if !save(&frontier) && frontier.logged > 0 {
+                        save(&Frontier {
+                            logged: 0,
+                            ..frontier
+                        });
+                    }
                     inc.resume = Some(id.token());
                 }
                 Ok((Verdict::Inconclusive(inc), stats))
             }
             conclusive => {
-                cfg.cache.remove_checkpoint(id);
+                log.iter_mut().for_each(CheckpointLog::remove);
                 Ok((conclusive, stats))
             }
         }

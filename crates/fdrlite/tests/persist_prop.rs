@@ -17,20 +17,24 @@
 //!    damage) must degrade to a quarantine + recompile, never a wrong
 //!    verdict or a panic. Likewise a corrupted checkpoint must restart the
 //!    check from scratch, not poison it.
-//! 3. A checkpoint written by a retired codec — the previous version of
-//!    the magic (`FDRLCKP\x01`), or the serial frontier layout (tag 1) —
-//!    with a valid checksum must be quarantined as `STO405`, and the check
-//!    must restart and reach the uninterrupted verdict.
+//! 3. A checkpoint written by a retired codec — the whole-file frontier
+//!    (`FDRLCKP\x02`, layout tag 2) or the serial layout (tag 1) — with a
+//!    valid checksum must be quarantined as `STO405`, and the check must
+//!    restart and reach the uninterrupted verdict.
+//! 4. A checkpoint is a log of records, each adding the pairs found since
+//!    the one before: checkpoints in passing write each visited pair once,
+//!    a torn last record resumes from the record before it, and a record
+//!    lost from the middle ends the resume's fold at the gap.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use csp::{Definitions, EventId, EventSet, Process};
 use fdrlite::persist::fnv1a64;
 use fdrlite::{
     BudgetReason, CheckError, CheckId, CheckOptions, CheckRequest, CheckStats, Checker, ModelStore,
-    PersistConfig, PersistentCache, RefinementModel, ResumePolicy, Verdict,
+    PersistConfig, PersistentCache, RefinementModel, ResumePolicy, StorageFaultHook, Verdict,
 };
 use proptest::prelude::*;
 
@@ -383,65 +387,54 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn old_format_parallel_checkpoint_is_quarantined(
-        spec in arb_process(3),
-        impl_ in arb_process(4),
-    ) {
-        let defs = Definitions::new();
-        let unbounded = CheckOptions::UNBOUNDED;
-        let Ok((ref_verdict, _)) =
-            check(&ModelStore::new(), &spec, &impl_, &defs, 8, unbounded)
-        else {
-            return Ok(());
-        };
-
-        // A one-pair budget cuts every check at its root, so every case
-        // leaves a parallel checkpoint behind.
-        let dir = fresh_dir("oldckpt");
-        let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
-        let cut_opts = CheckOptions { max_states: Some(1), max_wall_ms: None };
-        let store = persisted_store(&cache, ResumePolicy::Off);
-        let (first, _) =
-            check(&store, &spec, &impl_, &defs, 8, cut_opts).expect("budgeted run succeeds");
-        let token = first.inconclusive().and_then(|i| i.resume.clone());
-        prop_assert!(token.is_some(), "a root cut must leave a resume token: {:?}", first);
-        let token = token.unwrap();
-
-        // Rewrite the checkpoint as the previous codec would have framed
-        // it: old version byte in the magic, checksum recomputed, so only
-        // the version tells it apart.
-        let ckpt = dir.join("checkpoints").join(format!("{token}.ckpt"));
-        let mut bytes = std::fs::read(&ckpt).expect("checkpoint readable");
-        prop_assert_eq!(&bytes[..8], b"FDRLCKP\x02");
-        bytes[7] = 0x01;
-        let body_len = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&ckpt, &bytes).expect("checkpoint writable");
-
-        let id = CheckId::from_token(&token).expect("token parses");
-        let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
-        let store2 = persisted_store(&cache2, ResumePolicy::Token(id));
-        let (verdict, _) = check(&store2, &spec, &impl_, &defs, 8, unbounded)
-            .expect("resume over an old-format checkpoint must not abort");
-        prop_assert_eq!(&verdict, &ref_verdict);
-        prop_assert_eq!(cache2.quarantined(), 1);
-        let codes: Vec<&str> = cache2.take_diagnostics().iter().map(|d| d.code.0).collect();
-        prop_assert_eq!(codes, vec![fdrlite::persist::BAD_CHECKPOINT.0]);
-        prop_assert!(dir.join("quarantine").join(format!("{token}.ckpt")).exists());
-        let _ = std::fs::remove_dir_all(&dir);
+/// A checkpoint of check `id` in a retired codec, with a valid checksum:
+/// the root pair (both compilers number their initial state 0) as the
+/// only visited pair, pending at depth 0. `FDRLCKP\x02` with layout tag 2
+/// is the whole-file frontier; tag 1 is the serial layout, which kept a
+/// parent pointer and an edge label per node and its deque.
+fn retired_checkpoint(id: &str, tag: u8) -> Vec<u8> {
+    let mut bytes = b"FDRLCKP\x02".to_vec();
+    bytes.extend(1u32.to_le_bytes()); // format version
+    for half in [&id[..16], &id[16..]] {
+        bytes.extend(
+            u64::from_str_radix(half, 16)
+                .expect("hex token")
+                .to_le_bytes(),
+        );
     }
+    bytes.push(0); // the traces walk
+    bytes.push(tag);
+    bytes.extend(1u32.to_le_bytes());
+    if tag == 2 {
+        bytes.extend([0u8; 8]); // impl state, spec node
+        bytes.extend(1u32.to_le_bytes());
+        bytes.extend([0u8; 12]); // impl state, spec node, visible depth
+        bytes.extend(1u64.to_le_bytes()); // discovered
+        bytes.extend(u32::MAX.to_le_bytes()); // no violation
+        for counter in [0u64, 0, 0, 1] {
+            // expansions, transitions, batches, frontier peak
+            bytes.extend(counter.to_le_bytes());
+        }
+    } else {
+        bytes.extend([0u8; 16]); // impl state, spec node, visible depth, parent
+        bytes.push(0); // no edge label
+        bytes.extend(1u32.to_le_bytes());
+        bytes.extend(0u32.to_le_bytes()); // deque: the root node
+        for counter in [1u64, 0, 0, 1] {
+            // discovered, expansions, transitions, frontier peak
+            bytes.extend(counter.to_le_bytes());
+        }
+    }
+    let sum = fnv1a64(&bytes);
+    bytes.extend(sum.to_le_bytes());
+    bytes
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn serial_layout_checkpoint_is_quarantined(
+    fn retired_checkpoint_layouts_are_quarantined(
         spec in arb_process(3),
         impl_ in arb_process(4),
     ) {
@@ -452,54 +445,271 @@ proptest! {
         else {
             return Ok(());
         };
+        for (tag, threads) in [(2u8, 8usize), (1, 1)] {
+            // A one-pair budget cuts every check at its root, so every case
+            // leaves a checkpoint to overwrite.
+            let dir = fresh_dir("retired");
+            let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
+            let cut_opts = CheckOptions { max_states: Some(1), max_wall_ms: None };
+            let store = persisted_store(&cache, ResumePolicy::Off);
+            let (first, _) = check(&store, &spec, &impl_, &defs, threads, cut_opts)
+                .expect("budgeted run succeeds");
+            let token = first.inconclusive().and_then(|i| i.resume.clone());
+            prop_assert!(token.is_some(), "a root cut must leave a resume token: {:?}", first);
+            let token = token.unwrap();
+            let ckpt = dir.join("checkpoints").join(format!("{token}.ckpt"));
+            std::fs::write(&ckpt, retired_checkpoint(&token, tag)).expect("checkpoint writable");
 
-        // A one-pair budget cuts every check at its root, so every case
-        // leaves a checkpoint behind.
-        let dir = fresh_dir("serialckpt");
-        let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
-        let cut_opts = CheckOptions { max_states: Some(1), max_wall_ms: None };
-        let store = persisted_store(&cache, ResumePolicy::Off);
-        let (first, _) =
-            check(&store, &spec, &impl_, &defs, 1, cut_opts).expect("budgeted run succeeds");
-        let token = first.inconclusive().and_then(|i| i.resume.clone());
-        prop_assert!(token.is_some(), "a root cut must leave a resume token: {:?}", first);
-        let token = token.unwrap();
-
-        // Rewrite the checkpoint in the retired serial layout (frontier
-        // tag 1), checksum recomputed: the root pair (both compilers number
-        // their initial state 0) as the only node, pending at depth 0.
-        let ckpt = dir.join("checkpoints").join(format!("{token}.ckpt"));
-        let written = std::fs::read(&ckpt).expect("checkpoint readable");
-        prop_assert_eq!(&written[..8], b"FDRLCKP\x02");
-        // Magic, format version, check id and model tag.
-        let mut bytes = written[..29].to_vec();
-        bytes.push(1);
-        bytes.extend(1u32.to_le_bytes());
-        for field in [0u32; 4] {
-            // impl state, spec node, visible depth, parent
-            bytes.extend(field.to_le_bytes());
+            let id = CheckId::from_token(&token).expect("token parses");
+            let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
+            let store2 = persisted_store(&cache2, ResumePolicy::Token(id));
+            let (verdict, _) = check(&store2, &spec, &impl_, &defs, threads, unbounded)
+                .expect("resume over a retired checkpoint must not abort");
+            prop_assert_eq!(&verdict, &ref_verdict);
+            prop_assert_eq!(cache2.quarantined(), 1);
+            let codes: Vec<&str> = cache2.take_diagnostics().iter().map(|d| d.code.0).collect();
+            prop_assert_eq!(codes, vec![fdrlite::persist::BAD_CHECKPOINT.0]);
+            prop_assert!(dir.join("quarantine").join(format!("{token}.ckpt")).exists());
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        bytes.push(0); // no edge label
-        bytes.extend(1u32.to_le_bytes());
-        bytes.extend(0u32.to_le_bytes()); // deque: the root node
-        for counter in [1u64, 0, 0, 1] {
-            // discovered, expansions, transitions, frontier peak
-            bytes.extend(counter.to_le_bytes());
-        }
-        let sum = fnv1a64(&bytes);
-        bytes.extend(sum.to_le_bytes());
-        std::fs::write(&ckpt, &bytes).expect("checkpoint writable");
+    }
+}
 
-        let id = CheckId::from_token(&token).expect("token parses");
+/// A pass-through [`StorageFaultHook`] that counts and keeps the entry of
+/// every checkpoint write it lets through, and drops the checkpoint writes
+/// `drop` picks (numbered from 1).
+struct Recorder {
+    drop: fn(usize) -> bool,
+    seen: AtomicUsize,
+    written: AtomicU64,
+    entries: Mutex<Vec<Vec<u8>>>,
+}
+
+impl Recorder {
+    fn new(drop: fn(usize) -> bool) -> Arc<Recorder> {
+        Arc::new(Recorder {
+            drop,
+            seen: AtomicUsize::new(0),
+            written: AtomicU64::new(0),
+            entries: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn entries(&self) -> Vec<Vec<u8>> {
+        self.entries.lock().expect("entries lock").clone()
+    }
+}
+
+impl StorageFaultHook for Recorder {
+    fn corrupt(&self, name: &str, bytes: &mut Vec<u8>) -> bool {
+        if !name.starts_with("checkpoints/") {
+            return true;
+        }
+        if (self.drop)(self.seen.fetch_add(1, Ordering::Relaxed) + 1) {
+            return false;
+        }
+        self.written
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.entries
+            .lock()
+            .expect("entries lock")
+            .push(bytes.clone());
+        true
+    }
+}
+
+/// The `discovered` counter of a checkpoint record's entry: it follows the
+/// header (magic, version, check id, model tag), the count of pairs listed
+/// before the record, the record's new pairs and its pending tasks.
+fn discovered_of(entry: &[u8]) -> u64 {
+    let u32_at = |at: usize| u32::from_le_bytes(entry[at..at + 4].try_into().unwrap()) as usize;
+    let pending = 41 + 8 * u32_at(37);
+    let at = pending + 4 + 12 * u32_at(pending);
+    u64::from_le_bytes(entry[at..at + 8].try_into().unwrap())
+}
+
+/// A cache over a fresh directory with `hook` installed.
+fn hooked_cache(tag: &str, hook: &Arc<Recorder>) -> (PathBuf, Arc<PersistentCache>) {
+    let dir = fresh_dir(tag);
+    let cache = Arc::new(PersistentCache::open(&dir).expect("cache opens"));
+    cache.set_fault_hook(Arc::clone(hook) as Arc<dyn StorageFaultHook>);
+    (dir, cache)
+}
+
+/// Resume check `id` at one pair of budget, which stops it at once: the
+/// pairs it reports are those of the record its fold reached. The resume
+/// must quarantine nothing.
+fn resume_point(
+    dir: &std::path::Path,
+    id: CheckId,
+    (defs, spec, impl_): &(Definitions, Process, Process),
+    threads: usize,
+) -> u64 {
+    let cache = Arc::new(PersistentCache::open(dir).expect("cache reopens"));
+    let stop = CheckOptions {
+        max_states: Some(1),
+        max_wall_ms: None,
+    };
+    let (verdict, _) = check(
+        &persisted_store(&cache, ResumePolicy::Token(id)),
+        spec,
+        impl_,
+        defs,
+        threads,
+        stop,
+    )
+    .expect("the resume runs");
+    assert_eq!(cache.quarantined(), 0);
+    assert!(cache.take_diagnostics().is_empty());
+    verdict
+        .inconclusive()
+        .expect("a one-pair budget stops the resume")
+        .states_explored
+}
+
+/// Cut the workload at `cut` pairs on `threads` through `cache`,
+/// checkpointing every 1,000 pairs; the cut's resume token.
+fn cut_with_checkpoints(
+    cache: &Arc<PersistentCache>,
+    (defs, spec, impl_): &(Definitions, Process, Process),
+    threads: usize,
+    cut: u64,
+) -> CheckId {
+    let cut_opts = CheckOptions {
+        max_states: Some(cut),
+        max_wall_ms: None,
+    };
+    let store = checkpointing_store(cache, ResumePolicy::Off, Some(1_000));
+    let (verdict, _) = check(&store, spec, impl_, defs, threads, cut_opts).expect("the cut runs");
+    let token = verdict.inconclusive().and_then(|i| i.resume.clone());
+    CheckId::from_token(&token.expect("a cut leaves a token")).expect("token parses")
+}
+
+#[test]
+fn checkpoints_in_passing_write_each_visited_pair_once() {
+    // Four cycles against a long ring keep the pending tasks, which every
+    // record repeats, to a few dozen, so the bound measures visited pairs.
+    let (defs, spec, impl_) = cycles_against_ring(4, 1458);
+    let hook = Recorder::new(|_| false);
+    let (dir, cache) = hooked_cache("bytes", &hook);
+    let store = checkpointing_store(&cache, ResumePolicy::Off, Some(1_000));
+    let unbounded = CheckOptions::UNBOUNDED;
+    let (verdict, stats) =
+        check(&store, &spec, &impl_, &defs, 1, unbounded).expect("the check runs");
+    assert!(verdict.is_pass(), "{verdict:?}");
+    assert_eq!(stats.pairs_discovered, 39_366);
+    assert!(
+        hook.entries().len() >= 39,
+        "one checkpoint per 1,000 new pairs"
+    );
+
+    // One whole checkpoint of the final visited set: what a cut at that
+    // size writes.
+    let whole_dir = fresh_dir("bytes-whole");
+    let whole_cache = Arc::new(PersistentCache::open(&whole_dir).expect("cache opens"));
+    let cut_opts = CheckOptions {
+        max_states: Some(stats.pairs_discovered),
+        max_wall_ms: None,
+    };
+    let (cut, _) = check(
+        &persisted_store(&whole_cache, ResumePolicy::Off),
+        &spec,
+        &impl_,
+        &defs,
+        1,
+        cut_opts,
+    )
+    .expect("the cut runs");
+    let token = cut
+        .inconclusive()
+        .and_then(|i| i.resume.clone())
+        .expect("a cut leaves a token");
+    let ckpt = whole_dir.join("checkpoints").join(format!("{token}.ckpt"));
+    let whole = std::fs::metadata(ckpt).expect("the cut's checkpoint").len();
+    let written = hook.written.load(Ordering::Relaxed);
+    assert!(
+        written < 2 * whole,
+        "checkpoints in passing wrote {written} bytes; one whole checkpoint is {whole}"
+    );
+    for dir in [dir, whole_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn a_torn_last_record_resumes_from_the_record_before_it() {
+    let workload = cycles_against_ring(4, 1458);
+    let (defs, spec, impl_) = &workload;
+    let unbounded = CheckOptions::UNBOUNDED;
+    let (ref_verdict, ref_stats) =
+        check(&ModelStore::new(), spec, impl_, defs, 1, unbounded).expect("the reference runs");
+    let hook = Recorder::new(|_| false);
+    let (dir, cache) = hooked_cache("torn", &hook);
+    let id = cut_with_checkpoints(&cache, &workload, 1, 20_000);
+    let entries = hook.entries();
+    assert!(entries.len() >= 20, "records in passing, then the cut's");
+    let ckpt = dir.join("checkpoints").join(format!("{}.ckpt", id.token()));
+    let bytes = std::fs::read(&ckpt).expect("checkpoint readable");
+    std::fs::write(&ckpt, &bytes[..bytes.len() - 5]).expect("checkpoint writable");
+
+    // The resume continues from the last record in passing, counters and
+    // all, to the reference's verdict and totals.
+    let before = discovered_of(&entries[entries.len() - 2]);
+    assert_eq!(resume_point(&dir, id, &workload, 1), before);
+    let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
+    let (verdict, stats) = check(
+        &persisted_store(&cache2, ResumePolicy::Token(id)),
+        spec,
+        impl_,
+        defs,
+        1,
+        unbounded,
+    )
+    .expect("the resume runs");
+    assert_eq!(verdict, ref_verdict);
+    assert_eq!(stats.pairs_discovered, ref_stats.pairs_discovered);
+    assert_eq!(stats.expansions, stats.pairs_discovered);
+    assert_eq!(checkpoints_left(&dir), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_dropped_middle_record_ends_the_resume_at_the_gap() {
+    // Past the 16,384 pairs at which eight threads switch engines: at 8
+    // the records around the gap come from the partitioned engine.
+    let workload = cycles_against_ring(8, 18);
+    let (defs, spec, impl_) = &workload;
+    let unbounded = CheckOptions::UNBOUNDED;
+    let (ref_verdict, _) =
+        check(&ModelStore::new(), spec, impl_, defs, 1, unbounded).expect("the reference runs");
+    for threads in [1usize, 8] {
+        // Write 20 is lost, and the run dies after write 24.
+        let hook = Recorder::new(|n| n == 20 || n > 24);
+        let (dir, cache) = hooked_cache("gap", &hook);
+        let id = cut_with_checkpoints(&cache, &workload, threads, 38_000);
+        let entries = hook.entries();
+        assert!(
+            entries.len() > 19,
+            "{threads} thread(s): records past the gap"
+        );
+        let before_gap = discovered_of(&entries[18]);
+        assert_eq!(
+            resume_point(&dir, id, &workload, threads),
+            before_gap,
+            "{threads} thread(s)"
+        );
         let cache2 = Arc::new(PersistentCache::open(&dir).expect("cache reopens"));
-        let store2 = persisted_store(&cache2, ResumePolicy::Token(id));
-        let (verdict, _) = check(&store2, &spec, &impl_, &defs, 1, unbounded)
-            .expect("resume over a serial-layout checkpoint must not abort");
-        prop_assert_eq!(&verdict, &ref_verdict);
-        prop_assert_eq!(cache2.quarantined(), 1);
-        let codes: Vec<&str> = cache2.take_diagnostics().iter().map(|d| d.code.0).collect();
-        prop_assert_eq!(codes, vec![fdrlite::persist::BAD_CHECKPOINT.0]);
-        prop_assert!(dir.join("quarantine").join(format!("{token}.ckpt")).exists());
+        let (verdict, _) = check(
+            &persisted_store(&cache2, ResumePolicy::Token(id)),
+            spec,
+            impl_,
+            defs,
+            threads,
+            unbounded,
+        )
+        .expect("the resume runs");
+        assert_eq!(verdict, ref_verdict, "{threads} thread(s)");
+        assert_eq!(checkpoints_left(&dir), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

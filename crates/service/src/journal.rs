@@ -7,20 +7,20 @@
 //! ([`crate::exec::job_content_key`]), so a replayed verdict always
 //! belongs to the content that produced it.
 //!
-//! The file is an append-only log: an 8-byte magic, then one record per
-//! [`ServiceJournal::record`] call. A record is a little-endian `u32`
-//! length followed by one entry in the model cache's codec
-//! (`fdrlite::persist::{Enc, Dec}`: magic + version header, trailing
-//! FNV-1a checksum), so a `record` call writes one entry's bytes however
-//! many jobs the journal holds. Replay reads the records in file order,
-//! and the last record of an id wins. A torn or corrupt record (a write
-//! that a crash cut short) ends replay there with one
-//! [`crate::codes::JOURNAL_ERROR`] warning; each record before it carries
-//! its own checksum, so those are kept. [`ServiceJournal::open`] then
-//! compacts the file to one record per id with one atomic temp-file +
-//! rename rewrite. That rewrite and [`ServiceJournal::remove_entry`] are
-//! the only full rewrites, apart from a journal's first write and the
-//! recovery from a failed append that could not be cut back.
+//! The file is an [`fdrlite::persist::RecordLog`], the append-only log the
+//! engines' checkpoints use too, under the magic `AUTOSRV\x02`: one record
+//! per [`ServiceJournal::record`] call, each one entry in the model cache's
+//! codec with its own checksum, so a `record` call writes one entry's bytes
+//! however many jobs the journal holds. This module keeps only the entry
+//! codec and the index: replay applies the records in file order, and the
+//! last record of an id wins. A torn or corrupt record (a write that a
+//! crash cut short) ends replay there with one
+//! [`crate::codes::JOURNAL_ERROR`] warning, keeping the records before it.
+//! [`ServiceJournal::open`] then compacts the file to one record per id
+//! with one atomic rewrite. That rewrite and
+//! [`ServiceJournal::remove_entry`] are the only full rewrites, apart from
+//! a journal's first write and the recovery from a failed append that
+//! could not be cut back.
 //!
 //! On restart the journal is replayed: completed jobs serve their
 //! verdicts verbatim (so a client polling across a restart sees no
@@ -30,12 +30,11 @@
 //! instead of running the wrong content under the old id.
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 
 use diag::{Diagnostic, Span};
-use fdrlite::persist::{corrupt, Dec, DecResult, Enc, EntryError};
+use fdrlite::persist::{corrupt, Dec, DecResult, Enc, EntryError, RecordLog, Torn};
 use fdrlite::supervisor::{JobReport, JobStatus};
 
 use crate::{ChaosCfg, ResolvedJob};
@@ -62,7 +61,7 @@ pub struct JournalEntry {
 /// The journal: an in-memory entry list mirrored crash-safely to an
 /// append-only log on disk.
 pub struct ServiceJournal {
-    path: PathBuf,
+    records: RecordLog,
     /// Entries in first-recorded order.
     entries: Vec<JournalEntry>,
     /// Position of each id in `entries`.
@@ -71,197 +70,109 @@ pub struct ServiceJournal {
     /// after a failed append could not be cut back to a whole record; the
     /// next write then rewrites the whole file.
     log: Option<File>,
-    /// Length of the log up to the end of its last whole record.
-    len: u64,
 }
 
-fn enc_opt_text(e: &mut Enc, v: Option<&str>) {
-    match v {
-        Some(s) => {
-            e.u8(1);
-            e.text(s);
-        }
-        None => e.u8(0),
+/// An optional value: a `0`/`1` flag, then the value `put` writes.
+fn enc_opt<T>(e: &mut Enc, v: Option<T>, put: impl FnOnce(&mut Enc, T)) {
+    e.u8(u8::from(v.is_some()));
+    if let Some(v) = v {
+        put(e, v);
     }
 }
 
-fn dec_opt_text(d: &mut Dec<'_>) -> DecResult<Option<String>> {
-    Ok(match d.u8()? {
-        0 => None,
-        1 => Some(d.text()?),
-        _ => return corrupt("bad option tag"),
-    })
-}
-
-fn enc_opt_u64(e: &mut Enc, v: Option<u64>) {
-    match v {
-        Some(n) => {
-            e.u8(1);
-            e.u64(n);
-        }
-        None => e.u8(0),
-    }
-}
-
-fn dec_opt_u64(d: &mut Dec<'_>) -> DecResult<Option<u64>> {
-    Ok(match d.u8()? {
-        0 => None,
-        1 => Some(d.u64()?),
-        _ => return corrupt("bad option tag"),
-    })
+fn dec_opt<'a, T>(
+    d: &mut Dec<'a>,
+    get: impl FnOnce(&mut Dec<'a>) -> DecResult<T>,
+) -> DecResult<Option<T>> {
+    d.flag("bad option tag")?.then(|| get(d)).transpose()
 }
 
 fn encode_entry(e: &mut Enc, entry: &JournalEntry) {
+    let job = &entry.job;
     e.u64(entry.id);
-    e.text(&entry.job.name);
-    e.text(entry.job.kind.label());
-    e.text(&entry.job.script.display().to_string());
-    enc_opt_text(e, entry.job.spec.as_deref());
-    enc_opt_text(
-        e,
-        entry
-            .job
-            .corpus
-            .as_ref()
-            .map(|p| p.display().to_string())
-            .as_deref(),
-    );
-    enc_opt_text(e, entry.job.assertion.as_deref());
-    e.u64(entry.job.threads as u64);
-    enc_opt_u64(e, entry.job.max_states);
-    enc_opt_u64(e, entry.job.timeout_ms);
-    match &entry.job.chaos {
-        Some(c) => {
-            e.u8(1);
-            e.u64(c.seed);
-            e.u32(c.transient_attempts);
-            e.u64(c.every_nth);
-        }
-        None => e.u8(0),
-    }
+    e.text(&job.name);
+    e.text(job.kind.label());
+    e.text(&job.script.display().to_string());
+    enc_opt(e, job.spec.as_deref(), Enc::text);
+    let corpus = job.corpus.as_ref().map(|p| p.display().to_string());
+    enc_opt(e, corpus.as_deref(), Enc::text);
+    enc_opt(e, job.assertion.as_deref(), Enc::text);
+    e.u64(job.threads as u64);
+    enc_opt(e, job.max_states, Enc::u64);
+    enc_opt(e, job.timeout_ms, Enc::u64);
+    enc_opt(e, job.chaos.as_ref(), |e, c| {
+        e.u64(c.seed);
+        e.u32(c.transient_attempts);
+        e.u64(c.every_nth);
+    });
     e.u32(entry.attempts);
-    match &entry.outcome {
-        Some(out) => {
-            e.u8(1);
-            e.text(out.status.label());
-            e.u8(u8::from(out.interrupted));
-            e.u32(u32::try_from(out.lines.len()).unwrap_or(u32::MAX));
-            for line in &out.lines {
-                e.text(line);
-            }
-        }
-        None => e.u8(0),
-    }
-    enc_opt_text(e, entry.failure.as_deref());
+    enc_opt(e, entry.outcome.as_ref(), |e, out| {
+        e.text(out.status.label());
+        e.u8(u8::from(out.interrupted));
+        e.u32(u32::try_from(out.lines.len()).unwrap_or(u32::MAX));
+        out.lines.iter().for_each(|line| e.text(line));
+    });
+    enc_opt(e, entry.failure.as_deref(), Enc::text);
 }
 
+/// The entry [`encode_entry`] wrote, its fields read in that order.
 fn decode_entry(d: &mut Dec<'_>) -> DecResult<JournalEntry> {
-    let id = d.u64()?;
-    let name = d.text()?;
-    let kind = match d.text()?.as_str() {
-        "check" => cspm::manifest::JobKind::Check,
-        "conform" => cspm::manifest::JobKind::Conform,
-        "analyze" => cspm::manifest::JobKind::Analyze,
-        _ => return corrupt("unknown job kind"),
-    };
-    let script = PathBuf::from(d.text()?);
-    let spec = dec_opt_text(d)?;
-    let corpus = dec_opt_text(d)?.map(PathBuf::from);
-    let assertion = dec_opt_text(d)?;
-    let threads =
-        usize::try_from(d.u64()?).map_err(|_| EntryError::Corrupt("thread count out of range"))?;
-    let max_states = dec_opt_u64(d)?;
-    let timeout_ms = dec_opt_u64(d)?;
-    let chaos = match d.u8()? {
-        0 => None,
-        1 => Some(ChaosCfg {
-            seed: d.u64()?,
-            transient_attempts: d.u32()?,
-            every_nth: d.u64()?,
-        }),
-        _ => return corrupt("bad option tag"),
-    };
-    let attempts = d.u32()?;
-    let outcome = match d.u8()? {
-        0 => None,
-        1 => {
-            let status_label = d.text()?;
-            let Some(status) = JobStatus::from_label(&status_label) else {
+    Ok(JournalEntry {
+        id: d.u64()?,
+        job: ResolvedJob {
+            name: d.text()?,
+            kind: match d.text()?.as_str() {
+                "check" => cspm::manifest::JobKind::Check,
+                "conform" => cspm::manifest::JobKind::Conform,
+                "analyze" => cspm::manifest::JobKind::Analyze,
+                _ => return corrupt("unknown job kind"),
+            },
+            script: PathBuf::from(d.text()?),
+            spec: dec_opt(d, Dec::text)?,
+            corpus: dec_opt(d, Dec::text)?.map(PathBuf::from),
+            assertion: dec_opt(d, Dec::text)?,
+            threads: usize::try_from(d.u64()?)
+                .map_err(|_| EntryError::Corrupt("thread count out of range"))?,
+            max_states: dec_opt(d, Dec::u64)?,
+            timeout_ms: dec_opt(d, Dec::u64)?,
+            chaos: dec_opt(d, |d| {
+                Ok(ChaosCfg {
+                    seed: d.u64()?,
+                    transient_attempts: d.u32()?,
+                    every_nth: d.u64()?,
+                })
+            })?,
+        },
+        attempts: d.u32()?,
+        outcome: dec_opt(d, |d| {
+            let Some(status) = JobStatus::from_label(&d.text()?) else {
                 return corrupt("unknown status label");
             };
-            let interrupted = d.u8()? != 0;
-            let n = d.len(1)?;
-            let mut lines = Vec::with_capacity(n);
-            for _ in 0..n {
-                lines.push(d.text()?);
-            }
-            Some(JobReport {
+            Ok(JobReport {
                 status,
-                lines,
-                interrupted,
+                interrupted: d.u8()? != 0,
+                lines: (0..d.len(1)?).map(|_| d.text()).collect::<DecResult<_>>()?,
             })
-        }
-        _ => return corrupt("bad option tag"),
-    };
-    let failure = dec_opt_text(d)?;
-    Ok(JournalEntry {
-        id,
-        job: ResolvedJob {
-            name,
-            kind,
-            script,
-            spec,
-            corpus,
-            assertion,
-            threads,
-            max_states,
-            timeout_ms,
-            chaos,
-        },
-        attempts,
-        outcome,
-        failure,
+        })?,
+        failure: dec_opt(d, Dec::text)?,
     })
 }
 
-/// One log record: the entry's encoding, length-prefixed.
+/// One log record: the entry's encoding.
 fn encode_record(entry: &JournalEntry) -> Vec<u8> {
     let mut e = Enc::new(MAGIC);
     encode_entry(&mut e, entry);
-    let payload = e.finish();
-    let mut record = Vec::with_capacity(4 + payload.len());
-    record.extend_from_slice(
-        &u32::try_from(payload.len())
-            .unwrap_or(u32::MAX)
-            .to_le_bytes(),
-    );
-    record.extend_from_slice(&payload);
-    record
-}
-
-/// Decode one record's payload (its bytes after the length prefix).
-fn decode_record(payload: &[u8]) -> DecResult<JournalEntry> {
-    let mut d = Dec::open(payload, MAGIC)?;
-    let entry = decode_entry(&mut d)?;
-    d.done()?;
-    Ok(entry)
-}
-
-fn describe(e: EntryError) -> String {
-    match e {
-        EntryError::Corrupt(why) => why.to_string(),
-        EntryError::Version => "magic or version mismatch".to_string(),
-    }
+    RecordLog::record(&e.finish())
 }
 
 impl ServiceJournal {
     fn empty(path: &Path) -> ServiceJournal {
+        let tmp = path.with_extension("journal.tmp");
         ServiceJournal {
-            path: path.to_path_buf(),
+            records: RecordLog::new(path.to_path_buf(), tmp, MAGIC),
             entries: Vec::new(),
             index: HashMap::new(),
             log: None,
-            len: 0,
         }
     }
 
@@ -274,27 +185,40 @@ impl ServiceJournal {
     /// bytes.
     pub fn open(path: impl AsRef<Path>, diags: &mut Vec<Diagnostic>) -> ServiceJournal {
         let mut journal = ServiceJournal::empty(path.as_ref());
-        let bytes = match fs::read(&journal.path) {
+        let path = journal.records.path().display().to_string();
+        let bytes = match fs::read(journal.records.path()) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return journal,
             Err(e) => {
                 diags.push(Diagnostic::warning(
                     crate::codes::JOURNAL_ERROR,
                     Span::unknown(),
-                    format!(
-                        "cannot read journal `{}`: {e}; starting empty",
-                        journal.path.display()
-                    ),
+                    format!("cannot read journal `{path}`: {e}; starting empty"),
                 ));
                 return journal;
             }
         };
-        if let Err(why) = journal.replay(&bytes) {
+        let mut replayed = Vec::new();
+        let stop = journal.records.replay(&bytes, |d| {
+            decode_entry(d).map(|entry| replayed.push(entry))
+        });
+        replayed.into_iter().for_each(|entry| journal.apply(entry));
+        if let Err(stop) = stop {
+            let why = match stop {
+                Torn::Header => {
+                    "is unusable (magic or version mismatch); starting empty".to_string()
+                }
+                Torn::Record(offset, why) => format!(
+                    "has a torn or corrupt record at byte {offset} ({why}); keeping the {} \
+                     entr(ies) recorded before it",
+                    journal.entries.len()
+                ),
+            };
             diags.push(
                 Diagnostic::warning(
                     crate::codes::JOURNAL_ERROR,
                     Span::unknown(),
-                    format!("journal `{}` {why}", journal.path.display()),
+                    format!("journal `{path}` {why}"),
                 )
                 .with_note("verdicts journaled after that point are lost; affected jobs run again"),
             );
@@ -309,39 +233,8 @@ impl ServiceJournal {
     /// (a fresh `autocsp run` replays nothing).
     pub fn fresh(path: impl AsRef<Path>) -> ServiceJournal {
         let journal = ServiceJournal::empty(path.as_ref());
-        let _ = fs::remove_file(&journal.path);
+        journal.records.remove();
         journal
-    }
-
-    /// Apply every whole record of the log `bytes` in file order. On a
-    /// bad header or a torn or corrupt record, stop there and say why.
-    fn replay(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let Some(mut rest) = bytes.strip_prefix(MAGIC.as_slice()) else {
-            return Err("is unusable (magic or version mismatch); starting empty".to_string());
-        };
-        while !rest.is_empty() {
-            let offset = bytes.len() - rest.len();
-            let stop = |why: &str| {
-                format!(
-                    "has a torn or corrupt record at byte {offset} ({why}); keeping the {} \
-                     entr(ies) recorded before it",
-                    self.entries.len()
-                )
-            };
-            if rest.len() < 4 {
-                return Err(stop("truncated length prefix"));
-            }
-            let (prefix, tail) = rest.split_at(4);
-            let n = u32::from_le_bytes(prefix.try_into().expect("4-byte slice")) as usize;
-            if tail.len() < n {
-                return Err(stop("truncated record"));
-            }
-            let (payload, tail) = tail.split_at(n);
-            let entry = decode_record(payload).map_err(|e| stop(&describe(e)))?;
-            self.apply(entry);
-            rest = tail;
-        }
-        Ok(())
     }
 
     /// Insert `entry`, or replace the entry with its id in place.
@@ -377,37 +270,23 @@ impl ServiceJournal {
     pub fn record(&mut self, entry: JournalEntry) -> Result<(), Diagnostic> {
         let record = encode_record(&entry);
         self.apply(entry);
-        let Some(log) = self.log.as_mut() else {
+        if self.log.is_none() {
             // No log is open: write the whole file, this entry included.
             return self.rewrite();
-        };
-        if let Err(e) = log.write_all(&record) {
-            // Cut off whatever part of the record reached the file, so the
-            // records appended after it stay readable.
-            if log.set_len(self.len).is_err() {
-                self.log = None;
-            }
-            return Err(self.write_error(&e));
         }
-        self.len += record.len() as u64;
-        Ok(())
+        RecordLog::append(&mut self.log, &record).map_err(|e| self.write_error(&e))
     }
 
-    /// Rewrite the whole file, one record per entry, atomically (temp
-    /// file + rename), and open it for appends.
+    /// Rewrite the whole file, one record per entry, atomically, and open
+    /// it for appends.
     fn rewrite(&mut self) -> Result<(), Diagnostic> {
-        let mut bytes = MAGIC.to_vec();
-        for entry in &self.entries {
-            bytes.extend_from_slice(&encode_record(entry));
-        }
         self.log = None;
-        let tmp = self.path.with_extension("journal.tmp");
-        let log = fs::write(&tmp, &bytes)
-            .and_then(|()| fs::rename(&tmp, &self.path))
-            .and_then(|()| OpenOptions::new().append(true).open(&self.path))
+        let records = self.entries.iter().map(encode_record);
+        let log = self
+            .records
+            .rewrite(records)
             .map_err(|e| self.write_error(&e))?;
         self.log = Some(log);
-        self.len = bytes.len() as u64;
         Ok(())
     }
 
@@ -415,7 +294,10 @@ impl ServiceJournal {
         Diagnostic::warning(
             crate::codes::JOURNAL_ERROR,
             Span::unknown(),
-            format!("cannot write journal `{}`: {e}", self.path.display()),
+            format!(
+                "cannot write journal `{}`: {e}",
+                self.records.path().display()
+            ),
         )
         .with_note("a crash now would run this job again instead of replaying it")
     }
@@ -445,8 +327,7 @@ impl ServiceJournal {
         self.entries.clear();
         self.index.clear();
         self.log = None;
-        self.len = 0;
-        let _ = fs::remove_file(&self.path);
+        self.records.remove();
     }
 }
 
@@ -700,5 +581,51 @@ mod tests {
             let grown = fs::metadata(&path).unwrap().len() - before;
             assert_eq!(grown, encode_record(&entry(id, None)).len() as u64);
         }
+    }
+    /// `entry(1, None)`, `done(2, "B")` and `done(1, "A")` as the
+    /// `AUTOSRV\x02` log has always recorded them: journals on disk must
+    /// keep opening, so these bytes never change under this magic.
+    const PINNED_JOURNAL: &str = concat!(
+        "4155544f535256027d0000004155544f53525602010000000100000000000000",
+        "050000006a6f622d3107000000636f6e666f726d050000006d2e637370010600",
+        "000053595354454d010600000074726163657300020000000000000001e80300",
+        "0000000000000109000000000000000100000002000000000000000100000000",
+        "001dfddb7115f104e3a30000004155544f535256020100000002000000000000",
+        "00050000006a6f622d3207000000636f6e666f726d050000006d2e6373700106",
+        "00000053595354454d010600000074726163657300020000000000000001e803",
+        "0000000000000001090000000000000001000000020000000000000001000000",
+        "0106000000706173736564000100000013000000617373657274204220202e2e",
+        "2e2020504153530079816bf4b9dcd706a30000004155544f5352560201000000",
+        "0100000000000000050000006a6f622d3107000000636f6e666f726d05000000",
+        "6d2e637370010600000053595354454d01060000007472616365730002000000",
+        "0000000001e80300000000000000010900000000000000010000000200000000",
+        "0000000100000001060000007061737365640001000000130000006173736572",
+        "74204120202e2e2e2020504153530028fce67fb40b52b0",
+    );
+
+    #[test]
+    fn journal_bytes_are_pinned_and_open_back() {
+        let path = tmppath("pinned");
+        let mut diags = Vec::new();
+        let mut j = ServiceJournal::open(&path, &mut diags);
+        for e in [entry(1, None), done(2, "B"), done(1, "A")] {
+            j.record(e).unwrap();
+        }
+        let hex: String = fs::read(&path)
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, PINNED_JOURNAL);
+        // The pinned bytes open with every entry, whichever build wrote them.
+        let pinned = tmppath("pinned-open");
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PINNED_JOURNAL[i..i + 2], 16).unwrap())
+            .collect();
+        fs::write(&pinned, bytes).unwrap();
+        let back = ServiceJournal::open(&pinned, &mut diags);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(back.entries(), [done(1, "A"), done(2, "B")]);
     }
 }
