@@ -24,15 +24,23 @@
 //!    it, to a verdict bit-identical to an uninterrupted one; see
 //!    `docs/PERSISTENCE.md` for the exact guarantees.
 //!
-//! Concurrent `autocsp` invocations may share one cache directory: writers
-//! take an advisory exclusive lock — a `store.lock` file created with
-//! `create_new` and stamped with the holder's pid + wall-clock — around
-//! write + eviction, readers stay lock-free (rename atomicity means a
-//! reader sees either the old complete entry or the new complete entry,
-//! and the checksum rejects anything else). A lock file left behind by a
-//! process that died without dropping its guard is detected as *stale*
-//! (dead pid, or an ancient stamp) and stolen with an [`STALE_LOCK`]
-//! warning, so one crash never wedges every later writer.
+//! Concurrent `autocsp` invocations may share one cache directory. A write
+//! is one temp file under a name no other writer uses, renamed into place,
+//! and takes no lock: the rename is what makes it atomic, so a reader sees
+//! either the old complete entry or the new complete entry, and the
+//! checksum rejects anything else. Only the size cap takes a lock. Each
+//! handle keeps a running total of the cache's size (what its last
+//! directory scan found, plus what it has written since). It scans the
+//! directory at its first write, then again only when that total passes
+//! the cap or when it has written 1/16 of the cap since its last scan. A
+//! scan and the evictions it makes hold an advisory exclusive lock: a
+//! `store.lock` file created with `create_new` and stamped with the
+//! holder's pid + wall-clock. A lone writer holds the cap exactly; `k`
+//! handles on one directory can exceed it by at most `k/16` of it between
+//! scans. A lock file left
+//! behind by a process that died without dropping its guard is detected
+//! as *stale* (dead pid, or an ancient stamp) and stolen with an
+//! [`STALE_LOCK`] warning, so one crash never wedges every later scan.
 //!
 //! An [`Lts`] is persisted whole: its transitions plus its Ω bitset, the
 //! only state fact any checking path reads (deadlock and `✓` handling).
@@ -78,6 +86,16 @@ const FORMAT_VERSION: u32 = 1;
 
 /// Default cache capacity: 256 MiB of `.bin` payload.
 pub const DEFAULT_CAPACITY: u64 = 256 << 20;
+
+/// A handle scans the cache directory again once it has written
+/// 1/`RESCAN_SHARE` of the cap since its last scan, whatever its running
+/// total says: the bytes other handles wrote meanwhile are what its total
+/// misses.
+const RESCAN_SHARE: u64 = 16;
+
+/// Numbers the temp files of this process, so no two writers, in one
+/// process or in several, ever share one.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 // ---------------------------------------------------------------------------
 // Hashing
@@ -1073,8 +1091,8 @@ pub trait StorageFaultHook: Send + Sync {
 const LOCK_ATTEMPTS: u32 = 20;
 const LOCK_RETRY_MS: u64 = 5;
 /// A stamped lock older than this is stale even if its pid looks alive
-/// (pid reuse): writers hold the lock for one write + eviction, never
-/// minutes.
+/// (pid reuse): a handle holds the lock for one directory scan and its
+/// evictions, never minutes.
 const STALE_LOCK_MICROS: u64 = 600_000_000;
 /// An unparsable lock file (holder died between `create_new` and the
 /// stamp write) is stale once its mtime is this old.
@@ -1138,6 +1156,28 @@ impl Drop for LockGuard {
     }
 }
 
+/// What one handle knows of the cache's size between directory scans.
+#[derive(Debug, Default)]
+struct SizeTally {
+    /// The `.bin` bytes the last scan left, plus the bytes written since;
+    /// `None` before the handle's first scan.
+    total: Option<u64>,
+    /// Bytes written since the last scan.
+    since_scan: u64,
+    /// Directory scans so far.
+    scans: u64,
+}
+
+impl SizeTally {
+    /// Count a written entry of `len` bytes; whether a scan is due under
+    /// the cap `cap`.
+    fn add(&mut self, len: u64, cap: u64) -> bool {
+        self.since_scan += len;
+        self.total = self.total.map(|total| total + len);
+        self.total.is_none_or(|total| total > cap) || self.since_scan >= cap / RESCAN_SHARE
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The cache
 // ---------------------------------------------------------------------------
@@ -1153,6 +1193,7 @@ pub struct PersistentCache {
     max_bytes: u64,
     hook: Mutex<Option<Arc<dyn StorageFaultHook>>>,
     diags: Mutex<Vec<Diagnostic>>,
+    tally: Mutex<SizeTally>,
     disk_hits: AtomicU64,
     disk_misses: AtomicU64,
     quarantined: AtomicU64,
@@ -1198,6 +1239,7 @@ impl PersistentCache {
             max_bytes,
             hook: Mutex::new(None),
             diags: Mutex::new(Vec::new()),
+            tally: Mutex::new(SizeTally::default()),
             disk_hits: AtomicU64::new(0),
             disk_misses: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
@@ -1252,9 +1294,9 @@ impl PersistentCache {
 
     /// Advisory exclusive lock held for the duration of the returned guard
     /// (the lock file is removed on drop). `None` if the lock could not be
-    /// acquired within the bounded wait — the caller proceeds unlocked
-    /// rather than failing the run (writes stay atomic either way; only
-    /// eviction racing gets less polite).
+    /// acquired within the bounded wait — the caller scans and evicts
+    /// unlocked rather than failing the run (writes never take the lock;
+    /// only eviction racing gets less polite).
     ///
     /// The lock is a `store.lock` file created with `create_new` and
     /// stamped `"<pid> <micros>"`. A file whose pid is dead, whose stamp
@@ -1392,37 +1434,55 @@ impl PersistentCache {
         );
     }
 
-    /// Atomically write `bytes` to the entry `name` (under the store
-    /// lock), then enforce the size cap. The fault hook sees the bytes
-    /// first.
+    /// A temp file in the cache root for `name`, under a name no other
+    /// writer uses: `.tmp-{pid}-{seq}-{name}`.
+    fn temp_path(&self, name: &str) -> PathBuf {
+        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        self.root
+            .join(format!(".tmp-{}-{seq}-{name}", std::process::id()))
+    }
+
+    /// Atomically write `bytes` to the entry `name`, then scan and enforce
+    /// the size cap if this handle's running total says one is due. The
+    /// fault hook sees the bytes first.
     fn write_entry(&self, name: &str, mut bytes: Vec<u8>) {
         if !self.passes_hook(name, &mut bytes) {
             return; // injected crash before the write ever happened
         }
-        let _guard = self.lock_exclusive();
-        let tmp_path = self
-            .root
-            .join(format!(".tmp-{}-{name}", std::process::id()));
+        let tmp_path = self.temp_path(name);
+        // Stamp first: a scan by another handle does not wait for this
+        // write, and an unstamped entry is the first one it would evict.
+        self.touch(name);
         let written =
             fs::write(&tmp_path, &bytes).and_then(|()| fs::rename(&tmp_path, self.root.join(name)));
-        match written {
-            Ok(()) => {
-                self.touch(name);
-                self.enforce_capacity(name);
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp_path);
-                self.write_failed(name, &e);
-            }
+        if let Err(e) = written {
+            let _ = fs::remove_file(&tmp_path);
+            self.write_failed(name, &e);
+            return;
+        }
+        let due = self
+            .tally
+            .lock()
+            .expect("tally lock poisoned")
+            .add(bytes.len() as u64, self.max_bytes);
+        if due {
+            self.enforce_capacity(name);
         }
     }
 
-    /// Evict least-recently-used `.bin` entries until the cache is under
-    /// its size cap. `protect` (the entry just written) is never evicted.
+    /// Scan the cache directory under the store lock and evict
+    /// least-recently-used `.bin` entries until the cache is under its size
+    /// cap; the running total restarts from what the scan leaves. `protect`
+    /// (the entry just written) is never evicted.
     pub(crate) fn enforce_capacity(&self, protect: &str) {
+        // Held across the scan, so a write of this handle that the scan
+        // misses is counted after it, never lost.
+        let mut tally = self.tally.lock().expect("tally lock poisoned");
+        let _guard = self.lock_exclusive();
         let Ok(dir) = fs::read_dir(&self.root) else {
             return;
         };
+        tally.scans += 1;
         let mut entries: Vec<(String, u64)> = Vec::new();
         let mut total: u64 = 0;
         for entry in dir.flatten() {
@@ -1434,10 +1494,18 @@ impl PersistentCache {
             total += size;
             entries.push((name, size));
         }
-        if total <= self.max_bytes {
-            return;
+        if total > self.max_bytes {
+            total = self.evict(entries, total, protect);
         }
-        entries.sort_by_key(|(name, _)| (self.used_stamp(name), name.clone()));
+        tally.total = Some(total);
+        tally.since_scan = 0;
+    }
+
+    /// Evict the least recently used of `entries` (name, size), `protect`
+    /// aside, until their `total` is under the cap; the total left.
+    fn evict(&self, mut entries: Vec<(String, u64)>, mut total: u64, protect: &str) -> u64 {
+        // One stamp read per entry, not one per comparison.
+        entries.sort_by_cached_key(|(name, _)| (self.used_stamp(name), name.clone()));
         let mut removed = 0u64;
         for (name, size) in entries {
             if total <= self.max_bytes {
@@ -1463,6 +1531,7 @@ impl PersistentCache {
                 ),
             ));
         }
+        total
     }
 
     /// Move the entry `rel` (relative to the cache root) into the
@@ -1576,12 +1645,10 @@ impl PersistentCache {
     /// The checkpoint log of check `id`, walked in `model`. Touches
     /// nothing on disk.
     pub(crate) fn checkpoint_log(&self, id: CheckId, model: RefinementModel) -> CheckpointLog<'_> {
-        static LOGS: AtomicU64 = AtomicU64::new(0);
         let rel = format!("checkpoints/{}.ckpt", id.token());
         // Its own temp file, outside `checkpoints/`, where only logs live.
-        let seq = LOGS.fetch_add(1, Ordering::Relaxed);
-        let tmp = format!(".tmp-{}-{seq}-{}.ckpt", std::process::id(), id.token());
-        let records = RecordLog::new(self.root.join(&rel), self.root.join(tmp), MAGIC_CKPT);
+        let tmp = self.temp_path(&format!("{}.ckpt", id.token()));
+        let records = RecordLog::new(self.root.join(&rel), tmp, MAGIC_CKPT);
         CheckpointLog {
             cache: self,
             id,
@@ -2260,6 +2327,107 @@ mod tests {
         let cache = PersistentCache::open(&dir).unwrap();
         assert!(cache.load_model(&key).is_some());
         assert_eq!(cache.quarantined(), 0, "no writer may tear another's entry");
+    }
+
+    #[test]
+    fn writers_under_a_live_lock_neither_wait_per_write_nor_share_a_temp_file() {
+        let dir = tmpdir("live-lock-writers");
+        fs::write(
+            dir.join("store.lock"),
+            format!("{} {}", std::process::id(), now_micros()),
+        )
+        .unwrap();
+        let (lts, key) = (sample_lts(), sample_key());
+        let start = std::time::Instant::now();
+        let handles: Vec<PersistentCache> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    let (dir, lts) = (&dir, &lts);
+                    scope.spawn(move || {
+                        let cache = PersistentCache::open(dir).unwrap();
+                        for _ in 0..20 {
+                            cache.store_model(&key, lts);
+                        }
+                        cache
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        // Waiting out the live lock at every write would sleep 20 × 100 ms
+        // per thread; only each handle's first scan waits now.
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        for cache in &handles {
+            assert!(
+                !cache.take_diagnostics().iter().any(|d| d.code == CACHE_IO),
+                "no write may lose its temp file to another"
+            );
+            assert_eq!(cache.quarantined(), 0);
+            assert_eq!(cache.tally.lock().unwrap().scans, 1);
+        }
+        assert!(handles[0].load_model(&key).is_some());
+    }
+
+    /// The bytes of the `.bin` entries in `dir`.
+    fn bin_bytes(dir: &Path) -> u64 {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".bin"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum()
+    }
+
+    fn numbered_key(i: u64) -> ModelKey {
+        ModelKey {
+            hash: ModelHash([i, i]),
+            ..sample_key()
+        }
+    }
+
+    #[test]
+    fn one_handle_scans_once_for_a_thousand_entries_under_the_cap() {
+        let dir = tmpdir("scan-once");
+        let cache = PersistentCache::open(&dir).unwrap();
+        let lts = sample_lts();
+        for i in 0..1000 {
+            cache.store_model(&numbered_key(i), &lts);
+        }
+        assert_eq!(cache.tally.lock().unwrap().scans, 1);
+        let entry = encode_model_entry(&sample_key(), &lts).len() as u64;
+        assert_eq!(bin_bytes(&dir), 1000 * entry);
+        assert_eq!(cache.evicted(), 0);
+    }
+
+    #[test]
+    fn two_handles_taking_turns_hold_the_cap_within_their_share() {
+        let dir = tmpdir("two-handles");
+        let lts = sample_lts();
+        let entry = encode_model_entry(&sample_key(), &lts).len() as u64;
+        // A share of the cap is two and a half entries: under the cap, each
+        // handle scans at every third write of its own.
+        let cap = 5 * RESCAN_SHARE * entry / 2;
+        let handles = [
+            PersistentCache::with_capacity(&dir, cap).unwrap(),
+            PersistentCache::with_capacity(&dir, cap).unwrap(),
+        ];
+        for i in 0..200 {
+            let (cache, key) = (&handles[i as usize % 2], numbered_key(i));
+            cache.store_model(&key, &lts);
+            assert!(dir.join(key.file_name()).exists(), "the newest survives");
+            let bytes = bin_bytes(&dir);
+            assert!(bytes <= cap + 2 * cap / RESCAN_SHARE, "write {i}: {bytes}");
+            // Once each handle has evicted, each one's total sits at the
+            // cap, so every write scans and the cap holds after it.
+            if handles.iter().all(|h| h.evicted() > 0) {
+                assert!(bytes <= cap, "write {i}: {bytes} over the cap {cap}");
+            }
+        }
+        assert!(handles.iter().all(|h| h.evicted() > 0));
     }
 
     #[cfg(target_os = "linux")]

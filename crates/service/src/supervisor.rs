@@ -8,11 +8,13 @@
 //!   diagnostic; the remaining jobs still run. A panic can never produce a
 //!   wrong verdict and can never take the whole run down.
 //! * **Retry, for transient failures only.** A job may report
-//!   [`JobError::Transient`] (storage-fault quarantine + recompile,
-//!   `store.lock` contention, injected I/O faults); the supervisor retries
-//!   it under a bounded, deterministic exponential-backoff schedule
-//!   ([`RetryPolicy`]). [`JobError::Permanent`] and panics are never
-//!   retried.
+//!   [`JobError::Transient`] (the faults a chaos plan injects); the
+//!   supervisor retries it under a bounded, deterministic
+//!   exponential-backoff schedule ([`RetryPolicy`]). Cache trouble is not
+//!   a job failure: a quarantined entry is recompiled, a cache write never
+//!   takes `store.lock`, and the size-cap scan that does take it goes on
+//!   unlocked after a bounded wait. [`JobError::Permanent`] and panics are
+//!   never retried.
 //! * **Budgets.** A per-run wall budget defers the jobs that did not get to
 //!   run (they are *not* journaled, so a later `--resume` picks them up);
 //!   per-job budgets are owned by the job itself and surface as ordinary

@@ -91,9 +91,10 @@ fn reference_lines() -> &'static Vec<String> {
     })
 }
 
-/// Spawn `autocsp serve` and read the bound address off its first stdout
-/// line (the machine-readable handoff).
-fn spawn_serve(dir: &Path, state: &Path) -> (Child, String) {
+/// Spawn `autocsp serve` with two workers, checkpointing every
+/// `checkpoint_every` pairs, and read the bound address off its first
+/// stdout line (the machine-readable handoff).
+fn spawn_serve(dir: &Path, state: &Path, checkpoint_every: &str) -> (Child, String) {
     let mut child = autocsp()
         .args([
             "serve",
@@ -108,7 +109,7 @@ fn spawn_serve(dir: &Path, state: &Path) -> (Child, String) {
             "--heartbeat-ms",
             "50",
             "--checkpoint-every",
-            "2000",
+            checkpoint_every,
             "--threads",
             "1",
         ])
@@ -205,7 +206,7 @@ fn sigkilled_worker_hands_off_to_reference_verdicts() {
     let dir = scratch("kill");
     write_inputs(&dir);
     let state = dir.join("state");
-    let (mut serve, addr) = spawn_serve(&dir, &state);
+    let (serve, addr) = spawn_serve(&dir, &state, "2000");
 
     let id = submit(&addr);
     let victim = wait_for_busy_worker(&addr);
@@ -216,20 +217,91 @@ fn sigkilled_worker_hands_off_to_reference_verdicts() {
     );
     signal(victim, "-9");
 
-    let lines = wait_done_lines(&addr, &id);
+    let lines = lines_after_worker_loss(serve, &addr, &id);
     assert_eq!(&lines, reference_lines(), "handed-off verdict diverged");
-    let doc = health(&addr);
-    let lost = doc
+}
+
+/// The verdict lines of job `id`, once the service has counted the worker
+/// it lost; then the service exits cleanly on SIGTERM.
+fn lines_after_worker_loss(mut serve: Child, addr: &str, id: &str) -> Vec<String> {
+    let lines = wait_done_lines(addr, id);
+    let lost = health(addr)
         .get("counters")
         .and_then(|c| c.get("workers_lost"))
         .and_then(Value::as_u64)
         .unwrap();
     assert!(lost >= 1, "the SIGKILL was never noticed");
-
     // Nothing pending: SIGTERM is a clean exit 0.
     signal(serve.id(), "-TERM");
-    let status = serve.wait().expect("serve exits");
-    assert_eq!(status.code(), Some(0));
+    assert_eq!(serve.wait().expect("serve exits").code(), Some(0));
+    lines
+}
+
+/// Eight interleaved 3-cycles against a 1,200-node cyclic specification
+/// (`ring_script(8, 1200)` of tests/crash_matrix.rs): 2,624,401 pairs,
+/// about 5 s of exploration in a debug build.
+fn ring_source() -> String {
+    let names: Vec<char> = ('a'..='h').collect();
+    let channels: Vec<String> = names.iter().map(char::to_string).collect();
+    let mut out = format!(
+        "datatype T = t1 | t2 | t3\nchannel {} : T\n",
+        channels.join(", ")
+    );
+    for n in &names {
+        let u = n.to_ascii_uppercase();
+        let _ = writeln!(out, "P{u} = {n}.t1 -> {n}.t2 -> {n}.t3 -> P{u}");
+    }
+    let m = 1200;
+    for i in 0..m {
+        let choices: Vec<String> = names
+            .iter()
+            .map(|n| format!("{n}?x -> SPEC{}", (i + 1) % m))
+            .collect();
+        let _ = writeln!(out, "SPEC{i} = {}", choices.join(" [] "));
+    }
+    let procs: Vec<String> = names
+        .iter()
+        .map(|n| format!("P{}", n.to_ascii_uppercase()))
+        .collect();
+    let _ = writeln!(out, "SYS = {}\nassert SPEC0 [T= SYS", procs.join(" ||| "));
+    out
+}
+
+/// A worker killed once it has logged a checkpoint of a multi-second check
+/// to the cache both workers share: the other worker takes the job over
+/// from there, to the verdict of a serial `autocsp run`.
+#[test]
+fn sigkilled_worker_hands_a_checkpointed_check_to_the_other_worker() {
+    let dir = scratch("kill-ring");
+    fs::write(dir.join("big.csp"), ring_source()).expect("write model");
+    fs::write(dir.join("jobs.toml"), MANIFEST).expect("write manifest");
+    let reference = autocsp()
+        .arg("run")
+        .arg(dir.join("jobs.toml"))
+        .args(["--format", "json", "--no-cache"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("autocsp runs");
+    let state = dir.join("state");
+    let (serve, addr) = spawn_serve(&dir, &state, "200000");
+
+    let id = submit(&addr);
+    let victim = wait_for_busy_worker(&addr);
+    let checkpoints = state.join("cache").join("checkpoints");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while fs::read_dir(&checkpoints).map_or(true, |mut d| d.next().is_none()) {
+        assert!(Instant::now() < deadline, "no checkpoint was ever logged");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    signal(victim, "-9");
+
+    let lines = lines_after_worker_loss(serve, &addr, &id);
+    let ran = reference.wait_with_output().expect("reference run");
+    assert_eq!(ran.status.code(), Some(0));
+    let ran = run_verdicts(&ran.stdout);
+    assert_eq!(ran[0].1, "passed");
+    assert_eq!(lines, ran[0].2, "handed-off verdict diverged");
 }
 
 #[test]
@@ -237,7 +309,7 @@ fn sigterm_drains_and_restart_resumes_to_reference_verdicts() {
     let dir = scratch("drain");
     write_inputs(&dir);
     let state = dir.join("state");
-    let (mut serve, addr) = spawn_serve(&dir, &state);
+    let (mut serve, addr) = spawn_serve(&dir, &state, "2000");
 
     let id = submit(&addr);
     wait_for_busy_worker(&addr);
@@ -252,7 +324,7 @@ fn sigterm_drains_and_restart_resumes_to_reference_verdicts() {
         status.code()
     );
 
-    let (mut serve, addr) = spawn_serve(&dir, &state);
+    let (mut serve, addr) = spawn_serve(&dir, &state, "2000");
     let lines = wait_done_lines(&addr, &id);
     assert_eq!(&lines, reference_lines(), "resumed verdict diverged");
 
@@ -287,7 +359,7 @@ fn every_job_kind_reads_the_same_from_run_and_serve() {
     let supervise = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/supervise");
     let manifest = fs::read_to_string(supervise.join("jobs.toml")).expect("example manifest");
     let dir = scratch("parity");
-    let (mut serve, addr) = spawn_serve(&supervise, &dir.join("state"));
+    let (mut serve, addr) = spawn_serve(&supervise, &dir.join("state"), "2000");
 
     let (status, body) = client_request(&addr, "POST", "/v1/jobs", &manifest).unwrap();
     assert_eq!(status, 202, "{body}");
