@@ -9,7 +9,11 @@
 //!
 //! Internally alphabets are dense bitsets over event indices, so the
 //! per-node union/difference work is a few machine words rather than a
-//! sort of the whole alphabet; the public API speaks [`EventSet`].
+//! sort of the whole alphabet; the public API speaks [`EventSet`]. A
+//! definition keeps only its bitset: its [`EventSet`] is built when
+//! [`AlphabetInference::def_alphabet`] asks for it, so a script whose n
+//! definitions each reach n events does not pay for n sorted sets that
+//! only a report prints.
 
 use std::collections::{HashMap, HashSet};
 
@@ -64,8 +68,6 @@ pub enum AlphaFinding {
 #[derive(Debug)]
 pub struct AlphabetInference {
     /// Least-fixpoint may-alphabet per definition, indexed by `DefId`.
-    def_alpha: Vec<EventSet>,
-    /// The same alphabets as bitsets, for the structural walks.
     def_bits: Vec<Bits>,
     /// Interned body of each *defined* definition.
     def_body: Vec<Option<TermId>>,
@@ -118,7 +120,6 @@ impl AlphabetInference {
         }
 
         AlphabetInference {
-            def_alpha: def_bits.iter().map(Bits::to_event_set).collect(),
             def_bits,
             def_body,
             rounds,
@@ -130,9 +131,10 @@ impl AlphabetInference {
         self.rounds
     }
 
-    /// The may-alphabet of a definition.
-    pub fn def_alphabet(&self, d: DefId) -> &EventSet {
-        &self.def_alpha[d.index()]
+    /// The may-alphabet of a definition, built from its bitset on each
+    /// call.
+    pub fn def_alphabet(&self, d: DefId) -> EventSet {
+        self.def_bits[d.index()].to_event_set()
     }
 
     /// The interned body of a definition, when it has one.
@@ -219,7 +221,7 @@ impl AlphabetInference {
     /// Unlike the syntactic CSP203 lint this works on the *elaborated*
     /// model, so renaming, hiding and computed sync sets do not defeat it.
     pub fn reachable_defs(&self, arena: &TermArena, roots: &[TermId]) -> Vec<bool> {
-        let mut reached = vec![false; self.def_alpha.len()];
+        let mut reached = vec![false; self.def_bits.len()];
         let mut visited = HashSet::new();
         let mut stack: Vec<TermId> = roots.to_vec();
         while let Some(t) = stack.pop() {
@@ -495,8 +497,8 @@ mod tests {
 
         let inf = AlphabetInference::infer(&mut arena, &defs);
         let expect = EventSet::from_iter_dedup([a, b]);
-        assert_eq!(inf.def_alphabet(p), &expect);
-        assert_eq!(inf.def_alphabet(q), &expect);
+        assert_eq!(inf.def_alphabet(p), expect);
+        assert_eq!(inf.def_alphabet(q), expect);
         assert!(inf.rounds() >= 2);
     }
 
@@ -518,7 +520,7 @@ mod tests {
         let inf = AlphabetInference::infer(&mut arena, &defs);
         assert!(inf.rounds() <= 3, "{} rounds", inf.rounds());
         let ring = EventSet::from_iter_dedup(events);
-        assert!(ids.iter().all(|&d| inf.def_alphabet(d) == &ring));
+        assert!(ids.iter().all(|&d| inf.def_alphabet(d) == ring));
     }
 
     #[test]
@@ -559,7 +561,7 @@ mod tests {
         defs.define(p, body);
 
         let inf = AlphabetInference::infer(&mut arena, &defs);
-        assert_eq!(inf.def_alphabet(p), &EventSet::from_iter_dedup([c]));
+        assert_eq!(inf.def_alphabet(p), EventSet::from_iter_dedup([c]));
     }
 
     // Tiny helper: a single-pair rename map.

@@ -6,21 +6,26 @@
 //! * [`csp::analysis::AlphabetInference`] — an interprocedural fixpoint
 //!   over the hash-consed term arena that flows events through `[[a <- b]]`
 //!   and `\ {…}`, powering the `ANA301`–`ANA304` diagnostics;
-//! * [`csp::analysis::GraphAnalysis`] — a Tarjan SCC pass over each
-//!   compiled assertion operand (cached in the [`ModelStore`], so the
-//!   compile and the classification are shared verbatim with the checks
-//!   that follow), powering `ANA305`/`ANA306`;
+//! * a compile of every assertion operand through the [`ModelStore`]
+//!   (`ANA300` when it fails), the compile the check that follows reuses;
+//! * [`csp::analysis::GraphAnalysis`] — a Tarjan SCC pass over a compiled
+//!   operand (cached in the store, so a check that reads it reuses it),
+//!   powering `ANA305`/`ANA306`;
 //! * [`csp::analysis::estimate`] — a compositional state-space predictor
-//!   whose bound feeds `ANA307` and the `analyze` report.
+//!   whose bound feeds `ANA307`.
 //!
-//! The entry point is [`analyze_script`]; the result carries both the
-//! structured report (per-definition alphabets, per-assertion graph
-//! classifications and predictions) and a deterministically ordered list of
-//! [`Diagnostic`]s ready for `autocsp analyze` / `lint` / `check`.
+//! Two entry points share one pass. [`analyze_script`] runs only what its
+//! diagnostics read, which is all `lint` and `check` print: the SCC pass on
+//! the operands a diagnostic judges (the implementation of an `[FD=`
+//! refinement and the process of a property assertion), and the estimate
+//! only under a state budget. [`report_script`] runs the pass over every
+//! operand and adds what `autocsp analyze` prints besides: each
+//! definition's alphabet, each operand's graph summary and prediction.
+//! Both order their [`Diagnostic`]s deterministically.
 
 use std::collections::{HashMap, HashSet};
 
-use csp::analysis::{estimate, AlphaFinding, AlphabetInference, StateEstimate, SyncSide};
+use csp::analysis::{estimate, AlphaFinding, AlphabetInference, GraphAnalysis, SyncSide};
 use csp::{Alphabet, EventId, Process, Term, TermArena};
 use diag::{ana, Diagnostic, Span};
 use fdrlite::{Checker, ModelStore};
@@ -64,6 +69,18 @@ pub struct GraphSummary {
 }
 
 impl GraphSummary {
+    fn of(g: &GraphAnalysis) -> GraphSummary {
+        GraphSummary {
+            states: g.state_count(),
+            transitions: g.transition_count(),
+            tau_transitions: g.tau_transition_count(),
+            scc_count: g.scc_count(),
+            tau_cycle_states: g.tau_cycle_states(),
+            divergent_states: g.divergent_count(),
+            deadlock_states: g.deadlock_count(),
+        }
+    }
+
     /// No reachable state diverges.
     pub fn divergence_free(&self) -> bool {
         self.divergent_states == 0
@@ -110,9 +127,18 @@ pub struct AssertionAnalysis {
     pub predicted_product: Option<u64>,
 }
 
-/// Everything [`analyze_script`] learns about one script.
+/// What [`analyze_script`] finds: the findings `lint` and `check` print.
 #[derive(Debug, Clone)]
 pub struct ScriptAnalysis {
+    /// Semantic findings, deterministically ordered (span, then code, then
+    /// message).
+    pub diagnostics: Vec<Diagnostic>,
+}
+
+/// Everything [`report_script`] learns about one script: the report
+/// `autocsp analyze` prints.
+#[derive(Debug, Clone)]
+pub struct ScriptReport {
     /// Fixpoint rounds until the definition alphabets stabilised.
     pub rounds: usize,
     /// Per-definition results, in declaration order.
@@ -120,21 +146,23 @@ pub struct ScriptAnalysis {
     /// Per-assertion results, in script order.
     pub assertions: Vec<AssertionAnalysis>,
     /// Semantic findings, deterministically ordered (span, then code, then
-    /// message).
+    /// message): the same findings [`analyze_script`] reports.
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Run every semantic analysis over `loaded`.
+/// The semantic findings over `loaded`: what `lint` and `check` print.
 ///
 /// `module` supplies source spans for definition-scoped findings (pass the
-/// AST the script was loaded from). Compiles are routed through `store`
-/// under `checker`'s bounds, so a subsequent check run over the same store
-/// reuses both the compiled models and their graph classifications. An
-/// operand that fails to compile (state-space bound, unguarded recursion)
-/// degrades to an `ANA300` warning — analysis never aborts.
+/// AST the script was loaded from). Every assertion operand is compiled
+/// through `store` under `checker`'s bounds, so a subsequent check run
+/// over the same store reuses the compiled models, and the graph
+/// classifications the findings read. An operand that fails to compile
+/// (state-space bound, unguarded recursion) degrades to an `ANA300`
+/// warning — analysis never aborts.
 ///
 /// `budget_states` is the exploration budget the eventual check would run
 /// under (`--max-states`); operands predicted to exceed it get `ANA307`.
+/// Without a budget no prediction is made.
 pub fn analyze_script(
     module: &Module,
     loaded: &LoadedScript,
@@ -142,290 +170,358 @@ pub fn analyze_script(
     store: &ModelStore,
     budget_states: Option<u64>,
 ) -> ScriptAnalysis {
+    let pass = Pass::run(module, loaded, checker, store, budget_states, false);
+    ScriptAnalysis {
+        diagnostics: pass.diagnostics,
+    }
+}
+
+/// [`analyze_script`]'s findings plus the report `autocsp analyze` prints:
+/// every definition's alphabet and reachability, and every assertion
+/// operand's graph classification and state-space prediction.
+pub fn report_script(
+    module: &Module,
+    loaded: &LoadedScript,
+    checker: &Checker,
+    store: &ModelStore,
+    budget_states: Option<u64>,
+) -> ScriptReport {
+    let pass = Pass::run(module, loaded, checker, store, budget_states, true);
     let defs = loaded.definitions();
     let alphabet = loaded.alphabet();
-    let mut arena = TermArena::new();
-    let inference = AlphabetInference::infer(&mut arena, defs);
-
-    // Source spans for definition names.
-    let mut spans: HashMap<&str, Span> = HashMap::new();
-    for decl in &module.decls {
-        if let Decl::Definition { name, pos, .. } = decl {
-            spans
-                .entry(name.as_str())
-                .or_insert_with(|| Span::new(pos.line, pos.col, name.len() as u32));
-        }
-    }
-    let span_of = |def_name: &str| -> Span {
-        let base = def_name.split('(').next().unwrap_or(def_name);
-        spans.get(base).copied().unwrap_or_else(Span::unknown)
-    };
-
-    let mut diagnostics = Vec::new();
-    let mut seen_findings: HashSet<AlphaFinding> = HashSet::new();
-
-    // -- Alphabet findings inside definition bodies (ANA301/302/303) ------
-    for d in defs.ids() {
-        let Some(body) = inference.def_body(d) else {
-            continue;
-        };
-        let name = defs.name(d).to_string();
-        for finding in inference.term_findings(&arena, body) {
-            if !seen_findings.insert(finding) {
-                continue;
-            }
-            if dead_in_live_channel_closure(&arena, &inference, alphabet, &finding) {
-                continue;
-            }
-            diagnostics.push(alpha_diagnostic(
-                &finding,
-                alphabet,
-                span_of(&name),
-                &format!("in the definition of `{name}`"),
-            ));
-        }
-    }
-
-    // -- Assertion operand roots --------------------------------------------
-    let mut roots = Vec::new();
-    for a in loaded.assertions() {
-        let operands: Vec<&Process> = match &a.kind {
-            ResolvedCheck::Refinement { spec, impl_, .. } => vec![spec, impl_],
-            ResolvedCheck::Property { process, .. } => vec![process],
-        };
-        for p in operands {
-            let root = arena.intern(p);
-            roots.push(root);
-            // Findings in compositions written inline in the assert itself.
-            for finding in inference.term_findings(&arena, root) {
-                if !seen_findings.insert(finding) {
-                    continue;
-                }
-                if dead_in_live_channel_closure(&arena, &inference, alphabet, &finding) {
-                    continue;
-                }
-                diagnostics.push(alpha_diagnostic(
-                    &finding,
-                    alphabet,
-                    Span::unknown(),
-                    &format!("in `{}`", a.description),
-                ));
-            }
-        }
-    }
-
-    // -- Semantic reachability (ANA304) -------------------------------------
-    let reached = inference.reachable_defs(&arena, &roots);
     let has_assertions = !loaded.assertions().is_empty();
-    // Aggregate instances by base name: `P(1)` reached counts for `P`.
-    let mut base_reached: HashMap<&str, bool> = HashMap::new();
-    for d in defs.ids() {
-        let base = defs.name(d).split('(').next().unwrap_or("").to_owned();
-        let Some((key, _)) = spans.get_key_value(base.as_str()) else {
-            continue;
-        };
-        let entry = base_reached.entry(key).or_insert(false);
-        *entry |= reached[d.index()];
-    }
-    if has_assertions {
-        let mut unreachable: Vec<&str> = base_reached
-            .iter()
-            .filter(|&(_, &r)| !r)
-            .map(|(&n, _)| n)
-            .collect();
-        unreachable.sort_unstable();
-        for name in unreachable {
-            diagnostics.push(
-                Diagnostic::warning(
-                    ana::UNREACHABLE_DEFINITION,
-                    span_of(name),
-                    format!("definition `{name}` is semantically unreachable from every assertion"),
-                )
-                .with_note(
-                    "reachability follows references through renaming and hiding; \
-                     no assertion can exercise this definition",
-                ),
-            );
-        }
-    }
-
-    // -- Per-definition report ----------------------------------------------
     let mut definitions = Vec::with_capacity(defs.len());
     for d in defs.ids() {
         let name = defs.name(d).to_string();
-        let mut alpha: Vec<String> = inference
+        let mut alpha: Vec<String> = pass
+            .inference
             .def_alphabet(d)
             .iter()
             .map(|e| alphabet.name(e).to_string())
             .collect();
         alpha.sort_unstable();
         definitions.push(DefinitionAnalysis {
-            span: span_of(&name),
+            span: pass.span_of(&name),
             alphabet: alpha,
-            reachable: !has_assertions || reached[d.index()],
+            reachable: !has_assertions || pass.reached[d.index()],
             name,
         });
     }
-
-    // -- Per-assertion graph classification and prediction -------------------
-    let mut assertions = Vec::with_capacity(loaded.assertions().len());
-    for a in loaded.assertions() {
-        let (operands, divergence_doomed, deadlock_doomed): (
-            Vec<(&'static str, &Process)>,
-            &[&'static str],
-            &[&'static str],
-        ) = match &a.kind {
-            ResolvedCheck::Refinement { model, spec, impl_ } => (
-                vec![("spec", spec), ("impl", impl_)],
-                // `[FD=` fails outright on a divergent implementation.
-                if *model == RefModel::FailuresDivergences {
-                    &["impl"]
-                } else {
-                    &[]
-                },
-                &[],
-            ),
-            ResolvedCheck::Property { process, property } => (
-                vec![("process", process)],
-                match property {
-                    PropKind::DivergenceFree | PropKind::Deterministic => &["process"],
-                    PropKind::DeadlockFree => &[],
-                },
-                match property {
-                    PropKind::DeadlockFree => &["process"],
-                    _ => &[],
-                },
-            ),
-        };
-
-        let mut processes = Vec::with_capacity(operands.len());
-        for (role, p) in operands {
-            let root = arena.intern(p);
-            let est: StateEstimate = estimate(&mut arena, root, defs, checker.max_states());
-            let (graph, compile_error) = match store.graph_analysis(checker, p, defs) {
-                Ok(g) => (
-                    Some(GraphSummary {
-                        states: g.state_count(),
-                        transitions: g.transition_count(),
-                        tau_transitions: g.tau_transition_count(),
-                        scc_count: g.scc_count(),
-                        tau_cycle_states: g.tau_cycle_states(),
-                        divergent_states: g.divergent_count(),
-                        deadlock_states: g.deadlock_count(),
-                    }),
-                    None,
+    let assertions = loaded
+        .assertions()
+        .iter()
+        .zip(pass.processes)
+        .map(|(a, processes)| {
+            let predicted_product = match &a.kind {
+                ResolvedCheck::Refinement { .. } => Some(
+                    processes
+                        .iter()
+                        .map(|p| p.predicted_states)
+                        .fold(1_u64, u64::saturating_mul),
                 ),
-                Err(e) => (None, Some(e.to_string())),
+                ResolvedCheck::Property { .. } => None,
             };
+            AssertionAnalysis {
+                description: a.description.clone(),
+                processes,
+                predicted_product,
+            }
+        })
+        .collect();
+    ScriptReport {
+        rounds: pass.inference.rounds(),
+        definitions,
+        assertions,
+        diagnostics: pass.diagnostics,
+    }
+}
 
-            match &graph {
-                Some(g) => {
-                    if divergence_doomed.contains(&role) && !g.divergence_free() {
-                        diagnostics.push(
+/// The pass [`analyze_script`] and [`report_script`] share.
+struct Pass<'m> {
+    inference: AlphabetInference,
+    /// Source spans of definition names.
+    spans: HashMap<&'m str, Span>,
+    /// Whether an assertion reaches each definition, by `DefId` index.
+    reached: Vec<bool>,
+    /// Each assertion's operand analyses, made only for a report.
+    processes: Vec<Vec<ProcessAnalysis>>,
+    diagnostics: Vec<Diagnostic>,
+}
+
+impl<'m> Pass<'m> {
+    /// Run the analysis. With `report`, every operand is classified and
+    /// predicted and its [`ProcessAnalysis`] kept; otherwise only the
+    /// operands a diagnostic judges are classified, and predictions are
+    /// made only under a budget.
+    fn run(
+        module: &'m Module,
+        loaded: &LoadedScript,
+        checker: &Checker,
+        store: &ModelStore,
+        budget_states: Option<u64>,
+        report: bool,
+    ) -> Pass<'m> {
+        let defs = loaded.definitions();
+        let alphabet = loaded.alphabet();
+        let mut arena = TermArena::new();
+        let inference = AlphabetInference::infer(&mut arena, defs);
+
+        // Source spans for definition names.
+        let mut spans: HashMap<&str, Span> = HashMap::new();
+        for decl in &module.decls {
+            if let Decl::Definition { name, pos, .. } = decl {
+                spans
+                    .entry(name.as_str())
+                    .or_insert_with(|| Span::new(pos.line, pos.col, name.len() as u32));
+            }
+        }
+        let mut pass = Pass {
+            inference,
+            spans,
+            reached: Vec::new(),
+            processes: Vec::new(),
+            diagnostics: Vec::new(),
+        };
+        let mut seen_findings: HashSet<AlphaFinding> = HashSet::new();
+
+        // -- Alphabet findings inside definition bodies (ANA301/302/303) ----
+        for d in defs.ids() {
+            let Some(body) = pass.inference.def_body(d) else {
+                continue;
+            };
+            let name = defs.name(d);
+            for finding in pass.inference.term_findings(&arena, body) {
+                if !seen_findings.insert(finding) {
+                    continue;
+                }
+                if dead_in_live_channel_closure(&arena, &pass.inference, alphabet, &finding) {
+                    continue;
+                }
+                pass.diagnostics.push(alpha_diagnostic(
+                    &finding,
+                    alphabet,
+                    pass.span_of(name),
+                    &format!("in the definition of `{name}`"),
+                ));
+            }
+        }
+
+        // -- Assertion operand roots ------------------------------------------
+        let mut roots = Vec::new();
+        for a in loaded.assertions() {
+            for (_, p) in operands(&a.kind) {
+                let root = arena.intern(p);
+                roots.push(root);
+                // Findings in compositions written inline in the assert itself.
+                for finding in pass.inference.term_findings(&arena, root) {
+                    if !seen_findings.insert(finding) {
+                        continue;
+                    }
+                    if dead_in_live_channel_closure(&arena, &pass.inference, alphabet, &finding) {
+                        continue;
+                    }
+                    pass.diagnostics.push(alpha_diagnostic(
+                        &finding,
+                        alphabet,
+                        Span::unknown(),
+                        &format!("in `{}`", a.description),
+                    ));
+                }
+            }
+        }
+
+        // -- Semantic reachability (ANA304) -----------------------------------
+        pass.reached = pass.inference.reachable_defs(&arena, &roots);
+        if !loaded.assertions().is_empty() {
+            // Aggregate instances by base name: `P(1)` reached counts for `P`.
+            let mut base_reached: HashMap<&str, bool> = HashMap::new();
+            for d in defs.ids() {
+                let base = defs.name(d).split('(').next().unwrap_or("");
+                let Some((&key, _)) = pass.spans.get_key_value(base) else {
+                    continue;
+                };
+                *base_reached.entry(key).or_insert(false) |= pass.reached[d.index()];
+            }
+            let mut unreachable: Vec<&str> = base_reached
+                .iter()
+                .filter(|&(_, &r)| !r)
+                .map(|(&n, _)| n)
+                .collect();
+            unreachable.sort_unstable();
+            for name in unreachable {
+                pass.diagnostics.push(
+                    Diagnostic::warning(
+                        ana::UNREACHABLE_DEFINITION,
+                        pass.span_of(name),
+                        format!(
+                            "definition `{name}` is semantically unreachable from every assertion"
+                        ),
+                    )
+                    .with_note(
+                        "reachability follows references through renaming and hiding; \
+                         no assertion can exercise this definition",
+                    ),
+                );
+            }
+        }
+
+        // -- Operand compile, graph classification and prediction -------------
+        for a in loaded.assertions() {
+            let (divergence_doomed, deadlock_doomed): (&[&'static str], &[&'static str]) =
+                match &a.kind {
+                    // `[FD=` fails outright on a divergent implementation.
+                    ResolvedCheck::Refinement { model, .. } => (
+                        if *model == RefModel::FailuresDivergences {
+                            &["impl"]
+                        } else {
+                            &[]
+                        },
+                        &[],
+                    ),
+                    ResolvedCheck::Property { property, .. } => match property {
+                        PropKind::DivergenceFree | PropKind::Deterministic => (&["process"], &[]),
+                        PropKind::DeadlockFree => (&[], &["process"]),
+                    },
+                };
+
+            let mut processes = Vec::new();
+            for (role, p) in operands(&a.kind) {
+                let divergence = divergence_doomed.contains(&role);
+                let deadlock = deadlock_doomed.contains(&role);
+                // Only a diagnostic or the report reads the SCC pass; the
+                // compile alone is what every operand shares with the check.
+                let compiled = if report || divergence || deadlock {
+                    store
+                        .graph_analysis(checker, p, defs)
+                        .map(|g| Some(GraphSummary::of(&g)))
+                } else {
+                    store.compile(checker, p, defs).map(|_| None)
+                };
+                let (graph, compile_error) = match compiled {
+                    Ok(graph) => (graph, None),
+                    Err(e) => (None, Some(e.to_string())),
+                };
+
+                match (&graph, &compile_error) {
+                    (_, Some(error)) => {
+                        pass.diagnostics.push(
                             Diagnostic::warning(
-                                ana::DIVERGENT_PROCESS,
+                                ana::ANALYSIS_SKIPPED,
                                 Span::unknown(),
                                 format!(
-                                    "the {role} of `{}` can diverge ({} of {} states have an \
-                                     infinite τ-path); the assertion is guaranteed to fail",
-                                    a.description, g.divergent_states, g.states
+                                    "the {role} of `{}` could not be compiled for analysis: \
+                                     {error}",
+                                    a.description,
                                 ),
                             )
                             .with_note(
-                                "divergence was proved by SCC analysis of the compiled graph",
+                                "graph classification was skipped; alphabet findings still \
+                                 apply",
                             ),
                         );
                     }
-                    if deadlock_doomed.contains(&role) && !g.deadlock_free() {
-                        diagnostics.push(
+                    (Some(g), None) => {
+                        if divergence && !g.divergence_free() {
+                            pass.diagnostics.push(
+                                Diagnostic::warning(
+                                    ana::DIVERGENT_PROCESS,
+                                    Span::unknown(),
+                                    format!(
+                                        "the {role} of `{}` can diverge ({} of {} states have \
+                                         an infinite τ-path); the assertion is guaranteed to \
+                                         fail",
+                                        a.description, g.divergent_states, g.states
+                                    ),
+                                )
+                                .with_note(
+                                    "divergence was proved by SCC analysis of the compiled \
+                                     graph",
+                                ),
+                            );
+                        }
+                        if deadlock && !g.deadlock_free() {
+                            pass.diagnostics.push(
+                                Diagnostic::warning(
+                                    ana::DEADLOCK_SINK,
+                                    Span::unknown(),
+                                    format!(
+                                        "the {role} of `{}` reaches {} deadlock sink(s); the \
+                                         assertion is guaranteed to fail",
+                                        a.description, g.deadlock_states
+                                    ),
+                                )
+                                .with_note(
+                                    "a deadlock sink is a reachable non-Ω state with no \
+                                     outgoing transitions",
+                                ),
+                            );
+                        }
+                    }
+                    (None, None) => {}
+                }
+
+                if !report && budget_states.is_none() {
+                    continue;
+                }
+                let root = arena.intern(p);
+                let est = estimate(&mut arena, root, defs, checker.max_states());
+                if let Some(budget) = budget_states {
+                    if est.predicted_states() > budget {
+                        let qualifier = if est.is_exact() {
+                            "a proven bound"
+                        } else {
+                            "approximate: some components hit the compile cap"
+                        };
+                        pass.diagnostics.push(
                             Diagnostic::warning(
-                                ana::DEADLOCK_SINK,
+                                ana::PREDICTED_OVER_BUDGET,
                                 Span::unknown(),
                                 format!(
-                                    "the {role} of `{}` reaches {} deadlock sink(s); the \
-                                     assertion is guaranteed to fail",
-                                    a.description, g.deadlock_states
+                                    "the {role} of `{}` is predicted to reach up to {} states, \
+                                     over the --max-states budget of {budget}",
+                                    a.description,
+                                    est.predicted_states(),
                                 ),
                             )
-                            .with_note("a deadlock sink is a reachable non-Ω state with no outgoing transitions"),
+                            .with_note(format!("the prediction is {qualifier}")),
                         );
                     }
                 }
-                None => {
-                    diagnostics.push(
-                        Diagnostic::warning(
-                            ana::ANALYSIS_SKIPPED,
-                            Span::unknown(),
-                            format!(
-                                "the {role} of `{}` could not be compiled for analysis: {}",
-                                a.description,
-                                compile_error.as_deref().unwrap_or("unknown error"),
-                            ),
-                        )
-                        .with_note(
-                            "graph classification was skipped; alphabet findings still apply",
-                        ),
-                    );
+                if report {
+                    processes.push(ProcessAnalysis {
+                        role,
+                        graph,
+                        compile_error,
+                        predicted_states: est.predicted_states(),
+                        estimate_exact: est.is_exact(),
+                        components: est.components().len(),
+                        parallel_count: est.parallel_count(),
+                        sync_coupling: est.sync_coupling(),
+                    });
                 }
             }
-
-            if let Some(budget) = budget_states {
-                if est.predicted_states() > budget {
-                    let qualifier = if est.is_exact() {
-                        "a proven bound"
-                    } else {
-                        "approximate: some components hit the compile cap"
-                    };
-                    diagnostics.push(
-                        Diagnostic::warning(
-                            ana::PREDICTED_OVER_BUDGET,
-                            Span::unknown(),
-                            format!(
-                                "the {role} of `{}` is predicted to reach up to {} states, \
-                                 over the --max-states budget of {budget}",
-                                a.description,
-                                est.predicted_states(),
-                            ),
-                        )
-                        .with_note(format!("the prediction is {qualifier}")),
-                    );
-                }
+            if report {
+                pass.processes.push(processes);
             }
-
-            processes.push(ProcessAnalysis {
-                role,
-                graph,
-                compile_error,
-                predicted_states: est.predicted_states(),
-                estimate_exact: est.is_exact(),
-                components: est.components().len(),
-                parallel_count: est.parallel_count(),
-                sync_coupling: est.sync_coupling(),
-            });
         }
 
-        let predicted_product = match &a.kind {
-            ResolvedCheck::Refinement { .. } => Some(
-                processes
-                    .iter()
-                    .map(|p| p.predicted_states)
-                    .fold(1_u64, u64::saturating_mul),
-            ),
-            ResolvedCheck::Property { .. } => None,
-        };
-        assertions.push(AssertionAnalysis {
-            description: a.description.clone(),
-            processes,
-            predicted_product,
-        });
+        sort_diagnostics(&mut pass.diagnostics);
+        pass
     }
 
-    sort_diagnostics(&mut diagnostics);
-    ScriptAnalysis {
-        rounds: inference.rounds(),
-        definitions,
-        assertions,
-        diagnostics,
+    /// The source span of a definition, by its name's base (`P(1)` → `P`).
+    fn span_of(&self, def_name: &str) -> Span {
+        let base = def_name.split('(').next().unwrap_or(def_name);
+        self.spans.get(base).copied().unwrap_or_else(Span::unknown)
+    }
+}
+
+/// An assertion's operands with their roles: spec then impl, or the
+/// process.
+fn operands(kind: &ResolvedCheck) -> Vec<(&'static str, &Process)> {
+    match kind {
+        ResolvedCheck::Refinement { spec, impl_, .. } => vec![("spec", spec), ("impl", impl_)],
+        ResolvedCheck::Property { process, .. } => vec![("process", process)],
     }
 }
 
@@ -529,19 +625,18 @@ mod tests {
     use super::*;
     use crate::Script;
 
-    fn analyze(src: &str) -> ScriptAnalysis {
+    /// The report on `src`, whose findings must equal [`analyze_script`]'s.
+    fn analyze(src: &str) -> ScriptReport {
         let script = Script::parse(src).unwrap();
         let loaded = script.load().unwrap();
-        analyze_script(
-            script.module(),
-            &loaded,
-            &Checker::new(),
-            &ModelStore::new(),
-            None,
-        )
+        let checker = Checker::new();
+        let findings = analyze_script(script.module(), &loaded, &checker, &ModelStore::new(), None);
+        let report = report_script(script.module(), &loaded, &checker, &ModelStore::new(), None);
+        assert_eq!(findings.diagnostics, report.diagnostics);
+        report
     }
 
-    fn codes(analysis: &ScriptAnalysis) -> Vec<&str> {
+    fn codes(analysis: &ScriptReport) -> Vec<&str> {
         analysis.diagnostics.iter().map(|d| d.code.0).collect()
     }
 
@@ -713,6 +808,7 @@ mod tests {
         let a = analyze_script(script.module(), &loaded, &tiny, &ModelStore::new(), None);
         let codes: Vec<&str> = a.diagnostics.iter().map(|d| d.code.0).collect();
         assert!(codes.contains(&"ANA300"), "{codes:?}");
+        let a = report_script(script.module(), &loaded, &tiny, &ModelStore::new(), None);
         assert!(a.assertions[0].processes[0].graph.is_none());
     }
 
@@ -736,6 +832,13 @@ mod tests {
         );
         let codes: Vec<&str> = a.diagnostics.iter().map(|d| d.code.0).collect();
         assert!(codes.contains(&"ANA307"), "{codes:?}");
+        let a = report_script(
+            script.module(),
+            &loaded,
+            &Checker::new(),
+            &ModelStore::new(),
+            Some(2),
+        );
         let proc = &a.assertions[0].processes[0];
         assert!(proc.estimate_exact);
         assert!(proc.predicted_states > 2);
@@ -762,6 +865,29 @@ mod tests {
             .unwrap();
         assert_eq!(store.analysis_misses(), 1);
         assert!(store.analysis_hits() >= 1);
+    }
+
+    #[test]
+    fn only_operands_a_diagnostic_judges_are_classified() {
+        // `analyze_script` compiles every operand but runs the SCC pass
+        // only where ANA305/ANA306 read it: the implementation of `[FD=`.
+        for (model, misses) in [("[T=", 0), ("[F=", 0), ("[FD=", 1)] {
+            let src = format!(
+                "
+                channel a, b
+                SPEC = a -> SPEC [] b -> SPEC
+                IMPL = a -> b -> IMPL
+                assert SPEC {model} IMPL
+                "
+            );
+            let script = Script::parse(&src).unwrap();
+            let loaded = script.load().unwrap();
+            let store = ModelStore::new();
+            let a = analyze_script(script.module(), &loaded, &Checker::new(), &store, None);
+            assert!(a.diagnostics.is_empty(), "{model}: {:?}", a.diagnostics);
+            assert_eq!(store.analysis_misses(), misses, "{model}");
+            assert_eq!(store.misses(), 2, "{model}: both operands compiled");
+        }
     }
 
     #[test]

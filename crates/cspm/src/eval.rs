@@ -9,15 +9,30 @@
 //! becomes its own definition, which is how FDR compiles parameterised
 //! scripts too.
 //!
-//! Type and channel-field domains are computed once per script and shared
-//! ([`Domain`] behind an [`Rc`]): every event prefix enumerates and
-//! membership-tests its channel's domains by reference, so elaboration
-//! cost grows linearly with the script rather than with the square of the
-//! channels' type sizes.
+//! The evaluator borrows the parsed [`Module`]: definition bodies,
+//! parameters, and channel, datatype and nametype declarations are read
+//! in place, never copied. Repeated work is found without allocating:
+//!
+//! * each call `P(args)` has one memo entry (its value, its definition
+//!   handle, and whether it is being evaluated or is queued), looked up by
+//!   the argument values it was called with;
+//! * type and channel-field domains are computed once per script and
+//!   shared ([`Domain`] behind an [`Rc`]), each with the position of every
+//!   value in it;
+//! * each channel maps the field-value positions of the events its
+//!   patterns produced to their [`EventId`]s, so a prefix whose event is
+//!   already interned neither builds the event's name nor searches the
+//!   alphabet. Only events that were produced are entered, never a
+//!   channel's whole domain product.
+//!
+//! A `[]` or `|~|` chain is read in one loop: its operands are evaluated
+//! left to right and build one n-ary choice, so a chain of any length
+//! costs native stack only for its nesting, not for its links.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use csp::{Alphabet, DefId, Definitions, EventId, EventSet, Process, RenameMap};
 
@@ -32,11 +47,11 @@ pub enum Value {
     /// A boolean.
     Bool(bool),
     /// A fully-applied datatype constructor.
-    Data(String, Vec<Value>),
+    Data(Arc<str>, Vec<Value>),
     /// A datatype constructor awaiting payload arguments.
     CtorRef {
         /// Constructor name.
-        name: String,
+        name: Arc<str>,
         /// Number of payload fields it expects.
         arity: usize,
     },
@@ -49,11 +64,10 @@ pub enum Value {
     /// A fully-applied communication event.
     Event(EventId),
     /// A channel name (first-class, e.g. as an argument).
-    Channel(String),
+    Channel(Arc<str>),
     /// A CSP process.
     Process(Process),
 }
-
 impl Value {
     fn kind_name(&self) -> &'static str {
         match self {
@@ -173,97 +187,165 @@ impl PartialOrd for Value {
     }
 }
 
-type Bindings = Vec<(String, Value)>;
+/// Variable bindings of one scope, innermost last; names borrow the AST.
+type Bindings<'m> = Vec<(&'m str, Value)>;
+
+/// The innermost binding of `name` across `scopes`.
+fn lookup<'s>(name: &str, scopes: &'s [Bindings<'_>]) -> Option<&'s Value> {
+    scopes
+        .iter()
+        .rev()
+        .find_map(|scope| scope.iter().rev().find(|(n, _)| *n == name))
+        .map(|(_, v)| v)
+}
 
 /// A finite domain — a type's or a channel field's values — in declaration
 /// order, which fixes the order events are enumerated and interned in, plus
-/// a hashed index for membership tests.
+/// the position of each value, for membership tests.
 #[derive(Debug)]
 struct Domain {
     values: Vec<Value>,
-    index: HashSet<Value>,
+    positions: HashMap<Value, u32>,
 }
 
 impl Domain {
     fn new(values: Vec<Value>) -> Rc<Domain> {
-        let index = values.iter().cloned().collect();
-        Rc::new(Domain { values, index })
+        let mut positions = HashMap::with_capacity(values.len());
+        for (i, v) in values.iter().enumerate() {
+            positions.entry(v.clone()).or_insert(i as u32);
+        }
+        Rc::new(Domain { values, positions })
     }
 
-    fn contains(&self, v: &Value) -> bool {
-        self.index.contains(v)
+    /// Where `v` sits in the domain, when it is a member.
+    fn position(&self, v: &Value) -> Option<u32> {
+        self.positions.get(v).copied()
     }
 }
 
-/// The evaluator: shared interning state plus the script's declarations.
-pub(crate) struct Evaluator {
+/// A declared channel.
+struct Channel<'m> {
+    name: Arc<str>,
+    fields: &'m [TypeExpr],
+    /// The fields' domains, once computed.
+    domains: Option<Rc<[Rc<Domain>]>>,
+    /// The events produced on this channel so far, by the positions of
+    /// their field values in `domains`.
+    events: HashMap<Vec<u32>, EventId>,
+}
+
+/// A datatype constructor.
+struct Constructor<'m> {
+    name: Arc<str>,
+    fields: &'m [TypeExpr],
+}
+
+/// A definition `name(params) = body`.
+struct Global<'m> {
+    params: &'m [String],
+    body: &'m Expr,
+    /// Each call's index in [`Evaluator::calls`], by argument values.
+    calls: HashMap<Vec<Value>, usize>,
+}
+
+/// What the evaluator knows about one call `name(args)`.
+#[derive(Default)]
+struct Call {
+    /// Its value, once evaluated.
+    value: Option<Value>,
+    /// Its definition handle, once a process reference needed one.
+    id: Option<DefId>,
+    /// Its body is being evaluated: a call now is a recursive reference.
+    busy: bool,
+    /// It was queued for elaboration by [`Evaluator::defer_call`].
+    queued: bool,
+}
+
+/// An event pattern being completed against its channel's domains.
+struct Pattern<'p, 'm> {
+    channel: usize,
+    domains: &'p [Rc<Domain>],
+    fields: &'m [FieldPat],
+    /// Trailing unspecified fields range over their whole domain.
+    partial_ok: bool,
+    /// Where this pattern's field positions start in
+    /// [`Evaluator::positions`].
+    base: usize,
+}
+
+/// A completion of an event pattern: the event and the bindings its `?`
+/// fields produced.
+type Completion<'m> = (EventId, Bindings<'m>);
+
+/// The evaluator: shared interning state plus the script's declarations,
+/// borrowed from the module for its lifetime `'m`.
+pub(crate) struct Evaluator<'m> {
     pub alphabet: Alphabet,
     pub defs: Definitions,
-    channels_raw: HashMap<String, Vec<TypeExpr>>,
-    channel_order: Vec<String>,
-    channel_memo: HashMap<String, Rc<[Rc<Domain>]>>,
-    datatypes_raw: HashMap<String, Vec<Ctor>>,
-    nametypes_raw: HashMap<String, Expr>,
-    ctor_fields: HashMap<String, Vec<TypeExpr>>,
-    type_memo: HashMap<String, Rc<Domain>>,
-    globals: HashMap<String, (Vec<String>, Expr)>,
-    proc_ids: HashMap<(String, Vec<Value>), DefId>,
-    in_progress: HashSet<(String, Vec<Value>)>,
-    value_memo: HashMap<(String, Vec<Value>), Value>,
-    type_in_progress: HashSet<String>,
+    /// Channels in declaration order, and their indices by name.
+    channels: Vec<Channel<'m>>,
+    channel_index: HashMap<&'m str, usize>,
+    constructors: HashMap<&'m str, Constructor<'m>>,
+    datatypes: HashMap<&'m str, &'m [Ctor]>,
+    nametypes: HashMap<&'m str, &'m Expr>,
+    type_memo: HashMap<&'m str, Rc<Domain>>,
+    type_in_progress: HashSet<&'m str>,
+    globals: HashMap<&'m str, Global<'m>>,
+    calls: Vec<Call>,
     /// Process-position calls awaiting body elaboration. Deferring them
     /// keeps Rust recursion bounded by *expression* depth instead of the
     /// CSPm call-graph depth (a buffer process with hundreds of reachable
     /// parameter values would otherwise overflow the stack).
-    pending: Vec<(String, Vec<Value>)>,
-    pending_seen: HashSet<(String, Vec<Value>)>,
+    pending: Vec<(&'m str, Vec<Value>)>,
+    /// Field-value positions of the event patterns being completed, one
+    /// run per pattern (see [`Pattern::base`]).
+    positions: Vec<u32>,
 }
 
-impl Evaluator {
+impl<'m> Evaluator<'m> {
     /// Collect a module's declarations (without evaluating anything yet).
-    pub(crate) fn new(module: &Module) -> Result<Evaluator, CspmError> {
+    pub(crate) fn new(module: &'m Module) -> Result<Evaluator<'m>, CspmError> {
         let mut ev = Evaluator {
             alphabet: Alphabet::new(),
             defs: Definitions::new(),
-            channels_raw: HashMap::new(),
-            channel_order: Vec::new(),
-            channel_memo: HashMap::new(),
-            datatypes_raw: HashMap::new(),
-            nametypes_raw: HashMap::new(),
-            ctor_fields: HashMap::new(),
+            channels: Vec::new(),
+            channel_index: HashMap::new(),
+            constructors: HashMap::new(),
+            datatypes: HashMap::new(),
+            nametypes: HashMap::new(),
             type_memo: HashMap::new(),
-            globals: HashMap::new(),
-            proc_ids: HashMap::new(),
-            in_progress: HashSet::new(),
-            value_memo: HashMap::new(),
             type_in_progress: HashSet::new(),
+            globals: HashMap::new(),
+            calls: Vec::new(),
             pending: Vec::new(),
-            pending_seen: HashSet::new(),
+            positions: Vec::new(),
         };
         for decl in &module.decls {
             match decl {
                 Decl::Channel { names, fields } => {
                     for n in names {
-                        if ev.channels_raw.insert(n.clone(), fields.clone()).is_some() {
+                        let index = ev.channels.len();
+                        if ev.channel_index.insert(n, index).is_some() {
                             return Err(CspmError::eval(format!("channel `{n}` redeclared")));
                         }
-                        ev.channel_order.push(n.clone());
+                        ev.channels.push(Channel {
+                            name: Arc::from(n.as_str()),
+                            fields,
+                            domains: None,
+                            events: HashMap::new(),
+                        });
                     }
                 }
                 Decl::Datatype { name, ctors } => {
-                    if ev
-                        .datatypes_raw
-                        .insert(name.clone(), ctors.clone())
-                        .is_some()
-                    {
+                    if ev.datatypes.insert(name, ctors).is_some() {
                         return Err(CspmError::eval(format!("datatype `{name}` redeclared")));
                     }
                     for c in ctors {
-                        if ev
-                            .ctor_fields
-                            .insert(c.name.clone(), c.fields.clone())
-                            .is_some()
-                        {
+                        let constructor = Constructor {
+                            name: Arc::from(c.name.as_str()),
+                            fields: &c.fields,
+                        };
+                        if ev.constructors.insert(&c.name, constructor).is_some() {
                             return Err(CspmError::eval(format!(
                                 "constructor `{}` declared twice",
                                 c.name
@@ -272,16 +354,17 @@ impl Evaluator {
                     }
                 }
                 Decl::Nametype { name, value } => {
-                    ev.nametypes_raw.insert(name.clone(), value.clone());
+                    ev.nametypes.insert(name, value);
                 }
                 Decl::Definition {
                     name, params, body, ..
                 } => {
-                    if ev
-                        .globals
-                        .insert(name.clone(), (params.clone(), body.clone()))
-                        .is_some()
-                    {
+                    let global = Global {
+                        params,
+                        body,
+                        calls: HashMap::new(),
+                    };
+                    if ev.globals.insert(name, global).is_some() {
                         return Err(CspmError::eval(format!("`{name}` defined twice")));
                     }
                 }
@@ -293,33 +376,36 @@ impl Evaluator {
 
     // ---- types and channels --------------------------------------------
 
-    fn type_domain(&mut self, name: &str) -> Result<Rc<Domain>, CspmError> {
+    fn type_domain(&mut self, name: &'m str) -> Result<Rc<Domain>, CspmError> {
         if let Some(d) = self.type_memo.get(name) {
             return Ok(Rc::clone(d));
         }
         if name == "Bool" {
-            return Ok(Domain::new(vec![Value::Bool(false), Value::Bool(true)]));
+            let domain = Domain::new(vec![Value::Bool(false), Value::Bool(true)]);
+            self.type_memo.insert(name, Rc::clone(&domain));
+            return Ok(domain);
         }
-        if !self.type_in_progress.insert(name.to_owned()) {
+        if !self.type_in_progress.insert(name) {
             return Err(CspmError::eval(format!(
                 "recursive type `{name}` has no finite domain"
             )));
         }
         let result = (|| {
-            if let Some(ctors) = self.datatypes_raw.get(name).cloned() {
+            if let Some(&ctors) = self.datatypes.get(name) {
                 let mut values = Vec::new();
-                for ctor in &ctors {
+                for ctor in ctors {
                     let mut payload_domains = Vec::new();
                     for f in &ctor.fields {
                         payload_domains.push(self.type_expr_domain(f)?);
                     }
+                    let ctor_name: Arc<str> = Arc::from(ctor.name.as_str());
                     for combo in cartesian(&payload_domains) {
-                        values.push(Value::Data(ctor.name.clone(), combo));
+                        values.push(Value::Data(Arc::clone(&ctor_name), combo));
                     }
                 }
                 Ok(values)
-            } else if let Some(expr) = self.nametypes_raw.get(name).cloned() {
-                let v = self.eval(&expr, &mut Vec::new())?;
+            } else if let Some(&expr) = self.nametypes.get(name) {
+                let v = self.eval(expr, &mut Vec::new())?;
                 Ok(v.into_set()?.into_iter().collect())
             } else {
                 Err(CspmError::eval(format!("unknown type `{name}`")))
@@ -327,18 +413,16 @@ impl Evaluator {
         })();
         self.type_in_progress.remove(name);
         let domain = Domain::new(result?);
-        self.type_memo.insert(name.to_owned(), Rc::clone(&domain));
+        self.type_memo.insert(name, Rc::clone(&domain));
         Ok(domain)
     }
 
     /// Whether `name` names a type: `Bool`, a datatype or a nametype.
     fn is_type(&self, name: &str) -> bool {
-        name == "Bool"
-            || self.datatypes_raw.contains_key(name)
-            || self.nametypes_raw.contains_key(name)
+        name == "Bool" || self.datatypes.contains_key(name) || self.nametypes.contains_key(name)
     }
 
-    fn type_expr_domain(&mut self, t: &TypeExpr) -> Result<Rc<Domain>, CspmError> {
+    fn type_expr_domain(&mut self, t: &'m TypeExpr) -> Result<Rc<Domain>, CspmError> {
         match t {
             TypeExpr::Name(n) => self.type_domain(n),
             TypeExpr::Set(e) => {
@@ -348,82 +432,100 @@ impl Evaluator {
         }
     }
 
-    /// The domain of each field of channel `name`, computed once per script.
-    fn channel_domains(&mut self, name: &str) -> Result<Rc<[Rc<Domain>]>, CspmError> {
-        if let Some(d) = self.channel_memo.get(name) {
+    /// The index of channel `name`.
+    fn channel(&self, name: &str) -> Result<usize, CspmError> {
+        self.channel_index
+            .get(name)
+            .copied()
+            .ok_or_else(|| CspmError::eval(format!("unknown channel `{name}`")))
+    }
+
+    /// The domain of each field of a channel, computed once per script.
+    fn channel_domains(&mut self, channel: usize) -> Result<Rc<[Rc<Domain>]>, CspmError> {
+        if let Some(d) = &self.channels[channel].domains {
             return Ok(Rc::clone(d));
         }
-        let Some(fields) = self.channels_raw.get(name).cloned() else {
-            return Err(CspmError::eval(format!("unknown channel `{name}`")));
-        };
-        let mut domains = Vec::new();
-        for f in &fields {
+        let fields = self.channels[channel].fields;
+        let mut domains = Vec::with_capacity(fields.len());
+        for f in fields {
             domains.push(self.type_expr_domain(f)?);
         }
         let domains: Rc<[Rc<Domain>]> = domains.into();
-        self.channel_memo
-            .insert(name.to_owned(), Rc::clone(&domains));
+        self.channels[channel].domains = Some(Rc::clone(&domains));
         Ok(domains)
     }
 
-    fn is_channel(&self, name: &str) -> bool {
-        self.channels_raw.contains_key(name)
-    }
-
-    /// All events of channel `name`, in domain enumeration order.
-    fn channel_events(&mut self, name: &str) -> Result<Vec<EventId>, CspmError> {
-        let domains = self.channel_domains(name)?;
+    /// All events of a channel, in domain enumeration order.
+    fn channel_events(&mut self, channel: usize) -> Result<Vec<EventId>, CspmError> {
+        let whole = Pattern {
+            channel,
+            domains: &self.channel_domains(channel)?,
+            fields: &[],
+            partial_ok: true,
+            base: self.positions.len(),
+        };
         let mut out = Vec::new();
-        for combo in cartesian(&domains) {
-            out.push(self.intern_event(name, &combo));
-        }
-        Ok(out)
+        self.complete_fields(
+            &whole,
+            0,
+            0,
+            &mut Bindings::new(),
+            &mut Vec::new(),
+            &mut out,
+        )?;
+        Ok(out.into_iter().map(|(e, _)| e).collect())
     }
 
-    fn intern_event(&mut self, channel: &str, values: &[Value]) -> EventId {
-        let mut s = String::from(channel);
-        for v in values {
-            s.push('.');
-            event_component(v, &mut s);
+    /// The event of `channel` whose field values sit at
+    /// `self.positions[base..]` in the channel's domains, interned (and
+    /// named) the first time it is produced.
+    fn event_id(&mut self, channel: usize, base: usize) -> EventId {
+        let channel = &mut self.channels[channel];
+        let key = &self.positions[base..];
+        if let Some(&id) = channel.events.get(key) {
+            return id;
         }
-        self.alphabet.intern(&s)
+        let domains = channel
+            .domains
+            .as_deref()
+            .expect("a channel's domains are computed before its events");
+        let mut name = String::from(&*channel.name);
+        for (domain, &at) in domains.iter().zip(key) {
+            name.push('.');
+            event_component(&domain.values[at as usize], &mut name);
+        }
+        let id = self.alphabet.intern(&name);
+        channel.events.insert(key.to_vec(), id);
+        id
     }
 
     // ---- names and calls -------------------------------------------------
 
-    fn scope_lookup(&self, name: &str, scopes: &[Bindings]) -> Option<Value> {
-        for scope in scopes.iter().rev() {
-            if let Some((_, v)) = scope.iter().rev().find(|(n, _)| n == name) {
-                return Some(v.clone());
-            }
+    fn eval_name(&mut self, name: &'m str, scopes: &[Bindings<'m>]) -> Result<Value, CspmError> {
+        if let Some(v) = lookup(name, scopes) {
+            return Ok(v.clone());
         }
-        None
-    }
-
-    fn eval_name(&mut self, name: &str, scopes: &mut [Bindings]) -> Result<Value, CspmError> {
-        if let Some(v) = self.scope_lookup(name, scopes) {
-            return Ok(v);
-        }
-        if let Some(fields) = self.ctor_fields.get(name) {
-            return Ok(if fields.is_empty() {
-                Value::Data(name.to_owned(), Vec::new())
+        if let Some(c) = self.constructors.get(name) {
+            let name = Arc::clone(&c.name);
+            return Ok(if c.fields.is_empty() {
+                Value::Data(name, Vec::new())
             } else {
                 Value::CtorRef {
-                    name: name.to_owned(),
-                    arity: fields.len(),
+                    name,
+                    arity: c.fields.len(),
                 }
             });
         }
-        if self.is_channel(name) {
-            return Ok(Value::Channel(name.to_owned()));
+        if let Some(&channel) = self.channel_index.get(name) {
+            return Ok(Value::Channel(Arc::clone(&self.channels[channel].name)));
         }
         if self.globals.contains_key(name) {
             return self.eval_call(name, Vec::new());
         }
         if name == "Events" {
             let mut all = BTreeSet::new();
-            for ch in self.channel_order.clone() {
-                for e in self.channel_events(&ch)? {
+            for channel in 0..self.channels.len() {
+                for e in self.channel_events(channel)? {
                     all.insert(Value::Event(e));
                 }
             }
@@ -436,19 +538,38 @@ impl Evaluator {
         Err(CspmError::eval(format!("unknown name `{name}`")))
     }
 
+    /// The memo entry of `name(args)`, made on first sight.
+    fn call(&mut self, name: &str, args: &[Value]) -> usize {
+        let next = self.calls.len();
+        let global = self
+            .globals
+            .get_mut(name)
+            .expect("calls name global definitions");
+        if let Some(&call) = global.calls.get(args) {
+            return call;
+        }
+        global.calls.insert(args.to_vec(), next);
+        self.calls.push(Call::default());
+        next
+    }
+
     fn eval_call(&mut self, name: &str, args: Vec<Value>) -> Result<Value, CspmError> {
-        let key = (name.to_owned(), args.clone());
-        if let Some(v) = self.value_memo.get(&key) {
-            return Ok(v.clone());
-        }
-        if self.in_progress.contains(&key) {
-            // Recursive reference: assume (and enforce, below) it is a process.
-            let id = self.proc_id_for(&key);
-            return Ok(Value::Process(Process::var(id)));
-        }
-        let Some((params, body)) = self.globals.get(name).cloned() else {
+        let Some(global) = self.globals.get(name) else {
             return Err(CspmError::eval(format!("unknown definition `{name}`")));
         };
+        let (params, body) = (global.params, global.body);
+        let known = global.calls.get(args.as_slice()).copied();
+        if let Some(call) = known {
+            if let Some(v) = &self.calls[call].value {
+                return Ok(v.clone());
+            }
+            if self.calls[call].busy {
+                // Recursive reference: assume (and enforce, below) it is a
+                // process.
+                let id = self.call_id(call, name, &args);
+                return Ok(Value::Process(Process::var(id)));
+            }
+        }
         if params.len() != args.len() {
             return Err(CspmError::eval(format!(
                 "`{name}` expects {} argument(s), got {}",
@@ -456,20 +577,24 @@ impl Evaluator {
                 args.len()
             )));
         }
-        self.in_progress.insert(key.clone());
-        let mut scopes = vec![params.into_iter().zip(args).collect::<Bindings>()];
-        let result = self.eval(&body, &mut scopes);
-        self.in_progress.remove(&key);
-        let value = result?;
-        let out = match value {
+        let call = known.unwrap_or_else(|| self.call(name, &args));
+        self.calls[call].busy = true;
+        let scope = params
+            .iter()
+            .map(String::as_str)
+            .zip(args.iter().cloned())
+            .collect();
+        let result = self.eval(body, &mut vec![scope]);
+        self.calls[call].busy = false;
+        let out = match result? {
             Value::Process(p) => {
-                let id = self.proc_id_for(&key);
+                let id = self.call_id(call, name, &args);
                 self.defs.define(id, p);
                 Value::Process(Process::var(id))
             }
             other => other,
         };
-        self.value_memo.insert(key, out.clone());
+        self.calls[call].value = Some(out.clone());
         Ok(out)
     }
 
@@ -479,11 +604,11 @@ impl Evaluator {
     /// bounding native recursion depth.
     fn eval_process(
         &mut self,
-        expr: &Expr,
-        scopes: &mut Vec<Bindings>,
+        expr: &'m Expr,
+        scopes: &mut Vec<Bindings<'m>>,
     ) -> Result<Process, CspmError> {
         match expr {
-            Expr::Call { name, args } if self.globals.contains_key(name) => {
+            Expr::Call { name, args } if self.globals.contains_key(name.as_str()) => {
                 let argv = args
                     .iter()
                     .map(|a| self.eval(a, scopes))
@@ -491,8 +616,11 @@ impl Evaluator {
                 self.defer_call(name, argv)
             }
             Expr::Name(n)
-                if self.scope_lookup(n, scopes).is_none()
-                    && self.globals.get(n).is_some_and(|(p, _)| p.is_empty()) =>
+                if lookup(n, scopes).is_none()
+                    && self
+                        .globals
+                        .get(n.as_str())
+                        .is_some_and(|g| g.params.is_empty()) =>
             {
                 self.defer_call(n, Vec::new())
             }
@@ -511,7 +639,7 @@ impl Evaluator {
                         Ok(v) => scopes
                             .last_mut()
                             .expect("scope just pushed")
-                            .push((name.clone(), v)),
+                            .push((name, v)),
                         Err(e) => {
                             result = Err(e);
                             break;
@@ -531,26 +659,27 @@ impl Evaluator {
 
     /// Get (or create) the definition handle for a call and queue its body
     /// for elaboration.
-    fn defer_call(&mut self, name: &str, args: Vec<Value>) -> Result<Process, CspmError> {
-        let key = (name.to_owned(), args);
-        if let Some(v) = self.value_memo.get(&key) {
+    fn defer_call(&mut self, name: &'m str, args: Vec<Value>) -> Result<Process, CspmError> {
+        let call = self.call(name, &args);
+        if let Some(v) = &self.calls[call].value {
             return v.clone().into_process();
         }
-        let id = self.proc_id_for(&key);
-        if !self.in_progress.contains(&key) && self.pending_seen.insert(key.clone()) {
-            self.pending.push(key);
+        let id = self.call_id(call, name, &args);
+        let entry = &mut self.calls[call];
+        if !entry.busy && !entry.queued {
+            entry.queued = true;
+            self.pending.push((name, args));
         }
         Ok(Process::var(id))
     }
 
     /// Elaborate every deferred call (and whatever they defer in turn).
     pub(crate) fn drain_pending(&mut self) -> Result<(), CspmError> {
-        while let Some(key) = self.pending.pop() {
-            let value = self.eval_call(&key.0, key.1.clone())?;
+        while let Some((name, args)) = self.pending.pop() {
+            let value = self.eval_call(name, args)?;
             if !matches!(value, Value::Process(_)) {
                 return Err(CspmError::eval(format!(
-                    "`{}` is used as a process but evaluates to a {}",
-                    key.0,
+                    "`{name}` is used as a process but evaluates to a {}",
                     value.kind_name()
                 )));
             }
@@ -558,25 +687,25 @@ impl Evaluator {
         Ok(())
     }
 
-    fn proc_id_for(&mut self, key: &(String, Vec<Value>)) -> DefId {
-        if let Some(&id) = self.proc_ids.get(key) {
+    /// The definition handle of `call`, declared as `name(args)` on first
+    /// use.
+    fn call_id(&mut self, call: usize, name: &str, args: &[Value]) -> DefId {
+        if let Some(id) = self.calls[call].id {
             return id;
         }
-        let mut label = key.0.clone();
-        if !key.1.is_empty() {
+        let mut label = String::from(name);
+        if !args.is_empty() {
             label.push('(');
-            for (i, v) in key.1.iter().enumerate() {
+            for (i, v) in args.iter().enumerate() {
                 if i > 0 {
                     label.push(',');
                 }
-                let mut s = String::new();
-                event_component(v, &mut s);
-                label.push_str(&s);
+                event_component(v, &mut label);
             }
             label.push(')');
         }
         let id = self.defs.declare(&label);
-        self.proc_ids.insert(key.clone(), id);
+        self.calls[call].id = Some(id);
         id
     }
 
@@ -584,8 +713,8 @@ impl Evaluator {
 
     pub(crate) fn eval(
         &mut self,
-        expr: &Expr,
-        scopes: &mut Vec<Bindings>,
+        expr: &'m Expr,
+        scopes: &mut Vec<Bindings<'m>>,
     ) -> Result<Value, CspmError> {
         match expr {
             Expr::Int(n) => Ok(Value::Int(*n)),
@@ -596,7 +725,7 @@ impl Evaluator {
                     .iter()
                     .map(|a| self.eval(a, scopes))
                     .collect::<Result<Vec<_>, _>>()?;
-                if self.globals.contains_key(name) {
+                if self.globals.contains_key(name.as_str()) {
                     self.eval_call(name, argv)
                 } else {
                     self.builtin(name, argv)
@@ -693,7 +822,7 @@ impl Evaluator {
                     scopes
                         .last_mut()
                         .expect("scope just pushed")
-                        .push((name.clone(), v));
+                        .push((name, v));
                 }
                 let result = self.eval(body, scopes);
                 scopes.pop().expect("scope just pushed");
@@ -706,12 +835,19 @@ impl Evaluator {
                 // prefix (common with replicated choice over event sets,
                 // e.g. `[] e : Events @ e -> P`).
                 if event.fields.is_empty() {
-                    if let Some(Value::Event(eid)) = self.scope_lookup(&event.channel, scopes) {
+                    if let Some(&Value::Event(eid)) = lookup(&event.channel, scopes) {
                         let p = self.eval_process(body, scopes)?;
                         return Ok(Value::Process(Process::prefix(eid, p)));
                     }
                 }
-                let completions = self.completions(event, scopes, false)?;
+                let mut completions = self.completions(event, scopes, false)?;
+                if completions.len() == 1 {
+                    let (eid, binds) = completions.pop().expect("one completion");
+                    scopes.push(binds);
+                    let result = self.eval_process(body, scopes);
+                    scopes.pop();
+                    return Ok(Value::Process(Process::prefix(eid, result?)));
+                }
                 let mut branches = Vec::with_capacity(completions.len());
                 for (eid, binds) in completions {
                     scopes.push(binds);
@@ -729,15 +865,19 @@ impl Evaluator {
                     Ok(Value::Process(Process::Stop))
                 }
             }
-            Expr::ExtChoice(a, b) => {
-                let p = self.eval_process(a, scopes)?;
-                let q = self.eval_process(b, scopes)?;
-                Ok(Value::Process(Process::external_choice(p, q)))
+            Expr::ExtChoice(..) => {
+                let operands = self.chain(expr, scopes, |e| match e {
+                    Expr::ExtChoice(a, b) => Some((&**a, &**b)),
+                    _ => None,
+                })?;
+                Ok(Value::Process(Process::external_choice_all(operands)))
             }
-            Expr::IntChoice(a, b) => {
-                let p = self.eval_process(a, scopes)?;
-                let q = self.eval_process(b, scopes)?;
-                Ok(Value::Process(Process::internal_choice(p, q)))
+            Expr::IntChoice(..) => {
+                let operands = self.chain(expr, scopes, |e| match e {
+                    Expr::IntChoice(a, b) => Some((&**a, &**b)),
+                    _ => None,
+                })?;
+                Ok(Value::Process(Process::internal_choice_all(operands)))
             }
             Expr::Seq(a, b) => {
                 let p = self.eval_process(a, scopes)?;
@@ -781,7 +921,7 @@ impl Evaluator {
                 let domain = self.eval(set, scopes)?.into_set()?;
                 let mut processes = Vec::with_capacity(domain.len());
                 for v in domain {
-                    scopes.push(vec![(var.clone(), v)]);
+                    scopes.push(vec![(var.as_str(), v)]);
                     let result = self.eval_process(body, scopes);
                     scopes.pop();
                     processes.push(result?);
@@ -802,14 +942,38 @@ impl Evaluator {
         }
     }
 
+    /// The operands of a chain of one binary choice operator, each
+    /// evaluated in process position, left to right. `link` splits one
+    /// link of the chain into its operands. The chain is walked with an
+    /// explicit stack: however the parser nested it, a chain of n links
+    /// costs no native recursion.
+    fn chain(
+        &mut self,
+        root: &'m Expr,
+        scopes: &mut Vec<Bindings<'m>>,
+        link: fn(&'m Expr) -> Option<(&'m Expr, &'m Expr)>,
+    ) -> Result<Vec<Process>, CspmError> {
+        let mut todo = vec![root];
+        let mut operands = Vec::new();
+        while let Some(e) = todo.pop() {
+            match link(e) {
+                Some((a, b)) => {
+                    todo.push(b);
+                    todo.push(a);
+                }
+                None => operands.push(self.eval_process(e, scopes)?),
+            }
+        }
+        Ok(operands)
+    }
     /// Recursive comprehension driver: bind each generator in turn, filter
     /// by the guards, collect the head expression.
     fn comprehend(
         &mut self,
-        head: &Expr,
-        binders: &[(String, Expr)],
-        guards: &[Expr],
-        scopes: &mut Vec<Bindings>,
+        head: &'m Expr,
+        binders: &'m [(String, Expr)],
+        guards: &'m [Expr],
+        scopes: &mut Vec<Bindings<'m>>,
         out: &mut BTreeSet<Value>,
     ) -> Result<(), CspmError> {
         let Some(((var, domain_expr), rest)) = binders.split_first() else {
@@ -823,7 +987,7 @@ impl Evaluator {
         };
         let domain = self.eval(domain_expr, scopes)?.into_set()?;
         for v in domain {
-            scopes.push(vec![(var.clone(), v)]);
+            scopes.push(vec![(var.as_str(), v)]);
             let result = self.comprehend(head, rest, guards, scopes, out);
             scopes.pop();
             result?;
@@ -834,9 +998,9 @@ impl Evaluator {
     fn binary(
         &mut self,
         op: BinOp,
-        lhs: &Expr,
-        rhs: &Expr,
-        scopes: &mut Vec<Bindings>,
+        lhs: &'m Expr,
+        rhs: &'m Expr,
+        scopes: &mut Vec<Bindings<'m>>,
     ) -> Result<Value, CspmError> {
         // Short-circuit booleans first.
         match op {
@@ -970,146 +1134,112 @@ impl Evaluator {
     /// field must be matched by the pattern.
     fn completions(
         &mut self,
-        pat: &EventPattern,
-        scopes: &mut Vec<Bindings>,
+        pat: &'m EventPattern,
+        scopes: &mut Vec<Bindings<'m>>,
         partial_ok: bool,
-    ) -> Result<Vec<(EventId, Bindings)>, CspmError> {
-        let domains = self.channel_domains(&pat.channel)?;
-        let mut out = Vec::new();
-        self.complete_fields(
-            &pat.channel,
-            &domains,
-            0,
-            &pat.fields,
-            0,
-            Vec::new(),
-            Bindings::new(),
+    ) -> Result<Vec<Completion<'m>>, CspmError> {
+        let channel = self.channel(&pat.channel)?;
+        let pattern = Pattern {
+            channel,
+            domains: &self.channel_domains(channel)?,
+            fields: &pat.fields,
             partial_ok,
-            scopes,
-            &mut out,
-        )?;
-        Ok(out)
+            base: self.positions.len(),
+        };
+        let mut out = Vec::new();
+        let result = self.complete_fields(&pattern, 0, 0, &mut Bindings::new(), scopes, &mut out);
+        self.positions.truncate(pattern.base);
+        result.map(|()| out)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Complete channel field `field` (and those after it) from pattern
+    /// field `at`, under the positions already pushed for the fields before
+    /// it and the bindings `binds` their `?` fields made.
     fn complete_fields(
         &mut self,
-        channel: &str,
-        domains: &[Rc<Domain>],
-        field_idx: usize,
-        pats: &[FieldPat],
-        pat_idx: usize,
-        values: Vec<Value>,
-        binds: Bindings,
-        partial_ok: bool,
-        scopes: &mut Vec<Bindings>,
-        out: &mut Vec<(EventId, Bindings)>,
+        pat: &Pattern<'_, 'm>,
+        field: usize,
+        at: usize,
+        binds: &mut Bindings<'m>,
+        scopes: &mut Vec<Bindings<'m>>,
+        out: &mut Vec<Completion<'m>>,
     ) -> Result<(), CspmError> {
-        if field_idx == domains.len() {
-            if pat_idx < pats.len() {
+        if field == pat.domains.len() {
+            if at < pat.fields.len() {
                 return Err(CspmError::eval(format!(
-                    "too many fields for channel `{channel}`"
+                    "too many fields for channel `{}`",
+                    self.channels[pat.channel].name
                 )));
             }
-            let event = self.intern_event(channel, &values);
-            out.push((event, binds));
+            let event = self.event_id(pat.channel, pat.base);
+            out.push((event, binds.clone()));
             return Ok(());
         }
-        let domain = &domains[field_idx];
-        match pats.get(pat_idx) {
+        let domain = &pat.domains[field];
+        match pat.fields.get(at) {
             None => {
-                if !partial_ok {
+                if !pat.partial_ok {
                     return Err(CspmError::eval(format!(
-                        "event on channel `{channel}` is missing fields"
+                        "event on channel `{}` is missing fields",
+                        self.channels[pat.channel].name
                     )));
                 }
-                for v in &domain.values {
-                    let mut vs = values.clone();
-                    vs.push(v.clone());
-                    self.complete_fields(
-                        channel,
-                        domains,
-                        field_idx + 1,
-                        pats,
-                        pat_idx,
-                        vs,
-                        binds.clone(),
-                        partial_ok,
-                        scopes,
-                        out,
-                    )?;
+                for i in 0..domain.values.len() {
+                    self.positions.push(i as u32);
+                    self.complete_fields(pat, field + 1, at, binds, scopes, out)?;
+                    self.positions.pop();
                 }
                 Ok(())
             }
-            Some(FieldPat::Dot(e)) | Some(FieldPat::Output(e)) => {
-                scopes.push(binds.clone());
-                let v = self.eval(e, scopes);
-                scopes.pop();
-                let v = v?;
+            Some(FieldPat::Dot(e) | FieldPat::Output(e)) => {
+                let v = self.eval_with(e, binds, scopes)?;
                 // A bare constructor with payload: consume following pattern
                 // fields as its payload components.
                 if let Value::CtorRef { name: ctor, arity } = v {
-                    return self.complete_ctor(
-                        channel, domains, field_idx, pats, pat_idx, values, binds, partial_ok,
-                        scopes, out, ctor, arity,
-                    );
+                    return self.complete_ctor(pat, field, at, binds, scopes, out, &ctor, arity);
                 }
-                if !domain.contains(&v) {
+                let Some(position) = domain.position(&v) else {
                     return Err(CspmError::eval(format!(
-                        "value is not in the domain of field {field_idx} of channel `{channel}`"
+                        "value is not in the domain of field {field} of channel `{}`",
+                        self.channels[pat.channel].name
                     )));
-                }
-                let mut vs = values;
-                vs.push(v);
-                self.complete_fields(
-                    channel,
-                    domains,
-                    field_idx + 1,
-                    pats,
-                    pat_idx + 1,
-                    vs,
-                    binds,
-                    partial_ok,
-                    scopes,
-                    out,
-                )
+                };
+                self.positions.push(position);
+                self.complete_fields(pat, field + 1, at + 1, binds, scopes, out)?;
+                self.positions.pop();
+                Ok(())
             }
             Some(FieldPat::Input { var, restrict }) => {
-                let allowed: Option<BTreeSet<Value>> = match restrict {
-                    Some(r) => {
-                        scopes.push(binds.clone());
-                        let v = self.eval(r, scopes);
-                        scopes.pop();
-                        Some(v?.into_set()?)
-                    }
+                let allowed = match restrict {
+                    Some(r) => Some(self.eval_with(r, binds, scopes)?.into_set()?),
                     None => None,
                 };
-                for v in &domain.values {
-                    if let Some(allowed) = &allowed {
-                        if !allowed.contains(v) {
-                            continue;
-                        }
+                for (i, v) in domain.values.iter().enumerate() {
+                    if allowed.as_ref().is_some_and(|allowed| !allowed.contains(v)) {
+                        continue;
                     }
-                    let mut vs = values.clone();
-                    vs.push(v.clone());
-                    let mut bs = binds.clone();
-                    bs.push((var.clone(), v.clone()));
-                    self.complete_fields(
-                        channel,
-                        domains,
-                        field_idx + 1,
-                        pats,
-                        pat_idx + 1,
-                        vs,
-                        bs,
-                        partial_ok,
-                        scopes,
-                        out,
-                    )?;
+                    self.positions.push(i as u32);
+                    binds.push((var, v.clone()));
+                    self.complete_fields(pat, field + 1, at + 1, binds, scopes, out)?;
+                    binds.pop();
+                    self.positions.pop();
                 }
                 Ok(())
             }
         }
+    }
+
+    /// Evaluate `e` with the pattern's bindings `binds` in scope.
+    fn eval_with(
+        &mut self,
+        e: &'m Expr,
+        binds: &mut Bindings<'m>,
+        scopes: &mut Vec<Bindings<'m>>,
+    ) -> Result<Value, CspmError> {
+        scopes.push(std::mem::take(binds));
+        let v = self.eval(e, scopes);
+        *binds = scopes.pop().expect("scope just pushed");
+        v
     }
 
     /// Handle `c.Ctor.p1.p2` where `Ctor` is a payload-carrying constructor
@@ -1118,36 +1248,31 @@ impl Evaluator {
     #[allow(clippy::too_many_arguments)]
     fn complete_ctor(
         &mut self,
-        channel: &str,
-        domains: &[Rc<Domain>],
-        field_idx: usize,
-        pats: &[FieldPat],
-        pat_idx: usize,
-        values: Vec<Value>,
-        binds: Bindings,
-        partial_ok: bool,
-        scopes: &mut Vec<Bindings>,
-        out: &mut Vec<(EventId, Bindings)>,
-        ctor: String,
+        pat: &Pattern<'_, 'm>,
+        field: usize,
+        at: usize,
+        binds: &mut Bindings<'m>,
+        scopes: &mut Vec<Bindings<'m>>,
+        out: &mut Vec<Completion<'m>>,
+        ctor: &Arc<str>,
         arity: usize,
     ) -> Result<(), CspmError> {
         let payload_types = self
-            .ctor_fields
-            .get(&ctor)
-            .cloned()
+            .constructors
+            .get(&**ctor)
+            .map(|c| c.fields)
             .ok_or_else(|| CspmError::eval(format!("unknown constructor `{ctor}`")))?;
         debug_assert_eq!(payload_types.len(), arity);
         // Enumerate payload combinations compatible with the next pattern
         // fields.
-        let mut partials: Vec<(Vec<Value>, Bindings)> = vec![(Vec::new(), binds)];
+        let mut partials: Vec<(Vec<Value>, Bindings<'m>)> = vec![(Vec::new(), binds.clone())];
         let mut used = 0usize;
         for (slot, ty) in payload_types.iter().enumerate() {
             let domain = self.type_expr_domain(ty)?;
-            let pat = pats.get(pat_idx + 1 + slot);
-            let mut next: Vec<(Vec<Value>, Bindings)> = Vec::new();
-            match pat {
+            let mut next: Vec<(Vec<Value>, Bindings<'m>)> = Vec::new();
+            match pat.fields.get(at + 1 + slot) {
                 None => {
-                    if !partial_ok {
+                    if !pat.partial_ok {
                         return Err(CspmError::eval(format!(
                             "constructor `{ctor}` is missing payload fields"
                         )));
@@ -1160,14 +1285,11 @@ impl Evaluator {
                         }
                     }
                 }
-                Some(FieldPat::Dot(e)) | Some(FieldPat::Output(e)) => {
+                Some(FieldPat::Dot(e) | FieldPat::Output(e)) => {
                     used += 1;
-                    for (payload, bs) in &partials {
-                        scopes.push(bs.clone());
-                        let v = self.eval(e, scopes);
-                        scopes.pop();
-                        let v = v?;
-                        if !domain.contains(&v) {
+                    for (payload, bs) in &mut partials {
+                        let v = self.eval_with(e, bs, scopes)?;
+                        if domain.position(&v).is_none() {
                             return Err(CspmError::eval(format!(
                                 "payload value not in domain of `{ctor}` field {slot}"
                             )));
@@ -1179,26 +1301,19 @@ impl Evaluator {
                 }
                 Some(FieldPat::Input { var, restrict }) => {
                     used += 1;
-                    for (payload, bs) in &partials {
-                        let allowed: Option<BTreeSet<Value>> = match restrict {
-                            Some(r) => {
-                                scopes.push(bs.clone());
-                                let v = self.eval(r, scopes);
-                                scopes.pop();
-                                Some(v?.into_set()?)
-                            }
+                    for (payload, bs) in &mut partials {
+                        let allowed = match restrict {
+                            Some(r) => Some(self.eval_with(r, bs, scopes)?.into_set()?),
                             None => None,
                         };
                         for v in &domain.values {
-                            if let Some(allowed) = &allowed {
-                                if !allowed.contains(v) {
-                                    continue;
-                                }
+                            if allowed.as_ref().is_some_and(|allowed| !allowed.contains(v)) {
+                                continue;
                             }
                             let mut p = payload.clone();
                             p.push(v.clone());
                             let mut b2 = bs.clone();
-                            b2.push((var.clone(), v.clone()));
+                            b2.push((var.as_str(), v.clone()));
                             next.push((p, b2));
                         }
                     }
@@ -1206,27 +1321,17 @@ impl Evaluator {
             }
             partials = next;
         }
-        for (payload, bs) in partials {
-            let value = Value::Data(ctor.clone(), payload);
-            if !domains[field_idx].contains(&value) {
+        for (payload, mut bs) in partials {
+            let value = Value::Data(Arc::clone(ctor), payload);
+            let Some(position) = pat.domains[field].position(&value) else {
                 return Err(CspmError::eval(format!(
-                    "`{ctor}` value is not in the domain of field {field_idx} of `{channel}`"
+                    "`{ctor}` value is not in the domain of field {field} of `{}`",
+                    self.channels[pat.channel].name
                 )));
-            }
-            let mut vs = values.clone();
-            vs.push(value);
-            self.complete_fields(
-                channel,
-                domains,
-                field_idx + 1,
-                pats,
-                pat_idx + 1 + used,
-                vs,
-                bs,
-                partial_ok,
-                scopes,
-                out,
-            )?;
+            };
+            self.positions.push(position);
+            self.complete_fields(pat, field + 1, at + 1 + used, &mut bs, scopes, out)?;
+            self.positions.pop();
         }
         Ok(())
     }
@@ -1242,7 +1347,10 @@ impl Evaluator {
         for item in items {
             match item {
                 Value::Event(e) => out.push(*e),
-                Value::Channel(c) => out.extend(self.channel_events(c)?),
+                Value::Channel(c) => {
+                    let channel = self.channel(c)?;
+                    out.extend(self.channel_events(channel)?);
+                }
                 other => {
                     return Err(CspmError::eval(format!(
                         "synchronisation/hiding sets may contain only events, found a {}",
@@ -1256,8 +1364,8 @@ impl Evaluator {
 
     fn rename_map(
         &mut self,
-        pairs: &[(EventPattern, EventPattern)],
-        scopes: &mut Vec<Bindings>,
+        pairs: &'m [(EventPattern, EventPattern)],
+        scopes: &mut Vec<Bindings<'m>>,
     ) -> Result<RenameMap, CspmError> {
         let mut map = RenameMap::new();
         for (from, to) in pairs {
@@ -1329,7 +1437,7 @@ fn cartesian(domains: &[Rc<Domain>]) -> Vec<Vec<Value>> {
 /// Evaluate every zero-parameter definition in the module.
 pub(crate) fn load_module(
     module: &Module,
-) -> Result<(Evaluator, BTreeMap<String, Value>), CspmError> {
+) -> Result<(Evaluator<'_>, BTreeMap<String, Value>), CspmError> {
     let mut ev = Evaluator::new(module)?;
     let mut named = BTreeMap::new();
     for decl in &module.decls {
@@ -1350,14 +1458,17 @@ mod tests {
     use crate::lexer::lex;
     use crate::parser::parse_module;
 
-    fn load(src: &str) -> (Evaluator, BTreeMap<String, Value>) {
-        let m = parse_module(&lex(src).unwrap()).unwrap();
-        load_module(&m).unwrap()
+    /// The evaluator borrows its module, so tests leak theirs.
+    fn module(src: &str) -> &'static Module {
+        Box::leak(Box::new(parse_module(&lex(src).unwrap()).unwrap()))
+    }
+
+    fn load(src: &str) -> (Evaluator<'static>, BTreeMap<String, Value>) {
+        load_module(module(src)).unwrap()
     }
 
     fn load_err(src: &str) -> CspmError {
-        let m = parse_module(&lex(src).unwrap()).unwrap();
-        match load_module(&m) {
+        match load_module(module(src)) {
             Ok(_) => panic!("expected an error"),
             Err(e) => e,
         }
@@ -1828,9 +1939,14 @@ mod interrupt_timeout_tests {
     use crate::lexer::lex;
     use crate::parser::parse_module;
 
-    fn load(src: &str) -> (Evaluator, std::collections::BTreeMap<String, Value>) {
-        let m = parse_module(&lex(src).unwrap()).unwrap();
-        load_module(&m).unwrap()
+    fn load(
+        src: &str,
+    ) -> (
+        Evaluator<'static>,
+        std::collections::BTreeMap<String, Value>,
+    ) {
+        let m = Box::leak(Box::new(parse_module(&lex(src).unwrap()).unwrap()));
+        load_module(m).unwrap()
     }
 
     #[test]

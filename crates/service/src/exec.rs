@@ -5,9 +5,11 @@
 //! [`crate::supervisor::Supervisor`]; a batch therefore prints the same
 //! verdict lines whichever way it runs. `autocsp check`, `conform` and
 //! `analyze` run one job each on an executor too: [`Executor::check`],
-//! [`Executor::conform`] and [`Executor::analyze`] hand back the loaded
+//! [`Executor::conform`] and [`Executor::report`] hand back the loaded
 //! script with what the engine said, and each caller renders that its own
-//! way. [`Executor::run`] renders it as a job's verdict lines.
+//! way. [`Executor::run`] renders it as a job's verdict lines; an analyze
+//! job there, like `lint` and the analysis before `check`, runs only
+//! [`Executor::analyze`], the findings without the report.
 //!
 //! Verdict lines name no host paths: an analysis reports only its
 //! counts, and a trace without an id is labelled `<file name>:<line>`.
@@ -324,8 +326,10 @@ impl Executor {
         Ok((bundle, conformance))
     }
 
-    /// Analyze the job's script: alphabets, graph classification and
-    /// state-space predictions against the job's `max_states`.
+    /// The semantic findings on the job's script, predictions judged
+    /// against the job's `max_states`: all that `lint`, `check` and an
+    /// analyze job print. Runs [`cspm::analyze::analyze_script`] in the
+    /// executor's store, so a check that follows reuses its compiles.
     ///
     /// # Errors
     ///
@@ -343,6 +347,28 @@ impl Executor {
             job.max_states,
         );
         Ok((bundle, analysis))
+    }
+
+    /// [`Executor::analyze`]'s findings plus the report `autocsp analyze`
+    /// prints: alphabets, graph classification and state-space
+    /// predictions ([`cspm::analyze::report_script`]).
+    ///
+    /// # Errors
+    ///
+    /// The script did not load.
+    pub fn report(
+        &mut self,
+        job: &ResolvedJob,
+    ) -> Result<(Rc<Bundle>, cspm::analyze::ScriptReport), ExecError> {
+        let bundle = self.load(&job.script)?;
+        let report = cspm::analyze::report_script(
+            bundle.script.module(),
+            &bundle.loaded,
+            &self.checker,
+            &self.store,
+            job.max_states,
+        );
+        Ok((bundle, report))
     }
 
     /// Run one job attempt to a verdict.

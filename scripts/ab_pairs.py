@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating pairs of the benchmark command on two checkouts.
 
-usage: scripts/ab_pairs.py PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS] [SEED]
+usage: scripts/ab_pairs.py PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS] [SEED] [--trace K]
 
 Builds perfbench (release) in both checkouts, then runs the command of
 PARENT_DIR's BENCHMARK.json with `--workload WORKLOAD --seed SEED
@@ -17,6 +17,11 @@ change/parent ratio of the medians, whether the change's median is worse
 than the parent's by more than the metric's bound, and whether a gain
 holds: the change wins at least 9/10 of the pairs and the medians differ
 by more than the parent's interquartile range.
+
+With `--trace K`, K alternating pairs of traced runs (`--trace 1`) follow
+the untraced ones (PAIRS may be 0). For every per-layer metric of
+BENCHMARK.json that either side reports, it prints each side's median and
+the median over the pairs of the change/parent ratio.
 """
 
 import json
@@ -80,25 +85,14 @@ def report(metric, parent, change, better, bound):
           f"gain rule {'met' if gain else 'not met'}")
 
 
-def main():
-    if len(sys.argv) not in (4, 5, 6):
-        sys.exit(__doc__.split("\n\n")[1])
-    parent, change = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
-    workload = sys.argv[3]
-    pairs = int(sys.argv[4]) if len(sys.argv) > 4 else 10
-    seed = sys.argv[5] if len(sys.argv) > 5 else "1"
-    bench = json.loads((parent / "BENCHMARK.json").read_text())
-    command = bench["command"] + [
-        "--workload", workload, "--seed", seed,
-        "--seconds", str(bench["run_seconds"]), "--trace", "0"]
-    for checkout in (parent, change):
-        build(checkout)
+def alternate(parent, change, command, pairs, kind, first):
+    """`pairs` alternating pairs of `command`; returns each side's metrics
+    and the verdicts digest every run printed."""
     runs = {"parent": [], "change": []}
-    first = None
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            label = f"pair {i} {side}"
+            label = f"{kind} pair {i} {side}"
             digest, metrics = run_once(parent if side == "parent" else change, command, label)
             if first is not None and digest != first:
                 sys.exit(f"{label}: verdicts_digest={digest}, the first run printed {first}")
@@ -106,11 +100,61 @@ def main():
             runs[side].append(metrics)
             shown = " ".join(f"{k}={v:.4g}" for k, v in metrics.items())
             print(f"{label}: {shown}", flush=True)
-    print(f"\n{workload} seed {seed}: {pairs} pairs, verdicts_digest={first}")
-    for m in bench["end_to_end"]:
+    return runs, first
+
+
+def report_layers(metrics, runs):
+    """Each side's median and the median per-pair change/parent ratio of
+    every per-layer metric either side reported."""
+    print(f"\nper-layer metrics over {len(runs['parent'])} traced pairs: "
+          "parent median, change median, median of change/parent")
+    for m in metrics:
         name = m["name"]
-        report(name, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-               m["better"], m["bound"])
+        parent = [r.get(name) for r in runs["parent"]]
+        change = [r.get(name) for r in runs["change"]]
+        if all(v is None for v in parent + change):
+            continue
+        ratios = [c / p for p, c in zip(parent, change) if p and c is not None]
+        shown = [
+            f"{statistics.median(v for v in side if v is not None):.4g}"
+            if any(v is not None for v in side) else "-"
+            for side in (parent, change)
+        ]
+        ratio = f"{statistics.median(ratios):.3f}" if ratios else "-"
+        print(f"  {name:32} {shown[0]:>10} {shown[1]:>10} {ratio:>7}  ({m['unit']}, "
+              f"{m['better']} is better)")
+
+
+def main():
+    args = sys.argv[1:]
+    trace_pairs = 0
+    if "--trace" in args:
+        at = args.index("--trace")
+        trace_pairs = int(args[at + 1])
+        del args[at:at + 2]
+    if len(args) not in (3, 4, 5):
+        sys.exit(__doc__.split("\n\n")[1])
+    parent, change = Path(args[0]).resolve(), Path(args[1]).resolve()
+    workload = args[2]
+    pairs = int(args[3]) if len(args) > 3 else 10
+    seed = args[4] if len(args) > 4 else "1"
+    bench = json.loads((parent / "BENCHMARK.json").read_text())
+    command = bench["command"] + [
+        "--workload", workload, "--seed", seed, "--seconds", str(bench["run_seconds"])]
+    for checkout in (parent, change):
+        build(checkout)
+    runs, first = alternate(parent, change, command + ["--trace", "0"], pairs, "untraced", None)
+    traced, first = alternate(parent, change, command + ["--trace", "1"], trace_pairs, "traced",
+                              first)
+    print(f"\n{workload} seed {seed}: {pairs} pairs, {trace_pairs} traced pairs, "
+          f"verdicts_digest={first}")
+    if pairs:
+        for m in bench["end_to_end"]:
+            name = m["name"]
+            report(name, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
+                   m["better"], m["bound"])
+    if trace_pairs:
+        report_layers(bench["per_layer"], traced)
 
 
 if __name__ == "__main__":

@@ -665,7 +665,7 @@ fn analyze_cmd(args: &[String]) -> Result<ExitCode, String> {
         return Err("analyze needs exactly one CSPm file".into());
     };
     let mut executor = Executor::new(&ExecConfig::default())?;
-    let (script, analysis) = match executor.analyze(&one_job(JobKind::Analyze, script_path, &flags))
+    let (script, analysis) = match executor.report(&one_job(JobKind::Analyze, script_path, &flags))
     {
         Ok(analyzed) => analyzed,
         Err(ExecError::Parse { source, error }) => {
@@ -676,7 +676,7 @@ fn analyze_cmd(args: &[String]) -> Result<ExitCode, String> {
                     println!("1 error(s), 0 warning(s)");
                 }
                 OutputFormat::Json => {
-                    let analysis = cspm::analyze::ScriptAnalysis {
+                    let analysis = cspm::analyze::ScriptReport {
                         rounds: 0,
                         definitions: Vec::new(),
                         assertions: Vec::new(),
@@ -705,8 +705,8 @@ fn analyze_cmd(args: &[String]) -> Result<ExitCode, String> {
     policy("analysis", (errors, warnings), flags.deny_warnings).map(|()| ExitCode::SUCCESS)
 }
 
-/// Human-readable rendering of a [`cspm::analyze::ScriptAnalysis`].
-fn render_analysis_text(file: &str, source: &str, analysis: &cspm::analyze::ScriptAnalysis) {
+/// Human-readable rendering of a [`cspm::analyze::ScriptReport`].
+fn render_analysis_text(file: &str, source: &str, analysis: &cspm::analyze::ScriptReport) {
     println!(
         "{file}: {} definition(s), {} assertion(s), alphabet fixpoint in {} round(s)",
         analysis.definitions.len(),
@@ -759,10 +759,10 @@ fn render_analysis_text(file: &str, source: &str, analysis: &cspm::analyze::Scri
     }
 }
 
-/// JSON rendering of a [`cspm::analyze::ScriptAnalysis`], one object per run.
+/// JSON rendering of a [`cspm::analyze::ScriptReport`], one object per run.
 fn analysis_json(
     file: &str,
-    analysis: &cspm::analyze::ScriptAnalysis,
+    analysis: &cspm::analyze::ScriptReport,
     errors: usize,
     warnings: usize,
 ) -> String {
@@ -918,9 +918,11 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
     }
     // Semantic analysis before exploration, in the store the check then
     // compiles through (with the cache attached, so on-disk keys match
-    // the check's): it warms both the compile and the graph-classification
-    // caches the checker reuses. Analysis findings are ANA3xx warnings and
-    // follow the same gating policy as the syntactic lints.
+    // the check's): it compiles every operand, which the check reuses, and
+    // classifies only the operands its findings judge (an `[FD=`
+    // implementation, a property's process), whose classification the
+    // check reads too. Analysis findings are ANA3xx warnings and follow
+    // the same gating policy as the syntactic lints.
     let (_, analysis) = executor.analyze(&job).map_err(|e| e.to_string())?;
     gate_script(&script.source, analysis.diagnostics)?;
     let (script, results) = executor.check(&job).map_err(|e| e.to_string())?;
