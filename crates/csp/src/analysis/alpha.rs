@@ -218,8 +218,8 @@ impl AlphabetInference {
     /// references through interned bodies. Index `i` answers for the
     /// definition with `DefId` index `i`.
     ///
-    /// Unlike the syntactic CSP203 lint this works on the *elaborated*
-    /// model, so renaming, hiding and computed sync sets do not defeat it.
+    /// This works on the *elaborated* model, so renaming, hiding and
+    /// computed sync sets do not defeat it.
     pub fn reachable_defs(&self, arena: &TermArena, roots: &[TermId]) -> Vec<bool> {
         let mut reached = vec![false; self.def_bits.len()];
         let mut visited = HashSet::new();
@@ -637,8 +637,8 @@ mod tests {
         defs.define(p, Process::prefix(a, Process::var(p)));
         defs.define(orphan, Process::prefix(b, Process::Stop));
 
-        // Root renames P — the syntactic lint bails on this shape, the
-        // semantic analysis must still mark P reached and ORPHAN not.
+        // Root renames P: reachability follows the rename, so P is
+        // reached and ORPHAN is not.
         let root_p = Process::rename(Process::var(p), RenameBuilder::one(a, b));
         let inf = AlphabetInference::infer(&mut arena, &defs);
         let root = arena.intern(&root_p);

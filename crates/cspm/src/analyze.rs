@@ -1,7 +1,9 @@
 //! Semantic model analysis over a loaded script.
 //!
-//! Where the syntactic `CSP2xx` lints bail out at the first renaming or
-//! hiding, this module runs the real thing on the *elaborated* model:
+//! The one analysis of a CSPm model's alphabets, reachability and graphs
+//! that `lint`, `check` and `analyze` run; only the `CSP202` recursion check
+//! reads the syntax before it. It works on the *elaborated* model, so
+//! renaming, hiding and computed sync sets do not defeat it:
 //!
 //! * [`csp::analysis::AlphabetInference`] — an interprocedural fixpoint
 //!   over the hash-consed term arena that flows events through `[[a <- b]]`
@@ -341,6 +343,12 @@ impl<'m> Pass<'m> {
                     continue;
                 };
                 *base_reached.entry(key).or_insert(false) |= pass.reached[d.index()];
+            }
+            // A parameterised definition that nothing called has no instance.
+            for name in loaded.uncalled_definitions() {
+                if let Some((&key, _)) = pass.spans.get_key_value(name.as_str()) {
+                    base_reached.entry(key).or_insert(false);
+                }
             }
             let mut unreachable: Vec<&str> = base_reached
                 .iter()
@@ -693,8 +701,8 @@ mod tests {
 
     #[test]
     fn one_sided_sync_is_reported_through_renaming() {
-        // The syntactic CSP201 lint bails on the rename; the semantic
-        // analysis must still see that MONITOR never offers `req`.
+        // The inferred alphabets follow the rename: MONITOR performs
+        // `rpt` but never offers `req`.
         let a = analyze(
             "
             channel req, rpt, tick
@@ -740,6 +748,70 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    #[test]
+    fn one_sided_sync_over_a_productions_set_is_reported() {
+        let a = analyze(
+            "
+            channel rec : {0..1}
+            channel send : {0..1}
+            P = rec?x -> send!x -> P
+            Q = rec?x -> Q
+            SYSTEM = P [| {| rec, send |} |] Q
+            assert SYSTEM :[deadlock free]
+            ",
+        );
+        // Both sides perform every `rec` event; only P performs `send`.
+        let ana301: Vec<&str> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code.0 == "ANA301")
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(ana301.len(), 2, "{:?}", a.diagnostics);
+        assert!(ana301.iter().all(|m| m.contains("`send.")), "{ana301:?}");
+    }
+
+    #[test]
+    fn reachability_follows_references() {
+        let a = analyze(
+            "
+            channel a
+            HELPER = a -> HELPER
+            P = HELPER
+            assert P :[deadlock free]
+            ",
+        );
+        assert!(!codes(&a).contains(&"ANA304"), "{:?}", a.diagnostics);
+    }
+
+    #[test]
+    fn no_unreachable_definition_without_assertions() {
+        let a = analyze("channel a\nP = a -> P\nORPHAN = a -> ORPHAN\nF(n) = a -> F(n)\n");
+        assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
+        assert!(a.definitions.iter().all(|d| d.reachable));
+    }
+
+    #[test]
+    fn an_uncalled_parameterised_definition_is_unreachable() {
+        let a = analyze(
+            "
+            channel a : {0..2}
+            P = a.0 -> USED(1)
+            USED(n) = a.n -> STOP
+            ORPHAN(n) = a.n -> ORPHAN((n + 1) % 3)
+            assert P :[deadlock free]
+            ",
+        );
+        let ana304: Vec<&Diagnostic> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code.0 == "ANA304")
+            .collect();
+        assert_eq!(ana304.len(), 1, "{:?}", a.diagnostics);
+        assert!(ana304[0].message.contains("`ORPHAN`"), "{:?}", ana304[0]);
+        assert_eq!((ana304[0].span.line, ana304[0].span.col), (5, 13));
     }
 
     #[test]

@@ -553,6 +553,14 @@ impl<'m> Evaluator<'m> {
         next
     }
 
+    /// Whether elaboration has called the definition `name`, with any
+    /// arguments.
+    pub(crate) fn called(&self, name: &str) -> bool {
+        self.globals
+            .get(name)
+            .is_some_and(|global| !global.calls.is_empty())
+    }
+
     fn eval_call(&mut self, name: &str, args: Vec<Value>) -> Result<Value, CspmError> {
         let Some(global) = self.globals.get(name) else {
             return Err(CspmError::eval(format!("unknown definition `{name}`")));

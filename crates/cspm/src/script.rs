@@ -82,12 +82,25 @@ impl Script {
             assertions.push(ResolvedAssertion { description, kind });
         }
 
+        let uncalled = self
+            .module
+            .decls
+            .iter()
+            .filter_map(|decl| match decl {
+                Decl::Definition { name, params, .. } if !params.is_empty() && !ev.called(name) => {
+                    Some(name.clone())
+                }
+                _ => None,
+            })
+            .collect();
+
         Ok(LoadedScript {
             alphabet: ev.alphabet,
             defs: ev.defs,
             named_processes,
             named_values,
             assertions,
+            uncalled,
         })
     }
 }
@@ -101,6 +114,7 @@ pub struct LoadedScript {
     named_processes: BTreeMap<String, Process>,
     named_values: BTreeMap<String, Value>,
     assertions: Vec<ResolvedAssertion>,
+    uncalled: Vec<String>,
 }
 
 /// An assertion with its operand processes already elaborated.
@@ -246,6 +260,13 @@ impl LoadedScript {
     /// The script's assertions, resolved.
     pub fn assertions(&self) -> &[ResolvedAssertion] {
         &self.assertions
+    }
+
+    /// The parameterised definitions that elaboration never called, in
+    /// declaration order: no process, value or assertion of the script uses
+    /// them.
+    pub fn uncalled_definitions(&self) -> &[String] {
+        &self.uncalled
     }
 
     /// Run every assertion through `checker`, in script order, with the

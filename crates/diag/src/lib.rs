@@ -13,7 +13,7 @@
 //! |-----------|--------------------------------------------------|
 //! | `CAPL0xx` | CAPL program analysis                            |
 //! | `DBC1xx`  | CAN database hygiene and CAPL ↔ `.dbc` checks    |
-//! | `CSP2xx`  | CSPm structural analysis (pre-LTS)               |
+//! | `CSP2xx`  | CSPm parsing and unguarded recursion             |
 //! | `SIM3xx`  | fault-plan validation and plan ↔ `.dbc` checks   |
 //! | `STO4xx`  | on-disk model-cache integrity (`fdrlite::persist`) |
 //! | `ANA3xx`  | semantic model analysis (`autocsp analyze`, see [`ana`]) |
@@ -70,7 +70,7 @@ impl fmt::Display for Severity {
     }
 }
 
-/// A stable diagnostic code, e.g. `CAPL002` or `CSP201`.
+/// A stable diagnostic code, e.g. `CAPL002` or `CSP202`.
 ///
 /// Codes are part of the tool's public interface: once published in
 /// `docs/LINTS.md` they are never renumbered, only retired.
@@ -262,9 +262,9 @@ pub fn json_string(s: &str) -> String {
 /// Stable codes of the `ANA3xx` family: semantic model analysis.
 ///
 /// Emitted by the semantic analyzer (`cspm::analyze`, surfaced as
-/// `autocsp analyze` and as gating hooks in `check`/`lint`). Unlike the
-/// syntactic `CSP2xx` lints these are computed on the *elaborated* model —
-/// interprocedural alphabet inference sees through renaming and hiding,
+/// `autocsp analyze` and as gating hooks in `check`/`lint`). They are
+/// computed on the *elaborated* model — interprocedural alphabet inference
+/// sees through renaming and hiding,
 /// and the graph findings are read off the compiled LTS itself — so every
 /// finding states a semantic certainty ("this event can never happen
 /// here", "this assertion is guaranteed to fail"), never a heuristic.
@@ -331,9 +331,9 @@ mod tests {
 
     #[test]
     fn render_without_position_skips_excerpt() {
-        let d = Diagnostic::warning(Code("CSP201"), Span::unknown(), "dead sync");
+        let d = Diagnostic::warning(Code("ANA302"), Span::unknown(), "dead sync");
         let shown = d.render("model.csp", "P = STOP\n");
-        assert!(shown.contains("warning[CSP201]: dead sync"));
+        assert!(shown.contains("warning[ANA302]: dead sync"));
         assert!(!shown.contains('^'));
     }
 

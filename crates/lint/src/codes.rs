@@ -2,11 +2,12 @@
 //!
 //! Codes are namespaced per pipeline stage — `CAPL0xx` for CAPL program
 //! analysis, `DBC1xx` for CAN-database hygiene and CAPL ↔ `.dbc`
-//! cross-validation, `CSP2xx` for CSPm structural analysis, `SIM3xx` for
-//! fault-plan validation (defined in [`faults::codes`], re-exported here),
-//! `ANA3xx` for semantic model analysis (defined in [`diag::ana`],
-//! re-exported here). Codes are never renumbered once published in
-//! `docs/LINTS.md`; retired codes are not reused.
+//! cross-validation, `CSP2xx` for CSPm parsing and unguarded recursion,
+//! `SIM3xx` for fault-plan validation (defined in [`faults::codes`],
+//! re-exported here), `ANA3xx` for semantic model analysis (defined in
+//! [`diag::ana`], re-exported here). Codes are never renumbered once
+//! published in `docs/LINTS.md`; retired codes ([`RETIRED`]) are not
+//! reused.
 
 use diag::Code;
 
@@ -66,14 +67,8 @@ pub const DUPLICATE_DB_ID: Code = Code("DBC107");
 /// `DBC108` — CAPL accesses a signal that the resolved message does not carry.
 pub const UNKNOWN_SIGNAL: Code = Code("DBC108");
 
-/// `CSP201` — a synchronised event only one side of a parallel can perform.
-pub const SYNC_ONE_SIDED: Code = Code("CSP201");
 /// `CSP202` — a process can recurse without performing an event first.
 pub const UNGUARDED_RECURSION: Code = Code("CSP202");
-/// `CSP203` — a definition is unreachable from every assertion.
-pub const UNREACHABLE_DEFINITION: Code = Code("CSP203");
-/// `CSP204` — a synchronised event neither side of a parallel can perform.
-pub const SYNC_DEAD_EVENT: Code = Code("CSP204");
 
 /// Every published code with a one-line summary, in catalogue order.
 ///
@@ -110,13 +105,7 @@ pub const CATALOGUE: &[(Code, &str)] = &[
     (SIGNAL_PAST_DLC, "signal extends beyond the message DLC"),
     (DUPLICATE_DB_ID, "two messages share one CAN id"),
     (UNKNOWN_SIGNAL, "access to a signal the message lacks"),
-    (SYNC_ONE_SIDED, "synchronised event only one side performs"),
     (UNGUARDED_RECURSION, "recursion with no intervening event"),
-    (
-        UNREACHABLE_DEFINITION,
-        "definition unreachable from assertions",
-    ),
-    (SYNC_DEAD_EVENT, "synchronised event neither side performs"),
     (PLAN_PARSE_ERROR, "fault plan failed to parse"),
     (
         UNKNOWN_FRAME_ID,
@@ -170,6 +159,15 @@ pub const CATALOGUE: &[(Code, &str)] = &[
     ),
 ];
 
+/// Codes published once and since retired, each with the code that reports
+/// its finding now. `docs/LINTS.md` lists them as retired; they are never
+/// reused.
+pub const RETIRED: &[(Code, Code)] = &[
+    (Code("CSP201"), ANA_SYNC_ONE_SIDED),
+    (Code("CSP203"), ANA_UNREACHABLE_DEFINITION),
+    (Code("CSP204"), ANA_SYNC_DEAD_EVENT),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +185,20 @@ mod tests {
                 || code.0.starts_with("CSP")
                 || code.0.starts_with("ANA");
             assert!(ok, "code {code} outside the allocated namespaces");
+        }
+    }
+
+    #[test]
+    fn retired_codes_are_not_reused_and_name_a_published_successor() {
+        for (retired, successor) in RETIRED {
+            assert!(
+                CATALOGUE.iter().all(|(code, _)| code != retired),
+                "{retired} is retired but published"
+            );
+            assert!(
+                CATALOGUE.iter().any(|(code, _)| code == successor),
+                "{retired}'s successor {successor} is not published"
+            );
         }
     }
 }

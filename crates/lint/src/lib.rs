@@ -8,9 +8,9 @@
 //!   pairing (`CAPL0xx`).
 //! - [`lint_database`] / [`cross_check`] — `.dbc` hygiene and CAPL ↔ database
 //!   cross-validation (`DBC1xx`).
-//! - [`lint_module`] — CSPm structural analysis before any LTS is built:
-//!   alphabet coverage of parallel compositions, unguarded recursion,
-//!   unreachable definitions (`CSP2xx`).
+//! - [`lint_module`] — unguarded recursion in a CSPm module, before it is
+//!   elaborated (`CSP202`). Alphabet coverage and reachability are judged on
+//!   the elaborated model by `cspm::analyze` (`ANA3xx`).
 //!
 //! The [`codes`] module is the complete stable catalogue. [`LintReport`]
 //! groups one run's findings per stage for rendering and gating.
@@ -44,7 +44,7 @@ pub enum Stage {
     Capl,
     /// CAN database hygiene (`DBC1xx`).
     Dbc,
-    /// CSPm structural analysis (`CSP2xx`).
+    /// CSPm structural analysis (`CSP202`).
     Csp,
 }
 
@@ -120,7 +120,7 @@ mod tests {
             "x",
         )]);
         r.csp.push(Diagnostic::warning(
-            codes::SYNC_ONE_SIDED,
+            codes::UNGUARDED_RECURSION,
             Span::unknown(),
             "y",
         ));

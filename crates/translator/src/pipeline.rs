@@ -5,7 +5,6 @@
 use std::fmt;
 use std::time::Instant;
 
-use capl::Diagnostic;
 use cspm::LoadedScript;
 use lint::LintReport;
 
@@ -59,13 +58,11 @@ pub struct PipelineOutput {
     pub entry: String,
     /// Translation report (abstractions, inventory).
     pub report: TranslationReport,
-    /// Semantic diagnostics from the CAPL frontend.
-    pub diagnostics: Vec<Diagnostic>,
-    /// Static-analysis findings for every stage: the CAPL lints (a superset
-    /// of [`PipelineOutput::diagnostics`], plus dataflow and database
-    /// cross-checks), database hygiene, and structural lints over the
-    /// *generated* CSPm model. Lints never abort the pipeline — gating is the
-    /// caller's policy decision.
+    /// Static-analysis findings for every stage: the CAPL lints (the
+    /// frontend's symbol pass, dataflow and database cross-checks), database
+    /// hygiene, and the unguarded-recursion lint over the *generated* CSPm
+    /// model. Lints never abort the pipeline — gating is the caller's policy
+    /// decision.
     pub lints: LintReport,
     /// The elaborated script, ready for checking.
     pub loaded: LoadedScript,
@@ -101,7 +98,6 @@ impl Pipeline {
             .map(candb::parse)
             .transpose()
             .map_err(PipelineError::Dbc)?;
-        let diagnostics = capl::analyze(&program).diagnostics().to_vec();
         let parse_us = t0.elapsed().as_micros() as u64;
 
         let tl = Instant::now();
@@ -136,7 +132,6 @@ impl Pipeline {
             script: output.script,
             entry: output.entry,
             report: output.report,
-            diagnostics,
             lints,
             loaded,
             timings: StageTimings {
@@ -171,10 +166,7 @@ BO_ 101 rptSw: 8 ECU
         let pipeline = Pipeline::new(TranslateConfig::ecu("ECU"));
         let out = pipeline.run(ECU_SRC, Some(DBC_SRC)).unwrap();
         assert!(out.loaded.process("ECU").is_some());
-        assert!(out
-            .diagnostics
-            .iter()
-            .all(|d| d.severity != capl::Severity::Error));
+        assert_eq!(out.lints.error_count(), 0, "{:?}", out.lints);
     }
 
     #[test]

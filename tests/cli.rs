@@ -114,7 +114,7 @@ fn check_lints_a_script_that_fails_to_load_before_reporting_it() {
     let model = dir.join("broken.csp");
     fs::write(
         &model,
-        "channel a, b\nP = a -> P\nQ = b -> Q\nR = P [| {b} |] Q\nS = a -> T\nassert P [T= R\n",
+        "channel a\nP = a -> P\nU = U [] a -> STOP\nS = a -> T\nassert P [T= U\n",
     )
     .unwrap();
     let check = |extra: &[&str]| {
@@ -127,7 +127,7 @@ fn check_lints_a_script_that_fails_to_load_before_reporting_it() {
     let out = check(&[]);
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("warning[CSP201]"), "{stderr}");
+    assert!(stderr.contains("warning[CSP202]"), "{stderr}");
     assert!(
         stderr.ends_with("error: evaluation error: unknown name `T`\n"),
         "{stderr}"
@@ -137,7 +137,7 @@ fn check_lints_a_script_that_fails_to_load_before_reporting_it() {
     assert_eq!(denied.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&denied.stderr);
     assert!(
-        stderr.ends_with("error: 2 lint warning(s) denied (--deny-warnings)\n"),
+        stderr.ends_with("error: 1 lint warning(s) denied (--deny-warnings)\n"),
         "the lint gate comes before the load error: {stderr}"
     );
 }

@@ -17,11 +17,12 @@ fn the_workflow_of_fig1_runs_end_to_end() {
     let out = pipeline.run(capl_source, Some(dbc_source)).unwrap();
     assert!(out.script.contains("ECU"), "{}", out.script);
     assert!(
-        out.diagnostics
+        out.lints
+            .capl
             .iter()
             .all(|d| d.severity != capl::Severity::Error),
         "{:?}",
-        out.diagnostics
+        out.lints.capl
     );
 
     // (3) The implementation model is combined with a specification model…

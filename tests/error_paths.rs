@@ -112,7 +112,8 @@ fn pipeline_surfaces_semantic_diagnostics_without_failing() {
         )
         .unwrap();
     assert!(out
-        .diagnostics
+        .lints
+        .capl
         .iter()
         .any(|d| d.severity == capl::Severity::Error && d.message.contains("ghost")));
 }
