@@ -25,7 +25,6 @@
 //! harness, where worker slots run as threads instead of child
 //! processes ([`LauncherKind::InProcess`]).
 
-use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -41,7 +40,7 @@ use crate::http::{read_request, respond, Request, RequestError, MAX_BODY, MAX_HE
 use crate::orchestrator::{
     Accepted, Health, JobView, Orchestrator, OrchestratorConfig, SubmitError,
 };
-use crate::wire::{decode, encode, Frame};
+use crate::wire::{self, Frame};
 use crate::worker::{run_worker, WorkerConfig};
 
 /// Cap on `?wait=` long-polls (seconds).
@@ -169,11 +168,6 @@ pub struct Server {
     slots: Arc<Mutex<Vec<Slot>>>,
 }
 
-fn send_shutdown(stream: &mut TcpStream) {
-    let _ = stream.write_all(encode(&Frame::Shutdown).as_bytes());
-    let _ = stream.flush();
-}
-
 impl Server {
     /// Bind the listeners, replay the journal, start the threads and
     /// begin spawning workers.
@@ -248,12 +242,8 @@ impl Server {
             let stop = Arc::clone(&stop);
             move || {
                 while !stop.load(Ordering::Relaxed) {
-                    if let Some(mut dispatch) = orch.next_dispatch(Duration::from_millis(100)) {
-                        let sent = dispatch
-                            .stream
-                            .write_all(dispatch.line.as_bytes())
-                            .and_then(|()| dispatch.stream.flush());
-                        if sent.is_err() {
+                    if let Some(dispatch) = orch.next_dispatch(Duration::from_millis(100)) {
+                        if wire::send_line(&dispatch.stream, &dispatch.line).is_err() {
                             orch.worker_gone(&dispatch.token);
                         }
                     }
@@ -332,8 +322,8 @@ impl Server {
     /// wait (up to `timeout`) for workers to report, and return the
     /// number of jobs still pending — the caller's exit-code signal.
     pub fn drain(&self, timeout: Duration) -> usize {
-        for mut stream in self.orch.begin_drain() {
-            send_shutdown(&mut stream);
+        for stream in self.orch.begin_drain() {
+            let _ = wire::send(&stream, &Frame::Shutdown);
         }
         let deadline = Instant::now() + timeout;
         while !self.orch.drain_complete() && Instant::now() < deadline {
@@ -346,8 +336,8 @@ impl Server {
     /// worker threads end when their sockets close.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for mut stream in self.orch.begin_drain() {
-            send_shutdown(&mut stream);
+        for stream in self.orch.begin_drain() {
+            let _ = wire::send(&stream, &Frame::Shutdown);
         }
         // The accept loops block in `accept`: one connection each wakes
         // them to see the stop flag.
@@ -510,27 +500,17 @@ fn worker_accept_loop(listener: &TcpListener, orch: &Arc<Orchestrator>, stop: &A
 }
 
 fn worker_connection(stream: TcpStream, orch: &Arc<Orchestrator>) {
-    use std::io::BufRead;
-    let Ok(writer) = stream.try_clone() else {
+    let Ok((writer, mut frames)) = wire::open(stream) else {
         return;
     };
-    let mut lines = std::io::BufReader::new(stream);
-    let mut line = String::new();
-    if lines.read_line(&mut line).unwrap_or(0) == 0 {
-        return;
-    }
-    let Ok(Frame::Hello { token, pid }) = decode(line.trim_end()) else {
+    let Some(Ok(Frame::Hello { token, pid })) = frames.next() else {
         return; // not a worker; drop silently
     };
     if !orch.register_worker(&token, pid, writer) {
         return; // unknown token or draining: connection refused
     }
-    loop {
-        line.clear();
-        if lines.read_line(&mut line).unwrap_or(0) == 0 {
-            break;
-        }
-        match decode(line.trim_end()) {
+    for frame in frames {
+        match frame {
             Ok(Frame::Heartbeat { busy }) => orch.heartbeat(&token, busy),
             Ok(Frame::Result { id, outcome }) => orch.worker_result(&token, id, outcome),
             Ok(Frame::Error {

@@ -15,6 +15,18 @@
 //!
 //! Frames are deliberately flat and self-describing; unknown fields are
 //! ignored so the two ends can evolve independently within a release.
+//!
+//! This module also owns the connection itself. Both ends take their
+//! stream through [`open`], write through [`send`] or [`send_line`] and
+//! read through [`Frames`]. [`open`] sets `TCP_NODELAY`: every frame is
+//! small, and with Nagle's algorithm on, a frame written while the
+//! previous one is still unacknowledged waits in the kernel for that ACK.
+//! The peer delays the ACK of a lone segment by 40 ms or more, so a
+//! worker's `result` written just after a `heartbeat` reached the
+//! orchestrator about 40 ms late, longer than most jobs take to run.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 use diag::json;
 use fdrlite::supervisor::{JobReport, JobStatus};
@@ -257,6 +269,62 @@ pub fn decode(line: &str) -> Result<Frame, String> {
     }
 }
 
+/// Take one end of a worker connection, the worker's or the
+/// orchestrator's: turn Nagle's algorithm off and split the stream into
+/// a writer and the frames it receives. The writer's `try_clone`s share
+/// its socket, and with it the option.
+///
+/// # Errors
+///
+/// The socket's `set_nodelay` or `try_clone` failure.
+pub fn open(stream: TcpStream) -> std::io::Result<(TcpStream, Frames)> {
+    stream.set_nodelay(true)?;
+    let frames = Frames {
+        lines: BufReader::new(stream.try_clone()?),
+        line: String::new(),
+    };
+    Ok((stream, frames))
+}
+
+/// Write one frame to a connection set up by [`open`].
+///
+/// # Errors
+///
+/// The socket's write failure.
+pub fn send(stream: &TcpStream, frame: &Frame) -> std::io::Result<()> {
+    send_line(stream, &encode(frame))
+}
+
+/// Write one frame that [`encode`] has already turned into a line.
+///
+/// # Errors
+///
+/// The socket's write failure.
+pub fn send_line(mut stream: &TcpStream, line: &str) -> std::io::Result<()> {
+    stream.write_all(line.as_bytes())?;
+    stream.flush()
+}
+
+/// The frames arriving on one connection, one per line, until the peer
+/// closes it or a read fails. A line that does not decode is an `Err`
+/// item; the next line is still read.
+pub struct Frames {
+    lines: BufReader<TcpStream>,
+    line: String,
+}
+
+impl Iterator for Frames {
+    type Item = Result<Frame, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.line.clear();
+        match self.lines.read_line(&mut self.line) {
+            Ok(0) | Err(_) => None,
+            Ok(_) => Some(decode(self.line.trim_end())),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,6 +396,27 @@ mod tests {
             job,
         };
         assert_eq!(decode(encode(&frame).trim_end()).unwrap(), frame);
+    }
+
+    #[test]
+    fn both_ends_turn_nagle_off_and_frames_cross_the_socket() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialled = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let (worker, mut from_orchestrator) = open(dialled).unwrap();
+        let (orchestrator, mut from_worker) = open(accepted).unwrap();
+        assert!(worker.nodelay().unwrap());
+        assert!(orchestrator.nodelay().unwrap());
+
+        let beat = Frame::Heartbeat { busy: true };
+        send(&worker, &beat).unwrap();
+        assert_eq!(from_worker.next(), Some(Ok(beat)));
+        send_line(&orchestrator, &encode(&Frame::Shutdown)).unwrap();
+        assert_eq!(from_orchestrator.next(), Some(Ok(Frame::Shutdown)));
+        send_line(&worker, "not json\n").unwrap();
+        assert!(matches!(from_worker.next(), Some(Err(_))));
+        worker.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(from_worker.next(), None);
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //!   orchestrator distinguishes a *wedged* worker from a slow one (a
 //!   *dead* worker is cheaper to detect: its socket reports EOF).
 //!
+//! The connection is opened, written and read through [`crate::wire`],
+//! which turns Nagle's algorithm off: a `result` written right after a
+//! heartbeat leaves at once instead of waiting out the orchestrator's
+//! delayed ACK.
+//!
 //! A panicking job does not kill the worker: the panic is caught, an
 //! `error` frame is reported, and the executor is rebuilt fresh so no
 //! poisoned state leaks into the next job.
 
-use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,7 +34,7 @@ use std::time::Duration;
 use fdrlite::supervisor::JobError;
 
 use crate::exec::{ExecConfig, Executor};
-use crate::wire::{decode, encode, Frame};
+use crate::wire::{self, Frame};
 
 /// How a worker runs.
 #[derive(Debug, Clone)]
@@ -62,10 +66,7 @@ enum Event {
 }
 
 fn send_frame(writer: &Mutex<TcpStream>, frame: &Frame) -> Result<(), String> {
-    let mut stream = writer.lock().expect("writer lock poisoned");
-    stream
-        .write_all(encode(frame).as_bytes())
-        .and_then(|()| stream.flush())
+    wire::send(&writer.lock().expect("writer lock poisoned"), frame)
         .map_err(|e| format!("cannot send frame: {e}"))
 }
 
@@ -76,11 +77,9 @@ fn send_frame(writer: &Mutex<TcpStream>, frame: &Frame) -> Result<(), String> {
 ///
 /// Connection or executor setup failures, as a human-readable string.
 pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
-    let stream = TcpStream::connect(&config.connect)
+    let (stream, frames) = TcpStream::connect(&config.connect)
+        .and_then(wire::open)
         .map_err(|e| format!("cannot reach orchestrator at {}: {e}", config.connect))?;
-    let reader_stream = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone stream: {e}"))?;
     let writer = Arc::new(Mutex::new(stream));
     send_frame(
         &writer,
@@ -97,17 +96,8 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
     let reader = {
         let tx = events_tx;
         std::thread::spawn(move || {
-            let mut lines = BufReader::new(reader_stream);
-            loop {
-                let mut line = String::new();
-                match lines.read_line(&mut line) {
-                    Ok(0) | Err(_) => {
-                        let _ = tx.send(Event::Disconnected);
-                        return;
-                    }
-                    Ok(_) => {}
-                }
-                match decode(line.trim_end()) {
+            for frame in frames {
+                match frame {
                     Ok(Frame::Job { id, attempt, job }) => {
                         let _ = tx.send(Event::Job { id, attempt, job });
                     }
@@ -121,6 +111,7 @@ pub fn run_worker(config: &WorkerConfig) -> Result<(), String> {
                     Ok(_) | Err(_) => {} // worker only expects job/shutdown
                 }
             }
+            let _ = tx.send(Event::Disconnected);
         })
     };
 

@@ -267,12 +267,10 @@ fn ring_source() -> String {
     out
 }
 
-/// A worker killed once it has logged a checkpoint of a multi-second check
-/// to the cache both workers share: the other worker takes the job over
-/// from there, to the verdict of a serial `autocsp run`.
-#[test]
-fn sigkilled_worker_hands_a_checkpointed_check_to_the_other_worker() {
-    let dir = scratch("kill-ring");
+/// A scratch directory holding the ring and its manifest, and a serial
+/// `autocsp run` of it, started to run beside the service under test.
+fn ring_inputs(name: &str) -> (PathBuf, Child) {
+    let dir = scratch(name);
     fs::write(dir.join("big.csp"), ring_source()).expect("write model");
     fs::write(dir.join("jobs.toml"), MANIFEST).expect("write manifest");
     let reference = autocsp()
@@ -283,6 +281,24 @@ fn sigkilled_worker_hands_a_checkpointed_check_to_the_other_worker() {
         .stderr(Stdio::null())
         .spawn()
         .expect("autocsp runs");
+    (dir, reference)
+}
+
+/// The verdict lines of a reference run that [`ring_inputs`] started.
+fn ring_reference(reference: Child) -> Vec<String> {
+    let ran = reference.wait_with_output().expect("reference run");
+    assert_eq!(ran.status.code(), Some(0));
+    let mut ran = run_verdicts(&ran.stdout);
+    assert_eq!(ran[0].1, "passed");
+    ran.swap_remove(0).2
+}
+
+/// A worker killed once it has logged a checkpoint of a multi-second check
+/// to the cache both workers share: the other worker takes the job over
+/// from there, to the verdict of a serial `autocsp run`.
+#[test]
+fn sigkilled_worker_hands_a_checkpointed_check_to_the_other_worker() {
+    let (dir, reference) = ring_inputs("kill-ring");
     let state = dir.join("state");
     let (serve, addr) = spawn_serve(&dir, &state, "200000");
 
@@ -297,19 +313,37 @@ fn sigkilled_worker_hands_a_checkpointed_check_to_the_other_worker() {
     signal(victim, "-9");
 
     let lines = lines_after_worker_loss(serve, &addr, &id);
-    let ran = reference.wait_with_output().expect("reference run");
-    assert_eq!(ran.status.code(), Some(0));
-    let ran = run_verdicts(&ran.stdout);
-    assert_eq!(ran[0].1, "passed");
-    assert_eq!(lines, ran[0].2, "handed-off verdict diverged");
+    assert_eq!(
+        lines,
+        ring_reference(reference),
+        "handed-off verdict diverged"
+    );
 }
 
+/// SIGTERM the service while a worker explores, then restart it on the
+/// same state directory: the resumed job must reach the serial verdict,
+/// on the 65,536-state interleaving and on the 2,624,401-pair ring.
 #[test]
 fn sigterm_drains_and_restart_resumes_to_reference_verdicts() {
     let dir = scratch("drain");
     write_inputs(&dir);
+    let lines = drained_and_resumed_lines(&dir, "2000");
+    assert_eq!(&lines, reference_lines(), "resumed verdict diverged");
+
+    let (dir, reference) = ring_inputs("drain-ring");
+    let lines = drained_and_resumed_lines(&dir, "200000");
+    assert_eq!(
+        lines,
+        ring_reference(reference),
+        "resumed ring verdict diverged"
+    );
+}
+
+/// The verdict lines of the manifest's one job in `dir`, served, drained
+/// by SIGTERM once a worker is busy, and finished by a restarted service.
+fn drained_and_resumed_lines(dir: &Path, checkpoint_every: &str) -> Vec<String> {
     let state = dir.join("state");
-    let (mut serve, addr) = spawn_serve(&dir, &state, "2000");
+    let (mut serve, addr) = spawn_serve(dir, &state, checkpoint_every);
 
     let id = submit(&addr);
     wait_for_busy_worker(&addr);
@@ -324,13 +358,13 @@ fn sigterm_drains_and_restart_resumes_to_reference_verdicts() {
         status.code()
     );
 
-    let (mut serve, addr) = spawn_serve(&dir, &state, "2000");
+    let (mut serve, addr) = spawn_serve(dir, &state, checkpoint_every);
     let lines = wait_done_lines(&addr, &id);
-    assert_eq!(&lines, reference_lines(), "resumed verdict diverged");
 
     signal(serve.id(), "-TERM");
     let status = serve.wait().expect("serve exits");
     assert_eq!(status.code(), Some(0));
+    lines
 }
 
 /// `(name, status, lines)` for every job of a `run --format json` object.
