@@ -1,4 +1,5 @@
-//! SCC-based τ-cycle, divergence and deadlock classification.
+//! SCC-based τ-cycle, divergence, deadlock and unguarded-recursion
+//! classification.
 //!
 //! A state of a finite LTS diverges iff it has an infinite τ-path, iff it
 //! can reach (by τ-steps alone) a τ-cycle — a nontrivial SCC of the
@@ -9,9 +10,93 @@
 //! specification normaliser's per-node divergence flags and the `[FD=`
 //! divergence phase all call it, so a cached analysis stands in for the
 //! divergence phase of `[FD=` verbatim by construction.
+//! The same pass over the references definitions reach before any prefix
+//! finds unguarded recursion ([`unguarded_definitions`]).
 
 use crate::alphabet::Label;
+use crate::error::CspError;
 use crate::lts::{Lts, StateId};
+use crate::process::{DefId, Definitions, Process};
+use crate::semantics::unguarded_refs;
+use std::sync::Arc;
+
+/// Which definitions can recurse without performing an event first
+/// (`CSP202`), by `DefId` index: those on a cycle of the references each
+/// body reaches before any prefix, through the firing rules or a silent
+/// step (`|~|`, `[>`, or `;` after a silently terminating operand). One
+/// linear pass. Firing follows a subset of these edges, so every
+/// [`CspError::UnguardedRecursion`] it reports names a flagged definition.
+#[must_use]
+pub fn unguarded_definitions(defs: &Definitions) -> Vec<bool> {
+    let (offsets, edges) = reference_graph(defs, true);
+    tau_cycle_members(defs.len(), |s| {
+        &edges[offsets[s.index()]..offsets[s.index() + 1]]
+    })
+}
+
+/// Decide a firing of `root` that stopped at the nesting bound: unguarded
+/// recursion, naming a definition on the cycle, when the firing edges from
+/// `root` reach a cycle; else `e` as it stands. Other errors pass through.
+pub(crate) fn decide(
+    e: CspError,
+    defs: &Definitions,
+    root: impl FnOnce() -> Arc<Process>,
+) -> CspError {
+    if !matches!(e, CspError::UnfoldingTooDeep { .. }) {
+        return e;
+    }
+    let (offsets, edges) = reference_graph(defs, false);
+    let succ = |s: StateId| &edges[offsets[s.index()]..offsets[s.index() + 1]];
+    let on_cycle = tau_cycle_members(defs.len(), succ);
+    let (mut seen, mut start) = (vec![false; defs.len()], Vec::new());
+    unguarded_refs(&root(), false, &mut start);
+    let mut stack: Vec<StateId> = start.iter().map(|d| StateId(d.0)).collect();
+    while let Some(s) = stack.pop() {
+        if on_cycle[s.index()] {
+            let name = defs.name(DefId(s.0)).to_owned();
+            return CspError::UnguardedRecursion { name };
+        }
+        if !std::mem::replace(&mut seen[s.index()], true) {
+            stack.extend(succ(s).iter().map(|&(_, t)| t));
+        }
+    }
+    e
+}
+
+/// Each definition's [`unguarded_refs`] as τ-edges, in CSR form.
+fn reference_graph(defs: &Definitions, silent: bool) -> (Vec<usize>, Vec<(Label, StateId)>) {
+    let (mut offsets, mut edges, mut refs) = (vec![0], Vec::new(), Vec::new());
+    for d in defs.ids() {
+        if let Ok(body) = defs.body(d) {
+            unguarded_refs(body, silent, &mut refs);
+        }
+        edges.extend(refs.drain(..).map(|r| (Label::Tau, StateId(r.0))));
+        offsets.push(edges.len());
+    }
+    (offsets, edges)
+}
+
+/// Per-node "lies on a τ-cycle" flags of an `n`-node edge relation:
+/// a member of a nontrivial SCC of the τ-subgraph, or a node with a
+/// τ-self-loop.
+fn tau_cycle_members<'a>(
+    n: usize,
+    succ: impl Fn(StateId) -> &'a [(Label, StateId)] + Copy,
+) -> Vec<bool> {
+    let (tau_comp, tau_comp_count) = tarjan(n, succ, true);
+    let mut comp_size = vec![0_u32; tau_comp_count];
+    for &c in &tau_comp {
+        comp_size[c] += 1;
+    }
+    (0..n)
+        .map(|s| {
+            comp_size[tau_comp[s]] > 1
+                || succ(StateId::from_index(s))
+                    .iter()
+                    .any(|&(l, t)| l.is_tau() && t.index() == s)
+        })
+        .collect()
+}
 
 /// The τ-cycle / divergence classification of one edge relation — the one
 /// shared divergence routine in the stack. [`GraphAnalysis::of_lts`], the
@@ -34,20 +119,7 @@ pub fn tau_divergence<'a>(
     n: usize,
     succ: impl Fn(StateId) -> &'a [(Label, StateId)] + Copy,
 ) -> TauDivergence {
-    // τ-subgraph SCCs: a state lies on a τ-cycle iff its τ-component has
-    // ≥ 2 members or it carries a τ-self-loop.
-    let (tau_comp, tau_comp_count) = tarjan(n, succ, true);
-    let mut comp_size = vec![0_u32; tau_comp_count];
-    for &c in &tau_comp {
-        comp_size[c] += 1;
-    }
-    let mut on_cycle = vec![false; n];
-    for (s, flag) in on_cycle.iter_mut().enumerate() {
-        *flag = comp_size[tau_comp[s]] > 1
-            || succ(StateId::from_index(s))
-                .iter()
-                .any(|&(l, t)| l.is_tau() && t.index() == s);
-    }
+    let on_cycle = tau_cycle_members(n, succ);
 
     // Divergent = τ-reaches a τ-cycle: backward BFS over τ-edges.
     let mut rev_tau: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -275,6 +347,33 @@ mod tests {
     use super::*;
     use crate::{Alphabet, Definitions, EventSet, Process, TermArena};
 
+    /// Whether `lts` has a τ-cycle, by Kahn's algorithm on the τ-subgraph:
+    /// one exists exactly when topological sorting cannot consume every
+    /// state. An oracle apart from the SCC pass.
+    fn kahn_tau_cycle(lts: &Lts) -> bool {
+        let mut indegree = vec![0usize; lts.state_count()];
+        for s in lts.state_ids() {
+            for &(_, t) in lts.edges(s).iter().filter(|(l, _)| l.is_tau()) {
+                indegree[t.index()] += 1;
+            }
+        }
+        let mut queue: Vec<StateId> = lts
+            .state_ids()
+            .filter(|s| indegree[s.index()] == 0)
+            .collect();
+        let mut processed = 0usize;
+        while let Some(s) = queue.pop() {
+            processed += 1;
+            for &(_, t) in lts.edges(s).iter().filter(|(l, _)| l.is_tau()) {
+                indegree[t.index()] -= 1;
+                if indegree[t.index()] == 0 {
+                    queue.push(t);
+                }
+            }
+        }
+        processed < lts.state_count()
+    }
+
     fn analyse(p: &Process, defs: &Definitions) -> (Lts, GraphAnalysis) {
         let mut arena = TermArena::new();
         let root = arena.intern(p);
@@ -293,7 +392,7 @@ mod tests {
         // (a -> D) \ {a}: every state τ-loops.
         let p = Process::hide(Process::var(d), EventSet::from_iter_dedup([a]));
         let (lts, ga) = analyse(&p, &defs);
-        assert!(lts.has_tau_cycle());
+        assert!(kahn_tau_cycle(&lts));
         assert!(!ga.is_divergence_free());
         assert_eq!(ga.divergent_count(), ga.state_count());
         assert!(ga.tau_cycle_states() > 0);
@@ -327,7 +426,7 @@ mod tests {
         // Hide only `a`: τ-steps exist but no τ-cycle (b interleaves).
         let p = Process::hide(Process::var(d), EventSet::from_iter_dedup([a]));
         let (lts, ga) = analyse(&p, &defs);
-        assert!(!lts.has_tau_cycle());
+        assert!(!kahn_tau_cycle(&lts));
         assert_eq!(ga.tau_cycle_states(), 0);
         assert!(ga.is_divergence_free());
         assert!(ga.tau_transition_count() > 0);

@@ -18,7 +18,8 @@
 //!   divergence-freedom (a state diverges iff it can τ-reach a τ-cycle)
 //!   and flags guaranteed-deadlock sink states. The divergent-state set is
 //!   definitionally the same one the `[FD=` checker computes, so a cached
-//!   `GraphAnalysis` can stand in for that phase verbatim.
+//!   `GraphAnalysis` can stand in for that phase verbatim. The same pass
+//!   finds unguarded recursion ([`unguarded_definitions`], `CSP202`).
 //! * [`StateEstimate`] — a state-space predictor: compile the *components*
 //!   of a composition (cheap), then bound the product through the proved
 //!   inequalities `|P ⟦A⟧ Q| ≤ |P|·|Q| + 1` and
@@ -32,4 +33,5 @@ mod graph;
 
 pub use alpha::{AlphaFinding, AlphabetInference, SyncSide};
 pub use estimate::{estimate, ComponentEstimate, StateEstimate};
-pub use graph::{tau_divergence, GraphAnalysis, TauDivergence};
+pub(crate) use graph::decide;
+pub use graph::{tau_divergence, unguarded_definitions, GraphAnalysis, TauDivergence};

@@ -15,13 +15,19 @@ pub enum CspError {
         /// Name of the missing definition.
         name: String,
     },
-    /// Recursion was not guarded by any event (e.g. `P = P`), so the firing
-    /// rules never reach a prefix.
+    /// Recursion was not guarded by any event (e.g. `P = P`): firing a
+    /// definition unfolds it again before any prefix.
     UnguardedRecursion {
-        /// Unfold depth at which the rules gave up.
-        depth: usize,
-        /// Name of the definition whose unfolding exceeded the depth bound.
+        /// Name of a definition on the cycle.
         name: String,
+    },
+    /// Firing nested more than `limit` definitions through operators
+    /// before an event, none recurring: finite, but past the stack bound.
+    UnfoldingTooDeep {
+        /// The definition being unfolded at the bound.
+        name: String,
+        /// The nesting bound.
+        limit: usize,
     },
 }
 
@@ -34,10 +40,16 @@ impl fmt::Display for CspError {
             CspError::UndefinedProcess { name } => {
                 write!(f, "process `{name}` was declared but never defined")
             }
-            CspError::UnguardedRecursion { depth, name } => {
+            CspError::UnguardedRecursion { name } => {
                 write!(
                     f,
-                    "unguarded recursion in `{name}`: no event after {depth} unfoldings"
+                    "unguarded recursion in `{name}`: it unfolds into itself before any event"
+                )
+            }
+            CspError::UnfoldingTooDeep { name, limit } => {
+                write!(
+                    f,
+                    "unfolding `{name}` nests more than {limit} definitions deep before an event"
                 )
             }
         }

@@ -35,7 +35,6 @@ use std::collections::HashMap;
 use crate::alphabet::{EventSet, Label, RenameMap};
 use crate::error::CspError;
 use crate::process::{Definitions, Process};
-use crate::semantics::MAX_UNFOLD_DEPTH;
 use crate::term::{Term, TermArena, TermId};
 
 /// Index of a state within an [`Lts`].
@@ -112,7 +111,7 @@ impl Lts {
         let mut index = TupleIndex::default();
         // An unfolded root `Var` is a state of its own: its body's tuple,
         // if reached, is a different one.
-        if unfolded == 0 {
+        if !unfolded {
             index.find_or_insert(&tuples, width, hashes[0], StateId(0));
         }
         let mut omega_state: Option<StateId> = None;
@@ -124,9 +123,9 @@ impl Lts {
         let mut frontier = 0usize;
         while frontier < omega.len() {
             if !omega[frontier] {
-                // The root's unfoldings count towards its leaves' recursion
-                // depth.
-                let depth = if frontier == 0 { unfolded } else { 0 };
+                // Unfolding the root into its spine nests its leaves one
+                // definition deep, as firing the root would.
+                let depth = usize::from(frontier == 0 && unfolded);
                 let at = frontier * width;
                 for (i, range) in fired.iter_mut().enumerate() {
                     *range = leaves.fire(arena, defs, tuples[at + i], depth)?;
@@ -237,15 +236,6 @@ impl Lts {
         &self.edges[lo..hi]
     }
 
-    /// The `τ` edges of a state: `τ` sorts before every other label, so
-    /// they open its run.
-    fn tau_edges(&self, id: StateId) -> impl Iterator<Item = StateId> + '_ {
-        self.edges(id)
-            .iter()
-            .take_while(|(label, _)| label.is_tau())
-            .map(|&(_, target)| target)
-    }
-
     /// Iterate over all state ids.
     pub fn state_ids(&self) -> impl Iterator<Item = StateId> {
         (0..self.state_count() as u32).map(StateId)
@@ -291,7 +281,8 @@ impl Lts {
         let mut next = 0;
         while let Some(&s) = out.get(next) {
             next += 1;
-            for target in self.tau_edges(s) {
+            // `τ` sorts before every other label: τ-edges open a run.
+            for &(_, target) in self.edges(s).iter().take_while(|(l, _)| l.is_tau()) {
                 if !std::mem::replace(&mut marks[target.index()], true) {
                     out.push(target);
                 }
@@ -301,32 +292,6 @@ impl Lts {
             marks[s.index()] = false;
         }
         out.sort_unstable();
-    }
-
-    /// Whether a `τ`-cycle exists, i.e. the process can diverge.
-    ///
-    /// Runs Kahn's algorithm on the τ-subgraph: a cycle exists exactly when
-    /// topological sorting cannot consume every state.
-    pub fn has_tau_cycle(&self) -> bool {
-        let mut indegree = vec![0usize; self.state_count()];
-        for target in self.state_ids().flat_map(|s| self.tau_edges(s)) {
-            indegree[target.index()] += 1;
-        }
-        let mut queue: Vec<StateId> = self
-            .state_ids()
-            .filter(|s| indegree[s.index()] == 0)
-            .collect();
-        let mut processed = 0usize;
-        while let Some(s) = queue.pop() {
-            processed += 1;
-            for t in self.tau_edges(s) {
-                indegree[t.index()] -= 1;
-                if indegree[t.index()] == 0 {
-                    queue.push(t);
-                }
-            }
-        }
-        processed < self.state_count()
     }
 }
 
@@ -379,12 +344,12 @@ struct Spine {
 
 impl Spine {
     /// Split `root`, first unfolding a root `Var` chain whose body has a
-    /// spine. Also returns the number of definitions unfolded.
-    fn of(arena: &mut TermArena, root: TermId, defs: &Definitions) -> (Spine, usize) {
-        let (top, unfolded) = unfold_root(arena, root, defs).unwrap_or((root, 0));
+    /// spine. Also returns whether it unfolded one.
+    fn of(arena: &mut TermArena, root: TermId, defs: &Definitions) -> (Spine, bool) {
+        let top = unfold_root(arena, root, defs);
         let mut spine = Spine::default();
-        spine.split(arena, top);
-        (spine, unfolded)
+        spine.split(arena, top.unwrap_or(root));
+        (spine, top.is_some())
     }
 
     fn split(&mut self, arena: &TermArena, t: TermId) {
@@ -459,24 +424,20 @@ impl Spine {
 }
 
 /// Follow a root `Var` chain to a body with a spine, as firing the root
-/// would. `None` when the chain ends elsewhere or cannot be followed; the
-/// root is then a leaf, and firing it reports any error.
-fn unfold_root(arena: &mut TermArena, root: TermId, defs: &Definitions) -> Option<(TermId, usize)> {
-    let mut t = root;
-    let mut depth = 0;
-    while let Term::Var(d) = *arena.term(t) {
-        if depth >= MAX_UNFOLD_DEPTH {
-            return None;
-        }
-        t = arena.def_term(d, defs).ok()?;
-        depth += 1;
-    }
+/// would. `None` when the root is no such `Var` chain; the root is then a
+/// leaf, and firing it reports any error.
+fn unfold_root(arena: &mut TermArena, root: TermId, defs: &Definitions) -> Option<TermId> {
+    let Term::Var(d) = *arena.term(root) else {
+        return None;
+    };
+    let (d, _) = crate::semantics::unfold(d, defs).ok()?;
+    let t = arena.def_term(d, defs).ok()?;
     let composite = match *arena.term(t) {
         Term::Parallel { .. } => true,
         Term::Hide(inner, _) | Term::Rename(inner, _) => is_parallel(arena, inner),
         _ => false,
     };
-    (depth > 0 && composite).then_some((t, depth))
+    composite.then_some(t)
 }
 
 fn is_parallel(arena: &TermArena, t: TermId) -> bool {
@@ -597,7 +558,7 @@ impl LeafMoves {
     }
 
     /// The range of `edges` holding the moves of leaf state `l`, firing its
-    /// term (at recursion depth `depth`) if no state has reached it yet.
+    /// term (`depth` nested unfoldings deep) if no state has reached it yet.
     fn fire(
         &mut self,
         arena: &mut TermArena,
@@ -610,7 +571,7 @@ impl LeafMoves {
             return Ok(self.memo[l]);
         }
         let lo = self.edges.len() as u32;
-        for (label, t) in arena.transitions_at(self.terms[l], defs, depth)? {
+        for (label, t) in arena.fire(self.terms[l], defs, depth)? {
             let next = self.number(t);
             self.edges.push((label, next));
         }
@@ -743,10 +704,10 @@ mod tests {
     }
 
     #[test]
-    fn an_unfolded_root_counts_towards_its_leaves_recursion_depth() {
-        // A 100-definition root chain into `L ||| STOP`, where `L` is a
-        // 40-definition chain: each chain alone is guarded enough, but
-        // firing the root unfolds 140 definitions in one derivation.
+    fn an_unfolded_root_nests_its_leaves_one_definition_deep() {
+        // Chains of bare references cost no depth: a 100-definition root
+        // chain into `L ||| STOP`, where `L` is a 40-definition chain,
+        // fires in both semantics.
         let mut defs = Definitions::new();
         let leaf = chain(&mut defs, "L", 40, Process::prefix(e(0), Process::Stop));
         let root = chain(
@@ -755,9 +716,29 @@ mod tests {
             100,
             Process::interleave(leaf, Process::Stop),
         );
-        let want = crate::semantics::transitions(&root, &defs).unwrap_err();
-        assert!(matches!(want, CspError::UnguardedRecursion { .. }));
-        assert_eq!(Lts::build(root, &defs, 100).unwrap_err(), want);
+        crate::semantics::transitions(&root, &defs).unwrap();
+        Lts::build(root, &defs, 100).unwrap();
+
+        // Unfolding the root into its spine nests the leaves one definition
+        // deep, as firing the root does: below it, a leaf that nests `n`
+        // definitions through `[]` fires up to `n` = 127.
+        for (n, fires) in [(127, true), (128, false)] {
+            let mut defs = Definitions::new();
+            let ids: Vec<_> = (0..n).map(|i| defs.declare(&format!("L{i}"))).collect();
+            for link in ids.windows(2) {
+                let stop = Process::prefix(e(1), Process::Stop);
+                defs.define(
+                    link[0],
+                    Process::external_choice(Process::var(link[1]), stop),
+                );
+            }
+            defs.define(ids[n - 1], Process::prefix(e(0), Process::Stop));
+            let leaf = Process::var(ids[0]);
+            let root = chain(&mut defs, "R", 3, Process::interleave(leaf, Process::Stop));
+            let want = crate::semantics::transitions(&root, &defs).err();
+            assert_eq!(want.is_none(), fires, "{n}: {want:?}");
+            assert_eq!(Lts::build(root, &defs, 1_000).err(), want, "{n}");
+        }
     }
 
     #[test]
@@ -789,7 +770,7 @@ mod tests {
         defs.define(d, Process::prefix(e(0), Process::var(d)));
         let hidden = Process::hide(Process::var(d), EventSet::singleton(e(0)));
         let lts = Lts::build(hidden, &defs, 100).unwrap();
-        assert!(lts.has_tau_cycle());
+        assert!(crate::analysis::GraphAnalysis::of_lts(&lts).tau_cycle_states() > 0);
     }
 
     #[test]
@@ -798,7 +779,10 @@ mod tests {
         let d = defs.declare("P");
         defs.define(d, Process::prefix(e(0), Process::var(d)));
         let lts = Lts::build(Process::var(d), &defs, 100).unwrap();
-        assert!(!lts.has_tau_cycle());
+        assert_eq!(
+            crate::analysis::GraphAnalysis::of_lts(&lts).tau_cycle_states(),
+            0
+        );
     }
 
     #[test]

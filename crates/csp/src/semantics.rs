@@ -19,12 +19,14 @@
 //!   actions resolve the choice in `P`'s favour.
 
 use crate::alphabet::Label;
+use crate::analysis::decide;
 use crate::error::CspError;
-use crate::process::{Definitions, Process};
+use crate::process::{DefId, Definitions, Process};
 use std::sync::Arc;
 
-/// Maximum number of `Var` unfoldings along one derivation before recursion
-/// is deemed unguarded (e.g. `P = P` or `P = P [] Q`).
+/// How many definitions firing may unfold inside one another through
+/// operators, each at a cost in native frames, before an event. A bare
+/// reference (`P = Q`) unfolds in a loop and does not count.
 pub(crate) const MAX_UNFOLD_DEPTH: usize = 128;
 
 /// Compute all single-step transitions of `p`.
@@ -32,10 +34,69 @@ pub(crate) const MAX_UNFOLD_DEPTH: usize = 128;
 /// # Errors
 ///
 /// * [`CspError::UndefinedProcess`] if a referenced definition has no body.
-/// * [`CspError::UnguardedRecursion`] if unfolding definitions never reaches
-///   an event (e.g. `P = P`).
+/// * [`CspError::UnguardedRecursion`] if firing `p` unfolds some definition
+///   inside itself before any event (e.g. `P = P [] a -> STOP`).
+/// * [`CspError::UnfoldingTooDeep`] if firing `p` nests more than
+///   128 definitions through operators, none recurring.
 pub fn transitions(p: &Process, defs: &Definitions) -> Result<Vec<(Label, Process)>, CspError> {
-    transitions_at(p, defs, 0)
+    transitions_at(p, defs, 0).map_err(|e| decide(e, defs, || Arc::new(p.clone())))
+}
+
+/// Follow a chain of bare references (`P = Q`) in a loop to the first
+/// definition whose body is none, and that body. A chain longer than the
+/// table repeats a definition: [`CspError::UnguardedRecursion`].
+pub(crate) fn unfold(mut d: DefId, defs: &Definitions) -> Result<(DefId, &Arc<Process>), CspError> {
+    for _ in 0..defs.len() {
+        let body = defs.body(d)?;
+        match **body {
+            Process::Var(next) => d = next,
+            _ => return Ok((d, body)),
+        }
+    }
+    Err(CspError::UnguardedRecursion {
+        name: defs.name(d).to_owned(),
+    })
+}
+
+/// Push onto `out`, left to right, every definition `p` refers to before
+/// any prefix, and return whether `p` can terminate without an event.
+///
+/// Without `silent`, these are the references the firing rules unfold:
+/// in every `[]` operand, the first operand of `;` and `[>`, both operands
+/// of `[| |]` and `/\`, and the operand of `\` and `[[ ]]`. With `silent`,
+/// also those behind a silent step: in every `|~|` operand, the second
+/// operand of `[>`, and the second operand of `;` when the first can
+/// terminate without an event (`SKIP`, a `;` of two such, or a choice or
+/// timeout with one; a reference counts as not terminating). References
+/// are not followed, so the walk recurses only as deep as `p` nests.
+pub(crate) fn unguarded_refs(p: &Process, silent: bool, out: &mut Vec<DefId>) -> bool {
+    let mut refs = |q: &Process| unguarded_refs(q, silent, out);
+    match p {
+        Process::Skip => true,
+        Process::Var(d) => {
+            out.push(*d);
+            false
+        }
+        Process::InternalChoice(_) if !silent => false,
+        Process::ExternalChoice(xs) | Process::InternalChoice(xs) => {
+            xs.iter().fold(false, |any, x| refs(x) | any)
+        }
+        Process::Seq(first, second) => refs(first) && silent && refs(second),
+        Process::Timeout(first, second) => {
+            let first = refs(first);
+            silent && (refs(second) | first)
+        }
+        Process::Hide(inner, _) | Process::Rename(inner, _) => {
+            refs(inner);
+            false
+        }
+        Process::Parallel { left, right, .. } | Process::Interrupt(left, right) => {
+            refs(left);
+            refs(right);
+            false
+        }
+        Process::Stop | Process::Omega | Process::Prefix(..) => false,
+    }
 }
 
 fn transitions_at(
@@ -228,16 +289,13 @@ fn transitions_at(
             Ok(out)
         }
         Process::Var(d) => {
-            // The check lives here (not at the top of the function) so the
-            // error can name the definition whose unfolding never reached
-            // an event.
+            let (d, body) = unfold(*d, defs)?;
             if depth >= MAX_UNFOLD_DEPTH {
-                return Err(CspError::UnguardedRecursion {
-                    depth,
-                    name: defs.name(*d).to_owned(),
+                return Err(CspError::UnfoldingTooDeep {
+                    name: defs.name(d).to_owned(),
+                    limit: MAX_UNFOLD_DEPTH,
                 });
             }
-            let body = defs.body(*d)?;
             transitions_at(body, defs, depth + 1)
         }
     }
@@ -423,21 +481,71 @@ mod tests {
 
     #[test]
     fn unguarded_recursion_names_the_definition() {
-        // Mutual recursion `LOOP = BACK`, `BACK = LOOP`: the error names the
-        // definition at the depth limit, and the rendered diagnostic carries it.
+        // Mutual recursion `LOOP = BACK`, `BACK = LOOP`: the error names a
+        // definition on the cycle, and the rendered diagnostic carries it.
         let mut defs = Definitions::new();
         let a = defs.declare("LOOP");
         let b = defs.declare("BACK");
         defs.define(a, Process::var(b));
         defs.define(b, Process::var(a));
         let err = transitions(&Process::var(a), &defs).unwrap_err();
-        let CspError::UnguardedRecursion { name, depth } = &err else {
+        let CspError::UnguardedRecursion { name } = &err else {
             panic!("expected UnguardedRecursion, got {err:?}");
         };
         assert!(name == "LOOP" || name == "BACK", "unexpected name {name}");
-        assert_eq!(*depth, 128);
         let rendered = err.to_string();
         assert!(rendered.contains(name.as_str()), "{rendered}");
+    }
+
+    /// `P0 = P1 <op> …`, …, `P(n-1) = a -> STOP`, where `<op>` wraps the
+    /// next reference: `P(i) = wrap(P(i+1))`.
+    fn chain(n: usize, wrap: impl Fn(Process) -> Process) -> (Definitions, Process) {
+        let mut defs = Definitions::new();
+        let ids: Vec<DefId> = (0..n).map(|i| defs.declare(&format!("P{i}"))).collect();
+        for pair in ids.windows(2) {
+            defs.define(pair[0], wrap(Process::var(pair[1])));
+        }
+        defs.define(ids[n - 1], Process::prefix(e(0), Process::Stop));
+        (defs, Process::var(ids[0]))
+    }
+
+    #[test]
+    fn a_chain_of_bare_references_costs_no_depth() {
+        let (defs, root) = chain(1_000, |p| p);
+        assert_eq!(labels(&root, &defs), vec![Label::Event(e(0))]);
+    }
+
+    #[test]
+    fn a_finite_unfolding_past_the_bound_is_too_deep_not_recursive() {
+        let stop = || Process::prefix(e(1), Process::Stop);
+        let (defs, root) = chain(200, |p| Process::external_choice(p, stop()));
+        let err = transitions(&root, &defs).unwrap_err();
+        assert!(
+            matches!(err, CspError::UnfoldingTooDeep { limit: 128, .. }),
+            "{err:?}"
+        );
+        assert!(!err.to_string().contains("recursion"), "{err}");
+        // Nested through 127 definitions, it fires.
+        let (defs, root) = chain(128, |p| Process::external_choice(p, stop()));
+        assert_eq!(transitions(&root, &defs).unwrap().len(), 128);
+    }
+
+    #[test]
+    fn a_cycle_behind_a_deep_branch_is_still_recursion() {
+        // The deep chain fills the bound first; the cycle in the second
+        // operand decides the verdict.
+        let stop = || Process::prefix(e(1), Process::Stop);
+        let (mut defs, deep) = chain(200, |p| Process::external_choice(p, stop()));
+        let spin = defs.declare("SPIN");
+        defs.define(spin, Process::external_choice(Process::var(spin), stop()));
+        let root = Process::external_choice(deep, Process::var(spin));
+        let err = transitions(&root, &defs).unwrap_err();
+        assert_eq!(
+            err,
+            CspError::UnguardedRecursion {
+                name: "SPIN".to_owned()
+            }
+        );
     }
 
     #[test]

@@ -28,9 +28,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::alphabet::{EventId, EventSet, Label, RenameMap};
+use crate::analysis::decide;
 use crate::error::CspError;
 use crate::process::{DefId, Definitions, Process};
-use crate::semantics::MAX_UNFOLD_DEPTH;
+use crate::semantics::{self, MAX_UNFOLD_DEPTH};
 
 /// Handle to a hash-consed term inside a [`TermArena`].
 ///
@@ -281,25 +282,35 @@ impl TermArena {
     /// Compute all single-step transitions of `id`, returning successor ids.
     ///
     /// This is [`crate::semantics::transitions`] over interned terms: the
-    /// same rules, emitting successors in the same order, so an LTS built
-    /// from these ids is indistinguishable from one built over raw trees.
+    /// same rules, emitting successors in the same order and failing with
+    /// the same errors, so an LTS built from these ids is indistinguishable
+    /// from one built over raw trees.
     ///
     /// # Errors
     ///
-    /// * [`CspError::UndefinedProcess`] if a referenced definition has no
-    ///   body.
-    /// * [`CspError::UnguardedRecursion`] if unfolding definitions never
-    ///   reaches an event (e.g. `P = P`).
+    /// As for [`crate::semantics::transitions`].
     pub fn transitions(
         &mut self,
         id: TermId,
         defs: &Definitions,
     ) -> Result<Vec<(Label, TermId)>, CspError> {
-        self.transitions_at(id, defs, 0)
+        self.fire(id, defs, 0)
     }
 
-    /// [`TermArena::transitions`] `depth` definition unfoldings deep.
-    pub(crate) fn transitions_at(
+    /// [`TermArena::transitions`] `depth` nested unfoldings deep.
+    pub(crate) fn fire(
+        &mut self,
+        id: TermId,
+        defs: &Definitions,
+        depth: usize,
+    ) -> Result<Vec<(Label, TermId)>, CspError> {
+        self.transitions_at(id, defs, depth)
+            .map_err(|e| decide(e, defs, || self.process_of(id)))
+    }
+
+    /// [`TermArena::transitions`] `depth` nested unfoldings deep, without
+    /// deciding a firing that stops at the bound.
+    fn transitions_at(
         &mut self,
         id: TermId,
         defs: &Definitions,
@@ -510,13 +521,14 @@ impl TermArena {
                 Ok(out)
             }
             Term::Var(d) => {
+                let (d, _) = semantics::unfold(d, defs)?;
+                let body = self.def_term(d, defs)?;
                 if depth >= MAX_UNFOLD_DEPTH {
-                    return Err(CspError::UnguardedRecursion {
-                        depth,
+                    return Err(CspError::UnfoldingTooDeep {
                         name: defs.name(d).to_owned(),
+                        limit: MAX_UNFOLD_DEPTH,
                     });
                 }
-                let body = self.def_term(d, defs)?;
                 self.transitions_at(body, defs, depth + 1)
             }
         }

@@ -1,10 +1,13 @@
 //! Semantic model analysis over a loaded script.
 //!
-//! The one analysis of a CSPm model's alphabets, reachability and graphs
-//! that `lint`, `check` and `analyze` run; only the `CSP202` recursion check
-//! reads the syntax before it. It works on the *elaborated* model, so
-//! renaming, hiding and computed sync sets do not defeat it:
+//! The one analysis of a CSPm model's recursion, alphabets, reachability
+//! and graphs that `lint`, `check` and `analyze` run. It works on the
+//! *elaborated* model, so renaming, hiding, computed sync sets and
+//! conditions do not defeat it:
 //!
+//! * [`csp::analysis::unguarded_definitions`] — one SCC pass over the
+//!   references each definition reaches before any event, powering
+//!   `CSP202` ([`unguarded_recursion`]);
 //! * [`csp::analysis::AlphabetInference`] — an interprocedural fixpoint
 //!   over the hash-consed term arena that flows events through `[[a <- b]]`
 //!   and `\ {…}`, powering the `ANA301`–`ANA304` diagnostics;
@@ -25,12 +28,14 @@
 //! definition's alphabet, each operand's graph summary and prediction.
 //! Both order their [`Diagnostic`]s deterministically.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use csp::analysis::{estimate, AlphaFinding, AlphabetInference, GraphAnalysis, SyncSide};
-use csp::{Alphabet, EventId, Process, Term, TermArena};
+use csp::analysis::{
+    estimate, unguarded_definitions, AlphaFinding, AlphabetInference, GraphAnalysis, SyncSide,
+};
+use csp::{Alphabet, CspError, EventId, Process, Term, TermArena};
 use diag::{ana, Diagnostic, Span};
-use fdrlite::{Checker, ModelStore};
+use fdrlite::{CheckError, Checker, ModelStore};
 
 use crate::ast::{Decl, Module, PropKind, RefModel};
 use crate::script::{LoadedScript, ResolvedCheck};
@@ -159,8 +164,9 @@ pub struct ScriptReport {
 /// through `store` under `checker`'s bounds, so a subsequent check run
 /// over the same store reuses the compiled models, and the graph
 /// classifications the findings read. An operand that fails to compile
-/// (state-space bound, unguarded recursion) degrades to an `ANA300`
-/// warning — analysis never aborts.
+/// (state-space bound, nesting bound) degrades to an `ANA300` warning —
+/// analysis never aborts. An operand whose compile fails on unguarded
+/// recursion gets no `ANA300`: the definition's `CSP202` reports it.
 ///
 /// `budget_states` is the exploration budget the eventual check would run
 /// under (`--max-states`); operands predicted to exceed it get `ANA307`.
@@ -238,6 +244,49 @@ pub fn report_script(
     }
 }
 
+/// `CSP202` for every source definition with an instance that can recurse
+/// without performing an event first
+/// ([`csp::analysis::unguarded_definitions`]), once per definition at its
+/// span (`P(3)` is reported at `P`), in name order.
+pub fn unguarded_recursion(module: &Module, loaded: &LoadedScript) -> Vec<Diagnostic> {
+    let defs = loaded.definitions();
+    let (unguarded, spans) = (unguarded_definitions(defs), definition_spans(module));
+    let names: BTreeSet<&str> = defs
+        .ids()
+        .filter(|d| unguarded[d.index()])
+        .map(|d| base_name(defs.name(d)))
+        .collect();
+    names
+        .into_iter()
+        .map(|name| {
+            Diagnostic::warning(
+                diag::UNGUARDED_RECURSION,
+                spans.get(name).copied().unwrap_or_else(Span::unknown),
+                format!("process `{name}` can recurse without performing an event first"),
+            )
+            .with_note("unguarded recursion lets the process unwind forever (divergence)")
+        })
+        .collect()
+}
+
+/// The source span of each definition's name.
+fn definition_spans(module: &Module) -> HashMap<&str, Span> {
+    let mut spans = HashMap::new();
+    for decl in &module.decls {
+        if let Decl::Definition { name, pos, .. } = decl {
+            spans
+                .entry(name.as_str())
+                .or_insert_with(|| Span::new(pos.line, pos.col, name.len() as u32));
+        }
+    }
+    spans
+}
+
+/// The source definition of an instance: `P(1)` → `P`.
+fn base_name(def_name: &str) -> &str {
+    def_name.split('(').next().unwrap_or(def_name)
+}
+
 /// The pass [`analyze_script`] and [`report_script`] share.
 struct Pass<'m> {
     inference: AlphabetInference,
@@ -267,22 +316,12 @@ impl<'m> Pass<'m> {
         let alphabet = loaded.alphabet();
         let mut arena = TermArena::new();
         let inference = AlphabetInference::infer(&mut arena, defs);
-
-        // Source spans for definition names.
-        let mut spans: HashMap<&str, Span> = HashMap::new();
-        for decl in &module.decls {
-            if let Decl::Definition { name, pos, .. } = decl {
-                spans
-                    .entry(name.as_str())
-                    .or_insert_with(|| Span::new(pos.line, pos.col, name.len() as u32));
-            }
-        }
         let mut pass = Pass {
             inference,
-            spans,
+            spans: definition_spans(module),
             reached: Vec::new(),
             processes: Vec::new(),
-            diagnostics: Vec::new(),
+            diagnostics: unguarded_recursion(module, loaded),
         };
         let mut seen_findings: HashSet<AlphaFinding> = HashSet::new();
 
@@ -338,8 +377,7 @@ impl<'m> Pass<'m> {
             // Aggregate instances by base name: `P(1)` reached counts for `P`.
             let mut base_reached: HashMap<&str, bool> = HashMap::new();
             for d in defs.ids() {
-                let base = defs.name(d).split('(').next().unwrap_or("");
-                let Some((&key, _)) = pass.spans.get_key_value(base) else {
+                let Some((&key, _)) = pass.spans.get_key_value(base_name(defs.name(d))) else {
                     continue;
                 };
                 *base_reached.entry(key).or_insert(false) |= pass.reached[d.index()];
@@ -407,10 +445,13 @@ impl<'m> Pass<'m> {
                 };
                 let (graph, compile_error) = match compiled {
                     Ok(graph) => (graph, None),
-                    Err(e) => (None, Some(e.to_string())),
+                    Err(e) => (None, Some(e)),
                 };
 
                 match (&graph, &compile_error) {
+                    // A CSP202 already reports it: firing follows only
+                    // edges CSP202 follows.
+                    (_, Some(CheckError::Csp(CspError::UnguardedRecursion { .. }))) => {}
                     (_, Some(error)) => {
                         pass.diagnostics.push(
                             Diagnostic::warning(
@@ -499,7 +540,7 @@ impl<'m> Pass<'m> {
                     processes.push(ProcessAnalysis {
                         role,
                         graph,
-                        compile_error,
+                        compile_error: compile_error.map(|e| e.to_string()),
                         predicted_states: est.predicted_states(),
                         estimate_exact: est.is_exact(),
                         components: est.components().len(),
@@ -519,7 +560,7 @@ impl<'m> Pass<'m> {
 
     /// The source span of a definition, by its name's base (`P(1)` → `P`).
     fn span_of(&self, def_name: &str) -> Span {
-        let base = def_name.split('(').next().unwrap_or(def_name);
+        let base = base_name(def_name);
         self.spans.get(base).copied().unwrap_or_else(Span::unknown)
     }
 }
@@ -980,5 +1021,104 @@ mod tests {
         let z = a.definitions.iter().find(|d| d.name == "Z").unwrap();
         assert_eq!(z.alphabet, vec!["b".to_string()]);
         assert!(z.reachable);
+    }
+
+    /// The definitions `src` gets `CSP202` for, in report order.
+    fn unguarded(src: &str) -> Vec<String> {
+        analyze(src)
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == diag::UNGUARDED_RECURSION)
+            .map(|d| d.message.split('`').nth(1).unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn unguarded_recursion_is_flagged_once_per_definition_at_its_name() {
+        assert_eq!(unguarded("channel a\nP = P [] a -> STOP\n"), ["P"]);
+        assert_eq!(
+            unguarded("channel a\nP = Q\nQ = P [] a -> STOP\n"),
+            ["P", "Q"]
+        );
+        assert_eq!(unguarded("channel a\nP = SKIP ; P\n"), ["P"]);
+        // Three instances of `P`, one finding at `P`'s name.
+        let src = "channel a : {0..2}\nQ = P(0)\nP(n) = P((n + 1) % 3) [] a.n -> STOP\n";
+        let a = analyze(src);
+        let found: Vec<&Diagnostic> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == diag::UNGUARDED_RECURSION)
+            .collect();
+        assert_eq!(found.len(), 1, "{:?}", a.diagnostics);
+        assert!(found[0].message.contains("`P`"), "{:?}", found[0]);
+        assert_eq!((found[0].span.line, found[0].span.col), (3, 1));
+    }
+
+    #[test]
+    fn guarded_and_terminating_recursion_is_clean() {
+        for src in [
+            "channel a\nP = a -> P\n",
+            "channel a\nP = (a -> SKIP) ; P\n",
+            // A condition ends the recursion: `P(3)` reaches `STOP`.
+            "P(n) = if n == 0 then STOP else P(n-1)\nQ = P(3)\n",
+        ] {
+            assert!(unguarded(src).is_empty(), "{src}");
+        }
+    }
+
+    #[test]
+    fn silent_termination_follows_choices_and_sequences() {
+        assert_eq!(
+            unguarded("channel a\nP = ((a -> SKIP) [] (SKIP ; SKIP)) ; P\n"),
+            ["P"]
+        );
+        assert!(unguarded("channel a\nP = (SKIP ; (a -> SKIP)) ; P\n").is_empty());
+    }
+
+    #[test]
+    fn bound_names_shadow_definitions_only_within_their_scope() {
+        assert!(unguarded("channel a\nP = let P = a -> STOP within P\n").is_empty());
+        assert_eq!(
+            unguarded("channel a\nP = (let P = a -> STOP within P) [] P\n"),
+            ["P"]
+        );
+        assert!(unguarded("channel a\nP(P) = P [] a -> STOP\nQ = P(a -> STOP)\n").is_empty());
+        assert!(unguarded(
+            "channel a : {0..1}\nP = ([] P : {0..1} @ a.P -> STOP) [] a.0 -> STOP\n"
+        )
+        .is_empty());
+        assert_eq!(
+            unguarded("channel a : {0..1}\nP = ([] x : {0..1} @ P) [] a.0 -> STOP\n"),
+            ["P"]
+        );
+    }
+
+    #[test]
+    fn one_sided_synchronisation_is_left_to_ana301() {
+        let a = analyze("channel a, b\nP = a -> P\nQ = b -> Q\nSYS = P [| {a, b} |] Q\n");
+        assert_eq!(codes(&a), ["ANA301", "ANA301"], "{:?}", a.diagnostics);
+    }
+
+    #[test]
+    fn a_compile_failing_on_unguarded_recursion_is_reported_once() {
+        // CSP202 reports the cycle; the impl gets no ANA300 for it.
+        let a = analyze("channel a\nA = B [] a -> STOP\nB = A\nassert A [T= A\n");
+        assert_eq!(codes(&a), ["CSP202", "CSP202"], "{:?}", a.diagnostics);
+        // A finite unfolding nested past the firing bound is no recursion:
+        // its ANA300 stands alone.
+        let chain: String = (0..200)
+            .map(|i| format!("P{i} = P{} [] a -> STOP\n", i + 1))
+            .collect();
+        let a = analyze(&format!(
+            "channel a\n{chain}P200 = a -> STOP\nassert P0 [T= P0\n"
+        ));
+        assert_eq!(codes(&a), ["ANA300", "ANA300"], "{:?}", a.diagnostics);
+        assert!(
+            a.diagnostics[0]
+                .message
+                .contains("nests more than 128 definitions deep"),
+            "{:?}",
+            a.diagnostics[0]
+        );
     }
 }

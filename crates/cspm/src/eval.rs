@@ -297,6 +297,9 @@ pub(crate) struct Evaluator<'m> {
     /// CSPm call-graph depth (a buffer process with hundreds of reachable
     /// parameter values would otherwise overflow the stack).
     pending: Vec<(&'m str, Vec<Value>)>,
+    /// The calls of alias chains and `if`-recursions that
+    /// [`Evaluator::eval_call`] is following, each waiting on the next.
+    links: Vec<(usize, &'m str, Vec<Value>)>,
     /// Field-value positions of the event patterns being completed, one
     /// run per pattern (see [`Pattern::base`]).
     positions: Vec<u32>,
@@ -318,6 +321,7 @@ impl<'m> Evaluator<'m> {
             globals: HashMap::new(),
             calls: Vec::new(),
             pending: Vec::new(),
+            links: Vec::new(),
             positions: Vec::new(),
         };
         for decl in &module.decls {
@@ -561,49 +565,102 @@ impl<'m> Evaluator<'m> {
             .is_some_and(|global| !global.calls.is_empty())
     }
 
-    fn eval_call(&mut self, name: &str, args: Vec<Value>) -> Result<Value, CspmError> {
-        let Some(global) = self.globals.get(name) else {
-            return Err(CspmError::eval(format!("unknown definition `{name}`")));
-        };
-        let (params, body) = (global.params, global.body);
-        let known = global.calls.get(args.as_slice()).copied();
-        if let Some(call) = known {
-            if let Some(v) = &self.calls[call].value {
-                return Ok(v.clone());
+    /// The value of the call `name(args)`, memoised. A body that resolves
+    /// to another call, as in an alias `P = Q` or `P(n) = if n == 0 then
+    /// a -> STOP else P(n-1)`, is followed in a loop, at no native frame per
+    /// link; the links then take their values in the order recursion would.
+    fn eval_call(&mut self, mut name: &'m str, mut args: Vec<Value>) -> Result<Value, CspmError> {
+        let base = self.links.len();
+        let mut result = loop {
+            let Some(global) = self.globals.get(name) else {
+                break Err(CspmError::eval(format!("unknown definition `{name}`")));
+            };
+            let (params, mut body) = (global.params, global.body);
+            let known = global.calls.get(args.as_slice()).copied();
+            if let Some(call) = known {
+                if let Some(v) = &self.calls[call].value {
+                    break Ok(v.clone());
+                }
+                if self.calls[call].busy {
+                    // Recursive reference: assume (and enforce, below) it
+                    // is a process.
+                    let id = self.call_id(call, name, &args);
+                    break Ok(Value::Process(Process::var(id)));
+                }
             }
-            if self.calls[call].busy {
-                // Recursive reference: assume (and enforce, below) it is a
-                // process.
-                let id = self.call_id(call, name, &args);
-                return Ok(Value::Process(Process::var(id)));
+            if params.len() != args.len() {
+                break Err(CspmError::eval(format!(
+                    "`{name}` expects {} argument(s), got {}",
+                    params.len(),
+                    args.len()
+                )));
+            }
+            let call = known.unwrap_or_else(|| self.call(name, &args));
+            self.calls[call].busy = true;
+            let scope = params
+                .iter()
+                .map(String::as_str)
+                .zip(args.iter().cloned())
+                .collect();
+            let mut scopes = vec![scope];
+            let tail = self.tail_call(&mut body, &mut scopes);
+            self.links.push((call, name, std::mem::take(&mut args)));
+            match tail {
+                Ok(Some((next, next_args))) => (name, args) = (next, next_args),
+                found => break found.and_then(|_| self.eval(body, &mut scopes)),
+            }
+        };
+        while self.links.len() > base {
+            let (call, name, args) = self.links.pop().expect("a link above the base");
+            self.calls[call].busy = false;
+            result = result.map(|value| {
+                let value = match value {
+                    Value::Process(p) => {
+                        let id = self.call_id(call, name, &args);
+                        self.defs.define(id, p);
+                        Value::Process(Process::var(id))
+                    }
+                    other => other,
+                };
+                self.calls[call].value = Some(value.clone());
+                value
+            });
+        }
+        result
+    }
+
+    /// Resolve the `if`s at the top of `body`, leaving there the expression
+    /// they come to, and return the call it is if it calls a definition.
+    /// Names resolve as [`Evaluator::eval_name`] resolves them.
+    fn tail_call(
+        &mut self,
+        body: &mut &'m Expr,
+        scopes: &mut Vec<Bindings<'m>>,
+    ) -> Result<Option<(&'m str, Vec<Value>)>, CspmError> {
+        loop {
+            match *body {
+                Expr::If { cond, then, els } => {
+                    *body = if self.eval(cond, scopes)?.into_bool()? {
+                        then
+                    } else {
+                        els
+                    };
+                }
+                Expr::Call { name, args } if self.globals.contains_key(name.as_str()) => {
+                    let argv = args.iter().map(|a| self.eval(a, scopes));
+                    return Ok(Some((name, argv.collect::<Result<_, _>>()?)));
+                }
+                Expr::Name(n)
+                    if lookup(n, scopes).is_none()
+                        && !self.constructors.contains_key(n.as_str())
+                        && !self.channel_index.contains_key(n.as_str())
+                        && self.globals.contains_key(n.as_str()) =>
+                {
+                    return Ok(Some((n, Vec::new())));
+                }
+                _ => return Ok(None),
             }
         }
-        if params.len() != args.len() {
-            return Err(CspmError::eval(format!(
-                "`{name}` expects {} argument(s), got {}",
-                params.len(),
-                args.len()
-            )));
-        }
-        let call = known.unwrap_or_else(|| self.call(name, &args));
-        self.calls[call].busy = true;
-        let scope = params
-            .iter()
-            .map(String::as_str)
-            .zip(args.iter().cloned())
-            .collect();
-        let result = self.eval(body, &mut vec![scope]);
-        self.calls[call].busy = false;
-        let out = match result? {
-            Value::Process(p) => {
-                let id = self.call_id(call, name, &args);
-                self.defs.define(id, p);
-                Value::Process(Process::var(id))
-            }
-            other => other,
-        };
-        self.calls[call].value = Some(out.clone());
-        Ok(out)
     }
 
     /// Evaluate an expression in *process position*: calls and references

@@ -13,7 +13,7 @@
 //! |-----------|--------------------------------------------------|
 //! | `CAPL0xx` | CAPL program analysis                            |
 //! | `DBC1xx`  | CAN database hygiene and CAPL ↔ `.dbc` checks    |
-//! | `CSP2xx`  | CSPm parsing and unguarded recursion             |
+//! | `CSP2xx`  | CSPm parsing, elaboration and unguarded recursion |
 //! | `SIM3xx`  | fault-plan validation and plan ↔ `.dbc` checks   |
 //! | `STO4xx`  | on-disk model-cache integrity (`fdrlite::persist`) |
 //! | `ANA3xx`  | semantic model analysis (`autocsp analyze`, see [`ana`]) |
@@ -258,6 +258,13 @@ pub fn json_string(s: &str) -> String {
     w.string(s);
     w.finish()
 }
+
+/// `CSP202` — a process can recurse without performing an event first.
+///
+/// Emitted by the semantic analyzer (`cspm::analyze`), which judges it on
+/// the elaborated model; it lives here beside [`ana`] for the same reason,
+/// and `lint::codes` re-exports it.
+pub const UNGUARDED_RECURSION: Code = Code("CSP202");
 
 /// Stable codes of the `ANA3xx` family: semantic model analysis.
 ///

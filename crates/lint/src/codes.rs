@@ -2,7 +2,8 @@
 //!
 //! Codes are namespaced per pipeline stage — `CAPL0xx` for CAPL program
 //! analysis, `DBC1xx` for CAN-database hygiene and CAPL ↔ `.dbc`
-//! cross-validation, `CSP2xx` for CSPm parsing and unguarded recursion,
+//! cross-validation, `CSP2xx` for CSPm parsing, elaboration and unguarded
+//! recursion ([`UNGUARDED_RECURSION`] is defined in `diag`, re-exported here),
 //! `SIM3xx` for fault-plan validation (defined in [`faults::codes`],
 //! re-exported here), `ANA3xx` for semantic model analysis (defined in
 //! [`diag::ana`], re-exported here). Codes are never renumbered once
@@ -33,12 +34,13 @@ pub use diag::ana::{
     SYNC_DEAD_EVENT as ANA_SYNC_DEAD_EVENT, SYNC_ONE_SIDED as ANA_SYNC_ONE_SIDED,
     UNREACHABLE_DEFINITION as ANA_UNREACHABLE_DEFINITION,
 };
+pub use diag::UNGUARDED_RECURSION;
 
 /// `CAPL000` — the CAPL source failed to lex or parse.
 pub const CAPL_PARSE_ERROR: Code = Code("CAPL000");
 /// `DBC100` — the CAN database failed to parse.
 pub const DBC_PARSE_ERROR: Code = Code("DBC100");
-/// `CSP200` — the CSPm script failed to lex or parse.
+/// `CSP200` — the CSPm script failed to lex, parse or elaborate.
 pub const CSP_PARSE_ERROR: Code = Code("CSP200");
 
 /// `CAPL010` — a timer is armed with `setTimer` but has no `on timer` handler.
@@ -67,9 +69,6 @@ pub const DUPLICATE_DB_ID: Code = Code("DBC107");
 /// `DBC108` — CAPL accesses a signal that the resolved message does not carry.
 pub const UNKNOWN_SIGNAL: Code = Code("DBC108");
 
-/// `CSP202` — a process can recurse without performing an event first.
-pub const UNGUARDED_RECURSION: Code = Code("CSP202");
-
 /// Every published code with a one-line summary, in catalogue order.
 ///
 /// `docs/LINTS.md` is generated from the same material; a unit test keeps the
@@ -77,7 +76,7 @@ pub const UNGUARDED_RECURSION: Code = Code("CSP202");
 pub const CATALOGUE: &[(Code, &str)] = &[
     (CAPL_PARSE_ERROR, "CAPL source failed to parse"),
     (DBC_PARSE_ERROR, "CAN database failed to parse"),
-    (CSP_PARSE_ERROR, "CSPm script failed to parse"),
+    (CSP_PARSE_ERROR, "CSPm script failed to parse or elaborate"),
     (DUPLICATE_GLOBAL, "global variable declared twice"),
     (UNDECLARED_NAME, "use of an undeclared name"),
     (DUPLICATE_HANDLER, "duplicate handler for one event"),

@@ -8,9 +8,10 @@
 //!   pairing (`CAPL0xx`).
 //! - [`lint_database`] / [`cross_check`] — `.dbc` hygiene and CAPL ↔ database
 //!   cross-validation (`DBC1xx`).
-//! - [`lint_module`] — unguarded recursion in a CSPm module, before it is
-//!   elaborated (`CSP202`). Alphabet coverage and reachability are judged on
-//!   the elaborated model by `cspm::analyze` (`ANA3xx`).
+//!
+//! Every CSPm finding is judged on the elaborated model by `cspm::analyze`:
+//! unguarded recursion (`CSP202`), alphabet coverage and reachability
+//! (`ANA3xx`).
 //!
 //! The [`codes`] module is the complete stable catalogue. [`LintReport`]
 //! groups one run's findings per stage for rendering and gating.
@@ -29,34 +30,16 @@ pub use diag::{self, Code, Diagnostic, Severity, Span};
 pub mod codes;
 
 mod capl_rules;
-mod csp_rules;
 mod dbc_rules;
 
 pub use capl_rules::lint_program;
-pub use csp_rules::lint_module;
 pub use dbc_rules::{cross_check, lint_database};
 
-/// Which analysis stage produced a group of diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// CAPL program analysis (`CAPL0xx`, plus `DBC1xx` cross-checks anchored
-    /// in the CAPL source).
-    Capl,
-    /// CAN database hygiene (`DBC1xx`).
-    Dbc,
-    /// CSPm structural analysis (`CSP202`).
-    Csp,
-}
-
-impl Stage {
-    /// Lower-case label used in JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Capl => "capl",
-            Stage::Dbc => "dbc",
-            Stage::Csp => "csp",
-        }
-    }
+/// No findings: every CSPm finding, `CSP202` included, is judged on the
+/// elaborated model by `cspm::analyze`. The benchmark harness still times
+/// this as a pipeline stage.
+pub fn lint_module(_module: &cspm::ast::Module) -> Vec<Diagnostic> {
+    Vec::new()
 }
 
 /// All findings of one lint run, grouped by stage.
@@ -79,32 +62,13 @@ impl LintReport {
         }
     }
 
-    /// Every finding, in stage order.
-    pub fn all(&self) -> impl Iterator<Item = (Stage, &Diagnostic)> {
-        self.capl
-            .iter()
-            .map(|d| (Stage::Capl, d))
-            .chain(self.dbc.iter().map(|d| (Stage::Dbc, d)))
-            .chain(self.csp.iter().map(|d| (Stage::Csp, d)))
-    }
-
-    /// Number of error-severity findings.
+    /// Number of error-severity findings, across stages.
     pub fn error_count(&self) -> usize {
-        self.all()
-            .filter(|(_, d)| d.severity == Severity::Error)
+        [&self.capl, &self.dbc, &self.csp]
+            .into_iter()
+            .flatten()
+            .filter(|d| d.severity == Severity::Error)
             .count()
-    }
-
-    /// Number of warning-severity findings.
-    pub fn warning_count(&self) -> usize {
-        self.all()
-            .filter(|(_, d)| d.severity == Severity::Warning)
-            .count()
-    }
-
-    /// Whether no stage found anything.
-    pub fn is_clean(&self) -> bool {
-        self.capl.is_empty() && self.dbc.is_empty() && self.csp.is_empty()
     }
 }
 
@@ -113,7 +77,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn report_counts_across_stages() {
+    fn report_counts_errors_across_stages() {
         let mut r = LintReport::for_capl(vec![Diagnostic::error(
             codes::UNDECLARED_NAME,
             Span::unknown(),
@@ -125,13 +89,12 @@ mod tests {
             "y",
         ));
         assert_eq!(r.error_count(), 1);
-        assert_eq!(r.warning_count(), 1);
-        assert!(!r.is_clean());
-        assert_eq!(r.all().count(), 2);
-    }
-
-    #[test]
-    fn empty_report_is_clean() {
-        assert!(LintReport::default().is_clean());
+        r.dbc.push(Diagnostic::error(
+            codes::DLC_TOO_LARGE,
+            Span::unknown(),
+            "z",
+        ));
+        assert_eq!(r.error_count(), 2);
+        assert_eq!(LintReport::default().error_count(), 0);
     }
 }

@@ -73,8 +73,6 @@ pub enum ExecError {
     Load {
         /// The script's text.
         source: String,
-        /// The parsed module, which a caller may still lint.
-        script: cspm::Script,
         /// The elaboration error.
         error: cspm::CspmError,
     },
@@ -224,13 +222,7 @@ impl Executor {
         };
         let loaded = match script.load() {
             Ok(loaded) => loaded,
-            Err(error) => {
-                return Err(ExecError::Load {
-                    source,
-                    script,
-                    error,
-                })
-            }
+            Err(error) => return Err(ExecError::Load { source, error }),
         };
         let bundle = Rc::new(Bundle {
             source,

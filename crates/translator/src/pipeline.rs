@@ -60,9 +60,9 @@ pub struct PipelineOutput {
     pub report: TranslationReport,
     /// Static-analysis findings for every stage: the CAPL lints (the
     /// frontend's symbol pass, dataflow and database cross-checks), database
-    /// hygiene, and the unguarded-recursion lint over the *generated* CSPm
-    /// model. Lints never abort the pipeline — gating is the caller's policy
-    /// decision.
+    /// hygiene, and unguarded recursion (`CSP202`) in the *generated* CSPm
+    /// model, judged once it is elaborated. Lints never abort the pipeline —
+    /// gating is the caller's policy decision.
     pub lints: LintReport,
     /// The elaborated script, ready for checking.
     pub loaded: LoadedScript,
@@ -120,13 +120,11 @@ impl Pipeline {
 
         let t2 = Instant::now();
         let script = cspm::Script::parse(&output.script).map_err(PipelineError::Cspm)?;
-        let cspm_parse_us = t2.elapsed().as_micros() as u64;
-        let tl2 = Instant::now();
-        lints.csp = lint::lint_module(script.module());
-        let lint_us = front_lint_us + tl2.elapsed().as_micros() as u64;
-        let t3 = Instant::now();
         let loaded = script.load().map_err(PipelineError::Cspm)?;
-        let elaborate_us = cspm_parse_us + t3.elapsed().as_micros() as u64;
+        let elaborate_us = t2.elapsed().as_micros() as u64;
+        let tl2 = Instant::now();
+        lints.csp = cspm::analyze::unguarded_recursion(script.module(), &loaded);
+        let lint_us = front_lint_us + tl2.elapsed().as_micros() as u64;
 
         Ok(PipelineOutput {
             script: output.script,

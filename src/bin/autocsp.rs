@@ -556,15 +556,8 @@ fn lint_cmd(args: &[String]) -> Result<ExitCode, String> {
                 ..one_job(JobKind::Analyze, path, &flags)
             };
             match Executor::new(&ExecConfig::default())?.analyze(&job) {
-                Ok((script, analysis)) => {
-                    let mut d = lint::lint_module(script.script.module());
-                    d.extend(analysis.diagnostics);
-                    d
-                }
-                // A script that parses but fails to load keeps its
-                // syntactic findings; `check` surfaces the load error.
-                Err(ExecError::Load { script, .. }) => lint::lint_module(script.module()),
-                Err(ExecError::Parse { error, .. }) => {
+                Ok((_, analysis)) => analysis.diagnostics,
+                Err(ExecError::Parse { error, .. } | ExecError::Load { error, .. }) => {
                     vec![cspm_diagnostic(lint::codes::CSP_PARSE_ERROR, &error)]
                 }
                 Err(e) => return Err(e.to_string()),
@@ -899,20 +892,7 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
         };
         gate(&[findings], flags.deny_warnings)
     };
-    // Syntactic lints gate first, even when the script fails to load.
-    let script = match executor.load(&job.script) {
-        Ok(script) => script,
-        Err(ExecError::Load {
-            source,
-            script,
-            error,
-        }) => {
-            gate_script(&source, lint::lint_module(script.module()))?;
-            return Err(error.to_string());
-        }
-        Err(e) => return Err(e.to_string()),
-    };
-    gate_script(&script.source, lint::lint_module(script.script.module()))?;
+    let script = executor.load(&job.script).map_err(|e| e.to_string())?;
     if script.loaded.assertions().is_empty() {
         return Err("script contains no `assert` declarations".into());
     }
@@ -921,8 +901,8 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
     // the check's): it compiles every operand, which the check reuses, and
     // classifies only the operands its findings judge (an `[FD=`
     // implementation, a property's process), whose classification the
-    // check reads too. Analysis findings are ANA3xx warnings and follow
-    // the same gating policy as the syntactic lints.
+    // check reads too. Its findings (CSP202 and ANA3xx warnings) gate as
+    // `lint`'s do.
     let (_, analysis) = executor.analyze(&job).map_err(|e| e.to_string())?;
     gate_script(&script.source, analysis.diagnostics)?;
     let (script, results) = executor.check(&job).map_err(|e| e.to_string())?;

@@ -197,9 +197,8 @@ fn lint_diagnostics_are_sorted_by_span_within_a_file() {
     let out = run(&["lint", onesided.to_str().unwrap(), "--format", "json"]);
     let text = String::from_utf8_lossy(&out.stdout);
     // Extract the reported line numbers in emission order; they must be
-    // non-decreasing (span-sorted), interleaving the syntactic CSP2xx and
-    // semantic ANA3xx findings rather than appending one family after the
-    // other.
+    // non-decreasing (span-sorted), interleaving the CSP202 and ANA3xx
+    // findings rather than appending one family after the other.
     let mut lines = Vec::new();
     let mut rest = text.as_ref();
     while let Some(at) = rest.find("\"line\":") {

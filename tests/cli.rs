@@ -109,37 +109,33 @@ fn check_fails_with_nonzero_exit_on_violation() {
 }
 
 #[test]
-fn check_lints_a_script_that_fails_to_load_before_reporting_it() {
-    let dir = fixture_dir("lint-then-load");
+fn a_script_that_fails_to_load_fails_check_and_is_one_lint_error() {
+    let dir = fixture_dir("load-error");
     let model = dir.join("broken.csp");
     fs::write(
         &model,
-        "channel a\nP = a -> P\nU = U [] a -> STOP\nS = a -> T\nassert P [T= U\n",
+        "channel a\nP = a -> P\nS = a -> T\nassert P [T= P\n",
     )
     .unwrap();
-    let check = |extra: &[&str]| {
-        autocsp()
-            .args(["check", model.to_str().unwrap()])
-            .args(extra)
-            .output()
-            .unwrap()
-    };
-    let out = check(&[]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("warning[CSP202]"), "{stderr}");
-    assert!(
-        stderr.ends_with("error: evaluation error: unknown name `T`\n"),
-        "{stderr}"
-    );
+    let run = |args: &[&str]| autocsp().args(args).arg(&model).output().unwrap();
+    for args in [&["check"][..], &["check", "--deny-warnings"]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr, "error: evaluation error: unknown name `T`\n",
+            "{args:?}"
+        );
+    }
 
-    let denied = check(&["--deny-warnings"]);
-    assert_eq!(denied.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&denied.stderr);
+    let out = run(&["lint"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stderr.ends_with("error: 1 lint warning(s) denied (--deny-warnings)\n"),
-        "the lint gate comes before the load error: {stderr}"
+        stdout.starts_with("error[CSP200]: evaluation error: unknown name `T`\n"),
+        "{stdout}"
     );
+    assert!(stdout.ends_with("1 error(s), 0 warning(s)\n"), "{stdout}");
 }
 
 #[test]
