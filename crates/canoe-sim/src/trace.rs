@@ -94,14 +94,6 @@ impl TraceEvent {
         }
     }
 
-    /// The message name if this is a queued (controller handoff) event.
-    pub fn queued_name(&self) -> Option<&str> {
-        match self {
-            TraceEvent::Queued { message, .. } => Some(message),
-            _ => None,
-        }
-    }
-
     /// The message name if this is a receive event.
     pub fn receive_name(&self) -> Option<&str> {
         match self {

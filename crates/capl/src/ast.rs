@@ -25,13 +25,6 @@ impl Program {
         self.handlers.iter().find(|h| &h.event == event)
     }
 
-    /// All `on message` handlers.
-    pub fn message_handlers(&self) -> impl Iterator<Item = &EventHandler> {
-        self.handlers
-            .iter()
-            .filter(|h| matches!(h.event, EventKind::Message(_)))
-    }
-
     /// Find a function by name.
     pub fn function(&self, name: &str) -> Option<&FunctionDecl> {
         self.functions.iter().find(|f| f.name == name)

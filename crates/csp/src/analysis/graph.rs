@@ -23,12 +23,14 @@ use std::sync::Arc;
 /// Which definitions can recurse without performing an event first
 /// (`CSP202`), by `DefId` index: those on a cycle of the references each
 /// body reaches before any prefix, through the firing rules or a silent
-/// step (`|~|`, `[>`, or `;` after a silently terminating operand). One
-/// linear pass. Firing follows a subset of these edges, so every
-/// [`CspError::UnguardedRecursion`] it reports names a flagged definition.
+/// step (`|~|`, `[>`, or `;` after an operand that can terminate without
+/// an event, through references too). One SCC pass. Firing follows a
+/// subset of these edges, so every [`CspError::UnguardedRecursion`] it
+/// reports names a flagged definition.
 #[must_use]
 pub fn unguarded_definitions(defs: &Definitions) -> Vec<bool> {
-    let (offsets, edges) = reference_graph(defs, true);
+    let ends = silent_termination(defs);
+    let (offsets, edges) = reference_graph(defs, Some(&ends));
     tau_cycle_members(defs.len(), |s| {
         &edges[offsets[s.index()]..offsets[s.index() + 1]]
     })
@@ -45,11 +47,11 @@ pub(crate) fn decide(
     if !matches!(e, CspError::UnfoldingTooDeep { .. }) {
         return e;
     }
-    let (offsets, edges) = reference_graph(defs, false);
+    let (offsets, edges) = reference_graph(defs, None);
     let succ = |s: StateId| &edges[offsets[s.index()]..offsets[s.index() + 1]];
     let on_cycle = tau_cycle_members(defs.len(), succ);
     let (mut seen, mut start) = (vec![false; defs.len()], Vec::new());
-    unguarded_refs(&root(), false, &mut start);
+    unguarded_refs(&root(), None, &mut start);
     let mut stack: Vec<StateId> = start.iter().map(|d| StateId(d.0)).collect();
     while let Some(s) = stack.pop() {
         if on_cycle[s.index()] {
@@ -63,8 +65,42 @@ pub(crate) fn decide(
     e
 }
 
+/// Each definition's flag, by `DefId` index, of whether its body can
+/// terminate without an event: the least fixpoint of [`unguarded_refs`]'s
+/// answer, where a reference reads its definition's flag. A body is
+/// evaluated again only when a flag it reads turns true.
+fn silent_termination(defs: &Definitions) -> Vec<bool> {
+    // With every flag set a walk reads the most references: `readers[d]`
+    // holds each definition that may read `d`'s flag.
+    let (all, mut readers) = (vec![true; defs.len()], vec![Vec::new(); defs.len()]);
+    let mut refs = Vec::new();
+    for d in defs.ids() {
+        if let Ok(body) = defs.body(d) {
+            unguarded_refs(body, Some(&all), &mut refs);
+        }
+        refs.sort_unstable();
+        refs.dedup();
+        for r in refs.drain(..) {
+            readers[r.index()].push(d);
+        }
+    }
+    let (mut ends, mut work) = (vec![false; defs.len()], defs.ids().collect::<Vec<_>>());
+    while let Some(d) = work.pop() {
+        let Ok(body) = defs.body(d) else { continue };
+        if !ends[d.index()] && unguarded_refs(body, Some(&ends), &mut refs) {
+            ends[d.index()] = true;
+            work.append(&mut readers[d.index()]);
+        }
+        refs.clear();
+    }
+    ends
+}
+
 /// Each definition's [`unguarded_refs`] as τ-edges, in CSR form.
-fn reference_graph(defs: &Definitions, silent: bool) -> (Vec<usize>, Vec<(Label, StateId)>) {
+fn reference_graph(
+    defs: &Definitions,
+    silent: Option<&[bool]>,
+) -> (Vec<usize>, Vec<(Label, StateId)>) {
     let (mut offsets, mut edges, mut refs) = (vec![0], Vec::new(), Vec::new());
     for d in defs.ids() {
         if let Ok(body) = defs.body(d) {

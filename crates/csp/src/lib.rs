@@ -48,7 +48,6 @@ mod error;
 mod process;
 
 pub mod analysis;
-pub mod compress;
 pub mod laws;
 pub mod lts;
 pub mod semantics;

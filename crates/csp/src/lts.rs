@@ -183,8 +183,9 @@ impl Lts {
 
     /// Assemble an LTS from per-state `Ω` flags and its edges in CSR form:
     /// state `s` owns `edges[offsets[s]..offsets[s + 1]]`, sorted by
-    /// `(label, target)` without duplicates (used by compression and by
-    /// cache deserialisation). State 0 is the initial state.
+    /// `(label, target)` without duplicates. State 0 is the initial state.
+    /// Outside this module its one caller is cache decoding
+    /// (`fdrlite::persist`).
     ///
     /// # Panics
     ///
@@ -297,7 +298,7 @@ impl Lts {
 
 /// Close the row that began at `edges[row]`: sort it by `(label, target)`
 /// and drop repeated edges.
-pub(crate) fn close_row(edges: &mut Vec<(Label, StateId)>, row: usize) {
+fn close_row(edges: &mut Vec<(Label, StateId)>, row: usize) {
     edges[row..].sort_unstable();
     let mut kept = row;
     for i in row..edges.len() {

@@ -64,27 +64,28 @@ pub(crate) fn unfold(mut d: DefId, defs: &Definitions) -> Result<(DefId, &Arc<Pr
 /// Without `silent`, these are the references the firing rules unfold:
 /// in every `[]` operand, the first operand of `;` and `[>`, both operands
 /// of `[| |]` and `/\`, and the operand of `\` and `[[ ]]`. With `silent`,
-/// also those behind a silent step: in every `|~|` operand, the second
-/// operand of `[>`, and the second operand of `;` when the first can
-/// terminate without an event (`SKIP`, a `;` of two such, or a choice or
-/// timeout with one; a reference counts as not terminating). References
-/// are not followed, so the walk recurses only as deep as `p` nests.
-pub(crate) fn unguarded_refs(p: &Process, silent: bool, out: &mut Vec<DefId>) -> bool {
+/// each definition's flag of terminating without an event by `DefId`
+/// index, also those behind a silent step: in every `|~|` operand, the
+/// second operand of `[>`, and the second operand of `;` when the first
+/// can terminate without an event (`SKIP`, a reference whose flag is set,
+/// a `;` of two such, or a choice or timeout with one). References are
+/// not followed, so the walk recurses only as deep as `p` nests.
+pub(crate) fn unguarded_refs(p: &Process, silent: Option<&[bool]>, out: &mut Vec<DefId>) -> bool {
     let mut refs = |q: &Process| unguarded_refs(q, silent, out);
     match p {
         Process::Skip => true,
         Process::Var(d) => {
             out.push(*d);
-            false
+            silent.is_some_and(|ends| ends[d.index()])
         }
-        Process::InternalChoice(_) if !silent => false,
+        Process::InternalChoice(_) if silent.is_none() => false,
         Process::ExternalChoice(xs) | Process::InternalChoice(xs) => {
             xs.iter().fold(false, |any, x| refs(x) | any)
         }
-        Process::Seq(first, second) => refs(first) && silent && refs(second),
+        Process::Seq(first, second) => refs(first) && silent.is_some() && refs(second),
         Process::Timeout(first, second) => {
             let first = refs(first);
-            silent && (refs(second) | first)
+            silent.is_some() && (refs(second) | first)
         }
         Process::Hide(inner, _) | Process::Rename(inner, _) => {
             refs(inner);

@@ -13,9 +13,10 @@
 //!    finds a cycle, `UnfoldingTooDeep` exactly when the model is acyclic
 //!    and nests more than 128 definitions through operators, and fire
 //!    every other model.
-//! 2. One search per definition over the `CSP202` edges, `reaches_itself`
-//!    of the syntactic rule it replaces, run on the elaborated tables: it
-//!    flags exactly what `analysis::unguarded_definitions` flags.
+//! 2. One search per definition over the `CSP202` edges, `reaches_itself`,
+//!    with each definition's silent termination found by naive rounds
+//!    over the whole table: it flags exactly what
+//!    `analysis::unguarded_definitions` flags.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -45,7 +46,8 @@ fn def(i: usize) -> DefId {
 }
 
 /// A random body over a 4-event alphabet and every operator, whose leaves
-/// are half references to `D0..D3` and both chain heads, mostly bare.
+/// are half references to `D0..D3` and both chain heads, mostly bare, and
+/// whose `;` often starts with `SKIP` or a reference.
 fn arb_body(depth: u32) -> BoxedStrategy<Process> {
     let reference = || (0..RANDOM + 2).prop_map(|i| Process::var(def(i)));
     let leaf = prop_oneof![
@@ -55,6 +57,7 @@ fn arb_body(depth: u32) -> BoxedStrategy<Process> {
         reference(),
         reference(),
         (0..RANDOM + 2).prop_map(|i| Process::prefix(e(0), Process::var(def(i)))),
+        (reference(), reference()).prop_map(|(p, q)| Process::seq(p, q)),
     ];
     leaf.prop_recursive(depth, 16, 2, |inner| {
         prop_oneof![
@@ -173,9 +176,9 @@ fn firing_refs(p: &Process, out: &mut Vec<usize>) {
 }
 
 /// The `CSP202` edges: the firing edges, every `|~|` operand, the second
-/// operand of `[>`, and, `through_skip`, the second of `;` after a first
+/// operand of `[>`, and, given `ends`, the second of `;` after a first
 /// that can terminate without an event.
-fn csp202_refs(p: &Process, through_skip: bool, out: &mut Vec<usize>) {
+fn csp202_refs(p: &Process, ends: Option<&[bool]>, out: &mut Vec<usize>) {
     let operands: Vec<&Process> = match p {
         Process::Var(d) => {
             out.push(d.index());
@@ -184,7 +187,9 @@ fn csp202_refs(p: &Process, through_skip: bool, out: &mut Vec<usize>) {
         Process::ExternalChoice(xs) | Process::InternalChoice(xs) => {
             xs.iter().map(AsRef::as_ref).collect()
         }
-        Process::Seq(p, q) if through_skip && terminates_silently(p) => vec![p, q],
+        Process::Seq(p, q) if ends.is_some_and(|ends| terminates_silently(p, ends)) => {
+            vec![p, q]
+        }
         Process::Seq(p, _) | Process::Hide(p, _) | Process::Rename(p, _) => vec![p],
         Process::Parallel { left, right, .. }
         | Process::Interrupt(left, right)
@@ -192,21 +197,38 @@ fn csp202_refs(p: &Process, through_skip: bool, out: &mut Vec<usize>) {
         _ => Vec::new(),
     };
     for operand in operands {
-        csp202_refs(operand, through_skip, out);
+        csp202_refs(operand, ends, out);
     }
 }
 
-/// Whether `p` can reach `SKIP` without an event, as the syntactic rule
-/// judged it: a reference counts as not terminating.
-fn terminates_silently(p: &Process) -> bool {
+/// Whether `p` can reach `SKIP` without an event, where a reference to
+/// `d` can when `ends[d]` holds.
+fn terminates_silently(p: &Process, ends: &[bool]) -> bool {
     match p {
         Process::Skip => true,
-        Process::Seq(p, q) => terminates_silently(p) && terminates_silently(q),
+        Process::Var(d) => ends[d.index()],
+        Process::Seq(p, q) => terminates_silently(p, ends) && terminates_silently(q, ends),
         Process::ExternalChoice(xs) | Process::InternalChoice(xs) => {
-            xs.iter().any(|x| terminates_silently(x))
+            xs.iter().any(|x| terminates_silently(x, ends))
         }
-        Process::Timeout(p, q) => terminates_silently(p) || terminates_silently(q),
+        Process::Timeout(p, q) => terminates_silently(p, ends) || terminates_silently(q, ends),
         _ => false,
+    }
+}
+
+/// Each definition's silent termination: rounds over the whole table,
+/// from all false, until a round sets no flag.
+fn silent_flags(defs: &Definitions) -> Vec<bool> {
+    let mut ends = vec![false; defs.len()];
+    loop {
+        let next: Vec<bool> = defs
+            .ids()
+            .map(|d| terminates_silently(defs.body(d).expect("defined"), &ends))
+            .collect();
+        if next == ends {
+            return ends;
+        }
+        ends = next;
     }
 }
 
@@ -312,9 +334,10 @@ fn nests(d: usize, bare: &[bool], firing: &[Vec<usize>], memo: &mut [Option<usiz
     n
 }
 
-/// The models of each verdict the property has seen, and the tables on
-/// which a `SKIP ;` edge decided a `CSP202` flag.
-static SEEN: [AtomicUsize; 4] = [const { AtomicUsize::new(0) }; 4];
+/// The models of each verdict the property has seen, the tables on which
+/// an edge through `;` decided a `CSP202` flag, and those on which a
+/// silently terminating reference did.
+static SEEN: [AtomicUsize; 5] = [const { AtomicUsize::new(0) }; 5];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -340,17 +363,25 @@ proptest! {
         }
         SEEN[want as usize].fetch_add(1, Ordering::Relaxed);
 
-        let csp202 = edges(&defs, |p, out| csp202_refs(p, true, out));
+        let ends = silent_flags(&defs);
+        let csp202 = edges(&defs, |p, out| csp202_refs(p, Some(&ends), out));
         let flagged: Vec<bool> = (0..defs.len()).map(|d| reaches_itself(d, &csp202)).collect();
         prop_assert_eq!(unguarded_definitions(&defs), flagged.clone());
         // Every definition firing finds on a cycle is flagged.
         for d in (0..defs.len()).filter(|&d| reaches_itself(d, &firing)) {
             prop_assert!(flagged[d], "definition {d} recurses when fired but is not flagged");
         }
-        // Count the tables where the edge through `SKIP ;` decides a flag.
-        let without = edges(&defs, |p, out| csp202_refs(p, false, out));
-        if (0..defs.len()).any(|d| flagged[d] != reaches_itself(d, &without)) {
+        // Count the tables where an edge through `;` decides a flag, and
+        // those where reading a reference as never terminating would.
+        let decides = |ends: Option<&[bool]>| {
+            let other = edges(&defs, |p, out| csp202_refs(p, ends, out));
+            (0..defs.len()).any(|d| flagged[d] != reaches_itself(d, &other))
+        };
+        if decides(None) {
             SEEN[3].fetch_add(1, Ordering::Relaxed);
+        }
+        if decides(Some(&vec![false; defs.len()])) {
+            SEEN[4].fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -366,9 +397,10 @@ fn firing_and_csp202_are_exact_on_random_tables() {
         .join()
         .expect("the property holds");
     let seen: Vec<usize> = SEEN.iter().map(|n| n.load(Ordering::Relaxed)).collect();
-    // Every verdict, and tables where `SKIP ;` decides a flag, occur.
+    // Every verdict, and tables where `;` and where a terminating
+    // reference decide a flag, occur.
     assert!(
         seen.iter().all(|&n| n >= 10),
-        "verdicts and seq-decided tables: {seen:?}"
+        "verdicts, seq-decided and reference-decided tables: {seen:?}"
     );
 }

@@ -513,7 +513,7 @@ impl<'m> Pass<'m> {
                     continue;
                 }
                 let root = arena.intern(p);
-                let est = estimate(&mut arena, root, defs, checker.max_states());
+                let est = estimate(&mut arena, root, defs, checker.max_states);
                 if let Some(budget) = budget_states {
                     if est.predicted_states() > budget {
                         let qualifier = if est.is_exact() {
@@ -915,9 +915,10 @@ mod tests {
             ";
         let script = Script::parse(src).unwrap();
         let loaded = script.load().unwrap();
-        let mut builder = fdrlite::CheckerBuilder::new();
-        builder.max_states(1);
-        let tiny = builder.build();
+        let tiny = Checker {
+            max_states: 1,
+            ..Checker::new()
+        };
         let a = analyze_script(script.module(), &loaded, &tiny, &ModelStore::new(), None);
         let codes: Vec<&str> = a.diagnostics.iter().map(|d| d.code.0).collect();
         assert!(codes.contains(&"ANA300"), "{codes:?}");
@@ -1073,6 +1074,21 @@ mod tests {
             ["P"]
         );
         assert!(unguarded("channel a\nP = (SKIP ; (a -> SKIP)) ; P\n").is_empty());
+    }
+
+    #[test]
+    fn silent_termination_follows_references() {
+        let a = analyze("Q = SKIP\nP = Q ; P\nR = SKIP ; R\nP2 = Q2 ; P2\nQ2 = Q\n");
+        let found: Vec<(&str, u32, u32)> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == diag::UNGUARDED_RECURSION)
+            .map(|d| {
+                let name = d.message.split('`').nth(1).unwrap();
+                (name, d.span.line, d.span.col)
+            })
+            .collect();
+        assert_eq!(found, [("P", 2, 1), ("R", 3, 1), ("P2", 4, 1)]);
     }
 
     #[test]

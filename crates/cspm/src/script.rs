@@ -247,11 +247,6 @@ impl LoadedScript {
         Ok(ids)
     }
 
-    /// Names of all zero-parameter process definitions.
-    pub fn process_names(&self) -> impl Iterator<Item = &str> {
-        self.named_processes.keys().map(String::as_str)
-    }
-
     /// A zero-parameter non-process value by name.
     pub fn value(&self, name: &str) -> Option<&Value> {
         self.named_values.get(name)

@@ -213,13 +213,6 @@ pub struct BatchReport {
     pub stats: BatchStats,
 }
 
-impl BatchReport {
-    /// Whether every trace conformed.
-    pub fn all_conformant(&self) -> bool {
-        self.verdicts.iter().all(ConformanceVerdict::is_conformant)
-    }
-}
-
 /// Counters and timings from one batch-conformance run, printable for
 /// humans (`autocsp conform --stats`) and serialisable as JSON for the
 /// benchmark harness — the [`fdrlite::CheckStats`] idiom for the batch

@@ -25,7 +25,7 @@ use fdrlite::{
 };
 use std::fmt;
 
-use crate::plan::{ConformanceSpec, MapOn, MapRule};
+use crate::plan::{MapOn, MapRule};
 
 /// The result of a conformance check.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,44 +133,14 @@ pub fn lift_trace(trace: &[TraceEntry], rules: &[MapRule]) -> Vec<String> {
     events
 }
 
-/// Check a simulation trace against the plan's conformance section: lift it
-/// with the `[[map]]` rules, then check `spec ⊑T ⟨trace⟩`.
-pub fn check_conformance(
-    loaded: &LoadedScript,
-    conf: &ConformanceSpec,
-    trace: &[TraceEntry],
-    checker: &Checker,
-) -> Result<ConformanceReport, ConformanceError> {
-    check_conformance_with(loaded, conf, trace, checker, &ModelStore::new())
-}
-
-/// Like [`check_conformance`], compiling through a shared [`ModelStore`].
+/// Check an already-lifted event sequence (see [`lift_trace`]) against a
+/// specification process, compiling through `store`.
 ///
 /// A fault campaign checks many traces against one specification; with a
 /// shared store the spec compiles and normalises once, and every further
-/// trace only pays for its own (linear) trace process.
-pub fn check_conformance_with(
-    loaded: &LoadedScript,
-    conf: &ConformanceSpec,
-    trace: &[TraceEntry],
-    checker: &Checker,
-    store: &ModelStore,
-) -> Result<ConformanceReport, ConformanceError> {
-    let events = lift_trace(trace, &conf.rules);
-    check_lifted_with(loaded, &conf.spec, &events, checker, store)
-}
-
-/// Check an already-lifted event sequence against a specification process.
-pub fn check_lifted(
-    loaded: &LoadedScript,
-    spec_name: &str,
-    events: &[String],
-    checker: &Checker,
-) -> Result<ConformanceReport, ConformanceError> {
-    check_lifted_with(loaded, spec_name, events, checker, &ModelStore::new())
-}
-
-/// Like [`check_lifted`], compiling through a shared [`ModelStore`].
+/// trace only pays for its own (linear) trace process. Production batches
+/// run through [`crate::batch::BatchRun`]; this is its sequential
+/// reference.
 pub fn check_lifted_with(
     loaded: &LoadedScript,
     spec_name: &str,
@@ -269,6 +239,15 @@ mod tests {
         cspm::Script::parse(script).unwrap().load().unwrap()
     }
 
+    /// `events` checked against `spec` with a fresh store.
+    fn check(
+        loaded: &LoadedScript,
+        spec: &str,
+        events: &[String],
+    ) -> Result<ConformanceReport, ConformanceError> {
+        check_lifted_with(loaded, spec, events, &Checker::new(), &ModelStore::new())
+    }
+
     const MODEL: &str = "
 datatype M = req | rpt
 channel rec, send : M
@@ -279,7 +258,7 @@ SPEC = rec.req -> send.rpt -> SPEC
     fn conformant_trace_passes() {
         let loaded = loaded(MODEL);
         let events = vec!["rec.req".to_string(), "send.rpt".to_string()];
-        let report = check_lifted(&loaded, "SPEC", &events, &Checker::new()).unwrap();
+        let report = check(&loaded, "SPEC", &events).unwrap();
         assert!(report.verdict.is_conformant(), "{report:?}");
     }
 
@@ -291,7 +270,7 @@ SPEC = rec.req -> send.rpt -> SPEC
             "send.rpt".to_string(),
             "send.rpt".to_string(),
         ];
-        let report = check_lifted(&loaded, "SPEC", &events, &Checker::new()).unwrap();
+        let report = check(&loaded, "SPEC", &events).unwrap();
         match report.verdict {
             ConformanceVerdict::Refuted(cex) => {
                 assert_eq!(cex.trace().len(), 2, "violation after the refused prefix");
@@ -304,7 +283,7 @@ SPEC = rec.req -> send.rpt -> SPEC
     fn unknown_event_short_circuits() {
         let loaded = loaded(MODEL);
         let events = vec!["rec.req".to_string(), "mystery.7".to_string()];
-        let report = check_lifted(&loaded, "SPEC", &events, &Checker::new()).unwrap();
+        let report = check(&loaded, "SPEC", &events).unwrap();
         assert_eq!(
             report.verdict,
             ConformanceVerdict::UnknownEvent {
@@ -327,7 +306,7 @@ SPEC = rec.req -> send.rpt -> SPEC
         let mut verdicts = Vec::new();
         for events in traces {
             let events: Vec<String> = events.iter().map(ToString::to_string).collect();
-            let fresh = check_lifted(&loaded, "SPEC", &events, &checker).unwrap();
+            let fresh = check(&loaded, "SPEC", &events).unwrap();
             let shared = check_lifted_with(&loaded, "SPEC", &events, &checker, &store).unwrap();
             assert_eq!(fresh.verdict, shared.verdict);
             verdicts.push(shared.verdict);
@@ -342,7 +321,7 @@ SPEC = rec.req -> send.rpt -> SPEC
     #[test]
     fn unknown_spec_is_an_error() {
         let loaded = loaded(MODEL);
-        let err = check_lifted(&loaded, "NOPE", &[], &Checker::new()).unwrap_err();
+        let err = check(&loaded, "NOPE", &[]).unwrap_err();
         assert!(matches!(err, ConformanceError::UnknownSpec(_)));
     }
 }

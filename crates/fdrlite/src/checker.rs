@@ -26,7 +26,7 @@ use crate::stats::CheckStats;
 
 /// Resource budgets for a refinement exploration.
 ///
-/// Unlike the hard caps of [`CheckerBuilder`] (which abort with a
+/// Unlike the hard caps of [`Checker`] (which abort with a
 /// [`CheckError`]), budgets degrade gracefully: when one is exhausted the
 /// check returns [`Verdict::Inconclusive`] with the exploration statistics
 /// gathered so far. A violation found *before* the budget runs out is still
@@ -167,83 +167,32 @@ impl Checkpoints<'_> {
     }
 }
 
-/// Configures and builds a [`Checker`].
-#[derive(Debug, Clone)]
-pub struct CheckerBuilder {
-    max_states: usize,
-    max_norm_nodes: usize,
-    max_product: usize,
-    compress: bool,
-}
-
-impl Default for CheckerBuilder {
-    fn default() -> Self {
-        CheckerBuilder {
-            max_states: 1_000_000,
-            max_norm_nodes: 200_000,
-            max_product: 4_000_000,
-            compress: false,
-        }
-    }
-}
-
-impl CheckerBuilder {
-    /// Start from the default bounds.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bound on reachable states per compiled process.
-    pub fn max_states(&mut self, n: usize) -> &mut Self {
-        self.max_states = n;
-        self
-    }
-
-    /// Bound on specification normal-form nodes.
-    pub fn max_norm_nodes(&mut self, n: usize) -> &mut Self {
-        self.max_norm_nodes = n;
-        self
-    }
-
-    /// Bound on explored (implementation state, spec node) pairs.
-    pub fn max_product(&mut self, n: usize) -> &mut Self {
-        self.max_product = n;
-        self
-    }
-
-    /// Apply strong-bisimulation compression to compiled processes before
-    /// checking (FDR's `sbisim`). Preserves every verdict; shrinks the
-    /// product for models with redundant interleaving structure.
-    pub fn compress(&mut self, on: bool) -> &mut Self {
-        self.compress = on;
-        self
-    }
-
-    /// Build the checker.
-    pub fn build(&self) -> Checker {
-        Checker {
-            max_states: self.max_states,
-            max_norm_nodes: self.max_norm_nodes,
-            max_product: self.max_product,
-            compress: self.compress,
-        }
-    }
-}
-
-/// A refinement checker with configured state-space bounds.
+/// A refinement checker: three hard bounds on the state spaces it builds.
 ///
-/// Create with [`Checker::new`] for defaults or through [`CheckerBuilder`].
+/// [`Checker::new`] gives the defaults; set a field to change one, as in
+/// `Checker { max_states: 3, ..Checker::new() }`.
 #[derive(Debug, Clone)]
 pub struct Checker {
-    max_states: usize,
-    max_norm_nodes: usize,
-    max_product: usize,
-    compress: bool,
+    /// Reachable states per compiled process (default 1,000,000); past it
+    /// a compile fails with [`CheckError::Csp`] carrying
+    /// `CspError::StateSpaceExceeded`.
+    pub max_states: usize,
+    /// Nodes of a specification's normal form (default 200,000); past it
+    /// normalisation fails with [`CheckError::NormalisationExceeded`].
+    pub max_norm_nodes: usize,
+    /// Explored (implementation state, spec node) pairs (default
+    /// 4,000,000); past it a check fails with
+    /// [`CheckError::ProductExceeded`].
+    pub max_product: usize,
 }
 
 impl Default for Checker {
     fn default() -> Self {
-        CheckerBuilder::default().build()
+        Checker {
+            max_states: 1_000_000,
+            max_norm_nodes: 200_000,
+            max_product: 4_000_000,
+        }
     }
 }
 
@@ -253,39 +202,13 @@ impl Checker {
         Self::default()
     }
 
-    /// Bound on reachable states per compiled process.
-    pub fn max_states(&self) -> usize {
-        self.max_states
-    }
-
-    /// Bound on specification normal-form nodes.
-    pub fn max_norm_nodes(&self) -> usize {
-        self.max_norm_nodes
-    }
-
-    /// Bound on explored (implementation state, spec node) pairs.
-    pub fn max_product(&self) -> usize {
-        self.max_product
-    }
-
-    /// Whether compiled processes are bisimulation-compressed.
-    pub fn compress(&self) -> bool {
-        self.compress
-    }
-
-    /// Compile a process to its explicit LTS (FDR's "explicate"), applying
-    /// strong-bisimulation compression when enabled.
+    /// Compile a process to its explicit LTS (FDR's "explicate").
     ///
     /// # Errors
     ///
     /// Propagates state-space and recursion errors from the core semantics.
     pub fn compile(&self, p: &Process, defs: &Definitions) -> Result<Lts, CheckError> {
-        let lts = Lts::build(p.clone(), defs, self.max_states)?;
-        if self.compress {
-            Ok(csp::compress::quotient_bisim(&lts).lts)
-        } else {
-            Ok(lts)
-        }
+        Ok(Lts::build(p.clone(), defs, self.max_states)?)
     }
 
     /// Normalise an LTS for use as a specification.
@@ -1192,9 +1115,10 @@ mod tests {
     #[test]
     fn product_bound_is_enforced() {
         let defs = Definitions::new();
-        let mut c = CheckerBuilder::new();
-        c.max_product(2);
-        let checker = c.build();
+        let checker = Checker {
+            max_product: 2,
+            ..Checker::new()
+        };
         let spec = Process::prefix_chain((0..5).map(e), Process::Stop);
         let err = checker
             .trace_refinement(&spec, &spec.clone(), &defs)
@@ -1304,16 +1228,6 @@ mod tests {
         let cex = v.counterexample().unwrap();
         assert_eq!(cex.trace(), &Trace::from_events([e(0)]));
     }
-}
-
-#[cfg(test)]
-mod fd_and_compression_tests {
-    use super::*;
-    use csp::{EventId, EventSet};
-
-    fn e(n: u32) -> EventId {
-        EventId::from_index(n as usize)
-    }
 
     #[test]
     fn fd_refinement_rejects_divergent_implementations() {
@@ -1336,64 +1250,5 @@ mod fd_and_compression_tests {
             .failures_divergences_refinement(&p, &p, &defs)
             .unwrap();
         assert!(v.is_pass());
-    }
-
-    #[test]
-    fn compression_preserves_verdicts() {
-        let defs = Definitions::new();
-        // An implementation with redundant interleaving structure.
-        let imp = Process::interleave(
-            Process::prefix(e(0), Process::Stop),
-            Process::prefix(e(0), Process::Stop),
-        );
-        let spec = Process::prefix(
-            e(0),
-            Process::external_choice(Process::prefix(e(0), Process::Stop), Process::Stop),
-        );
-        let plain = Checker::new().trace_refinement(&spec, &imp, &defs).unwrap();
-        let mut b = CheckerBuilder::new();
-        b.compress(true);
-        let compressed = b.build().trace_refinement(&spec, &imp, &defs).unwrap();
-        assert_eq!(plain.is_pass(), compressed.is_pass());
-    }
-
-    #[test]
-    fn compression_keeps_a_deadlock_apart_from_termination() {
-        // a -> SKIP [] c -> b -> STOP: after ⟨c, b⟩ it deadlocks. That STOP
-        // and the Ω after ⟨a, ✓⟩ both have no edges, yet are not bisimilar.
-        let defs = Definitions::new();
-        let p = Process::external_choice(
-            Process::prefix(e(0), Process::Skip),
-            Process::prefix(e(2), Process::prefix(e(1), Process::Stop)),
-        );
-        let plain = Checker::new().deadlock_free(&p, &defs).unwrap();
-        let mut b = CheckerBuilder::new();
-        b.compress(true);
-        let compressed = b.build().deadlock_free(&p, &defs).unwrap();
-        let cex = plain
-            .counterexample()
-            .expect("the plain checker finds the deadlock");
-        assert_eq!(cex.trace(), &csp::Trace::from_events([e(2), e(1)]));
-        assert_eq!(cex.kind(), &FailureKind::Deadlock);
-        assert_eq!(compressed, plain);
-    }
-
-    #[test]
-    fn compression_shrinks_the_compiled_lts() {
-        let defs = Definitions::new();
-        let components: Vec<Process> = (0..4)
-            .map(|_| Process::prefix(e(0), Process::prefix(e(1), Process::Stop)))
-            .collect();
-        let p = Process::interleave_all(components);
-        let plain = Checker::new().compile(&p, &defs).unwrap();
-        let mut b = CheckerBuilder::new();
-        b.compress(true);
-        let small = b.build().compile(&p, &defs).unwrap();
-        assert!(
-            small.state_count() < plain.state_count(),
-            "{} vs {}",
-            small.state_count(),
-            plain.state_count()
-        );
     }
 }

@@ -75,7 +75,7 @@ pub mod persist;
 pub mod properties;
 pub mod supervisor;
 
-pub use checker::{CheckOptions, Checker, CheckerBuilder, RefinementModel};
+pub use checker::{CheckOptions, Checker, RefinementModel};
 pub use counterexample::{BudgetReason, Counterexample, FailureKind, Inconclusive, Verdict};
 pub use error::CheckError;
 pub use interrupt::{clear_interrupt, interrupt_requested, request_interrupt};

@@ -602,7 +602,7 @@ mod tests {
             &compiled,
             model,
             threads,
-            c.max_product(),
+            c.max_product,
             &budget,
             None,
             None,
@@ -798,7 +798,7 @@ mod tests {
             &compiled,
             RefinementModel::Traces,
             4,
-            c.max_product(),
+            c.max_product,
             &Budget::unbounded(),
             None,
             None,
@@ -848,9 +848,10 @@ mod tests {
     #[test]
     fn product_bound_is_enforced_in_parallel() {
         let defs = Definitions::new();
-        let mut b = crate::checker::CheckerBuilder::new();
-        b.max_product(4);
-        let c = b.build();
+        let c = Checker {
+            max_product: 4,
+            ..Checker::new()
+        };
         let spec = Process::prefix_chain((0..10).map(e), Process::Stop);
         let err = traces(&c, &spec, &spec, &defs, 4).unwrap_err();
         assert_eq!(err, CheckError::ProductExceeded { limit: 4 });
@@ -1070,12 +1071,12 @@ mod tests {
                 let walk = model.walk();
                 let unbounded = Budget::unbounded();
                 let (serial, _, serial_stats) = refine_zero_one(
-                    &norm, compiled.lts(), walk, c.max_product(), None, &unbounded, None, None,
+                    &norm, compiled.lts(), walk, c.max_product, None, &unbounded, None, None,
                 )
                 .unwrap();
                 for owners in [1usize, 2, 3, 8] {
                     let (verdict, _, stats) = refine(
-                        &norm, &compiled, walk, owners, c.max_product(), &unbounded, None, None,
+                        &norm, &compiled, walk, owners, c.max_product, &unbounded, None, None,
                     )
                     .unwrap();
                     prop_assert!(
@@ -1110,7 +1111,7 @@ mod tests {
             });
             let walk = RefinementModel::Traces;
             let (verdict, frontier, _) =
-                refine(&norm, &compiled, walk, 8, c.max_product(), &cut, None, None).unwrap();
+                refine(&norm, &compiled, walk, 8, c.max_product, &cut, None, None).unwrap();
             if rogue && !verdict.is_inconclusive() {
                 // The violation lies two steps in: the cut may come after it.
                 assert_eq!(verdict, reference);
@@ -1126,7 +1127,7 @@ mod tests {
                     &compiled,
                     walk,
                     owners,
-                    c.max_product(),
+                    c.max_product,
                     &Budget::unbounded(),
                     Some(&frontier),
                     None,
@@ -1153,7 +1154,7 @@ mod tests {
                 &compiled,
                 RefinementModel::Traces,
                 8,
-                c.max_product(),
+                c.max_product,
                 &Budget::unbounded(),
                 None,
                 None,

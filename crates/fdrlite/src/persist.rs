@@ -79,8 +79,8 @@ pub const BAD_CHECKPOINT: Code = Code("STO405");
 /// process was detected as stale and stolen; writers proceed normally.
 pub const STALE_LOCK: Code = Code("STO406");
 
-const MAGIC_MODEL: &[u8; 8] = b"FDRLMDL\x01";
-const MAGIC_NORM: &[u8; 8] = b"FDRLNRM\x02";
+const MAGIC_MODEL: &[u8; 8] = b"FDRLMDL\x02";
+const MAGIC_NORM: &[u8; 8] = b"FDRLNRM\x03";
 const MAGIC_CKPT: &[u8; 8] = b"FDRLCKP\x03";
 const FORMAT_VERSION: u32 = 1;
 
@@ -637,31 +637,23 @@ impl RecordLog {
 pub(crate) struct ModelKey {
     pub hash: ModelHash,
     pub max_states: u64,
-    pub compress: bool,
 }
 
 impl ModelKey {
     fn file_name(&self) -> String {
-        format!(
-            "m-{}-{:x}-{}.bin",
-            self.hash.to_hex(),
-            self.max_states,
-            u8::from(self.compress)
-        )
+        format!("m-{}-{:x}.bin", self.hash.to_hex(), self.max_states)
     }
 
     fn encode(&self, enc: &mut Enc) {
         enc.u64(self.hash.0[0]);
         enc.u64(self.hash.0[1]);
         enc.u64(self.max_states);
-        enc.u8(u8::from(self.compress));
     }
 
     fn check_echo(&self, dec: &mut Dec<'_>) -> DecResult<()> {
         let echo = ModelKey {
             hash: ModelHash([dec.u64()?, dec.u64()?]),
             max_states: dec.u64()?,
-            compress: dec.flag("compress flag out of range")?,
         };
         if echo != *self {
             return corrupt("key echo does not match requested key");
@@ -680,10 +672,9 @@ pub(crate) struct NormDiskKey {
 impl NormDiskKey {
     fn file_name(&self) -> String {
         format!(
-            "n-{}-{:x}-{}-{:x}.bin",
+            "n-{}-{:x}-{:x}.bin",
             self.model.hash.to_hex(),
             self.model.max_states,
-            u8::from(self.model.compress),
             self.max_norm_nodes
         )
     }
@@ -765,12 +756,13 @@ fn decode_lts(dec: &mut Dec<'_>) -> DecResult<Lts> {
 }
 
 // Normal forms are stored in the flat CSR/bitset layout the checker runs
-// on (format `FDRLNRM\x02`): acceptance pool first (word width, then
+// on (format `FDRLNRM\x03`): acceptance pool first (word width, then
 // deduplicated `tick + words` rows), then per node its sorted after-edges,
-// the tick/divergence flags and its `AcceptanceId` range. Entries written
-// by the pre-flattening codec carry the `\x01` magic and are rejected as
-// [`EntryError::Version`] — the stale-version quarantine path — never
-// decoded into a wrong artifact.
+// the tick/divergence flags and its `AcceptanceId` range. Entries of the
+// older formats (`\x01` from the pre-flattening codec, `\x02` whose key
+// echo ends in a retired flag byte) are rejected as [`EntryError::Version`]
+// — the stale-version quarantine path — never decoded into a wrong
+// artifact.
 
 fn encode_norm(enc: &mut Enc, norm: &NormalisedLts) {
     let n = norm.node_count();
@@ -913,7 +905,6 @@ pub(crate) struct CheckIdParts {
     pub max_states: u64,
     pub max_norm_nodes: u64,
     pub max_product: u64,
-    pub compress: bool,
 }
 
 impl CheckIdParts {
@@ -925,7 +916,6 @@ impl CheckIdParts {
         h.u64(self.max_states);
         h.u64(self.max_norm_nodes);
         h.u64(self.max_product);
-        h.u8(u8::from(self.compress));
         CheckId(h.finish())
     }
 }
@@ -1797,7 +1787,6 @@ mod tests {
         ModelKey {
             hash: ModelHash([0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321]),
             max_states: 100_000,
-            compress: false,
         }
     }
 
@@ -1825,14 +1814,30 @@ mod tests {
     }
 
     /// The model entry of [`pinned_lts`] under [`sample_key`], as the
-    /// `FDRLMDL\x01` format has always written it: caches on disk must
-    /// keep loading, so these bytes never change under this magic.
+    /// `FDRLMDL\x02` format writes it: caches on disk must keep loading,
+    /// so these bytes never change under this magic.
     const PINNED_MODEL_ENTRY: &str = concat!(
+        "4644524c4d444c0201000000f0debc9a7856341221436587a9cbed0fa0860100",
+        "0000000004000000080200000000010000000200000000020000000200000001",
+        "0300000002010000000000000001000000022c0100000200000000000000306e",
+        "09d1f6b6a5b0",
+    );
+
+    /// The same entry as the `FDRLMDL\x01` format wrote it: its key echo
+    /// ends in a retired flag byte.
+    const FDRLMDL_01_ENTRY: &str = concat!(
         "4644524c4d444c0101000000f0debc9a7856341221436587a9cbed0fa0860100",
         "0000000000040000000802000000000100000002000000000200000002000000",
         "010300000002010000000000000001000000022c010000020000000000000003",
         "0a9673997bc90b",
     );
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
 
     /// Four states: τ and event edges out of 0, ✓ and an event out of 1,
     /// an event id above 255 looping on 2, and 3 the `Ω` state.
@@ -1865,6 +1870,27 @@ mod tests {
             assert_eq!(back.edges(s), lts.edges(s));
             assert_eq!(back.is_omega(s), lts.is_omega(s));
         }
+    }
+
+    #[test]
+    fn an_fdrlmdl_01_entry_is_quarantined_as_stale_and_rewritten() {
+        let dir = tmpdir("fdrlmdl01");
+        let cache = PersistentCache::open(&dir).unwrap();
+        let key = sample_key();
+        fs::write(dir.join(key.file_name()), unhex(FDRLMDL_01_ENTRY)).unwrap();
+        assert!(cache.load_model(&key).is_none(), "an old entry must miss");
+        assert!(dir.join("quarantine").join(key.file_name()).exists());
+        let diags = cache.take_diagnostics();
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, STALE_VERSION);
+
+        // The caller recompiles on the miss and writes the new format.
+        cache.store_model(&key, &pinned_lts());
+        assert_eq!(
+            fs::read(dir.join(key.file_name())).unwrap(),
+            unhex(PINNED_MODEL_ENTRY)
+        );
+        assert_eq!(cache.load_model(&key).unwrap().state_count(), 4);
     }
 
     #[test]
@@ -2047,17 +2073,14 @@ mod tests {
         let k1 = ModelKey {
             hash: ModelHash([1, 1]),
             max_states: 10,
-            compress: false,
         };
         let k2 = ModelKey {
             hash: ModelHash([2, 2]),
             max_states: 10,
-            compress: false,
         };
         let k3 = ModelKey {
             hash: ModelHash([3, 3]),
             max_states: 10,
-            compress: false,
         };
         cache.store_model(&k1, &lts);
         cache.store_model(&k2, &lts);
@@ -2268,7 +2291,6 @@ mod tests {
             max_states: 100,
             max_norm_nodes: 100,
             max_product: 100,
-            compress: false,
         };
         let id = base.id();
         assert_ne!(

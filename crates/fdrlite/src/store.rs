@@ -115,7 +115,6 @@ struct CompileKey {
     /// compile for another's structurally identical term.
     defs: u32,
     max_states: usize,
-    compress: bool,
 }
 
 impl CompileKey {
@@ -123,8 +122,7 @@ impl CompileKey {
         CompileKey {
             term,
             defs,
-            max_states: checker.max_states(),
-            compress: checker.compress(),
+            max_states: checker.max_states,
         }
     }
 }
@@ -207,8 +205,7 @@ impl StoreInner {
         let defs_id = self.defs_id(defs);
         ModelKey {
             hash: self.model_hash(term, defs_id, p, defs),
-            max_states: checker.max_states() as u64,
-            compress: checker.compress(),
+            max_states: checker.max_states as u64,
         }
     }
 
@@ -229,10 +226,9 @@ impl StoreInner {
             spec: spec_hash,
             impl_: impl_hash,
             model,
-            max_states: checker.max_states() as u64,
-            max_norm_nodes: checker.max_norm_nodes() as u64,
-            max_product: checker.max_product() as u64,
-            compress: checker.compress(),
+            max_states: checker.max_states as u64,
+            max_norm_nodes: checker.max_norm_nodes as u64,
+            max_product: checker.max_product as u64,
         }
         .id()
     }
@@ -265,13 +261,8 @@ impl StoreInner {
             &mut self.arenas[defs_id as usize],
             term,
             defs,
-            checker.max_states(),
+            checker.max_states,
         )?;
-        let lts = if checker.compress() {
-            csp::compress::quotient_bisim(&lts).lts
-        } else {
-            lts
-        };
         if let Some(cache) = disk {
             let dkey = self.disk_model_key(term, checker, p, defs);
             cache.store_model(&dkey, &lts);
@@ -295,7 +286,7 @@ impl StoreInner {
         let term = self.arenas[defs_id as usize].intern(p);
         let key = NormKey {
             compile: CompileKey::new(term, defs_id, checker),
-            max_norm_nodes: checker.max_norm_nodes(),
+            max_norm_nodes: checker.max_norm_nodes,
         };
         if let Some(norm) = self.normalised.get(&key) {
             self.hits += 1;
@@ -305,7 +296,7 @@ impl StoreInner {
             // A disk-cached normal form skips the spec compile entirely.
             let dkey = NormDiskKey {
                 model: self.disk_model_key(term, checker, p, defs),
-                max_norm_nodes: checker.max_norm_nodes() as u64,
+                max_norm_nodes: checker.max_norm_nodes as u64,
             };
             if let Some(norm) = cache.load_norm(&dkey) {
                 self.hits += 1;
@@ -317,12 +308,12 @@ impl StoreInner {
         let model = self.compile(checker, p, defs, disk)?;
         self.misses += 1;
         let norm_start = Instant::now();
-        let norm = Arc::new(NormalisedLts::build(model.lts(), checker.max_norm_nodes())?);
+        let norm = Arc::new(NormalisedLts::build(model.lts(), checker.max_norm_nodes)?);
         let norm_wall = norm_start.elapsed();
         if let Some(cache) = disk {
             let dkey = NormDiskKey {
                 model: self.disk_model_key(term, checker, p, defs),
-                max_norm_nodes: checker.max_norm_nodes() as u64,
+                max_norm_nodes: checker.max_norm_nodes as u64,
             };
             cache.store_norm(&dkey, &norm);
         }
@@ -463,9 +454,8 @@ impl ModelStore {
             .map(|(_, analysis)| analysis)
     }
 
-    /// Compile `p` (explicate + optional compression),
-    /// served from cache when an equal term was already compiled under
-    /// equal bounds.
+    /// Compile `p` (explicate), served from cache when an equal term was
+    /// already compiled under equal bounds.
     ///
     /// # Errors
     ///
@@ -711,7 +701,7 @@ impl ModelStore {
         });
         let mut save = |frontier: &Frontier| log.as_mut().is_some_and(|log| log.save(frontier));
         let every = persist.and_then(|(cfg, _)| cfg.checkpoint_every);
-        let max_product = checker.max_product();
+        let max_product = checker.max_product;
 
         let mut checkpoints = every.map(|every| Checkpoints {
             every,
@@ -836,9 +826,10 @@ mod tests {
         let p = Process::prefix(e(0), Process::Stop);
 
         let loose = Checker::new();
-        let mut b = crate::CheckerBuilder::new();
-        b.max_states(10);
-        let tight = b.build();
+        let tight = Checker {
+            max_states: 10,
+            ..Checker::new()
+        };
 
         store.compile(&loose, &p, &defs).unwrap();
         store.compile(&tight, &p, &defs).unwrap();

@@ -11,7 +11,7 @@
 //!    reachable product-pair count as the serial engine, each pair
 //!    expanded exactly once.
 //! 2. A cache entry written under the *previous* normal-form format
-//!    version (magic `FDRLNRM\x01`, valid checksum) must be quarantined as
+//!    version (magic `FDRLNRM\x02`, valid checksum) must be quarantined as
 //!    stale and recompiled, never decoded — with the verdict unchanged.
 
 use std::path::PathBuf;
@@ -186,7 +186,7 @@ fn downgrade_entry_version(path: &std::path::Path) {
     );
     assert_eq!(&bytes[..7], b"FDRLNRM", "expected a normal-form entry");
     let body_len = bytes.len() - 8;
-    bytes[7] = 0x01;
+    bytes[7] = 0x02;
     let sum = fnv1a64(&bytes[..body_len]);
     bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(path, &bytes).expect("entry writable");

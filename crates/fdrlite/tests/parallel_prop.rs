@@ -124,9 +124,10 @@ proptest! {
         // serial engine reports (and vice versa); verdicts that do come
         // back must still be identical.
         let defs = Definitions::new();
-        let mut builder = fdrlite::CheckerBuilder::new();
-        builder.max_product(8);
-        let checker = builder.build();
+        let checker = Checker {
+            max_product: 8,
+            ..Checker::new()
+        };
         let spec = Process::prefix(e(0), Process::Stop);
         let serial = checker.trace_refinement(&spec, &impl_, &defs);
         let parallel = check(&checker, &spec, &impl_, &defs, 4).map(|(verdict, _)| verdict);

@@ -102,18 +102,20 @@ pub fn encode(frame: &Frame) -> String {
             if let Some(assertion) = &job.assertion {
                 w.key("assertion").string(assertion);
             }
-            w.key("threads").number(job.threads);
+            // Numbers a manifest may set past 2^53 travel as decimal
+            // strings, which JSON numbers would round.
+            w.key("threads").string(&job.threads.to_string());
             if let Some(max_states) = job.max_states {
-                w.key("max_states").number(max_states);
+                w.key("max_states").string(&max_states.to_string());
             }
             if let Some(timeout_ms) = job.timeout_ms {
-                w.key("timeout_ms").number(timeout_ms);
+                w.key("timeout_ms").string(&timeout_ms.to_string());
             }
             if let Some(c) = &job.chaos {
                 w.key("chaos").object(|w| {
-                    w.key("seed").number(c.seed);
+                    w.key("seed").string(&c.seed.to_string());
                     w.key("transient_attempts").number(c.transient_attempts);
-                    w.key("every_nth").number(c.every_nth);
+                    w.key("every_nth").string(&c.every_nth.to_string());
                 });
             }
         }
@@ -167,6 +169,20 @@ fn opt_str(v: &json::Value, key: &str) -> Option<String> {
     v.get(key).and_then(json::Value::as_str).map(str::to_owned)
 }
 
+/// An integer field the encoder writes as a decimal string, if present.
+fn opt_decimal<T: std::str::FromStr>(v: &json::Value, key: &str) -> Result<Option<T>, String> {
+    opt_str(v, key)
+        .map(|text| {
+            text.parse()
+                .map_err(|_| format!("field `{key}` is not a decimal in range: `{text}`"))
+        })
+        .transpose()
+}
+
+fn need_decimal<T: std::str::FromStr>(v: &json::Value, key: &str) -> Result<T, String> {
+    opt_decimal(v, key)?.ok_or_else(|| format!("frame is missing decimal field `{key}`"))
+}
+
 fn need_job_id(v: &json::Value) -> Result<u64, String> {
     let token = need_str(v, "id")?;
     crate::parse_job_id(&token).ok_or_else(|| format!("malformed job id `{token}`"))
@@ -197,10 +213,10 @@ pub fn decode(line: &str) -> Result<Frame, String> {
             };
             let chaos = match value.get("chaos") {
                 Some(c) => Some(ChaosCfg {
-                    seed: need_u64(c, "seed")?,
+                    seed: need_decimal(c, "seed")?,
                     transient_attempts: u32::try_from(need_u64(c, "transient_attempts")?)
                         .map_err(|_| "transient_attempts out of range".to_string())?,
-                    every_nth: need_u64(c, "every_nth")?,
+                    every_nth: need_decimal(c, "every_nth")?,
                 }),
                 None => None,
             };
@@ -215,10 +231,9 @@ pub fn decode(line: &str) -> Result<Frame, String> {
                     spec: opt_str(&value, "spec"),
                     corpus: opt_str(&value, "corpus").map(Into::into),
                     assertion: opt_str(&value, "assertion"),
-                    threads: usize::try_from(need_u64(&value, "threads")?)
-                        .map_err(|_| "threads out of range".to_string())?,
-                    max_states: value.get("max_states").and_then(json::Value::as_u64),
-                    timeout_ms: value.get("timeout_ms").and_then(json::Value::as_u64),
+                    threads: need_decimal(&value, "threads")?,
+                    max_states: opt_decimal(&value, "max_states")?,
+                    timeout_ms: opt_decimal(&value, "timeout_ms")?,
                     chaos,
                 },
             })
@@ -429,5 +444,15 @@ mod tests {
             "{\"type\":\"result\",\"id\":\"0000000000000007\",\"status\":\"maybe\",\"lines\":[]}"
         )
         .is_err());
+        let job = Frame::Job {
+            id: 1,
+            attempt: 1,
+            job: sample_job(),
+        };
+        let past_u64 =
+            encode(&job).replace("\"threads\":\"2\"", "\"threads\":\"18446744073709551616\"");
+        assert!(decode(past_u64.trim_end())
+            .unwrap_err()
+            .contains("`threads`"));
     }
 }

@@ -14,9 +14,6 @@ use service::http::{read_request, RequestError, MAX_HEAD};
 use service::wire::{decode, encode, Frame};
 use service::{ChaosCfg, ResolvedJob};
 
-/// The largest integer a frame's JSON number carries exactly.
-const EXACT: u64 = 1 << 53;
-
 /// Characters that stress string escaping: printable ASCII, quotes,
 /// backslashes, every control character (newlines among them), DEL, a
 /// line separator and text outside the basic multilingual plane.
@@ -45,14 +42,13 @@ fn arb_job() -> impl Strategy<Value = ResolvedJob> {
         Just(cspm::manifest::JobKind::Conform),
         Just(cspm::manifest::JobKind::Analyze),
     ];
-    let chaos =
-        (0..=EXACT, any::<u32>(), 0..=EXACT).prop_map(|(seed, transient_attempts, every_nth)| {
-            ChaosCfg {
-                seed,
-                transient_attempts,
-                every_nth,
-            }
-        });
+    let chaos = (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(
+        |(seed, transient_attempts, every_nth)| ChaosCfg {
+            seed,
+            transient_attempts,
+            every_nth,
+        },
+    );
     (
         (
             arb_text(),
@@ -63,9 +59,9 @@ fn arb_job() -> impl Strategy<Value = ResolvedJob> {
         ),
         (
             proptest::option::of(arb_text()),
-            0..=EXACT,
-            proptest::option::of(0..=EXACT),
-            proptest::option::of(0..=EXACT),
+            any::<u64>(),
+            proptest::option::of(any::<u64>()),
+            proptest::option::of(any::<u64>()),
             proptest::option::of(chaos),
         ),
     )

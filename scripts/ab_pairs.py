@@ -13,10 +13,15 @@ Every run must print `"correct":true`, and every run of both sides the
 same `verdicts_digest`; otherwise the script exits 1. For each end-to-end
 metric of BENCHMARK.json it prints each side's runs, median and
 quartiles, the pairs the change won (ties count for neither), the
-change/parent ratio of the medians, whether the change's median is worse
-than the parent's by more than the metric's bound, and whether a gain
-holds: the change wins at least 9/10 of the pairs and the medians differ
-by more than the parent's interquartile range.
+change/parent ratio of the medians, and whether a gain holds: the change
+wins at least 9/10 of the pairs and the medians differ by more than the
+parent's interquartile range. It calls the metric `unresolved` when
+either side's interquartile range exceeds the metric's bound times the
+parent's median, unless every change run beats every parent run: runs
+that spread that widely cannot tell a regression within the bound from
+one beyond it. Otherwise it says whether the change's median is worse
+than the parent's by more than the bound. Each side's IQR relative to
+the parent's median is printed beside it.
 
 With `--trace K`, K alternating pairs of traced runs (`--trace 1`) follow
 the untraced ones (PAIRS may be 0). For every per-layer metric of
@@ -66,23 +71,31 @@ def report(metric, parent, change, better, bound):
         (c > p) if better == "higher" else (c < p) for p, c in zip(parent, change)
     )
     print(f"\n{metric} ({better} is better, bound {bound})")
-    medians = {}
+    medians, iqrs = {}, {}
     for side, runs in (("parent", parent), ("change", change)):
         q1, q3 = quartiles(runs)
-        medians[side] = statistics.median(runs)
+        medians[side], iqrs[side] = statistics.median(runs), q3 - q1
         shown = " ".join(f"{v:.4g}" for v in runs)
         print(f"  {side}: {shown}")
         print(f"    median {medians[side]:.4g}  q1 {q1:.4g}  q3 {q3:.4g}  IQR {q3 - q1:.4g}")
     base, new = medians["parent"], medians["change"]
-    q1, q3 = quartiles(parent)
     ratio = new / base if base else float("nan")
     # The share by which the change's median is worse; negative when better.
     sign = 1 if better == "lower" else -1
     worse = sign * (new - base) / base if base else 0.0
-    gain = wins * 10 >= 9 * len(parent) and abs(new - base) > q3 - q1 and worse < 0
+    gain = wins * 10 >= 9 * len(parent) and abs(new - base) > iqrs["parent"] and worse < 0
+    # Each side's spread relative to the parent's median.
+    spread = {side: iqr / base if base else float("inf") for side, iqr in iqrs.items()}
+    beats_all = (max(change) < min(parent)) if better == "lower" else (min(change) > max(parent))
+    if max(spread.values()) > bound and not beats_all:
+        verdict = "unresolved"
+    elif worse > bound:
+        verdict = "REGRESSION beyond bound"
+    else:
+        verdict = "within bound"
     print(f"  change won {wins}/{len(parent)} pairs; change/parent median {ratio:.3f}")
-    print(f"  {'REGRESSION beyond bound' if worse > bound else 'within bound'}; "
-          f"gain rule {'met' if gain else 'not met'}")
+    print(f"  {verdict} (relative IQR parent {spread['parent']:.3f}, "
+          f"change {spread['change']:.3f}); gain rule {'met' if gain else 'not met'}")
 
 
 def alternate(parent, change, command, pairs, kind, first):

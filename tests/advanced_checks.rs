@@ -1,33 +1,9 @@
 //! Advanced checker features exercised on the case-study models:
-//! strong-bisimulation compression, failures-divergences refinement, and
-//! the parallel decision procedure must all agree with the baseline.
+//! failures-divergences refinement, the interrupt operator and the
+//! parallel decision procedure must all agree with the baseline.
 
-use fdrlite::{Checker, CheckerBuilder};
+use fdrlite::Checker;
 use ota::{requirements, system::OtaSystem};
-
-#[test]
-fn compression_preserves_every_table_iii_verdict() {
-    let mut study = OtaSystem::build().unwrap();
-    let reqs = requirements::all(&mut study).unwrap();
-    let plain = Checker::new();
-    let mut b = CheckerBuilder::new();
-    b.compress(true);
-    let compressed = b.build();
-    for req in &reqs {
-        let v1 = plain
-            .trace_refinement(&req.spec, &req.scoped_system, study.definitions())
-            .unwrap();
-        let v2 = compressed
-            .trace_refinement(&req.spec, &req.scoped_system, study.definitions())
-            .unwrap();
-        assert_eq!(
-            v1.is_pass(),
-            v2.is_pass(),
-            "{} differs under compression",
-            req.id
-        );
-    }
-}
 
 #[test]
 fn fd_refinement_holds_for_the_honest_system() {

@@ -1,7 +1,7 @@
 //! Error-path coverage across the toolchain: the failure modes a user hits
 //! must come back as typed errors with actionable messages, never panics.
 
-use fdrlite::{Checker, CheckerBuilder};
+use fdrlite::Checker;
 use translator::{Pipeline, TranslateConfig};
 
 #[test]
@@ -58,9 +58,10 @@ fn dbc_reports_line_numbers() {
 
 #[test]
 fn checker_bounds_come_back_as_errors_not_panics() {
-    let mut b = CheckerBuilder::new();
-    b.max_states(3);
-    let checker = b.build();
+    let checker = Checker {
+        max_states: 3,
+        ..Checker::new()
+    };
     let defs = csp::Definitions::new();
     let chain =
         csp::Process::prefix_chain((0..10).map(csp::EventId::from_index), csp::Process::Stop);
@@ -161,9 +162,10 @@ fn template_errors_name_the_missing_attribute() {
 #[test]
 fn normalisation_bound_is_reported() {
     // A spec whose subset construction exceeds a tiny bound.
-    let mut b = CheckerBuilder::new();
-    b.max_norm_nodes(2);
-    let checker = b.build();
+    let checker = Checker {
+        max_norm_nodes: 2,
+        ..Checker::new()
+    };
     let defs = csp::Definitions::new();
     let spec = csp::Process::prefix_chain((0..6).map(csp::EventId::from_index), csp::Process::Stop);
     let err = checker

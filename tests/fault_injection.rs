@@ -4,10 +4,10 @@
 //! `tests/fault_matrix.rs` use, so these tests keep all of them honest.
 
 use auto_csp::canoe_sim::{CaplValue, Simulation, TraceEvent};
-use auto_csp::faults::conformance::{check_conformance, ConformanceVerdict};
+use auto_csp::faults::conformance::{check_lifted_with, lift_trace, ConformanceVerdict};
 use auto_csp::faults::replay::{counterexample_to_json, replay, ReplayConfig, ReplayFile};
 use auto_csp::faults::{apply_plan, FaultPlan};
-use auto_csp::fdrlite::{Checker, Verdict};
+use auto_csp::fdrlite::{Checker, ModelStore, Verdict};
 use auto_csp::{candb, capl, cspm, ota};
 
 const NET_DBC: &str = include_str!("../examples/faults/net.dbc");
@@ -94,12 +94,13 @@ fn same_plan_and_seed_give_identical_traces() {
 #[test]
 fn conformance_passes_honest_and_flags_the_attack() {
     let loaded = cspm::Script::parse(OTA_MODEL).unwrap().load().unwrap();
-    let checker = Checker::new();
+    let (checker, store) = (Checker::new(), ModelStore::new());
 
     // Baseline traffic is a trace of the honest session model.
     let sim = run_session(BASELINE_PLAN, None);
     let conf = plan(BASELINE_PLAN).conformance.unwrap();
-    let report = check_conformance(&loaded, &conf, sim.trace(), &checker).unwrap();
+    let events = lift_trace(sim.trace(), &conf.rules);
+    let report = check_lifted_with(&loaded, &conf.spec, &events, &checker, &store).unwrap();
     assert!(
         report.verdict.is_conformant(),
         "baseline must conform to HONEST: {:?}",
@@ -114,7 +115,8 @@ fn conformance_passes_honest_and_flags_the_attack() {
     // The replay attack is refuted by the honest model…
     let sim = run_session(REPLAY_ATTACK_PLAN, None);
     let conf = plan(REPLAY_ATTACK_PLAN).conformance.unwrap();
-    let report = check_conformance(&loaded, &conf, sim.trace(), &checker).unwrap();
+    let events = lift_trace(sim.trace(), &conf.rules);
+    let report = check_lifted_with(&loaded, &conf.spec, &events, &checker, &store).unwrap();
     assert!(
         matches!(report.verdict, ConformanceVerdict::Refuted(_)),
         "HONEST must refute the replayed session: {:?}",
@@ -123,7 +125,8 @@ fn conformance_passes_honest_and_flags_the_attack() {
 
     // …and admitted by the implementation-with-attacker model.
     let conf = plan(REPLAY_MODELLED_PLAN).conformance.unwrap();
-    let report = check_conformance(&loaded, &conf, sim.trace(), &checker).unwrap();
+    let events = lift_trace(sim.trace(), &conf.rules);
+    let report = check_lifted_with(&loaded, &conf.spec, &events, &checker, &store).unwrap();
     assert!(
         report.verdict.is_conformant(),
         "ATTACKED must admit the replayed session: {:?}",
@@ -223,7 +226,15 @@ fn hardened_ecu_stays_conformant_under_the_attack() {
     // *delivered*, just never answered) conforms to the attacked model.
     let loaded = cspm::Script::parse(OTA_MODEL).unwrap().load().unwrap();
     let conf = plan(REPLAY_MODELLED_PLAN).conformance.unwrap();
-    let report = check_conformance(&loaded, &conf, sim.trace(), &Checker::new()).unwrap();
+    let events = lift_trace(sim.trace(), &conf.rules);
+    let report = check_lifted_with(
+        &loaded,
+        &conf.spec,
+        &events,
+        &Checker::new(),
+        &ModelStore::new(),
+    )
+    .unwrap();
     assert!(report.verdict.is_conformant(), "{:?}", report.verdict);
     assert_eq!(
         report.events.last().map(String::as_str),

@@ -6,9 +6,10 @@
 //! one, used to overflow.
 //!
 //! Long chains of definitions are judged exactly: 10,000 aliases and a
-//! countdown from 10,000 check and lint clean, a real cycle is named as
-//! unguarded recursion, and a chain nesting 1,280 definitions through `[]`
-//! ends in the firing rules' size limit, not in recursion or an abort.
+//! countdown from 10,000 check and lint clean, 10,000 aliases of `SKIP`
+//! lint clean, a real cycle is named as unguarded recursion, and a chain
+//! nesting 1,280 definitions through `[]` ends in the firing rules' size
+//! limit, not in recursion or an abort.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -80,6 +81,16 @@ fn long_definition_chains_are_judged_exactly() {
         assert_eq!(code, Some(0), "lint {path:?}");
         assert_eq!(stdout, "0 error(s), 0 warning(s)\n");
     }
+    // Each alias terminates silently only once the next one does: found
+    // in one walk up the chain, where rounds over the table in definition
+    // order would take 10,000.
+    let to_skip: String = (0..10_000)
+        .map(|i| format!("P{i} = P{}\n", i + 1))
+        .collect();
+    let to_skip = script("to_skip.csp", to_skip + "P10000 = SKIP\n");
+    let (code, stdout, _) = run("lint", &to_skip);
+    assert_eq!(code, Some(0), "lint {to_skip:?}");
+    assert_eq!(stdout, "0 error(s), 0 warning(s)\n");
 
     let cycle = script("cycle.csp", "P0 = B [] a -> STOP\nB = P0\n".to_owned());
     let (code, _, stderr) = run("check", &cycle);

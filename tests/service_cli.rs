@@ -508,6 +508,45 @@ fn a_script_edited_between_submissions_gets_the_verdict_of_its_new_content() {
 }
 
 #[test]
+fn a_job_with_numbers_past_two_to_the_53_reaches_its_verdict() {
+    use service::server::{LauncherKind, Server, ServerConfig};
+    // 2^60 and 2^53 + 1: a JSON number carries neither exactly.
+    const MANIFEST: &str = "[chaos]\nseed = 1152921504606846976\n\n[[job]]\nname = \"one\"\n\
+        kind = \"check\"\nscript = \"one.csp\"\nmax_states = 9007199254740993\n";
+    let _server = in_process_server();
+    let dir = scratch("huge");
+    fs::write(dir.join("one.csp"), "P = STOP\nassert P [T= P\n").unwrap();
+    let mut config = ServerConfig::with_defaults(dir.join("state")).expect("server config");
+    config.workers = 1;
+    config.scripts_root = dir.clone();
+    config.launcher = LauncherKind::InProcess {
+        die_after_states: None,
+    };
+    let server = Server::start(config).expect("server starts");
+    let addr = server.http_addr().to_string();
+    let (status, body) = client_request(&addr, "POST", "/v1/jobs", MANIFEST).unwrap();
+    assert_eq!(status, 202, "{body}");
+    let accepted = json::parse(&body).unwrap();
+    let id = accepted.get("jobs").and_then(Value::as_array).unwrap()[0]
+        .get("id")
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    let (status, body) =
+        client_request(&addr, "GET", &format!("/v1/jobs/{id}?wait=5"), "").unwrap();
+    server.shutdown();
+    fdrlite::clear_interrupt();
+    assert_eq!(status, 200, "{body}");
+    let job = json::parse(&body).unwrap();
+    assert_eq!(
+        job.get("state").and_then(Value::as_str),
+        Some("done"),
+        "{body}"
+    );
+    assert_eq!(verdict(&job).2, ["assert P [T= P  ...  PASS"], "{body}");
+}
+
+#[test]
 fn an_in_process_worker_checks_the_deepest_nest_the_parser_accepts() {
     use service::server::{LauncherKind, Server, ServerConfig};
     const MANIFEST: &str = "[[job]]\nname = \"deep\"\nkind = \"check\"\nscript = \"deep.csp\"\n";
